@@ -6,10 +6,14 @@ capsule stack with its composition annotations, capability grants, and
 the loader/verifier policy. Everything is validated before the board
 finalizes; an invalid configuration never simulates.
 
-The run loop alternates one kernel loop step with one clock tick until
-the system is quiescent (nothing runnable, no pending interrupts, no
-armed or busy peripherals, no in-flight loader jobs) or the tick limit is
-reached.
+The run loop runs kernel loop steps until the system is quiescent
+(nothing runnable, no pending interrupts, no armed or busy peripherals, no
+in-flight loader jobs) or the tick limit is reached. After a step that did
+work, or while an interrupt is pending, the clock advances one tick.
+After a step that found nothing to do, nothing can change until a
+peripheral acts, so the clock advances straight to the next hardware
+event (or the tick limit, if that comes first), as a kernel sleeps until
+its next interrupt. The trace is the same as with one step per tick.
 
 Exit codes: 0 clean quiescence or tick limit, 1 any expect mismatch,
 2 configuration error, 3 capsule diagnostic (budget, reentrancy, register
@@ -29,7 +33,15 @@ from typing import Any, Dict, List, Optional
 from .capabilities import CapabilityKind, CapabilityRegistry
 from .capsules import CAPSULE_TYPES, CompositionLayer, validate_composition
 from .errors import ConfigError, ScenarioError, SimulationDiagnostic, SpecError
-from .hw import AlarmHw, Chip, HashEngineHw, InterruptController, SimClock, UartHw
+from .hw import (
+    TICK_MASK,
+    AlarmHw,
+    Chip,
+    HashEngineHw,
+    InterruptController,
+    SimClock,
+    UartHw,
+)
 from .kernel import Kernel, LoaderJob
 from .loader import VERIFIER_POLICIES, fnv1a64, pack_binary
 from .memory import MemoryController
@@ -51,6 +63,13 @@ DEFAULT_MAX_TICKS = 10_000
 _KNOWN_PERIPHERALS = ("alarm", "uart", "hashengine")
 _PERIPHERAL_NEEDED_BY = {"alarm": "alarm", "console": "uart"}
 _TYPES_NEEDING_DRIVER_ID = ("alarm", "console", "probe", "manager")
+# Each peripheral's optional timing knob: (key, minimum, maximum or None).
+# The next-event clock advance relies on these bounds.
+_TIMING_KNOBS = {
+    "alarm": ("initial_count", 0, TICK_MASK),
+    "uart": ("bytes_per_tick", 1, None),
+    "hashengine": ("chunk_bytes", 1, None),
+}
 
 
 def _packaged_map_text(name: str) -> Optional[str]:
@@ -169,6 +188,13 @@ def validate_board_dict(data: Dict[str, Any],
             v.append(f"peripheral {pname!r} reuses irq {irq} of {irqs_seen[irq]!r}")
         else:
             irqs_seen[irq] = pname
+        knob, low, high = _TIMING_KNOBS[pname]
+        value = pcfg.get(knob, low)
+        if not isinstance(value, int) or value < low or \
+                (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+            v.append(f"peripheral {pname!r} {knob} must be an integer {bound}, "
+                     f"got {value!r}")
         text = _map_text(pname, pcfg, base_dir)
         if text is None:
             v.append(f"peripheral {pname!r} references a missing register map "
@@ -367,17 +393,25 @@ class Board:
     def run(self, max_ticks: int = DEFAULT_MAX_TICKS) -> int:
         if not self._finalized:
             self.finalize()
+        kernel, chip = self.kernel, self.chip
+        clock, irqc = chip.clock, chip.irqc
         try:
             while True:
-                self.kernel.loop_step()
-                if self.kernel.quiescent():
+                progressed = kernel.loop_step()
+                if kernel.quiescent():
                     self.trace.log(ACTOR_KERNEL, K_QUIESCENT, {})
                     break
-                if self.chip.clock.now >= max_ticks:
+                now = clock.now
+                if now >= max_ticks:
                     self.trace.log(ACTOR_KERNEL, K_TICK_LIMIT,
                                    {"max_ticks": max_ticks})
                     break
-                self.chip.tick(1)
+                if progressed or irqc.any_pending():
+                    chip.tick(1)
+                else:
+                    gap = chip.ticks_until_event()
+                    left = max_ticks - now
+                    chip.tick(left if gap is None else min(gap, left))
         except SimulationDiagnostic as exc:
             self.trace.log(ACTOR_KERNEL, K_DIAGNOSTIC, {"reason": str(exc)})
             return 3

@@ -3,7 +3,9 @@
 All timing derives from one deterministic tick counter. Peripherals are
 driven strictly by tick() and by software register writes; interrupt
 delivery order is fixed (ascending irq id), so two runs with identical
-inputs raise identical IRQ sequences.
+inputs raise identical IRQ sequences. Each peripheral also tells how many
+ticks remain until it can next change state, so the clock can skip the
+ticks in between in one step.
 """
 
 from __future__ import annotations
@@ -35,13 +37,11 @@ def tick_passed(now: int, deadline: int) -> bool:
 
 
 class SimClock:
-    """Monotone tick counter; the only source of simulated time."""
+    """Monotone tick counter; the only source of simulated time. Only
+    :meth:`Chip.tick` advances it."""
 
     def __init__(self):
         self.now = 0
-
-    def tick(self) -> None:
-        self.now += 1
 
 
 @dataclass
@@ -112,6 +112,9 @@ class AlarmHw:
     passed COMPARE (wraparound-aware), a latch closes until COMPARE is
     rewritten. Writing COMPARE to an already-passed value fires
     immediately.
+
+    The register offsets and the ENABLE|IRQEN mask are resolved once, so
+    the per-tick path is integer arithmetic on the stored register values.
     """
 
     def __init__(self, spec: RegisterMapSpec, irqc: InterruptController,
@@ -121,37 +124,51 @@ class AlarmHw:
         self.irq_id = irq_id
         irqc.add_line(irq_id, spec.name)
         self._fired = False
-        self.regs.hw_set("COUNT", initial_count & TICK_MASK)
+        ctrl = spec.register("CTRL")
+        self._values = self.regs.values
+        self._count_at = spec.register("COUNT").offset
+        self._compare_at = spec.register("COMPARE").offset
+        self._ctrl_at = ctrl.offset
+        self._arm_mask = ctrl.field("ENABLE").mask | ctrl.field("IRQEN").mask
+        self._values[self._count_at] = initial_count & TICK_MASK
 
     @property
     def count(self) -> int:
-        return self.regs.hw_get("COUNT")
+        return self._values[self._count_at]
 
     def _on_write(self, reg: RegisterSpec, value: int) -> None:
-        if reg.name == "COMPARE":
+        if reg.offset == self._compare_at:
             self._fired = False
         self._check()
 
     def _check(self) -> None:
-        if self._fired:
-            return
-        if not (self.regs.hw_field_get("CTRL", "ENABLE")
-                and self.regs.hw_field_get("CTRL", "IRQEN")):
-            return
-        if tick_passed(self.count, self.regs.hw_get("COMPARE")):
+        values = self._values
+        if self.armed and ((values[self._count_at] - values[self._compare_at])
+                           & TICK_MASK) < HALF_RING:
             self._fired = True
             self.irqc.raise_irq(self.irq_id)
 
-    def tick(self) -> None:
-        self.regs.hw_set("COUNT", (self.count + 1) & TICK_MASK)
+    def tick(self, n: int = 1) -> None:
+        values = self._values
+        values[self._count_at] = (values[self._count_at] + n) & TICK_MASK
         self._check()
 
     @property
     def armed(self) -> bool:
         """True while a future compare match will raise an IRQ."""
-        return bool(self.regs.hw_field_get("CTRL", "ENABLE")
-                    and self.regs.hw_field_get("CTRL", "IRQEN")
-                    and not self._fired)
+        return (not self._fired
+                and self._values[self._ctrl_at] & self._arm_mask == self._arm_mask)
+
+    def ticks_until_event(self) -> Optional[int]:
+        """Ticks until COUNT reaches COMPARE while armed, else None.
+
+        Never 0: every write and tick that could leave COUNT at or past
+        COMPARE runs the compare check, which disarms by firing.
+        """
+        if not self.armed:
+            return None
+        values = self._values
+        return (values[self._compare_at] - values[self._count_at]) & TICK_MASK
 
 
 class UartHw:
@@ -192,6 +209,11 @@ class UartHw:
     def busy(self) -> bool:
         return self._window is not None
 
+    def ticks_until_event(self) -> Optional[int]:
+        """1 while a DMA transfer is in flight: every busy tick moves a
+        byte and logs it. None when idle."""
+        return 1 if self._window is not None else None
+
     def start_tx(self, window) -> None:
         if self.busy:
             raise RuntimeError("uart DMA already active")
@@ -231,7 +253,7 @@ class HashEngineHw:
     def __init__(self, spec: RegisterMapSpec, irqc: InterruptController,
                  irq_id: int, chunk_bytes: int = 64,
                  digest_fn: Optional[Callable[[bytes], int]] = None):
-        self.regs = RegisterFile(spec, on_write=self._on_write)
+        self.regs = RegisterFile(spec)
         self.irqc = irqc
         self.irq_id = irq_id
         irqc.add_line(irq_id, spec.name)
@@ -242,12 +264,16 @@ class HashEngineHw:
         self._job_tag = None
         self._completion: Optional[Tuple[object, int]] = None
 
-    def _on_write(self, reg: RegisterSpec, value: int) -> None:
-        pass
-
     @property
     def busy(self) -> bool:
         return self._job_tag is not None
+
+    def ticks_until_event(self) -> Optional[int]:
+        """Ticks until the running job completes, else None. A job with
+        no chunks left (an empty payload) completes on the next tick."""
+        if self._job_tag is None:
+            return None
+        return max(1, self._remaining)
 
     def submit(self, payload: bytes, job_tag) -> None:
         if self.busy:
@@ -261,12 +287,13 @@ class HashEngineHw:
         self.regs.hw_field_set("STATUS", "BUSY", 1)
         self.regs.hw_field_set("STATUS", "DONE", 0)
 
-    def tick(self) -> None:
-        if not self.busy:
+    def tick(self, n: int = 1) -> None:
+        if self._job_tag is None:
             return
-        if self._remaining > 0:
-            self._remaining -= 1
-        if self._remaining == 0:
+        if self._remaining > n:
+            self._remaining -= n
+        else:
+            self._remaining = 0
             tag, digest = self._job_tag, self._pending_digest
             self._job_tag = None
             self.regs.hw_set("DIGEST_LO", digest & 0xFFFFFFFF)
@@ -287,7 +314,7 @@ class HashEngineHw:
 
 
 class Chip:
-    """Bundles the clock and peripherals and drives them tick by tick."""
+    """Bundles the clock and peripherals and drives them in time."""
 
     def __init__(self, clock: SimClock, irqc: InterruptController,
                  alarm: Optional[AlarmHw] = None, uart: Optional[UartHw] = None,
@@ -297,23 +324,46 @@ class Chip:
         self.alarm = alarm
         self.uart = uart
         self.hashengine = hashengine
+        # The UART comes first so that a transfer in flight answers
+        # ticks_until_event() before the other peripherals are asked.
+        self._peripherals = tuple(p for p in (uart, alarm, hashengine)
+                                  if p is not None)
 
     def tick(self, n: int = 1) -> None:
-        if n < 1:
-            raise ValueError("tick count must be >= 1")
-        for _ in range(n):
-            self.clock.tick()
-            if self.alarm is not None:
-                self.alarm.tick()
-            if self.uart is not None:
-                self.uart.tick()
-            if self.hashengine is not None:
-                self.hashengine.tick()
+        """Advance the clock by n ticks in one step.
+
+        Only the last of the n ticks may change peripheral state, so n
+        must not exceed :meth:`ticks_until_event`. The single-tick path,
+        which busy ticks take, skips that check: no event is ever less
+        than one tick away.
+        """
+        if n != 1:
+            if n < 1:
+                raise ValueError("tick count must be >= 1")
+            gap = self.ticks_until_event()
+            if gap is not None and n > gap:
+                raise ValueError(f"tick({n}) would step past the next hardware "
+                                 f"event, {gap} ticks away")
+        self.clock.now += n
+        if self.alarm is not None:
+            self.alarm.tick(n)
+        if self.uart is not None:
+            self.uart.tick()  # n > 1 only while the UART is idle
+        if self.hashengine is not None:
+            self.hashengine.tick(n)
+
+    def ticks_until_event(self) -> Optional[int]:
+        """Ticks until the next tick on which a peripheral can change
+        state, or None while no peripheral has work of its own."""
+        nearest = None
+        for periph in self._peripherals:
+            gap = periph.ticks_until_event()
+            if gap == 1:
+                return 1
+            if gap is not None and (nearest is None or gap < nearest):
+                nearest = gap
+        return nearest
 
     def busy(self) -> bool:
         """True while any peripheral still has future work of its own."""
-        return bool(
-            (self.alarm is not None and self.alarm.armed)
-            or (self.uart is not None and self.uart.busy)
-            or (self.hashengine is not None and self.hashengine.busy)
-        )
+        return self.ticks_until_event() is not None

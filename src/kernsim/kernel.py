@@ -481,6 +481,8 @@ class Kernel:
         self.trusted_key_ids = tuple(trusted_key_ids)
 
         self.processes: Dict[int, ProcessControlBlock] = {}
+        # The live subset of processes, in pid order (pids only grow).
+        self._live: List[ProcessControlBlock] = []
         self._next_pid = count(1)
         self.capsules: List[Any] = []
         self.drivers: Dict[int, Any] = {}
@@ -564,6 +566,7 @@ class Kernel:
             id=pid, name=script.name or name, ram=ram, flash=flash,
             program=ProcessProgram(script), grant_watermark=ram.end)
         self.processes[pid] = pcb
+        self._live.append(pcb)
         self._sync_regions(pcb)
         self.trace.log(ACTOR_KERNEL, K_PROCESS_CREATED,
                        {"pid": pid, "name": pcb.name,
@@ -858,6 +861,7 @@ class Kernel:
         pcb.grants.clear()
         pcb.pending_yield = False
         self.memory.drop_regions(pcb.id)
+        self._live.remove(pcb)
         if pcb.ram.length:
             self.allocator.release(pcb.ram.base, pcb.ram.length)
         if pcb.flash.length:
@@ -915,8 +919,9 @@ class Kernel:
         if self.registry.phase is not BoardPhase.FINALIZED:
             raise PhaseError("the kernel loop only runs on a finalized board")
         progressed = self.chip.irqc.service() > 0
-        for pid in sorted(self.processes):
-            pcb = self.processes[pid]
+        # A snapshot: a process created during this step first runs in the
+        # next one, and one that dies during it is skipped by its state.
+        for pcb in tuple(self._live):
             if pcb.state is ProcessState.UNSTARTED:
                 self._set_state(pcb, ProcessState.RUNNING, "started")
                 pcb.program.advance(self, pcb)
@@ -934,7 +939,7 @@ class Kernel:
         peripheral activity, no in-flight loader jobs."""
         if self.chip.irqc.any_pending() or self.chip.busy() or self.loader.active():
             return False
-        for pcb in self.processes.values():
+        for pcb in self._live:
             if pcb.state in (ProcessState.UNSTARTED, ProcessState.RUNNING):
                 return False
             if pcb.state is ProcessState.YIELDED_WAIT and pcb.upcall_queue:

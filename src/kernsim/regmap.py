@@ -186,14 +186,16 @@ class RegisterFile:
     and the field accessors; an access outside the declared matrix is a
     detected error, never silent. The hardware side of the peripheral
     updates its own registers through :meth:`hw_set` / :meth:`hw_get`,
-    which bypass the access matrix and do not run write hooks.
+    which bypass the access matrix and do not run write hooks. A
+    peripheral model on a per-tick path may instead index :attr:`values`
+    (register value by byte offset) directly, with the same semantics.
     """
 
     def __init__(self, spec: RegisterMapSpec,
                  on_write: Optional[Callable[[RegisterSpec, int], None]] = None):
         self.spec = spec
         self.on_write = on_write
-        self._values: Dict[int, int] = {reg.offset: 0 for reg in spec.registers}
+        self.values: Dict[int, int] = {reg.offset: 0 for reg in spec.registers}
 
     def _reg_at(self, offset: int) -> RegisterSpec:
         reg = self.spec.by_offset(offset)
@@ -207,15 +209,15 @@ class RegisterFile:
         reg = self._reg_at(offset)
         if not reg.readable:
             raise IllegalAccessKind(f"{self.spec.name}.{reg.name} is not readable")
-        return self._values[reg.offset]
+        return self.values[reg.offset]
 
     def mmio_write(self, offset: int, value: int) -> None:
         reg = self._reg_at(offset)
         if not reg.writable:
             raise IllegalAccessKind(f"{self.spec.name}.{reg.name} is not writable")
-        self._values[reg.offset] = value & reg.value_mask
+        self.values[reg.offset] = value & reg.value_mask
         if self.on_write is not None:
-            self.on_write(reg, self._values[reg.offset])
+            self.on_write(reg, self.values[reg.offset])
 
     def read_reg(self, name: str) -> int:
         return self.mmio_read(self.spec.register(name).offset)
@@ -247,7 +249,7 @@ class RegisterFile:
         reg = self.spec.register(reg_name)
         fspec = reg.field(field_name)
         raw = self._resolve_value(fspec, value)
-        current = self._values[reg.offset]
+        current = self.values[reg.offset]
         self.mmio_write(reg.offset, (current & ~fspec.mask) | fspec.encode(raw))
 
     def field_get(self, reg_name: str, field_name: str) -> int:
@@ -259,17 +261,17 @@ class RegisterFile:
 
     def hw_set(self, reg_name: str, value: int) -> None:
         reg = self.spec.register(reg_name)
-        self._values[reg.offset] = value & reg.value_mask
+        self.values[reg.offset] = value & reg.value_mask
 
     def hw_get(self, reg_name: str) -> int:
-        return self._values[self.spec.register(reg_name).offset]
+        return self.values[self.spec.register(reg_name).offset]
 
     def hw_field_set(self, reg_name: str, field_name: str, value: int) -> None:
         reg = self.spec.register(reg_name)
         fspec = reg.field(field_name)
-        current = self._values[reg.offset]
-        self._values[reg.offset] = (current & ~fspec.mask) | fspec.encode(value)
+        current = self.values[reg.offset]
+        self.values[reg.offset] = (current & ~fspec.mask) | fspec.encode(value)
 
     def hw_field_get(self, reg_name: str, field_name: str) -> int:
         reg = self.spec.register(reg_name)
-        return reg.field(field_name).extract(self._values[reg.offset])
+        return reg.field(field_name).extract(self.values[reg.offset])

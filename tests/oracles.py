@@ -5,6 +5,8 @@ event-list replay, straight bit arithmetic) and never imports the
 implementation paths it is used to check.
 """
 
+from kernsim.errors import SimulationDiagnostic
+
 RING = 1 << 32
 HALF = 1 << 31
 
@@ -93,3 +95,27 @@ class OneSlotSwapModel:
         previous = self.current
         self.current = region
         return previous
+
+
+def run_per_tick(board, max_ticks):
+    """Reference run loop: one kernel loop step per clock tick.
+
+    ``Board.run`` skips idle ticks; this stepper simulates every one of
+    them, so the two must give byte-identical traces and equal exit codes.
+    The board must be finalized. Returns the exit code.
+    """
+    kernel, chip, trace = board.kernel, board.chip, board.trace
+    try:
+        while True:
+            kernel.loop_step()
+            if kernel.quiescent():
+                trace.log("kernel", "quiescent", {})
+                break
+            if chip.clock.now >= max_ticks:
+                trace.log("kernel", "tick_limit", {"max_ticks": max_ticks})
+                break
+            chip.tick(1)
+    except SimulationDiagnostic as exc:
+        trace.log("kernel", "diagnostic", {"reason": str(exc)})
+        return 3
+    return 1 if kernel.expect_failures else 0

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from kernsim.audit import parse_trace, run_all_audits
 from kernsim.board import check_board, run_simulation
 from kernsim.cli import main as cli_main
@@ -242,3 +244,30 @@ def test_shipped_scenarios_all_run_clean_and_pass_audits(tmp_path):
         results = run_all_audits(parse_trace(trace_path.read_bytes()))
         for audit_name, violations in results.items():
             assert violations == [], (board_name, scenario_names, audit_name)
+
+
+@pytest.mark.parametrize("peripheral, knob, value", [
+    ("alarm", "initial_count", "5"),
+    ("alarm", "initial_count", -1),
+    ("alarm", "initial_count", 2 ** 32),
+    ("uart", "bytes_per_tick", 0),
+    ("uart", "bytes_per_tick", 1.5),
+    ("hashengine", "chunk_bytes", 0),
+    ("hashengine", "chunk_bytes", None),
+])
+def test_bad_timing_knob_is_exit_2_at_check_and_run(tmp_path, capsys,
+                                                    peripheral, knob, value):
+    cfg = minimal_board_dict()
+    cfg["peripherals"][peripheral][knob] = value
+    board_path = tmp_path / "board.json"
+    board_path.write_text(json.dumps(cfg))
+    app = tmp_path / "app.json"
+    app.write_text(json.dumps({"name": "app", "main": [{"op": "halt"}]}))
+    trace_path = tmp_path / "t.jsonl"
+    assert cli_main(["check", "--board", str(board_path)]) == 2
+    assert cli_main(["run", "--board", str(board_path), "--app", str(app),
+                     "--trace", str(trace_path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    events = parse_trace(trace_path.read_bytes())
+    assert [e["kind"] for e in events] == ["config_error"]
+    assert knob in events[0]["payload"]["violation"]

@@ -1,6 +1,10 @@
 import json
+import random
 from pathlib import Path
 
+import pytest
+
+from kernsim.board import Board
 from kernsim.buffers import BufferWindow
 from kernsim.hw import (
     AlarmHw,
@@ -13,6 +17,9 @@ from kernsim.hw import (
 )
 from kernsim.loader import fnv1a64
 from kernsim.regmap import load_register_map
+from kernsim.trace import TraceLog
+
+from conftest import minimal_board_dict, script_source
 
 MAPS_DIR = Path(__file__).resolve().parents[1] / "src" / "kernsim" / "maps"
 
@@ -184,3 +191,162 @@ def test_register_history_is_deterministic_across_runs():
         return history
 
     assert run() == run()
+
+
+# --- next-event advance ----------------------------------------------------------
+
+
+def _arm(hw, compare):
+    hw.regs.write_reg("COMPARE", compare)
+    hw.regs.field_set("CTRL", "ENABLE", 1)
+    hw.regs.field_set("CTRL", "IRQEN", 1)
+
+
+def test_alarm_ticks_until_event():
+    hw, irqc = make_alarm()
+    assert hw.ticks_until_event() is None
+    _arm(hw, 10)
+    assert hw.ticks_until_event() == 10
+    hw.tick(4)
+    assert hw.ticks_until_event() == 6
+    hw.tick(6)
+    assert irqc.any_pending()
+    assert hw.ticks_until_event() is None  # fired: latched until rewritten
+
+
+def test_alarm_ticks_until_event_across_the_wrap():
+    hw, irqc = make_alarm(initial_count=2 ** 32 - 5)
+    _arm(hw, 3)
+    assert hw.ticks_until_event() == 8
+    hw.tick(7)
+    assert hw.count == 2 and not irqc.any_pending()
+    hw.tick(1)
+    assert hw.count == 3 and irqc.any_pending()
+
+
+def test_alarm_compare_written_to_a_passed_value_fires_at_once():
+    hw, irqc = make_alarm(initial_count=100)
+    _arm(hw, 200)
+    assert hw.ticks_until_event() == 100
+    hw.regs.write_reg("COMPARE", 40)  # already passed
+    assert irqc.any_pending()
+    assert hw.ticks_until_event() is None
+
+
+def test_uart_ticks_until_event():
+    irqc = InterruptController()
+    uart = UartHw(_spec("uart"), irqc, 1, bytes_per_tick=2)
+    assert uart.ticks_until_event() is None
+    uart.start_tx(BufferWindow(bytearray(b"abc")))
+    assert uart.ticks_until_event() == 1
+    uart.tick()
+    assert uart.ticks_until_event() == 1
+    uart.tick()
+    assert uart.ticks_until_event() is None and irqc.any_pending()
+
+
+def test_hash_engine_ticks_until_event():
+    irqc = InterruptController()
+    engine = HashEngineHw(_spec("hashengine"), irqc, 2, digest_fn=fnv1a64)
+    assert engine.ticks_until_event() is None
+    engine.submit(b"x" * 130, "job")
+    assert engine.ticks_until_event() == 3
+    engine.tick(2)
+    assert engine.ticks_until_event() == 1 and not irqc.any_pending()
+    engine.tick(1)
+    assert engine.ticks_until_event() is None and irqc.any_pending()
+
+
+def test_hash_engine_zero_length_payload_fires_after_one_tick():
+    irqc = InterruptController()
+    engine = HashEngineHw(_spec("hashengine"), irqc, 2, digest_fn=fnv1a64)
+    engine.submit(b"", "empty")
+    assert engine.ticks_until_event() == 1
+    engine.tick()
+    assert irqc.any_pending()
+    assert engine.take_completion() == ("empty", fnv1a64(b""))
+
+
+def make_chip(initial_count=0):
+    clock = SimClock()
+    trace = TraceLog(lambda: clock.now)
+    irqc = InterruptController(trace)
+    chip = Chip(clock, irqc,
+                AlarmHw(_spec("alarm"), irqc, 0, initial_count=initial_count),
+                UartHw(_spec("uart"), irqc, 1),
+                HashEngineHw(_spec("hashengine"), irqc, 2, digest_fn=fnv1a64))
+    for line in irqc.lines.values():
+        line.handler = lambda: None
+    return chip, trace
+
+
+def _chip_state(chip, trace):
+    periphs = (chip.alarm, chip.uart, chip.hashengine)
+    return (chip.clock.now, [dict(p.regs.values) for p in periphs],
+            trace.to_bytes())
+
+
+def test_chip_tick_n_matches_n_single_ticks():
+    rng = random.Random(7)
+    for _ in range(30):
+        initial_count = rng.choice((0, 2 ** 32 - rng.randint(1, 500)))
+        chips = [make_chip(initial_count) for _ in range(2)]
+        compare = (initial_count + rng.randint(1, 800)) & 0xFFFFFFFF
+        payload = bytes(rng.randrange(256) for _ in range(rng.randint(0, 5000)))
+        for chip, _ in chips:
+            _arm(chip.alarm, compare)
+            chip.hashengine.submit(payload, "job")
+        (fast, fast_trace), (slow, slow_trace) = chips
+        while fast.ticks_until_event() is not None:
+            assert slow.ticks_until_event() == fast.ticks_until_event()
+            n = rng.randint(1, fast.ticks_until_event())
+            fast.tick(n)
+            for _ in range(n):
+                slow.tick(1)
+            assert _chip_state(fast, fast_trace) == _chip_state(slow, slow_trace)
+            fast.irqc.service()
+            slow.irqc.service()
+        assert slow.ticks_until_event() is None
+        assert fast_trace.to_bytes().count(b"irq_raised") == 2
+
+
+def test_chip_tick_rejects_stepping_past_the_next_event():
+    chip, _ = make_chip()
+    _arm(chip.alarm, 50)
+    assert chip.ticks_until_event() == 50
+    with pytest.raises(ValueError):
+        chip.tick(51)
+    with pytest.raises(ValueError):
+        chip.tick(0)
+    chip.uart.start_tx(BufferWindow(bytearray(b"hi")))
+    assert chip.ticks_until_event() == 1
+    with pytest.raises(ValueError):
+        chip.tick(2)
+    assert chip.clock.now == 0
+    chip.tick(1)
+    assert chip.clock.now == 1
+
+
+def test_idle_chip_takes_any_step():
+    chip, _ = make_chip()
+    assert chip.ticks_until_event() is None
+    chip.tick(10 ** 9)
+    assert chip.clock.now == 10 ** 9 and not chip.irqc.any_pending()
+
+
+def test_long_sleep_needs_loop_steps_per_event_not_per_tick():
+    cfg = minimal_board_dict(peripherals={"alarm": {"irq": 0}}, capabilities={},
+                             capsules=[{"name": "alarm_driver", "type": "alarm",
+                                        "driver_id": 0}])
+    board = Board.from_dict(cfg)
+    board.load_app(script_source(
+        [{"op": "sync_command", "driver": 0, "cmd": 1, "args": [100_000, 0],
+          "fn": "on_alarm"}, {"op": "halt"}], {"on_alarm": []}))
+    steps = []
+    loop_step = board.kernel.loop_step
+    board.kernel.loop_step = lambda: steps.append(1) or loop_step()
+    assert board.run(200_000) == 0
+    runs = [e.tick for e in board.trace.events if e.kind == "upcall_run"]
+    assert runs == [100_000]
+    assert board.trace.events[-1].kind == "quiescent"
+    assert len(steps) < 20

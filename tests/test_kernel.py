@@ -17,6 +17,7 @@ from kernsim.errors import (
     ReentrancyError,
 )
 from kernsim.kernel import ProcessState
+from kernsim.loader import pack_binary
 
 from conftest import make_board, script_source
 from oracles import OneSlotSwapModel
@@ -641,3 +642,75 @@ def test_grant_reentry_halts_with_exit_3():
                                        "args": [0, 0]}}]
     board.load_app(script_source(main, {}, 256))
     assert board.run(100) == 3
+
+
+# --- loop step snapshot ----------------------------------------------------------------
+
+
+class SpawnerCapsule(Capsule):
+    """Test fixture: loads a child process from inside a process quantum."""
+
+    def __init__(self, name, driver_id, token):
+        super().__init__(name, driver_id)
+        self.token = token
+        self.kernel = None  # set by the test once the board is built
+
+    def command(self, cmd, arg0, arg1, pid):
+        blob = pack_binary(script_source([{"op": "halt"}], {}, 128), 128)
+        self.kernel.load_process_sync(self.token, blob, "child")
+        return SyscallReturn.success()
+
+
+register_capsule_type(
+    "spawner", lambda name, cfg, deps, tokens: SpawnerCapsule(
+        name, cfg["driver_id"], tokens[0]))
+
+
+def _started_pids(board):
+    return [e.payload["pid"] for e in board.trace.events
+            if e.kind == "process_state" and e.payload["state"] == "running"
+            and e.payload.get("reason") == "started"]
+
+
+def test_process_created_during_a_step_first_runs_in_the_next():
+    board = _board_with([{"name": "spawner", "type": "spawner", "driver_id": 9}],
+                        capabilities={"spawner": ["LoaderControl"]})
+    board.capsules_by_name["spawner"].kernel = board.kernel
+    board.load_app(script_source(
+        [{"op": "syscall", "call": {"class": "command", "driver": 9, "cmd": 1}},
+         {"op": "halt"}], {}, 256))
+    board.finalize()
+    board.kernel.loop_step()
+    assert board.kernel.processes[2].state is ProcessState.UNSTARTED
+    assert _started_pids(board) == [1]
+    board.kernel.loop_step()
+    assert _started_pids(board) == [1, 2]
+
+
+def test_process_loaded_by_the_hash_irq_starts_in_the_same_step():
+    board = make_board(loader="async")
+    board.load_app(script_source([{"op": "halt"}], {}, 256))
+    board.finalize()
+    while not board.chip.irqc.any_pending():
+        board.kernel.loop_step()
+        board.chip.tick(1)
+    assert not board.kernel.processes
+    board.kernel.loop_step()
+    assert _started_pids(board) == [1]
+    # created and started at the same tick
+    ticks = {e.tick for e in board.trace.events
+             if e.kind in ("process_created", "process_state")}
+    assert len(ticks) == 1
+
+
+def test_process_killed_earlier_in_a_step_does_not_run():
+    board = make_board()
+    board.load_app(script_source(
+        [{"op": "syscall", "call": {"class": "command", "driver": DRIVER_MANAGER,
+                                    "cmd": 1, "args": [2, 0]}},
+         {"op": "halt"}], {}, 256))
+    board.load_app(script_source([{"op": "halt"}], {}, 256))
+    board.finalize()
+    board.kernel.loop_step()
+    assert board.kernel.processes[2].state is ProcessState.EXITED
+    assert _started_pids(board) == [1]
