@@ -149,12 +149,6 @@ class SyscallReturn:
         return cls(ReturnVariant.FAILURE_REGION, error=error, base=base,
                    length=length)
 
-    @property
-    def is_success(self) -> bool:
-        return self.variant in (ReturnVariant.SUCCESS, ReturnVariant.SUCCESS_VALUE,
-                                ReturnVariant.SUCCESS_REGION,
-                                ReturnVariant.SUCCESS_UPCALL)
-
 
 # --- invocation records -------------------------------------------------
 

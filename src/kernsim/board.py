@@ -156,8 +156,11 @@ def validate_board_dict(data: Dict[str, Any],
     ram = data.get("ram_size")
     if not isinstance(ram, int) or ram <= 0:
         v.append(f"ram_size must be a positive integer, got {ram!r}")
-    for key in ("mpu_max_regions", "upcall_queue_depth", "capsule_step_budget",
-                "max_processes"):
+    regions = data.get("mpu_max_regions", 2)
+    if not isinstance(regions, int) or regions < 2:
+        v.append("mpu_max_regions must be an integer >= 2, because every process "
+                 f"holds a flash region and a RAM region; got {regions!r}")
+    for key in ("upcall_queue_depth", "capsule_step_budget", "max_processes"):
         value = data.get(key, 1)
         if not isinstance(value, int) or value < 1:
             v.append(f"{key} must be a positive integer, got {value!r}")
@@ -285,9 +288,8 @@ class Board:
     def __init__(self, config: BoardConfig, seed: int = 0):
         self.config = config
         self.seed = seed
-        self.trace = TraceLog()
         clock = SimClock()
-        self.trace.set_clock(lambda: clock.now)
+        self.trace = TraceLog(lambda: clock.now)
         irqc = InterruptController(self.trace)
 
         alarm = uart = hashengine = None
@@ -337,8 +339,6 @@ class Board:
             tokens = [self.registry.mint(CapabilityKind(kind), name)
                       for kind in kinds]
             capsule = CAPSULE_TYPES[layer["type"]](name, layer, deps, tokens)
-            if capsule is None:
-                continue
             self.kernel.register_capsule(capsule)
             self.capsules_by_name[name] = capsule
 
@@ -347,8 +347,7 @@ class Board:
         for capsule in self.kernel.capsules:
             periph = getattr(capsule, "IRQ_PERIPHERAL", None)
             if periph and periph in pcfgs:
-                self.kernel.register_irq_capsule(pcfgs[periph]["irq"], periph,
-                                                 capsule)
+                self.kernel.register_irq_capsule(pcfgs[periph]["irq"], capsule)
         if hashengine is not None:
             irqc.set_handler(pcfgs["hashengine"]["irq"],
                              self.kernel.loader.on_hash_irq)
@@ -377,10 +376,7 @@ class Board:
         script = parse_script_bytes(source, name)
         blob = pack_binary(source, script.min_memory, entry_name=script.entry,
                            digest=script.credential_digest, key_id=script.key_id)
-        if self.config.loader == "sync":
-            return self.kernel.load_process_sync(self._boot_token, blob,
-                                                 script.name)
-        return self.kernel.load_process_async(self._boot_token, blob, script.name)
+        return self.load_binary(blob, script.name)
 
     def load_binary(self, blob: bytes, name: str = "app") -> LoaderJob:
         """Feed an already-packed binary to the configured loader."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from .errors import ForeignCapability, PhaseError, WrongKind
 from .trace import ACTOR_KERNEL, K_CAP_MINTED, TraceLog
@@ -38,19 +38,18 @@ class CapabilityToken:
 
 
 class CapabilityRegistry:
-    """Per-board mint: tracks the phase and every (kind, holder) granted."""
+    """Per-board mint: tracks the phase and logs every (kind, holder)
+    granted."""
 
     def __init__(self, trace: Optional[TraceLog] = None):
         self.receipt = next(_receipts)
         self.phase = BoardPhase.BUILDING
-        self.minted: List[Tuple[CapabilityKind, str]] = []
         self.trace = trace
 
     def mint(self, kind: CapabilityKind, holder: str) -> CapabilityToken:
         if self.phase is not BoardPhase.BUILDING:
             raise PhaseError("capabilities can only be minted while building")
         token = CapabilityToken(kind, self.receipt)
-        self.minted.append((kind, holder))
         if self.trace is not None:
             self.trace.log(ACTOR_KERNEL, K_CAP_MINTED,
                            {"kind": kind.value, "holder": holder})

@@ -89,7 +89,6 @@ class SplitPhaseOp:
 
     IDLE = "idle"
     PENDING = "pending"
-    COMPLETING = "completing"
 
     def __init__(self, op_id: str):
         self.op_id = op_id
@@ -105,11 +104,6 @@ class SplitPhaseOp:
             raise RuntimeError(f"{self.op_id}: start while {self.state}")
         self.state = self.PENDING
         self.owner = owner
-
-    def complete(self) -> None:
-        if self.state != self.PENDING:
-            raise RuntimeError(f"{self.op_id}: completion while {self.state}")
-        self.state = self.COMPLETING
 
     def finish(self) -> None:
         self.state = self.IDLE
@@ -375,7 +369,6 @@ class ConsoleDriver(Capsule):
             return
         window, count = completion
         window.release()
-        self.op.complete()
         client, self._client = self._client, None
         try:
             if client is not None:

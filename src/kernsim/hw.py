@@ -50,7 +50,6 @@ class InterruptLine:
     name: str
     handler: Optional[Callable[[], None]] = None
     pending: bool = False
-    enabled: bool = True
 
 
 class InterruptController:
@@ -74,28 +73,22 @@ class InterruptController:
     def set_handler(self, irq_id: int, handler: Callable[[], None]) -> None:
         self.lines[irq_id].handler = handler
 
-    def register(self, irq_id: int, name: str, handler: Callable[[], None]) -> None:
-        self.add_line(irq_id, name)
-        self.set_handler(irq_id, handler)
-
     def raise_irq(self, irq_id: int) -> None:
         line = self.lines[irq_id]
         line.pending = True
         if self.trace is not None:
             self.trace.log(actor_hw(line.name), K_IRQ_RAISED, {"irq": irq_id})
 
-    def set_enabled(self, irq_id: int, enabled: bool) -> None:
-        self.lines[irq_id].enabled = enabled
-
     def any_pending(self) -> bool:
         return any(l.pending for l in self.lines.values())
 
     def service(self) -> int:
-        """Deliver every pending+enabled line once; returns count serviced."""
+        """Deliver every pending line that has a handler once; returns the
+        count serviced."""
         serviced = 0
         for irq_id in sorted(self.lines):
             line = self.lines[irq_id]
-            if line.pending and line.enabled and line.handler is not None:
+            if line.pending and line.handler is not None:
                 line.pending = False
                 if self.trace is not None:
                     self.trace.log(actor_hw(line.name), K_IRQ_SERVICED, {"irq": irq_id})
@@ -306,11 +299,6 @@ class HashEngineHw:
     def take_completion(self) -> Optional[Tuple[object, int]]:
         completion, self._completion = self._completion, None
         return completion
-
-    def read_digest(self) -> int:
-        lo = self.regs.mmio_read(self.regs.spec.register("DIGEST_LO").offset)
-        hi = self.regs.mmio_read(self.regs.spec.register("DIGEST_HI").offset)
-        return (hi << 32) | lo
 
 
 class Chip:

@@ -96,7 +96,6 @@ from .trace import (
 
 DEFAULT_UPCALL_QUEUE_DEPTH = 8
 DEFAULT_CAPSULE_STEP_BUDGET = 100_000
-DEFAULT_MAX_PROCESSES = 8
 CARVE_ALIGN = 16
 
 
@@ -141,6 +140,9 @@ class ProcessControlBlock:
     upcall_slots: Dict[Tuple[int, int], UpcallDescriptor] = field(default_factory=dict)
     grants: Dict[str, GrantAllocation] = field(default_factory=dict)
     pending_yield: bool = False
+    # The encoded record of the last value a syscall returned; `expect`
+    # statements match against it.
+    last_return_record: Optional[Dict[str, Any]] = None
 
     @property
     def free_grant_bytes(self) -> int:
@@ -506,16 +508,24 @@ class Kernel:
         self.trace.log(ACTOR_KERNEL, K_CAPSULE_REGISTERED,
                        {"name": capsule.name, "driver_id": capsule.driver_id})
 
-    def register_irq_capsule(self, irq_id: int, periph: str, capsule) -> None:
+    def register_irq_capsule(self, irq_id: int, capsule) -> None:
         self.chip.irqc.set_handler(
-            irq_id,
-            lambda: self.capsule_call(capsule.name, capsule.handle_interrupt))
+            irq_id, lambda: self.capsule_call(capsule, "handle_interrupt"))
 
-    def capsule_call(self, name: str, fn: Callable, *args):
-        """Run capsule code under a fresh step-budget frame."""
-        self._frames.append([name, self.capsule_step_budget])
+    def capsule_call(self, capsule, entry: str, *args):
+        """Run one capsule entry point under a fresh step-budget frame.
+
+        Any exception the capsule lets escape, other than a diagnostic,
+        becomes a diagnostic naming the capsule and the entry point.
+        """
+        self._frames.append([capsule.name, self.capsule_step_budget])
         try:
-            return fn(*args)
+            return getattr(capsule, entry)(*args)
+        except SimulationDiagnostic:
+            raise
+        except Exception as exc:
+            raise SimulationDiagnostic(
+                f"capsule {capsule.name!r} crashed in {entry}: {exc!r}") from exc
         finally:
             self._frames.pop()
 
@@ -610,9 +620,14 @@ class Kernel:
             self._terminate(pcb, ProcessState.EXITED, "exit syscall")
             ret = None
         if ret is not None:
-            self.trace.log(actor_process(pid), K_SYSCALL_RETURN,
-                           {"ret": encode_return(ret)})
+            self._return(pcb, ret)
         return ret
+
+    def _return(self, pcb: ProcessControlBlock, ret: SyscallReturn) -> None:
+        """Deliver a syscall's return value: log it and keep its record."""
+        record = encode_return(ret)
+        pcb.last_return_record = record
+        self.trace.log(actor_process(pcb.id), K_SYSCALL_RETURN, {"ret": record})
 
     def _sys_allow(self, pcb: ProcessControlBlock,
                    inv: SyscallInvocation) -> SyscallReturn:
@@ -664,14 +679,8 @@ class Kernel:
         if inv.subcommand == 0:
             # Existence probe: answered by the kernel for every driver.
             return SyscallReturn.success()
-        try:
-            ret = self.capsule_call(driver.name, driver.command,
-                                    inv.subcommand, inv.arg0, inv.arg1, pcb.id)
-        except SimulationDiagnostic:
-            raise
-        except Exception as exc:
-            raise SimulationDiagnostic(
-                f"capsule {driver.name!r} crashed in command: {exc!r}") from exc
+        ret = self.capsule_call(driver, "command", inv.subcommand, inv.arg0,
+                                inv.arg1, pcb.id)
         if not isinstance(ret, SyscallReturn):
             raise SimulationDiagnostic(
                 f"capsule {driver.name!r} returned {ret!r} from command")
@@ -743,10 +752,7 @@ class Kernel:
         self._set_state(pcb, ProcessState.RUNNING)
         self._deliver_upcall(pcb)
         if pcb.state is ProcessState.RUNNING:
-            ret = SyscallReturn.success()
-            self.trace.log(actor_process(pcb.id), K_SYSCALL_RETURN,
-                           {"ret": encode_return(ret)})
-            pcb.program.last_return_record = encode_return(ret)
+            self._return(pcb, SyscallReturn.success())
             pcb.pending_yield = False
 
     # -- grants ---------------------------------------------------------------------
@@ -833,8 +839,8 @@ class Kernel:
             self._fault(pcb, f"read_local at offset {offset}")
             return None
 
-    def record_expect(self, pid: int, pattern: Dict[str, Any],
-                      actual: Optional[Dict[str, Any]]) -> None:
+    def record_expect(self, pid: int, pattern: Dict[str, Any]) -> None:
+        actual = self.processes[pid].last_return_record
         passed = actual is not None and match_return(pattern, actual)
         self.trace.log(actor_process(pid), K_EXPECT,
                        {"pattern": pattern, "actual": actual, "pass": passed})
@@ -869,7 +875,7 @@ class Kernel:
         self._set_state(pcb, state, reason)
         # Let every capsule drop in-flight references to this process.
         for capsule in self.capsules:
-            self.capsule_call(capsule.name, capsule.on_process_exit, pcb.id)
+            self.capsule_call(capsule, "on_process_exit", pcb.id)
 
     def _set_state(self, pcb: ProcessControlBlock, state: ProcessState,
                    reason: Optional[str] = None) -> None:

@@ -119,9 +119,6 @@ class MemoryController:
                     f"{self.total_size}-byte space")
         self._regions[pid] = list(regions)
 
-    def regions_of(self, pid: int) -> List[MemoryRegion]:
-        return list(self._regions.get(pid, []))
-
     def drop_regions(self, pid: int) -> None:
         self._regions.pop(pid, None)
 

@@ -4,8 +4,10 @@ A scenario file gives a process a `main` statement list and a table of
 named upcall handlers. Statements either issue system calls, check the
 last return value against a pattern, or touch process-local memory
 (which goes through the MPU like any other process access). Loops are
-unrolled and the `sync_command` macro is expanded at parse time, so the
-interpreter only ever walks a flat statement list.
+unrolled, the `sync_command` macro is expanded and every system call is
+decoded at parse time, so the interpreter only ever walks a flat list of
+decoded statements; at run time it only resolves an allow's base against
+the running process.
 
 Upcall handlers run to completion and may not yield; that is checked at
 parse time, not discovered at runtime.
@@ -15,10 +17,10 @@ from __future__ import annotations
 
 import binascii
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
-from .abi import decode_invocation, encode_return
+from .abi import ALLOW_CLASSES, SyscallInvocation, decode_invocation
 from .errors import MalformedInvocation, ScenarioError
 
 VALID_SEGMENTS = ("ram", "flash", "abs")
@@ -29,7 +31,8 @@ DEFAULT_MIN_MEMORY = 1024
 @dataclass(frozen=True)
 class Stmt:
     op: str
-    call: Optional[Dict[str, Any]] = None
+    inv: Optional[SyscallInvocation] = None
+    seg: str = "ram"  # what an allow's base is relative to
     pattern: Optional[Dict[str, Any]] = None
     offset: int = 0
     data: bytes = b""
@@ -111,19 +114,18 @@ def _parse_statements(raw_list, where: str, in_handler: bool,
             call = raw.get("call")
             if not isinstance(call, dict):
                 raise ScenarioError(f"{where}: syscall needs a 'call' object")
-            seg = call.get("seg", "ram")
+            call = dict(call)
+            seg = call.pop("seg", "ram")
             if seg not in VALID_SEGMENTS:
                 raise ScenarioError(f"{where}: bad seg {seg!r}")
-            probe = dict(call)
-            probe.pop("seg", None)
             try:
-                inv = decode_invocation(probe)
+                inv = decode_invocation(call)
             except MalformedInvocation as exc:
                 raise ScenarioError(f"{where}: {exc}") from None
             if in_handler and inv.klass.value == "yield":
                 raise ScenarioError(
                     f"{where}: upcall handlers run to completion and may not yield")
-            out.append(Stmt("syscall", call=dict(call)))
+            out.append(Stmt("syscall", inv=inv, seg=seg))
         elif op == "expect":
             pattern = raw.get("pattern")
             if not isinstance(pattern, dict):
@@ -191,11 +193,9 @@ class ProcessProgram:
     """Runtime interpreter state for one process's script."""
 
     def __init__(self, script: ScenarioScript):
-        self.script = script
         self.statements = script.main
         self.handlers = script.handlers
         self.pc = 0
-        self.last_return_record: Optional[Dict[str, Any]] = None
 
     # The kernel drives execution; `kern` is the kernel and `pcb` the
     # process control block. One call to advance() is one quantum: it runs
@@ -215,17 +215,13 @@ class ProcessProgram:
     def _exec(self, kern, pcb, stmt: Stmt) -> bool:
         """Run one statement; returns True if it consumed the quantum."""
         if stmt.op == "syscall":
-            record = dict(stmt.call)
-            seg = record.pop("seg", "ram")
-            if "base" in record:
-                record["base"] = kern.resolve_base(pcb.id, seg, record["base"])
-            inv = decode_invocation(record)
-            ret = kern.handle_syscall(pcb.id, inv)
-            if ret is not None:
-                self.last_return_record = encode_return(ret)
+            inv = stmt.inv
+            if inv.klass in ALLOW_CLASSES:
+                inv = replace(inv, base=kern.resolve_base(pcb.id, stmt.seg, inv.base))
+            kern.handle_syscall(pcb.id, inv)
             return True
         if stmt.op == "expect":
-            kern.record_expect(pcb.id, stmt.pattern, self.last_return_record)
+            kern.record_expect(pcb.id, stmt.pattern)
             return False
         if stmt.op == "write_local":
             kern.process_local_write(pcb.id, stmt.offset, stmt.data)

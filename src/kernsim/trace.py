@@ -90,17 +90,11 @@ class TraceLog:
         self._seq = 0
         self._clock = clock or (lambda: 0)
 
-    def set_clock(self, clock: Callable[[], int]) -> None:
-        self._clock = clock
-
     def log(self, actor: str, kind: str, payload: Optional[Dict[str, Any]] = None) -> TraceEvent:
         event = TraceEvent(self._seq, self._clock(), actor, kind, payload or {})
         self._seq += 1
         self.events.append(event)
         return event
-
-    def records(self) -> List[Dict[str, Any]]:
-        return [e.to_record() for e in self.events]
 
     def to_bytes(self, pretty: bool = False) -> bytes:
         if pretty:

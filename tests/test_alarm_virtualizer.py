@@ -1,5 +1,6 @@
 import json
 import random
+from bisect import bisect_right
 from pathlib import Path
 
 from kernsim.capsules import AlarmVirtualizer
@@ -27,17 +28,32 @@ def make_virtualizer(n_clients, initial_count=0):
 
 
 def replay(n_clients, set_events, total_ticks, initial_count=0):
-    """Drive the real virtualizer: apply sets scheduled for a tick, tick
-    the hardware once, then service any pending interrupt."""
+    """Drive the real virtualizer: apply sets scheduled for a tick, advance
+    the hardware, then service any pending interrupt.
+
+    Like Board.run, it steps one tick while an interrupt is pending and
+    otherwise jumps to the next scheduled set or compare match, whichever
+    comes first; the ticks skipped would change nothing.
+    """
     hw, irqc, virt, fires = make_virtualizer(n_clients, initial_count)
     sets_at = {}
     for at, cid, deadline in set_events:
         sets_at.setdefault(at, []).append((cid, deadline % RING))
-    for t in range(total_ticks):
+    set_ticks = sorted(sets_at)
+    t = 0
+    while t < total_ticks:
         for cid, deadline in sets_at.get(t, []):
             virt.set_alarm(cid, deadline)
-        hw.tick()
+        n = 1
+        if not irqc.any_pending():
+            later = bisect_right(set_ticks, t)
+            n = (set_ticks[later] if later < len(set_ticks) else total_ticks) - t
+            gap = hw.ticks_until_event()
+            if gap is not None:
+                n = min(n, gap)
+        hw.tick(n)
         irqc.service()
+        t += n
     return fires
 
 

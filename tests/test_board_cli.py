@@ -271,3 +271,33 @@ def test_bad_timing_knob_is_exit_2_at_check_and_run(tmp_path, capsys,
     events = parse_trace(trace_path.read_bytes())
     assert [e["kind"] for e in events] == ["config_error"]
     assert knob in events[0]["payload"]["violation"]
+
+
+def _mpu_board_and_app(tmp_path, regions):
+    board_path = tmp_path / "board.json"
+    board_path.write_text(json.dumps(minimal_board_dict(mpu_max_regions=regions)))
+    app = tmp_path / "app.json"
+    app.write_text(json.dumps({"name": "app", "main": [{"op": "halt"}]}))
+    return str(board_path), str(app)
+
+
+def test_single_mpu_region_is_exit_2_at_check_and_run(tmp_path, capsys):
+    # Every process holds two MPU regions (flash image and RAM), so a
+    # one-region MPU must be refused before the first load, by `check` too.
+    board_path, app = _mpu_board_and_app(tmp_path, 1)
+    trace_path = tmp_path / "t.jsonl"
+    assert cli_main(["check", "--board", board_path]) == 2
+    assert cli_main(["run", "--board", board_path, "--app", app,
+                     "--trace", str(trace_path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    events = parse_trace(trace_path.read_bytes())
+    assert [e["kind"] for e in events] == ["config_error"]
+    assert "mpu_max_regions must be an integer >= 2" in \
+        events[0]["payload"]["violation"]
+
+
+def test_two_mpu_regions_are_enough(tmp_path):
+    board_path, app = _mpu_board_and_app(tmp_path, 2)
+    assert cli_main(["check", "--board", board_path]) == 0
+    assert cli_main(["run", "--board", board_path, "--app", app,
+                     "--trace", str(tmp_path / "t.jsonl")]) == 0

@@ -105,7 +105,6 @@ def test_split_phase_start_while_pending_is_refused():
     assert op.pending
     with pytest.raises(RuntimeError):
         op.start("console")
-    op.complete()
     op.finish()
     assert not op.pending
     op.start("console")

@@ -128,7 +128,8 @@ def test_hash_engine_timing_is_ceil_len_over_64():
     tag, digest = engine.take_completion()
     assert tag == "job"
     assert digest == fnv1a64(payload)
-    assert engine.read_digest() == digest
+    assert (engine.regs.read_reg("DIGEST_HI") << 32
+            | engine.regs.read_reg("DIGEST_LO")) == digest
     assert not engine.busy
 
 
@@ -155,23 +156,23 @@ def test_idle_tick_raises_nothing():
 def test_interrupt_priority_is_ascending_irq_id():
     irqc = InterruptController()
     order = []
-    irqc.register(5, "b", lambda: order.append(5))
-    irqc.register(1, "a", lambda: order.append(1))
+    for irq_id, name in ((5, "b"), (1, "a")):
+        irqc.add_line(irq_id, name)
+        irqc.set_handler(irq_id, lambda irq_id=irq_id: order.append(irq_id))
     irqc.raise_irq(5)
     irqc.raise_irq(1)
     assert irqc.service() == 2
     assert order == [1, 5]
 
 
-def test_irq_delivery_requires_enabled_and_clears_pending():
+def test_irq_stays_pending_until_handled_and_clears_on_delivery():
     irqc = InterruptController()
     fired = []
-    irqc.register(0, "a", lambda: fired.append(0))
-    irqc.set_enabled(0, False)
+    irqc.add_line(0, "a")
     irqc.raise_irq(0)
     assert irqc.service() == 0
     assert irqc.any_pending()
-    irqc.set_enabled(0, True)
+    irqc.set_handler(0, lambda: fired.append(0))
     assert irqc.service() == 1
     assert not irqc.any_pending()
     assert fired == [0]

@@ -10,7 +10,12 @@ from kernsim.abi import (
     SyscallReturn,
     YieldMode,
 )
-from kernsim.capsules import Capsule, register_capsule_type
+from kernsim.capsules import (
+    AlarmDriver,
+    AlarmVirtualizer,
+    Capsule,
+    register_capsule_type,
+)
 from kernsim.errors import (
     PhaseError,
     ProcessDead,
@@ -642,6 +647,59 @@ def test_grant_reentry_halts_with_exit_3():
                                        "args": [0, 0]}}]
     board.load_app(script_source(main, {}, 256))
     assert board.run(100) == 3
+
+
+class CrashingAlarmDriver(AlarmDriver):
+    """Test fixture: an alarm driver that raises in one chosen entry point."""
+
+    def __init__(self, name, driver_id, virt, max_clients, crash_in):
+        super().__init__(name, driver_id, virt, max_clients)
+        self.crash_in = crash_in
+
+    def _crash_if(self, entry):
+        if self.crash_in == entry:
+            raise RuntimeError(f"boom in {entry}")
+
+    def command(self, cmd, arg0, arg1, pid):
+        self._crash_if("command")
+        return super().command(cmd, arg0, arg1, pid)
+
+    def handle_interrupt(self):
+        self._crash_if("handle_interrupt")
+        super().handle_interrupt()
+
+    def on_process_exit(self, pid):
+        self._crash_if("on_process_exit")
+        super().on_process_exit(pid)
+
+
+register_capsule_type(
+    "crashing_alarm", lambda name, cfg, deps, tokens: CrashingAlarmDriver(
+        name, cfg["driver_id"], AlarmVirtualizer(deps.chip.alarm),
+        deps.max_processes, cfg["crash_in"]))
+
+
+@pytest.mark.parametrize("entry", ["command", "handle_interrupt",
+                                   "on_process_exit"])
+def test_capsule_exception_in_any_entry_point_is_exit_3(entry):
+    # command crashes at the arm, handle_interrupt when the alarm fires,
+    # on_process_exit at the halt after the alarm was delivered.
+    from conftest import minimal_board_dict
+    from kernsim.board import Board
+    cfg = minimal_board_dict()
+    cfg["capsules"][0] = {"name": "alarm_driver", "type": "crashing_alarm",
+                          "driver_id": 0, "crash_in": entry}
+    board = Board.from_dict(cfg)
+    main = [{"op": "sync_command", "driver": 0, "cmd": 1, "args": [5, 0],
+             "fn": "on_alarm"},
+            {"op": "halt"}]
+    board.load_app(script_source(main, {"on_alarm": []}, 256))
+    assert board.run(100) == 3
+    last = board.trace.events[-1]
+    assert last.kind == "diagnostic"
+    assert last.payload["reason"] == (
+        f"capsule 'alarm_driver' crashed in {entry}: "
+        f"RuntimeError('boom in {entry}')")
 
 
 # --- loop step snapshot ----------------------------------------------------------------

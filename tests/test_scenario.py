@@ -1,5 +1,8 @@
+import functools
+
 import pytest
 
+from kernsim import kernel as kernel_module
 from kernsim.errors import ScenarioError
 from kernsim.kernel import ProcessState
 from kernsim.scenario import parse_script, parse_script_bytes
@@ -41,7 +44,8 @@ def test_sync_command_macro_expands_to_four_calls():
         {"op": "sync_command", "driver": 0, "cmd": 1, "args": [500, 0],
          "fn": "on_alarm"}],
         "handlers": {"on_alarm": []}})
-    ops = [(s.op, (s.call or {}).get("class"), (s.call or {}).get("mode"))
+    ops = [(s.op, s.inv and s.inv.klass.value,
+            s.inv and s.inv.yield_mode and s.inv.yield_mode.value)
            for s in script.main]
     assert ops == [
         ("syscall", "subscribe", None),
@@ -95,6 +99,10 @@ def test_seg_resolution_ram_flash_abs():
         {"op": "syscall", "call": {"class": "rw_allow", "driver": 3, "buf": 0,
                                    "base": 12345, "len": 0, "seg": "abs"}},
         {"op": "expect", "pattern": {"variant": "success_region", "len": 0}},
+        # only allows take a base; any other call ignores a stray one
+        {"op": "syscall", "call": {"class": "command", "driver": 0, "cmd": 2,
+                                   "base": "x"}},
+        {"op": "expect", "pattern": {"variant": "success_value"}},
         {"op": "halt"},
     ]
     board.load_app(script_source(main, {}, 256))
@@ -153,7 +161,75 @@ def test_handler_statements_run_inside_delivery():
         {"op": "write_local", "offset": 0, "data": "42"},
         {"op": "syscall", "call": {"class": "command", "driver": 0, "cmd": 2}},
     ]}
+    # The resumed yield-wait returns after the handler's own syscall, so
+    # an expect that follows it sees the yield's success.
+    main.insert(3, {"op": "expect", "pattern": {"variant": "success"}})
     board.load_app(script_source(main, handlers, 256))
     assert board.run(100) == 0
     pcb = board.kernel.processes[1]
     assert board.memory.data[pcb.ram.base] == 0x42
+    expects = [e.payload for e in board.trace.events if e.kind == "expect"]
+    assert expects == [{"pattern": {"variant": "success"},
+                        "actual": {"variant": "success"}, "pass": True}]
+
+
+def test_allow_in_a_loop_resolves_against_each_running_process(monkeypatch):
+    # Both processes share one parsed script, so the loop body's two Stmt
+    # objects run three times in each process; every run must resolve
+    # its base afresh against the process that runs it.
+    monkeypatch.setattr(kernel_module, "parse_script_bytes",
+                        functools.lru_cache()(parse_script_bytes))
+    board = make_board()
+    main = [{"op": "loop", "count": 3, "body": [
+        {"op": "syscall", "call": {"class": "rw_allow", "driver": 2, "buf": 0,
+                                   "base": 16, "len": 8, "seg": "ram"}},
+        {"op": "syscall", "call": {"class": "ro_allow", "driver": 2, "buf": 0,
+                                   "base": 4, "len": 8, "seg": "flash"}},
+    ]}, {"op": "halt"}]
+    source = script_source(main, {}, 256)
+    board.load_app(source)
+    board.load_app(source)
+    assert board.run(100) == 0
+    first, second = board.kernel.processes[1], board.kernel.processes[2]
+    assert first.program.statements is second.program.statements
+    assert first.ram.base != second.ram.base
+    assert first.flash.base != second.flash.base
+    for pcb in (first, second):
+        allows = [(e.payload["call"]["class"], e.payload["call"]["base"])
+                  for e in board.trace.events
+                  if e.kind == "syscall" and e.actor == f"process:{pcb.id}"
+                  and "base" in e.payload["call"]]
+        assert allows == [("rw_allow", pcb.ram.base + 16),
+                          ("ro_allow", pcb.flash.base + 4)] * 3
+    body = first.program.statements[:2]
+    assert first.program.statements[:6] == body * 3
+    assert [(s.seg, s.inv.base) for s in body] == [("ram", 16), ("flash", 4)]
+
+
+def test_expect_after_yield_no_wait_sees_the_yield_not_the_handler():
+    # The alarm deadline has already passed, so the upcall is queued when
+    # the no-wait yield runs; its handler's own syscall fails, and the
+    # expect must still match the yield's return.
+    board = make_board()
+    main = [
+        {"op": "syscall", "call": {"class": "subscribe", "driver": 0, "sub": 0,
+                                   "fn": "on_alarm"}},
+        {"op": "syscall", "call": {"class": "command", "driver": 0, "cmd": 1,
+                                   "args": [0, 0]}},
+        {"op": "syscall", "call": {"class": "yield", "mode": "no_wait"}},
+        {"op": "expect", "pattern": {"variant": "success_value", "value": 1}},
+        {"op": "halt"},
+    ]
+    handlers = {"on_alarm": [
+        {"op": "syscall", "call": {"class": "command", "driver": 9, "cmd": 1}}]}
+    board.load_app(script_source(main, handlers, 256))
+    assert board.run(100) == 0
+    kinds = [(e.kind, e.payload.get("ret")) for e in board.trace.events
+             if e.actor == "process:1" and e.kind in
+             ("upcall_run", "syscall_return", "expect")]
+    assert kinds[-4:] == [
+        ("upcall_run", None),
+        ("syscall_return", {"variant": "failure", "err": "NODEVICE"}),
+        ("syscall_return", {"variant": "success_value", "value": 1}),
+        ("expect", None),
+    ]
