@@ -16,19 +16,20 @@ event (or the tick limit, if that comes first), as a kernel sleeps until
 its next interrupt. The trace is the same as with one step per tick.
 
 Exit codes: 0 clean quiescence or tick limit, 1 any expect mismatch,
-2 configuration error, 3 capsule diagnostic (budget, reentrancy, register
-misuse).
+2 configuration error or unwritable trace path, 3 capsule diagnostic
+(budget, reentrancy, register misuse).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, TextIO
 
 from .capabilities import CapabilityKind, CapabilityRegistry
 from .capsules import CAPSULE_TYPES, CompositionLayer, validate_composition
@@ -171,6 +172,10 @@ def validate_board_dict(data: Dict[str, Any],
     verifier = data.get("verifier", "digest_match")
     if verifier not in VERIFIER_POLICIES:
         v.append(f"verifier must be one of {VERIFIER_POLICIES}, got {verifier!r}")
+    key_ids = data.get("trusted_key_ids", [])
+    if not isinstance(key_ids, list) or \
+            not all(isinstance(key_id, int) for key_id in key_ids):
+        v.append(f"trusted_key_ids must be a list of integers, got {key_ids!r}")
 
     peripherals = data.get("peripherals", {})
     if not isinstance(peripherals, dict):
@@ -249,13 +254,21 @@ def validate_board_dict(data: Dict[str, Any],
         if needed and needed not in peripherals:
             v.append(f"capsule {name!r} (type {ctype!r}) needs the {needed!r} "
                      f"peripheral")
-        comp_layers.append(CompositionLayer(
-            name=name,
-            provides=dict(layer.get("provides", {})),
-            requires=dict(layer.get("requires", {})),
-            buffer_size=layer.get("buffer_size"),
-            min_buffer_size=layer.get("min_buffer_size"),
-        ))
+        annotations: Dict[str, Any] = {}
+        for key in ("provides", "requires"):
+            value = layer.get(key, {})
+            if not isinstance(value, dict):
+                v.append(f"capsule {name!r} {key} must be an object, got {value!r}")
+                value = {}
+            annotations[key] = value
+        for key in ("buffer_size", "min_buffer_size"):
+            value = layer.get(key)
+            if value is not None and (not isinstance(value, int) or value < 0):
+                v.append(f"capsule {name!r} {key} must be a non-negative integer, "
+                         f"got {value!r}")
+                value = None
+            annotations[key] = value
+        comp_layers.append(CompositionLayer(name=name, **annotations))
 
     v.extend(validate_composition(comp_layers))
 
@@ -267,8 +280,12 @@ def validate_board_dict(data: Dict[str, Any],
     for holder, kinds in grants.items():
         if holder not in names_seen:
             v.append(f"capability grant names unknown capsule {holder!r}")
-        for kind in kinds if isinstance(kinds, list) else []:
-            if kind not in valid_kinds:
+        if not isinstance(kinds, list):
+            v.append(f"capability grant for {holder!r} must be a list of kinds, "
+                     f"got {kinds!r}")
+            continue
+        for kind in kinds:
+            if not isinstance(kind, str) or kind not in valid_kinds:
                 v.append(f"capability grant for {holder!r} names unknown kind "
                          f"{kind!r}")
     return v
@@ -285,11 +302,12 @@ class _BoardDeps:
 class Board:
     """A fully constructed machine, ready to load apps and run."""
 
-    def __init__(self, config: BoardConfig, seed: int = 0):
+    def __init__(self, config: BoardConfig, seed: int = 0,
+                 out: Optional[TextIO] = None, pretty: bool = False):
         self.config = config
         self.seed = seed
         clock = SimClock()
-        self.trace = TraceLog(lambda: clock.now)
+        self.trace = TraceLog(lambda: clock.now, out, pretty)
         irqc = InterruptController(self.trace)
 
         alarm = uart = hashengine = None
@@ -317,6 +335,7 @@ class Board:
             self.memory, self.chip, self.trace, self.registry,
             upcall_queue_depth=config.upcall_queue_depth,
             capsule_step_budget=config.capsule_step_budget,
+            max_processes=config.max_processes,
             verifier_policy=config.verifier,
             trusted_key_ids=config.trusted_key_ids)
 
@@ -353,10 +372,6 @@ class Board:
                              self.kernel.loader.on_hash_irq)
 
         self._finalized = False
-
-    @classmethod
-    def from_file(cls, path, seed: int = 0) -> "Board":
-        return cls(BoardConfig.from_file(path), seed=seed)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any], seed: int = 0,
@@ -432,43 +447,48 @@ def check_board(path) -> List[str]:
 
 def run_simulation(board_path, app_paths, *, max_ticks: int = DEFAULT_MAX_TICKS,
                    seed: int = 0, trace_path=None, pretty: bool = False,
-                   err=sys.stderr) -> int:
-    """CLI entry: build, load, run, and write the trace. Returns the exit
-    code; configuration problems short-circuit with code 2 and still emit
-    their diagnostics as trace events."""
-    trace = TraceLog()
+                   err: Optional[TextIO] = None) -> int:
+    """CLI entry: open the trace sink, then build, load and run, each event
+    going to the sink as it is logged. Returns the exit code; an
+    unwritable sink and configuration problems short-circuit with code 2,
+    and configuration problems still emit their diagnostics as trace
+    events. Diagnostics go to ``err``, by default the current stderr."""
+    err = sys.stderr if err is None else err
+    if trace_path is None:
+        sink = contextlib.nullcontext(sys.stdout)
+    else:
+        try:
+            sink = open(trace_path, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            print(f"config error: cannot write trace: {exc}", file=err)
+            return 2
+    pretty = pretty or os.environ.get("KERNSIM_TRACE_PRETTY") == "1"
+    with sink as out:
+        try:
+            return _simulate(board_path, app_paths, max_ticks, seed, out,
+                             pretty, err)
+        finally:
+            _write_trace(out)
+
+
+def _simulate(board_path, app_paths, max_ticks: int, seed: int, out: TextIO,
+              pretty: bool, err: TextIO) -> int:
+    trace = TraceLog(out=out, pretty=pretty)
     try:
-        board = Board.from_file(board_path, seed=seed)
-    except ConfigError as exc:
-        for violation in exc.violations:
+        board = Board(BoardConfig.from_file(board_path), seed, out, pretty)
+        trace = board.trace
+        board.finalize()
+        for app_path in app_paths:
+            board.load_app(Path(app_path).read_bytes(), Path(app_path).stem)
+    except (ConfigError, OSError, ScenarioError) as exc:
+        for violation in getattr(exc, "violations", [str(exc)]):
             trace.log(ACTOR_KERNEL, K_CONFIG_ERROR, {"violation": violation})
             print(f"config error: {violation}", file=err)
-        _write_trace(trace, trace_path, pretty)
         return 2
-
-    board.finalize()
-    try:
-        for app_path in app_paths:
-            source = Path(app_path).read_bytes()
-            board.load_app(source, Path(app_path).stem)
-    except (OSError, ScenarioError) as exc:
-        violations = getattr(exc, "violations", [str(exc)])
-        for violation in violations:
-            board.trace.log(ACTOR_KERNEL, K_CONFIG_ERROR, {"violation": violation})
-            print(f"config error: {violation}", file=err)
-        _write_trace(board.trace, trace_path, pretty)
-        return 2
-
-    code = board.run(max_ticks)
-    _write_trace(board.trace, trace_path, pretty)
-    return code
+    return board.run(max_ticks)
 
 
-def _write_trace(trace: TraceLog, trace_path, pretty: bool) -> None:
-    pretty = pretty or os.environ.get("KERNSIM_TRACE_PRETTY") == "1"
-    data = trace.to_bytes(pretty=pretty)
-    if trace_path is None:
-        sys.stdout.write(data.decode("utf-8"))
-        sys.stdout.flush()
-    else:
-        Path(trace_path).write_bytes(data)
+def _write_trace(out: TextIO) -> None:
+    """Push the sink's buffered lines out; every event was encoded and
+    written when it was logged."""
+    out.flush()

@@ -96,6 +96,7 @@ from .trace import (
 
 DEFAULT_UPCALL_QUEUE_DEPTH = 8
 DEFAULT_CAPSULE_STEP_BUDGET = 100_000
+DEFAULT_MAX_PROCESSES = 8
 CARVE_ALIGN = 16
 
 
@@ -471,6 +472,7 @@ class Kernel:
                  registry: CapabilityRegistry, *,
                  upcall_queue_depth: int = DEFAULT_UPCALL_QUEUE_DEPTH,
                  capsule_step_budget: int = DEFAULT_CAPSULE_STEP_BUDGET,
+                 max_processes: int = DEFAULT_MAX_PROCESSES,
                  verifier_policy: str = "digest_match",
                  trusted_key_ids=()):
         self.memory = memory
@@ -479,6 +481,7 @@ class Kernel:
         self.registry = registry
         self.upcall_queue_depth = upcall_queue_depth
         self.capsule_step_budget = capsule_step_budget
+        self.max_processes = max_processes
         self.verifier_policy = verifier_policy
         self.trusted_key_ids = tuple(trusted_key_ids)
 
@@ -553,6 +556,9 @@ class Kernel:
         if header.entry_name != "main" or script.entry != "main":
             return None, RejectReason.NOT_RUNNABLE, \
                 f"no entry handler {header.entry_name!r}"
+        if len(self._live) >= self.max_processes:
+            return None, RejectReason.NO_ROOM, \
+                f"max_processes reached: {self.max_processes} processes are live"
         flash_base = self.allocator.allocate(len(payload))
         if flash_base is None:
             return None, RejectReason.NO_ROOM, "no room for program image"

@@ -1,17 +1,18 @@
 """Deterministic simulation trace: a totally ordered stream of events.
 
-Every observable action in a run is appended here with a strictly
+Every observable action in a run is logged here with a strictly
 increasing sequence number and the simulated tick at which it happened.
-The serialized form is one JSON object per line with keys in fixed order
-(seq, tick, actor, kind, payload) so that byte-identical replay is a
-meaningful property.
+Each event is encoded once, when it is logged, as one JSON object per
+line with keys in fixed order (seq, tick, actor, kind, payload), and
+written straight to the log's text stream, so byte-identical replay is a
+meaningful property and a run that dies leaves every earlier event.
 """
 
 from __future__ import annotations
 
+import io
 import json
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional, TextIO
 
 ACTOR_KERNEL = "kernel"
 
@@ -51,9 +52,7 @@ K_GRANT_ALLOC = "grant_alloc"
 K_GRANT_NOMEM = "grant_nomem"
 K_IRQ_RAISED = "irq_raised"
 K_IRQ_SERVICED = "irq_serviced"
-K_ALARM_DELIVER = "alarm_deliver"
 K_UART_TX = "uart_tx"
-K_UART_DONE = "uart_done"
 K_CAPSULE_ERROR = "capsule_error"
 K_PRIVILEGED_OP = "privileged_op"
 K_DIAGNOSTIC = "diagnostic"
@@ -61,44 +60,28 @@ K_TICK_LIMIT = "tick_limit"
 K_QUIESCENT = "quiescent"
 
 
-@dataclass
-class TraceEvent:
-    seq: int
-    tick: int
-    actor: str
-    kind: str
-    payload: Dict[str, Any]
-
-    def to_record(self) -> Dict[str, Any]:
-        return {
-            "seq": self.seq,
-            "tick": self.tick,
-            "actor": self.actor,
-            "kind": self.kind,
-            "payload": self.payload,
-        }
-
-    def to_json_line(self) -> str:
-        return json.dumps(self.to_record(), separators=(",", ":"))
-
-
 class TraceLog:
-    """Append-only event log for one simulation run."""
+    """Append-only event log for one simulation run.
 
-    def __init__(self, clock: Optional[Callable[[], int]] = None):
-        self.events: List[TraceEvent] = []
+    Events go to ``out`` (an in-memory buffer unless a stream is given),
+    one compact JSON line each, or ``indent=2`` records with ``pretty``.
+    """
+
+    def __init__(self, clock: Optional[Callable[[], int]] = None,
+                 out: Optional[TextIO] = None, pretty: bool = False):
+        self.out = io.StringIO() if out is None else out
+        self._write = self.out.write
+        # One encoder per log: json.dumps builds a new one on every call
+        # that passes non-default arguments.
+        encoder = (json.JSONEncoder(indent=2) if pretty
+                   else json.JSONEncoder(separators=(",", ":")))
+        self._encode = encoder.encode
         self._seq = 0
         self._clock = clock or (lambda: 0)
 
-    def log(self, actor: str, kind: str, payload: Optional[Dict[str, Any]] = None) -> TraceEvent:
-        event = TraceEvent(self._seq, self._clock(), actor, kind, payload or {})
+    def log(self, actor: str, kind: str,
+            payload: Optional[Dict[str, Any]] = None) -> None:
+        self._write(self._encode({"seq": self._seq, "tick": self._clock(),
+                                  "actor": actor, "kind": kind,
+                                  "payload": payload or {}}) + "\n")
         self._seq += 1
-        self.events.append(event)
-        return event
-
-    def to_bytes(self, pretty: bool = False) -> bytes:
-        if pretty:
-            text = "\n".join(json.dumps(e.to_record(), indent=2) for e in self.events)
-        else:
-            text = "\n".join(e.to_json_line() for e in self.events)
-        return (text + "\n").encode("utf-8") if text else b""

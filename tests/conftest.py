@@ -1,6 +1,7 @@
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,6 +9,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+from kernsim.audit import parse_trace  # noqa: E402
 from kernsim.board import Board  # noqa: E402
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "kernsim"
@@ -43,6 +45,13 @@ def minimal_board_dict(**overrides):
 
 def make_board(**overrides) -> Board:
     return Board.from_dict(minimal_board_dict(**overrides))
+
+
+def trace_events(board: Board):
+    """The events the board has logged so far, parsed back from its
+    in-memory trace, with the record keys as attributes."""
+    data = board.trace.out.getvalue().encode("utf-8")
+    return [SimpleNamespace(**record) for record in parse_trace(data)]
 
 
 def script_source(main, handlers=None, min_memory=1024, **extra) -> bytes:

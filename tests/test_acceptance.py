@@ -30,7 +30,8 @@ from kernsim.memory import (
 )
 from kernsim.regmap import RegisterFile
 
-from conftest import BOARDS_DIR, SCENARIOS_DIR, make_board, script_source
+from conftest import (BOARDS_DIR, SCENARIOS_DIR, make_board, script_source,
+                      trace_events)
 from oracles import (
     OneSlotSwapModel,
     alarm_oracle,
@@ -257,7 +258,7 @@ def test_acceptance_06_read_only_allow_write_refused():
     assert code == 0  # expects inside the scenario all held
     after = bytes(board.memory.data[pcb.flash.base:pcb.flash.end])
     assert before == after
-    errors = [e for e in board.trace.events if e.kind == "capsule_error"]
+    errors = [e for e in trace_events(board) if e.kind == "capsule_error"]
     assert errors and "read-only" in errors[0].payload["error"]
     assert pcb.state.value == "exited"
     print("ACCEPTANCE 06 PASS: read-only share write refused, bytes intact")
@@ -304,18 +305,18 @@ def test_acceptance_08_loader_three_stage_and_parity():
                           (job_bad_header, "bad_header")):
             outcomes[(mode, name)] = (job.state, job.reject_reason)
         if mode == "async":
-            states = [e.payload["state"] for e in board.trace.events
+            states = [e.payload["state"] for e in trace_events(board)
                       if e.kind == "loader_state"
                       and e.payload["job"] == job_good.job_id]
             assert states == ["fetched", "header_checked", "integrity_pending",
                               "integrity_checked", "runnable"]
-            corrupt_states = [e.payload["state"] for e in board.trace.events
+            corrupt_states = [e.payload["state"] for e in trace_events(board)
                               if e.kind == "loader_state"
                               and e.payload["job"] == job_corrupt.job_id]
             assert corrupt_states[-1] == "rejected"
             assert "integrity_pending" in corrupt_states  # got to the check
             # the bad header never reached the hash engine
-            submits = [e.payload["job"] for e in board.trace.events
+            submits = [e.payload["job"] for e in trace_events(board)
                        if e.kind == "hash_submit"]
             assert job_bad_header.job_id not in submits
 

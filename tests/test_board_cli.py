@@ -301,3 +301,60 @@ def test_two_mpu_regions_are_enough(tmp_path):
     assert cli_main(["check", "--board", board_path]) == 0
     assert cli_main(["run", "--board", board_path, "--app", app,
                      "--trace", str(tmp_path / "t.jsonl")]) == 0
+
+
+def _console(cfg):
+    return next(layer for layer in cfg["capsules"] if layer["name"] == "console")
+
+
+@pytest.mark.parametrize("mutate, needle", [
+    pytest.param(
+        lambda cfg: cfg.update(capabilities={"manager": "ProcessManagement"}),
+        "capability grant for 'manager'", id="grant_kinds_not_a_list"),
+    pytest.param(lambda cfg: cfg.update(capabilities={"manager": [{"k": 1}]}),
+                 "capability grant for 'manager'", id="grant_kind_not_a_string"),
+    pytest.param(lambda cfg: cfg.update(trusted_key_ids=5), "trusted_key_ids",
+                 id="trusted_key_ids_not_a_list"),
+    pytest.param(lambda cfg: _console(cfg).update(provides="x"), "provides",
+                 id="provides_not_an_object"),
+    pytest.param(lambda cfg: _console(cfg).update(requires="x"), "requires",
+                 id="requires_not_an_object"),
+    pytest.param(lambda cfg: _console(cfg).update(buffer_size="64"),
+                 "buffer_size", id="buffer_size_a_string"),
+    pytest.param(lambda cfg: _console(cfg).update(min_buffer_size="4"),
+                 "min_buffer_size", id="min_buffer_size_a_string"),
+    pytest.param(lambda cfg: _console(cfg).update(buffer_size=-1),
+                 "buffer_size", id="negative_console_buffer_size"),
+])
+def test_board_value_of_wrong_type_is_exit_2_at_check_and_run(
+        tmp_path, capsys, mutate, needle):
+    cfg = minimal_board_dict()
+    mutate(cfg)
+    board_path = tmp_path / "board.json"
+    board_path.write_text(json.dumps(cfg))
+    app = tmp_path / "app.json"
+    app.write_text(json.dumps({"name": "app", "main": [{"op": "halt"}]}))
+    trace_path = tmp_path / "t.jsonl"
+    assert cli_main(["check", "--board", str(board_path)]) == 2
+    assert cli_main(["run", "--board", str(board_path), "--app", str(app),
+                     "--trace", str(trace_path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    events = parse_trace(trace_path.read_bytes())
+    assert [e["kind"] for e in events] == ["config_error"]
+    assert needle in events[0]["payload"]["violation"]
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "is_a_dir"])
+def test_unwritable_trace_path_is_exit_2_before_simulating(tmp_path, capsys,
+                                                          where):
+    trace_path = tmp_path / "no" / "such" / "x.jsonl" if where == "missing_dir" \
+        else tmp_path
+    code = cli_main(["run", "--board", str(BOARDS_DIR / "demo.json"),
+                     "--app", str(SCENARIOS_DIR / "demo_a.json"),
+                     "--trace", str(trace_path)])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: cannot write trace: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "no").exists()

@@ -14,7 +14,8 @@ from kernsim.errors import (
 )
 from kernsim.kernel import ProcessState
 
-from conftest import make_board, minimal_board_dict, script_source
+from conftest import (make_board, minimal_board_dict, script_source,
+                      trace_events)
 from kernsim.board import Board
 
 
@@ -84,8 +85,8 @@ def test_mint_after_finalize_fails_on_a_real_board(board):
     board.finalize()
     with pytest.raises(PhaseError):
         board.registry.mint(CapabilityKind.PROCESS_MANAGEMENT, "late")
-    mint_events = [e for e in board.trace.events if e.kind == "cap_minted"]
-    finalize_seq = next(e.seq for e in board.trace.events
+    mint_events = [e for e in trace_events(board) if e.kind == "cap_minted"]
+    finalize_seq = next(e.seq for e in trace_events(board)
                         if e.kind == "finalized")
     assert all(e.seq < finalize_seq for e in mint_events)
 
@@ -100,7 +101,7 @@ def test_tokenless_manager_cannot_express_destroy():
     assert board.kernel.processes[victim].state is ProcessState.UNSTARTED
     assert not any(e.kind == "privileged_op"
                    and e.payload["op"] == "process_destroy"
-                   for e in board.trace.events)
+                   for e in trace_events(board))
 
 
 def test_manager_destroy_via_scenario(board):
@@ -124,7 +125,7 @@ def test_manager_destroy_via_scenario(board):
     assert code == 0
     # run ended long before the victim's 9000-tick alarm: cleanup disarmed it
     assert board.chip.clock.now < 100
-    privileged = [e for e in board.trace.events if e.kind == "privileged_op"
+    privileged = [e for e in trace_events(board) if e.kind == "privileged_op"
                   and e.payload["op"] == "process_destroy"]
     assert len(privileged) == 1
     assert privileged[0].payload["holder"] == "manager"

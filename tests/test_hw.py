@@ -19,7 +19,7 @@ from kernsim.loader import fnv1a64
 from kernsim.regmap import load_register_map
 from kernsim.trace import TraceLog
 
-from conftest import minimal_board_dict, script_source
+from conftest import minimal_board_dict, script_source, trace_events
 
 MAPS_DIR = Path(__file__).resolve().parents[1] / "src" / "kernsim" / "maps"
 
@@ -284,7 +284,7 @@ def make_chip(initial_count=0):
 def _chip_state(chip, trace):
     periphs = (chip.alarm, chip.uart, chip.hashengine)
     return (chip.clock.now, [dict(p.regs.values) for p in periphs],
-            trace.to_bytes())
+            trace.out.getvalue())
 
 
 def test_chip_tick_n_matches_n_single_ticks():
@@ -308,7 +308,7 @@ def test_chip_tick_n_matches_n_single_ticks():
             fast.irqc.service()
             slow.irqc.service()
         assert slow.ticks_until_event() is None
-        assert fast_trace.to_bytes().count(b"irq_raised") == 2
+        assert fast_trace.out.getvalue().encode("utf-8").count(b"irq_raised") == 2
 
 
 def test_chip_tick_rejects_stepping_past_the_next_event():
@@ -347,7 +347,7 @@ def test_long_sleep_needs_loop_steps_per_event_not_per_tick():
     loop_step = board.kernel.loop_step
     board.kernel.loop_step = lambda: steps.append(1) or loop_step()
     assert board.run(200_000) == 0
-    runs = [e.tick for e in board.trace.events if e.kind == "upcall_run"]
+    runs = [e.tick for e in trace_events(board) if e.kind == "upcall_run"]
     assert runs == [100_000]
-    assert board.trace.events[-1].kind == "quiescent"
+    assert trace_events(board)[-1].kind == "quiescent"
     assert len(steps) < 20

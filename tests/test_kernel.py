@@ -24,7 +24,7 @@ from kernsim.errors import (
 from kernsim.kernel import ProcessState
 from kernsim.loader import pack_binary
 
-from conftest import make_board, script_source
+from conftest import make_board, script_source, trace_events
 from oracles import OneSlotSwapModel
 
 DRIVER_ALARM = 0
@@ -180,12 +180,12 @@ def test_rw_allow_over_read_only_flash_is_inval(board):
 def test_zero_length_allow_accepted_at_any_base(board):
     pid = load_idle_process(board)
     kern = board.kernel
-    before = len([e for e in board.trace.events if e.kind == "mem_access"])
+    before = len([e for e in trace_events(board) if e.kind == "mem_access"])
     ret = rw_allow(kern, pid, DRIVER_PROBE_A, 0, 500, 0)
     assert ret == SyscallReturn.success_region(0, 0)
     ret = rw_allow(kern, pid, DRIVER_PROBE_A, 0, 999999999, 0)
     assert ret == SyscallReturn.success_region(500, 0)
-    after = len([e for e in board.trace.events if e.kind == "mem_access"])
+    after = len([e for e in trace_events(board) if e.kind == "mem_access"])
     assert before == after  # allow validation never touches memory
 
 
@@ -309,7 +309,7 @@ def subscribe(board, pid, driver, sub, fn="h1", userdata=0):
 def test_upcall_to_null_subscription_dropped(board):
     pid = load_idle_process(board)
     assert not board.kernel.schedule_upcall("probe_a", DRIVER_PROBE_A, pid, 0, [1])
-    drops = [e for e in board.trace.events if e.kind == "upcall_dropped"]
+    drops = [e for e in trace_events(board) if e.kind == "upcall_dropped"]
     assert drops and drops[-1].payload["reason"] == "null subscription"
 
 
@@ -318,7 +318,7 @@ def test_upcall_to_dead_process_dropped(board):
     subscribe(board, pid, DRIVER_ALARM, 0)
     board.kernel.exit_process(pid, "test")
     assert not board.kernel.schedule_upcall("alarm_driver", DRIVER_ALARM, pid, 0, [1])
-    drops = [e for e in board.trace.events if e.kind == "upcall_dropped"]
+    drops = [e for e in trace_events(board) if e.kind == "upcall_dropped"]
     assert drops[-1].payload["reason"] == "dead process"
 
 
@@ -345,7 +345,7 @@ def test_upcall_queue_depth_limit(board):
     assert kern.schedule_upcall("alarm_driver", DRIVER_ALARM, pid, 0, [1])
     assert not kern.schedule_upcall("console", DRIVER_CONSOLE, pid, 0, [2])
     assert len(pcb.upcall_queue) == 1
-    drops = [e for e in board.trace.events if e.kind == "upcall_dropped"]
+    drops = [e for e in trace_events(board) if e.kind == "upcall_dropped"]
     assert drops[-1].payload["reason"] == "queue full"
 
 
@@ -377,10 +377,10 @@ def test_yield_no_wait_returns_flag(board):
     board, code = run_board(main, {"on_alarm": [
         {"op": "write_local", "offset": 0, "data": "aa"}]})
     assert code == 0
-    runs = [e for e in board.trace.events if e.kind == "upcall_run"]
+    runs = [e for e in trace_events(board) if e.kind == "upcall_run"]
     assert len(runs) == 1
     # the no-wait yield that delivered it returned 1
-    rets = [e.payload["ret"] for e in board.trace.events
+    rets = [e.payload["ret"] for e in trace_events(board)
             if e.kind == "syscall_return"
             and e.payload["ret"].get("variant") == "success_value"]
     assert {"variant": "success_value", "value": 1} in rets
@@ -400,7 +400,7 @@ def test_upcalls_delivered_only_inside_yield(board):
     ]
     board, code = run_board(main, {"on_alarm": []})
     assert code == 0
-    events = [e for e in board.trace.events
+    events = [e for e in trace_events(board)
               if e.actor == "process:1" and e.kind in ("syscall", "upcall_run")]
     for i, event in enumerate(events):
         if event.kind == "upcall_run":
@@ -416,10 +416,10 @@ def test_two_processes_one_quantum_each_in_pid_order(board):
     board.load_app(script_source(main, {}, 256))
     board.finalize()
     board.kernel.loop_step()  # both start and run one quantum
-    syscalls = [e.actor for e in board.trace.events if e.kind == "syscall"]
+    syscalls = [e.actor for e in trace_events(board) if e.kind == "syscall"]
     assert syscalls == ["process:1", "process:2"]
     board.kernel.loop_step()
-    syscalls = [e.actor for e in board.trace.events if e.kind == "syscall"]
+    syscalls = [e.actor for e in trace_events(board) if e.kind == "syscall"]
     assert syscalls == ["process:1", "process:2", "process:1", "process:2"]
 
 
@@ -444,7 +444,7 @@ def test_pending_alarm_interrupt_progresses(board):
     board.chip.tick(1)
     assert board.chip.irqc.any_pending()
     assert board.kernel.loop_step() is True
-    runs = [e for e in board.trace.events if e.kind == "upcall_run"]
+    runs = [e for e in trace_events(board) if e.kind == "upcall_run"]
     assert len(runs) == 1
 
 
@@ -485,7 +485,7 @@ def test_exit_orphans_in_flight_console_write(board):
     board, code = run_board(main, {"on_tx": []}, board=board)
     assert code == 0
     assert board.uart_output == bytes.fromhex("aabbccddeeff00112233")
-    assert not any(e.kind == "upcall_run" for e in board.trace.events)
+    assert not any(e.kind == "upcall_run" for e in trace_events(board))
     console = board.capsules_by_name["console"]
     assert not console.op.pending and not console.window.in_flight
 
@@ -499,8 +499,8 @@ def test_faulted_process_is_not_restarted(board):
     pcb = board.kernel.processes[1]
     assert pcb.state is ProcessState.FAULTED
     # the statements after the fault never ran
-    faults = [e for e in board.trace.events if e.kind == "mem_fault"]
-    writes = [e for e in board.trace.events
+    faults = [e for e in trace_events(board) if e.kind == "mem_fault"]
+    writes = [e for e in trace_events(board)
               if e.kind == "mem_access" and e.actor == "process:1"]
     assert len(faults) == 1 and len(writes) == 0
 
@@ -520,7 +520,7 @@ def test_mutual_distrust_spinner_cannot_starve_alarm(board):
     board.load_app(script_source(fourcall, {"on_alarm": []}, 256))
     code = board.run(5000)
     assert code == 0
-    runs = [e for e in board.trace.events if e.kind == "upcall_run"]
+    runs = [e for e in trace_events(board) if e.kind == "upcall_run"]
     assert len(runs) == 1
     # delivered within K loop steps of the due tick, K = process count (2)
     assert 500 <= runs[0].tick <= 502
@@ -625,7 +625,7 @@ def test_budget_overrun_halts_with_exit_3():
             {"op": "halt"}]
     board.load_app(script_source(main, {}, 256))
     assert board.run(100) == 3
-    diags = [e for e in board.trace.events if e.kind == "diagnostic"]
+    diags = [e for e in trace_events(board) if e.kind == "diagnostic"]
     assert diags and "budget" in diags[0].payload["reason"]
 
 
@@ -695,7 +695,7 @@ def test_capsule_exception_in_any_entry_point_is_exit_3(entry):
             {"op": "halt"}]
     board.load_app(script_source(main, {"on_alarm": []}, 256))
     assert board.run(100) == 3
-    last = board.trace.events[-1]
+    last = trace_events(board)[-1]
     assert last.kind == "diagnostic"
     assert last.payload["reason"] == (
         f"capsule 'alarm_driver' crashed in {entry}: "
@@ -725,7 +725,7 @@ register_capsule_type(
 
 
 def _started_pids(board):
-    return [e.payload["pid"] for e in board.trace.events
+    return [e.payload["pid"] for e in trace_events(board)
             if e.kind == "process_state" and e.payload["state"] == "running"
             and e.payload.get("reason") == "started"]
 
@@ -756,7 +756,7 @@ def test_process_loaded_by_the_hash_irq_starts_in_the_same_step():
     board.kernel.loop_step()
     assert _started_pids(board) == [1]
     # created and started at the same tick
-    ticks = {e.tick for e in board.trace.events
+    ticks = {e.tick for e in trace_events(board)
              if e.kind in ("process_created", "process_state")}
     assert len(ticks) == 1
 

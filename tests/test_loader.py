@@ -11,7 +11,7 @@ from kernsim.loader import (
     parse_binary,
 )
 
-from conftest import make_board, script_source
+from conftest import make_board, script_source, trace_events
 from oracles import fnv1a64_reference
 
 
@@ -58,7 +58,7 @@ def async_board(**overrides):
 
 
 def loader_states(board, job_id):
-    return [e.payload["state"] for e in board.trace.events
+    return [e.payload["state"] for e in trace_events(board)
             if e.kind == "loader_state" and e.payload.get("job") == job_id]
 
 
@@ -114,6 +114,25 @@ def test_sync_rejects_when_no_room():
     assert job.reject_reason is RejectReason.NO_ROOM
 
 
+def test_load_past_max_processes_is_rejected_with_no_room():
+    # Each app arms an alarm; the alarm driver has one client slot per
+    # allowed process, so no live process can run out of slots.
+    sleeper = script_source(
+        [{"op": "sync_command", "driver": 0, "cmd": 1, "args": [50, 0],
+          "fn": "on_alarm"}, {"op": "halt"}], {"on_alarm": []}, 256)
+    board = sync_board(max_processes=2)
+    board.finalize()
+    jobs = [board.load_app(sleeper, f"app{i}") for i in range(3)]
+    assert [job.state for job in jobs] == [LoaderState.RUNNABLE] * 2 + \
+        [LoaderState.REJECTED]
+    assert jobs[2].reject_reason is RejectReason.NO_ROOM
+    assert "max_processes" in jobs[2].detail
+    assert board.run() == 0
+    rets = [e.payload["ret"] for e in trace_events(board)
+            if e.kind == "syscall_return"]
+    assert rets and all(r.get("err") != "RESERVE" for r in rets)
+
+
 def test_key_id_policy():
     board = sync_board(verifier="digest_key_id", trusted_key_ids=[7])
     accepted = board.load_app(script_source([{"op": "halt"}], {}, 256,
@@ -143,7 +162,7 @@ def test_async_bad_header_never_reaches_the_hash_engine():
     job = board.load_binary(bytes(blob))
     assert job.state is LoaderState.REJECTED
     assert job.reject_reason is RejectReason.BAD_HEADER
-    assert not any(e.kind == "hash_submit" for e in board.trace.events)
+    assert not any(e.kind == "hash_submit" for e in trace_events(board))
 
 
 def test_async_digest_mismatch_frees_engine_for_next_job():

@@ -7,7 +7,7 @@ from kernsim.errors import ScenarioError
 from kernsim.kernel import ProcessState
 from kernsim.scenario import parse_script, parse_script_bytes
 
-from conftest import make_board, script_source
+from conftest import make_board, script_source, trace_events
 
 
 def test_parse_minimal_script():
@@ -107,7 +107,7 @@ def test_seg_resolution_ram_flash_abs():
     ]
     board.load_app(script_source(main, {}, 256))
     assert board.run(100) == 0
-    pcb_events = [e.payload["call"] for e in board.trace.events
+    pcb_events = [e.payload["call"] for e in trace_events(board)
                   if e.kind == "syscall" and e.payload["call"]["class"] != "exit"]
     allows = [c for c in pcb_events if "base" in c]
     assert allows[2]["base"] == 12345
@@ -123,7 +123,7 @@ def test_expect_mismatch_recorded_and_process_continues():
     ]
     board.load_app(script_source(main, {}, 256))
     assert board.run(100) == 1
-    expects = [e for e in board.trace.events if e.kind == "expect"]
+    expects = [e for e in trace_events(board) if e.kind == "expect"]
     assert [e.payload["pass"] for e in expects] == [False]
     # the process ran to completion regardless
     assert board.kernel.processes[1].state is ProcessState.EXITED
@@ -141,7 +141,7 @@ def test_write_then_read_local_round_trip():
     pcb = board.kernel.processes[1]
     assert bytes(board.memory.data[pcb.ram.base + 4:pcb.ram.base + 8]) == \
         bytes.fromhex("deadbeef")
-    accesses = [e for e in board.trace.events
+    accesses = [e for e in trace_events(board)
                 if e.kind == "mem_access" and e.actor == "process:1"]
     assert [(e.payload["op"], e.payload["len"]) for e in accesses] == \
         [("write", 4), ("read", 4)]
@@ -168,7 +168,7 @@ def test_handler_statements_run_inside_delivery():
     assert board.run(100) == 0
     pcb = board.kernel.processes[1]
     assert board.memory.data[pcb.ram.base] == 0x42
-    expects = [e.payload for e in board.trace.events if e.kind == "expect"]
+    expects = [e.payload for e in trace_events(board) if e.kind == "expect"]
     assert expects == [{"pattern": {"variant": "success"},
                         "actual": {"variant": "success"}, "pass": True}]
 
@@ -196,7 +196,7 @@ def test_allow_in_a_loop_resolves_against_each_running_process(monkeypatch):
     assert first.flash.base != second.flash.base
     for pcb in (first, second):
         allows = [(e.payload["call"]["class"], e.payload["call"]["base"])
-                  for e in board.trace.events
+                  for e in trace_events(board)
                   if e.kind == "syscall" and e.actor == f"process:{pcb.id}"
                   and "base" in e.payload["call"]]
         assert allows == [("rw_allow", pcb.ram.base + 16),
@@ -224,7 +224,7 @@ def test_expect_after_yield_no_wait_sees_the_yield_not_the_handler():
         {"op": "syscall", "call": {"class": "command", "driver": 9, "cmd": 1}}]}
     board.load_app(script_source(main, handlers, 256))
     assert board.run(100) == 0
-    kinds = [(e.kind, e.payload.get("ret")) for e in board.trace.events
+    kinds = [(e.kind, e.payload.get("ret")) for e in trace_events(board)
              if e.actor == "process:1" and e.kind in
              ("upcall_run", "syscall_return", "expect")]
     assert kinds[-4:] == [
