@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Any, Dict, List, Optional, TextIO
+from typing import Any, Dict, List, Optional, TextIO, Tuple
 
 from .capabilities import CapabilityKind, CapabilityRegistry
 from .capsules import CAPSULE_TYPES, CompositionLayer, validate_composition
@@ -61,7 +61,11 @@ from .trace import (
 
 DEFAULT_MAX_TICKS = 10_000
 
-_KNOWN_PERIPHERALS = ("alarm", "uart", "hashengine")
+# The model behind each known peripheral.
+_PERIPHERAL_MODELS = {"alarm": AlarmHw, "uart": UartHw, "hashengine": HashEngineHw}
+# The board keys read as they are, with their defaults in BoardConfig.
+_SCALAR_KEYS = ("name", "ram_size", "mpu_max_regions", "upcall_queue_depth",
+                "capsule_step_budget", "max_processes", "loader", "verifier")
 _PERIPHERAL_NEEDED_BY = {"alarm": "alarm", "console": "uart"}
 _TYPES_NEEDING_DRIVER_ID = ("alarm", "console", "probe", "manager")
 # Each peripheral's optional timing knob: (key, minimum, maximum or None).
@@ -71,13 +75,6 @@ _TIMING_KNOBS = {
     "uart": ("bytes_per_tick", 1, None),
     "hashengine": ("chunk_bytes", 1, None),
 }
-
-
-def _packaged_map_text(name: str) -> Optional[str]:
-    ref = resources.files("kernsim").joinpath(f"maps/{name}.json")
-    if not ref.is_file():
-        return None
-    return ref.read_text(encoding="utf-8")
 
 
 @dataclass
@@ -99,27 +96,17 @@ class BoardConfig:
     @classmethod
     def from_dict(cls, data: Dict[str, Any],
                   base_dir: Optional[Path] = None) -> "BoardConfig":
-        violations = validate_board_dict(data, base_dir)
+        violations, specs = validate_board_dict(data, base_dir)
         if violations:
             raise ConfigError(violations)
-        cfg = cls(
-            name=data.get("name", "board"),
-            ram_size=data["ram_size"],
-            mpu_max_regions=data.get("mpu_max_regions", 8),
-            upcall_queue_depth=data.get("upcall_queue_depth", 8),
-            capsule_step_budget=data.get("capsule_step_budget", 100_000),
-            max_processes=data.get("max_processes", 8),
-            loader=data.get("loader", "sync"),
-            verifier=data.get("verifier", "digest_match"),
+        return cls(
+            **{key: data[key] for key in _SCALAR_KEYS if key in data},
             trusted_key_ids=list(data.get("trusted_key_ids", [])),
             peripherals={k: dict(v) for k, v in data.get("peripherals", {}).items()},
             capsules=[dict(layer) for layer in data.get("capsules", [])],
             capabilities={k: list(v) for k, v in data.get("capabilities", {}).items()},
+            peripheral_specs=specs,
         )
-        for pname in cfg.peripherals:
-            text = _map_text(pname, cfg.peripherals[pname], base_dir)
-            cfg.peripheral_specs[pname] = load_register_map(json.loads(text))
-        return cfg
 
     @classmethod
     def from_file(cls, path) -> "BoardConfig":
@@ -128,48 +115,53 @@ class BoardConfig:
             data = json.loads(path.read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError([f"cannot read board file: {exc}"]) from None
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
             raise ConfigError([f"board file does not parse: {exc}"]) from None
         return cls.from_dict(data, path.parent)
 
 
-def _map_text(pname: str, pcfg: Dict[str, Any],
-              base_dir: Optional[Path]) -> Optional[str]:
-    map_ref = pcfg.get("map")
+def _map_bytes(pname: str, map_ref: Optional[str],
+               base_dir: Optional[Path]) -> Optional[bytes]:
+    """The register map file's bytes: the packaged map unless the board
+    names one. None if it cannot be read."""
     if map_ref is None:
-        return _packaged_map_text(pname)
+        ref = resources.files("kernsim").joinpath(f"maps/{pname}.json")
+        return ref.read_bytes() if ref.is_file() else None
     path = Path(map_ref)
     if base_dir is not None and not path.is_absolute():
         path = base_dir / path
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_bytes()
     except OSError:
         return None
 
 
-def validate_board_dict(data: Dict[str, Any],
-                        base_dir: Optional[Path] = None) -> List[str]:
-    """Full static validation; returns every violation found."""
+def validate_board_dict(data: Dict[str, Any], base_dir: Optional[Path] = None
+                        ) -> Tuple[List[str], Dict[str, RegisterMapSpec]]:
+    """Full static validation: returns every violation found, and the
+    register map of each peripheral whose map passes, so that the board
+    is read once."""
     v: List[str] = []
+    specs: Dict[str, RegisterMapSpec] = {}
     if not isinstance(data, dict):
-        return ["board config must be a JSON object"]
+        return ["board config must be a JSON object"], specs
 
     ram = data.get("ram_size")
     if not isinstance(ram, int) or ram <= 0:
         v.append(f"ram_size must be a positive integer, got {ram!r}")
-    regions = data.get("mpu_max_regions", 2)
+    regions = data.get("mpu_max_regions", BoardConfig.mpu_max_regions)
     if not isinstance(regions, int) or regions < 2:
         v.append("mpu_max_regions must be an integer >= 2, because every process "
                  f"holds a flash region and a RAM region; got {regions!r}")
     for key in ("upcall_queue_depth", "capsule_step_budget", "max_processes"):
-        value = data.get(key, 1)
+        value = data.get(key, getattr(BoardConfig, key))
         if not isinstance(value, int) or value < 1:
             v.append(f"{key} must be a positive integer, got {value!r}")
 
-    loader = data.get("loader", "sync")
+    loader = data.get("loader", BoardConfig.loader)
     if loader not in ("sync", "async"):
         v.append(f"loader must be 'sync' or 'async', got {loader!r}")
-    verifier = data.get("verifier", "digest_match")
+    verifier = data.get("verifier", BoardConfig.verifier)
     if verifier not in VERIFIER_POLICIES:
         v.append(f"verifier must be one of {VERIFIER_POLICIES}, got {verifier!r}")
     key_ids = data.get("trusted_key_ids", [])
@@ -183,7 +175,8 @@ def validate_board_dict(data: Dict[str, Any],
         peripherals = {}
     irqs_seen: Dict[int, str] = {}
     for pname, pcfg in peripherals.items():
-        if pname not in _KNOWN_PERIPHERALS:
+        model = _PERIPHERAL_MODELS.get(pname)
+        if model is None:
             v.append(f"unknown peripheral {pname!r}")
             continue
         if not isinstance(pcfg, dict):
@@ -203,18 +196,27 @@ def validate_board_dict(data: Dict[str, Any],
             bound = f">= {low}" if high is None else f"in [{low}, {high}]"
             v.append(f"peripheral {pname!r} {knob} must be an integer {bound}, "
                      f"got {value!r}")
-        text = _map_text(pname, pcfg, base_dir)
-        if text is None:
+        map_ref = pcfg.get("map")
+        if map_ref is not None and not isinstance(map_ref, str):
+            v.append(f"peripheral {pname!r} map must be a file path, "
+                     f"got {map_ref!r}")
+            continue
+        raw = _map_bytes(pname, map_ref, base_dir)
+        if raw is None:
             v.append(f"peripheral {pname!r} references a missing register map "
-                     f"{pcfg.get('map')!r}")
+                     f"{map_ref!r}")
             continue
         try:
-            load_register_map(json.loads(text))
-        except json.JSONDecodeError as exc:
+            specs[pname] = load_register_map(json.loads(raw))
+        except (ValueError, RecursionError) as exc:
             v.append(f"register map for {pname!r} does not parse: {exc}")
+            continue
         except SpecError as exc:
             v.extend(f"register map for {pname!r}: {violation}"
                      for violation in exc.violations)
+            continue
+        v.extend(f"register map for {pname!r}: {violation}" for violation in
+                 specs[pname].missing(model.REGISTERS, model.WRITABLE))
 
     if loader == "async" and "hashengine" not in peripherals:
         v.append("async loader requires a hashengine peripheral")
@@ -238,18 +240,21 @@ def validate_board_dict(data: Dict[str, Any],
             v.append(f"duplicate capsule name {name!r}")
         names_seen.add(name)
         ctype = layer.get("type")
-        if ctype not in CAPSULE_TYPES:
+        if not isinstance(ctype, str) or ctype not in CAPSULE_TYPES:
             v.append(f"capsule {name!r} has unknown type {ctype!r}")
             continue
         driver_id = layer.get("driver_id")
-        if ctype in _TYPES_NEEDING_DRIVER_ID:
-            if not isinstance(driver_id, int) or driver_id < 0:
+        if driver_id is None:
+            if ctype in _TYPES_NEEDING_DRIVER_ID:
                 v.append(f"capsule {name!r} (type {ctype!r}) needs a driver_id")
-            elif driver_id in driver_ids:
-                v.append(f"capsule {name!r} reuses driver_id {driver_id} of "
-                         f"{driver_ids[driver_id]!r}")
-            else:
-                driver_ids[driver_id] = name
+        elif not isinstance(driver_id, int) or driver_id < 0:
+            v.append(f"capsule {name!r} driver_id must be a non-negative "
+                     f"integer, got {driver_id!r}")
+        elif driver_id in driver_ids:
+            v.append(f"capsule {name!r} reuses driver_id {driver_id} of "
+                     f"{driver_ids[driver_id]!r}")
+        else:
+            driver_ids[driver_id] = name
         needed = _PERIPHERAL_NEEDED_BY.get(ctype)
         if needed and needed not in peripherals:
             v.append(f"capsule {name!r} (type {ctype!r}) needs the {needed!r} "
@@ -288,7 +293,7 @@ def validate_board_dict(data: Dict[str, Any],
             if not isinstance(kind, str) or kind not in valid_kinds:
                 v.append(f"capability grant for {holder!r} names unknown kind "
                          f"{kind!r}")
-    return v
+    return v, specs
 
 
 class _BoardDeps:
@@ -310,23 +315,19 @@ class Board:
         self.trace = TraceLog(lambda: clock.now, out, pretty)
         irqc = InterruptController(self.trace)
 
-        alarm = uart = hashengine = None
         pcfgs = config.peripherals
-        if "alarm" in pcfgs:
-            alarm = AlarmHw(config.peripheral_specs["alarm"], irqc,
-                            pcfgs["alarm"]["irq"],
-                            initial_count=pcfgs["alarm"].get("initial_count", 0))
-        if "uart" in pcfgs:
-            uart = UartHw(config.peripheral_specs["uart"], irqc,
-                          pcfgs["uart"]["irq"],
-                          bytes_per_tick=pcfgs["uart"].get("bytes_per_tick", 1),
-                          trace=self.trace)
-        if "hashengine" in pcfgs:
-            hashengine = HashEngineHw(config.peripheral_specs["hashengine"], irqc,
-                                      pcfgs["hashengine"]["irq"],
-                                      chunk_bytes=pcfgs["hashengine"].get(
-                                          "chunk_bytes", 64),
-                                      digest_fn=fnv1a64)
+
+        def build(pname: str, **kwargs):
+            if pname not in pcfgs:
+                return None
+            knob = _TIMING_KNOBS[pname][0]
+            if knob in pcfgs[pname]:  # else the model's default
+                kwargs[knob] = pcfgs[pname][knob]
+            return _PERIPHERAL_MODELS[pname](config.peripheral_specs[pname], irqc,
+                                             pcfgs[pname]["irq"], **kwargs)
+
+        alarm, uart = build("alarm"), build("uart", trace=self.trace)
+        hashengine = build("hashengine", digest_fn=fnv1a64)
         self.chip = Chip(clock, irqc, alarm, uart, hashengine)
         self.memory = MemoryController(config.ram_size, config.mpu_max_regions,
                                        self.trace)
@@ -435,14 +436,11 @@ class Board:
 
 def check_board(path) -> List[str]:
     """Validate a board file without running; returns all violations."""
-    path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        return [f"cannot read board file: {exc}"]
-    except json.JSONDecodeError as exc:
-        return [f"board file does not parse: {exc}"]
-    return validate_board_dict(data, path.parent)
+        BoardConfig.from_file(path)
+    except ConfigError as exc:
+        return exc.violations
+    return []
 
 
 def run_simulation(board_path, app_paths, *, max_ticks: int = DEFAULT_MAX_TICKS,

@@ -110,6 +110,11 @@ class AlarmHw:
     the per-tick path is integer arithmetic on the stored register values.
     """
 
+    # The registers and fields the model uses (a register map for it must
+    # declare them), and those its driver writes through MMIO.
+    REGISTERS = {"COUNT": (), "COMPARE": (), "CTRL": ("ENABLE", "IRQEN")}
+    WRITABLE = ("COMPARE", "CTRL")
+
     def __init__(self, spec: RegisterMapSpec, irqc: InterruptController,
                  irq_id: int, initial_count: int = 0):
         self.regs = RegisterFile(spec, on_write=self._on_write)
@@ -173,6 +178,9 @@ class UartHw:
     :meth:`take_completion`. Writing TXDATA sends a single byte
     immediately (the non-DMA path).
     """
+
+    REGISTERS = {"TXDATA": (), "STATUS": ("TXBUSY",), "TXLEN": ()}
+    WRITABLE = ()
 
     def __init__(self, spec: RegisterMapSpec, irqc: InterruptController,
                  irq_id: int, bytes_per_tick: int = 1,
@@ -242,6 +250,10 @@ class HashEngineHw:
     The digest value is published in DIGEST_LO/DIGEST_HI only when the job
     completes, together with the completion IRQ.
     """
+
+    REGISTERS = {"LEN": (), "STATUS": ("BUSY", "DONE"), "DIGEST_LO": (),
+                 "DIGEST_HI": ()}
+    WRITABLE = ()
 
     def __init__(self, spec: RegisterMapSpec, irqc: InterruptController,
                  irq_id: int, chunk_bytes: int = 64,

@@ -10,8 +10,9 @@ charges their step budget and never exposes storable handles.
 Swap semantics in one line: allow and subscribe install the new share and
 return the previous one; the first call on a slot returns the
 distinguished empty region (base 0, length 0) or the null upcall. The
-kernel owns the slots; capsules see shared regions only inside scoped
-visitor calls.
+kernel owns the slots. A capsule reaches process memory only through a
+:class:`ScopedRegion`, one view of a grant allocation or of an allowed
+buffer that is handed to a visitor and invalidated when it returns.
 """
 
 from __future__ import annotations
@@ -94,9 +95,6 @@ from .trace import (
     actor_process,
 )
 
-DEFAULT_UPCALL_QUEUE_DEPTH = 8
-DEFAULT_CAPSULE_STEP_BUDGET = 100_000
-DEFAULT_MAX_PROCESSES = 8
 CARVE_ALIGN = 16
 
 
@@ -122,12 +120,6 @@ class PendingUpcall:
 
 
 @dataclass
-class GrantAllocation:
-    base: int
-    size: int
-
-
-@dataclass
 class ProcessControlBlock:
     id: int
     name: str
@@ -139,8 +131,7 @@ class ProcessControlBlock:
     upcall_queue: List[PendingUpcall] = field(default_factory=list)
     allow_slots: Dict[Tuple[int, int, str], MemoryRegion] = field(default_factory=dict)
     upcall_slots: Dict[Tuple[int, int], UpcallDescriptor] = field(default_factory=dict)
-    grants: Dict[str, GrantAllocation] = field(default_factory=dict)
-    pending_yield: bool = False
+    grants: Dict[str, MemoryRegion] = field(default_factory=dict)
     # The encoded record of the last value a syscall returned; `expect`
     # statements match against it.
     last_return_record: Optional[Dict[str, Any]] = None
@@ -194,42 +185,44 @@ class CarveAllocator:
         self._free = merged
 
 
-# --- scoped handles handed to capsules -----------------------------------------
+# --- scoped views handed to capsules ---------------------------------------------
 
-class GrantRef:
-    """Exclusive, scoped view of one grant allocation."""
+class ScopedRegion:
+    """A capsule's view of one region of process memory: a grant
+    allocation or an allowed buffer. Valid only inside the visitor call it
+    is handed to. Every access is bounds-checked against the region and
+    logged with the note, which names the capsule ("via") and the purpose;
+    only a read-write region can be written."""
 
-    def __init__(self, kernel: "Kernel", pid: int, capsule: str,
-                 alloc: GrantAllocation):
-        self._kernel = kernel
-        self._pid = pid
-        self._capsule = capsule
-        self._alloc = alloc
+    def __init__(self, memory: MemoryController, region: MemoryRegion,
+                 note: Dict[str, Any]):
+        self._memory = memory
+        self._region = region
+        self._note = note
         self._live = True
-
-    @property
-    def size(self) -> int:
-        return self._alloc.size
 
     def _span(self, offset: int, length: int) -> int:
         if not self._live:
-            raise StaleHandle(f"grant handle for {self._capsule!r} used after visit")
-        if offset < 0 or length < 0 or offset + length > self._alloc.size:
-            raise RangeError(f"grant access [{offset}, {offset + length}) outside "
-                             f"{self._alloc.size}-byte allocation")
-        return self._alloc.base + offset
+            raise StaleHandle(f"{self._note['purpose']} handle for "
+                              f"{self._note['via']!r} used after visit")
+        size = self._region.length
+        if offset < 0 or length < 0 or offset + length > size:
+            raise RangeError(f"access [{offset}, {offset + length}) outside "
+                             f"{size}-byte {self._note['purpose']} region")
+        return self._region.base + offset
 
-    def read(self, offset: int, length: int) -> bytes:
+    def read(self, offset: int = 0, length: Optional[int] = None) -> bytes:
+        if length is None:
+            length = self._region.length - offset
         base = self._span(offset, length)
-        return self._kernel.memory.read(
-            Accessor.kernel(), base, length,
-            note={"via": self._capsule, "purpose": "grant", "pid": self._pid})
+        return self._memory.read(Accessor.kernel(), base, length, note=self._note)
 
     def write(self, offset: int, data: bytes) -> None:
+        if self._region.access != ACCESS_RW:
+            raise WriteToReadOnly(
+                f"capsule {self._note['via']!r} wrote through a read-only share")
         base = self._span(offset, len(data))
-        self._kernel.memory.write(
-            Accessor.kernel(), base, data,
-            note={"via": self._capsule, "purpose": "grant", "pid": self._pid})
+        self._memory.write(Accessor.kernel(), base, data, note=self._note)
 
     def read_u8(self, offset: int) -> int:
         return self.read(offset, 1)[0]
@@ -242,55 +235,6 @@ class GrantRef:
 
     def write_u32(self, offset: int, value: int) -> None:
         self.write(offset, (value & 0xFFFFFFFF).to_bytes(4, "little"))
-
-
-class SharedBufferHandle:
-    """Scoped access to one allowed region; valid only inside the visitor."""
-
-    def __init__(self, kernel: "Kernel", pid: int, capsule: str, driver_id: int,
-                 buf_num: int, mode: str, region: MemoryRegion):
-        self._kernel = kernel
-        self._pid = pid
-        self._capsule = capsule
-        self._driver_id = driver_id
-        self._buf_num = buf_num
-        self._mode = mode
-        self._region = region
-        self._live = True
-
-    @property
-    def length(self) -> int:
-        return self._region.length
-
-    def _note(self) -> Dict[str, Any]:
-        return {"via": self._capsule, "purpose": "allow", "pid": self._pid,
-                "driver": self._driver_id, "buf": self._buf_num,
-                "mode": self._mode}
-
-    def _span(self, offset: int, length: int) -> int:
-        if not self._live:
-            raise StaleHandle(
-                f"buffer handle for {self._capsule!r} used after visit")
-        if offset < 0 or length < 0 or offset + length > self._region.length:
-            raise RangeError(
-                f"access [{offset}, {offset + length}) outside "
-                f"{self._region.length}-byte share")
-        return self._region.base + offset
-
-    def read(self, offset: int = 0, length: Optional[int] = None) -> bytes:
-        if length is None:
-            length = self._region.length - offset
-        base = self._span(offset, length)
-        return self._kernel.memory.read(Accessor.kernel(), base, length,
-                                        note=self._note())
-
-    def write(self, offset: int, data: bytes) -> None:
-        if self._mode == "ro":
-            raise WriteToReadOnly(
-                f"capsule {self._capsule!r} wrote through a read-only share")
-        base = self._span(offset, len(data))
-        self._kernel.memory.write(Accessor.kernel(), base, data,
-                                  note=self._note())
 
 
 class CapsuleServices:
@@ -362,7 +306,6 @@ class ProcessLoader:
 
     def __init__(self, kernel: "Kernel"):
         self.kernel = kernel
-        self.jobs: List[LoaderJob] = []
         self._ids = count(1)
         self._waiting: List[LoaderJob] = []
 
@@ -370,33 +313,27 @@ class ProcessLoader:
         kernel = self.kernel
         kernel.registry.validate(token, CapabilityKind.LOADER_CONTROL)
         job = LoaderJob(next(self._ids), blob, name, sync)
-        self.jobs.append(job)
         kernel.trace.log(ACTOR_KERNEL, K_PRIVILEGED_OP,
                          {"op": "load_process",
                           "kind": CapabilityKind.LOADER_CONTROL.value,
                           "holder": kernel.current_holder(), "job": job.job_id})
-        kernel.trace.log(ACTOR_KERNEL, K_LOADER_STATE,
-                         {"job": job.job_id, "state": job.state.value})
+        self._transition(job, LoaderState.FETCHED)
         self.advance(job, "start")
         return job
 
-    def active(self) -> bool:
-        return any(j.state is LoaderState.INTEGRITY_PENDING for j in self.jobs)
-
-    def _transition(self, job: LoaderJob, state: LoaderState) -> None:
+    def _transition(self, job: LoaderJob, state: LoaderState, **extra) -> None:
         job.state = state
         payload: Dict[str, Any] = {"job": job.job_id, "state": state.value}
         if job.pid is not None:
             payload["pid"] = job.pid
+        payload.update(extra)
         self.kernel.trace.log(ACTOR_KERNEL, K_LOADER_STATE, payload)
 
     def _reject(self, job: LoaderJob, reason: RejectReason, detail: str) -> None:
-        job.state = LoaderState.REJECTED
         job.reject_reason = reason
         job.detail = detail
-        self.kernel.trace.log(ACTOR_KERNEL, K_LOADER_STATE,
-                              {"job": job.job_id, "state": "rejected",
-                               "reason": reason.value, "detail": detail})
+        self._transition(job, LoaderState.REJECTED, reason=reason.value,
+                         detail=detail)
 
     def advance(self, job: LoaderJob, event: str,
                 digest: Optional[int] = None) -> LoaderState:
@@ -442,27 +379,27 @@ class ProcessLoader:
         engine = self.kernel.chip.hashengine
         if engine is None:
             raise PhaseError("async loading requires a hash engine")
-        if engine.busy:
-            self._waiting.append(job)
-            return
-        engine.submit(job.payload, job.job_id)
-        self.kernel.trace.log(ACTOR_KERNEL, K_HASH_SUBMIT,
-                              {"job": job.job_id, "len": len(job.payload)})
+        self._waiting.append(job)
+        self._feed_engine()
+
+    def _feed_engine(self) -> None:
+        """Start the next waiting job if the hash engine is free. A job
+        waits only while the engine is busy, so an integrity check in
+        flight always keeps the engine busy or its interrupt pending."""
+        engine = self.kernel.chip.hashengine
+        if self._waiting and not engine.busy:
+            job = self._waiting.pop(0)
+            engine.submit(job.payload, job)
+            self.kernel.trace.log(ACTOR_KERNEL, K_HASH_SUBMIT,
+                                  {"job": job.job_id, "len": len(job.payload)})
 
     def on_hash_irq(self) -> None:
-        engine = self.kernel.chip.hashengine
-        completion = engine.take_completion()
+        completion = self.kernel.chip.hashengine.take_completion()
         if completion is None:
             return
-        tag, digest = completion
-        job = next((j for j in self.jobs if j.job_id == tag), None)
-        if job is not None:
-            self.advance(job, "digest_done", digest)
-        if self._waiting and not engine.busy:
-            nxt = self._waiting.pop(0)
-            engine.submit(nxt.payload, nxt.job_id)
-            self.kernel.trace.log(ACTOR_KERNEL, K_HASH_SUBMIT,
-                                  {"job": nxt.job_id, "len": len(nxt.payload)})
+        job, digest = completion
+        self.advance(job, "digest_done", digest)
+        self._feed_engine()
 
 
 # --- the kernel --------------------------------------------------------------------
@@ -470,9 +407,8 @@ class ProcessLoader:
 class Kernel:
     def __init__(self, memory: MemoryController, chip: Chip, trace: TraceLog,
                  registry: CapabilityRegistry, *,
-                 upcall_queue_depth: int = DEFAULT_UPCALL_QUEUE_DEPTH,
-                 capsule_step_budget: int = DEFAULT_CAPSULE_STEP_BUDGET,
-                 max_processes: int = DEFAULT_MAX_PROCESSES,
+                 upcall_queue_depth: int, capsule_step_budget: int,
+                 max_processes: int,
                  verifier_policy: str = "digest_match",
                  trusted_key_ids=()):
         self.memory = memory
@@ -702,7 +638,6 @@ class Kernel:
         if pcb.upcall_queue:
             self._deliver_upcall(pcb)
             return SyscallReturn.success()
-        pcb.pending_yield = True
         self._set_state(pcb, ProcessState.YIELDED_WAIT)
         return None
 
@@ -759,7 +694,6 @@ class Kernel:
         self._deliver_upcall(pcb)
         if pcb.state is ProcessState.RUNNING:
             self._return(pcb, SyscallReturn.success())
-            pcb.pending_yield = False
 
     # -- grants ---------------------------------------------------------------------
 
@@ -770,8 +704,8 @@ class Kernel:
         if key in self._grant_entries:
             raise ReentrancyError(
                 f"capsule {capsule_name!r} re-entered its grant for pid {pid}")
-        alloc = pcb.grants.get(capsule_name)
-        if alloc is None:
+        region = pcb.grants.get(capsule_name)
+        if region is None:
             if schema_size > pcb.free_grant_bytes:
                 self.trace.log(ACTOR_KERNEL, K_GRANT_NOMEM,
                                {"pid": pid, "capsule": capsule_name,
@@ -784,19 +718,17 @@ class Kernel:
                 self.memory.write(Accessor.kernel(), base, bytes(schema_size),
                                   note={"via": capsule_name,
                                         "purpose": "grant_zero", "pid": pid})
-            alloc = GrantAllocation(base, schema_size)
-            pcb.grants[capsule_name] = alloc
+            region = pcb.grants[capsule_name] = MemoryRegion(base, schema_size)
             pcb.grant_watermark = base
             self._sync_regions(pcb)
             self.trace.log(ACTOR_KERNEL, K_GRANT_ALLOC,
                            {"pid": pid, "capsule": capsule_name,
                             "size": schema_size, "base": base})
         self._grant_entries.add(key)
-        handle = GrantRef(self, pid, capsule_name, alloc)
         try:
-            return visitor(handle)
+            return self._visit(region, {
+                "via": capsule_name, "purpose": "grant", "pid": pid}, visitor)
         finally:
-            handle._live = False
             self._grant_entries.discard(key)
 
     # -- scoped buffer access ------------------------------------------------------
@@ -809,8 +741,15 @@ class Kernel:
         if region is None:
             raise NoSharedBuffer(
                 f"pid {pid} shares nothing in slot {key}")
-        handle = SharedBufferHandle(self, pid, capsule.name, capsule.driver_id,
-                                    buf_num, mode, region)
+        return self._visit(region, {
+            "via": capsule.name, "purpose": "allow", "pid": pid,
+            "driver": capsule.driver_id, "buf": buf_num, "mode": mode}, visitor)
+
+    def _visit(self, region: MemoryRegion, note: Dict[str, Any],
+               visitor: Callable):
+        """Hand the visitor a view of the region, and invalidate the view
+        when the visitor returns, so a capsule cannot keep it."""
+        handle = ScopedRegion(self.memory, region, note)
         try:
             return visitor(handle)
         finally:
@@ -871,7 +810,6 @@ class Kernel:
         pcb.upcall_slots.clear()
         pcb.upcall_queue.clear()
         pcb.grants.clear()
-        pcb.pending_yield = False
         self.memory.drop_regions(pcb.id)
         self._live.remove(pcb)
         if pcb.ram.length:
@@ -913,8 +851,8 @@ class Kernel:
                        {"op": "inspect_grants",
                         "kind": CapabilityKind.GRANT_INSPECTION.value,
                         "holder": self.current_holder(), "pid": pid})
-        return [{"capsule": name, "base": alloc.base, "size": alloc.size}
-                for name, alloc in pcb.grants.items()]
+        return [{"capsule": name, "base": region.base, "size": region.length}
+                for name, region in pcb.grants.items()]
 
     def load_process_sync(self, token, blob: bytes, name: str) -> LoaderJob:
         return self.loader.submit(token, blob, name, sync=True)
@@ -948,8 +886,9 @@ class Kernel:
 
     def quiescent(self) -> bool:
         """The sleep condition: no process work, no pending interrupts, no
-        peripheral activity, no in-flight loader jobs."""
-        if self.chip.irqc.any_pending() or self.chip.busy() or self.loader.active():
+        peripheral activity. A loader job in its integrity check keeps the
+        hash engine busy or its interrupt pending."""
+        if self.chip.irqc.any_pending() or self.chip.busy():
             return False
         for pcb in self._live:
             if pcb.state in (ProcessState.UNSTARTED, ProcessState.RUNNING):

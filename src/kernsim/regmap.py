@@ -96,9 +96,29 @@ class RegisterMapSpec:
     def by_offset(self, offset: int) -> Optional[RegisterSpec]:
         return self._by_offset.get(offset)
 
+    def missing(self, registers: Dict[str, Tuple[str, ...]],
+                writable: Tuple[str, ...]) -> List[str]:
+        """What this map lacks of the registers and fields a peripheral
+        model uses, and which of the registers its driver writes are
+        not writable."""
+        lacks: List[str] = []
+        for rname, fnames in registers.items():
+            reg = self._by_name.get(rname)
+            if reg is None:
+                lacks.append(f"no register {rname!r}, which the model uses")
+                continue
+            have = {f.name for f in reg.fields}
+            lacks.extend(f"{rname} has no field {fname!r}, which the model uses"
+                         for fname in fnames if fname not in have)
+            if rname in writable and not reg.writable:
+                lacks.append(f"{rname} must be writable: its driver writes it")
+        return lacks
+
 
 def load_register_map(data: Dict[str, Any]) -> RegisterMapSpec:
     """Validate a map description; collects all violations before raising."""
+    if not isinstance(data, dict):
+        raise SpecError([f"register map must be an object, got {data!r}"])
     violations: List[str] = []
     name = data.get("name")
     if not isinstance(name, str) or not name:
@@ -107,7 +127,7 @@ def load_register_map(data: Dict[str, Any]) -> RegisterMapSpec:
 
     registers: List[RegisterSpec] = []
     seen_names: set = set()
-    for raw in data.get("registers", []):
+    for raw in _entries(data, "registers", "map", violations):
         rname = raw.get("name", "?")
         offset = raw.get("offset")
         width = raw.get("width")
@@ -134,7 +154,7 @@ def load_register_map(data: Dict[str, Any]) -> RegisterMapSpec:
         fields: List[FieldSpec] = []
         used_bits = 0
         fseen: set = set()
-        for fraw in raw.get("fields", []):
+        for fraw in _entries(raw, "fields", rname, violations):
             fname = fraw.get("name", "?")
             foff = fraw.get("offset")
             fwidth = fraw.get("width")
@@ -157,7 +177,9 @@ def load_register_map(data: Dict[str, Any]) -> RegisterMapSpec:
                 continue
             used_bits |= fmask
             enum = fraw.get("enum")
-            if enum is not None:
+            if enum is not None and not isinstance(enum, dict):
+                violations.append(f"{rname}.{fname}: enum must be an object")
+            elif enum:
                 for ename, evalue in enum.items():
                     if not isinstance(evalue, int) or evalue < 0 or evalue >= (1 << fwidth):
                         violations.append(
@@ -177,6 +199,24 @@ def load_register_map(data: Dict[str, Any]) -> RegisterMapSpec:
     if violations:
         raise SpecError(violations)
     return RegisterMapSpec(name, registers)
+
+
+def _entries(data: Dict[str, Any], key: str, where: str,
+             violations: List[str]) -> List[Dict[str, Any]]:
+    """The entries listed under ``key`` that are objects with a string
+    name, if any; anything else is a violation."""
+    entries = data.get(key, [])
+    if not isinstance(entries, list):
+        violations.append(f"{where}: {key} must be a list, got {entries!r}")
+        return []
+    kept = []
+    for entry in entries:
+        if isinstance(entry, dict) and isinstance(entry.get("name", "?"), str):
+            kept.append(entry)
+        else:
+            violations.append(f"{where}: {key} entry must be an object with a "
+                              f"string name, got {entry!r}")
+    return kept
 
 
 class RegisterFile:

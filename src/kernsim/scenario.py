@@ -184,7 +184,7 @@ def parse_script(data: Dict[str, Any], name: str = "app") -> ScenarioScript:
 def parse_script_bytes(blob: bytes, name: str = "app") -> ScenarioScript:
     try:
         data = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         raise ScenarioError(f"scenario does not parse: {exc}") from None
     return parse_script(data, name)
 

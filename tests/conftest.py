@@ -9,7 +9,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from kernsim.audit import parse_trace  # noqa: E402
+from kernsim.audit import parse_trace, run_all_audits  # noqa: E402
 from kernsim.board import Board  # noqa: E402
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "kernsim"
@@ -49,9 +49,13 @@ def make_board(**overrides) -> Board:
 
 def trace_events(board: Board):
     """The events the board has logged so far, parsed back from its
-    in-memory trace, with the record keys as attributes."""
-    data = board.trace.out.getvalue().encode("utf-8")
-    return [SimpleNamespace(**record) for record in parse_trace(data)]
+    in-memory trace, with the record keys as attributes. Every trace read
+    this way must pass all the trace auditors."""
+    records = parse_trace(board.trace.out.getvalue().encode("utf-8"))
+    violations = {name: found for name, found in run_all_audits(records).items()
+                  if found}
+    assert not violations, violations
+    return [SimpleNamespace(**record) for record in records]
 
 
 def script_source(main, handlers=None, min_memory=1024, **extra) -> bytes:

@@ -307,6 +307,10 @@ def _console(cfg):
     return next(layer for layer in cfg["capsules"] if layer["name"] == "console")
 
 
+def _add_annotation(cfg, **fields):
+    cfg["capsules"].append({"name": "pins", "type": "annotation", **fields})
+
+
 @pytest.mark.parametrize("mutate, needle", [
     pytest.param(
         lambda cfg: cfg.update(capabilities={"manager": "ProcessManagement"}),
@@ -325,6 +329,14 @@ def _console(cfg):
                  "min_buffer_size", id="min_buffer_size_a_string"),
     pytest.param(lambda cfg: _console(cfg).update(buffer_size=-1),
                  "buffer_size", id="negative_console_buffer_size"),
+    pytest.param(lambda cfg: _add_annotation(cfg, driver_id=0),
+                 "reuses driver_id 0", id="annotation_driver_id_taken"),
+    pytest.param(lambda cfg: _add_annotation(cfg, driver_id=[1]), "driver_id",
+                 id="annotation_driver_id_a_list"),
+    pytest.param(lambda cfg: _add_annotation(cfg, driver_id=-1), "driver_id",
+                 id="annotation_driver_id_negative"),
+    pytest.param(lambda cfg: _console(cfg).update(type=["a"]), "unknown type",
+                 id="capsule_type_a_list"),
 ])
 def test_board_value_of_wrong_type_is_exit_2_at_check_and_run(
         tmp_path, capsys, mutate, needle):
@@ -342,6 +354,97 @@ def test_board_value_of_wrong_type_is_exit_2_at_check_and_run(
     events = parse_trace(trace_path.read_bytes())
     assert [e["kind"] for e in events] == ["config_error"]
     assert needle in events[0]["payload"]["violation"]
+
+
+def _alarm_map(drop=(), compare_access="RW"):
+    registers = [
+        {"name": "COUNT", "offset": 0, "width": 32, "access": "R"},
+        {"name": "COMPARE", "offset": 4, "width": 32, "access": compare_access},
+        {"name": "CTRL", "offset": 8, "width": 32, "access": "RW",
+         "fields": [{"name": "ENABLE", "offset": 0, "width": 1},
+                    {"name": "IRQEN", "offset": 1, "width": 1}]},
+    ]
+    return json.dumps({"name": "alarm", "registers": [
+        r for r in registers if r["name"] not in drop]})
+
+
+@pytest.mark.parametrize("map_ref, map_text, needle", [
+    pytest.param(5, None, "map must be a file path", id="map_a_number"),
+    pytest.param("m.json", "[1, 2]", "register map must be an object",
+                 id="map_json_a_list"),
+    pytest.param("m.json", '{"name": "alarm", "registers": [7]}',
+                 "registers entry must be an object", id="register_a_number"),
+    pytest.param("m.json", '{"name": "alarm", "registers": "COUNT"}',
+                 "registers must be a list", id="registers_a_string"),
+    pytest.param("m.json", '{"name": "alarm", "registers": [{"name": "C", '
+                 '"offset": 0, "width": 32, "access": "RW", "fields": [3]}]}',
+                 "fields entry must be an object", id="field_a_number"),
+    pytest.param("m.json", '{"name": "alarm", "registers": [{"name": "C", '
+                 '"offset": 0, "width": 32, "access": "RW", "fields": '
+                 '[{"name": "F", "offset": 0, "width": 2, "enum": [1]}]}]}',
+                 "enum must be an object", id="enum_a_list"),
+    pytest.param("m.json", '{"name": "alarm", "registers": [{"name": ["C"], '
+                 '"offset": 0, "width": 32, "access": "RW"}]}',
+                 "string name", id="register_name_a_list"),
+    pytest.param("m.json", _alarm_map(drop=("COUNT", "CTRL")),
+                 "no register 'COUNT'", id="alarm_map_without_count_and_ctrl"),
+    pytest.param("m.json", _alarm_map(compare_access="R"),
+                 "COMPARE must be writable", id="alarm_compare_read_only"),
+    pytest.param("m.json", _alarm_map().replace("IRQEN", "IRQ_ENABLE"),
+                 "CTRL has no field 'IRQEN'", id="alarm_ctrl_without_irqen"),
+])
+def test_bad_register_map_is_exit_2_at_check_and_run(tmp_path, capsys, map_ref,
+                                                    map_text, needle):
+    cfg = minimal_board_dict()
+    cfg["peripherals"]["alarm"]["map"] = map_ref
+    if map_text is not None:
+        data = map_text if isinstance(map_text, bytes) else map_text.encode()
+        (tmp_path / map_ref).write_bytes(data)
+    board_path = tmp_path / "board.json"
+    board_path.write_text(json.dumps(cfg))
+    app = tmp_path / "app.json"
+    app.write_text(json.dumps({"name": "app", "main": [{"op": "halt"}]}))
+    trace_path = tmp_path / "t.jsonl"
+    assert cli_main(["check", "--board", str(board_path)]) == 2
+    assert cli_main(["run", "--board", str(board_path), "--app", str(app),
+                     "--trace", str(trace_path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    events = parse_trace(trace_path.read_bytes())
+    assert {e["kind"] for e in events} == {"config_error"}
+    assert any(needle in e["payload"]["violation"] for e in events)
+
+
+_NOT_UTF8 = b"\xff\xfe{"
+_TOO_DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize("where, data", [
+    pytest.param("board", _NOT_UTF8, id="board_not_utf8"),
+    pytest.param("board", _TOO_DEEP, id="board_nested_too_deep"),
+    pytest.param("map", _NOT_UTF8, id="map_not_utf8"),
+    pytest.param("map", _TOO_DEEP, id="map_nested_too_deep"),
+    pytest.param("app", _TOO_DEEP, id="app_nested_too_deep"),
+])
+def test_unparsable_file_is_exit_2_at_check_and_run(tmp_path, capsys, where,
+                                                    data):
+    cfg = minimal_board_dict()
+    cfg["peripherals"]["alarm"]["map"] = "m.json"
+    (tmp_path / "m.json").write_text(_alarm_map())
+    board_path = tmp_path / "board.json"
+    board_path.write_text(json.dumps(cfg))
+    app = tmp_path / "app.json"
+    app.write_text(json.dumps({"name": "app", "main": [{"op": "halt"}]}))
+    target = {"board": board_path, "map": tmp_path / "m.json", "app": app}
+    target[where].write_bytes(data)
+    trace_path = tmp_path / "t.jsonl"
+    assert cli_main(["check", "--board", str(board_path)]) == \
+        (0 if where == "app" else 2)
+    assert cli_main(["run", "--board", str(board_path), "--app", str(app),
+                     "--trace", str(trace_path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    events = parse_trace(trace_path.read_bytes())
+    assert events[-1]["kind"] == "config_error"
+    assert "does not parse" in events[-1]["payload"]["violation"]
 
 
 @pytest.mark.parametrize("where", ["missing_dir", "is_a_dir"])

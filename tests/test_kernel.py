@@ -243,7 +243,7 @@ def test_grant_lazily_allocated_zeroed_and_watermarked(board):
     assert ret == SyscallReturn.success()
     assert pcb.grant_watermark == top - 16
     alloc = pcb.grants["alarm_driver"]
-    assert (alloc.base, alloc.size) == (top - 16, 16)
+    assert (alloc.base, alloc.length) == (top - 16, 16)
     # armed flag and deadline live in the grant bytes
     data = kern.memory.data[alloc.base:alloc.base + 16]
     assert data[0] == 1
