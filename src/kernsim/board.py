@@ -33,7 +33,13 @@ from typing import Any, Dict, List, Optional, TextIO, Tuple
 
 from .capabilities import CapabilityKind, CapabilityRegistry
 from .capsules import CAPSULE_TYPES, CompositionLayer, validate_composition
-from .errors import ConfigError, ScenarioError, SimulationDiagnostic, SpecError
+from .errors import (
+    ConfigError,
+    ScenarioError,
+    SimulationDiagnostic,
+    SpecError,
+    int_in,
+)
 from .hw import (
     TICK_MASK,
     AlarmHw,
@@ -147,15 +153,15 @@ def validate_board_dict(data: Dict[str, Any], base_dir: Optional[Path] = None
         return ["board config must be a JSON object"], specs
 
     ram = data.get("ram_size")
-    if not isinstance(ram, int) or ram <= 0:
+    if not int_in(ram, 1):
         v.append(f"ram_size must be a positive integer, got {ram!r}")
     regions = data.get("mpu_max_regions", BoardConfig.mpu_max_regions)
-    if not isinstance(regions, int) or regions < 2:
+    if not int_in(regions, 2):
         v.append("mpu_max_regions must be an integer >= 2, because every process "
                  f"holds a flash region and a RAM region; got {regions!r}")
     for key in ("upcall_queue_depth", "capsule_step_budget", "max_processes"):
         value = data.get(key, getattr(BoardConfig, key))
-        if not isinstance(value, int) or value < 1:
+        if not int_in(value, 1):
             v.append(f"{key} must be a positive integer, got {value!r}")
 
     loader = data.get("loader", BoardConfig.loader)
@@ -166,8 +172,9 @@ def validate_board_dict(data: Dict[str, Any], base_dir: Optional[Path] = None
         v.append(f"verifier must be one of {VERIFIER_POLICIES}, got {verifier!r}")
     key_ids = data.get("trusted_key_ids", [])
     if not isinstance(key_ids, list) or \
-            not all(isinstance(key_id, int) for key_id in key_ids):
-        v.append(f"trusted_key_ids must be a list of integers, got {key_ids!r}")
+            not all(int_in(key_id, 0, 0xFFFF) for key_id in key_ids):
+        v.append("trusted_key_ids must be a list of integers in [0, 65535], "
+                 f"got {key_ids!r}")
 
     peripherals = data.get("peripherals", {})
     if not isinstance(peripherals, dict):
@@ -183,7 +190,7 @@ def validate_board_dict(data: Dict[str, Any], base_dir: Optional[Path] = None
             v.append(f"peripheral {pname!r} config must be an object")
             continue
         irq = pcfg.get("irq")
-        if not isinstance(irq, int) or irq < 0:
+        if not int_in(irq, 0):
             v.append(f"peripheral {pname!r} needs a non-negative integer irq")
         elif irq in irqs_seen:
             v.append(f"peripheral {pname!r} reuses irq {irq} of {irqs_seen[irq]!r}")
@@ -191,8 +198,7 @@ def validate_board_dict(data: Dict[str, Any], base_dir: Optional[Path] = None
             irqs_seen[irq] = pname
         knob, low, high = _TIMING_KNOBS[pname]
         value = pcfg.get(knob, low)
-        if not isinstance(value, int) or value < low or \
-                (high is not None and value > high):
+        if not int_in(value, low, high):
             bound = f">= {low}" if high is None else f"in [{low}, {high}]"
             v.append(f"peripheral {pname!r} {knob} must be an integer {bound}, "
                      f"got {value!r}")
@@ -247,7 +253,7 @@ def validate_board_dict(data: Dict[str, Any], base_dir: Optional[Path] = None
         if driver_id is None:
             if ctype in _TYPES_NEEDING_DRIVER_ID:
                 v.append(f"capsule {name!r} (type {ctype!r}) needs a driver_id")
-        elif not isinstance(driver_id, int) or driver_id < 0:
+        elif not int_in(driver_id, 0):
             v.append(f"capsule {name!r} driver_id must be a non-negative "
                      f"integer, got {driver_id!r}")
         elif driver_id in driver_ids:
@@ -268,7 +274,7 @@ def validate_board_dict(data: Dict[str, Any], base_dir: Optional[Path] = None
             annotations[key] = value
         for key in ("buffer_size", "min_buffer_size"):
             value = layer.get(key)
-            if value is not None and (not isinstance(value, int) or value < 0):
+            if value is not None and not int_in(value, 0):
                 v.append(f"capsule {name!r} {key} must be a non-negative integer, "
                          f"got {value!r}")
                 value = None

@@ -1,4 +1,17 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and the integer check
+every input validator uses."""
+
+from typing import Optional
+
+
+def int_in(value, lo: int, hi: Optional[int] = None) -> bool:
+    """True if value is an integer in [lo, hi] (hi None: no upper bound).
+
+    JSON ``true``/``false`` load as Python bools, which are ints; they are
+    refused here, so no validator reads them as 1/0.
+    """
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and lo <= value and (hi is None or value <= hi))
 
 
 class KernsimError(Exception):

@@ -4,8 +4,9 @@ All timing derives from one deterministic tick counter. Peripherals are
 driven strictly by tick() and by software register writes; interrupt
 delivery order is fixed (ascending irq id), so two runs with identical
 inputs raise identical IRQ sequences. Each peripheral also tells how many
-ticks remain until it can next change state, so the clock can skip the
-ticks in between in one step.
+ticks remain until it raises its next interrupt, so the clock can cover
+the ticks in between in one step: an idle gap in one addition, a UART DMA
+transfer in one step that still moves and logs each byte at its own tick.
 """
 
 from __future__ import annotations
@@ -170,13 +171,16 @@ class AlarmHw:
 
 
 class UartHw:
-    """Transmit-only UART with a one-byte-per-tick DMA engine.
+    """Transmit-only UART whose DMA engine moves ``bytes_per_tick`` bytes
+    a tick.
 
     A DMA transfer reads straight from the buffer window handed to
-    :meth:`start_tx`; the completion IRQ is raised on the tick the last
-    byte moves, and the window is handed back through
-    :meth:`take_completion`. Writing TXDATA sends a single byte
-    immediately (the non-DMA path).
+    :meth:`start_tx`; each byte is logged as it moves, the completion IRQ
+    is raised on the tick the last byte moves, and the window is handed
+    back through :meth:`take_completion`. As in Tock's UART HIL, the
+    driver sees one interrupt per transfer, not one per byte, so
+    :meth:`ticks_until_event` answers the ticks left in the transfer.
+    Writing TXDATA sends a single byte immediately (the non-DMA path).
     """
 
     REGISTERS = {"TXDATA": (), "STATUS": ("TXBUSY",), "TXLEN": ()}
@@ -211,9 +215,11 @@ class UartHw:
         return self._window is not None
 
     def ticks_until_event(self) -> Optional[int]:
-        """1 while a DMA transfer is in flight: every busy tick moves a
-        byte and logs it. None when idle."""
-        return 1 if self._window is not None else None
+        """Ticks until the transfer in flight completes, else None. An
+        empty transfer completes on the next tick."""
+        if self._window is None:
+            return None
+        return max(1, -(-(self._total - self._sent) // self.bytes_per_tick))
 
     def start_tx(self, window) -> None:
         if self.busy:
@@ -324,19 +330,21 @@ class Chip:
         self.alarm = alarm
         self.uart = uart
         self.hashengine = hashengine
-        # The UART comes first so that a transfer in flight answers
-        # ticks_until_event() before the other peripherals are asked.
-        self._peripherals = tuple(p for p in (uart, alarm, hashengine)
+        self._peripherals = tuple(p for p in (alarm, uart, hashengine)
                                   if p is not None)
 
     def tick(self, n: int = 1) -> None:
         """Advance the clock by n ticks in one step.
 
-        Only the last of the n ticks may change peripheral state, so n
-        must not exceed :meth:`ticks_until_event`. The single-tick path,
-        which busy ticks take, skips that check: no event is ever less
-        than one tick away.
+        n must not exceed :meth:`ticks_until_event`, so no peripheral
+        raises an interrupt before the last of the n ticks. A busy UART
+        still moves its bytes on each tick, stamped with that tick; on
+        the last tick the alarm, the UART and the hash engine act in that
+        order. The single-tick path skips the check: no event is ever
+        less than one tick away.
         """
+        clock, uart = self.clock, self.uart
+        end = clock.now + n
         if n != 1:
             if n < 1:
                 raise ValueError("tick count must be >= 1")
@@ -344,22 +352,24 @@ class Chip:
             if gap is not None and n > gap:
                 raise ValueError(f"tick({n}) would step past the next hardware "
                                  f"event, {gap} ticks away")
-        self.clock.now += n
+            if uart is not None and uart.busy:
+                for now in range(clock.now + 1, end):
+                    clock.now = now
+                    uart.tick()
+        clock.now = end
         if self.alarm is not None:
             self.alarm.tick(n)
-        if self.uart is not None:
-            self.uart.tick()  # n > 1 only while the UART is idle
+        if uart is not None:
+            uart.tick()
         if self.hashengine is not None:
             self.hashengine.tick(n)
 
     def ticks_until_event(self) -> Optional[int]:
-        """Ticks until the next tick on which a peripheral can change
-        state, or None while no peripheral has work of its own."""
+        """Ticks until the next tick on which a peripheral raises an
+        interrupt, or None while no peripheral has work of its own."""
         nearest = None
         for periph in self._peripherals:
             gap = periph.ticks_until_event()
-            if gap == 1:
-                return 1
             if gap is not None and (nearest is None or gap < nearest):
                 nearest = gap
         return nearest

@@ -23,6 +23,7 @@ from .errors import (
     UnknownOffset,
     UnknownRegister,
     ValueOutOfRange,
+    int_in,
 )
 
 VALID_WIDTHS = (8, 16, 32)
@@ -137,10 +138,10 @@ def load_register_map(data: Dict[str, Any]) -> RegisterMapSpec:
             violations.append(f"duplicate register name {rname!r}")
             bad = True
         seen_names.add(rname)
-        if not isinstance(offset, int) or offset < 0:
+        if not int_in(offset, 0):
             violations.append(f"{rname}: bad offset {offset!r}")
             bad = True
-        if width not in VALID_WIDTHS:
+        if not int_in(width, 0) or width not in VALID_WIDTHS:
             violations.append(f"{rname}: width must be one of {VALID_WIDTHS}, got {width!r}")
             bad = True
         if access not in VALID_ACCESS:
@@ -162,8 +163,7 @@ def load_register_map(data: Dict[str, Any]) -> RegisterMapSpec:
                 violations.append(f"{rname}.{fname}: duplicate field name")
                 continue
             fseen.add(fname)
-            if not isinstance(foff, int) or foff < 0 or \
-                    not isinstance(fwidth, int) or fwidth < 1:
+            if not int_in(foff, 0) or not int_in(fwidth, 1):
                 violations.append(f"{rname}.{fname}: bad field offset/width")
                 continue
             if foff + fwidth > width:
@@ -181,7 +181,7 @@ def load_register_map(data: Dict[str, Any]) -> RegisterMapSpec:
                 violations.append(f"{rname}.{fname}: enum must be an object")
             elif enum:
                 for ename, evalue in enum.items():
-                    if not isinstance(evalue, int) or evalue < 0 or evalue >= (1 << fwidth):
+                    if not int_in(evalue, 0, (1 << fwidth) - 1):
                         violations.append(
                             f"{rname}.{fname}: enum {ename!r}={evalue!r} does not fit "
                             f"in {fwidth} bits")
@@ -274,7 +274,7 @@ class RegisterFile:
             if value not in fspec.enum:
                 raise UnknownEnumName(f"field {fspec.name} has no value {value!r}")
             return fspec.enum[value]
-        if not isinstance(value, int) or value < 0 or value >= (1 << fspec.width):
+        if not int_in(value, 0, (1 << fspec.width) - 1):
             raise ValueOutOfRange(
                 f"value {value!r} does not fit in {fspec.width}-bit field {fspec.name}")
         return value

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
 from .abi import ALLOW_CLASSES, SyscallInvocation, decode_invocation
-from .errors import MalformedInvocation, ScenarioError
+from .errors import MalformedInvocation, ScenarioError, int_in
 
 VALID_SEGMENTS = ("ram", "flash", "abs")
 MAX_STATEMENTS = 200_000
@@ -50,9 +50,12 @@ class ScenarioScript:
     credential_digest: Optional[int] = None  # explicit override; None = computed
 
 
-def _parse_int(value, what: str, minimum: int = 0) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ScenarioError(f"{what} must be an integer >= {minimum}, got {value!r}")
+def _parse_int(value, what: str, minimum: int = 0,
+               limit: Optional[int] = None) -> int:
+    """value, if it is an integer >= minimum and (given a limit) < limit."""
+    if not int_in(value, minimum, None if limit is None else limit - 1):
+        bound = f">= {minimum}" if limit is None else f"in [{minimum}, {limit})"
+        raise ScenarioError(f"{what} must be an integer {bound}, got {value!r}")
     return value
 
 
@@ -162,19 +165,29 @@ def parse_script(data: Dict[str, Any], name: str = "app") -> ScenarioScript:
     for hname, body in raw_handlers.items():
         handlers[hname] = _parse_statements(body, f"handler {hname}", True, budget)
 
+    # The header fields are bounded to their widths in the packed binary.
     credential = data.get("credential", {})
-    digest = None
-    if isinstance(credential, dict) and isinstance(credential.get("digest"), int):
-        digest = credential["digest"]
-    key_id = 0
-    if isinstance(credential, dict):
-        key_id = _parse_int(credential.get("key_id", 0), "credential key_id")
+    if not isinstance(credential, dict):
+        raise ScenarioError(f"credential must be an object, got {credential!r}")
+    digest = credential.get("digest")
+    if digest is not None:
+        digest = _parse_int(digest, "credential digest", limit=1 << 64)
+    entry = data.get("entry", "main")
+    try:
+        entry_fits = isinstance(entry, str) and len(entry.encode("utf-8")) < 1 << 16
+    except UnicodeEncodeError:  # a lone surrogate has no UTF-8 form
+        entry_fits = False
+    if not entry_fits:
+        raise ScenarioError("entry must be a string of fewer than 65536 UTF-8 "
+                            f"bytes, got {entry!r:.80}")
 
     return ScenarioScript(
         name=data.get("name", name),
-        min_memory=_parse_int(data.get("min_memory", DEFAULT_MIN_MEMORY), "min_memory"),
-        key_id=key_id,
-        entry=data.get("entry", "main"),
+        min_memory=_parse_int(data.get("min_memory", DEFAULT_MIN_MEMORY),
+                              "min_memory", limit=1 << 32),
+        key_id=_parse_int(credential.get("key_id", 0), "credential key_id",
+                          limit=1 << 16),
+        entry=entry,
         main=main,
         handlers=handlers,
         credential_digest=digest,

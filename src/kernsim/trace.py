@@ -6,13 +6,18 @@ Each event is encoded once, when it is logged, as one JSON object per
 line with keys in fixed order (seq, tick, actor, kind, payload), and
 written straight to the log's text stream, so byte-identical replay is a
 meaningful property and a run that dies leaves every earlier event.
+
+A line is built from a fixed template: the seq and tick integers, then a
+prefix holding the encoded actor and kind, cached per (actor, kind) pair,
+then the payload, which is encoded only when it is not empty. The bytes
+are those of ``json.dumps(record, separators=(",", ":"))``.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from typing import Any, Callable, Dict, Optional, TextIO
+from typing import Any, Callable, Dict, Optional, TextIO, Tuple
 
 ACTOR_KERNEL = "kernel"
 
@@ -64,24 +69,33 @@ class TraceLog:
     """Append-only event log for one simulation run.
 
     Events go to ``out`` (an in-memory buffer unless a stream is given),
-    one compact JSON line each, or ``indent=2`` records with ``pretty``.
+    one compact JSON line each; with ``pretty``, each compact line is
+    re-indented to an ``indent=2`` record before it is written.
     """
 
     def __init__(self, clock: Optional[Callable[[], int]] = None,
                  out: Optional[TextIO] = None, pretty: bool = False):
         self.out = io.StringIO() if out is None else out
-        self._write = self.out.write
+        write = self.out.write
+        if pretty:
+            self._write = lambda line: write(
+                json.dumps(json.loads(line), indent=2) + "\n")
+        else:
+            self._write = write
         # One encoder per log: json.dumps builds a new one on every call
         # that passes non-default arguments.
-        encoder = (json.JSONEncoder(indent=2) if pretty
-                   else json.JSONEncoder(separators=(",", ":")))
-        self._encode = encoder.encode
+        self._encode = json.JSONEncoder(separators=(",", ":")).encode
+        self._prefixes: Dict[Tuple[str, str], str] = {}
         self._seq = 0
         self._clock = clock or (lambda: 0)
 
     def log(self, actor: str, kind: str,
             payload: Optional[Dict[str, Any]] = None) -> None:
-        self._write(self._encode({"seq": self._seq, "tick": self._clock(),
-                                  "actor": actor, "kind": kind,
-                                  "payload": payload or {}}) + "\n")
+        prefix = self._prefixes.get((actor, kind))
+        if prefix is None:
+            encode = self._encode
+            prefix = self._prefixes[actor, kind] = \
+                f',"actor":{encode(actor)},"kind":{encode(kind)},"payload":'
+        body = self._encode(payload) if payload else "{}"
+        self._write(f'{{"seq":{self._seq},"tick":{self._clock()}{prefix}{body}}}\n')
         self._seq += 1

@@ -337,6 +337,14 @@ def _add_annotation(cfg, **fields):
                  id="annotation_driver_id_negative"),
     pytest.param(lambda cfg: _console(cfg).update(type=["a"]), "unknown type",
                  id="capsule_type_a_list"),
+    pytest.param(lambda cfg: cfg["peripherals"].update(alarm={"irq": True},
+                                                       uart={"irq": 5}),
+                 "'alarm' needs a non-negative integer irq", id="irq_true"),
+    pytest.param(lambda cfg: _add_annotation(cfg, driver_id=True),
+                 "driver_id must be a non-negative integer, got True",
+                 id="annotation_driver_id_true"),
+    pytest.param(lambda cfg: cfg.update(ram_size=True), "ram_size",
+                 id="ram_size_true"),
 ])
 def test_board_value_of_wrong_type_is_exit_2_at_check_and_run(
         tmp_path, capsys, mutate, needle):
@@ -392,6 +400,10 @@ def _alarm_map(drop=(), compare_access="RW"):
                  "COMPARE must be writable", id="alarm_compare_read_only"),
     pytest.param("m.json", _alarm_map().replace("IRQEN", "IRQ_ENABLE"),
                  "CTRL has no field 'IRQEN'", id="alarm_ctrl_without_irqen"),
+    pytest.param("m.json", _alarm_map().replace('"offset": 0,', '"offset": false,'),
+                 "COUNT: bad offset False", id="register_offset_false"),
+    pytest.param("m.json", _alarm_map().replace('"width": 32', '"width": 32.0', 1),
+                 "COUNT: width must be one of", id="register_width_a_float"),
 ])
 def test_bad_register_map_is_exit_2_at_check_and_run(tmp_path, capsys, map_ref,
                                                     map_text, needle):
@@ -445,6 +457,31 @@ def test_unparsable_file_is_exit_2_at_check_and_run(tmp_path, capsys, where,
     events = parse_trace(trace_path.read_bytes())
     assert events[-1]["kind"] == "config_error"
     assert "does not parse" in events[-1]["payload"]["violation"]
+
+
+@pytest.mark.parametrize("header", [
+    pytest.param({"min_memory": 2 ** 32}, id="min_memory_past_u32"),
+    pytest.param({"min_memory": 10_000_000_000_000}, id="min_memory_huge"),
+    pytest.param({"credential": {"digest": -1}}, id="digest_negative"),
+    pytest.param({"credential": {"digest": 2 ** 64}}, id="digest_past_u64"),
+    pytest.param({"credential": {"digest": True}}, id="digest_true"),
+    pytest.param({"credential": {"digest": "ab"}}, id="digest_a_string"),
+    pytest.param({"credential": {"key_id": 70_000}}, id="key_id_past_u16"),
+    pytest.param({"credential": {"key_id": False}}, id="key_id_false"),
+    pytest.param({"credential": "key"}, id="credential_a_string"),
+    pytest.param({"entry": 5}, id="entry_a_number"),
+    pytest.param({"entry": "\u00e9" * 2 ** 15}, id="entry_past_u16_bytes"),
+    pytest.param({"entry": "\ud800"}, id="entry_lone_surrogate"),
+])
+def test_scenario_header_out_of_range_is_exit_2_at_run(tmp_path, capsys, header):
+    app = tmp_path / "app.json"
+    app.write_text(json.dumps({"name": "app", "main": [{"op": "halt"}], **header}))
+    trace_path = tmp_path / "t.jsonl"
+    assert cli_main(["run", "--board", str(BOARDS_DIR / "demo_sync.json"),
+                     "--app", str(app), "--trace", str(trace_path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    events = parse_trace(trace_path.read_bytes())
+    assert events[-1]["kind"] == "config_error"
 
 
 @pytest.mark.parametrize("where", ["missing_dir", "is_a_dir"])

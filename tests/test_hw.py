@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from kernsim.audit import parse_trace
 from kernsim.board import Board
 from kernsim.buffers import BufferWindow
 from kernsim.hw import (
@@ -239,9 +240,9 @@ def test_uart_ticks_until_event():
     uart = UartHw(_spec("uart"), irqc, 1, bytes_per_tick=2)
     assert uart.ticks_until_event() is None
     uart.start_tx(BufferWindow(bytearray(b"abc")))
-    assert uart.ticks_until_event() == 1
+    assert uart.ticks_until_event() == 2
     uart.tick()
-    assert uart.ticks_until_event() == 1
+    assert uart.ticks_until_event() == 1 and not irqc.any_pending()
     uart.tick()
     assert uart.ticks_until_event() is None and irqc.any_pending()
 
@@ -268,13 +269,14 @@ def test_hash_engine_zero_length_payload_fires_after_one_tick():
     assert engine.take_completion() == ("empty", fnv1a64(b""))
 
 
-def make_chip(initial_count=0):
+def make_chip(initial_count=0, bytes_per_tick=1):
     clock = SimClock()
     trace = TraceLog(lambda: clock.now)
     irqc = InterruptController(trace)
     chip = Chip(clock, irqc,
                 AlarmHw(_spec("alarm"), irqc, 0, initial_count=initial_count),
-                UartHw(_spec("uart"), irqc, 1),
+                UartHw(_spec("uart"), irqc, 1, bytes_per_tick=bytes_per_tick,
+                       trace=trace),
                 HashEngineHw(_spec("hashengine"), irqc, 2, digest_fn=fnv1a64))
     for line in irqc.lines.values():
         line.handler = lambda: None
@@ -320,12 +322,39 @@ def test_chip_tick_rejects_stepping_past_the_next_event():
     with pytest.raises(ValueError):
         chip.tick(0)
     chip.uart.start_tx(BufferWindow(bytearray(b"hi")))
-    assert chip.ticks_until_event() == 1
+    assert chip.ticks_until_event() == 2
     with pytest.raises(ValueError):
-        chip.tick(2)
+        chip.tick(3)
     assert chip.clock.now == 0
-    chip.tick(1)
-    assert chip.clock.now == 1
+    chip.tick(2)
+    assert chip.clock.now == 2
+
+
+@pytest.mark.parametrize("bytes_per_tick", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("length", [0, 1, 7, 64])
+def test_chip_tick_n_through_a_busy_uart_matches_n_single_ticks(bytes_per_tick,
+                                                                length):
+    payload = bytes(range(length))
+    ticks = max(1, -(-length // bytes_per_tick))
+    chips = [make_chip(bytes_per_tick=bytes_per_tick) for _ in range(2)]
+    for chip, _ in chips:
+        chip.uart.start_tx(BufferWindow(bytearray(payload)))
+        _arm(chip.alarm, ticks)  # matches on the tick the transfer ends
+    (fast, fast_trace), (slow, slow_trace) = chips
+    assert fast.ticks_until_event() == ticks
+    fast.tick(ticks)
+    for _ in range(ticks):
+        slow.tick(1)
+    assert _chip_state(fast, fast_trace) == _chip_state(slow, slow_trace)
+    events = parse_trace(fast_trace.out.getvalue().encode("utf-8"))
+    sent = [(e["tick"], e["payload"]["byte"]) for e in events
+            if e["kind"] == "uart_tx"]
+    assert sent == [(1 + i // bytes_per_tick, byte)
+                    for i, byte in enumerate(payload)]
+    assert [(e["tick"], e["actor"]) for e in events
+            if e["kind"] == "irq_raised"] == [(ticks, "hw:alarm"),
+                                              (ticks, "hw:uart")]
+    assert fast.uart.take_completion()[1] == length
 
 
 def test_idle_chip_takes_any_step():
@@ -350,4 +379,28 @@ def test_long_sleep_needs_loop_steps_per_event_not_per_tick():
     runs = [e.tick for e in trace_events(board) if e.kind == "upcall_run"]
     assert runs == [100_000]
     assert trace_events(board)[-1].kind == "quiescent"
+    assert len(steps) < 20
+
+
+def test_console_transfer_needs_loop_steps_per_transfer_not_per_byte():
+    cfg = minimal_board_dict(capsules=[{"name": "console", "type": "console",
+                                        "driver_id": 1, "buffer_size": 4096}],
+                             capabilities={})
+    board = Board.from_dict(cfg)
+    board.load_app(script_source([
+        {"op": "write_local", "offset": 0, "data": "5a" * 4096},
+        {"op": "syscall", "call": {"class": "ro_allow", "driver": 1, "buf": 0,
+                                   "base": 0, "len": 4096}},
+        {"op": "sync_command", "driver": 1, "cmd": 1, "args": [4096, 0],
+         "fn": "on_tx_done"},
+        {"op": "halt"}], {"on_tx_done": []}, min_memory=8192))
+    steps = []
+    loop_step = board.kernel.loop_step
+    board.kernel.loop_step = lambda: steps.append(1) or loop_step()
+    assert board.run(10_000) == 0
+    assert board.uart_output == b"Z" * 4096
+    events = trace_events(board)
+    assert sum(e.kind == "uart_tx" for e in events) == 4096
+    assert sum(e.kind == "upcall_run" for e in events) == 1
+    assert events[-1].kind == "quiescent"
     assert len(steps) < 20

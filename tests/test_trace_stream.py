@@ -1,6 +1,6 @@
 """The trace streams to its sink: byte-identical with the pinned traces,
-the same bytes on every sink, and memory that stays flat as a run logs
-more events."""
+the same bytes on every sink, each line the compact JSON of its record,
+and memory that stays flat as a run logs more events."""
 
 import hashlib
 import json
@@ -11,8 +11,9 @@ import pytest
 
 from kernsim.audit import parse_trace
 from kernsim.board import run_simulation
+from kernsim.trace import TraceLog
 
-from conftest import BOARDS_DIR, SCENARIOS_DIR
+from conftest import BOARDS_DIR, DATA_DIR, SCENARIOS_DIR, minimal_board_dict
 
 PINS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "pins.json")
                   .read_text(encoding="utf-8"))["sweep"]
@@ -77,3 +78,54 @@ def test_peak_memory_stays_flat_as_the_trace_grows(tmp_path):
     assert large_events - small_events == 30_000
     per_event = (large_peak - small_peak) / (large_events - small_events)
     assert per_event < 100, f"{per_event:.0f} B of peak memory per trace event"
+
+
+def _compact(record):
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+_NESTED = {"a": [1, {"b": None, "c": [True, False]}], "d": {"e": {"f": -3}}}
+
+
+def test_templated_line_is_the_compact_json_of_its_record():
+    ticks = iter(range(0, 10_000, 7))
+    trace = TraceLog(lambda: next(ticks))
+    events = [
+        ("kernel", "boot", {"board": "b"}),
+        ('capsule:quo"te', "syscall", None),
+        ("capsule:back\\slash", "kind\\with\"both", {}),
+        ("capsule:cönsole", "upcall_run", {"fn": "on_tx_dönë", "args": [1, 2]}),
+        ("hw:ürt✓", "uart_tx", {"byte": 255}),
+        ("kernel", "boot", _NESTED),
+        ('capsule:quo"te', "syscall", {"k": "☃\U0001f600\x00\n"}),
+        ("kernel", "quiescent", {}),
+        ("process:1", "irq_raised", {"irq": 0}),  # a new pair, mid-run
+        ("hw:ürt✓", "uart_tx", None),
+    ]
+    expected = []
+    for seq, (actor, kind, payload) in enumerate(events):
+        tick = seq * 7
+        trace.log(actor, kind, payload)
+        expected.append(_compact({"seq": seq, "tick": tick, "actor": actor,
+                                  "kind": kind, "payload": payload or {}}))
+    assert trace.out.getvalue().splitlines(keepends=True) == expected
+
+
+def test_board_trace_with_escaped_names_is_compact_json_line_by_line(tmp_path):
+    cfg = minimal_board_dict()
+    for layer in cfg["capsules"]:
+        if layer["name"] == "console":
+            layer["name"] = 'cönsole "\\1"'
+    (tmp_path / "uart.json").write_text(json.dumps(
+        dict(json.loads((DATA_DIR / "maps" / "uart.json").read_text()),
+             name='ürt"\\')))
+    cfg["peripherals"]["uart"]["map"] = "uart.json"
+    board_path = tmp_path / "board.json"
+    board_path.write_text(json.dumps(cfg))
+    trace_path = tmp_path / "t.jsonl"
+    assert run_simulation(board_path, [SCENARIOS_DIR / "console_hello.json"],
+                          trace_path=trace_path) == 0
+    lines = trace_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    actors = {json.loads(line)["actor"] for line in lines}
+    assert {'capsule:cönsole "\\1"', 'hw:ürt"\\'} <= actors
+    assert lines == [_compact(json.loads(line)) for line in lines]
