@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Any, Dict, Optional
 
-from .errors import MalformedInvocation, MalformedReturn
+from .errors import MalformedInvocation
 
 
 class SyscallClass(str, Enum):
@@ -217,7 +217,7 @@ def encode_invocation(inv: SyscallInvocation) -> Dict[str, Any]:
 # --- return records -----------------------------------------------------
 
 def encode_return(ret: SyscallReturn) -> Dict[str, Any]:
-    """Encode a return for the trace. Round-trips through decode_return."""
+    """Encode a return for the trace; distinct returns give distinct records."""
     v = ret.variant
     if v == ReturnVariant.SUCCESS:
         return {"variant": "success"}
@@ -234,38 +234,6 @@ def encode_return(ret: SyscallReturn) -> Dict[str, Any]:
         return {"variant": "failure", "err": ret.error.name}
     return {"variant": "failure_region", "err": ret.error.name,
             "base": ret.base, "len": ret.length}
-
-
-def _decode_error(record: Dict[str, Any]) -> ErrorCode:
-    name = record.get("err")
-    try:
-        return ErrorCode[name]
-    except (KeyError, TypeError):
-        raise MalformedReturn(f"unknown error code {name!r}") from None
-
-
-def decode_return(record: Dict[str, Any]) -> SyscallReturn:
-    if not isinstance(record, dict):
-        raise MalformedReturn(f"record must be an object, got {record!r}")
-    variant = record.get("variant")
-    if variant == "success":
-        return SyscallReturn.success()
-    if variant == "success_value":
-        return SyscallReturn.success_value(record.get("value", 0))
-    if variant == "success_region":
-        return SyscallReturn.success_region(record.get("base", 0), record.get("len", 0))
-    if variant == "success_upcall":
-        fn = record.get("fn", "null")
-        if fn == "null":
-            return SyscallReturn.success_upcall(NULL_UPCALL)
-        return SyscallReturn.success_upcall(
-            UpcallDescriptor(fn, record.get("userdata", 0)))
-    if variant == "failure":
-        return SyscallReturn.failure(_decode_error(record))
-    if variant == "failure_region":
-        return SyscallReturn.failure_region(
-            _decode_error(record), record.get("base", 0), record.get("len", 0))
-    raise MalformedReturn(f"unknown return variant {variant!r}")
 
 
 def match_return(pattern: Dict[str, Any], record: Dict[str, Any]) -> bool:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
@@ -66,6 +65,12 @@ from .trace import (
 )
 
 DEFAULT_MAX_TICKS = 10_000
+# Upper bounds on the board integers that size an allocation: RAM is one
+# byte array, the alarm driver keeps a client slot per allowed process,
+# and a console copies each transfer into a window of buffer_size bytes.
+MAX_RAM_SIZE = 16 * 1024 * 1024
+MAX_PROCESSES = 256
+MAX_BUFFER_SIZE = 64 * 1024
 
 # The model behind each known peripheral.
 _PERIPHERAL_MODELS = {"alarm": AlarmHw, "uart": UartHw, "hashengine": HashEngineHw}
@@ -138,7 +143,7 @@ def _map_bytes(pname: str, map_ref: Optional[str],
         path = base_dir / path
     try:
         return path.read_bytes()
-    except OSError:
+    except (OSError, ValueError):  # ValueError: a NUL or lone surrogate
         return None
 
 
@@ -153,16 +158,19 @@ def validate_board_dict(data: Dict[str, Any], base_dir: Optional[Path] = None
         return ["board config must be a JSON object"], specs
 
     ram = data.get("ram_size")
-    if not int_in(ram, 1):
-        v.append(f"ram_size must be a positive integer, got {ram!r}")
+    if not int_in(ram, 1, MAX_RAM_SIZE):
+        v.append(f"ram_size must be an integer in [1, {MAX_RAM_SIZE}], "
+                 f"got {ram!r}")
     regions = data.get("mpu_max_regions", BoardConfig.mpu_max_regions)
     if not int_in(regions, 2):
         v.append("mpu_max_regions must be an integer >= 2, because every process "
                  f"holds a flash region and a RAM region; got {regions!r}")
-    for key in ("upcall_queue_depth", "capsule_step_budget", "max_processes"):
+    for key, high in (("upcall_queue_depth", None), ("capsule_step_budget", None),
+                      ("max_processes", MAX_PROCESSES)):
         value = data.get(key, getattr(BoardConfig, key))
-        if not int_in(value, 1):
-            v.append(f"{key} must be a positive integer, got {value!r}")
+        if not int_in(value, 1, high):
+            bound = ">= 1" if high is None else f"in [1, {high}]"
+            v.append(f"{key} must be an integer {bound}, got {value!r}")
 
     loader = data.get("loader", BoardConfig.loader)
     if loader not in ("sync", "async"):
@@ -272,10 +280,12 @@ def validate_board_dict(data: Dict[str, Any], base_dir: Optional[Path] = None
                 v.append(f"capsule {name!r} {key} must be an object, got {value!r}")
                 value = {}
             annotations[key] = value
-        for key in ("buffer_size", "min_buffer_size"):
+        for key, high in (("buffer_size", MAX_BUFFER_SIZE),
+                          ("min_buffer_size", None)):
             value = layer.get(key)
-            if value is not None and not int_in(value, 0):
-                v.append(f"capsule {name!r} {key} must be a non-negative integer, "
+            if key in layer and not int_in(value, 0, high):
+                bound = ">= 0" if high is None else f"in [0, {high}]"
+                v.append(f"capsule {name!r} {key} must be an integer {bound}, "
                          f"got {value!r}")
                 value = None
             annotations[key] = value
@@ -314,11 +324,11 @@ class Board:
     """A fully constructed machine, ready to load apps and run."""
 
     def __init__(self, config: BoardConfig, seed: int = 0,
-                 out: Optional[TextIO] = None, pretty: bool = False):
+                 out: Optional[TextIO] = None):
         self.config = config
         self.seed = seed
         clock = SimClock()
-        self.trace = TraceLog(lambda: clock.now, out, pretty)
+        self.trace = TraceLog(lambda: clock.now, out)
         irqc = InterruptController(self.trace)
 
         pcfgs = config.peripherals
@@ -435,10 +445,6 @@ class Board:
             return 3
         return 1 if self.kernel.expect_failures else 0
 
-    @property
-    def uart_output(self) -> bytes:
-        return bytes(self.chip.uart.output) if self.chip.uart else b""
-
 
 def check_board(path) -> List[str]:
     """Validate a board file without running; returns all violations."""
@@ -450,7 +456,7 @@ def check_board(path) -> List[str]:
 
 
 def run_simulation(board_path, app_paths, *, max_ticks: int = DEFAULT_MAX_TICKS,
-                   seed: int = 0, trace_path=None, pretty: bool = False,
+                   seed: int = 0, trace_path=None,
                    err: Optional[TextIO] = None) -> int:
     """CLI entry: open the trace sink, then build, load and run, each event
     going to the sink as it is logged. Returns the exit code; an
@@ -466,20 +472,18 @@ def run_simulation(board_path, app_paths, *, max_ticks: int = DEFAULT_MAX_TICKS,
         except OSError as exc:
             print(f"config error: cannot write trace: {exc}", file=err)
             return 2
-    pretty = pretty or os.environ.get("KERNSIM_TRACE_PRETTY") == "1"
     with sink as out:
         try:
-            return _simulate(board_path, app_paths, max_ticks, seed, out,
-                             pretty, err)
+            return _simulate(board_path, app_paths, max_ticks, seed, out, err)
         finally:
             _write_trace(out)
 
 
 def _simulate(board_path, app_paths, max_ticks: int, seed: int, out: TextIO,
-              pretty: bool, err: TextIO) -> int:
-    trace = TraceLog(out=out, pretty=pretty)
+              err: TextIO) -> int:
+    trace = TraceLog(out=out)
     try:
-        board = Board(BoardConfig.from_file(board_path), seed, out, pretty)
+        board = Board(BoardConfig.from_file(board_path), seed, out)
         trace = board.trace
         board.finalize()
         for app_path in app_paths:

@@ -5,10 +5,9 @@ are handed at attach time (scoped buffer visitors, grants, upcall
 scheduling) and the register files of the peripherals they were built
 over. They never receive raw process memory or storable buffer handles.
 
-Also here: the split-phase operation bookkeeping type, the alarm
-virtualizer that multiplexes one hardware compare register across many
-clients, and configuration-time composition validation for capsule
-stacks.
+Also here: the alarm virtualizer that multiplexes one hardware compare
+register across many clients, and configuration-time composition
+validation for capsule stacks.
 """
 
 from __future__ import annotations
@@ -76,38 +75,6 @@ def validate_composition(layers: List[CompositionLayer]) -> List[str]:
                 f"below min_buffer_size={below.min_buffer_size} declared by "
                 f"layer {below.name!r}")
     return mismatches
-
-
-# --- split-phase bookkeeping ---------------------------------------------------
-
-class SplitPhaseOp:
-    """One asynchronous operation slot: a start call and a completion.
-
-    A driver holds at most one pending operation per resource; callers
-    must check :attr:`pending` and report BUSY rather than start twice.
-    """
-
-    IDLE = "idle"
-    PENDING = "pending"
-
-    def __init__(self, op_id: str):
-        self.op_id = op_id
-        self.state = self.IDLE
-        self.owner: Optional[str] = None
-
-    @property
-    def pending(self) -> bool:
-        return self.state != self.IDLE
-
-    def start(self, owner: str) -> None:
-        if self.state != self.IDLE:
-            raise RuntimeError(f"{self.op_id}: start while {self.state}")
-        self.state = self.PENDING
-        self.owner = owner
-
-    def finish(self) -> None:
-        self.state = self.IDLE
-        self.owner = None
 
 
 # --- capsule base ---------------------------------------------------------------
@@ -318,24 +285,30 @@ class ConsoleDriver(Capsule):
     CMD_WRITE = 1
 
     def __init__(self, name: str, driver_id: int, uart: UartHw,
-                 buffer_size: int = 64):
+                 buffer_size: int):
         super().__init__(name, driver_id)
         self.uart = uart
         self.window = BufferWindow(buffer_size)
-        self.op = SplitPhaseOp("console_tx")
+        # The completion client of the transmit in flight, if any.
         self._client: Optional[Callable[[BufferWindow, int], None]] = None
         self._owner_pid: Optional[int] = None
+
+    @property
+    def pending(self) -> bool:
+        return self._client is not None
 
     # HIL surface, usable by kernel-side clients as well as the syscall path.
     def write(self, window: BufferWindow,
               client: Callable[[BufferWindow, int], None]) -> bool:
         """Start a split-phase transmit; False means BUSY. The window is
-        owned by the operation until the completion callback returns it."""
-        if self.op.pending:
+        owned by the operation until the completion callback returns it;
+        the callback may start the next transmit."""
+        if self.pending:
             return False
         if len(window) < 1:
             raise ValueError("console write needs a non-empty window")
-        self.op.start(self.name)
+        if client is None:
+            raise ValueError("console write needs a completion client")
         self._client = client
         window.take()
         self.uart.start_tx(window)
@@ -344,7 +317,7 @@ class ConsoleDriver(Capsule):
     def command(self, cmd: int, arg0: int, arg1: int, pid: int) -> SyscallReturn:
         if cmd != self.CMD_WRITE:
             return SyscallReturn.failure(ErrorCode.NOSUPPORT)
-        if self.op.pending:
+        if self.pending:
             return SyscallReturn.failure(ErrorCode.BUSY)
         length = arg0
         if length < 1 or length > self.window.capacity:
@@ -370,11 +343,7 @@ class ConsoleDriver(Capsule):
         window, count = completion
         window.release()
         client, self._client = self._client, None
-        try:
-            if client is not None:
-                client(window, count)
-        finally:
-            self.op.finish()
+        client(window, count)
 
     def _tx_done(self, window: BufferWindow, count: int) -> None:
         pid, self._owner_pid = self._owner_pid, None

@@ -54,10 +54,6 @@ class MalformedInvocation(KernsimError):
     """Scenario record does not decode to a known system call."""
 
 
-class MalformedReturn(KernsimError):
-    """Trace record does not decode to a known return variant."""
-
-
 # --- register maps and MMIO ---------------------------------------------
 
 class SpecError(KernsimError):

@@ -151,7 +151,6 @@ class CarveAllocator:
     def __init__(self, total: int, align: int = CARVE_ALIGN):
         self.align = align
         self._free: List[Tuple[int, int]] = [(0, total)]
-        self._sizes: Dict[int, int] = {}
 
     def _pad(self, size: int) -> int:
         return (size + self.align - 1) // self.align * self.align
@@ -166,15 +165,13 @@ class CarveAllocator:
                     del self._free[i]
                 else:
                     self._free[i] = (base + padded, length - padded)
-                self._sizes[base] = padded
                 return base
         return None
 
     def release(self, base: int, size: int) -> None:
         if size == 0:
             return
-        padded = self._sizes.pop(base, self._pad(size))
-        self._free.append((base, padded))
+        self._free.append((base, self._pad(size)))
         self._free.sort()
         merged: List[Tuple[int, int]] = []
         for start, length in self._free:
@@ -223,9 +220,6 @@ class ScopedRegion:
                 f"capsule {self._note['via']!r} wrote through a read-only share")
         base = self._span(offset, len(data))
         self._memory.write(Accessor.kernel(), base, data, note=self._note)
-
-    def read_u8(self, offset: int) -> int:
-        return self.read(offset, 1)[0]
 
     def write_u8(self, offset: int, value: int) -> None:
         self.write(offset, bytes([value & 0xFF]))
@@ -408,9 +402,7 @@ class Kernel:
     def __init__(self, memory: MemoryController, chip: Chip, trace: TraceLog,
                  registry: CapabilityRegistry, *,
                  upcall_queue_depth: int, capsule_step_budget: int,
-                 max_processes: int,
-                 verifier_policy: str = "digest_match",
-                 trusted_key_ids=()):
+                 max_processes: int, verifier_policy: str, trusted_key_ids):
         self.memory = memory
         self.chip = chip
         self.trace = trace

@@ -32,8 +32,6 @@ _ACCESS_LEVELS = (ACCESS_NONE, ACCESS_READ, ACCESS_RW)
 READ = "read"
 WRITE = "write"
 
-DEFAULT_MPU_MAX_REGIONS = 8
-
 
 @dataclass(frozen=True)
 class MemoryRegion:
@@ -91,7 +89,7 @@ class Accessor:
 class MemoryController:
     """One flat byte array plus the per-process region tables."""
 
-    def __init__(self, total_size: int, mpu_max_regions: int = DEFAULT_MPU_MAX_REGIONS,
+    def __init__(self, total_size: int, mpu_max_regions: int,
                  trace: Optional[TraceLog] = None):
         if total_size <= 0:
             raise ValueError("total_size must be positive")

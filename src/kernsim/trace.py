@@ -69,19 +69,13 @@ class TraceLog:
     """Append-only event log for one simulation run.
 
     Events go to ``out`` (an in-memory buffer unless a stream is given),
-    one compact JSON line each; with ``pretty``, each compact line is
-    re-indented to an ``indent=2`` record before it is written.
+    one compact JSON line each.
     """
 
     def __init__(self, clock: Optional[Callable[[], int]] = None,
-                 out: Optional[TextIO] = None, pretty: bool = False):
+                 out: Optional[TextIO] = None):
         self.out = io.StringIO() if out is None else out
-        write = self.out.write
-        if pretty:
-            self._write = lambda line: write(
-                json.dumps(json.loads(line), indent=2) + "\n")
-        else:
-            self._write = write
+        self._write = self.out.write
         # One encoder per log: json.dumps builds a new one on every call
         # that passes non-default arguments.
         self._encode = json.JSONEncoder(separators=(",", ":")).encode

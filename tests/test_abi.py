@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -12,12 +13,11 @@ from kernsim.abi import (
     UpcallDescriptor,
     YieldMode,
     decode_invocation,
-    decode_return,
     encode_invocation,
     encode_return,
     match_return,
 )
-from kernsim.errors import MalformedInvocation, MalformedReturn
+from kernsim.errors import MalformedInvocation
 
 
 def test_decode_command():
@@ -80,13 +80,6 @@ def test_encode_return_examples():
         {"variant": "success_upcall", "fn": "null"}
 
 
-def test_decode_return_unknown_variant():
-    with pytest.raises(MalformedReturn):
-        decode_return({"variant": "half_success"})
-    with pytest.raises(MalformedReturn):
-        decode_return({"variant": "failure", "err": "EWOULDBLOCK"})
-
-
 def test_error_code_encodings_are_stable():
     assert [e.value for e in ErrorCode] == [1, 2, 3, 4, 5, 6, 7, 8]
     assert ErrorCode.FAIL.value == 1
@@ -116,10 +109,14 @@ def _random_return(rng):
 
 
 def test_return_round_trip_property_10k():
+    # The trace keeps only the record, so the record must name exactly one
+    # return: distinct returns encode to distinct records.
     rng = random.Random(0xAB1)
+    returns_by_record = {}
     for _ in range(10_000):
         ret = _random_return(rng)
-        assert decode_return(encode_return(ret)) == ret
+        record = json.dumps(encode_return(ret), sort_keys=True)
+        assert returns_by_record.setdefault(record, ret) == ret
 
 
 def test_match_return_is_subset_match():

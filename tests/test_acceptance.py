@@ -207,7 +207,7 @@ def test_acceptance_04_mpu_oracle_exhaustive_256():
          MemoryRegion(100, 0, ACCESS_RW), MemoryRegion(120, 40, ACCESS_NONE)],
         [MemoryRegion(0, 256, ACCESS_READ)],
     ]
-    mem = MemoryController(space)
+    mem = MemoryController(space, mpu_max_regions=8)
     checked = 0
     for regions in configs:
         mem.configure_regions(1, regions)

@@ -6,7 +6,13 @@ import sys
 import pytest
 
 from kernsim.audit import parse_trace, run_all_audits
-from kernsim.board import check_board, run_simulation
+from kernsim.board import (
+    MAX_BUFFER_SIZE,
+    MAX_PROCESSES,
+    MAX_RAM_SIZE,
+    check_board,
+    run_simulation,
+)
 from kernsim.cli import main as cli_main
 
 from conftest import BOARDS_DIR, SCENARIOS_DIR, SRC, minimal_board_dict
@@ -142,13 +148,6 @@ def test_trace_lines_have_fixed_key_order(tmp_path):
             ["seq", "tick", "actor", "kind", "payload"]
     seqs = [json.loads(line)["seq"] for line in trace_path.read_text().splitlines()]
     assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
-
-
-def test_pretty_trace_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("KERNSIM_TRACE_PRETTY", "1")
-    trace_path = tmp_path / "trace.txt"
-    run_simulation(BOARDS_DIR / "demo_sync.json", [], trace_path=trace_path)
-    assert "\n  " in trace_path.read_text()  # indented JSON
 
 
 def test_console_output_reaches_uart(tmp_path):
@@ -345,6 +344,20 @@ def _add_annotation(cfg, **fields):
                  id="annotation_driver_id_true"),
     pytest.param(lambda cfg: cfg.update(ram_size=True), "ram_size",
                  id="ram_size_true"),
+    pytest.param(lambda cfg: cfg.update(ram_size=2 ** 40), "ram_size",
+                 id="ram_size_2_to_the_40"),
+    pytest.param(lambda cfg: cfg.update(ram_size=MAX_RAM_SIZE + 1), "ram_size",
+                 id="ram_size_past_its_limit"),
+    pytest.param(lambda cfg: cfg.update(max_processes=200_000), "max_processes",
+                 id="max_processes_200000"),
+    pytest.param(lambda cfg: cfg.update(max_processes=MAX_PROCESSES + 1),
+                 "max_processes", id="max_processes_past_its_limit"),
+    pytest.param(lambda cfg: _console(cfg).update(buffer_size=2 ** 40),
+                 "buffer_size", id="console_buffer_size_2_to_the_40"),
+    pytest.param(lambda cfg: _console(cfg).update(buffer_size=MAX_BUFFER_SIZE + 1),
+                 "buffer_size", id="console_buffer_size_past_its_limit"),
+    pytest.param(lambda cfg: _console(cfg).update(buffer_size=None),
+                 "buffer_size", id="console_buffer_size_null"),
 ])
 def test_board_value_of_wrong_type_is_exit_2_at_check_and_run(
         tmp_path, capsys, mutate, needle):
@@ -364,6 +377,18 @@ def test_board_value_of_wrong_type_is_exit_2_at_check_and_run(
     assert needle in events[0]["payload"]["violation"]
 
 
+def test_board_values_at_their_limits_run(tmp_path):
+    cfg = minimal_board_dict(ram_size=MAX_RAM_SIZE, max_processes=MAX_PROCESSES)
+    _console(cfg).update(buffer_size=MAX_BUFFER_SIZE)
+    board_path = tmp_path / "board.json"
+    board_path.write_text(json.dumps(cfg))
+    app = tmp_path / "app.json"
+    app.write_text(json.dumps({"name": "app", "main": [{"op": "halt"}]}))
+    assert cli_main(["check", "--board", str(board_path)]) == 0
+    assert cli_main(["run", "--board", str(board_path), "--app", str(app),
+                     "--trace", str(tmp_path / "t.jsonl")]) == 0
+
+
 def _alarm_map(drop=(), compare_access="RW"):
     registers = [
         {"name": "COUNT", "offset": 0, "width": 32, "access": "R"},
@@ -378,6 +403,9 @@ def _alarm_map(drop=(), compare_access="RW"):
 
 @pytest.mark.parametrize("map_ref, map_text, needle", [
     pytest.param(5, None, "map must be a file path", id="map_a_number"),
+    pytest.param("m\x00.json", None, "missing register map", id="map_path_with_a_nul"),
+    pytest.param("\ud800.json", None, "missing register map",
+                 id="map_path_with_a_lone_surrogate"),
     pytest.param("m.json", "[1, 2]", "register map must be an object",
                  id="map_json_a_list"),
     pytest.param("m.json", '{"name": "alarm", "registers": [7]}',

@@ -7,7 +7,6 @@ from kernsim.buffers import BufferWindow
 from kernsim.capsules import (
     CompositionLayer,
     ConsoleDriver,
-    SplitPhaseOp,
     validate_composition,
 )
 from kernsim.hw import InterruptController, UartHw
@@ -97,19 +96,6 @@ def test_validation_matches_pairwise_brute_force():
         assert (validate_composition(layers) == []) == brute_force_ok(layers)
 
 
-# --- split-phase op bookkeeping ----------------------------------------------
-
-def test_split_phase_start_while_pending_is_refused():
-    op = SplitPhaseOp("tx")
-    op.start("console")
-    assert op.pending
-    with pytest.raises(RuntimeError):
-        op.start("console")
-    op.finish()
-    assert not op.pending
-    op.start("console")
-
-
 # --- console over the uart -------------------------------------------------------
 
 class _NullServices:
@@ -190,3 +176,27 @@ def test_empty_window_refused():
     window.slice(0, 0)
     with pytest.raises(ValueError):
         console.write(window, lambda w, n: None)
+
+
+def test_write_without_a_client_refused():
+    console, uart, irqc = make_console()
+    with pytest.raises(ValueError):
+        console.write(BufferWindow(bytearray(b"x")), None)
+    assert not console.pending and not uart.busy
+
+
+def test_completion_client_may_start_the_next_write():
+    console, uart, irqc = make_console()
+    irqc.set_handler(1, console.handle_interrupt)
+    second = BufferWindow(bytearray(b"two"))
+    restarted = []
+    assert console.write(BufferWindow(bytearray(b"one")), lambda w, n:
+                         restarted.append(console.write(second, lambda w, n: None)))
+    for _ in range(3):
+        uart.tick()
+    irqc.service()
+    assert restarted == [True] and console.pending
+    for _ in range(3):
+        uart.tick()
+    irqc.service()
+    assert bytes(uart.output) == b"onetwo" and not console.pending

@@ -398,7 +398,7 @@ def test_console_transfer_needs_loop_steps_per_transfer_not_per_byte():
     loop_step = board.kernel.loop_step
     board.kernel.loop_step = lambda: steps.append(1) or loop_step()
     assert board.run(10_000) == 0
-    assert board.uart_output == b"Z" * 4096
+    assert bytes(board.chip.uart.output) == b"Z" * 4096
     events = trace_events(board)
     assert sum(e.kind == "uart_tx" for e in events) == 4096
     assert sum(e.kind == "upcall_run" for e in events) == 1

@@ -484,10 +484,10 @@ def test_exit_orphans_in_flight_console_write(board):
     ]
     board, code = run_board(main, {"on_tx": []}, board=board)
     assert code == 0
-    assert board.uart_output == bytes.fromhex("aabbccddeeff00112233")
+    assert bytes(board.chip.uart.output) == bytes.fromhex("aabbccddeeff00112233")
     assert not any(e.kind == "upcall_run" for e in trace_events(board))
     console = board.capsules_by_name["console"]
-    assert not console.op.pending and not console.window.in_flight
+    assert not console.pending and not console.window.in_flight
 
 
 def test_faulted_process_is_not_restarted(board):
@@ -579,7 +579,7 @@ def test_grant_refs_cannot_be_stashed(board):
     stash = []
     kern.grant_enter("alarm_driver", 16, pid, lambda g: stash.append(g))
     with pytest.raises(StaleHandle):
-        stash[0].read_u8(0)
+        stash[0].read_u32(0)
 
 
 # --- capsule budget ------------------------------------------------------------------------------

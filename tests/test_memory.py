@@ -15,8 +15,8 @@ from kernsim.memory import (
 from oracles import mpu_allowed
 
 
-def controller(size=8192, **kw):
-    return MemoryController(size, **kw)
+def controller(size=8192, mpu_max_regions=8):
+    return MemoryController(size, mpu_max_regions)
 
 
 def test_in_bounds_write_at_region_edge():

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from kernsim.audit import parse_trace
 from kernsim.board import run_simulation
 from kernsim.trace import TraceLog
 
@@ -42,16 +41,6 @@ def test_stdout_sink_gives_the_file_sink_bytes(tmp_path, capsys):
     capsys.readouterr()
     assert _run_demo() == 0
     assert capsys.readouterr().out.encode("utf-8") == trace_path.read_bytes()
-
-
-def test_pretty_trace_is_each_compact_record_indented(tmp_path, monkeypatch):
-    compact, pretty = tmp_path / "compact.jsonl", tmp_path / "pretty.json"
-    assert _run_demo(trace_path=compact) == 0
-    monkeypatch.setenv("KERNSIM_TRACE_PRETTY", "1")
-    assert _run_demo(trace_path=pretty) == 0
-    records = parse_trace(compact.read_bytes())
-    assert pretty.read_text(encoding="utf-8") == \
-        "".join(json.dumps(r, indent=2) + "\n" for r in records)
 
 
 def _peak_bytes_and_events(tmp_path, iterations):
