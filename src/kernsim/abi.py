@@ -11,7 +11,9 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Any, Dict, Optional
 
-from .errors import MalformedInvocation
+from .errors import MalformedInvocation, int_violation
+
+U32_MAX = (1 << 32) - 1  # each integer of a syscall record fills a register
 
 
 class SyscallClass(str, Enum):
@@ -153,9 +155,10 @@ class SyscallReturn:
 # --- invocation records -------------------------------------------------
 
 def _require_int(record: Dict[str, Any], key: str, default: Optional[int] = None) -> int:
+    """The record's value at key, if it fits a register."""
     value = record.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise MalformedInvocation(f"field {key!r} must be an integer, got {value!r}")
+    if problem := int_violation(f"field {key!r}", value, 0, U32_MAX):
+        raise MalformedInvocation(problem)
     return value
 
 
@@ -182,13 +185,12 @@ def decode_invocation(record: Dict[str, Any]) -> SyscallInvocation:
             fn, _require_int(record, "userdata", 0))
     if tag == "command":
         args = record.get("args", [0, 0])
-        if not isinstance(args, list) or len(args) > 2 or \
-                not all(isinstance(a, int) and not isinstance(a, bool) for a in args):
+        if not isinstance(args, list) or len(args) > 2:
             raise MalformedInvocation(f"command args must be <= 2 integers, got {args!r}")
-        args = list(args) + [0] * (2 - len(args))
+        named = dict(zip(("arg0", "arg1"), args))
         return SyscallInvocation.command(
             _require_int(record, "driver"), _require_int(record, "cmd"),
-            args[0], args[1])
+            _require_int(named, "arg0", 0), _require_int(named, "arg1", 0))
     if tag in ("rw_allow", "ro_allow"):
         ctor = (SyscallInvocation.rw_allow if tag == "rw_allow"
                 else SyscallInvocation.ro_allow)

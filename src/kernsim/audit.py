@@ -43,9 +43,12 @@ def audit_upcalls_inside_yield(events: List[Dict[str, Any]]) -> List[str]:
 
 
 def audit_zero_length_allows(events: List[Dict[str, Any]]) -> List[str]:
-    """Zero-length allows always succeed, and no allow call of any length
-    generates a memory access event (validation is pure arithmetic)."""
+    """A zero-length allow is legal at any base: it fails only for a slot
+    that does not exist (NODEVICE or INVAL), to which no allow succeeds
+    anywhere in the trace. No allow call of any length generates a memory
+    access event (validation is pure arithmetic)."""
     violations: List[str] = []
+    installed, refused = set(), []  # slots; (seq, slot, return) of failures
     for i, event in enumerate(events):
         if event["kind"] != "syscall":
             continue
@@ -71,13 +74,16 @@ def audit_zero_length_allows(events: List[Dict[str, Any]]) -> List[str]:
             violations.append(
                 f"seq {event['seq']}: allow not followed by its return")
             continue
-        if call.get("len") == 0:
-            variant = _payload(ret).get("ret", {}).get("variant")
-            if variant != "success_region":
-                violations.append(
-                    f"seq {event['seq']}: zero-length allow did not succeed "
-                    f"(got {variant})")
-    return violations
+        slot = (call.get("class"), call.get("driver"), call.get("buf"))
+        record = _payload(ret).get("ret", {})
+        if record.get("variant") == "success_region":
+            installed.add(slot)
+        elif call.get("len") == 0:
+            refused.append((event["seq"], slot, record))
+    return violations + [
+        f"seq {seq}: zero-length allow did not succeed (got {record.get('variant')})"
+        for seq, slot, record in refused
+        if slot in installed or record.get("err") not in ("NODEVICE", "INVAL")]
 
 
 def audit_return_shapes(events: List[Dict[str, Any]]) -> List[str]:

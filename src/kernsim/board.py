@@ -34,10 +34,10 @@ from .capabilities import CapabilityKind, CapabilityRegistry
 from .capsules import CAPSULE_TYPES, CompositionLayer, validate_composition
 from .errors import (
     ConfigError,
-    ScenarioError,
     SimulationDiagnostic,
     SpecError,
     int_in,
+    int_violation,
 )
 from .hw import (
     TICK_MASK,
@@ -74,9 +74,19 @@ MAX_BUFFER_SIZE = 64 * 1024
 
 # The model behind each known peripheral.
 _PERIPHERAL_MODELS = {"alarm": AlarmHw, "uart": UartHw, "hashengine": HashEngineHw}
-# The board keys read as they are, with their defaults in BoardConfig.
-_SCALAR_KEYS = ("name", "ram_size", "mpu_max_regions", "upcall_queue_depth",
-                "capsule_step_budget", "max_processes", "loader", "verifier")
+# Each board key read as it is: its default (None: required) and its allowed
+# values, an integer range (lo, hi; hi None: unbounded), a tuple of words or
+# str (any string). A process holds two MPU regions, its flash and its RAM.
+_SCALARS: Dict[str, Tuple[Any, Any]] = {
+    "name": ("board", str),
+    "ram_size": (None, (1, MAX_RAM_SIZE)),
+    "mpu_max_regions": (8, (2, None)),
+    "upcall_queue_depth": (8, (1, None)),
+    "capsule_step_budget": (100_000, (1, None)),
+    "max_processes": (8, (1, MAX_PROCESSES)),
+    "loader": ("sync", ("sync", "async")),
+    "verifier": ("digest_match", VERIFIER_POLICIES),
+}
 _PERIPHERAL_NEEDED_BY = {"alarm": "alarm", "console": "uart"}
 _TYPES_NEEDING_DRIVER_ID = ("alarm", "console", "probe", "manager")
 # Each peripheral's optional timing knob: (key, minimum, maximum or None).
@@ -90,14 +100,14 @@ _TIMING_KNOBS = {
 
 @dataclass
 class BoardConfig:
-    name: str = "board"
-    ram_size: int = 0
-    mpu_max_regions: int = 8
-    upcall_queue_depth: int = 8
-    capsule_step_budget: int = 100_000
-    max_processes: int = 8
-    loader: str = "sync"
-    verifier: str = "digest_match"
+    name: str
+    ram_size: int
+    mpu_max_regions: int
+    upcall_queue_depth: int
+    capsule_step_budget: int
+    max_processes: int
+    loader: str
+    verifier: str
     trusted_key_ids: List[int] = field(default_factory=list)
     peripherals: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     capsules: List[Dict[str, Any]] = field(default_factory=list)
@@ -111,7 +121,7 @@ class BoardConfig:
         if violations:
             raise ConfigError(violations)
         return cls(
-            **{key: data[key] for key in _SCALAR_KEYS if key in data},
+            **{key: data.get(key, default) for key, (default, _) in _SCALARS.items()},
             trusted_key_ids=list(data.get("trusted_key_ids", [])),
             peripherals={k: dict(v) for k, v in data.get("peripherals", {}).items()},
             capsules=[dict(layer) for layer in data.get("capsules", [])],
@@ -157,27 +167,16 @@ def validate_board_dict(data: Dict[str, Any], base_dir: Optional[Path] = None
     if not isinstance(data, dict):
         return ["board config must be a JSON object"], specs
 
-    ram = data.get("ram_size")
-    if not int_in(ram, 1, MAX_RAM_SIZE):
-        v.append(f"ram_size must be an integer in [1, {MAX_RAM_SIZE}], "
-                 f"got {ram!r}")
-    regions = data.get("mpu_max_regions", BoardConfig.mpu_max_regions)
-    if not int_in(regions, 2):
-        v.append("mpu_max_regions must be an integer >= 2, because every process "
-                 f"holds a flash region and a RAM region; got {regions!r}")
-    for key, high in (("upcall_queue_depth", None), ("capsule_step_budget", None),
-                      ("max_processes", MAX_PROCESSES)):
-        value = data.get(key, getattr(BoardConfig, key))
-        if not int_in(value, 1, high):
-            bound = ">= 1" if high is None else f"in [1, {high}]"
-            v.append(f"{key} must be an integer {bound}, got {value!r}")
-
-    loader = data.get("loader", BoardConfig.loader)
-    if loader not in ("sync", "async"):
-        v.append(f"loader must be 'sync' or 'async', got {loader!r}")
-    verifier = data.get("verifier", BoardConfig.verifier)
-    if verifier not in VERIFIER_POLICIES:
-        v.append(f"verifier must be one of {VERIFIER_POLICIES}, got {verifier!r}")
+    for key, (default, allowed) in _SCALARS.items():
+        value = data.get(key, default)
+        if allowed is str:
+            if not isinstance(value, str):
+                v.append(f"{key} must be a string, got {value!r}")
+        elif isinstance(allowed[0], str):
+            if value not in allowed:
+                v.append(f"{key} must be one of {allowed}, got {value!r}")
+        elif problem := int_violation(key, value, *allowed):
+            v.append(problem)
     key_ids = data.get("trusted_key_ids", [])
     if not isinstance(key_ids, list) or \
             not all(int_in(key_id, 0, 0xFFFF) for key_id in key_ids):
@@ -205,11 +204,9 @@ def validate_board_dict(data: Dict[str, Any], base_dir: Optional[Path] = None
         else:
             irqs_seen[irq] = pname
         knob, low, high = _TIMING_KNOBS[pname]
-        value = pcfg.get(knob, low)
-        if not int_in(value, low, high):
-            bound = f">= {low}" if high is None else f"in [{low}, {high}]"
-            v.append(f"peripheral {pname!r} {knob} must be an integer {bound}, "
-                     f"got {value!r}")
+        if problem := int_violation(f"peripheral {pname!r} {knob}",
+                                    pcfg.get(knob, low), low, high):
+            v.append(problem)
         map_ref = pcfg.get("map")
         if map_ref is not None and not isinstance(map_ref, str):
             v.append(f"peripheral {pname!r} map must be a file path, "
@@ -232,7 +229,7 @@ def validate_board_dict(data: Dict[str, Any], base_dir: Optional[Path] = None
         v.extend(f"register map for {pname!r}: {violation}" for violation in
                  specs[pname].missing(model.REGISTERS, model.WRITABLE))
 
-    if loader == "async" and "hashengine" not in peripherals:
+    if data.get("loader") == "async" and "hashengine" not in peripherals:
         v.append("async loader requires a hashengine peripheral")
 
     layers_cfg = data.get("capsules", [])
@@ -283,10 +280,9 @@ def validate_board_dict(data: Dict[str, Any], base_dir: Optional[Path] = None
         for key, high in (("buffer_size", MAX_BUFFER_SIZE),
                           ("min_buffer_size", None)):
             value = layer.get(key)
-            if key in layer and not int_in(value, 0, high):
-                bound = ">= 0" if high is None else f"in [0, {high}]"
-                v.append(f"capsule {name!r} {key} must be an integer {bound}, "
-                         f"got {value!r}")
+            problem = int_violation(f"capsule {name!r} {key}", value, 0, high)
+            if key in layer and problem:
+                v.append(problem)
                 value = None
             annotations[key] = value
         comp_layers.append(CompositionLayer(name=name, **annotations))
@@ -469,7 +465,7 @@ def run_simulation(board_path, app_paths, *, max_ticks: int = DEFAULT_MAX_TICKS,
     else:
         try:
             sink = open(trace_path, "w", encoding="utf-8", newline="")
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             print(f"config error: cannot write trace: {exc}", file=err)
             return 2
     with sink as out:
@@ -488,7 +484,7 @@ def _simulate(board_path, app_paths, max_ticks: int, seed: int, out: TextIO,
         board.finalize()
         for app_path in app_paths:
             board.load_app(Path(app_path).read_bytes(), Path(app_path).stem)
-    except (ConfigError, OSError, ScenarioError) as exc:
+    except (ConfigError, OSError) as exc:  # ScenarioError is a ConfigError
         for violation in getattr(exc, "violations", [str(exc)]):
             trace.log(ACTOR_KERNEL, K_CONFIG_ERROR, {"violation": violation})
             print(f"config error: {violation}", file=err)

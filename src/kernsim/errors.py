@@ -1,5 +1,5 @@
 """Exception types shared across the simulator, and the integer check
-every input validator uses."""
+and bound wording every input validator uses."""
 
 from typing import Optional
 
@@ -12,6 +12,15 @@ def int_in(value, lo: int, hi: Optional[int] = None) -> bool:
     """
     return (isinstance(value, int) and not isinstance(value, bool)
             and lo <= value and (hi is None or value <= hi))
+
+
+def int_violation(what: str, value, lo: int,
+                  hi: Optional[int] = None) -> Optional[str]:
+    """None if value is an integer in [lo, hi], else the violation sentence."""
+    if int_in(value, lo, hi):
+        return None
+    bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    return f"{what} must be an integer {bound}, got {value!r}"
 
 
 class KernsimError(Exception):

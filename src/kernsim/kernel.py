@@ -68,7 +68,6 @@ from .memory import (
     EMPTY_REGION,
     READ,
     WRITE,
-    Accessor,
     MemoryController,
     MemoryRegion,
 )
@@ -212,14 +211,14 @@ class ScopedRegion:
         if length is None:
             length = self._region.length - offset
         base = self._span(offset, length)
-        return self._memory.read(Accessor.kernel(), base, length, note=self._note)
+        return self._memory.read(None, base, length, note=self._note)
 
     def write(self, offset: int, data: bytes) -> None:
         if self._region.access != ACCESS_RW:
             raise WriteToReadOnly(
                 f"capsule {self._note['via']!r} wrote through a read-only share")
         base = self._span(offset, len(data))
-        self._memory.write(Accessor.kernel(), base, data, note=self._note)
+        self._memory.write(None, base, data, note=self._note)
 
     def write_u8(self, offset: int, value: int) -> None:
         self.write(offset, bytes([value & 0xFF]))
@@ -499,12 +498,11 @@ class Kernel:
         pid = next(self._next_pid)
         flash = MemoryRegion(flash_base, len(payload), ACCESS_READ)
         ram = MemoryRegion(ram_base, header.min_memory, ACCESS_RW)
-        kernel_acc = Accessor.kernel()
         if flash.length:
-            self.memory.write(kernel_acc, flash.base, payload,
+            self.memory.write(None, flash.base, payload,
                               note={"purpose": "load_image", "pid": pid})
         if ram.length:
-            self.memory.write(kernel_acc, ram.base, bytes(ram.length),
+            self.memory.write(None, ram.base, bytes(ram.length),
                               note={"purpose": "load_zero", "pid": pid})
         pcb = ProcessControlBlock(
             id=pid, name=script.name or name, ram=ram, flash=flash,
@@ -707,7 +705,7 @@ class Kernel:
                     f"grant needs {schema_size}")
             base = pcb.grant_watermark - schema_size
             if schema_size:
-                self.memory.write(Accessor.kernel(), base, bytes(schema_size),
+                self.memory.write(None, base, bytes(schema_size),
                                   note={"via": capsule_name,
                                         "purpose": "grant_zero", "pid": pid})
             region = pcb.grants[capsule_name] = MemoryRegion(base, schema_size)
@@ -760,7 +758,7 @@ class Kernel:
     def process_local_write(self, pid: int, offset: int, data: bytes) -> bool:
         pcb = self._live_pcb(pid)
         try:
-            self.memory.write(Accessor.process(pid), pcb.ram.base + offset, data)
+            self.memory.write(pid, pcb.ram.base + offset, data)
         except AccessDenied:
             self._fault(pcb, f"write_local at offset {offset}")
             return False
@@ -770,8 +768,7 @@ class Kernel:
                            length: int) -> Optional[bytes]:
         pcb = self._live_pcb(pid)
         try:
-            return self.memory.read(Accessor.process(pid),
-                                    pcb.ram.base + offset, length)
+            return self.memory.read(pid, pcb.ram.base + offset, length)
         except AccessDenied:
             self._fault(pcb, f"read_local at offset {offset}")
             return None

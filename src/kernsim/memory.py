@@ -64,28 +64,6 @@ class MemoryRegion:
 EMPTY_REGION = MemoryRegion(0, 0, ACCESS_NONE)
 
 
-@dataclass(frozen=True)
-class Accessor:
-    """Who is touching memory: the kernel, or one process."""
-
-    kind: str
-    pid: Optional[int] = None
-
-    @classmethod
-    def kernel(cls) -> "Accessor":
-        return cls("kernel")
-
-    @classmethod
-    def process(cls, pid: int) -> "Accessor":
-        return cls("process", pid)
-
-    @property
-    def actor(self) -> str:
-        if self.kind == "kernel":
-            return ACTOR_KERNEL
-        return actor_process(self.pid)
-
-
 class MemoryController:
     """One flat byte array plus the per-process region tables."""
 
@@ -151,15 +129,15 @@ class MemoryController:
 
     # -- the access path ----------------------------------------------------
 
-    def access(self, accessor: Accessor, base: int, length: int, kind: str,
+    def access(self, pid: Optional[int], base: int, length: int, kind: str,
                data: Optional[bytes] = None, note: Optional[Dict] = None) -> bytes:
-        """Perform a checked read or write.
+        """Perform a checked read or write by process ``pid``, or by the
+        kernel if ``pid`` is None.
 
-        Kernel accessors bypass region checks but not bounds checks.
-        Process accessors must have full region coverage; a violation
-        raises :class:`AccessDenied` (the caller decides the process's
-        fate). Returns the bytes read, or ``b""`` for writes and for all
-        zero-length accesses.
+        The kernel bypasses region checks but not bounds checks. A process
+        must have full region coverage; a violation raises
+        :class:`AccessDenied` (the caller decides the process's fate).
+        Returns the bytes read, or ``b""`` for writes and zero-length ones.
         """
         if kind == WRITE:
             if data is None:
@@ -170,16 +148,16 @@ class MemoryController:
             # Never touches the array, never faults, leaves no trace event.
             return b""
 
-        if accessor.kind == "kernel":
+        actor = ACTOR_KERNEL if pid is None else actor_process(pid)
+        if pid is None:
             if base < 0 or base + length > self.total_size:
                 raise OutOfBounds(
                     f"kernel access [{base}, {base + length}) outside space")
-        else:
-            if not self.check_access(accessor.pid, base, length, kind):
-                if self.trace is not None:
-                    self.trace.log(accessor.actor, K_MEM_FAULT,
-                                   {"base": base, "len": length, "op": kind})
-                raise AccessDenied(accessor.pid, base, length, kind)
+        elif not self.check_access(pid, base, length, kind):
+            if self.trace is not None:
+                self.trace.log(actor, K_MEM_FAULT,
+                               {"base": base, "len": length, "op": kind})
+            raise AccessDenied(pid, base, length, kind)
 
         if kind == READ:
             result = bytes(self.data[base:base + length])
@@ -191,15 +169,15 @@ class MemoryController:
             payload = {"base": base, "len": length, "op": kind}
             if note:
                 payload.update(note)
-            self.trace.log(accessor.actor, K_MEM_ACCESS, payload)
+            self.trace.log(actor, K_MEM_ACCESS, payload)
         return result
 
     # Convenience wrappers used by the kernel and tests.
 
-    def read(self, accessor: Accessor, base: int, length: int,
+    def read(self, pid: Optional[int], base: int, length: int,
              note: Optional[Dict] = None) -> bytes:
-        return self.access(accessor, base, length, READ, note=note)
+        return self.access(pid, base, length, READ, note=note)
 
-    def write(self, accessor: Accessor, base: int, data: bytes,
+    def write(self, pid: Optional[int], base: int, data: bytes,
               note: Optional[Dict] = None) -> None:
-        self.access(accessor, base, len(data), WRITE, data=data, note=note)
+        self.access(pid, base, len(data), WRITE, data=data, note=note)

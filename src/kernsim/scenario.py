@@ -20,8 +20,8 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
-from .abi import ALLOW_CLASSES, SyscallInvocation, decode_invocation
-from .errors import MalformedInvocation, ScenarioError, int_in
+from .abi import U32_MAX, ALLOW_CLASSES, SyscallInvocation, decode_invocation
+from .errors import MalformedInvocation, ScenarioError, int_violation
 
 VALID_SEGMENTS = ("ram", "flash", "abs")
 MAX_STATEMENTS = 200_000
@@ -50,12 +50,10 @@ class ScenarioScript:
     credential_digest: Optional[int] = None  # explicit override; None = computed
 
 
-def _parse_int(value, what: str, minimum: int = 0,
-               limit: Optional[int] = None) -> int:
-    """value, if it is an integer >= minimum and (given a limit) < limit."""
-    if not int_in(value, minimum, None if limit is None else limit - 1):
-        bound = f">= {minimum}" if limit is None else f"in [{minimum}, {limit})"
-        raise ScenarioError(f"{what} must be an integer {bound}, got {value!r}")
+def _parse_int(value, what: str, hi: Optional[int] = None) -> int:
+    """value, if it is an integer in [0, hi] (hi None: no upper bound)."""
+    if problem := int_violation(what, value, 0, hi):
+        raise ScenarioError(problem)
     return value
 
 
@@ -92,12 +90,12 @@ def _parse_statements(raw_list, where: str, in_handler: bool,
             count = _parse_int(raw.get("count"), f"{where}: loop count")
             body = _parse_statements(raw.get("body", []), f"{where}/loop",
                                      in_handler, budget)
-            for _ in range(count):
-                budget[0] -= len(body)
-                if budget[0] < 0:
-                    raise ScenarioError(
-                        f"script exceeds {MAX_STATEMENTS} statements after unrolling")
-                out.extend(body)
+            budget[0] -= len(body) * count
+            if budget[0] < 0:
+                raise ScenarioError(
+                    f"script exceeds {MAX_STATEMENTS} statements after unrolling")
+            if body:  # an empty body unrolls to nothing, whatever the count
+                out.extend(body * count)
             continue
         if op == "sync_command":
             if in_handler:
@@ -139,7 +137,7 @@ def _parse_statements(raw_list, where: str, in_handler: bool,
             hexdata = raw.get("data", "")
             try:
                 data = binascii.unhexlify(hexdata)
-            except (binascii.Error, TypeError):
+            except (ValueError, TypeError):  # not hex, or not ASCII
                 raise ScenarioError(f"{where}: write_local data must be hex") from None
             out.append(Stmt("write_local", offset=offset, data=data))
         elif op == "read_local":
@@ -171,7 +169,7 @@ def parse_script(data: Dict[str, Any], name: str = "app") -> ScenarioScript:
         raise ScenarioError(f"credential must be an object, got {credential!r}")
     digest = credential.get("digest")
     if digest is not None:
-        digest = _parse_int(digest, "credential digest", limit=1 << 64)
+        digest = _parse_int(digest, "credential digest", (1 << 64) - 1)
     entry = data.get("entry", "main")
     try:
         entry_fits = isinstance(entry, str) and len(entry.encode("utf-8")) < 1 << 16
@@ -181,12 +179,15 @@ def parse_script(data: Dict[str, Any], name: str = "app") -> ScenarioScript:
         raise ScenarioError("entry must be a string of fewer than 65536 UTF-8 "
                             f"bytes, got {entry!r:.80}")
 
+    name = data.get("name", name)
+    if not isinstance(name, str):
+        raise ScenarioError(f"name must be a string, got {name!r}")
     return ScenarioScript(
-        name=data.get("name", name),
+        name=name,
         min_memory=_parse_int(data.get("min_memory", DEFAULT_MIN_MEMORY),
-                              "min_memory", limit=1 << 32),
+                              "min_memory", U32_MAX),
         key_id=_parse_int(credential.get("key_id", 0), "credential key_id",
-                          limit=1 << 16),
+                          0xFFFF),
         entry=entry,
         main=main,
         handlers=handlers,

@@ -56,6 +56,35 @@ def test_decode_rejects_bad_field_types():
         decode_invocation({"class": "subscribe", "driver": 0, "sub": 0, "fn": 7})
 
 
+@pytest.mark.parametrize("record, needle", [
+    ({"class": "command", "driver": -1, "cmd": 1}, "field 'driver'"),
+    ({"class": "command", "driver": 0, "cmd": 2 ** 32}, "field 'cmd'"),
+    ({"class": "command", "driver": 0, "cmd": 1, "args": [0, -1]}, "field 'arg1'"),
+    ({"class": "command", "driver": 0, "cmd": 1, "args": [True]}, "field 'arg0'"),
+    ({"class": "subscribe", "driver": 0, "sub": 0, "userdata": -1},
+     "field 'userdata'"),
+    ({"class": "rw_allow", "driver": 2, "buf": 0, "base": 0, "len": -1},
+     "field 'len'"),
+    ({"class": "ro_allow", "driver": 2, "buf": 0, "base": -8, "len": 0},
+     "field 'base'"),
+], ids=["driver_negative", "cmd_past_u32", "arg1_negative", "arg0_true",
+        "userdata_negative", "len_negative", "base_negative"])
+def test_decode_bounds_each_integer_to_a_register(record, needle):
+    with pytest.raises(MalformedInvocation,
+                       match=f"^{needle} must be an integer in \\[0, 4294967295\\]"):
+        decode_invocation(record)
+
+
+def test_decode_accepts_the_largest_register_value():
+    top = 2 ** 32 - 1
+    assert decode_invocation({"class": "command", "driver": top, "cmd": top,
+                              "args": [top, top]}) == \
+        SyscallInvocation.command(top, top, top, top)
+    assert decode_invocation({"class": "rw_allow", "driver": top, "buf": top,
+                              "base": top, "len": top}) == \
+        SyscallInvocation.rw_allow(top, top, top, top)
+
+
 def test_invocation_encode_decode_round_trip():
     invocations = [
         SyscallInvocation.yield_(YieldMode.WAIT),

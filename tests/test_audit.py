@@ -1,6 +1,8 @@
 """The auditors must actually catch violations, not just stay quiet on
 good traces; each gets a synthetic bad trace here."""
 
+import pytest
+
 from kernsim.audit import (
     audit_capabilities,
     audit_capsule_memory,
@@ -49,15 +51,32 @@ def test_memory_traffic_during_allow_flagged():
     assert len(audit_zero_length_allows(bad)) == 1
 
 
+def _allow(seq, driver, buf, base, length, ret):
+    return [ev(seq, "process:1", "syscall",
+               {"call": {"class": "rw_allow", "driver": driver, "buf": buf,
+                         "base": base, "len": length}}),
+            ev(seq + 1, "process:1", "syscall_return", {"ret": ret})]
+
+
 def test_failed_zero_length_allow_flagged():
-    bad = [
-        ev(0, "process:1", "syscall", {"call": {"class": "rw_allow", "driver": 2,
-                                                "buf": 0, "base": 500, "len": 0}}),
-        ev(1, "process:1", "syscall_return",
-           {"ret": {"variant": "failure_region", "err": "INVAL",
-                    "base": 500, "len": 0}}),
-    ]
+    # The later allow to the same slot succeeds, so the slot exists and
+    # only the base can have refused the zero-length one.
+    bad = _allow(0, 2, 0, 500, 0, {"variant": "failure_region", "err": "INVAL",
+                                   "base": 500, "len": 0}) + \
+        _allow(2, 2, 0, 0, 16, {"variant": "success_region", "base": 0, "len": 0})
     assert len(audit_zero_length_allows(bad)) == 1
+    # No error but a missing driver or buffer number refuses one.
+    nomem = _allow(0, 2, 0, 500, 0, {"variant": "failure_region", "err": "NOMEM",
+                                     "base": 500, "len": 0})
+    assert len(audit_zero_length_allows(nomem)) == 1
+
+
+@pytest.mark.parametrize("driver, buf, err", [(9, 0, "NODEVICE"), (0, 0, "INVAL"),
+                                              (2, 1, "INVAL")])
+def test_zero_length_allow_to_a_missing_slot_may_fail(driver, buf, err):
+    refused = _allow(0, driver, buf, 0, 0, {"variant": "failure_region",
+                                            "err": err, "base": 0, "len": 0})
+    assert audit_zero_length_allows(refused) == []
 
 
 def test_allow_returning_non_region_flagged():

@@ -344,6 +344,11 @@ def _add_annotation(cfg, **fields):
                  id="annotation_driver_id_true"),
     pytest.param(lambda cfg: cfg.update(ram_size=True), "ram_size",
                  id="ram_size_true"),
+    pytest.param(lambda cfg: cfg.update(name={"x": [1, None]}),
+                 "name must be a string, got {'x': [1, None]}", id="name_an_object"),
+    pytest.param(lambda cfg: cfg.update(loader="lazy"),
+                 "loader must be one of ('sync', 'async'), got 'lazy'",
+                 id="loader_unknown"),
     pytest.param(lambda cfg: cfg.update(ram_size=2 ** 40), "ram_size",
                  id="ram_size_2_to_the_40"),
     pytest.param(lambda cfg: cfg.update(ram_size=MAX_RAM_SIZE + 1), "ram_size",
@@ -500,6 +505,18 @@ def test_unparsable_file_is_exit_2_at_check_and_run(tmp_path, capsys, where,
     pytest.param({"entry": 5}, id="entry_a_number"),
     pytest.param({"entry": "\u00e9" * 2 ** 15}, id="entry_past_u16_bytes"),
     pytest.param({"entry": "\ud800"}, id="entry_lone_surrogate"),
+    pytest.param({"name": {"x": [1, None]}}, id="name_an_object"),
+    pytest.param({"main": [{"op": "syscall", "call": {
+        "class": "ro_allow", "driver": 1, "buf": 0, "base": 0, "len": -1}}]},
+        id="allow_len_negative"),
+    pytest.param({"main": [{"op": "syscall", "call": {
+        "class": "ro_allow", "seg": "abs", "driver": 1, "buf": 0, "base": -8,
+        "len": 0}}]}, id="allow_abs_base_negative"),
+    pytest.param({"main": [{"op": "syscall", "call": {
+        "class": "command", "driver": 1, "cmd": 1, "args": [2 ** 32]}}]},
+        id="command_arg_past_u32"),
+    pytest.param({"main": [{"op": "write_local", "offset": 0, "data": "\u00e9"}]},
+                 id="write_local_data_not_ascii"),
 ])
 def test_scenario_header_out_of_range_is_exit_2_at_run(tmp_path, capsys, header):
     app = tmp_path / "app.json"
@@ -512,11 +529,12 @@ def test_scenario_header_out_of_range_is_exit_2_at_run(tmp_path, capsys, header)
     assert events[-1]["kind"] == "config_error"
 
 
-@pytest.mark.parametrize("where", ["missing_dir", "is_a_dir"])
+@pytest.mark.parametrize("where", ["missing_dir", "is_a_dir", "nul_in_path"])
 def test_unwritable_trace_path_is_exit_2_before_simulating(tmp_path, capsys,
                                                           where):
-    trace_path = tmp_path / "no" / "such" / "x.jsonl" if where == "missing_dir" \
-        else tmp_path
+    trace_path = {"missing_dir": tmp_path / "no" / "such" / "x.jsonl",
+                  "is_a_dir": tmp_path,
+                  "nul_in_path": f"{tmp_path}/no\x00such.jsonl"}[where]
     code = cli_main(["run", "--board", str(BOARDS_DIR / "demo.json"),
                      "--app", str(SCENARIOS_DIR / "demo_a.json"),
                      "--trace", str(trace_path)])

@@ -7,7 +7,6 @@ from kernsim.memory import (
     ACCESS_RW,
     READ,
     WRITE,
-    Accessor,
     MemoryController,
     MemoryRegion,
 )
@@ -22,8 +21,8 @@ def controller(size=8192, mpu_max_regions=8):
 def test_in_bounds_write_at_region_edge():
     mem = controller()
     mem.configure_regions(1, [MemoryRegion(0, 4096, ACCESS_RW)])
-    mem.write(Accessor.process(1), 4095, b"\xaa")
-    assert mem.read(Accessor.process(1), 4095, 1) == b"\xaa"
+    mem.write(1, 4095, b"\xaa")
+    assert mem.read(1, 4095, 1) == b"\xaa"
 
 
 def test_region_count_limit():
@@ -50,8 +49,8 @@ def test_reconfigure_discards_previous_regions():
     mem.configure_regions(1, [MemoryRegion(0, 64, ACCESS_RW)])
     mem.configure_regions(1, [MemoryRegion(64, 64, ACCESS_RW)])
     with pytest.raises(AccessDenied):
-        mem.read(Accessor.process(1), 0, 1)
-    mem.read(Accessor.process(1), 64, 1)
+        mem.read(1, 0, 1)
+    mem.read(1, 64, 1)
 
 
 def test_boundary_enumeration_against_oracle():
@@ -64,56 +63,56 @@ def test_boundary_enumeration_against_oracle():
         expected = mpu_allowed(regions, base, 1, "read")
         assert mem.check_access(1, base, 1, READ) == expected
     with pytest.raises(AccessDenied):
-        mem.read(Accessor.process(1), 4096, 1)
+        mem.read(1, 4096, 1)
 
 
 def test_write_overlapping_edge_by_one_byte_denied():
     mem = controller()
     mem.configure_regions(1, [MemoryRegion(0, 64, ACCESS_RW)])
     with pytest.raises(AccessDenied):
-        mem.write(Accessor.process(1), 60, b"\x00" * 5)
+        mem.write(1, 60, b"\x00" * 5)
 
 
 def test_coverage_may_span_adjacent_regions():
     mem = controller()
     mem.configure_regions(1, [MemoryRegion(0, 32, ACCESS_RW),
                               MemoryRegion(32, 32, ACCESS_RW)])
-    mem.write(Accessor.process(1), 28, b"\x11" * 8)
-    assert mem.read(Accessor.process(1), 28, 8) == b"\x11" * 8
+    mem.write(1, 28, b"\x11" * 8)
+    assert mem.read(1, 28, 8) == b"\x11" * 8
 
 
 def test_read_only_region_rejects_writes():
     mem = controller()
     mem.configure_regions(1, [MemoryRegion(0, 64, ACCESS_READ)])
-    assert mem.read(Accessor.process(1), 0, 4) == b"\x00" * 4
+    assert mem.read(1, 0, 4) == b"\x00" * 4
     with pytest.raises(AccessDenied):
-        mem.write(Accessor.process(1), 0, b"\x01")
+        mem.write(1, 0, b"\x01")
 
 
 def test_none_region_grants_nothing():
     mem = controller()
     mem.configure_regions(1, [MemoryRegion(0, 64, ACCESS_NONE)])
     with pytest.raises(AccessDenied):
-        mem.read(Accessor.process(1), 0, 1)
+        mem.read(1, 0, 1)
 
 
 def test_zero_length_access_never_faults_or_touches():
     mem = controller(size=256)
     mem.configure_regions(1, [])
     snapshot = bytes(mem.data)
-    assert mem.read(Accessor.process(1), 999999, 0) == b""
-    mem.write(Accessor.process(1), 123456, b"")
-    assert mem.read(Accessor.kernel(), 400, 0) == b""  # even past the end
+    assert mem.read(1, 999999, 0) == b""
+    mem.write(1, 123456, b"")
+    assert mem.read(None, 400, 0) == b""  # even past the end
     assert bytes(mem.data) == snapshot
 
 
 def test_kernel_bypasses_regions_but_not_bounds():
     mem = controller(size=256)
     mem.configure_regions(1, [])
-    mem.write(Accessor.kernel(), 0, b"\xfe")
-    assert mem.read(Accessor.kernel(), 0, 1) == b"\xfe"
+    mem.write(None, 0, b"\xfe")
+    assert mem.read(None, 0, 1) == b"\xfe"
     with pytest.raises(OutOfBounds):
-        mem.read(Accessor.kernel(), 250, 10)
+        mem.read(None, 250, 10)
 
 
 def test_denied_access_modifies_nothing():
@@ -121,7 +120,7 @@ def test_denied_access_modifies_nothing():
     mem.configure_regions(1, [MemoryRegion(0, 16, ACCESS_RW)])
     snapshot = bytes(mem.data)
     with pytest.raises(AccessDenied):
-        mem.write(Accessor.process(1), 8, b"\xff" * 16)  # tail out of region
+        mem.write(1, 8, b"\xff" * 16)  # tail out of region
     assert bytes(mem.data) == snapshot
 
 

@@ -39,6 +39,12 @@ def test_unroll_budget_enforced():
             {"op": "loop", "count": 10 ** 6, "body": [{"op": "halt"}]}]})
 
 
+def test_empty_loop_body_unrolls_to_nothing_whatever_the_count():
+    script = parse_script({"main": [{"op": "loop", "count": 2 ** 80, "body": []},
+                                    {"op": "halt"}]})
+    assert [s.op for s in script.main] == ["halt"]
+
+
 def test_sync_command_macro_expands_to_four_calls():
     script = parse_script({"main": [
         {"op": "sync_command", "driver": 0, "cmd": 1, "args": [500, 0],
