@@ -48,7 +48,7 @@ from .hw import (
     SimClock,
     UartHw,
 )
-from .kernel import Kernel, LoaderJob
+from .kernel import Kernel, LoaderJob, PackedApp
 from .loader import VERIFIER_POLICIES, fnv1a64, pack_binary
 from .memory import MemoryController
 from .regmap import RegisterMapSpec, load_register_map
@@ -339,7 +339,10 @@ class Board:
                                              pcfgs[pname]["irq"], **kwargs)
 
         alarm, uart = build("alarm"), build("uart", trace=self.trace)
-        hashengine = build("hashengine", digest_fn=fnv1a64)
+        # The engine digests through the loader, which holds what the
+        # packer already computed.
+        hashengine = build("hashengine",
+                           digest_fn=lambda payload: self.kernel.loader.digest(payload))
         self.chip = Chip(clock, irqc, alarm, uart, hashengine)
         self.memory = MemoryController(config.ram_size, config.mpu_max_regions,
                                        self.trace)
@@ -400,17 +403,26 @@ class Board:
 
     def load_app(self, source: bytes, name: str = "app") -> LoaderJob:
         """Pack a scenario file into a process binary and hand it to the
-        configured loader."""
+        configured loader, together with the parsed script and the digest
+        computed here; the loader reuses them for a byte-equal payload."""
+        source = bytes(source)
         script = parse_script_bytes(source, name)
+        computed = None if script.credential_digest is not None else fnv1a64(source)
+        digest = script.credential_digest if computed is None else computed
         blob = pack_binary(source, script.min_memory, entry_name=script.entry,
-                           digest=script.credential_digest, key_id=script.key_id)
-        return self.load_binary(blob, script.name)
+                           digest=digest, key_id=script.key_id)
+        return self._load(blob, script.name, PackedApp(source, script, computed))
 
     def load_binary(self, blob: bytes, name: str = "app") -> LoaderJob:
-        """Feed an already-packed binary to the configured loader."""
+        """Feed an already-packed binary to the configured loader, which
+        parses and digests its payload afresh."""
+        return self._load(blob, name, None)
+
+    def _load(self, blob: bytes, name: str,
+              packed: Optional[PackedApp]) -> LoaderJob:
         if self.config.loader == "sync":
-            return self.kernel.load_process_sync(self._boot_token, blob, name)
-        return self.kernel.load_process_async(self._boot_token, blob, name)
+            return self.kernel.load_process_sync(self._boot_token, blob, name, packed)
+        return self.kernel.load_process_async(self._boot_token, blob, name, packed)
 
     # -- the run loop ------------------------------------------------------------
 

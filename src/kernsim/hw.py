@@ -170,6 +170,10 @@ class AlarmHw:
         return (values[self._compare_at] - values[self._count_at]) & TICK_MASK
 
 
+# The encoded trace payload of a uart_tx event, one per byte value.
+_TX_PAYLOADS = tuple(f'{{"byte":{byte}}}' for byte in range(256))
+
+
 class UartHw:
     """Transmit-only UART whose DMA engine moves ``bytes_per_tick`` bytes
     a tick.
@@ -195,6 +199,7 @@ class UartHw:
         irqc.add_line(irq_id, spec.name)
         self.bytes_per_tick = bytes_per_tick
         self.trace = trace
+        self._actor = actor_hw(spec.name)
         self.output = bytearray()
         self._window = None
         self._sent = 0
@@ -208,7 +213,7 @@ class UartHw:
     def _emit(self, byte: int) -> None:
         self.output.append(byte)
         if self.trace is not None:
-            self.trace.log(actor_hw(self.regs.spec.name), K_UART_TX, {"byte": byte})
+            self.trace.log(self._actor, K_UART_TX, _TX_PAYLOADS[byte])
 
     @property
     def busy(self) -> bool:

@@ -71,7 +71,7 @@ from .memory import (
     MemoryController,
     MemoryRegion,
 )
-from .scenario import ProcessProgram, parse_script_bytes
+from .scenario import ProcessProgram, ScenarioScript, parse_script_bytes
 from .trace import (
     ACTOR_KERNEL,
     K_CAPSULE_ERROR,
@@ -279,6 +279,18 @@ class CapsuleServices:
 
 # --- process loading --------------------------------------------------------------
 
+@dataclass(eq=False)
+class PackedApp:
+    """What the packer learned about one payload, handed to the loader so
+    that the same bytes are not parsed and digested twice: the script as
+    parsed under the job's name and, unless the script names its own
+    credential digest, the payload's FNV-1a-64. The loader uses them only
+    for a payload byte-equal to ``payload``."""
+    payload: bytes
+    script: ScenarioScript
+    digest: Optional[int]
+
+
 @dataclass
 class LoaderJob:
     job_id: int
@@ -291,6 +303,10 @@ class LoaderJob:
     reject_reason: Optional[RejectReason] = None
     detail: str = ""
     pid: Optional[int] = None
+    packed: Optional[PackedApp] = None  # held until the job ends
+
+
+_JOB_ENDS = (LoaderState.RUNNABLE, LoaderState.REJECTED)
 
 
 class ProcessLoader:
@@ -301,11 +317,18 @@ class ProcessLoader:
         self.kernel = kernel
         self._ids = count(1)
         self._waiting: List[LoaderJob] = []
+        # The packer's results for jobs still loading, keyed by the exact
+        # payload bytes; several jobs may load byte-equal payloads.
+        self._handoff: Dict[bytes, List[PackedApp]] = {}
 
-    def submit(self, token, blob: bytes, name: str, sync: bool) -> LoaderJob:
+    def submit(self, token, blob: bytes, name: str, sync: bool,
+               packed: Optional[PackedApp] = None) -> LoaderJob:
         kernel = self.kernel
         kernel.registry.validate(token, CapabilityKind.LOADER_CONTROL)
-        job = LoaderJob(next(self._ids), blob, name, sync)
+        # bytes, so that the payload can key the hand-off
+        job = LoaderJob(next(self._ids), bytes(blob), name, sync, packed=packed)
+        if packed is not None:
+            self._handoff.setdefault(packed.payload, []).append(packed)
         kernel.trace.log(ACTOR_KERNEL, K_PRIVILEGED_OP,
                          {"op": "load_process",
                           "kind": CapabilityKind.LOADER_CONTROL.value,
@@ -316,6 +339,12 @@ class ProcessLoader:
 
     def _transition(self, job: LoaderJob, state: LoaderState, **extra) -> None:
         job.state = state
+        if state in _JOB_ENDS and job.packed is not None:
+            held = self._handoff[job.packed.payload]
+            held.remove(job.packed)
+            if not held:
+                del self._handoff[job.packed.payload]
+            job.packed = None
         payload: Dict[str, Any] = {"job": job.job_id, "state": state.value}
         if job.pid is not None:
             payload["pid"] = job.pid
@@ -338,12 +367,14 @@ class ProcessLoader:
             except HeaderError as exc:
                 self._reject(job, RejectReason.BAD_HEADER, str(exc))
                 return job.state
+            if job.packed is not None and job.packed.payload == job.payload:
+                job.payload = job.packed.payload  # keep one copy of the bytes
             self._transition(job, LoaderState.HEADER_CHECKED)
             self._transition(job, LoaderState.INTEGRITY_PENDING)
             if job.sync:
-                # Same machine, driven inline: the digest is computed on
-                # the spot instead of by the hash engine.
-                return self.advance(job, "digest_done", fnv1a64(job.payload))
+                # Same machine, driven inline: the digest is taken on the
+                # spot instead of by the hash engine.
+                return self.advance(job, "digest_done", self.digest(job.payload))
             self._enqueue_hash(job)
             return job.state
 
@@ -358,7 +389,7 @@ class ProcessLoader:
                 return job.state
             self._transition(job, LoaderState.INTEGRITY_CHECKED)
             pid, reason, detail = kernel.try_create_process(
-                job.header, job.payload, job.name)
+                job.header, job.payload, job.name, job.packed)
             if pid is None:
                 self._reject(job, reason, detail)
             else:
@@ -367,6 +398,15 @@ class ProcessLoader:
             return job.state
 
         raise InvalidTransition(f"unknown loader event {event!r}")
+
+    def digest(self, payload: bytes) -> int:
+        """The payload's FNV-1a-64, as the sync path and the hash engine
+        take it: the packer's value if a job still loading handed one over
+        for byte-equal bytes, else computed."""
+        for packed in self._handoff.get(payload, ()):
+            if packed.digest is not None:
+                return packed.digest
+        return fnv1a64(payload)
 
     def _enqueue_hash(self, job: LoaderJob) -> None:
         engine = self.kernel.chip.hashengine
@@ -473,13 +513,18 @@ class Kernel:
     # -- process creation -------------------------------------------------------
 
     def try_create_process(self, header: BinaryHeader, payload: bytes,
-                           name: str):
+                           name: str, packed: Optional[PackedApp] = None):
         """Runnability stage: returns (pid, None, "") or
-        (None, reject_reason, detail)."""
-        try:
-            script = parse_script_bytes(payload, name)
-        except ScenarioError as exc:
-            return None, RejectReason.NOT_RUNNABLE, str(exc)
+        (None, reject_reason, detail). The packer's script is used only
+        for a byte-equal payload parsed under the same name."""
+        if packed is not None and packed.script.name == name and \
+                packed.payload == payload:
+            script = packed.script
+        else:
+            try:
+                script = parse_script_bytes(payload, name)
+            except ScenarioError as exc:
+                return None, RejectReason.NOT_RUNNABLE, str(exc)
         if header.entry_name != "main" or script.entry != "main":
             return None, RejectReason.NOT_RUNNABLE, \
                 f"no entry handler {header.entry_name!r}"
@@ -843,11 +888,13 @@ class Kernel:
         return [{"capsule": name, "base": region.base, "size": region.length}
                 for name, region in pcb.grants.items()]
 
-    def load_process_sync(self, token, blob: bytes, name: str) -> LoaderJob:
-        return self.loader.submit(token, blob, name, sync=True)
+    def load_process_sync(self, token, blob: bytes, name: str,
+                          packed: Optional[PackedApp] = None) -> LoaderJob:
+        return self.loader.submit(token, blob, name, True, packed)
 
-    def load_process_async(self, token, blob: bytes, name: str) -> LoaderJob:
-        return self.loader.submit(token, blob, name, sync=False)
+    def load_process_async(self, token, blob: bytes, name: str,
+                           packed: Optional[PackedApp] = None) -> LoaderJob:
+        return self.loader.submit(token, blob, name, False, packed)
 
     # -- the loop --------------------------------------------------------------------------
 

@@ -58,20 +58,19 @@ def _parse_int(value, what: str, hi: Optional[int] = None) -> int:
 
 
 def _expand_sync_command(raw: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """subscribe + command + yield-wait + expect, in one scripted line."""
-    driver = _parse_int(raw.get("driver"), "sync_command driver")
-    cmd = _parse_int(raw.get("cmd"), "sync_command cmd")
+    """subscribe + command + yield-wait + expect, in one scripted line. The
+    integers are checked where the expanded calls are decoded."""
     fn = raw.get("fn")
     if not isinstance(fn, str):
         raise ScenarioError("sync_command needs a handler name in 'fn'")
-    sub = _parse_int(raw.get("sub", 0), "sync_command sub")
-    userdata = _parse_int(raw.get("userdata", 0), "sync_command userdata")
-    args = raw.get("args", [0, 0])
+    driver = raw.get("driver")
     return [
         {"op": "syscall", "call": {"class": "subscribe", "driver": driver,
-                                   "sub": sub, "fn": fn, "userdata": userdata}},
+                                   "sub": raw.get("sub", 0), "fn": fn,
+                                   "userdata": raw.get("userdata", 0)}},
         {"op": "syscall", "call": {"class": "command", "driver": driver,
-                                   "cmd": cmd, "args": args}},
+                                   "cmd": raw.get("cmd"),
+                                   "args": raw.get("args", [0, 0])}},
         {"op": "syscall", "call": {"class": "yield", "mode": "wait"}},
         {"op": "expect", "pattern": {"variant": "success"}},
     ]

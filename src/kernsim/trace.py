@@ -9,15 +9,17 @@ meaningful property and a run that dies leaves every earlier event.
 
 A line is built from a fixed template: the seq and tick integers, then a
 prefix holding the encoded actor and kind, cached per (actor, kind) pair,
-then the payload, which is encoded only when it is not empty. The bytes
-are those of ``json.dumps(record, separators=(",", ":"))``.
+then the payload, which is encoded only when it is not empty. A payload
+given as a ``str`` is taken as already encoded, so that an emitter with
+few distinct payloads can encode each once. The bytes are those of
+``json.dumps(record, separators=(",", ":"))``.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from typing import Any, Callable, Dict, Optional, TextIO, Tuple
+from typing import Any, Callable, Dict, Optional, TextIO, Tuple, Union
 
 ACTOR_KERNEL = "kernel"
 
@@ -84,12 +86,15 @@ class TraceLog:
         self._clock = clock or (lambda: 0)
 
     def log(self, actor: str, kind: str,
-            payload: Optional[Dict[str, Any]] = None) -> None:
+            payload: Union[Dict[str, Any], str, None] = None) -> None:
         prefix = self._prefixes.get((actor, kind))
         if prefix is None:
             encode = self._encode
             prefix = self._prefixes[actor, kind] = \
                 f',"actor":{encode(actor)},"kind":{encode(kind)},"payload":'
-        body = self._encode(payload) if payload else "{}"
+        if isinstance(payload, str):
+            body = payload
+        else:
+            body = self._encode(payload) if payload else "{}"
         self._write(f'{{"seq":{self._seq},"tick":{self._clock()}{prefix}{body}}}\n')
         self._seq += 1

@@ -8,9 +8,10 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kernsim.board import MAX_BUFFER_SIZE, MAX_PROCESSES, MAX_RAM_SIZE
 from kernsim.cli import main as cli_main
 
 from conftest import DATA_DIR, minimal_board_dict
@@ -68,9 +69,18 @@ def workdir(tmp_path_factory):
     return path
 
 
+# A derandomized run draws the same values for every field, so each field
+# also gets a bool, a list and the value just past each integer bound:
+# RAM size, max_processes, buffer_size and the alarm's 32-bit initial_count.
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: ".".join(map(str, f)))
 @settings(derandomize=True, database=None, max_examples=12, deadline=None)
 @given(value=VALUES)
+@example(value=True)
+@example(value=[1])
+@example(value=MAX_RAM_SIZE + 1)
+@example(value=MAX_PROCESSES + 1)
+@example(value=MAX_BUFFER_SIZE + 1)
+@example(value=2 ** 32)
 def test_one_changed_board_field_never_crashes_check_or_run(workdir, field, value):
     cfg = _full_board()
     node = cfg

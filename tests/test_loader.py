@@ -1,7 +1,11 @@
 import pytest
 
+from kernsim import board as board_module
+from kernsim import kernel as kernel_module
+from kernsim import loader as loader_module
+from kernsim import scenario as scenario_module
 from kernsim.errors import ForeignCapability, InvalidTransition
-from kernsim.kernel import ProcessState
+from kernsim.kernel import PackedApp, ProcessState
 from kernsim.loader import (
     HeaderError,
     LoaderState,
@@ -10,6 +14,7 @@ from kernsim.loader import (
     pack_binary,
     parse_binary,
 )
+from kernsim.scenario import parse_script_bytes
 
 from conftest import make_board, script_source, trace_events
 from oracles import fnv1a64_reference
@@ -243,3 +248,137 @@ def test_dynamic_load_after_finalize_with_construction_token():
     board.run(100)
     assert job.state is LoaderState.RUNNABLE
     assert board.kernel.processes[job.pid].state is ProcessState.EXITED
+
+
+# -- the packer's parse and digest, handed to the loader ------------------------
+
+MODES = ["sync", "async"]
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts fnv1a64 and parse_script_bytes calls under every name the
+    packer, the loader and the kernel call them by."""
+    counts = {"fnv1a64": 0, "parse_script_bytes": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    digest = counted("fnv1a64", fnv1a64)
+    parse = counted("parse_script_bytes", parse_script_bytes)
+    for module in (loader_module, kernel_module, board_module):
+        monkeypatch.setattr(module, "fnv1a64", digest)
+    for module in (scenario_module, kernel_module, board_module):
+        monkeypatch.setattr(module, "parse_script_bytes", parse)
+    return counts
+
+
+def load_handed_over(board, source, tamper):
+    """Pack source as load_app does, change the blob with tamper, and load
+    it with the packer's results for the untouched source handed over."""
+    script = parse_script_bytes(source, "app")
+    digest = fnv1a64(source)
+    blob = bytearray(pack_binary(source, script.min_memory, digest=digest))
+    tamper(blob)
+    return board._load(bytes(blob), script.name, PackedApp(source, script, digest))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_load_app_parses_and_digests_each_app_once(mode, calls):
+    board = make_board(loader=mode)
+    jobs = [board.load_app(good_source(256 + 16 * i)) for i in range(3)]
+    board.run(200)
+    assert [job.state for job in jobs] == [LoaderState.RUNNABLE] * 3
+    assert calls == {"fnv1a64": 3, "parse_script_bytes": 3}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_flipped_payload_byte_misses_the_handoff(mode, calls):
+    board = make_board(loader=mode)
+
+    def flip_last(blob):
+        blob[-1] ^= 0x01
+
+    job = load_handed_over(board, good_source(), flip_last)
+    board.run(100)
+    assert job.state is LoaderState.REJECTED
+    assert job.reject_reason is RejectReason.BAD_INTEGRITY
+    assert calls["fnv1a64"] == 1  # the loader's own, over the flipped bytes
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_changed_header_digest_is_still_rejected(mode):
+    board = make_board(loader=mode)
+    source = good_source()
+
+    def change_digest(blob):
+        header, _ = parse_binary(bytes(blob))
+        blob[header.header_len - 10] ^= 0x01  # low byte of the digest
+
+    job = load_handed_over(board, source, change_digest)
+    board.run(100)
+    assert job.state is LoaderState.REJECTED
+    assert job.reject_reason is RejectReason.BAD_INTEGRITY
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_wrong_explicit_credential_digest_is_rejected(mode, calls):
+    board = make_board(loader=mode)
+    job = board.load_app(script_source([{"op": "halt"}], {}, 256,
+                                       credential={"digest": 12345}))
+    board.run(100)
+    assert job.state is LoaderState.REJECTED
+    assert job.reject_reason is RejectReason.BAD_INTEGRITY
+    assert calls["fnv1a64"] == 1  # the packer had no digest to hand over
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_one_source_loaded_twice_makes_two_processes(mode, calls):
+    board = make_board(loader=mode)
+    source = good_source()
+    first, second = board.load_app(source), board.load_app(source)
+    board.run(100)
+    assert (first.state, second.state) == (LoaderState.RUNNABLE,) * 2
+    assert first.pid != second.pid
+    assert calls == {"fnv1a64": 2, "parse_script_bytes": 2}
+    assert board.kernel.loader._handoff == {}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_no_handoff_entry_outlives_its_load(mode):
+    board = make_board(loader=mode)
+    bad_header = board._load(b"KSIMnope", "x",
+                             PackedApp(b"{}", parse_script_bytes(b"{}"), 0))
+    jobs = [board.load_app(good_source()),
+            board.load_app(b'{"main": [], "min_memory": 1048576}'),
+            board.load_app(script_source([], {}, 64, credential={"digest": 1}))]
+    assert bad_header.reject_reason is RejectReason.BAD_HEADER
+    board.run(200)
+    assert [job.state for job in jobs] == [LoaderState.RUNNABLE,
+                                           LoaderState.REJECTED,
+                                           LoaderState.REJECTED]
+    assert board.kernel.loader._handoff == {}
+    assert all(job.packed is None for job in jobs)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_the_kernel_parses_afresh_unless_payload_and_name_match(mode):
+    board = make_board(loader=mode)
+    # Same length, other bytes: the handed-over script is not used.
+    handed, loaded = (script_source([{"op": "halt"}], {}, 256, name=name)
+                      for name in ("handed", "loaded"))
+    script = parse_script_bytes(handed, "app")
+    other_bytes = board._load(pack_binary(loaded, 256), script.name,
+                              PackedApp(handed, script, fnv1a64(handed)))
+    # Same bytes with no name of their own, loaded under another name.
+    nameless = b'{"main": [{"op": "halt"}], "min_memory": 256}'
+    script = parse_script_bytes(nameless, "handed")
+    other_name = board._load(pack_binary(nameless, 256), "loaded",
+                             PackedApp(nameless, script, fnv1a64(nameless)))
+    board.run(100)
+    for job in (other_bytes, other_name):
+        assert job.state is LoaderState.RUNNABLE
+        assert board.kernel.processes[job.pid].name == "loaded"

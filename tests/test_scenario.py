@@ -2,6 +2,7 @@ import functools
 
 import pytest
 
+from kernsim import board as board_module
 from kernsim import kernel as kernel_module
 from kernsim.errors import ScenarioError
 from kernsim.kernel import ProcessState
@@ -59,6 +60,16 @@ def test_sync_command_macro_expands_to_four_calls():
         ("syscall", "yield", "wait"),
         ("expect", None, None),
     ]
+
+
+@pytest.mark.parametrize("key", ["driver", "cmd", "sub", "userdata"])
+@pytest.mark.parametrize("value", [-1, 2 ** 32, True, None])
+def test_sync_command_integers_fail_with_the_decoders_message(key, value):
+    stmt = {"op": "sync_command", "driver": 0, "cmd": 1, "fn": "h", key: value}
+    with pytest.raises(ScenarioError) as info:
+        parse_script({"main": [stmt], "handlers": {"h": []}})
+    assert str(info.value) == (f"main/sync_command: field {key!r} must be an "
+                               f"integer in [0, 4294967295], got {value!r}")
 
 
 def test_handlers_may_not_yield():
@@ -182,9 +193,11 @@ def test_handler_statements_run_inside_delivery():
 def test_allow_in_a_loop_resolves_against_each_running_process(monkeypatch):
     # Both processes share one parsed script, so the loop body's two Stmt
     # objects run three times in each process; every run must resolve
-    # its base afresh against the process that runs it.
-    monkeypatch.setattr(kernel_module, "parse_script_bytes",
-                        functools.lru_cache()(parse_script_bytes))
+    # its base afresh against the process that runs it. The packer parses
+    # and hands its script to the kernel, so both parse through one cache.
+    cached = functools.lru_cache()(parse_script_bytes)
+    monkeypatch.setattr(board_module, "parse_script_bytes", cached)
+    monkeypatch.setattr(kernel_module, "parse_script_bytes", cached)
     board = make_board()
     main = [{"op": "loop", "count": 3, "body": [
         {"op": "syscall", "call": {"class": "rw_allow", "driver": 2, "buf": 0,
