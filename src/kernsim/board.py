@@ -132,13 +132,19 @@ class BoardConfig:
     @classmethod
     def from_file(cls, path) -> "BoardConfig":
         path = Path(path)
+        raw = _read(path, "board file")
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError([f"cannot read board file: {exc}"]) from None
+            data = json.loads(raw.decode("utf-8"))
         except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
             raise ConfigError([f"board file does not parse: {exc}"]) from None
         return cls.from_dict(data, path.parent)
+
+
+def _read(path: Path, what: str) -> bytes:
+    try:
+        return path.read_bytes()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL or lone surrogate
+        raise ConfigError([f"cannot read {what}: {exc}"]) from None
 
 
 def _map_bytes(pname: str, map_ref: Optional[str],
@@ -339,10 +345,7 @@ class Board:
                                              pcfgs[pname]["irq"], **kwargs)
 
         alarm, uart = build("alarm"), build("uart", trace=self.trace)
-        # The engine digests through the loader, which holds what the
-        # packer already computed.
-        hashengine = build("hashengine",
-                           digest_fn=lambda payload: self.kernel.loader.digest(payload))
+        hashengine = build("hashengine")
         self.chip = Chip(clock, irqc, alarm, uart, hashengine)
         self.memory = MemoryController(config.ram_size, config.mpu_max_regions,
                                        self.trace)
@@ -404,25 +407,22 @@ class Board:
     def load_app(self, source: bytes, name: str = "app") -> LoaderJob:
         """Pack a scenario file into a process binary and hand it to the
         configured loader, together with the parsed script and the digest
-        computed here; the loader reuses them for a byte-equal payload."""
+        computed here; the loader keeps them only for a byte-equal payload."""
         source = bytes(source)
         script = parse_script_bytes(source, name)
         computed = None if script.credential_digest is not None else fnv1a64(source)
         digest = script.credential_digest if computed is None else computed
         blob = pack_binary(source, script.min_memory, entry_name=script.entry,
                            digest=digest, key_id=script.key_id)
-        return self._load(blob, script.name, PackedApp(source, script, computed))
+        return self.kernel.loader.submit(self._boot_token, blob, script.name,
+                                         self.config.loader == "sync",
+                                         PackedApp(source, script, computed))
 
     def load_binary(self, blob: bytes, name: str = "app") -> LoaderJob:
         """Feed an already-packed binary to the configured loader, which
         parses and digests its payload afresh."""
-        return self._load(blob, name, None)
-
-    def _load(self, blob: bytes, name: str,
-              packed: Optional[PackedApp]) -> LoaderJob:
-        if self.config.loader == "sync":
-            return self.kernel.load_process_sync(self._boot_token, blob, name, packed)
-        return self.kernel.load_process_async(self._boot_token, blob, name, packed)
+        return self.kernel.loader.submit(self._boot_token, blob, name,
+                                         self.config.loader == "sync")
 
     # -- the run loop ------------------------------------------------------------
 
@@ -494,10 +494,10 @@ def _simulate(board_path, app_paths, max_ticks: int, seed: int, out: TextIO,
         board = Board(BoardConfig.from_file(board_path), seed, out)
         trace = board.trace
         board.finalize()
-        for app_path in app_paths:
-            board.load_app(Path(app_path).read_bytes(), Path(app_path).stem)
-    except (ConfigError, OSError) as exc:  # ScenarioError is a ConfigError
-        for violation in getattr(exc, "violations", [str(exc)]):
+        for app_path in map(Path, app_paths):
+            board.load_app(_read(app_path, "app file"), app_path.stem)
+    except ConfigError as exc:  # ScenarioError is a ConfigError
+        for violation in exc.violations:
             trace.log(ACTOR_KERNEL, K_CONFIG_ERROR, {"violation": violation})
             print(f"config error: {violation}", file=err)
         return 2

@@ -258,8 +258,10 @@ class UartHw:
 class HashEngineHw:
     """Digest accelerator: one job at a time, 64 payload bytes per tick.
 
-    The digest value is published in DIGEST_LO/DIGEST_HI only when the job
-    completes, together with the completion IRQ.
+    The submitter hands over the digest of the exact bytes it submits; the
+    engine models the time the hashing takes and publishes the value in
+    DIGEST_LO/DIGEST_HI only when the job completes, together with the
+    completion IRQ.
     """
 
     REGISTERS = {"LEN": (), "STATUS": ("BUSY", "DONE"), "DIGEST_LO": (),
@@ -267,14 +269,12 @@ class HashEngineHw:
     WRITABLE = ()
 
     def __init__(self, spec: RegisterMapSpec, irqc: InterruptController,
-                 irq_id: int, chunk_bytes: int = 64,
-                 digest_fn: Optional[Callable[[bytes], int]] = None):
+                 irq_id: int, chunk_bytes: int = 64):
         self.regs = RegisterFile(spec)
         self.irqc = irqc
         self.irq_id = irq_id
         irqc.add_line(irq_id, spec.name)
         self.chunk_bytes = chunk_bytes
-        self._digest_fn = digest_fn
         self._remaining = 0
         self._pending_digest = 0
         self._job_tag = None
@@ -291,13 +291,11 @@ class HashEngineHw:
             return None
         return max(1, self._remaining)
 
-    def submit(self, payload: bytes, job_tag) -> None:
+    def submit(self, payload: bytes, job_tag, digest: int) -> None:
         if self.busy:
             raise RuntimeError("hash engine already busy")
-        if self._digest_fn is None:
-            raise RuntimeError("hash engine has no digest function")
         self._job_tag = job_tag
-        self._pending_digest = self._digest_fn(payload)
+        self._pending_digest = digest
         self._remaining = math.ceil(len(payload) / self.chunk_bytes)
         self.regs.hw_set("LEN", len(payload) & 0xFFFFFFFF)
         self.regs.hw_field_set("STATUS", "BUSY", 1)

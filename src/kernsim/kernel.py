@@ -2,8 +2,9 @@
 
 One object owns everything that runs: syscall dispatch with swap
 semantics, grant allocation inside process memory, per-process upcall
-queues, the round-robin scheduler, process lifecycle, and both process
-loaders. Capsules interact with it only through the
+queues, the round-robin scheduler, process lifecycle, and the process
+loader, one state machine that checks each binary once, synchronously or
+on the hash engine's interrupt. Capsules interact with it only through the
 :class:`CapsuleServices` facade they are handed at registration, which
 charges their step budget and never exposes storable handles.
 
@@ -284,8 +285,7 @@ class PackedApp:
     """What the packer learned about one payload, handed to the loader so
     that the same bytes are not parsed and digested twice: the script as
     parsed under the job's name and, unless the script names its own
-    credential digest, the payload's FNV-1a-64. The loader uses them only
-    for a payload byte-equal to ``payload``."""
+    credential digest, the payload's FNV-1a-64."""
     payload: bytes
     script: ScenarioScript
     digest: Optional[int]
@@ -294,57 +294,71 @@ class PackedApp:
 @dataclass
 class LoaderJob:
     job_id: int
-    blob: bytes
     name: str
-    sync: bool
     state: LoaderState = LoaderState.FETCHED
     header: Optional[BinaryHeader] = None
     payload: bytes = b""
     reject_reason: Optional[RejectReason] = None
     detail: str = ""
     pid: Optional[int] = None
-    packed: Optional[PackedApp] = None  # held until the job ends
+    # The packer's results, kept only for the payload and name they were
+    # made from.
+    packed: Optional[PackedApp] = None
 
 
-_JOB_ENDS = (LoaderState.RUNNABLE, LoaderState.REJECTED)
+def _digest(job: LoaderJob) -> int:
+    """The payload's FNV-1a-64: the packer's value if it handed one over,
+    else computed."""
+    if job.packed is not None and job.packed.digest is not None:
+        return job.packed.digest
+    return fnv1a64(job.payload)
 
 
 class ProcessLoader:
-    """Three-stage loader state machine, driven synchronously or by the
-    hash engine's completion interrupts."""
+    """Three-stage loader state machine: the header is checked when a
+    binary is submitted, then the credential and runnability once the
+    payload's digest is known, at once (sync) or on the hash engine's
+    completion interrupt (async)."""
 
     def __init__(self, kernel: "Kernel"):
         self.kernel = kernel
         self._ids = count(1)
         self._waiting: List[LoaderJob] = []
-        # The packer's results for jobs still loading, keyed by the exact
-        # payload bytes; several jobs may load byte-equal payloads.
-        self._handoff: Dict[bytes, List[PackedApp]] = {}
 
     def submit(self, token, blob: bytes, name: str, sync: bool,
                packed: Optional[PackedApp] = None) -> LoaderJob:
         kernel = self.kernel
         kernel.registry.validate(token, CapabilityKind.LOADER_CONTROL)
-        # bytes, so that the payload can key the hand-off
-        job = LoaderJob(next(self._ids), bytes(blob), name, sync, packed=packed)
-        if packed is not None:
-            self._handoff.setdefault(packed.payload, []).append(packed)
+        job = LoaderJob(next(self._ids), name)
         kernel.trace.log(ACTOR_KERNEL, K_PRIVILEGED_OP,
                          {"op": "load_process",
                           "kind": CapabilityKind.LOADER_CONTROL.value,
                           "holder": kernel.current_holder(), "job": job.job_id})
         self._transition(job, LoaderState.FETCHED)
-        self.advance(job, "start")
+        try:
+            job.header, job.payload = parse_binary(bytes(blob))
+        except HeaderError as exc:
+            self._reject(job, RejectReason.BAD_HEADER, str(exc))
+            return job
+        if packed is not None and packed.script.name == name and \
+                packed.payload == job.payload:
+            job.payload = packed.payload  # keep one copy of the bytes
+            job.packed = packed
+        self._transition(job, LoaderState.HEADER_CHECKED)
+        self._transition(job, LoaderState.INTEGRITY_PENDING)
+        if sync:
+            # Same machine, driven inline: the digest is taken on the spot
+            # instead of by the hash engine.
+            self.advance(job, _digest(job))
+        elif kernel.chip.hashengine is None:
+            raise PhaseError("async loading requires a hash engine")
+        else:
+            self._waiting.append(job)
+            self._feed_engine()
         return job
 
     def _transition(self, job: LoaderJob, state: LoaderState, **extra) -> None:
         job.state = state
-        if state in _JOB_ENDS and job.packed is not None:
-            held = self._handoff[job.packed.payload]
-            held.remove(job.packed)
-            if not held:
-                del self._handoff[job.packed.payload]
-            job.packed = None
         payload: Dict[str, Any] = {"job": job.job_id, "state": state.value}
         if job.pid is not None:
             payload["pid"] = job.pid
@@ -357,63 +371,25 @@ class ProcessLoader:
         self._transition(job, LoaderState.REJECTED, reason=reason.value,
                          detail=detail)
 
-    def advance(self, job: LoaderJob, event: str,
-                digest: Optional[int] = None) -> LoaderState:
-        if event == "start":
-            if job.state is not LoaderState.FETCHED:
-                raise InvalidTransition(f"start while {job.state.value}")
-            try:
-                job.header, job.payload = parse_binary(job.blob)
-            except HeaderError as exc:
-                self._reject(job, RejectReason.BAD_HEADER, str(exc))
-                return job.state
-            if job.packed is not None and job.packed.payload == job.payload:
-                job.payload = job.packed.payload  # keep one copy of the bytes
-            self._transition(job, LoaderState.HEADER_CHECKED)
-            self._transition(job, LoaderState.INTEGRITY_PENDING)
-            if job.sync:
-                # Same machine, driven inline: the digest is taken on the
-                # spot instead of by the hash engine.
-                return self.advance(job, "digest_done", self.digest(job.payload))
-            self._enqueue_hash(job)
-            return job.state
-
-        if event == "digest_done":
-            if job.state is not LoaderState.INTEGRITY_PENDING:
-                raise InvalidTransition(f"digest_done while {job.state.value}")
-            kernel = self.kernel
-            if not credential_accepted(kernel.verifier_policy, job.header, digest,
-                                       kernel.trusted_key_ids):
-                self._reject(job, RejectReason.BAD_INTEGRITY,
-                             "credential digest not accepted")
-                return job.state
-            self._transition(job, LoaderState.INTEGRITY_CHECKED)
-            pid, reason, detail = kernel.try_create_process(
-                job.header, job.payload, job.name, job.packed)
-            if pid is None:
-                self._reject(job, reason, detail)
-            else:
-                job.pid = pid
-                self._transition(job, LoaderState.RUNNABLE)
-            return job.state
-
-        raise InvalidTransition(f"unknown loader event {event!r}")
-
-    def digest(self, payload: bytes) -> int:
-        """The payload's FNV-1a-64, as the sync path and the hash engine
-        take it: the packer's value if a job still loading handed one over
-        for byte-equal bytes, else computed."""
-        for packed in self._handoff.get(payload, ()):
-            if packed.digest is not None:
-                return packed.digest
-        return fnv1a64(payload)
-
-    def _enqueue_hash(self, job: LoaderJob) -> None:
-        engine = self.kernel.chip.hashengine
-        if engine is None:
-            raise PhaseError("async loading requires a hash engine")
-        self._waiting.append(job)
-        self._feed_engine()
+    def advance(self, job: LoaderJob, digest: int) -> None:
+        """The integrity and runnability stages, given the payload's digest."""
+        if job.state is not LoaderState.INTEGRITY_PENDING:
+            raise InvalidTransition(f"integrity check while {job.state.value}")
+        kernel = self.kernel
+        if not credential_accepted(kernel.verifier_policy, job.header, digest,
+                                   kernel.trusted_key_ids):
+            self._reject(job, RejectReason.BAD_INTEGRITY,
+                         "credential digest not accepted")
+            return
+        self._transition(job, LoaderState.INTEGRITY_CHECKED)
+        pid, reason, detail = kernel.try_create_process(
+            job.header, job.payload, job.name,
+            job.packed.script if job.packed is not None else None)
+        if pid is None:
+            self._reject(job, reason, detail)
+        else:
+            job.pid = pid
+            self._transition(job, LoaderState.RUNNABLE)
 
     def _feed_engine(self) -> None:
         """Start the next waiting job if the hash engine is free. A job
@@ -422,7 +398,7 @@ class ProcessLoader:
         engine = self.kernel.chip.hashengine
         if self._waiting and not engine.busy:
             job = self._waiting.pop(0)
-            engine.submit(job.payload, job)
+            engine.submit(job.payload, job, _digest(job))
             self.kernel.trace.log(ACTOR_KERNEL, K_HASH_SUBMIT,
                                   {"job": job.job_id, "len": len(job.payload)})
 
@@ -431,7 +407,7 @@ class ProcessLoader:
         if completion is None:
             return
         job, digest = completion
-        self.advance(job, "digest_done", digest)
+        self.advance(job, digest)
         self._feed_engine()
 
 
@@ -513,14 +489,11 @@ class Kernel:
     # -- process creation -------------------------------------------------------
 
     def try_create_process(self, header: BinaryHeader, payload: bytes,
-                           name: str, packed: Optional[PackedApp] = None):
+                           name: str, script: Optional[ScenarioScript] = None):
         """Runnability stage: returns (pid, None, "") or
-        (None, reject_reason, detail). The packer's script is used only
-        for a byte-equal payload parsed under the same name."""
-        if packed is not None and packed.script.name == name and \
-                packed.payload == payload:
-            script = packed.script
-        else:
+        (None, reject_reason, detail). The payload is parsed unless the
+        script parsed from it is given."""
+        if script is None:
             try:
                 script = parse_script_bytes(payload, name)
             except ScenarioError as exc:
@@ -887,14 +860,6 @@ class Kernel:
                         "holder": self.current_holder(), "pid": pid})
         return [{"capsule": name, "base": region.base, "size": region.length}
                 for name, region in pcb.grants.items()]
-
-    def load_process_sync(self, token, blob: bytes, name: str,
-                          packed: Optional[PackedApp] = None) -> LoaderJob:
-        return self.loader.submit(token, blob, name, True, packed)
-
-    def load_process_async(self, token, blob: bytes, name: str,
-                           packed: Optional[PackedApp] = None) -> LoaderJob:
-        return self.loader.submit(token, blob, name, False, packed)
 
     # -- the loop --------------------------------------------------------------------------
 

@@ -492,6 +492,27 @@ def test_unparsable_file_is_exit_2_at_check_and_run(tmp_path, capsys, where,
     assert "does not parse" in events[-1]["payload"]["violation"]
 
 
+@pytest.mark.parametrize("where", ["board", "app"])
+@pytest.mark.parametrize("bad_path", [
+    pytest.param("a\x00b.json", id="nul"),
+    pytest.param("\ud800.json", id="lone_surrogate"),
+])
+def test_a_path_the_os_refuses_is_exit_2_at_check_and_run(tmp_path, capsys,
+                                                         where, bad_path):
+    paths = {"board": str(BOARDS_DIR / "demo_sync.json"),
+             "app": str(SCENARIOS_DIR / "demo_a.json")}
+    paths[where] = bad_path
+    trace_path = tmp_path / "t.jsonl"
+    assert (check_board(paths["board"]) != []) == (where == "board")
+    assert run_simulation(paths["board"], [paths["app"]],
+                          trace_path=trace_path) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    events = parse_trace(trace_path.read_bytes())
+    assert events[-1]["kind"] == "config_error"
+    assert events[-1]["payload"]["violation"].startswith(
+        f"cannot read {where} file: ")
+
+
 @pytest.mark.parametrize("header", [
     pytest.param({"min_memory": 2 ** 32}, id="min_memory_past_u32"),
     pytest.param({"min_memory": 10_000_000_000_000}, id="min_memory_huge"),

@@ -118,9 +118,9 @@ def test_uart_txdata_register_emits_single_byte():
 
 def test_hash_engine_timing_is_ceil_len_over_64():
     irqc = InterruptController()
-    engine = HashEngineHw(_spec("hashengine"), irqc, 2, digest_fn=fnv1a64)
+    engine = HashEngineHw(_spec("hashengine"), irqc, 2)
     payload = b"x" * 130  # ceil(130/64) = 3 ticks
-    engine.submit(payload, "job")
+    engine.submit(payload, "job", fnv1a64(payload))
     for _ in range(2):
         engine.tick()
     assert not irqc.any_pending()
@@ -136,10 +136,16 @@ def test_hash_engine_timing_is_ceil_len_over_64():
 
 def test_hash_engine_digest_hidden_until_done():
     irqc = InterruptController()
-    engine = HashEngineHw(_spec("hashengine"), irqc, 2, digest_fn=fnv1a64)
-    engine.submit(b"y" * 100, 1)
+    engine = HashEngineHw(_spec("hashengine"), irqc, 2)
+    engine.submit(b"y" * 100, 1, 0x1234_5678_9ABC_DEF0)
     assert engine.regs.read_reg("DIGEST_LO") == 0
+    assert engine.regs.read_reg("DIGEST_HI") == 0
     assert engine.regs.field_get("STATUS", "BUSY") == 1
+    engine.tick()
+    assert engine.regs.read_reg("DIGEST_LO") == 0
+    engine.tick()
+    assert engine.regs.read_reg("DIGEST_LO") == 0x9ABC_DEF0
+    assert engine.regs.read_reg("DIGEST_HI") == 0x1234_5678
 
 
 def test_idle_tick_raises_nothing():
@@ -147,7 +153,7 @@ def test_idle_tick_raises_nothing():
     irqc = InterruptController()
     chip = Chip(clock, irqc, AlarmHw(_spec("alarm"), irqc, 0),
                 UartHw(_spec("uart"), irqc, 1),
-                HashEngineHw(_spec("hashengine"), irqc, 2, digest_fn=fnv1a64))
+                HashEngineHw(_spec("hashengine"), irqc, 2))
     chip.tick(1)
     assert not irqc.any_pending()
     assert not chip.busy()
@@ -249,9 +255,9 @@ def test_uart_ticks_until_event():
 
 def test_hash_engine_ticks_until_event():
     irqc = InterruptController()
-    engine = HashEngineHw(_spec("hashengine"), irqc, 2, digest_fn=fnv1a64)
+    engine = HashEngineHw(_spec("hashengine"), irqc, 2)
     assert engine.ticks_until_event() is None
-    engine.submit(b"x" * 130, "job")
+    engine.submit(b"x" * 130, "job", 0)
     assert engine.ticks_until_event() == 3
     engine.tick(2)
     assert engine.ticks_until_event() == 1 and not irqc.any_pending()
@@ -261,8 +267,8 @@ def test_hash_engine_ticks_until_event():
 
 def test_hash_engine_zero_length_payload_fires_after_one_tick():
     irqc = InterruptController()
-    engine = HashEngineHw(_spec("hashengine"), irqc, 2, digest_fn=fnv1a64)
-    engine.submit(b"", "empty")
+    engine = HashEngineHw(_spec("hashengine"), irqc, 2)
+    engine.submit(b"", "empty", fnv1a64(b""))
     assert engine.ticks_until_event() == 1
     engine.tick()
     assert irqc.any_pending()
@@ -277,7 +283,7 @@ def make_chip(initial_count=0, bytes_per_tick=1):
                 AlarmHw(_spec("alarm"), irqc, 0, initial_count=initial_count),
                 UartHw(_spec("uart"), irqc, 1, bytes_per_tick=bytes_per_tick,
                        trace=trace),
-                HashEngineHw(_spec("hashengine"), irqc, 2, digest_fn=fnv1a64))
+                HashEngineHw(_spec("hashengine"), irqc, 2))
     for line in irqc.lines.values():
         line.handler = lambda: None
     return chip, trace
@@ -298,7 +304,7 @@ def test_chip_tick_n_matches_n_single_ticks():
         payload = bytes(rng.randrange(256) for _ in range(rng.randint(0, 5000)))
         for chip, _ in chips:
             _arm(chip.alarm, compare)
-            chip.hashengine.submit(payload, "job")
+            chip.hashengine.submit(payload, "job", fnv1a64(payload))
         (fast, fast_trace), (slow, slow_trace) = chips
         while fast.ticks_until_event() is not None:
             assert slow.ticks_until_event() == fast.ticks_until_event()

@@ -715,7 +715,7 @@ class SpawnerCapsule(Capsule):
 
     def command(self, cmd, arg0, arg1, pid):
         blob = pack_binary(script_source([{"op": "halt"}], {}, 128), 128)
-        self.kernel.load_process_sync(self.token, blob, "child")
+        self.kernel.loader.submit(self.token, blob, "child", True)
         return SyscallReturn.success()
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from kernsim import board as board_module
@@ -5,7 +7,7 @@ from kernsim import kernel as kernel_module
 from kernsim import loader as loader_module
 from kernsim import scenario as scenario_module
 from kernsim.errors import ForeignCapability, InvalidTransition
-from kernsim.kernel import PackedApp, ProcessState
+from kernsim.kernel import LoaderJob, PackedApp, ProcessState
 from kernsim.loader import (
     HeaderError,
     LoaderState,
@@ -213,29 +215,25 @@ def test_sync_and_async_decide_identically():
 def test_invalid_transitions_rejected():
     board = sync_board()
     job = board.load_app(good_source())
+    assert job.state is LoaderState.RUNNABLE
     with pytest.raises(InvalidTransition):
-        board.kernel.loader.advance(job, "start")
-    with pytest.raises(InvalidTransition):
-        board.kernel.loader.advance(job, "digest_done", 0)
-    with pytest.raises(InvalidTransition):
-        board.kernel.loader.advance(job, "mystery_event")
+        board.kernel.loader.advance(job, 0)
 
 
 def test_digest_done_while_fetched_is_invalid():
-    from kernsim.kernel import LoaderJob
     board = sync_board()
-    job = LoaderJob(99, pack_binary(good_source(), 256), "x", sync=True)
+    job = LoaderJob(99, "x")
     assert job.state is LoaderState.FETCHED
     with pytest.raises(InvalidTransition):
-        board.kernel.loader.advance(job, "digest_done", 0)
+        board.kernel.loader.advance(job, 0)
 
 
 def test_loading_requires_the_loader_token():
     board_a = sync_board()
     board_b = sync_board()
     with pytest.raises(ForeignCapability):
-        board_b.kernel.load_process_sync(board_a._boot_token,
-                                         pack_binary(good_source(), 256), "x")
+        board_b.kernel.loader.submit(board_a._boot_token,
+                                     pack_binary(good_source(), 256), "x", True)
 
 
 def test_dynamic_load_after_finalize_with_construction_token():
@@ -243,8 +241,8 @@ def test_dynamic_load_after_finalize_with_construction_token():
     # gated on a token minted during construction.
     board = async_board()
     board.finalize()
-    job = board.kernel.load_process_async(board._boot_token,
-                                          pack_binary(good_source(), 256), "late")
+    job = board.kernel.loader.submit(board._boot_token,
+                                     pack_binary(good_source(), 256), "late", False)
     board.run(100)
     assert job.state is LoaderState.RUNNABLE
     assert board.kernel.processes[job.pid].state is ProcessState.EXITED
@@ -276,6 +274,12 @@ def calls(monkeypatch):
     return counts
 
 
+def submit(board, blob, name, packed):
+    """Load blob on the board's configured loader with packed handed over."""
+    return board.kernel.loader.submit(board._boot_token, blob, name,
+                                      board.config.loader == "sync", packed)
+
+
 def load_handed_over(board, source, tamper):
     """Pack source as load_app does, change the blob with tamper, and load
     it with the packer's results for the untouched source handed over."""
@@ -283,7 +287,7 @@ def load_handed_over(board, source, tamper):
     digest = fnv1a64(source)
     blob = bytearray(pack_binary(source, script.min_memory, digest=digest))
     tamper(blob)
-    return board._load(bytes(blob), script.name, PackedApp(source, script, digest))
+    return submit(board, bytes(blob), script.name, PackedApp(source, script, digest))
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -344,24 +348,25 @@ def test_one_source_loaded_twice_makes_two_processes(mode, calls):
     assert (first.state, second.state) == (LoaderState.RUNNABLE,) * 2
     assert first.pid != second.pid
     assert calls == {"fnv1a64": 2, "parse_script_bytes": 2}
-    assert board.kernel.loader._handoff == {}
+    assert board.kernel.loader._waiting == []
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_no_handoff_entry_outlives_its_load(mode):
+def test_the_loader_holds_no_job_after_the_run(mode):
     board = make_board(loader=mode)
-    bad_header = board._load(b"KSIMnope", "x",
-                             PackedApp(b"{}", parse_script_bytes(b"{}"), 0))
+    bad_header = submit(board, b"KSIMnope", "app",
+                        PackedApp(b"{}", parse_script_bytes(b"{}"), 0))
     jobs = [board.load_app(good_source()),
             board.load_app(b'{"main": [], "min_memory": 1048576}'),
             board.load_app(script_source([], {}, 64, credential={"digest": 1}))]
     assert bad_header.reject_reason is RejectReason.BAD_HEADER
+    assert bad_header.packed is None
     board.run(200)
     assert [job.state for job in jobs] == [LoaderState.RUNNABLE,
                                            LoaderState.REJECTED,
                                            LoaderState.REJECTED]
-    assert board.kernel.loader._handoff == {}
-    assert all(job.packed is None for job in jobs)
+    assert board.kernel.loader._waiting == []
+    assert not board.chip.hashengine.busy
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -371,14 +376,34 @@ def test_the_kernel_parses_afresh_unless_payload_and_name_match(mode):
     handed, loaded = (script_source([{"op": "halt"}], {}, 256, name=name)
                       for name in ("handed", "loaded"))
     script = parse_script_bytes(handed, "app")
-    other_bytes = board._load(pack_binary(loaded, 256), script.name,
-                              PackedApp(handed, script, fnv1a64(handed)))
+    other_bytes = submit(board, pack_binary(loaded, 256), script.name,
+                         PackedApp(handed, script, fnv1a64(handed)))
     # Same bytes with no name of their own, loaded under another name.
     nameless = b'{"main": [{"op": "halt"}], "min_memory": 256}'
     script = parse_script_bytes(nameless, "handed")
-    other_name = board._load(pack_binary(nameless, 256), "loaded",
-                             PackedApp(nameless, script, fnv1a64(nameless)))
+    other_name = submit(board, pack_binary(nameless, 256), "loaded",
+                        PackedApp(nameless, script, fnv1a64(nameless)))
     board.run(100)
     for job in (other_bytes, other_name):
+        assert job.packed is None
         assert job.state is LoaderState.RUNNABLE
         assert board.kernel.processes[job.pid].name == "loaded"
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_load_keeps_no_copy_of_the_packed_binary(mode):
+    # The job keeps the packer's payload bytes, not the binary they were
+    # packed into: a load retains far less than the payload's size.
+    source = good_source() + b" " * (64 * 1024)
+    board = make_board(loader=mode, ram_size=256 * 1024)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        job = board.load_app(source)
+        board.run(2000)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert job.state is LoaderState.RUNNABLE
+    assert job.payload is source
+    assert retained < len(source) // 2
