@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
-from .errors import MalformedInvocation, int_violation
+from .errors import Key, MalformedInvocation, Schema, walk
 
 U32_MAX = (1 << 32) - 1  # each integer of a syscall record fills a register
 
@@ -154,51 +154,54 @@ class SyscallReturn:
 
 # --- invocation records -------------------------------------------------
 
-def _require_int(record: Dict[str, Any], key: str, default: Optional[int] = None) -> int:
-    """The record's value at key, if it fits a register."""
-    value = record.get(key, default)
-    if problem := int_violation(f"field {key!r}", value, 0, U32_MAX):
-        raise MalformedInvocation(problem)
-    return value
+# Each integer of a syscall record fills a register. An allow's ``seg``
+# says what its base is relative to: the process's RAM, its program image
+# or nothing.
+_REGISTER = Key(int, 0, U32_MAX, required=True)
+_ALLOW = {"driver": _REGISTER, "buf": _REGISTER, "base": _REGISTER,
+          "len": _REGISTER, "seg": Key(("ram", "flash", "abs"), default="ram")}
+ARGS = Key(list, hi=2, default=(), item=Key(int, 0, U32_MAX))
+SYSCALL_RECORDS: Dict[str, Schema] = {
+    "yield": {"mode": Key(("wait", "no_wait"), default="wait")},
+    "subscribe": {"driver": _REGISTER, "sub": _REGISTER,
+                  "fn": Key(str, default="null"),
+                  "userdata": Key(int, 0, U32_MAX, 0)},
+    "command": {"driver": _REGISTER, "cmd": _REGISTER, "args": ARGS},
+    "rw_allow": _ALLOW,
+    "ro_allow": _ALLOW,
+    "exit": {},
+}
+SYSCALL = Key(SYSCALL_RECORDS, tag="class", required=True)
+_YIELDS = {mode.value: SyscallInvocation.yield_(mode) for mode in YieldMode}
+_EXIT = SyscallInvocation.exit()
+
+
+def invocation(record: Dict[str, Any]) -> SyscallInvocation:
+    """The invocation a record that passed the SYSCALL walk names."""
+    tag = record["class"]
+    if tag == "command":
+        return SyscallInvocation.command(record["driver"], record["cmd"],
+                                         *record["args"])
+    if tag == "yield":
+        return _YIELDS[record["mode"]]
+    if tag == "subscribe":
+        return SyscallInvocation.subscribe(record["driver"], record["sub"],
+                                           record["fn"], record["userdata"])
+    if tag == "exit":
+        return _EXIT
+    return SyscallInvocation(SyscallClass(tag), driver_id=record["driver"],
+                             subcommand=record["buf"], base=record["base"],
+                             length=record["len"])
 
 
 def decode_invocation(record: Dict[str, Any]) -> SyscallInvocation:
-    """Map a structured scenario record onto an invocation.
-
-    Unknown class tags raise :class:`MalformedInvocation` rather than
-    crashing; scenario parsing relies on that.
-    """
-    if not isinstance(record, dict):
-        raise MalformedInvocation(f"record must be an object, got {record!r}")
-    tag = record.get("class")
-    if tag == "yield":
-        mode = record.get("mode", "wait")
-        if mode not in (YieldMode.WAIT.value, YieldMode.NO_WAIT.value):
-            raise MalformedInvocation(f"bad yield mode {mode!r}")
-        return SyscallInvocation.yield_(YieldMode(mode))
-    if tag == "subscribe":
-        fn = record.get("fn", "null")
-        if not isinstance(fn, str):
-            raise MalformedInvocation(f"subscribe fn must be a string, got {fn!r}")
-        return SyscallInvocation.subscribe(
-            _require_int(record, "driver"), _require_int(record, "sub"),
-            fn, _require_int(record, "userdata", 0))
-    if tag == "command":
-        args = record.get("args", [0, 0])
-        if not isinstance(args, list) or len(args) > 2:
-            raise MalformedInvocation(f"command args must be <= 2 integers, got {args!r}")
-        named = dict(zip(("arg0", "arg1"), args))
-        return SyscallInvocation.command(
-            _require_int(record, "driver"), _require_int(record, "cmd"),
-            _require_int(named, "arg0", 0), _require_int(named, "arg1", 0))
-    if tag in ("rw_allow", "ro_allow"):
-        ctor = (SyscallInvocation.rw_allow if tag == "rw_allow"
-                else SyscallInvocation.ro_allow)
-        return ctor(_require_int(record, "driver"), _require_int(record, "buf"),
-                    _require_int(record, "base"), _require_int(record, "len"))
-    if tag == "exit":
-        return SyscallInvocation.exit()
-    raise MalformedInvocation(f"unknown syscall class {tag!r}")
+    """Map a structured scenario record onto an invocation; a record the
+    SYSCALL schema refuses raises :class:`MalformedInvocation`."""
+    violations: List[str] = []
+    checked = walk(SYSCALL, record, "record", violations)
+    if violations:
+        raise MalformedInvocation("; ".join(violations))
+    return invocation(checked)
 
 
 def encode_invocation(inv: SyscallInvocation) -> Dict[str, Any]:

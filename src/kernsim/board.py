@@ -33,21 +33,15 @@ from typing import Any, Dict, List, Optional, TextIO, Tuple
 from .capabilities import CapabilityKind, CapabilityRegistry
 from .capsules import CAPSULE_TYPES, CompositionLayer, validate_composition
 from .errors import (
+    INVALID,
     ConfigError,
+    Key,
+    Schema,
     SimulationDiagnostic,
     SpecError,
-    int_in,
-    int_violation,
+    walk,
 )
-from .hw import (
-    TICK_MASK,
-    AlarmHw,
-    Chip,
-    HashEngineHw,
-    InterruptController,
-    SimClock,
-    UartHw,
-)
+from .hw import AlarmHw, Chip, HashEngineHw, InterruptController, SimClock, UartHw
 from .kernel import Kernel, LoaderJob, PackedApp
 from .loader import VERIFIER_POLICIES, fnv1a64, pack_binary
 from .memory import MemoryController
@@ -74,32 +68,41 @@ MAX_BUFFER_SIZE = 64 * 1024
 
 # The model behind each known peripheral.
 _PERIPHERAL_MODELS = {"alarm": AlarmHw, "uart": UartHw, "hashengine": HashEngineHw}
-# Each board key read as it is: its default (None: required) and its allowed
-# values, an integer range (lo, hi; hi None: unbounded), a tuple of words or
-# str (any string). A process holds two MPU regions, its flash and its RAM.
-_SCALARS: Dict[str, Tuple[Any, Any]] = {
-    "name": ("board", str),
-    "ram_size": (None, (1, MAX_RAM_SIZE)),
-    "mpu_max_regions": (8, (2, None)),
-    "upcall_queue_depth": (8, (1, None)),
-    "capsule_step_budget": (100_000, (1, None)),
-    "max_processes": (8, (1, MAX_PROCESSES)),
-    "loader": ("sync", ("sync", "async")),
-    "verifier": ("digest_match", VERIFIER_POLICIES),
+# The board schema. A process holds two MPU regions, its flash and its RAM;
+# a key id is 16 bits in the binary header.
+LAYER: Schema = {
+    "name": Key(str, 1, required=True),
+    "type": Key(CAPSULE_TYPES.keys(), required=True),
+    "driver_id": Key(int, 0, null=True),
+    "provides": Key(dict, default={}),
+    "requires": Key(dict, default={}),
+    "buffer_size": Key(int, 0, MAX_BUFFER_SIZE),
+    "min_buffer_size": Key(int, 0),
 }
-_PERIPHERAL_NEEDED_BY = {"alarm": "alarm", "console": "uart"}
-_TYPES_NEEDING_DRIVER_ID = ("alarm", "console", "probe", "manager")
-# Each peripheral's optional timing knob: (key, minimum, maximum or None).
-# The next-event clock advance relies on these bounds.
-_TIMING_KNOBS = {
-    "alarm": ("initial_count", 0, TICK_MASK),
-    "uart": ("bytes_per_tick", 1, None),
-    "hashengine": ("chunk_bytes", 1, None),
+BOARD: Schema = {
+    "name": Key(str, default="board"),
+    "ram_size": Key(int, 1, MAX_RAM_SIZE, required=True),
+    "mpu_max_regions": Key(int, 2, default=8),
+    "upcall_queue_depth": Key(int, 1, default=8),
+    "capsule_step_budget": Key(int, 1, default=100_000),
+    "max_processes": Key(int, 1, MAX_PROCESSES, 8),
+    "loader": Key(("sync", "async"), default="sync"),
+    "verifier": Key(VERIFIER_POLICIES, default="digest_match"),
+    "trusted_key_ids": Key(list, default=(), item=Key(int, 0, 0xFFFF)),
+    "peripherals": Key({name: Key({"irq": Key(int, 0, required=True),
+                                   "map": Key(str, null=True), **model.KNOBS})
+                        for name, model in _PERIPHERAL_MODELS.items()}),
+    "capsules": Key(list, default=(), item=Key(LAYER)),
+    "capabilities": Key(dict, default={}, item=Key(
+        list, item=Key(tuple(kind.value for kind in CapabilityKind)))),
 }
 
 
 @dataclass
 class BoardConfig:
+    """A board that passed validation: each BOARD key, with its schema
+    default where the file leaves it out, and the peripherals' maps."""
+
     name: str
     ram_size: int
     mpu_max_regions: int
@@ -108,26 +111,19 @@ class BoardConfig:
     max_processes: int
     loader: str
     verifier: str
-    trusted_key_ids: List[int] = field(default_factory=list)
-    peripherals: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    capsules: List[Dict[str, Any]] = field(default_factory=list)
-    capabilities: Dict[str, List[str]] = field(default_factory=dict)
+    trusted_key_ids: List[int]
+    peripherals: Dict[str, Dict[str, Any]]
+    capsules: List[Dict[str, Any]]
+    capabilities: Dict[str, List[str]]
     peripheral_specs: Dict[str, RegisterMapSpec] = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any],
                   base_dir: Optional[Path] = None) -> "BoardConfig":
-        violations, specs = validate_board_dict(data, base_dir)
+        violations, board, specs = validate_board_dict(data, base_dir)
         if violations:
             raise ConfigError(violations)
-        return cls(
-            **{key: data.get(key, default) for key, (default, _) in _SCALARS.items()},
-            trusted_key_ids=list(data.get("trusted_key_ids", [])),
-            peripherals={k: dict(v) for k, v in data.get("peripherals", {}).items()},
-            capsules=[dict(layer) for layer in data.get("capsules", [])],
-            capabilities={k: list(v) for k, v in data.get("capabilities", {}).items()},
-            peripheral_specs=specs,
-        )
+        return cls(**board, peripheral_specs=specs)
 
     @classmethod
     def from_file(cls, path) -> "BoardConfig":
@@ -163,155 +159,95 @@ def _map_bytes(pname: str, map_ref: Optional[str],
         return None
 
 
+def _register_map(pname: str, map_ref: Optional[str], base_dir: Optional[Path],
+                  v: List[str]) -> Optional[RegisterMapSpec]:
+    """The peripheral's register map if it loads and meets the model's
+    register contract; else None, with the violations added to v."""
+    raw = _map_bytes(pname, map_ref, base_dir)
+    if raw is None:
+        v.append(f"peripheral {pname!r} references a missing register map "
+                 f"{map_ref!r}")
+        return None
+    try:
+        spec = load_register_map(json.loads(raw))
+    except (ValueError, RecursionError) as exc:
+        v.append(f"register map for {pname!r} does not parse: {exc}")
+        return None
+    except SpecError as exc:
+        lacks = exc.violations
+    else:
+        lacks = spec.missing(_PERIPHERAL_MODELS[pname])
+    v.extend(f"register map for {pname!r}: {violation}" for violation in lacks)
+    return None if lacks else spec
+
+
 def validate_board_dict(data: Dict[str, Any], base_dir: Optional[Path] = None
-                        ) -> Tuple[List[str], Dict[str, RegisterMapSpec]]:
-    """Full static validation: returns every violation found, and the
-    register map of each peripheral whose map passes, so that the board
-    is read once."""
+                        ) -> Tuple[List[str], Dict[str, Any],
+                                   Dict[str, RegisterMapSpec]]:
+    """Full static validation: every violation found, the board read
+    through its schema (the peripherals it names only) and the register
+    map of each peripheral whose map passes, so that the board is read
+    once. The walk checks each key; the rules that tie keys together are
+    checked here, on the values that passed."""
     v: List[str] = []
     specs: Dict[str, RegisterMapSpec] = {}
-    if not isinstance(data, dict):
-        return ["board config must be a JSON object"], specs
-
-    for key, (default, allowed) in _SCALARS.items():
-        value = data.get(key, default)
-        if allowed is str:
-            if not isinstance(value, str):
-                v.append(f"{key} must be a string, got {value!r}")
-        elif isinstance(allowed[0], str):
-            if value not in allowed:
-                v.append(f"{key} must be one of {allowed}, got {value!r}")
-        elif problem := int_violation(key, value, *allowed):
-            v.append(problem)
-    key_ids = data.get("trusted_key_ids", [])
-    if not isinstance(key_ids, list) or \
-            not all(int_in(key_id, 0, 0xFFFF) for key_id in key_ids):
-        v.append("trusted_key_ids must be a list of integers in [0, 65535], "
-                 f"got {key_ids!r}")
-
-    peripherals = data.get("peripherals", {})
-    if not isinstance(peripherals, dict):
-        v.append("peripherals must be an object")
-        peripherals = {}
+    board = walk(Key(BOARD), data, "board config", v)
+    if board is INVALID:
+        return v, board, specs
+    peripherals = board["peripherals"] = {
+        pname: pcfg for pname, pcfg in (board["peripherals"] or {}).items()
+        if pcfg is not None}
     irqs_seen: Dict[int, str] = {}
     for pname, pcfg in peripherals.items():
-        model = _PERIPHERAL_MODELS.get(pname)
-        if model is None:
-            v.append(f"unknown peripheral {pname!r}")
+        if not pcfg:
             continue
-        if not isinstance(pcfg, dict):
-            v.append(f"peripheral {pname!r} config must be an object")
-            continue
-        irq = pcfg.get("irq")
-        if not int_in(irq, 0):
-            v.append(f"peripheral {pname!r} needs a non-negative integer irq")
-        elif irq in irqs_seen:
+        irq = pcfg["irq"]
+        if irq in irqs_seen:
             v.append(f"peripheral {pname!r} reuses irq {irq} of {irqs_seen[irq]!r}")
-        else:
+        elif irq is not INVALID:
             irqs_seen[irq] = pname
-        knob, low, high = _TIMING_KNOBS[pname]
-        if problem := int_violation(f"peripheral {pname!r} {knob}",
-                                    pcfg.get(knob, low), low, high):
-            v.append(problem)
-        map_ref = pcfg.get("map")
-        if map_ref is not None and not isinstance(map_ref, str):
-            v.append(f"peripheral {pname!r} map must be a file path, "
-                     f"got {map_ref!r}")
-            continue
-        raw = _map_bytes(pname, map_ref, base_dir)
-        if raw is None:
-            v.append(f"peripheral {pname!r} references a missing register map "
-                     f"{map_ref!r}")
-            continue
-        try:
-            specs[pname] = load_register_map(json.loads(raw))
-        except (ValueError, RecursionError) as exc:
-            v.append(f"register map for {pname!r} does not parse: {exc}")
-            continue
-        except SpecError as exc:
-            v.extend(f"register map for {pname!r}: {violation}"
-                     for violation in exc.violations)
-            continue
-        v.extend(f"register map for {pname!r}: {violation}" for violation in
-                 specs[pname].missing(model.REGISTERS, model.WRITABLE))
+        if pcfg["map"] is not INVALID:
+            spec = _register_map(pname, pcfg["map"], base_dir, v)
+            if spec is not None:
+                specs[pname] = spec
 
-    if data.get("loader") == "async" and "hashengine" not in peripherals:
+    if board["loader"] == "async" and "hashengine" not in peripherals:
         v.append("async loader requires a hashengine peripheral")
 
-    layers_cfg = data.get("capsules", [])
-    if not isinstance(layers_cfg, list):
-        v.append("capsules must be a list of layers")
-        layers_cfg = []
     names_seen: set = set()
     driver_ids: Dict[int, str] = {}
     comp_layers: List[CompositionLayer] = []
-    for layer in layers_cfg:
-        if not isinstance(layer, dict):
-            v.append(f"capsule layer must be an object, got {layer!r}")
-            continue
-        name = layer.get("name")
-        if not isinstance(name, str) or not name:
-            v.append(f"capsule layer missing a name: {layer!r}")
+    for layer in board["capsules"] or ():
+        name, ctype = (layer or {}).get("name"), (layer or {}).get("type")
+        if not name:
             continue
         if name in names_seen:
             v.append(f"duplicate capsule name {name!r}")
         names_seen.add(name)
-        ctype = layer.get("type")
-        if not isinstance(ctype, str) or ctype not in CAPSULE_TYPES:
-            v.append(f"capsule {name!r} has unknown type {ctype!r}")
+        if not ctype:
             continue
-        driver_id = layer.get("driver_id")
+        capsule, driver_id = CAPSULE_TYPES[ctype], layer["driver_id"]
         if driver_id is None:
-            if ctype in _TYPES_NEEDING_DRIVER_ID:
+            if capsule.NEEDS_DRIVER_ID:
                 v.append(f"capsule {name!r} (type {ctype!r}) needs a driver_id")
-        elif not int_in(driver_id, 0):
-            v.append(f"capsule {name!r} driver_id must be a non-negative "
-                     f"integer, got {driver_id!r}")
         elif driver_id in driver_ids:
             v.append(f"capsule {name!r} reuses driver_id {driver_id} of "
                      f"{driver_ids[driver_id]!r}")
-        else:
+        elif driver_id is not INVALID:
             driver_ids[driver_id] = name
-        needed = _PERIPHERAL_NEEDED_BY.get(ctype)
+        needed = capsule.IRQ_PERIPHERAL
         if needed and needed not in peripherals:
             v.append(f"capsule {name!r} (type {ctype!r}) needs the {needed!r} "
                      f"peripheral")
-        annotations: Dict[str, Any] = {}
-        for key in ("provides", "requires"):
-            value = layer.get(key, {})
-            if not isinstance(value, dict):
-                v.append(f"capsule {name!r} {key} must be an object, got {value!r}")
-                value = {}
-            annotations[key] = value
-        for key, high in (("buffer_size", MAX_BUFFER_SIZE),
-                          ("min_buffer_size", None)):
-            value = layer.get(key)
-            problem = int_violation(f"capsule {name!r} {key}", value, 0, high)
-            if key in layer and problem:
-                v.append(problem)
-                value = None
-            annotations[key] = value
-        comp_layers.append(CompositionLayer(name=name, **annotations))
-
+        sizes = [None if layer[key] is INVALID else layer[key]
+                 for key in ("buffer_size", "min_buffer_size")]
+        comp_layers.append(CompositionLayer(
+            name, layer["provides"] or {}, layer["requires"] or {}, *sizes))
     v.extend(validate_composition(comp_layers))
 
-    grants = data.get("capabilities", {})
-    if not isinstance(grants, dict):
-        v.append("capabilities must be an object of capsule -> kinds")
-        grants = {}
-    valid_kinds = {kind.value for kind in CapabilityKind}
-    for holder, kinds in grants.items():
-        if holder not in names_seen:
-            v.append(f"capability grant names unknown capsule {holder!r}")
-        if not isinstance(kinds, list):
-            v.append(f"capability grant for {holder!r} must be a list of kinds, "
-                     f"got {kinds!r}")
-            continue
-        for kind in kinds:
-            if not isinstance(kind, str) or kind not in valid_kinds:
-                v.append(f"capability grant for {holder!r} names unknown kind "
-                         f"{kind!r}")
-    return v, specs
+    v.extend(f"capability grant names unknown capsule {holder!r}"
+             for holder in board["capabilities"] or {} if holder not in names_seen)
+    return v, board, specs
 
 
 class _BoardDeps:
@@ -335,16 +271,14 @@ class Board:
 
         pcfgs = config.peripherals
 
-        def build(pname: str, **kwargs):
+        def build(pname: str, *trace):
             if pname not in pcfgs:
                 return None
-            knob = _TIMING_KNOBS[pname][0]
-            if knob in pcfgs[pname]:  # else the model's default
-                kwargs[knob] = pcfgs[pname][knob]
-            return _PERIPHERAL_MODELS[pname](config.peripheral_specs[pname], irqc,
-                                             pcfgs[pname]["irq"], **kwargs)
+            model, cfg = _PERIPHERAL_MODELS[pname], pcfgs[pname]
+            return model(config.peripheral_specs[pname], irqc, cfg["irq"], *trace,
+                         **{knob: cfg[knob] for knob in model.KNOBS})
 
-        alarm, uart = build("alarm"), build("uart", trace=self.trace)
+        alarm, uart = build("alarm"), build("uart", self.trace)
         hashengine = build("hashengine")
         self.chip = Chip(clock, irqc, alarm, uart, hashengine)
         self.memory = MemoryController(config.ram_size, config.mpu_max_regions,
@@ -376,15 +310,15 @@ class Board:
             kinds = config.capabilities.get(name, [])
             tokens = [self.registry.mint(CapabilityKind(kind), name)
                       for kind in kinds]
-            capsule = CAPSULE_TYPES[layer["type"]](name, layer, deps, tokens)
+            capsule = CAPSULE_TYPES[layer["type"]].build(name, layer, deps, tokens)
             self.kernel.register_capsule(capsule)
             self.capsules_by_name[name] = capsule
 
         # Interrupt wiring: peripheral-owning capsules get their IRQ; the
         # hash engine interrupt belongs to the kernel's loader.
         for capsule in self.kernel.capsules:
-            periph = getattr(capsule, "IRQ_PERIPHERAL", None)
-            if periph and periph in pcfgs:
+            periph = capsule.IRQ_PERIPHERAL
+            if periph in pcfgs:
                 self.kernel.register_irq_capsule(pcfgs[periph]["irq"], capsule)
         if hashengine is not None:
             irqc.set_handler(pcfgs["hashengine"]["irq"],

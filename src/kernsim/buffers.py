@@ -33,10 +33,6 @@ class BufferWindow:
     def capacity(self) -> int:
         return len(self._backing)
 
-    @property
-    def window_start(self) -> int:
-        return self._start
-
     def __len__(self) -> int:
         return self._length
 
@@ -89,10 +85,6 @@ class BufferWindow:
 
     def release(self) -> None:
         self._in_flight = False
-
-    @property
-    def in_flight(self) -> bool:
-        return self._in_flight
 
     def peek(self, offset: int) -> int:
         """Hardware-side byte read; valid even while in flight.

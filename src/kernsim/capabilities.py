@@ -11,8 +11,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
-
 from .errors import ForeignCapability, PhaseError, WrongKind
 from .trace import ACTOR_KERNEL, K_CAP_MINTED, TraceLog
 
@@ -41,7 +39,7 @@ class CapabilityRegistry:
     """Per-board mint: tracks the phase and logs every (kind, holder)
     granted."""
 
-    def __init__(self, trace: Optional[TraceLog] = None):
+    def __init__(self, trace: TraceLog):
         self.receipt = next(_receipts)
         self.phase = BoardPhase.BUILDING
         self.trace = trace
@@ -50,9 +48,8 @@ class CapabilityRegistry:
         if self.phase is not BoardPhase.BUILDING:
             raise PhaseError("capabilities can only be minted while building")
         token = CapabilityToken(kind, self.receipt)
-        if self.trace is not None:
-            self.trace.log(ACTOR_KERNEL, K_CAP_MINTED,
-                           {"kind": kind.value, "holder": holder})
+        self.trace.log(ACTOR_KERNEL, K_CAP_MINTED,
+                       {"kind": kind.value, "holder": holder})
         return token
 
     def finalize(self) -> None:

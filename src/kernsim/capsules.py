@@ -13,7 +13,7 @@ validation for capsule stacks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Type
 
 from .abi import ErrorCode, SyscallReturn
 from .buffers import BufferWindow
@@ -29,6 +29,8 @@ from .errors import (
 from .hw import TICK_MASK, AlarmHw, UartHw, tick_passed
 
 CONFIGURABLE = "configurable"
+# A console layer's window size when it declares no buffer_size.
+DEFAULT_BUFFER_SIZE = 64
 
 
 # --- composition ------------------------------------------------------------
@@ -84,7 +86,9 @@ class Capsule:
 
     Subclasses declare how many subscribe and allow slots their driver
     surface exposes and, if they keep per-process state, the byte size of
-    their grant schema.
+    their grant schema. A board layer names a subclass by its type (see
+    CAPSULE_TYPES); the layer needs a driver_id if NEEDS_DRIVER_ID, and the
+    board needs the IRQ_PERIPHERAL, whose interrupt the capsule takes.
     """
 
     NUM_SUBSCRIBES = 0
@@ -92,11 +96,18 @@ class Capsule:
     NUM_RO_BUFFERS = 0
     GRANT_SCHEMA = 0
     IRQ_PERIPHERAL: Optional[str] = None
+    NEEDS_DRIVER_ID = True
 
     def __init__(self, name: str, driver_id: Optional[int] = None):
         self.name = name
         self.driver_id = driver_id
         self.kern = None  # services facade, set by attach()
+
+    @classmethod
+    def build(cls, name: str, layer: Dict[str, Any], deps, tokens) -> "Capsule":
+        """The capsule a checked board layer describes, built over the
+        board's chip (``deps``) with the capability tokens granted to it."""
+        return cls(name, layer["driver_id"])
 
     def attach(self, services) -> None:
         self.kern = services
@@ -210,6 +221,11 @@ class AlarmDriver(Capsule):
             cid = virtualizer.add_client(lambda now, slot=i: self._fire(slot, now))
             self._client_ids.append(cid)
 
+    @classmethod
+    def build(cls, name, layer, deps, tokens):
+        return cls(name, layer["driver_id"], AlarmVirtualizer(deps.chip.alarm),
+                   deps.max_processes)
+
     def _slot_of(self, pid: int, allocate: bool) -> Optional[int]:
         for i, owner in enumerate(self._slot_pid):
             if owner == pid:
@@ -292,6 +308,12 @@ class ConsoleDriver(Capsule):
         # The completion client of the transmit in flight, if any.
         self._client: Optional[Callable[[BufferWindow, int], None]] = None
         self._owner_pid: Optional[int] = None
+
+    @classmethod
+    def build(cls, name, layer, deps, tokens):
+        size = layer["buffer_size"]
+        return cls(name, layer["driver_id"], deps.chip.uart,
+                   DEFAULT_BUFFER_SIZE if size is None else size)
 
     @property
     def pending(self) -> bool:
@@ -419,6 +441,12 @@ class ManagerDriver(Capsule):
         super().__init__(name, driver_id)
         self.token = token
 
+    @classmethod
+    def build(cls, name, layer, deps, tokens):
+        token = next((t for t in tokens
+                      if t.kind is CapabilityKind.PROCESS_MANAGEMENT), None)
+        return cls(name, layer["driver_id"], token)
+
     def command(self, cmd: int, arg0: int, arg1: int, pid: int) -> SyscallReturn:
         if cmd != self.CMD_DESTROY:
             return SyscallReturn.failure(ErrorCode.NOSUPPORT)
@@ -434,42 +462,14 @@ class ManagerDriver(Capsule):
 class AnnotationLayer(Capsule):
     """Inert layer that exists only for composition annotations."""
 
-
-# --- capsule type registry --------------------------------------------------------
-
-def _build_alarm(name, cfg, deps, tokens):
-    virt = AlarmVirtualizer(deps.chip.alarm)
-    return AlarmDriver(name, cfg["driver_id"], virt, deps.max_processes)
+    NEEDS_DRIVER_ID = False
 
 
-def _build_console(name, cfg, deps, tokens):
-    return ConsoleDriver(name, cfg["driver_id"], deps.chip.uart,
-                         cfg.get("buffer_size", 64))
-
-
-def _build_probe(name, cfg, deps, tokens):
-    return ProbeDriver(name, cfg["driver_id"])
-
-
-def _build_manager(name, cfg, deps, tokens):
-    token = next((t for t in tokens
-                  if t.kind is CapabilityKind.PROCESS_MANAGEMENT), None)
-    return ManagerDriver(name, cfg["driver_id"], token)
-
-
-def _build_annotation(name, cfg, deps, tokens):
-    return AnnotationLayer(name, cfg.get("driver_id"))
-
-
-CAPSULE_TYPES: Dict[str, Callable] = {
-    "alarm": _build_alarm,
-    "console": _build_console,
-    "probe": _build_probe,
-    "manager": _build_manager,
-    "annotation": _build_annotation,
+# The capsule class each board layer type names.
+CAPSULE_TYPES: Dict[str, Type[Capsule]] = {
+    "alarm": AlarmDriver,
+    "console": ConsoleDriver,
+    "probe": ProbeDriver,
+    "manager": ManagerDriver,
+    "annotation": AnnotationLayer,
 }
-
-
-def register_capsule_type(type_name: str, builder: Callable) -> None:
-    """Extend the registry (used by boards with bespoke extensions)."""
-    CAPSULE_TYPES[type_name] = builder

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
+from .errors import Key
 from .regmap import RegisterFile, RegisterMapSpec, RegisterSpec
 from .trace import (
     K_IRQ_RAISED,
@@ -61,7 +62,7 @@ class InterruptController:
     stays pending rather than being lost.
     """
 
-    def __init__(self, trace: Optional[TraceLog] = None):
+    def __init__(self, trace: TraceLog):
         self.lines: Dict[int, InterruptLine] = {}
         self.trace = trace
 
@@ -77,8 +78,7 @@ class InterruptController:
     def raise_irq(self, irq_id: int) -> None:
         line = self.lines[irq_id]
         line.pending = True
-        if self.trace is not None:
-            self.trace.log(actor_hw(line.name), K_IRQ_RAISED, {"irq": irq_id})
+        self.trace.log(actor_hw(line.name), K_IRQ_RAISED, {"irq": irq_id})
 
     def any_pending(self) -> bool:
         return any(l.pending for l in self.lines.values())
@@ -91,8 +91,7 @@ class InterruptController:
             line = self.lines[irq_id]
             if line.pending and line.handler is not None:
                 line.pending = False
-                if self.trace is not None:
-                    self.trace.log(actor_hw(line.name), K_IRQ_SERVICED, {"irq": irq_id})
+                self.trace.log(actor_hw(line.name), K_IRQ_SERVICED, {"irq": irq_id})
                 line.handler()
                 serviced += 1
         return serviced
@@ -111,10 +110,14 @@ class AlarmHw:
     the per-tick path is integer arithmetic on the stored register values.
     """
 
-    # The registers and fields the model uses (a register map for it must
-    # declare them), and those its driver writes through MMIO.
+    # The register contract a map for the model must meet: the registers
+    # and fields it uses, the widths it relies on (COUNT and COMPARE hold
+    # ticks of the 32-bit ring) and those its driver writes through MMIO.
+    # KNOBS: the board keys of its timing knob, passed to the constructor.
     REGISTERS = {"COUNT": (), "COMPARE": (), "CTRL": ("ENABLE", "IRQEN")}
+    WIDTHS = {"COUNT": 32, "COMPARE": 32}
     WRITABLE = ("COMPARE", "CTRL")
+    KNOBS = {"initial_count": Key(int, 0, TICK_MASK, 0)}
 
     def __init__(self, spec: RegisterMapSpec, irqc: InterruptController,
                  irq_id: int, initial_count: int = 0):
@@ -188,11 +191,12 @@ class UartHw:
     """
 
     REGISTERS = {"TXDATA": (), "STATUS": ("TXBUSY",), "TXLEN": ()}
+    WIDTHS: Dict[str, int] = {}
     WRITABLE = ()
+    KNOBS = {"bytes_per_tick": Key(int, 1, default=1)}
 
     def __init__(self, spec: RegisterMapSpec, irqc: InterruptController,
-                 irq_id: int, bytes_per_tick: int = 1,
-                 trace: Optional[TraceLog] = None):
+                 irq_id: int, trace: TraceLog, bytes_per_tick: int = 1):
         self.regs = RegisterFile(spec, on_write=self._on_write)
         self.irqc = irqc
         self.irq_id = irq_id
@@ -212,8 +216,7 @@ class UartHw:
 
     def _emit(self, byte: int) -> None:
         self.output.append(byte)
-        if self.trace is not None:
-            self.trace.log(self._actor, K_UART_TX, _TX_PAYLOADS[byte])
+        self.trace.log(self._actor, K_UART_TX, _TX_PAYLOADS[byte])
 
     @property
     def busy(self) -> bool:
@@ -266,7 +269,9 @@ class HashEngineHw:
 
     REGISTERS = {"LEN": (), "STATUS": ("BUSY", "DONE"), "DIGEST_LO": (),
                  "DIGEST_HI": ()}
+    WIDTHS: Dict[str, int] = {}
     WRITABLE = ()
+    KNOBS = {"chunk_bytes": Key(int, 1, default=64)}
 
     def __init__(self, spec: RegisterMapSpec, irqc: InterruptController,
                  irq_id: int, chunk_bytes: int = 64):

@@ -67,8 +67,7 @@ EMPTY_REGION = MemoryRegion(0, 0, ACCESS_NONE)
 class MemoryController:
     """One flat byte array plus the per-process region tables."""
 
-    def __init__(self, total_size: int, mpu_max_regions: int,
-                 trace: Optional[TraceLog] = None):
+    def __init__(self, total_size: int, mpu_max_regions: int, trace: TraceLog):
         if total_size <= 0:
             raise ValueError("total_size must be positive")
         self.total_size = total_size
@@ -154,9 +153,8 @@ class MemoryController:
                 raise OutOfBounds(
                     f"kernel access [{base}, {base + length}) outside space")
         elif not self.check_access(pid, base, length, kind):
-            if self.trace is not None:
-                self.trace.log(actor, K_MEM_FAULT,
-                               {"base": base, "len": length, "op": kind})
+            self.trace.log(actor, K_MEM_FAULT,
+                           {"base": base, "len": length, "op": kind})
             raise AccessDenied(pid, base, length, kind)
 
         if kind == READ:
@@ -165,11 +163,10 @@ class MemoryController:
             self.data[base:base + length] = data
             result = b""
 
-        if self.trace is not None:
-            payload = {"base": base, "len": length, "op": kind}
-            if note:
-                payload.update(note)
-            self.trace.log(actor, K_MEM_ACCESS, payload)
+        payload = {"base": base, "len": length, "op": kind}
+        if note:
+            payload.update(note)
+        self.trace.log(actor, K_MEM_ACCESS, payload)
         return result
 
     # Convenience wrappers used by the kernel and tests.

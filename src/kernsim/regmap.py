@@ -22,8 +22,12 @@ from .errors import (
     UnknownField,
     UnknownOffset,
     UnknownRegister,
+    INVALID,
+    Key,
+    Schema,
     ValueOutOfRange,
     int_in,
+    walk,
 )
 
 VALID_WIDTHS = (8, 16, 32)
@@ -97,13 +101,12 @@ class RegisterMapSpec:
     def by_offset(self, offset: int) -> Optional[RegisterSpec]:
         return self._by_offset.get(offset)
 
-    def missing(self, registers: Dict[str, Tuple[str, ...]],
-                writable: Tuple[str, ...]) -> List[str]:
-        """What this map lacks of the registers and fields a peripheral
-        model uses, and which of the registers its driver writes are
-        not writable."""
+    def missing(self, model) -> List[str]:
+        """What this map lacks of a peripheral model's register contract:
+        the registers and fields it uses, the widths it relies on, and
+        write access to the registers its driver writes."""
         lacks: List[str] = []
-        for rname, fnames in registers.items():
+        for rname, fnames in model.REGISTERS.items():
             reg = self._by_name.get(rname)
             if reg is None:
                 lacks.append(f"no register {rname!r}, which the model uses")
@@ -111,61 +114,65 @@ class RegisterMapSpec:
             have = {f.name for f in reg.fields}
             lacks.extend(f"{rname} has no field {fname!r}, which the model uses"
                          for fname in fnames if fname not in have)
-            if rname in writable and not reg.writable:
+            if reg.width < model.WIDTHS.get(rname, 0):
+                lacks.append(f"{rname} must be {model.WIDTHS[rname]} bits wide, "
+                             f"which the model relies on, not {reg.width}")
+            if rname in model.WRITABLE and not reg.writable:
                 lacks.append(f"{rname} must be writable: its driver writes it")
         return lacks
 
 
-def load_register_map(data: Dict[str, Any]) -> RegisterMapSpec:
-    """Validate a map description; collects all violations before raising."""
-    if not isinstance(data, dict):
-        raise SpecError([f"register map must be an object, got {data!r}"])
-    violations: List[str] = []
-    name = data.get("name")
-    if not isinstance(name, str) or not name:
-        violations.append("peripheral name missing")
-        name = "?"
+_FIELD: Schema = {
+    "name": Key(str, default="?"),
+    "offset": Key(int, 0, required=True),
+    "width": Key(int, 1, required=True),
+    "enum": Key(dict, null=True, item=Key(int, 0)),
+}
+_REGISTER: Schema = {
+    "name": Key(str, default="?"),
+    "offset": Key(int, 0, required=True),
+    "width": Key(VALID_WIDTHS, required=True),
+    "access": Key(VALID_ACCESS, required=True),
+    "fields": Key(list, default=(), item=Key(_FIELD)),
+}
+REGISTER_MAP: Schema = {
+    "name": Key(str, 1, required=True),
+    "registers": Key(list, default=(), item=Key(_REGISTER)),
+}
 
+
+def load_register_map(data: Dict[str, Any]) -> RegisterMapSpec:
+    """Validate a map description; collects all violations before raising.
+    The walk checks each key; the layout rules are checked here, on the
+    registers and fields whose keys passed."""
+    violations: List[str] = []
+    spec = walk(Key(REGISTER_MAP), data, "register map", violations)
+    if spec is INVALID:
+        raise SpecError(violations)
     registers: List[RegisterSpec] = []
     seen_names: set = set()
-    for raw in _entries(data, "registers", "map", violations):
-        rname = raw.get("name", "?")
-        offset = raw.get("offset")
-        width = raw.get("width")
-        access = raw.get("access")
-        bad = False
+    for raw in spec["registers"] or ():
+        if not raw or INVALID in raw.values():
+            continue
+        rname, offset, width = raw["name"], raw["offset"], raw["width"]
         if rname in seen_names:
             violations.append(f"duplicate register name {rname!r}")
-            bad = True
-        seen_names.add(rname)
-        if not int_in(offset, 0):
-            violations.append(f"{rname}: bad offset {offset!r}")
-            bad = True
-        if not int_in(width, 0) or width not in VALID_WIDTHS:
-            violations.append(f"{rname}: width must be one of {VALID_WIDTHS}, got {width!r}")
-            bad = True
-        if access not in VALID_ACCESS:
-            violations.append(f"{rname}: access must be one of {VALID_ACCESS}, got {access!r}")
-            bad = True
-        if bad:
             continue
+        seen_names.add(rname)
         if offset % (width // 8) != 0:
             violations.append(f"{rname}: offset {offset} not aligned to {width // 8}-byte width")
-
         fields: List[FieldSpec] = []
         used_bits = 0
         fseen: set = set()
-        for fraw in _entries(raw, "fields", rname, violations):
-            fname = fraw.get("name", "?")
-            foff = fraw.get("offset")
-            fwidth = fraw.get("width")
+        for fraw in raw["fields"]:
+            if not fraw or INVALID in fraw.values():
+                continue
+            fname, foff, fwidth, enum = (fraw["name"], fraw["offset"],
+                                         fraw["width"], fraw["enum"])
             if fname in fseen:
                 violations.append(f"{rname}.{fname}: duplicate field name")
                 continue
             fseen.add(fname)
-            if not int_in(foff, 0) or not int_in(fwidth, 1):
-                violations.append(f"{rname}.{fname}: bad field offset/width")
-                continue
             if foff + fwidth > width:
                 violations.append(
                     f"{rname}.{fname}: field [{foff}, {foff + fwidth}) overflows "
@@ -176,18 +183,14 @@ def load_register_map(data: Dict[str, Any]) -> RegisterMapSpec:
                 violations.append(f"{rname}.{fname}: overlaps another field")
                 continue
             used_bits |= fmask
-            enum = fraw.get("enum")
-            if enum is not None and not isinstance(enum, dict):
-                violations.append(f"{rname}.{fname}: enum must be an object")
-            elif enum:
-                for ename, evalue in enum.items():
-                    if not int_in(evalue, 0, (1 << fwidth) - 1):
-                        violations.append(
-                            f"{rname}.{fname}: enum {ename!r}={evalue!r} does not fit "
-                            f"in {fwidth} bits")
+            for ename, evalue in (enum or {}).items():
+                if evalue is not INVALID and evalue >> fwidth:
+                    violations.append(
+                        f"{rname}.{fname}: enum {ename!r}={evalue!r} does not fit "
+                        f"in {fwidth} bits")
             fields.append(FieldSpec(fname, foff, fwidth, enum))
-
-        registers.append(RegisterSpec(rname, offset, width, access, tuple(fields)))
+        registers.append(RegisterSpec(rname, offset, width, raw["access"],
+                                      tuple(fields)))
 
     # Extent overlap across the whole peripheral.
     by_offset = sorted(registers, key=lambda r: (r.offset, r.name))
@@ -198,25 +201,7 @@ def load_register_map(data: Dict[str, Any]) -> RegisterMapSpec:
 
     if violations:
         raise SpecError(violations)
-    return RegisterMapSpec(name, registers)
-
-
-def _entries(data: Dict[str, Any], key: str, where: str,
-             violations: List[str]) -> List[Dict[str, Any]]:
-    """The entries listed under ``key`` that are objects with a string
-    name, if any; anything else is a violation."""
-    entries = data.get(key, [])
-    if not isinstance(entries, list):
-        violations.append(f"{where}: {key} must be a list, got {entries!r}")
-        return []
-    kept = []
-    for entry in entries:
-        if isinstance(entry, dict) and isinstance(entry.get("name", "?"), str):
-            kept.append(entry)
-        else:
-            violations.append(f"{where}: {key} entry must be an object with a "
-                              f"string name, got {entry!r}")
-    return kept
+    return RegisterMapSpec(spec["name"], registers)
 
 
 class RegisterFile:

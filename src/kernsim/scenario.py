@@ -18,18 +18,17 @@ from __future__ import annotations
 import binascii
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, NamedTuple, Optional
 
-from .abi import U32_MAX, ALLOW_CLASSES, SyscallInvocation, decode_invocation
-from .errors import MalformedInvocation, ScenarioError, int_violation
+from .abi import ALLOW_CLASSES, ARGS, SYSCALL, U32_MAX, SyscallClass, \
+    SyscallInvocation, YieldMode, invocation
+from .errors import INVALID, Key, Schema, ScenarioError, walk, where
 
-VALID_SEGMENTS = ("ram", "flash", "abs")
 MAX_STATEMENTS = 200_000
 DEFAULT_MIN_MEMORY = 1024
 
 
-@dataclass(frozen=True)
-class Stmt:
+class Stmt(NamedTuple):
     op: str
     inv: Optional[SyscallInvocation] = None
     seg: str = "ram"  # what an allow's base is relative to
@@ -50,147 +49,125 @@ class ScenarioScript:
     credential_digest: Optional[int] = None  # explicit override; None = computed
 
 
-def _parse_int(value, what: str, hi: Optional[int] = None) -> int:
-    """value, if it is an integer in [0, hi] (hi None: no upper bound)."""
-    if problem := int_violation(what, value, 0, hi):
-        raise ScenarioError(problem)
-    return value
+# The lists under "main", a handler name and a loop's "body" hold
+# statements, which _parse_statements walks one at a time. The header
+# fields are bounded to their widths in the packed binary.
+_U32 = Key(int, 0, U32_MAX, 0)
+STATEMENTS: Dict[str, Schema] = {
+    "syscall": {"call": SYSCALL},
+    "expect": {"pattern": Key(dict, required=True)},
+    "write_local": {"offset": Key(int, 0, required=True),
+                    "data": Key(str, default="")},
+    "read_local": {"offset": Key(int, 0, required=True),
+                   "len": Key(int, 0, required=True)},
+    "halt": {},
+    "loop": {"count": Key(int, 0, required=True), "body": Key(list, default=())},
+    "sync_command": {"driver": Key(int, 0, U32_MAX, required=True),
+                     "cmd": Key(int, 0, U32_MAX, required=True), "args": ARGS,
+                     "fn": Key(str, required=True), "sub": _U32,
+                     "userdata": _U32},
+}
+STATEMENT = Key(STATEMENTS, tag="op")
+SCENARIO: Schema = {
+    "name": Key(str),
+    "min_memory": Key(int, 0, U32_MAX, DEFAULT_MIN_MEMORY),
+    "entry": Key(str, hi=0xFFFF, default="main"),
+    "credential": Key({"digest": Key(int, 0, (1 << 64) - 1, null=True),
+                       "key_id": Key(int, 0, 0xFFFF, 0)}, default={}),
+    "main": Key(list, default=()),
+    "handlers": Key(dict, default={}, item=Key(list)),
+}
+_WAIT = Stmt("syscall", inv=SyscallInvocation.yield_(YieldMode.WAIT))
+_EXPECT_SUCCESS = Stmt("expect", pattern={"variant": "success"})
+_HALT = Stmt("halt")
+_TOO_LONG = f"script exceeds {MAX_STATEMENTS} statements after unrolling"
 
 
-def _expand_sync_command(raw: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """subscribe + command + yield-wait + expect, in one scripted line. The
-    integers are checked where the expanded calls are decoded."""
-    fn = raw.get("fn")
-    if not isinstance(fn, str):
-        raise ScenarioError("sync_command needs a handler name in 'fn'")
-    driver = raw.get("driver")
-    return [
-        {"op": "syscall", "call": {"class": "subscribe", "driver": driver,
-                                   "sub": raw.get("sub", 0), "fn": fn,
-                                   "userdata": raw.get("userdata", 0)}},
-        {"op": "syscall", "call": {"class": "command", "driver": driver,
-                                   "cmd": raw.get("cmd"),
-                                   "args": raw.get("args", [0, 0])}},
-        {"op": "syscall", "call": {"class": "yield", "mode": "wait"}},
-        {"op": "expect", "pattern": {"variant": "success"}},
-    ]
-
-
-def _parse_statements(raw_list, where: str, in_handler: bool,
-                      budget: List[int]) -> List[Stmt]:
-    if not isinstance(raw_list, list):
-        raise ScenarioError(f"{where} must be a list of statements")
-    out: List[Stmt] = []
-    for raw in raw_list:
-        if not isinstance(raw, dict):
-            raise ScenarioError(f"{where}: statement must be an object, got {raw!r}")
-        op = raw.get("op")
+def _parse_statements(raw_list, path, in_handler: bool, budget: List[int],
+                      out: List[str]) -> List[Stmt]:
+    """The flat statements a list unrolls to, each checked against
+    STATEMENT here, so that a loop nests one call deep. ``budget`` holds
+    the statements the script may still unroll to."""
+    stmts: List[Stmt] = []
+    for i, raw in enumerate(raw_list):
+        here = (path, i)
+        seen = len(out)
+        rec = walk(STATEMENT, raw, here, out)
+        if len(out) != seen:
+            continue
+        op = rec["op"]
         if op == "loop":
-            count = _parse_int(raw.get("count"), f"{where}: loop count")
-            body = _parse_statements(raw.get("body", []), f"{where}/loop",
-                                     in_handler, budget)
-            budget[0] -= len(body) * count
-            if budget[0] < 0:
-                raise ScenarioError(
-                    f"script exceeds {MAX_STATEMENTS} statements after unrolling")
+            body = _parse_statements(rec["body"], (here, "body"), in_handler,
+                                     budget, out)
             if body:  # an empty body unrolls to nothing, whatever the count
-                out.extend(body * count)
+                budget[0] -= len(body) * rec["count"]
+                if budget[0] < 0:
+                    raise ScenarioError(out + [_TOO_LONG])
+                stmts.extend(body * rec["count"])
             continue
-        if op == "sync_command":
-            if in_handler:
-                raise ScenarioError(f"{where}: sync_command yields and cannot "
-                                    "appear in a handler")
-            expansion = _parse_statements(_expand_sync_command(raw),
-                                          f"{where}/sync_command", in_handler, budget)
-            out.extend(expansion)
-            continue
-
-        budget[0] -= 1
+        budget[0] -= 4 if op == "sync_command" else 1
         if budget[0] < 0:
-            raise ScenarioError(
-                f"script exceeds {MAX_STATEMENTS} statements after unrolling")
-
+            raise ScenarioError(out + [_TOO_LONG])
         if op == "syscall":
-            call = raw.get("call")
-            if not isinstance(call, dict):
-                raise ScenarioError(f"{where}: syscall needs a 'call' object")
-            call = dict(call)
-            seg = call.pop("seg", "ram")
-            if seg not in VALID_SEGMENTS:
-                raise ScenarioError(f"{where}: bad seg {seg!r}")
-            try:
-                inv = decode_invocation(call)
-            except MalformedInvocation as exc:
-                raise ScenarioError(f"{where}: {exc}") from None
-            if in_handler and inv.klass.value == "yield":
-                raise ScenarioError(
-                    f"{where}: upcall handlers run to completion and may not yield")
-            out.append(Stmt("syscall", inv=inv, seg=seg))
+            call = rec["call"]
+            inv = invocation(call)
+            if in_handler and inv.klass is SyscallClass.YIELD:
+                out.append(f"{where(here)}: upcall handlers run to completion "
+                           "and may not yield")
+            else:
+                stmts.append(Stmt("syscall", inv=inv, seg=call.get("seg", "ram")))
         elif op == "expect":
-            pattern = raw.get("pattern")
-            if not isinstance(pattern, dict):
-                raise ScenarioError(f"{where}: expect needs a 'pattern' object")
-            out.append(Stmt("expect", pattern=dict(pattern)))
+            stmts.append(Stmt("expect", pattern=rec["pattern"]))
         elif op == "write_local":
-            offset = _parse_int(raw.get("offset"), f"{where}: write_local offset")
-            hexdata = raw.get("data", "")
             try:
-                data = binascii.unhexlify(hexdata)
-            except (ValueError, TypeError):  # not hex, or not ASCII
-                raise ScenarioError(f"{where}: write_local data must be hex") from None
-            out.append(Stmt("write_local", offset=offset, data=data))
+                data = binascii.unhexlify(rec["data"])
+            except ValueError:  # not hex, or not ASCII
+                out.append(f"{where((here, 'data'))} must be hex, "
+                           f"got {rec['data']!r}")
+                continue
+            stmts.append(Stmt("write_local", offset=rec["offset"], data=data))
         elif op == "read_local":
-            offset = _parse_int(raw.get("offset"), f"{where}: read_local offset")
-            length = _parse_int(raw.get("len"), f"{where}: read_local len")
-            out.append(Stmt("read_local", offset=offset, length=length))
+            stmts.append(Stmt("read_local", offset=rec["offset"],
+                              length=rec["len"]))
         elif op == "halt":
-            out.append(Stmt("halt"))
+            stmts.append(_HALT)
+        elif in_handler:  # a sync_command: subscribe, command, wait, expect
+            out.append(f"{where(here)}: sync_command yields and cannot appear "
+                       "in a handler")
         else:
-            raise ScenarioError(f"{where}: unknown statement op {op!r}")
-    return out
+            driver = rec["driver"]
+            stmts += (
+                Stmt("syscall", inv=SyscallInvocation.subscribe(
+                    driver, rec["sub"], rec["fn"], rec["userdata"])),
+                Stmt("syscall", inv=SyscallInvocation.command(
+                    driver, rec["cmd"], *rec["args"])),
+                _WAIT, _EXPECT_SUCCESS)
+    return stmts
 
 
 def parse_script(data: Dict[str, Any], name: str = "app") -> ScenarioScript:
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario must be a JSON object")
+    out: List[str] = []
+    doc = walk(Key(SCENARIO), data, "scenario", out)
+    if doc is INVALID:
+        raise ScenarioError(out)
     budget = [MAX_STATEMENTS]
-    main = _parse_statements(data.get("main", []), "main", False, budget)
+    main = _parse_statements(doc["main"] or (), ("scenario", "main"), False,
+                             budget, out)
     handlers: Dict[str, List[Stmt]] = {}
-    raw_handlers = data.get("handlers", {})
-    if not isinstance(raw_handlers, dict):
-        raise ScenarioError("handlers must be an object of name -> statements")
-    for hname, body in raw_handlers.items():
-        handlers[hname] = _parse_statements(body, f"handler {hname}", True, budget)
-
-    # The header fields are bounded to their widths in the packed binary.
-    credential = data.get("credential", {})
-    if not isinstance(credential, dict):
-        raise ScenarioError(f"credential must be an object, got {credential!r}")
-    digest = credential.get("digest")
-    if digest is not None:
-        digest = _parse_int(digest, "credential digest", (1 << 64) - 1)
-    entry = data.get("entry", "main")
-    try:
-        entry_fits = isinstance(entry, str) and len(entry.encode("utf-8")) < 1 << 16
-    except UnicodeEncodeError:  # a lone surrogate has no UTF-8 form
-        entry_fits = False
-    if not entry_fits:
-        raise ScenarioError("entry must be a string of fewer than 65536 UTF-8 "
-                            f"bytes, got {entry!r:.80}")
-
-    name = data.get("name", name)
-    if not isinstance(name, str):
-        raise ScenarioError(f"name must be a string, got {name!r}")
+    for hname, body in (doc["handlers"] or {}).items():
+        handlers[hname] = _parse_statements(
+            body or (), (("scenario", "handlers"), hname), True, budget, out)
+    if out:
+        raise ScenarioError(out)
+    credential = doc["credential"]
     return ScenarioScript(
-        name=name,
-        min_memory=_parse_int(data.get("min_memory", DEFAULT_MIN_MEMORY),
-                              "min_memory", U32_MAX),
-        key_id=_parse_int(credential.get("key_id", 0), "credential key_id",
-                          0xFFFF),
-        entry=entry,
+        name=name if doc["name"] is None else doc["name"],
+        min_memory=doc["min_memory"],
+        key_id=credential["key_id"],
+        entry=doc["entry"],
         main=main,
         handlers=handlers,
-        credential_digest=digest,
+        credential_digest=credential["digest"],
     )
 
 

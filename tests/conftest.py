@@ -1,3 +1,4 @@
+import copy
 import json
 import sys
 from pathlib import Path
@@ -43,6 +44,35 @@ def minimal_board_dict(**overrides):
     return cfg
 
 
+def schema_fields(key, node, prefix=()):
+    """The key path of every field of ``node`` that its schema names,
+    nested ones included: each key an object's schema names, whether the
+    object holds it or not, and each item or entry the node holds of a
+    list or an object with any keys."""
+    if key.kind == "object":
+        schema = key.type if key.tag is None else key.type[node[key.tag]]
+        for name in ([key.tag] if key.tag else []) + list(schema):
+            yield prefix + (name,)
+            if name in node and name in schema:
+                yield from schema_fields(schema[name], node[name], prefix + (name,))
+    elif key.kind in ("list", "map"):
+        for name, child in (enumerate(node) if key.kind == "list"
+                            else node.items()):
+            yield prefix + (name,)
+            if key.item is not None:
+                yield from schema_fields(key.item, child, prefix + (name,))
+
+
+def set_field(doc, path, value):
+    """doc with the field at path set to value, added if absent."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
 def make_board(**overrides) -> Board:
     return Board.from_dict(minimal_board_dict(**overrides))
 
@@ -58,9 +88,14 @@ def trace_events(board: Board):
     return [SimpleNamespace(**record) for record in records]
 
 
-def script_source(main, handlers=None, min_memory=1024, **extra) -> bytes:
+def script_source(main, handlers=None, min_memory=1024, pad="", **extra) -> bytes:
+    """A scenario file's bytes. A non-empty ``pad`` lengthens the payload
+    by an upcall handler of that name that nothing subscribes."""
+    handlers = dict(handlers or {})
+    if pad:
+        handlers[pad] = []
     doc = {"name": extra.pop("name", "app"), "min_memory": min_memory,
-           "main": main, "handlers": handlers or {}}
+           "main": main, "handlers": handlers}
     doc.update(extra)
     return json.dumps(doc).encode("utf-8")
 

@@ -29,6 +29,7 @@ from kernsim.memory import (
     MemoryRegion,
 )
 from kernsim.regmap import RegisterFile
+from kernsim.trace import TraceLog
 
 from conftest import (BOARDS_DIR, SCENARIOS_DIR, make_board, script_source,
                       trace_events)
@@ -207,7 +208,7 @@ def test_acceptance_04_mpu_oracle_exhaustive_256():
          MemoryRegion(100, 0, ACCESS_RW), MemoryRegion(120, 40, ACCESS_NONE)],
         [MemoryRegion(0, 256, ACCESS_READ)],
     ]
-    mem = MemoryController(space, mpu_max_regions=8)
+    mem = MemoryController(space, 8, TraceLog())
     checked = 0
     for regions in configs:
         mem.configure_regions(1, regions)

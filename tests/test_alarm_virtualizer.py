@@ -6,6 +6,7 @@ from pathlib import Path
 from kernsim.capsules import AlarmVirtualizer
 from kernsim.hw import AlarmHw, InterruptController
 from kernsim.regmap import load_register_map
+from kernsim.trace import TraceLog
 
 from oracles import alarm_oracle
 
@@ -16,7 +17,7 @@ RING = 1 << 32
 
 
 def make_virtualizer(n_clients, initial_count=0):
-    irqc = InterruptController()
+    irqc = InterruptController(TraceLog())
     hw = AlarmHw(ALARM_SPEC, irqc, 0, initial_count=initial_count)
     virt = AlarmVirtualizer(hw)
     fires = []

@@ -313,9 +313,9 @@ def _add_annotation(cfg, **fields):
 @pytest.mark.parametrize("mutate, needle", [
     pytest.param(
         lambda cfg: cfg.update(capabilities={"manager": "ProcessManagement"}),
-        "capability grant for 'manager'", id="grant_kinds_not_a_list"),
+        "capabilities.manager must be a list", id="grant_kinds_not_a_list"),
     pytest.param(lambda cfg: cfg.update(capabilities={"manager": [{"k": 1}]}),
-                 "capability grant for 'manager'", id="grant_kind_not_a_string"),
+                 "capabilities.manager[0] must be one of", id="grant_kind_not_a_string"),
     pytest.param(lambda cfg: cfg.update(trusted_key_ids=5), "trusted_key_ids",
                  id="trusted_key_ids_not_a_list"),
     pytest.param(lambda cfg: _console(cfg).update(provides="x"), "provides",
@@ -334,13 +334,15 @@ def _add_annotation(cfg, **fields):
                  id="annotation_driver_id_a_list"),
     pytest.param(lambda cfg: _add_annotation(cfg, driver_id=-1), "driver_id",
                  id="annotation_driver_id_negative"),
-    pytest.param(lambda cfg: _console(cfg).update(type=["a"]), "unknown type",
+    pytest.param(lambda cfg: _console(cfg).update(type=["a"]),
+                 "capsules[1].type must be one of",
                  id="capsule_type_a_list"),
     pytest.param(lambda cfg: cfg["peripherals"].update(alarm={"irq": True},
                                                        uart={"irq": 5}),
-                 "'alarm' needs a non-negative integer irq", id="irq_true"),
+                 "peripherals.alarm.irq must be an integer >= 0, got True",
+                 id="irq_true"),
     pytest.param(lambda cfg: _add_annotation(cfg, driver_id=True),
-                 "driver_id must be a non-negative integer, got True",
+                 "capsules[5].driver_id must be an integer >= 0, got True",
                  id="annotation_driver_id_true"),
     pytest.param(lambda cfg: cfg.update(ram_size=True), "ram_size",
                  id="ram_size_true"),
@@ -394,10 +396,11 @@ def test_board_values_at_their_limits_run(tmp_path):
                      "--trace", str(tmp_path / "t.jsonl")]) == 0
 
 
-def _alarm_map(drop=(), compare_access="RW"):
+def _alarm_map(drop=(), compare_access="RW", widths=(32, 32)):
     registers = [
-        {"name": "COUNT", "offset": 0, "width": 32, "access": "R"},
-        {"name": "COMPARE", "offset": 4, "width": 32, "access": compare_access},
+        {"name": "COUNT", "offset": 0, "width": widths[0], "access": "R"},
+        {"name": "COMPARE", "offset": 4, "width": widths[1],
+         "access": compare_access},
         {"name": "CTRL", "offset": 8, "width": 32, "access": "RW",
          "fields": [{"name": "ENABLE", "offset": 0, "width": 1},
                     {"name": "IRQEN", "offset": 1, "width": 1}]},
@@ -407,26 +410,27 @@ def _alarm_map(drop=(), compare_access="RW"):
 
 
 @pytest.mark.parametrize("map_ref, map_text, needle", [
-    pytest.param(5, None, "map must be a file path", id="map_a_number"),
+    pytest.param(5, None, "peripherals.alarm.map must be a string",
+                 id="map_a_number"),
     pytest.param("m\x00.json", None, "missing register map", id="map_path_with_a_nul"),
     pytest.param("\ud800.json", None, "missing register map",
                  id="map_path_with_a_lone_surrogate"),
     pytest.param("m.json", "[1, 2]", "register map must be an object",
                  id="map_json_a_list"),
     pytest.param("m.json", '{"name": "alarm", "registers": [7]}',
-                 "registers entry must be an object", id="register_a_number"),
+                 "registers[0] must be an object", id="register_a_number"),
     pytest.param("m.json", '{"name": "alarm", "registers": "COUNT"}',
                  "registers must be a list", id="registers_a_string"),
     pytest.param("m.json", '{"name": "alarm", "registers": [{"name": "C", '
                  '"offset": 0, "width": 32, "access": "RW", "fields": [3]}]}',
-                 "fields entry must be an object", id="field_a_number"),
+                 "registers[0].fields[0] must be an object", id="field_a_number"),
     pytest.param("m.json", '{"name": "alarm", "registers": [{"name": "C", '
                  '"offset": 0, "width": 32, "access": "RW", "fields": '
                  '[{"name": "F", "offset": 0, "width": 2, "enum": [1]}]}]}',
                  "enum must be an object", id="enum_a_list"),
     pytest.param("m.json", '{"name": "alarm", "registers": [{"name": ["C"], '
                  '"offset": 0, "width": 32, "access": "RW"}]}',
-                 "string name", id="register_name_a_list"),
+                 "registers[0].name must be a string", id="register_name_a_list"),
     pytest.param("m.json", _alarm_map(drop=("COUNT", "CTRL")),
                  "no register 'COUNT'", id="alarm_map_without_count_and_ctrl"),
     pytest.param("m.json", _alarm_map(compare_access="R"),
@@ -434,9 +438,19 @@ def _alarm_map(drop=(), compare_access="RW"):
     pytest.param("m.json", _alarm_map().replace("IRQEN", "IRQ_ENABLE"),
                  "CTRL has no field 'IRQEN'", id="alarm_ctrl_without_irqen"),
     pytest.param("m.json", _alarm_map().replace('"offset": 0,', '"offset": false,'),
-                 "COUNT: bad offset False", id="register_offset_false"),
+                 "registers[0].offset must be an integer >= 0, got False",
+                 id="register_offset_false"),
     pytest.param("m.json", _alarm_map().replace('"width": 32', '"width": 32.0', 1),
-                 "COUNT: width must be one of", id="register_width_a_float"),
+                 "registers[0].width must be one of", id="register_width_a_float"),
+    # The alarm counts on the 32-bit tick ring: with a 16-bit COMPARE, a
+    # deadline of 70,000 would be stored as 4,464 and the alarm would
+    # fire on every tick from there to 70,000.
+    pytest.param("m.json", _alarm_map(widths=(16, 16)),
+                 "COUNT must be 32 bits wide, which the model relies on, not 16",
+                 id="alarm_count_and_compare_16_bits"),
+    pytest.param("m.json", _alarm_map(widths=(32, 16)),
+                 "COMPARE must be 32 bits wide, which the model relies on, not 16",
+                 id="alarm_compare_16_bits"),
 ])
 def test_bad_register_map_is_exit_2_at_check_and_run(tmp_path, capsys, map_ref,
                                                     map_text, needle):
@@ -565,3 +579,31 @@ def test_unwritable_trace_path_is_exit_2_before_simulating(tmp_path, capsys,
     assert err.startswith("config error: cannot write trace: ")
     assert "Traceback" not in err
     assert not (tmp_path / "no").exists()
+
+
+@pytest.mark.parametrize("mutate, key", [
+    pytest.param(lambda cfg: cfg.update(max_proceses=2), "max_proceses",
+                 id="board"),
+    pytest.param(lambda cfg: cfg["peripherals"]["uart"].update(bytes_per_tik=4),
+                 "peripherals.uart.bytes_per_tik", id="peripheral"),
+    pytest.param(lambda cfg: cfg["peripherals"].update(spi={"irq": 9}),
+                 "peripherals.spi", id="peripheral_name"),
+    pytest.param(lambda cfg: _console(cfg).update(buffer=8), "capsules[1].buffer",
+                 id="capsule_layer"),
+])
+def test_a_key_the_schema_does_not_name_is_exit_2_at_check_and_run(
+        tmp_path, capsys, mutate, key):
+    cfg = minimal_board_dict()
+    mutate(cfg)
+    board_path = tmp_path / "board.json"
+    board_path.write_text(json.dumps(cfg))
+    app = tmp_path / "app.json"
+    app.write_text(json.dumps({"name": "app", "main": [{"op": "halt"}]}))
+    trace_path = tmp_path / "t.jsonl"
+    assert cli_main(["check", "--board", str(board_path)]) == 2
+    assert f"violation: {key} is not a known key" in capsys.readouterr().err
+    assert cli_main(["run", "--board", str(board_path), "--app", str(app),
+                     "--trace", str(trace_path)]) == 2
+    events = parse_trace(trace_path.read_bytes())
+    assert [e["payload"]["violation"] for e in events] == [
+        f"{key} is not a known key"]

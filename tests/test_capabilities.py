@@ -17,10 +17,11 @@ from kernsim.kernel import ProcessState
 from conftest import (make_board, minimal_board_dict, script_source,
                       trace_events)
 from kernsim.board import Board
+from kernsim.trace import TraceLog
 
 
 def test_mint_during_building_then_refused_after_finalize():
-    registry = CapabilityRegistry()
+    registry = CapabilityRegistry(TraceLog())
     token = registry.mint(CapabilityKind.PROCESS_MANAGEMENT, "holder")
     assert token.kind is CapabilityKind.PROCESS_MANAGEMENT
     registry.finalize()
@@ -30,29 +31,29 @@ def test_mint_during_building_then_refused_after_finalize():
 
 
 def test_finalize_is_once_only():
-    registry = CapabilityRegistry()
+    registry = CapabilityRegistry(TraceLog())
     registry.finalize()
     with pytest.raises(PhaseError):
         registry.finalize()
 
 
 def test_token_from_another_board_is_foreign():
-    reg_a = CapabilityRegistry()
-    reg_b = CapabilityRegistry()
+    reg_a = CapabilityRegistry(TraceLog())
+    reg_b = CapabilityRegistry(TraceLog())
     token_a = reg_a.mint(CapabilityKind.PROCESS_MANAGEMENT, "x")
     with pytest.raises(ForeignCapability):
         reg_b.validate(token_a, CapabilityKind.PROCESS_MANAGEMENT)
 
 
 def test_wrong_kind_rejected():
-    registry = CapabilityRegistry()
+    registry = CapabilityRegistry(TraceLog())
     token = registry.mint(CapabilityKind.GRANT_INSPECTION, "x")
     with pytest.raises(WrongKind):
         registry.validate(token, CapabilityKind.PROCESS_MANAGEMENT)
 
 
 def test_tokens_carry_nothing_but_kind_and_receipt():
-    registry = CapabilityRegistry()
+    registry = CapabilityRegistry(TraceLog())
     token = registry.mint(CapabilityKind.LOADER_CONTROL, "x")
     assert set(token.__dataclass_fields__) == {"kind", "board_receipt"}
 

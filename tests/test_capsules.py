@@ -11,6 +11,7 @@ from kernsim.capsules import (
 )
 from kernsim.hw import InterruptController, UartHw
 from kernsim.regmap import load_register_map
+from kernsim.trace import TraceLog
 
 MAPS_DIR = Path(__file__).resolve().parents[1] / "src" / "kernsim" / "maps"
 UART_SPEC = load_register_map(json.loads((MAPS_DIR / "uart.json").read_text()))
@@ -108,8 +109,8 @@ class _NullServices:
 
 
 def make_console(buffer_size=64):
-    irqc = InterruptController()
-    uart = UartHw(UART_SPEC, irqc, 1)
+    irqc = InterruptController(TraceLog())
+    uart = UartHw(UART_SPEC, irqc, 1, TraceLog())
     console = ConsoleDriver("console", 1, uart, buffer_size)
     console.attach(_NullServices())
     return console, uart, irqc

@@ -30,7 +30,7 @@ def _spec(name):
 
 
 def make_alarm(initial_count=0):
-    irqc = InterruptController()
+    irqc = InterruptController(TraceLog())
     hw = AlarmHw(_spec("alarm"), irqc, 0, initial_count=initial_count)
     return hw, irqc
 
@@ -92,8 +92,8 @@ def test_alarm_count_free_runs_and_never_resets():
 
 
 def test_uart_one_byte_per_tick_and_completion_irq():
-    irqc = InterruptController()
-    uart = UartHw(_spec("uart"), irqc, 1)
+    irqc = InterruptController(TraceLog())
+    uart = UartHw(_spec("uart"), irqc, 1, TraceLog())
     window = BufferWindow(bytearray(b"hello"))
     uart.start_tx(window)
     assert uart.busy
@@ -110,14 +110,14 @@ def test_uart_one_byte_per_tick_and_completion_irq():
 
 
 def test_uart_txdata_register_emits_single_byte():
-    irqc = InterruptController()
-    uart = UartHw(_spec("uart"), irqc, 1)
+    irqc = InterruptController(TraceLog())
+    uart = UartHw(_spec("uart"), irqc, 1, TraceLog())
     uart.regs.write_reg("TXDATA", 0x41)
     assert bytes(uart.output) == b"A"
 
 
 def test_hash_engine_timing_is_ceil_len_over_64():
-    irqc = InterruptController()
+    irqc = InterruptController(TraceLog())
     engine = HashEngineHw(_spec("hashengine"), irqc, 2)
     payload = b"x" * 130  # ceil(130/64) = 3 ticks
     engine.submit(payload, "job", fnv1a64(payload))
@@ -135,7 +135,7 @@ def test_hash_engine_timing_is_ceil_len_over_64():
 
 
 def test_hash_engine_digest_hidden_until_done():
-    irqc = InterruptController()
+    irqc = InterruptController(TraceLog())
     engine = HashEngineHw(_spec("hashengine"), irqc, 2)
     engine.submit(b"y" * 100, 1, 0x1234_5678_9ABC_DEF0)
     assert engine.regs.read_reg("DIGEST_LO") == 0
@@ -150,9 +150,9 @@ def test_hash_engine_digest_hidden_until_done():
 
 def test_idle_tick_raises_nothing():
     clock = SimClock()
-    irqc = InterruptController()
+    irqc = InterruptController(TraceLog())
     chip = Chip(clock, irqc, AlarmHw(_spec("alarm"), irqc, 0),
-                UartHw(_spec("uart"), irqc, 1),
+                UartHw(_spec("uart"), irqc, 1, TraceLog()),
                 HashEngineHw(_spec("hashengine"), irqc, 2))
     chip.tick(1)
     assert not irqc.any_pending()
@@ -161,7 +161,7 @@ def test_idle_tick_raises_nothing():
 
 
 def test_interrupt_priority_is_ascending_irq_id():
-    irqc = InterruptController()
+    irqc = InterruptController(TraceLog())
     order = []
     for irq_id, name in ((5, "b"), (1, "a")):
         irqc.add_line(irq_id, name)
@@ -173,7 +173,7 @@ def test_interrupt_priority_is_ascending_irq_id():
 
 
 def test_irq_stays_pending_until_handled_and_clears_on_delivery():
-    irqc = InterruptController()
+    irqc = InterruptController(TraceLog())
     fired = []
     irqc.add_line(0, "a")
     irqc.raise_irq(0)
@@ -242,8 +242,8 @@ def test_alarm_compare_written_to_a_passed_value_fires_at_once():
 
 
 def test_uart_ticks_until_event():
-    irqc = InterruptController()
-    uart = UartHw(_spec("uart"), irqc, 1, bytes_per_tick=2)
+    irqc = InterruptController(TraceLog())
+    uart = UartHw(_spec("uart"), irqc, 1, TraceLog(), bytes_per_tick=2)
     assert uart.ticks_until_event() is None
     uart.start_tx(BufferWindow(bytearray(b"abc")))
     assert uart.ticks_until_event() == 2
@@ -254,7 +254,7 @@ def test_uart_ticks_until_event():
 
 
 def test_hash_engine_ticks_until_event():
-    irqc = InterruptController()
+    irqc = InterruptController(TraceLog())
     engine = HashEngineHw(_spec("hashengine"), irqc, 2)
     assert engine.ticks_until_event() is None
     engine.submit(b"x" * 130, "job", 0)
@@ -266,7 +266,7 @@ def test_hash_engine_ticks_until_event():
 
 
 def test_hash_engine_zero_length_payload_fires_after_one_tick():
-    irqc = InterruptController()
+    irqc = InterruptController(TraceLog())
     engine = HashEngineHw(_spec("hashengine"), irqc, 2)
     engine.submit(b"", "empty", fnv1a64(b""))
     assert engine.ticks_until_event() == 1

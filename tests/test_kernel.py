@@ -10,12 +10,7 @@ from kernsim.abi import (
     SyscallReturn,
     YieldMode,
 )
-from kernsim.capsules import (
-    AlarmDriver,
-    AlarmVirtualizer,
-    Capsule,
-    register_capsule_type,
-)
+from kernsim.capsules import CAPSULE_TYPES, AlarmDriver, Capsule
 from kernsim.errors import (
     PhaseError,
     ProcessDead,
@@ -487,7 +482,8 @@ def test_exit_orphans_in_flight_console_write(board):
     assert bytes(board.chip.uart.output) == bytes.fromhex("aabbccddeeff00112233")
     assert not any(e.kind == "upcall_run" for e in trace_events(board))
     console = board.capsules_by_name["console"]
-    assert not console.pending and not console.window.in_flight
+    assert not console.pending
+    console.window.read()  # raises WindowInFlight while the window is in flight
 
 
 def test_faulted_process_is_not_restarted(board):
@@ -603,10 +599,6 @@ class ReentrantCapsule(Capsule):
         return SyscallReturn.success()
 
 
-register_capsule_type(
-    "spinner", lambda name, cfg, deps, tokens: SpinnerCapsule(name, cfg["driver_id"]))
-register_capsule_type(
-    "reentrant", lambda name, cfg, deps, tokens: ReentrantCapsule(name, cfg["driver_id"]))
 
 
 def _board_with(extra_capsules, **overrides):
@@ -650,11 +642,10 @@ def test_grant_reentry_halts_with_exit_3():
 
 
 class CrashingAlarmDriver(AlarmDriver):
-    """Test fixture: an alarm driver that raises in one chosen entry point."""
+    """Test fixture: an alarm driver that raises in one chosen entry point,
+    set by the test on the class its board type names."""
 
-    def __init__(self, name, driver_id, virt, max_clients, crash_in):
-        super().__init__(name, driver_id, virt, max_clients)
-        self.crash_in = crash_in
+    crash_in = None
 
     def _crash_if(self, entry):
         if self.crash_in == entry:
@@ -673,22 +664,17 @@ class CrashingAlarmDriver(AlarmDriver):
         super().on_process_exit(pid)
 
 
-register_capsule_type(
-    "crashing_alarm", lambda name, cfg, deps, tokens: CrashingAlarmDriver(
-        name, cfg["driver_id"], AlarmVirtualizer(deps.chip.alarm),
-        deps.max_processes, cfg["crash_in"]))
-
-
 @pytest.mark.parametrize("entry", ["command", "handle_interrupt",
                                    "on_process_exit"])
-def test_capsule_exception_in_any_entry_point_is_exit_3(entry):
+def test_capsule_exception_in_any_entry_point_is_exit_3(entry, monkeypatch):
     # command crashes at the arm, handle_interrupt when the alarm fires,
     # on_process_exit at the halt after the alarm was delivered.
     from conftest import minimal_board_dict
     from kernsim.board import Board
+    monkeypatch.setattr(CrashingAlarmDriver, "crash_in", entry)
     cfg = minimal_board_dict()
     cfg["capsules"][0] = {"name": "alarm_driver", "type": "crashing_alarm",
-                          "driver_id": 0, "crash_in": entry}
+                          "driver_id": 0}
     board = Board.from_dict(cfg)
     main = [{"op": "sync_command", "driver": 0, "cmd": 1, "args": [5, 0],
              "fn": "on_alarm"},
@@ -713,15 +699,24 @@ class SpawnerCapsule(Capsule):
         self.token = token
         self.kernel = None  # set by the test once the board is built
 
+    @classmethod
+    def build(cls, name, layer, deps, tokens):
+        return cls(name, layer["driver_id"], tokens[0])
+
     def command(self, cmd, arg0, arg1, pid):
         blob = pack_binary(script_source([{"op": "halt"}], {}, 128), 128)
         self.kernel.loader.submit(self.token, blob, "child", True)
         return SyscallReturn.success()
 
 
-register_capsule_type(
-    "spawner", lambda name, cfg, deps, tokens: SpawnerCapsule(
-        name, cfg["driver_id"], tokens[0]))
+@pytest.fixture(autouse=True)
+def fixture_capsule_types(monkeypatch):
+    """The fixture capsules above, as board layer types for each test."""
+    for ctype, capsule in (("spinner", SpinnerCapsule),
+                           ("reentrant", ReentrantCapsule),
+                           ("crashing_alarm", CrashingAlarmDriver),
+                           ("spawner", SpawnerCapsule)):
+        monkeypatch.setitem(CAPSULE_TYPES, ctype, capsule)
 
 
 def _started_pids(board):

@@ -10,12 +10,13 @@ from kernsim.memory import (
     MemoryController,
     MemoryRegion,
 )
+from kernsim.trace import TraceLog
 
 from oracles import mpu_allowed
 
 
 def controller(size=8192, mpu_max_regions=8):
-    return MemoryController(size, mpu_max_regions)
+    return MemoryController(size, mpu_max_regions, TraceLog())
 
 
 def test_in_bounds_write_at_region_edge():

@@ -68,7 +68,7 @@ def test_sync_command_integers_fail_with_the_decoders_message(key, value):
     stmt = {"op": "sync_command", "driver": 0, "cmd": 1, "fn": "h", key: value}
     with pytest.raises(ScenarioError) as info:
         parse_script({"main": [stmt], "handlers": {"h": []}})
-    assert str(info.value) == (f"main/sync_command: field {key!r} must be an "
+    assert str(info.value) == (f"main[0].{key} must be an "
                                f"integer in [0, 4294967295], got {value!r}")
 
 
@@ -116,10 +116,6 @@ def test_seg_resolution_ram_flash_abs():
         {"op": "syscall", "call": {"class": "rw_allow", "driver": 3, "buf": 0,
                                    "base": 12345, "len": 0, "seg": "abs"}},
         {"op": "expect", "pattern": {"variant": "success_region", "len": 0}},
-        # only allows take a base; any other call ignores a stray one
-        {"op": "syscall", "call": {"class": "command", "driver": 0, "cmd": 2,
-                                   "base": "x"}},
-        {"op": "expect", "pattern": {"variant": "success_value"}},
         {"op": "halt"},
     ]
     board.load_app(script_source(main, {}, 256))
@@ -128,6 +124,32 @@ def test_seg_resolution_ram_flash_abs():
                   if e.kind == "syscall" and e.payload["call"]["class"] != "exit"]
     allows = [c for c in pcb_events if "base" in c]
     assert allows[2]["base"] == 12345
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"main": [], "mian": []}, "mian"),
+    ({"credential": {"keyid": 1}}, "credential.keyid"),
+    ({"main": [{"op": "halt", "why": "done"}]}, "main[0].why"),
+    ({"main": [{"op": "loop", "count": 1, "body": [
+        {"op": "read_local", "offset": 0, "len": 1, "length": 1}]}]},
+     "main[0].body[0].length"),
+    ({"main": [{"op": "syscall", "call": {"class": "exit", "code": 0}}]},
+     "main[0].call.code"),
+    ({"main": [], "handlers": {"h": [{"op": "expect", "pattern": {},
+                                      "note": 1}]}}, "handlers.h[0].note"),
+])
+def test_a_key_the_schema_does_not_name_is_refused(doc, key):
+    with pytest.raises(ScenarioError) as info:
+        parse_script(doc)
+    assert info.value.violations == [f"{key} is not a known key"]
+
+
+@pytest.mark.parametrize("key, value", [("base", "x"), ("seg", "ram")])
+def test_only_allows_take_a_base_and_a_seg(key, value):
+    call = {"class": "command", "driver": 0, "cmd": 2, key: value}
+    with pytest.raises(ScenarioError) as info:
+        parse_script({"main": [{"op": "syscall", "call": call}]})
+    assert info.value.violations == [f"main[0].call.{key} is not a known key"]
 
 
 def test_expect_mismatch_recorded_and_process_continues():

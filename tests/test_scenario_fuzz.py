@@ -1,12 +1,12 @@
 """Fixed-seed property tests over scenario files and packed binaries:
-whatever one field of a valid scenario holds, `run` ends in a documented
+whatever one field of a valid scenario holds (each key the scenario,
+statement and syscall-record schemas name), `run` ends in a documented
 exit code with no traceback and a trace that passes all six auditors; and
 a packed binary with a byte flipped, cut short or extended loads and runs
 the same way on a sync and an async board. Examples are derandomized, so
 tier-1 stays deterministic."""
 
 import contextlib
-import copy
 import io
 import json
 
@@ -17,9 +17,12 @@ from hypothesis import strategies as st
 from kernsim.audit import parse_trace, run_all_audits
 from kernsim.board import Board, BoardConfig
 from kernsim.cli import main as cli_main
+from kernsim.errors import Key
 from kernsim.loader import pack_binary
+from kernsim.scenario import SCENARIO as SCENARIO_SCHEMA
+from kernsim.scenario import STATEMENTS
 
-from conftest import BOARDS_DIR, trace_events
+from conftest import BOARDS_DIR, schema_fields, set_field, trace_events
 
 # Every statement op and every syscall class, an upcall handler, a loop
 # and a sync_command, on the drivers of the demo boards: alarm 0,
@@ -58,20 +61,14 @@ SCENARIO = {
 }
 
 
-def _fields(node, prefix=()):
-    """The key path of every field in a scenario, nested ones included."""
-    if isinstance(node, dict):
-        items = node.items()
-    elif isinstance(node, list):
-        items = enumerate(node)
-    else:
-        return
-    for key, child in items:
-        yield prefix + (key,)
-        yield from _fields(child, prefix + (key,))
-
-
-FIELDS = list(_fields(SCENARIO))
+# Each list of statements (main, a handler, a loop body) holds STATEMENTs.
+_STATEMENT = Key({op: dict(schema) for op, schema in STATEMENTS.items()},
+                 tag="op")
+_STATEMENTS = Key(list, item=_STATEMENT)
+_STATEMENT.type["loop"]["body"] = _STATEMENTS
+FIELDS = list(schema_fields(Key({**SCENARIO_SCHEMA, "main": _STATEMENTS,
+                                 "handlers": Key(dict, item=_STATEMENTS)}),
+                            SCENARIO))
 
 # Strings are either words of the scenario format or short strings over an
 # alphabet holding hex digits, JSON escapes, a non-ASCII letter, a NUL and a
@@ -109,11 +106,7 @@ def workdir(tmp_path_factory):
 @example(value=True)
 @example(value="\u00e9")
 def test_one_changed_scenario_field_never_crashes_run(workdir, field, value):
-    doc = copy.deepcopy(SCENARIO)
-    node = doc
-    for key in field[:-1]:
-        node = node[key]
-    node[field[-1]] = value
+    doc = set_field(SCENARIO, field, value)
     app, trace = workdir / "app.json", workdir / "t.jsonl"
     app.write_text(json.dumps(doc))
     err = io.StringIO()
@@ -124,6 +117,10 @@ def test_one_changed_scenario_field_never_crashes_run(workdir, field, value):
     assert "Traceback" not in err.getvalue()
     audits = run_all_audits(parse_trace(trace.read_bytes()))
     assert not any(audits.values()), audits
+
+
+def test_the_field_list_does_not_shrink():
+    assert len(FIELDS) >= 103
 
 
 def test_the_unchanged_scenario_runs_every_statement(workdir):
