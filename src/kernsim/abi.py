@@ -157,16 +157,16 @@ class SyscallReturn:
 # Each integer of a syscall record fills a register. An allow's ``seg``
 # says what its base is relative to: the process's RAM, its program image
 # or nothing.
-_REGISTER = Key(int, 0, U32_MAX, required=True)
-_ALLOW = {"driver": _REGISTER, "buf": _REGISTER, "base": _REGISTER,
-          "len": _REGISTER, "seg": Key(("ram", "flash", "abs"), default="ram")}
+REGISTER = Key(int, 0, U32_MAX, required=True)
+_ALLOW = {"driver": REGISTER, "buf": REGISTER, "base": REGISTER,
+          "len": REGISTER, "seg": Key(("ram", "flash", "abs"), default="ram")}
 ARGS = Key(list, hi=2, default=(), item=Key(int, 0, U32_MAX))
 SYSCALL_RECORDS: Dict[str, Schema] = {
     "yield": {"mode": Key(("wait", "no_wait"), default="wait")},
-    "subscribe": {"driver": _REGISTER, "sub": _REGISTER,
+    "subscribe": {"driver": REGISTER, "sub": REGISTER,
                   "fn": Key(str, default="null"),
                   "userdata": Key(int, 0, U32_MAX, 0)},
-    "command": {"driver": _REGISTER, "cmd": _REGISTER, "args": ARGS},
+    "command": {"driver": REGISTER, "cmd": REGISTER, "args": ARGS},
     "rw_allow": _ALLOW,
     "ro_allow": _ALLOW,
     "exit": {},
@@ -189,9 +189,8 @@ def invocation(record: Dict[str, Any]) -> SyscallInvocation:
                                            record["fn"], record["userdata"])
     if tag == "exit":
         return _EXIT
-    return SyscallInvocation(SyscallClass(tag), driver_id=record["driver"],
-                             subcommand=record["buf"], base=record["base"],
-                             length=record["len"])
+    return getattr(SyscallInvocation, tag)(record["driver"], record["buf"],
+                                           record["base"], record["len"])
 
 
 def decode_invocation(record: Dict[str, Any]) -> SyscallInvocation:

@@ -25,13 +25,13 @@ from __future__ import annotations
 import contextlib
 import json
 import sys
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Any, Dict, List, Optional, TextIO, Tuple
+from types import SimpleNamespace
+from typing import Any, Dict, List, Optional, TextIO
 
 from .capabilities import CapabilityKind, CapabilityRegistry
-from .capsules import CAPSULE_TYPES, CompositionLayer, validate_composition
+from .capsules import CAPSULE_TYPES, validate_composition
 from .errors import (
     INVALID,
     ConfigError,
@@ -98,31 +98,61 @@ BOARD: Schema = {
 }
 
 
-@dataclass
-class BoardConfig:
-    """A board that passed validation: each BOARD key, with its schema
-    default where the file leaves it out, and the peripherals' maps."""
-
-    name: str
-    ram_size: int
-    mpu_max_regions: int
-    upcall_queue_depth: int
-    capsule_step_budget: int
-    max_processes: int
-    loader: str
-    verifier: str
-    trusted_key_ids: List[int]
-    peripherals: Dict[str, Dict[str, Any]]
-    capsules: List[Dict[str, Any]]
-    capabilities: Dict[str, List[str]]
-    peripheral_specs: Dict[str, RegisterMapSpec] = field(default_factory=dict)
+class BoardConfig(SimpleNamespace):
+    """A board that passed validation: an attribute for each BOARD key,
+    holding the schema default where the file leaves the key out, and
+    ``peripheral_specs``, the register map of each peripheral."""
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any],
                   base_dir: Optional[Path] = None) -> "BoardConfig":
-        violations, board, specs = validate_board_dict(data, base_dir)
-        if violations:
-            raise ConfigError(violations)
+        """Full static validation, raising ConfigError with every violation
+        found. The walk checks each key; the rules that tie keys together
+        are checked here, on the values that passed. Each peripheral's map
+        is loaded once, here."""
+        v: List[str] = []
+        specs: Dict[str, RegisterMapSpec] = {}
+        board = walk(Key(BOARD), data, "board config", v)
+        if board is INVALID:
+            raise ConfigError(v)
+        peripherals = board["peripherals"] = {
+            pname: pcfg for pname, pcfg in (board["peripherals"] or {}).items()
+            if pcfg is not None}
+        irqs: Dict[int, str] = {}
+        for pname, pcfg in peripherals.items():
+            irq = pcfg and pcfg["irq"]
+            if pcfg and irq is not INVALID and irqs.setdefault(irq, pname) != pname:
+                v.append(f"peripheral {pname!r} reuses irq {irq} of {irqs[irq]!r}")
+            if pcfg and pcfg["map"] is not INVALID:
+                _load_map(pname, pcfg["map"], base_dir, v, specs)
+        if board["loader"] == "async" and "hashengine" not in peripherals:
+            v.append("async loader requires a hashengine peripheral")
+
+        names: set = set()
+        driver_ids: Dict[int, Dict[str, Any]] = {}
+        layers = [layer for layer in board["capsules"] or () if layer and layer["name"]]
+        for layer in layers:
+            name, ctype, driver_id = layer["name"], layer["type"], layer["driver_id"]
+            if name in names:
+                v.append(f"duplicate capsule name {name!r}")
+            names.add(name)
+            if not ctype:
+                continue
+            if driver_id is None and CAPSULE_TYPES[ctype].NEEDS_DRIVER_ID:
+                v.append(f"capsule {name!r} (type {ctype!r}) needs a driver_id")
+            elif driver_id not in (None, INVALID) and \
+                    driver_ids.setdefault(driver_id, layer) is not layer:
+                v.append(f"capsule {name!r} reuses driver_id {driver_id} of "
+                         f"{driver_ids[driver_id]['name']!r}")
+            needed = CAPSULE_TYPES[ctype].IRQ_PERIPHERAL
+            if needed and needed not in peripherals:
+                v.append(f"capsule {name!r} (type {ctype!r}) needs the {needed!r} "
+                         f"peripheral")
+        v.extend(validate_composition([layer for layer in layers if layer["type"]]))
+        v.extend(f"capability grant names unknown capsule {holder!r}"
+                 for holder in board["capabilities"] or {} if holder not in names)
+        if v:
+            raise ConfigError(v)
         return cls(**board, peripheral_specs=specs)
 
     @classmethod
@@ -143,119 +173,34 @@ def _read(path: Path, what: str) -> bytes:
         raise ConfigError([f"cannot read {what}: {exc}"]) from None
 
 
-def _map_bytes(pname: str, map_ref: Optional[str],
-               base_dir: Optional[Path]) -> Optional[bytes]:
-    """The register map file's bytes: the packaged map unless the board
-    names one. None if it cannot be read."""
-    if map_ref is None:
-        ref = resources.files("kernsim").joinpath(f"maps/{pname}.json")
-        return ref.read_bytes() if ref.is_file() else None
-    path = Path(map_ref)
-    if base_dir is not None and not path.is_absolute():
-        path = base_dir / path
+def _load_map(pname: str, map_ref: Optional[str], base_dir: Optional[Path],
+              v: List[str], specs: Dict[str, RegisterMapSpec]) -> None:
+    """Add the peripheral's register map (the packaged one unless the
+    board names a file) to specs if it loads and meets the model's
+    register contract; else add the violations to v."""
     try:
-        return path.read_bytes()
+        if map_ref is None:
+            raw = resources.files("kernsim").joinpath(f"maps/{pname}.json").read_bytes()
+        else:
+            path = Path(map_ref)
+            raw = (path if base_dir is None or path.is_absolute()
+                   else base_dir / path).read_bytes()
     except (OSError, ValueError):  # ValueError: a NUL or lone surrogate
-        return None
-
-
-def _register_map(pname: str, map_ref: Optional[str], base_dir: Optional[Path],
-                  v: List[str]) -> Optional[RegisterMapSpec]:
-    """The peripheral's register map if it loads and meets the model's
-    register contract; else None, with the violations added to v."""
-    raw = _map_bytes(pname, map_ref, base_dir)
-    if raw is None:
         v.append(f"peripheral {pname!r} references a missing register map "
                  f"{map_ref!r}")
-        return None
+        return
     try:
         spec = load_register_map(json.loads(raw))
     except (ValueError, RecursionError) as exc:
         v.append(f"register map for {pname!r} does not parse: {exc}")
-        return None
+        return
     except SpecError as exc:
         lacks = exc.violations
     else:
         lacks = spec.missing(_PERIPHERAL_MODELS[pname])
+        if not lacks:
+            specs[pname] = spec
     v.extend(f"register map for {pname!r}: {violation}" for violation in lacks)
-    return None if lacks else spec
-
-
-def validate_board_dict(data: Dict[str, Any], base_dir: Optional[Path] = None
-                        ) -> Tuple[List[str], Dict[str, Any],
-                                   Dict[str, RegisterMapSpec]]:
-    """Full static validation: every violation found, the board read
-    through its schema (the peripherals it names only) and the register
-    map of each peripheral whose map passes, so that the board is read
-    once. The walk checks each key; the rules that tie keys together are
-    checked here, on the values that passed."""
-    v: List[str] = []
-    specs: Dict[str, RegisterMapSpec] = {}
-    board = walk(Key(BOARD), data, "board config", v)
-    if board is INVALID:
-        return v, board, specs
-    peripherals = board["peripherals"] = {
-        pname: pcfg for pname, pcfg in (board["peripherals"] or {}).items()
-        if pcfg is not None}
-    irqs_seen: Dict[int, str] = {}
-    for pname, pcfg in peripherals.items():
-        if not pcfg:
-            continue
-        irq = pcfg["irq"]
-        if irq in irqs_seen:
-            v.append(f"peripheral {pname!r} reuses irq {irq} of {irqs_seen[irq]!r}")
-        elif irq is not INVALID:
-            irqs_seen[irq] = pname
-        if pcfg["map"] is not INVALID:
-            spec = _register_map(pname, pcfg["map"], base_dir, v)
-            if spec is not None:
-                specs[pname] = spec
-
-    if board["loader"] == "async" and "hashengine" not in peripherals:
-        v.append("async loader requires a hashengine peripheral")
-
-    names_seen: set = set()
-    driver_ids: Dict[int, str] = {}
-    comp_layers: List[CompositionLayer] = []
-    for layer in board["capsules"] or ():
-        name, ctype = (layer or {}).get("name"), (layer or {}).get("type")
-        if not name:
-            continue
-        if name in names_seen:
-            v.append(f"duplicate capsule name {name!r}")
-        names_seen.add(name)
-        if not ctype:
-            continue
-        capsule, driver_id = CAPSULE_TYPES[ctype], layer["driver_id"]
-        if driver_id is None:
-            if capsule.NEEDS_DRIVER_ID:
-                v.append(f"capsule {name!r} (type {ctype!r}) needs a driver_id")
-        elif driver_id in driver_ids:
-            v.append(f"capsule {name!r} reuses driver_id {driver_id} of "
-                     f"{driver_ids[driver_id]!r}")
-        elif driver_id is not INVALID:
-            driver_ids[driver_id] = name
-        needed = capsule.IRQ_PERIPHERAL
-        if needed and needed not in peripherals:
-            v.append(f"capsule {name!r} (type {ctype!r}) needs the {needed!r} "
-                     f"peripheral")
-        sizes = [None if layer[key] is INVALID else layer[key]
-                 for key in ("buffer_size", "min_buffer_size")]
-        comp_layers.append(CompositionLayer(
-            name, layer["provides"] or {}, layer["requires"] or {}, *sizes))
-    v.extend(validate_composition(comp_layers))
-
-    v.extend(f"capability grant names unknown capsule {holder!r}"
-             for holder in board["capabilities"] or {} if holder not in names_seen)
-    return v, board, specs
-
-
-class _BoardDeps:
-    """What capsule builders may see during construction."""
-
-    def __init__(self, chip: Chip, max_processes: int):
-        self.chip = chip
-        self.max_processes = max_processes
 
 
 class Board:
@@ -303,7 +248,8 @@ class Board:
         self._boot_token = self.registry.mint(CapabilityKind.LOADER_CONTROL,
                                               "kernel")
 
-        deps = _BoardDeps(self.chip, config.max_processes)
+        # What capsule builders may see during construction.
+        deps = SimpleNamespace(chip=self.chip, max_processes=config.max_processes)
         self.capsules_by_name: Dict[str, Any] = {}
         for layer in config.capsules:
             name = layer["name"]

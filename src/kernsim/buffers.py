@@ -18,9 +18,8 @@ from .errors import RangeError, WindowInFlight
 
 class BufferWindow:
     def __init__(self, backing) -> None:
-        if isinstance(backing, int):
-            backing = bytearray(backing)
-        elif not isinstance(backing, bytearray):
+        # A bytearray is kept as it is; a size or bytes are copied into one.
+        if not isinstance(backing, bytearray):
             backing = bytearray(backing)
         self._backing = backing
         self._start = 0

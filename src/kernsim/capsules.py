@@ -12,7 +12,7 @@ validation for capsule stacks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Type
 
 from .abi import ErrorCode, SyscallReturn
@@ -29,53 +29,43 @@ from .errors import (
 from .hw import TICK_MASK, AlarmHw, UartHw, tick_passed
 
 CONFIGURABLE = "configurable"
-# A console layer's window size when it declares no buffer_size.
-DEFAULT_BUFFER_SIZE = 64
 
 
 # --- composition ------------------------------------------------------------
 
-@dataclass
-class CompositionLayer:
-    """Config-time annotations: what a layer provides to the layer above
-    it and what it requires of the layer beneath it."""
-
-    name: str
-    provides: Dict[str, Any] = field(default_factory=dict)
-    requires: Dict[str, Any] = field(default_factory=dict)
-    buffer_size: Optional[int] = None
-    min_buffer_size: Optional[int] = None
-
-
-def validate_composition(layers: List[CompositionLayer]) -> List[str]:
-    """Check a stack bottom-first; returns every mismatch, naming both
-    layers and the violated property. A provider value of "configurable"
-    satisfies any required value for that property."""
+def validate_composition(layers: List[Dict[str, Any]]) -> List[str]:
+    """Check a stack of board layers bottom-first; returns every mismatch,
+    naming both layers and the violated property. A layer's ``provides``
+    and ``requires`` are objects of property -> value, and a provider
+    value of "configurable" satisfies any required value for that
+    property. A layer's ``buffer_size`` must meet the ``min_buffer_size``
+    of the layer beneath it. A value that is not an object or an integer
+    (one the board walk refused) declares nothing."""
     mismatches: List[str] = []
     for i, layer in enumerate(layers):
         below = layers[i - 1] if i > 0 else None
-        for prop, wanted in layer.requires.items():
+        name = layer["name"]
+        for prop, wanted in (layer.get("requires") or {}).items():
             if below is None:
                 mismatches.append(
-                    f"layer {layer.name!r} requires {prop}={wanted!r} but is at "
+                    f"layer {name!r} requires {prop}={wanted!r} but is at "
                     f"the bottom of the stack")
                 continue
-            have = below.provides.get(prop)
+            have = (below.get("provides") or {}).get(prop)
             if have is None:
                 mismatches.append(
-                    f"layer {layer.name!r} requires {prop}={wanted!r} but layer "
-                    f"{below.name!r} does not provide {prop}")
+                    f"layer {name!r} requires {prop}={wanted!r} but layer "
+                    f"{below['name']!r} does not provide {prop}")
             elif have != wanted and have != CONFIGURABLE:
                 mismatches.append(
-                    f"layer {layer.name!r} requires {prop}={wanted!r} but layer "
-                    f"{below.name!r} provides {prop}={have!r}")
-        if (below is not None and layer.buffer_size is not None
-                and below.min_buffer_size is not None
-                and layer.buffer_size < below.min_buffer_size):
+                    f"layer {name!r} requires {prop}={wanted!r} but layer "
+                    f"{below['name']!r} provides {prop}={have!r}")
+        size = layer.get("buffer_size")
+        floor = below and below.get("min_buffer_size")
+        if type(size) is int and type(floor) is int and size < floor:
             mismatches.append(
-                f"layer {layer.name!r} declares buffer_size={layer.buffer_size} "
-                f"below min_buffer_size={below.min_buffer_size} declared by "
-                f"layer {below.name!r}")
+                f"layer {name!r} declares buffer_size={size} below "
+                f"min_buffer_size={floor} declared by layer {below['name']!r}")
     return mismatches
 
 
@@ -311,9 +301,9 @@ class ConsoleDriver(Capsule):
 
     @classmethod
     def build(cls, name, layer, deps, tokens):
-        size = layer["buffer_size"]
+        size = layer["buffer_size"]  # a 64-byte window unless it declares one
         return cls(name, layer["driver_id"], deps.chip.uart,
-                   DEFAULT_BUFFER_SIZE if size is None else size)
+                   64 if size is None else size)
 
     @property
     def pending(self) -> bool:

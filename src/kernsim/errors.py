@@ -6,16 +6,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 
-def int_in(value, lo: int, hi: Optional[int] = None) -> bool:
-    """True if value is an integer in [lo, hi] (hi None: no upper bound).
-
-    JSON ``true``/``false`` load as Python bools, which are ints; they are
-    refused here, so no check reads them as 1/0.
-    """
-    return (isinstance(value, int) and not isinstance(value, bool)
-            and lo <= value and (hi is None or value <= hi))
-
-
 @dataclass(frozen=True, slots=True)
 class Key:
     """One key of an input object. ``type`` is int, str, list, dict (an
@@ -25,7 +15,7 @@ class Key:
     ``hi`` bound an integer, a list's length, or a string (lo: non-empty;
     hi: most UTF-8 bytes). ``item`` checks each list item or map value.
     An absent key (or a null one, if ``null``) reads as ``default``; an
-    object's default is walked too."""
+    object's default is walked too. JSON true and false are not integers."""
 
     type: Any
     lo: Optional[int] = None
@@ -189,14 +179,6 @@ class MalformedInvocation(KernsimError):
 
 # --- register maps and MMIO ---------------------------------------------
 
-class SpecError(KernsimError):
-    """A register map description is invalid; carries every violation."""
-
-    def __init__(self, violations):
-        super().__init__("; ".join(violations))
-        self.violations = list(violations)
-
-
 class UnknownOffset(SimulationDiagnostic):
     """MMIO access at an offset no register claims."""
 
@@ -293,10 +275,12 @@ class ConfigError(KernsimError):
     """Board configuration is invalid; carries every violation found."""
 
     def __init__(self, violations):
-        if isinstance(violations, str):
-            violations = [violations]
         super().__init__("; ".join(violations))
         self.violations = list(violations)
+
+
+class SpecError(ConfigError):
+    """A register map description is invalid; carries every violation."""
 
 
 class ScenarioError(ConfigError):

@@ -26,12 +26,8 @@ from .errors import (
     Key,
     Schema,
     ValueOutOfRange,
-    int_in,
     walk,
 )
-
-VALID_WIDTHS = (8, 16, 32)
-VALID_ACCESS = ("R", "W", "RW")
 
 
 @dataclass(frozen=True)
@@ -131,8 +127,8 @@ _FIELD: Schema = {
 _REGISTER: Schema = {
     "name": Key(str, default="?"),
     "offset": Key(int, 0, required=True),
-    "width": Key(VALID_WIDTHS, required=True),
-    "access": Key(VALID_ACCESS, required=True),
+    "width": Key((8, 16, 32), required=True),
+    "access": Key(("R", "W", "RW"), required=True),
     "fields": Key(list, default=(), item=Key(_FIELD)),
 }
 REGISTER_MAP: Schema = {
@@ -147,11 +143,9 @@ def load_register_map(data: Dict[str, Any]) -> RegisterMapSpec:
     registers and fields whose keys passed."""
     violations: List[str] = []
     spec = walk(Key(REGISTER_MAP), data, "register map", violations)
-    if spec is INVALID:
-        raise SpecError(violations)
     registers: List[RegisterSpec] = []
     seen_names: set = set()
-    for raw in spec["registers"] or ():
+    for raw in spec and spec["registers"] or ():
         if not raw or INVALID in raw.values():
             continue
         rname, offset, width = raw["name"], raw["offset"], raw["width"]
@@ -259,7 +253,7 @@ class RegisterFile:
             if value not in fspec.enum:
                 raise UnknownEnumName(f"field {fspec.name} has no value {value!r}")
             return fspec.enum[value]
-        if not int_in(value, 0, (1 << fspec.width) - 1):
+        if type(value) is not int or value < 0 or value >> fspec.width:
             raise ValueOutOfRange(
                 f"value {value!r} does not fit in {fspec.width}-bit field {fspec.name}")
         return value

@@ -20,8 +20,8 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, NamedTuple, Optional
 
-from .abi import ALLOW_CLASSES, ARGS, SYSCALL, U32_MAX, SyscallClass, \
-    SyscallInvocation, YieldMode, invocation
+from .abi import ALLOW_CLASSES, ARGS, REGISTER, SYSCALL, U32_MAX, \
+    SyscallClass, SyscallInvocation, YieldMode, invocation
 from .errors import INVALID, Key, Schema, ScenarioError, walk, where
 
 MAX_STATEMENTS = 200_000
@@ -35,7 +35,7 @@ class Stmt(NamedTuple):
     pattern: Optional[Dict[str, Any]] = None
     offset: int = 0
     data: bytes = b""
-    length: int = 0
+    len: int = 0
 
 
 @dataclass
@@ -62,8 +62,7 @@ STATEMENTS: Dict[str, Schema] = {
                    "len": Key(int, 0, required=True)},
     "halt": {},
     "loop": {"count": Key(int, 0, required=True), "body": Key(list, default=())},
-    "sync_command": {"driver": Key(int, 0, U32_MAX, required=True),
-                     "cmd": Key(int, 0, U32_MAX, required=True), "args": ARGS,
+    "sync_command": {"driver": REGISTER, "cmd": REGISTER, "args": ARGS,
                      "fn": Key(str, required=True), "sub": _U32,
                      "userdata": _U32},
 }
@@ -79,8 +78,6 @@ SCENARIO: Schema = {
 }
 _WAIT = Stmt("syscall", inv=SyscallInvocation.yield_(YieldMode.WAIT))
 _EXPECT_SUCCESS = Stmt("expect", pattern={"variant": "success"})
-_HALT = Stmt("halt")
-_TOO_LONG = f"script exceeds {MAX_STATEMENTS} statements after unrolling"
 
 
 def _parse_statements(raw_list, path, in_handler: bool, budget: List[int],
@@ -99,16 +96,15 @@ def _parse_statements(raw_list, path, in_handler: bool, budget: List[int],
         if op == "loop":
             body = _parse_statements(rec["body"], (here, "body"), in_handler,
                                      budget, out)
-            if body:  # an empty body unrolls to nothing, whatever the count
-                budget[0] -= len(body) * rec["count"]
-                if budget[0] < 0:
-                    raise ScenarioError(out + [_TOO_LONG])
-                stmts.extend(body * rec["count"])
-            continue
-        budget[0] -= 4 if op == "sync_command" else 1
+        budget[0] -= (len(body) * rec["count"] if op == "loop" else
+                      4 if op == "sync_command" else 1)
         if budget[0] < 0:
-            raise ScenarioError(out + [_TOO_LONG])
-        if op == "syscall":
+            raise ScenarioError(out + [
+                f"script exceeds {MAX_STATEMENTS} statements after unrolling"])
+        if op == "loop":
+            if body:  # an empty body unrolls to nothing, whatever the count
+                stmts.extend(body * rec["count"])
+        elif op == "syscall":
             call = rec["call"]
             inv = invocation(call)
             if in_handler and inv.klass is SyscallClass.YIELD:
@@ -116,8 +112,6 @@ def _parse_statements(raw_list, path, in_handler: bool, budget: List[int],
                            "and may not yield")
             else:
                 stmts.append(Stmt("syscall", inv=inv, seg=call.get("seg", "ram")))
-        elif op == "expect":
-            stmts.append(Stmt("expect", pattern=rec["pattern"]))
         elif op == "write_local":
             try:
                 data = binascii.unhexlify(rec["data"])
@@ -126,15 +120,12 @@ def _parse_statements(raw_list, path, in_handler: bool, budget: List[int],
                            f"got {rec['data']!r}")
                 continue
             stmts.append(Stmt("write_local", offset=rec["offset"], data=data))
-        elif op == "read_local":
-            stmts.append(Stmt("read_local", offset=rec["offset"],
-                              length=rec["len"]))
-        elif op == "halt":
-            stmts.append(_HALT)
-        elif in_handler:  # a sync_command: subscribe, command, wait, expect
+        elif op != "sync_command":  # expect, read_local or halt
+            stmts.append(Stmt(**rec))
+        elif in_handler:
             out.append(f"{where(here)}: sync_command yields and cannot appear "
                        "in a handler")
-        else:
+        else:  # subscribe, command, wait, expect
             driver = rec["driver"]
             stmts += (
                 Stmt("syscall", inv=SyscallInvocation.subscribe(
@@ -153,10 +144,9 @@ def parse_script(data: Dict[str, Any], name: str = "app") -> ScenarioScript:
     budget = [MAX_STATEMENTS]
     main = _parse_statements(doc["main"] or (), ("scenario", "main"), False,
                              budget, out)
-    handlers: Dict[str, List[Stmt]] = {}
-    for hname, body in (doc["handlers"] or {}).items():
-        handlers[hname] = _parse_statements(
-            body or (), (("scenario", "handlers"), hname), True, budget, out)
+    handlers = {hname: _parse_statements(body or (), (("scenario", "handlers"), hname),
+                                         True, budget, out)
+                for hname, body in (doc["handlers"] or {}).items()}
     if out:
         raise ScenarioError(out)
     credential = doc["credential"]
@@ -175,7 +165,7 @@ def parse_script_bytes(blob: bytes, name: str = "app") -> ScenarioScript:
     try:
         data = json.loads(blob.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
-        raise ScenarioError(f"scenario does not parse: {exc}") from None
+        raise ScenarioError([f"scenario does not parse: {exc}"]) from None
     return parse_script(data, name)
 
 
@@ -217,7 +207,7 @@ class ProcessProgram:
             kern.process_local_write(pcb.id, stmt.offset, stmt.data)
             return False
         if stmt.op == "read_local":
-            kern.process_local_read(pcb.id, stmt.offset, stmt.length)
+            kern.process_local_read(pcb.id, stmt.offset, stmt.len)
             return False
         if stmt.op == "halt":
             kern.exit_process(pcb.id, "halt")

@@ -4,11 +4,7 @@ from pathlib import Path
 import pytest
 
 from kernsim.buffers import BufferWindow
-from kernsim.capsules import (
-    CompositionLayer,
-    ConsoleDriver,
-    validate_composition,
-)
+from kernsim.capsules import ConsoleDriver, validate_composition
 from kernsim.hw import InterruptController, UartHw
 from kernsim.regmap import load_register_map
 from kernsim.trace import TraceLog
@@ -19,18 +15,23 @@ UART_SPEC = load_register_map(json.loads((MAPS_DIR / "uart.json").read_text()))
 
 # --- composition -----------------------------------------------------------
 
+def _layer(name, **annotations):
+    """A capsule layer as a board file spells it."""
+    return {"name": name, **annotations}
+
+
 def test_configurable_provider_satisfies_any_requirement():
     layers = [
-        CompositionLayer("spi_controller", provides={"cs_polarity": "configurable"}),
-        CompositionLayer("spi_sensor", requires={"cs_polarity": "active_low"}),
+        _layer("spi_controller", provides={"cs_polarity": "configurable"}),
+        _layer("spi_sensor", requires={"cs_polarity": "active_low"}),
     ]
     assert validate_composition(layers) == []
 
 
 def test_polarity_mismatch_names_both_layers():
     layers = [
-        CompositionLayer("spi_controller", provides={"cs_polarity": "active_high"}),
-        CompositionLayer("spi_sensor", requires={"cs_polarity": "active_low"}),
+        _layer("spi_controller", provides={"cs_polarity": "active_high"}),
+        _layer("spi_sensor", requires={"cs_polarity": "active_low"}),
     ]
     mismatches = validate_composition(layers)
     assert len(mismatches) == 1
@@ -44,26 +45,26 @@ def test_empty_stack_is_valid():
 
 def test_missing_property_is_a_mismatch():
     layers = [
-        CompositionLayer("base", provides={}),
-        CompositionLayer("top", requires={"dma": "present"}),
+        _layer("base", provides={}),
+        _layer("top", requires={"dma": "present"}),
     ]
     assert len(validate_composition(layers)) == 1
 
 
 def test_bottom_layer_cannot_require():
-    layers = [CompositionLayer("top", requires={"dma": "present"})]
+    layers = [_layer("top", requires={"dma": "present"})]
     assert len(validate_composition(layers)) == 1
 
 
 def test_buffer_size_below_declared_minimum():
     layers = [
-        CompositionLayer("uart_pins", min_buffer_size=32),
-        CompositionLayer("console", buffer_size=16),
+        _layer("uart_pins", min_buffer_size=32),
+        _layer("console", buffer_size=16),
     ]
     mismatches = validate_composition(layers)
     assert len(mismatches) == 1
     assert "uart_pins" in mismatches[0] and "console" in mismatches[0]
-    layers[1].buffer_size = 32
+    layers[1]["buffer_size"] = 32
     assert validate_composition(layers) == []
 
 
@@ -72,13 +73,12 @@ def test_validation_matches_pairwise_brute_force():
     def brute_force_ok(layers):
         for i, layer in enumerate(layers):
             below = layers[i - 1] if i else None
-            for prop, wanted in layer.requires.items():
-                have = below.provides.get(prop) if below else None
+            for prop, wanted in layer.get("requires", {}).items():
+                have = below.get("provides", {}).get(prop) if below else None
                 if have != wanted and have != "configurable":
                     return False
-            if (below and layer.buffer_size is not None
-                    and below.min_buffer_size is not None
-                    and layer.buffer_size < below.min_buffer_size):
+            if (below and "buffer_size" in layer and "min_buffer_size" in below
+                    and layer["buffer_size"] < below["min_buffer_size"]):
                 return False
         return True
 
@@ -87,12 +87,12 @@ def test_validation_matches_pairwise_brute_force():
     for provided in values:
         for wanted in ["active_high", "active_low"]:
             cases.append([
-                CompositionLayer("a", provides={"p": provided}),
-                CompositionLayer("b", requires={"p": wanted}),
+                _layer("a", provides={"p": provided}),
+                _layer("b", requires={"p": wanted}),
             ])
     for bufsize in (8, 16, 32):
-        cases.append([CompositionLayer("a", min_buffer_size=16),
-                      CompositionLayer("b", buffer_size=bufsize)])
+        cases.append([_layer("a", min_buffer_size=16),
+                      _layer("b", buffer_size=bufsize)])
     for layers in cases:
         assert (validate_composition(layers) == []) == brute_force_ok(layers)
 
