@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, NamedTuple, Optional
 
 from .errors import Key, MalformedInvocation, Schema, walk
 
@@ -61,8 +61,7 @@ class UpcallDescriptor:
 NULL_UPCALL = UpcallDescriptor()
 
 
-@dataclass(frozen=True)
-class SyscallInvocation:
+class SyscallInvocation(NamedTuple):
     klass: SyscallClass
     yield_mode: Optional[YieldMode] = None
     driver_id: int = 0

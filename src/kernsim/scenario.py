@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import binascii
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, NamedTuple, Optional
 
 from .abi import ALLOW_CLASSES, ARGS, REGISTER, SYSCALL, U32_MAX, \
@@ -197,7 +197,7 @@ class ProcessProgram:
         if stmt.op == "syscall":
             inv = stmt.inv
             if inv.klass in ALLOW_CLASSES:
-                inv = replace(inv, base=kern.resolve_base(pcb.id, stmt.seg, inv.base))
+                inv = inv._replace(base=kern.resolve_base(pcb.id, stmt.seg, inv.base))
             kern.handle_syscall(pcb.id, inv)
             return True
         if stmt.op == "expect":
