@@ -59,22 +59,23 @@ def where(path) -> str:
 def walk(key: Key, value, path, out: List[str]):
     """value checked against key, each object's absent keys filled in
     from its schema. Each breach appends a violation naming the field by
-    its path to ``out``, and the bad value reads as INVALID."""
+    its path (and the bad value, cut at 80 characters) to ``out``, and
+    the bad value reads as INVALID."""
     kind, lo, hi, item = key.kind, key.lo, key.hi, key.item
     if kind == "int":
         if type(value) is int and lo <= value and (hi is None or value <= hi):
             return value
         expected = "an integer " + (f">= {lo}" if hi is None else f"in [{lo}, {hi}]")
     elif kind == "object":
-        schema = key.type
-        if type(value) is dict and key.tag is not None:
-            word = value.get(key.tag)
-            schema = key.type.get(word) if type(word) is str else None
-            if schema is None:
-                path, value = (path, key.tag), word
-        if type(value) is dict and schema is not None:
-            return _walk_object(schema, value, path, out, key.tag)
-        expected = "an object" if schema else f"one of {tuple(key.type)}"
+        if type(value) is not dict:
+            expected = "an object"
+        else:
+            word = key.tag and value.get(key.tag)  # a tagged object's variant
+            schema = key.type if key.tag is None else \
+                key.type.get(word) if type(word) is str else None
+            if schema is not None:
+                return _walk_object(schema, value, path, out, key.tag)
+            path, value, expected = (path, key.tag), word, f"one of {tuple(key.type)}"
     elif kind == "list":
         if type(value) is list and (hi is None or len(value) <= hi):
             return value if item is None else [
@@ -99,7 +100,7 @@ def walk(key: Key, value, path, out: List[str]):
             return value
         expected = ("a non-empty string" if lo else "a string") + \
             (f" of at most {hi} UTF-8 bytes" if hi is not None else "")
-    out.append(f"{where(path)} must be {expected}, got {value!r}")
+    out.append(f"{where(path)} must be {expected}, got {value!r:.80}")
     return INVALID
 
 

@@ -16,15 +16,15 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .errors import (
+    INVALID,
     IllegalAccessKind,
+    Key,
+    Schema,
     SpecError,
     UnknownEnumName,
     UnknownField,
     UnknownOffset,
     UnknownRegister,
-    INVALID,
-    Key,
-    Schema,
     ValueOutOfRange,
     walk,
 )
