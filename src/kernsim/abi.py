@@ -1,14 +1,22 @@
 """Data model and wire encoding of the system call interface.
 
 Pure data: invocation classes, return variants, error codes, and the
-structured-record encoding used both by scenario scripts (invocations) and
-by the trace (returns). Values are immutable after construction.
+structured records of invocations and returns. Scenario scripts give
+invocations as records (:data:`SYSCALL_RECORDS`); the trace carries
+both kinds as the compact JSON text that :func:`encode_invocation` and
+:func:`encode_return` build with f-strings, byte for byte the
+``json.dumps(record, separators=(",", ":"))`` of the record, strings
+escaped by ``encode_basestring_ascii`` as the log's encoder does.
+:func:`match_return` builds a return's record as a dict to match an
+``expect`` pattern against, which is cheaper than parsing the text.
+Values are immutable after construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, List, NamedTuple, Optional
 
 from .errors import Key, MalformedInvocation, Schema, walk
@@ -202,43 +210,81 @@ def decode_invocation(record: Dict[str, Any]) -> SyscallInvocation:
     return invocation(checked)
 
 
-def encode_invocation(inv: SyscallInvocation) -> Dict[str, Any]:
-    if inv.klass == SyscallClass.YIELD:
-        return {"class": "yield", "mode": inv.yield_mode.value}
-    if inv.klass == SyscallClass.SUBSCRIBE:
-        return {"class": "subscribe", "driver": inv.driver_id, "sub": inv.subcommand,
-                "fn": inv.fn_id, "userdata": inv.userdata}
-    if inv.klass == SyscallClass.COMMAND:
-        return {"class": "command", "driver": inv.driver_id, "cmd": inv.subcommand,
-                "args": [inv.arg0, inv.arg1]}
-    if inv.klass in ALLOW_CLASSES:
-        return {"class": inv.klass.value, "driver": inv.driver_id,
-                "buf": inv.subcommand, "base": inv.base, "len": inv.length}
-    return {"class": "exit"}
+# Invocation and return texts. Every value of a record is a register, a
+# fixed name or a handler name; only handler names need escaping.
+_YIELD_TEXTS = {mode: f'{{"class":"yield","mode":"{mode.value}"}}'
+                for mode in YieldMode}
+
+
+def encode_invocation(inv: SyscallInvocation) -> str:
+    """The compact JSON text of an invocation's record."""
+    klass = inv.klass
+    if klass is SyscallClass.COMMAND:
+        return (f'{{"class":"command","driver":{inv.driver_id},'
+                f'"cmd":{inv.subcommand},"args":[{inv.arg0},{inv.arg1}]}}')
+    if klass is SyscallClass.YIELD:
+        return _YIELD_TEXTS[inv.yield_mode]
+    if klass is SyscallClass.SUBSCRIBE:
+        return (f'{{"class":"subscribe","driver":{inv.driver_id},'
+                f'"sub":{inv.subcommand},"fn":{encode_basestring_ascii(inv.fn_id)},'
+                f'"userdata":{inv.userdata}}}')
+    if klass in ALLOW_CLASSES:
+        return (f'{{"class":"{klass.value}","driver":{inv.driver_id},'
+                f'"buf":{inv.subcommand},"base":{inv.base},"len":{inv.length}}}')
+    return '{"class":"exit"}'
 
 
 # --- return records -----------------------------------------------------
 
-def encode_return(ret: SyscallReturn) -> Dict[str, Any]:
-    """Encode a return for the trace; distinct returns give distinct records."""
+_FAILURE_TEXTS = {error: f'{{"variant":"failure","err":"{error.name}"}}'
+                  for error in ErrorCode}
+
+
+def encode_return(ret: SyscallReturn) -> str:
+    """The compact JSON text of a return's record; distinct returns give
+    distinct records."""
     v = ret.variant
-    if v == ReturnVariant.SUCCESS:
-        return {"variant": "success"}
-    if v == ReturnVariant.SUCCESS_VALUE:
+    if v is ReturnVariant.SUCCESS_VALUE:
+        return f'{{"variant":"success_value","value":{ret.value}}}'
+    if v is ReturnVariant.SUCCESS:
+        return '{"variant":"success"}'
+    if v is ReturnVariant.FAILURE:
+        return _FAILURE_TEXTS[ret.error]
+    if v is ReturnVariant.SUCCESS_REGION:
+        return (f'{{"variant":"success_region","base":{ret.base},'
+                f'"len":{ret.length}}}')
+    if v is ReturnVariant.SUCCESS_UPCALL:
+        if ret.upcall.is_null:
+            return '{"variant":"success_upcall","fn":"null"}'
+        fn = encode_basestring_ascii(ret.upcall.fn_id)
+        return (f'{{"variant":"success_upcall","fn":{fn},'
+                f'"userdata":{ret.upcall.userdata}}}')
+    return (f'{{"variant":"failure_region","err":"{ret.error.name}",'
+            f'"base":{ret.base},"len":{ret.length}}}')
+
+
+def _return_record(ret: SyscallReturn) -> Dict[str, Any]:
+    """The record whose text encode_return gives, as a dict."""
+    v = ret.variant
+    if v is ReturnVariant.SUCCESS_VALUE:
         return {"variant": "success_value", "value": ret.value}
-    if v == ReturnVariant.SUCCESS_REGION:
+    if v is ReturnVariant.SUCCESS:
+        return {"variant": "success"}
+    if v is ReturnVariant.FAILURE:
+        return {"variant": "failure", "err": ret.error.name}
+    if v is ReturnVariant.SUCCESS_REGION:
         return {"variant": "success_region", "base": ret.base, "len": ret.length}
-    if v == ReturnVariant.SUCCESS_UPCALL:
+    if v is ReturnVariant.SUCCESS_UPCALL:
         if ret.upcall.is_null:
             return {"variant": "success_upcall", "fn": "null"}
         return {"variant": "success_upcall", "fn": ret.upcall.fn_id,
                 "userdata": ret.upcall.userdata}
-    if v == ReturnVariant.FAILURE:
-        return {"variant": "failure", "err": ret.error.name}
     return {"variant": "failure_region", "err": ret.error.name,
             "base": ret.base, "len": ret.length}
 
 
-def match_return(pattern: Dict[str, Any], record: Dict[str, Any]) -> bool:
-    """Subset match: every key in the pattern must equal the record's value."""
+def match_return(pattern: Dict[str, Any], ret: SyscallReturn) -> bool:
+    """Subset match: every key in the pattern must equal the value of the
+    return's record."""
+    record = _return_record(ret)
     return all(record.get(key) == value for key, value in pattern.items())

@@ -59,6 +59,7 @@ from .trace import (
 )
 
 DEFAULT_MAX_TICKS = 10_000
+MAX_TICKS = Key(int, 0)
 # Upper bounds on the board integers that size an allocation: RAM is one
 # byte array, the alarm driver keeps a client slot per allowed process,
 # and a console copies each transfer into a window of buffer_size bytes.
@@ -371,6 +372,9 @@ def _simulate(board_path, app_paths, max_ticks: int, seed: int, out: TextIO,
               err: TextIO) -> int:
     trace = TraceLog(out=out)
     try:
+        refused: List[str] = []
+        if walk(MAX_TICKS, max_ticks, "max_ticks", refused) is INVALID:
+            raise ConfigError(refused)
         board = Board(BoardConfig.from_file(board_path), seed, out)
         trace = board.trace
         board.finalize()

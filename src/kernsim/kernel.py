@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import count
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .abi import (
@@ -96,6 +97,9 @@ from .trace import (
 )
 
 CARVE_ALIGN = 16
+# The most encoded expect patterns the kernel keeps: more than the
+# distinct expects of the loop bodies of all live processes need.
+PATTERN_MEMO = 512
 
 
 class ProcessState(str, Enum):
@@ -132,9 +136,15 @@ class ProcessControlBlock:
     allow_slots: Dict[Tuple[int, int, str], MemoryRegion] = field(default_factory=dict)
     upcall_slots: Dict[Tuple[int, int], UpcallDescriptor] = field(default_factory=dict)
     grants: Dict[str, MemoryRegion] = field(default_factory=dict)
-    # The encoded record of the last value a syscall returned; `expect`
-    # statements match against it.
-    last_return_record: Optional[Dict[str, Any]] = None
+    # The last value a syscall returned, and the compact JSON text of its
+    # record that the syscall_return event carried. An `expect` matches its
+    # pattern against the return and logs the text as "actual".
+    last_return: Optional[SyscallReturn] = None
+    last_return_text: Optional[str] = None
+    actor: str = field(init=False)  # the trace actor, built once
+
+    def __post_init__(self):
+        self.actor = actor_process(self.id)
 
     @property
     def free_grant_bytes(self) -> int:
@@ -188,24 +198,29 @@ class ScopedRegion:
     """A capsule's view of one region of process memory: a grant
     allocation or an allowed buffer. Valid only inside the visitor call it
     is handed to. Every access is bounds-checked against the region and
-    logged with the note, which names the capsule ("via") and the purpose;
-    only a read-write region can be written."""
+    logged with the note, which names the capsule ("via"), the purpose and
+    then ``detail``, the encoded members that follow; only a read-write
+    region can be written."""
 
     def __init__(self, memory: MemoryController, region: MemoryRegion,
-                 note: Dict[str, Any]):
+                 via: str, purpose: str, detail: str):
         self._memory = memory
         self._region = region
-        self._note = note
+        self._via = via
+        self._purpose = purpose
+        # Encoded once here; every access appends it to its mem_access head.
+        self._note = (f',"via":{encode_basestring_ascii(via)},'
+                      f'"purpose":"{purpose}"{detail}')
         self._live = True
 
     def _span(self, offset: int, length: int) -> int:
         if not self._live:
-            raise StaleHandle(f"{self._note['purpose']} handle for "
-                              f"{self._note['via']!r} used after visit")
+            raise StaleHandle(f"{self._purpose} handle for "
+                              f"{self._via!r} used after visit")
         size = self._region.length
         if offset < 0 or length < 0 or offset + length > size:
             raise RangeError(f"access [{offset}, {offset + length}) outside "
-                             f"{size}-byte {self._note['purpose']} region")
+                             f"{size}-byte {self._purpose} region")
         return self._region.base + offset
 
     def read(self, offset: int = 0, length: Optional[int] = None) -> bytes:
@@ -217,7 +232,7 @@ class ScopedRegion:
     def write(self, offset: int, data: bytes) -> None:
         if self._region.access != ACCESS_RW:
             raise WriteToReadOnly(
-                f"capsule {self._note['via']!r} wrote through a read-only share")
+                f"capsule {self._via!r} wrote through a read-only share")
         base = self._span(offset, len(data))
         self._memory.write(None, base, data, note=self._note)
 
@@ -439,6 +454,7 @@ class Kernel:
         self.allocator = CarveAllocator(memory.total_size)
         self.loader = ProcessLoader(self)
         self.expect_failures = 0
+        self._pattern_texts: Dict[int, Tuple[Dict[str, Any], str]] = {}
 
     # -- capsule registration and budget ------------------------------------
 
@@ -518,10 +534,10 @@ class Kernel:
         ram = MemoryRegion(ram_base, header.min_memory, ACCESS_RW)
         if flash.length:
             self.memory.write(None, flash.base, payload,
-                              note={"purpose": "load_image", "pid": pid})
+                              note=f',"purpose":"load_image","pid":{pid}')
         if ram.length:
             self.memory.write(None, ram.base, bytes(ram.length),
-                              note={"purpose": "load_zero", "pid": pid})
+                              note=f',"purpose":"load_zero","pid":{pid}')
         pcb = ProcessControlBlock(
             id=pid, name=script.name or name, ram=ram, flash=flash,
             program=ProcessProgram(script), grant_watermark=ram.end)
@@ -556,8 +572,8 @@ class Kernel:
         """Dispatch one system call. Returns None when no value is
         delivered to the process (a blocked yield-wait, or exit)."""
         pcb = self._live_pcb(pid)
-        self.trace.log(actor_process(pid), K_SYSCALL,
-                       {"call": encode_invocation(inv)})
+        self.trace.log(pcb.actor, K_SYSCALL,
+                       f'{{"call":{encode_invocation(inv)}}}')
         if inv.klass in ALLOW_CLASSES:
             ret = self._sys_allow(pcb, inv)
         elif inv.klass is SyscallClass.SUBSCRIBE:
@@ -575,9 +591,9 @@ class Kernel:
 
     def _return(self, pcb: ProcessControlBlock, ret: SyscallReturn) -> None:
         """Deliver a syscall's return value: log it and keep its record."""
-        record = encode_return(ret)
-        pcb.last_return_record = record
-        self.trace.log(actor_process(pcb.id), K_SYSCALL_RETURN, {"ret": record})
+        pcb.last_return = ret
+        text = pcb.last_return_text = encode_return(ret)
+        self.trace.log(pcb.actor, K_SYSCALL_RETURN, f'{{"ret":{text}}}')
 
     def _sys_allow(self, pcb: ProcessControlBlock,
                    inv: SyscallInvocation) -> SyscallReturn:
@@ -689,7 +705,7 @@ class Kernel:
 
     def _deliver_upcall(self, pcb: ProcessControlBlock) -> None:
         up = pcb.upcall_queue.pop(0)
-        self.trace.log(actor_process(pcb.id), K_UPCALL_RUN,
+        self.trace.log(pcb.actor, K_UPCALL_RUN,
                        {"driver": up.driver_id, "sub": up.subscribe_num,
                         "fn": up.fn_id, "userdata": up.userdata,
                         "args": list(up.args)})
@@ -724,8 +740,8 @@ class Kernel:
             base = pcb.grant_watermark - schema_size
             if schema_size:
                 self.memory.write(None, base, bytes(schema_size),
-                                  note={"via": capsule_name,
-                                        "purpose": "grant_zero", "pid": pid})
+                                  note=f',"via":{encode_basestring_ascii(capsule_name)}'
+                                       f',"purpose":"grant_zero","pid":{pid}')
             region = pcb.grants[capsule_name] = MemoryRegion(base, schema_size)
             pcb.grant_watermark = base
             self._sync_regions(pcb)
@@ -734,8 +750,8 @@ class Kernel:
                             "size": schema_size, "base": base})
         self._grant_entries.add(key)
         try:
-            return self._visit(region, {
-                "via": capsule_name, "purpose": "grant", "pid": pid}, visitor)
+            return self._visit(region, capsule_name, "grant", f',"pid":{pid}',
+                               visitor)
         finally:
             self._grant_entries.discard(key)
 
@@ -749,15 +765,15 @@ class Kernel:
         if region is None:
             raise NoSharedBuffer(
                 f"pid {pid} shares nothing in slot {key}")
-        return self._visit(region, {
-            "via": capsule.name, "purpose": "allow", "pid": pid,
-            "driver": capsule.driver_id, "buf": buf_num, "mode": mode}, visitor)
+        return self._visit(region, capsule.name, "allow",
+                           f',"pid":{pid},"driver":{capsule.driver_id},'
+                           f'"buf":{buf_num},"mode":"{mode}"', visitor)
 
-    def _visit(self, region: MemoryRegion, note: Dict[str, Any],
-               visitor: Callable):
+    def _visit(self, region: MemoryRegion, via: str, purpose: str,
+               detail: str, visitor: Callable):
         """Hand the visitor a view of the region, and invalidate the view
         when the visitor returns, so a capsule cannot keep it."""
-        handle = ScopedRegion(self.memory, region, note)
+        handle = ScopedRegion(self.memory, region, via, purpose, detail)
         try:
             return visitor(handle)
         finally:
@@ -792,10 +808,23 @@ class Kernel:
             return None
 
     def record_expect(self, pid: int, pattern: Dict[str, Any]) -> None:
-        actual = self.processes[pid].last_return_record
-        passed = actual is not None and match_return(pattern, actual)
-        self.trace.log(actor_process(pid), K_EXPECT,
-                       {"pattern": pattern, "actual": actual, "pass": passed})
+        pcb = self.processes[pid]
+        passed = pcb.last_return is not None and \
+            match_return(pattern, pcb.last_return)
+        # A looped expect repeats one pattern object, so each is encoded
+        # once; holding the pattern keeps its id from being reused. The
+        # memo is emptied when full, so a script of expects that each run
+        # once leaves at most PATTERN_MEMO texts behind.
+        texts = self._pattern_texts
+        known = texts.get(id(pattern))
+        if known is None:
+            if len(texts) >= PATTERN_MEMO:
+                texts.clear()
+            known = texts[id(pattern)] = (pattern, self.trace.encode(pattern))
+        self.trace.log(pcb.actor, K_EXPECT,
+                       f'{{"pattern":{known[1]},'
+                       f'"actual":{pcb.last_return_text or "null"},'
+                       f'"pass":{"true" if passed else "false"}}}')
         if not passed:
             self.expect_failures += 1
 

@@ -64,6 +64,14 @@ class MemoryRegion:
 EMPTY_REGION = MemoryRegion(0, 0, ACCESS_NONE)
 
 
+class _Actors(dict):
+    """The trace actor of each accessor, built once per pid."""
+
+    def __missing__(self, pid: int) -> str:
+        actor = self[pid] = actor_process(pid)
+        return actor
+
+
 class MemoryController:
     """One flat byte array plus the per-process region tables."""
 
@@ -75,6 +83,7 @@ class MemoryController:
         self.mpu_max_regions = mpu_max_regions
         self.trace = trace
         self._regions: Dict[int, List[MemoryRegion]] = {}
+        self._actors = _Actors({None: ACTOR_KERNEL})
 
     # -- region configuration ------------------------------------------
 
@@ -129,7 +138,7 @@ class MemoryController:
     # -- the access path ----------------------------------------------------
 
     def access(self, pid: Optional[int], base: int, length: int, kind: str,
-               data: Optional[bytes] = None, note: Optional[Dict] = None) -> bytes:
+               data: Optional[bytes] = None, note: str = "") -> bytes:
         """Perform a checked read or write by process ``pid``, or by the
         kernel if ``pid`` is None.
 
@@ -137,6 +146,9 @@ class MemoryController:
         must have full region coverage; a violation raises
         :class:`AccessDenied` (the caller decides the process's fate).
         Returns the bytes read, or ``b""`` for writes and zero-length ones.
+        ``note`` is the encoded members that the ``mem_access`` payload
+        carries after ``op``, each with its leading comma, for example
+        ``',"purpose":"load_zero","pid":1'``.
         """
         if kind == WRITE:
             if data is None:
@@ -147,7 +159,7 @@ class MemoryController:
             # Never touches the array, never faults, leaves no trace event.
             return b""
 
-        actor = ACTOR_KERNEL if pid is None else actor_process(pid)
+        actor = self._actors[pid]
         if pid is None:
             if base < 0 or base + length > self.total_size:
                 raise OutOfBounds(
@@ -163,18 +175,16 @@ class MemoryController:
             self.data[base:base + length] = data
             result = b""
 
-        payload = {"base": base, "len": length, "op": kind}
-        if note:
-            payload.update(note)
-        self.trace.log(actor, K_MEM_ACCESS, payload)
+        self.trace.log(actor, K_MEM_ACCESS,
+                       f'{{"base":{base},"len":{length},"op":"{kind}"{note}}}')
         return result
 
     # Convenience wrappers used by the kernel and tests.
 
     def read(self, pid: Optional[int], base: int, length: int,
-             note: Optional[Dict] = None) -> bytes:
+             note: str = "") -> bytes:
         return self.access(pid, base, length, READ, note=note)
 
     def write(self, pid: Optional[int], base: int, data: bytes,
-              note: Optional[Dict] = None) -> None:
+              note: str = "") -> None:
         self.access(pid, base, len(data), WRITE, data=data, note=note)

@@ -9,10 +9,17 @@ meaningful property and a run that dies leaves every earlier event.
 
 A line is built from a fixed template: the seq and tick integers, then a
 prefix holding the encoded actor and kind, cached per (actor, kind) pair,
-then the payload, which is encoded only when it is not empty. A payload
-given as a ``str`` is taken as already encoded, so that an emitter with
-few distinct payloads can encode each once. The bytes are those of
-``json.dumps(record, separators=(",", ":"))``.
+then the payload, which is encoded only when it is not empty. The bytes
+are those of ``json.dumps(record, separators=(",", ":"))``.
+
+A payload given as a ``str`` is taken as already encoded and written
+unchanged. The busiest emitters hand over text: ``uart_tx`` (one text per
+byte value), ``syscall`` and ``syscall_return`` (the :mod:`kernsim.abi`
+encoders), ``expect`` (the pattern alone goes through :attr:`TraceLog.encode`,
+once per pattern object) and ``mem_access`` (a head plus the note's
+members). Such text must equal the compact JSON of the record it stands
+for, byte for byte; strings in it are escaped by
+``json.encoder.encode_basestring_ascii``, as the log's encoder does.
 """
 
 from __future__ import annotations
@@ -80,7 +87,7 @@ class TraceLog:
         self._write = self.out.write
         # One encoder per log: json.dumps builds a new one on every call
         # that passes non-default arguments.
-        self._encode = json.JSONEncoder(separators=(",", ":")).encode
+        self.encode = json.JSONEncoder(separators=(",", ":")).encode
         self._prefixes: Dict[Tuple[str, str], str] = {}
         self._seq = 0
         self._clock = clock or (lambda: 0)
@@ -89,12 +96,12 @@ class TraceLog:
             payload: Union[Dict[str, Any], str, None] = None) -> None:
         prefix = self._prefixes.get((actor, kind))
         if prefix is None:
-            encode = self._encode
+            encode = self.encode
             prefix = self._prefixes[actor, kind] = \
                 f',"actor":{encode(actor)},"kind":{encode(kind)},"payload":'
         if isinstance(payload, str):
             body = payload
         else:
-            body = self._encode(payload) if payload else "{}"
+            body = self.encode(payload) if payload else "{}"
         self._write(f'{{"seq":{self._seq},"tick":{self._clock()}{prefix}{body}}}\n')
         self._seq += 1

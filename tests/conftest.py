@@ -16,6 +16,10 @@ from kernsim.board import Board  # noqa: E402
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "kernsim"
 BOARDS_DIR = DATA_DIR / "boards"
 SCENARIOS_DIR = DATA_DIR / "scenarios"
+# Names that the trace must escape: a quote, a backslash, control
+# characters, non-ASCII characters and a lone surrogate.
+AWKWARD_NAMES = ("on_tx", 'say "hi"', "back\\slash", "nul\x00", "line\nfeed",
+                 "tab\t", "caf\u00e9", "\u2603\U0001f600", "lone\ud800", "", "null")
 
 
 def minimal_board_dict(**overrides):

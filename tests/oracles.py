@@ -5,6 +5,8 @@ event-list replay, straight bit arithmetic) and never imports the
 implementation paths it is used to check.
 """
 
+import json
+
 from kernsim.errors import SimulationDiagnostic
 
 RING = 1 << 32
@@ -119,3 +121,47 @@ def run_per_tick(board, max_ticks):
         trace.log("kernel", "diagnostic", {"reason": str(exc)})
         return 3
     return 1 if kernel.expect_failures else 0
+
+
+# --- trace records, built as dicts ----------------------------------------
+
+def compact(record):
+    """The bytes the trace holds for a record: its compact JSON."""
+    return json.dumps(record, separators=(",", ":"))
+
+
+def invocation_record(inv):
+    """The record a syscall event carries for an invocation."""
+    klass = inv.klass.value
+    if klass == "yield":
+        return {"class": "yield", "mode": inv.yield_mode.value}
+    if klass == "subscribe":
+        return {"class": "subscribe", "driver": inv.driver_id, "sub": inv.subcommand,
+                "fn": inv.fn_id, "userdata": inv.userdata}
+    if klass == "command":
+        return {"class": "command", "driver": inv.driver_id, "cmd": inv.subcommand,
+                "args": [inv.arg0, inv.arg1]}
+    if klass in ("rw_allow", "ro_allow"):
+        return {"class": klass, "driver": inv.driver_id, "buf": inv.subcommand,
+                "base": inv.base, "len": inv.length}
+    return {"class": "exit"}
+
+
+def return_record(ret):
+    """The record a syscall_return event carries for a return."""
+    variant = ret.variant.value
+    if variant == "success":
+        return {"variant": "success"}
+    if variant == "success_value":
+        return {"variant": "success_value", "value": ret.value}
+    if variant == "success_region":
+        return {"variant": "success_region", "base": ret.base, "len": ret.length}
+    if variant == "success_upcall":
+        if ret.upcall.fn_id == "null":
+            return {"variant": "success_upcall", "fn": "null"}
+        return {"variant": "success_upcall", "fn": ret.upcall.fn_id,
+                "userdata": ret.upcall.userdata}
+    if variant == "failure":
+        return {"variant": "failure", "err": ret.error.name}
+    return {"variant": "failure_region", "err": ret.error.name,
+            "base": ret.base, "len": ret.length}

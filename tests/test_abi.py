@@ -20,6 +20,9 @@ from kernsim.abi import (
 )
 from kernsim.errors import MalformedInvocation
 
+from conftest import AWKWARD_NAMES
+from oracles import compact, invocation_record, return_record
+
 
 def test_decode_command():
     inv = decode_invocation({"class": "command", "driver": 0, "cmd": 1,
@@ -99,16 +102,16 @@ def test_invocation_encode_decode_round_trip():
         SyscallInvocation.exit(),
     ]
     for inv in invocations:
-        assert decode_invocation(encode_invocation(inv)) == inv
+        assert decode_invocation(json.loads(encode_invocation(inv))) == inv
 
 
 def test_encode_return_examples():
     assert encode_return(SyscallReturn.success_region(0, 0)) == \
-        {"variant": "success_region", "base": 0, "len": 0}
+        '{"variant":"success_region","base":0,"len":0}'
     assert encode_return(SyscallReturn.failure(ErrorCode.NOMEM)) == \
-        {"variant": "failure", "err": "NOMEM"}
+        '{"variant":"failure","err":"NOMEM"}'
     assert encode_return(SyscallReturn.success_upcall(NULL_UPCALL)) == \
-        {"variant": "success_upcall", "fn": "null"}
+        '{"variant":"success_upcall","fn":"null"}'
 
 
 def test_error_code_encodings_are_stable():
@@ -146,13 +149,72 @@ def test_return_round_trip_property_10k():
     returns_by_record = {}
     for _ in range(10_000):
         ret = _random_return(rng)
-        record = json.dumps(encode_return(ret), sort_keys=True)
+        record = encode_return(ret)
         assert returns_by_record.setdefault(record, ret) == ret
 
 
 def test_match_return_is_subset_match():
-    record = {"variant": "success_region", "base": 40, "len": 0}
-    assert match_return({"variant": "success_region", "len": 0}, record)
-    assert match_return({}, record)
-    assert not match_return({"variant": "success_region", "len": 1}, record)
-    assert not match_return({"missing": 1}, record)
+    ret = SyscallReturn.success_region(40, 0)
+    assert match_return({"variant": "success_region", "len": 0}, ret)
+    assert match_return({}, ret)
+    assert not match_return({"variant": "success_region", "len": 1}, ret)
+    assert not match_return({"missing": 1}, ret)
+
+
+# --- the encoders' text is the compact JSON of the record -------------------
+
+EDGE_U32 = (0, 1, 255, 2 ** 31, 2 ** 32 - 1)
+
+
+def _u32(rng):
+    return rng.choice(EDGE_U32) if rng.random() < 0.3 else rng.randrange(2 ** 32)
+
+
+def _name(rng):
+    if rng.random() < 0.5:
+        return rng.choice(AWKWARD_NAMES)
+    return "".join(rng.choice("a\"\\\x00\n\x1f\x7f\u00e9\u4e2d\ud800\udfff_")
+                   for _ in range(rng.randrange(8)))
+
+
+def _any_invocation(rng, klass):
+    if klass is SyscallClass.YIELD:
+        return SyscallInvocation.yield_(rng.choice(list(YieldMode)))
+    if klass is SyscallClass.SUBSCRIBE:
+        return SyscallInvocation.subscribe(_u32(rng), _u32(rng), _name(rng), _u32(rng))
+    if klass is SyscallClass.COMMAND:
+        return SyscallInvocation.command(_u32(rng), _u32(rng), _u32(rng), _u32(rng))
+    if klass is SyscallClass.EXIT:
+        return SyscallInvocation.exit()
+    return getattr(SyscallInvocation, klass.value)(_u32(rng), _u32(rng),
+                                                   _u32(rng), _u32(rng))
+
+
+def _any_return(rng, variant):
+    error = rng.choice(list(ErrorCode))
+    if variant is ReturnVariant.SUCCESS:
+        return SyscallReturn.success()
+    if variant is ReturnVariant.SUCCESS_VALUE:
+        return SyscallReturn.success_value(_u32(rng))
+    if variant is ReturnVariant.SUCCESS_REGION:
+        return SyscallReturn.success_region(_u32(rng), _u32(rng))
+    if variant is ReturnVariant.SUCCESS_UPCALL:
+        return SyscallReturn.success_upcall(
+            NULL_UPCALL if rng.random() < 0.2 else
+            UpcallDescriptor(_name(rng) or "fn", _u32(rng)))
+    if variant is ReturnVariant.FAILURE:
+        return SyscallReturn.failure(error)
+    return SyscallReturn.failure_region(error, _u32(rng), _u32(rng))
+
+
+def test_encoded_text_is_the_compact_json_of_the_record_10k():
+    rng = random.Random(0x7E47)
+    seen = set()
+    for i in range(10_000):
+        inv = _any_invocation(rng, list(SyscallClass)[i % len(SyscallClass)])
+        assert encode_invocation(inv) == compact(invocation_record(inv)), inv
+        ret = _any_return(rng, list(ReturnVariant)[i % len(ReturnVariant)])
+        assert encode_return(ret) == compact(return_record(ret)), ret
+        assert match_return(return_record(ret), ret)
+        seen.update((inv.fn_id, inv.arg0, ret.upcall.fn_id, ret.error))
+    assert {*AWKWARD_NAMES, *ErrorCode, 0, 2 ** 32 - 1} <= seen

@@ -138,6 +138,30 @@ def test_run_stops_at_tick_limit(tmp_path):
     assert events[-1]["tick"] == 50
 
 
+@pytest.mark.parametrize("max_ticks", [-5, -1])
+def test_negative_tick_limit_is_exit_2_before_simulating(tmp_path, capsys,
+                                                         max_ticks):
+    trace_path = tmp_path / "t.jsonl"
+    code = cli_main(["run", "--board", str(BOARDS_DIR / "demo.json"),
+                     "--app", str(SCENARIOS_DIR / "console_hello.json"),
+                     "--max-ticks", str(max_ticks), "--trace", str(trace_path)])
+    assert code == 2
+    message = f"max_ticks must be an integer >= 0, got {max_ticks}"
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert parse_trace(trace_path.read_bytes()) == [
+        {"seq": 0, "tick": 0, "actor": "kernel", "kind": "config_error",
+         "payload": {"violation": message}}]
+
+
+def test_zero_tick_limit_runs_and_stops_at_once(tmp_path):
+    trace_path = tmp_path / "t.jsonl"
+    assert run_simulation(BOARDS_DIR / "demo.json",
+                          [SCENARIOS_DIR / "console_hello.json"], max_ticks=0,
+                          trace_path=trace_path) == 0
+    events = parse_trace(trace_path.read_bytes())
+    assert (events[-1]["kind"], events[-1]["tick"]) == ("tick_limit", 0)
+
+
 def test_trace_lines_have_fixed_key_order(tmp_path):
     trace_path = tmp_path / "trace.jsonl"
     run_simulation(BOARDS_DIR / "demo.json",

@@ -16,7 +16,7 @@ from kernsim.errors import (
     ProcessDead,
     ReentrancyError,
 )
-from kernsim.kernel import ProcessState
+from kernsim.kernel import PATTERN_MEMO, ProcessState
 from kernsim.loader import pack_binary
 
 from conftest import make_board, script_source, trace_events
@@ -767,3 +767,16 @@ def test_process_killed_earlier_in_a_step_does_not_run():
     board.kernel.loop_step()
     assert board.kernel.processes[2].state is ProcessState.EXITED
     assert _started_pids(board) == [1]
+
+
+def test_expect_pattern_memo_stays_bounded(board):
+    pid = load_idle_process(board)
+    looped = {"variant": "success", "n": [1]}
+    patterns = [looped, {"variant": "success", "n": 0}] * 3 + \
+        [{"variant": "success", "n": n} for n in range(PATTERN_MEMO + 10)]
+    for pattern in patterns:
+        board.kernel.record_expect(pid, pattern)
+    assert len(board.kernel._pattern_texts) <= PATTERN_MEMO
+    expects = [e.payload for e in trace_events(board) if e.kind == "expect"]
+    assert [e["pattern"] for e in expects] == patterns
+    assert {e["actual"] for e in expects} == {None}

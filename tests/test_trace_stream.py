@@ -4,15 +4,33 @@ and memory that stays flat as a run logs more events."""
 
 import hashlib
 import json
+import random
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from kernsim.abi import (
+    NULL_UPCALL,
+    ErrorCode,
+    SyscallInvocation,
+    SyscallReturn,
+    UpcallDescriptor,
+)
 from kernsim.board import run_simulation
 from kernsim.trace import TraceLog
 
-from conftest import BOARDS_DIR, DATA_DIR, SCENARIOS_DIR, minimal_board_dict
+from conftest import (
+    AWKWARD_NAMES,
+    BOARDS_DIR,
+    DATA_DIR,
+    SCENARIOS_DIR,
+    make_board,
+    minimal_board_dict,
+    script_source,
+)
+from oracles import compact, return_record
 
 PINS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "pins.json")
                   .read_text(encoding="utf-8"))["sweep"]
@@ -118,3 +136,193 @@ def test_board_trace_with_escaped_names_is_compact_json_line_by_line(tmp_path):
     actors = {json.loads(line)["actor"] for line in lines}
     assert {'capsule:cönsole "\\1"', 'hw:ürt"\\'} <= actors
     assert lines == [_compact(json.loads(line)) for line in lines]
+
+
+# --- payloads handed to the log as text ------------------------------------
+
+def _lines_as_records(text, kinds):
+    """(line, seq, tick, actor, kind) of each line of one of ``kinds``."""
+    for line in text.splitlines():
+        event = json.loads(line)
+        if event["kind"] in kinds:
+            yield line, event["seq"], event["tick"], event["actor"], event["kind"]
+
+
+def _any_pattern(rng, record):
+    """A pattern that an expect might hold: a subset of the record, or a
+    subset with one value changed or a nested, awkwardly named key added."""
+    pattern = {key: value for key, value in record.items() if rng.random() < 0.6}
+    roll = rng.random()
+    if roll < 0.2:
+        pattern[rng.choice(AWKWARD_NAMES)] = [rng.choice(AWKWARD_NAMES),
+                                               {"n": None, "b": [True, -1]}]
+    elif roll < 0.4 and pattern:
+        pattern[next(iter(pattern))] = rng.choice(AWKWARD_NAMES)
+    return pattern
+
+
+def _visitor(op, offset, size):
+    if op == "read":
+        return lambda handle: handle.read(offset, size)
+    return lambda handle: handle.write(offset, bytes(size))
+
+
+def test_mem_access_and_expect_texts_are_the_compact_json_of_their_records():
+    rng = random.Random(0x3E3)
+    board = make_board()
+    job = board.load_app(script_source([], {}, 1024))
+    kernel, pid = board.kernel, job.pid
+    pcb = kernel.processes[pid]
+    kernel.handle_syscall(pid, SyscallInvocation.rw_allow(2, 0, pcb.ram.base, 64))
+    kernel.handle_syscall(pid, SyscallInvocation.ro_allow(2, 0, pcb.ram.base + 64, 64))
+    start = len(board.trace.out.getvalue())
+    expected = []
+    for i in range(1_200):
+        via = rng.choice(AWKWARD_NAMES)
+        offset, size = rng.randrange(60), rng.randrange(1, 5)
+        access = {"base": 0, "len": size, "op": rng.choice(("read", "write"))}
+        if i % 3 == 0:
+            mode = rng.choice(("rw", "ro"))
+            access["base"] = pcb.ram.base + (0 if mode == "rw" else 64) + offset
+            access["op"] = "read" if mode == "ro" else access["op"]
+            note = {"via": via, "purpose": "allow", "pid": pid, "driver": 2,
+                    "buf": 0, "mode": mode}
+            capsule = SimpleNamespace(name=via, driver_id=2)
+            kernel.with_buffer(capsule, pid, 0, mode,
+                               _visitor(access["op"], offset, size))
+        elif i % 3 == 1:
+            if via not in pcb.grants:
+                zero_base = pcb.grant_watermark - 64
+                expected.append(("mem_access", {
+                    "base": zero_base, "len": 64, "op": "write", "via": via,
+                    "purpose": "grant_zero", "pid": pid}))
+            note = {"via": via, "purpose": "grant", "pid": pid}
+            kernel.grant_enter(via, 64, pid, _visitor(access["op"], offset, size))
+            access["base"] = pcb.grants[via].base + offset
+        else:
+            ret = rng.choice([
+                SyscallReturn.success(),
+                SyscallReturn.success_value(rng.randrange(2 ** 32)),
+                SyscallReturn.success_region(0, 2 ** 32 - 1),
+                SyscallReturn.success_upcall(NULL_UPCALL),
+                SyscallReturn.success_upcall(UpcallDescriptor(via or "h", 2 ** 32 - 1)),
+                SyscallReturn.failure(rng.choice(list(ErrorCode))),
+                SyscallReturn.failure_region(rng.choice(list(ErrorCode)), 0, 0)])
+            kernel._return(pcb, ret)
+            record = return_record(ret)
+            pattern = _any_pattern(rng, record)
+            passed = all(record.get(key) == value for key, value in pattern.items())
+            expected.append(("syscall_return", {"ret": record}))
+            expected.append(("expect", {"pattern": pattern, "actual": record,
+                                        "pass": passed}))
+            kernel.record_expect(pid, pattern)
+            continue
+        expected.append(("mem_access", dict(access, **note)))
+    lines = list(_lines_as_records(board.trace.out.getvalue()[start:],
+                                   ("mem_access", "syscall_return", "expect")))
+    assert len(lines) == len(expected)
+    for (line, seq, tick, actor, _), (kind, payload) in zip(lines, expected):
+        assert line == compact({"seq": seq, "tick": tick, "actor": actor,
+                                "kind": kind, "payload": payload})
+        assert actor == ("kernel" if kind == "mem_access" else f"process:{pid}")
+    assert {kind for kind, _ in expected} == {"mem_access", "syscall_return", "expect"}
+    assert {payload["pass"] for kind, payload in expected if kind == "expect"} == \
+        {True, False}
+
+
+def _probe_loop_app(tmp_path, count):
+    """A process that shares a buffer with the probe, then loops through
+    the body of the syscall_storm workload."""
+    app = tmp_path / f"storm{count}.json"
+    app.write_text(json.dumps({"name": "storm", "min_memory": 512, "main": [
+        {"op": "syscall", "call": {"class": "rw_allow", "driver": 2, "buf": 0,
+                                   "base": 0, "len": 256}},
+        {"op": "expect", "pattern": {"variant": "success_region", "len": 0}},
+        {"op": "loop", "count": count, "body": [
+            {"op": "write_local", "offset": 8, "data": "c0ffee"},
+            {"op": "syscall", "call": {"class": "command", "driver": 2, "cmd": 1,
+                                       "args": [3, 200]}},
+            {"op": "syscall", "call": {"class": "command", "driver": 2, "cmd": 2,
+                                       "args": [9]}},
+            {"op": "expect", "pattern": {"variant": "success_value", "value": 255}},
+            {"op": "syscall", "call": {"class": "yield", "mode": "no_wait"}}]},
+        {"op": "halt"}]}))
+    return app
+
+
+def test_the_syscall_path_never_calls_the_encoder_per_event(tmp_path, monkeypatch):
+    calls = []
+    encode = json.JSONEncoder.encode
+
+    def counting(self, value):
+        calls.append(value)
+        return encode(self, value)
+
+    monkeypatch.setattr(json.JSONEncoder, "encode", counting)
+    counts = []
+    for count in (10, 100):
+        del calls[:]
+        trace_path = tmp_path / f"t{count}.jsonl"
+        assert run_simulation(BOARDS_DIR / "demo_sync.json",
+                              [_probe_loop_app(tmp_path, count)],
+                              trace_path=trace_path) == 0
+        text = trace_path.read_text(encoding="utf-8")
+        assert text.count('"kind":"expect"') == count + 1
+        assert text.count('"via":"probe_a"') == 2 * count
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts
+
+
+def _expect_lines(tmp_path, main):
+    """The exit code and the expect lines of a run of ``main``."""
+    app = tmp_path / "app.json"
+    app.write_text(json.dumps({"name": "app", "min_memory": 128, "main": main},
+                              ensure_ascii=False), encoding="utf-8")
+    trace_path = tmp_path / "t.jsonl"
+    code = run_simulation(BOARDS_DIR / "demo_sync.json", [app], trace_path=trace_path)
+    return code, list(_lines_as_records(trace_path.read_text(encoding="utf-8"),
+                                        ("expect",)))
+
+
+def _expect_line(seq, tick, pattern, actual, passed):
+    return compact({"seq": seq, "tick": tick, "actor": "process:1", "kind": "expect",
+                    "payload": {"pattern": pattern, "actual": actual, "pass": passed}})
+
+
+def test_expect_before_any_return_logs_null_and_fails(tmp_path):
+    pattern = {"variant": "success"}
+    code, lines = _expect_lines(tmp_path, [{"op": "expect", "pattern": pattern},
+                                           {"op": "halt"}])
+    assert code == 1
+    [(line, seq, tick, _, _)] = lines
+    assert line == _expect_line(seq, tick, pattern, None, False)
+
+
+def test_failing_expect_after_a_return_logs_the_return(tmp_path):
+    probe = {"op": "syscall", "call": {"class": "command", "driver": 2, "cmd": 0}}
+    code, lines = _expect_lines(tmp_path, [
+        probe, {"op": "expect", "pattern": {"variant": "success"}},
+        {"op": "expect", "pattern": {"variant": "failure", "err": "NODEVICE"}},
+        {"op": "halt"}])
+    assert code == 1
+    assert [line for line, *_ in lines] == [
+        _expect_line(seq, tick, pattern, {"variant": "success"}, passed)
+        for (_, seq, tick, _, _), pattern, passed in zip(
+            lines, ({"variant": "success"}, {"variant": "failure", "err": "NODEVICE"}),
+            (True, False))]
+
+
+def test_expect_pattern_with_nested_and_non_ascii_values(tmp_path):
+    pattern = {"variant": "success_region", "len": 0,
+               "n\u00f6te": {"caf\u00e9": ["\u2603", None, [1, {"x": False}]],
+                             'q"\\': "\U0001f600\n"}}
+    code, lines = _expect_lines(tmp_path, [
+        {"op": "syscall", "call": {"class": "rw_allow", "driver": 2, "buf": 0,
+                                   "base": 0, "len": 16}},
+        {"op": "expect", "pattern": pattern},
+        {"op": "halt"}])
+    assert code == 1
+    [(line, seq, tick, _, _)] = lines
+    assert line == _expect_line(seq, tick, pattern, {
+        "variant": "success_region", "base": 0, "len": 0}, False)
+    assert "\\u2603" in line and line.isascii()
