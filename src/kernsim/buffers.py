@@ -85,12 +85,13 @@ class BufferWindow:
     def release(self) -> None:
         self._in_flight = False
 
-    def peek(self, offset: int) -> int:
-        """Hardware-side byte read; valid even while in flight.
+    def hw_read(self, offset: int, length: int) -> bytes:
+        """Hardware-side read of ``length`` bytes; valid even while in flight.
 
         DMA engines stream from the window the software handed them; the
         in-flight guard restrains software holders, not the hardware.
         """
-        if offset < 0 or offset >= self._length:
-            raise RangeError("peek outside window")
-        return self._backing[self._start + offset]
+        if offset < 0 or length < 0 or offset + length > self._length:
+            raise RangeError("hw_read outside window")
+        base = self._start + offset
+        return bytes(self._backing[base:base + length])

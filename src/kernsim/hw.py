@@ -6,13 +6,16 @@ delivery order is fixed (ascending irq id), so two runs with identical
 inputs raise identical IRQ sequences. Each peripheral also tells how many
 ticks remain until it raises its next interrupt, so the clock can cover
 the ticks in between in one step: an idle gap in one addition, a UART DMA
-transfer in one step that still moves and logs each byte at its own tick.
+transfer in one batch that moves the span's bytes together and logs each
+with the tick it moved on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import floordiv
 from typing import Callable, Dict, Optional, Tuple
 
 from .errors import Key
@@ -182,12 +185,14 @@ class UartHw:
     a tick.
 
     A DMA transfer reads straight from the buffer window handed to
-    :meth:`start_tx`; each byte is logged as it moves, the completion IRQ
-    is raised on the tick the last byte moves, and the window is handed
-    back through :meth:`take_completion`. As in Tock's UART HIL, the
-    driver sees one interrupt per transfer, not one per byte, so
-    :meth:`ticks_until_event` answers the ticks left in the transfer.
-    Writing TXDATA sends a single byte immediately (the non-DMA path).
+    :meth:`start_tx`. :meth:`tick` moves the bytes of a span of ticks in
+    one range read and logs them in one series, each stamped with the tick
+    it moved on. The completion IRQ is raised on the tick the last byte
+    moves, and the window is handed back through :meth:`take_completion`.
+    As in Tock's UART HIL, the driver sees one interrupt per transfer, not
+    one per byte, so :meth:`ticks_until_event` answers the ticks left in
+    the transfer. Writing TXDATA sends a single byte immediately (the
+    non-DMA path).
     """
 
     REGISTERS = {"TXDATA": (), "STATUS": ("TXBUSY",), "TXLEN": ()}
@@ -238,19 +243,34 @@ class UartHw:
         self.regs.hw_set("TXLEN", self._total)
         self.regs.hw_field_set("STATUS", "TXBUSY", 1)
 
-    def tick(self) -> None:
-        if not self.busy:
+    def tick(self, n: int = 1) -> None:
+        """Move the bytes of the n ticks that end on the trace clock's tick.
+
+        Byte i of the span moves, and is logged, on tick
+        ``first + i // bytes_per_tick``, where ``first`` is the span's
+        first tick. n must not exceed :meth:`ticks_until_event`, so the
+        completion IRQ, raised when the last byte has moved, falls on the
+        span's last tick.
+        """
+        window = self._window
+        if window is None:
             return
-        for _ in range(self.bytes_per_tick):
-            if self._sent >= self._total:
-                break
-            self._emit(self._window.peek(self._sent))
-            self._sent += 1
-        if self._sent >= self._total:
-            window, count = self._window, self._sent
+        per_tick, sent = self.bytes_per_tick, self._sent
+        moved = min(n * per_tick, self._total - sent)
+        data = window.hw_read(sent, moved)
+        self.output += data
+        # Byte i moves on tick first + i // per_tick, which is
+        # (first * per_tick + i) // per_tick.
+        start = (self.trace.clock() - n + 1) * per_tick
+        self.trace.log_series(self._actor, K_UART_TX,
+                              map(floordiv, range(start, start + moved),
+                                  repeat(per_tick)),
+                              map(_TX_PAYLOADS.__getitem__, data))
+        self._sent = sent = sent + moved
+        if sent >= self._total:
             self._window = None
             self.regs.hw_field_set("STATUS", "TXBUSY", 0)
-            self._completion = (window, count)
+            self._completion = (window, sent)
             self.irqc.raise_irq(self.irq_id)
 
     def take_completion(self) -> Optional[Tuple[object, int]]:
@@ -346,10 +366,10 @@ class Chip:
 
         n must not exceed :meth:`ticks_until_event`, so no peripheral
         raises an interrupt before the last of the n ticks. A busy UART
-        still moves its bytes on each tick, stamped with that tick; on
-        the last tick the alarm, the UART and the hash engine act in that
-        order. The single-tick path skips the check: no event is ever
-        less than one tick away.
+        first moves the bytes of the n - 1 ticks before the last in one
+        call, each stamped with its own tick; on the last tick the alarm,
+        the UART and the hash engine act in that order. The single-tick
+        path skips the check: no event is ever less than one tick away.
         """
         clock, uart = self.clock, self.uart
         end = clock.now + n
@@ -361,9 +381,8 @@ class Chip:
                 raise ValueError(f"tick({n}) would step past the next hardware "
                                  f"event, {gap} ticks away")
             if uart is not None and uart.busy:
-                for now in range(clock.now + 1, end):
-                    clock.now = now
-                    uart.tick()
+                clock.now = end - 1
+                uart.tick(n - 1)
         clock.now = end
         if self.alarm is not None:
             self.alarm.tick(n)

@@ -37,9 +37,21 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 
 
 def fnv1a64(data: bytes) -> int:
-    digest = FNV_OFFSET_BASIS
-    for byte in data:
-        digest = ((digest ^ byte) * FNV_PRIME) & _U64
+    """FNV-1a, 64 bit, taking eight bytes per loop iteration.
+
+    Masking to 64 bits once per eight bytes gives the value of masking
+    after each: an XOR with a byte touches only the low byte, and a
+    product mod 2**64 depends only on its operands mod 2**64.
+    """
+    digest, prime = FNV_OFFSET_BASIS, FNV_PRIME
+    whole = len(data) - len(data) % 8
+    octets = iter(data[:whole])
+    for b0, b1, b2, b3, b4, b5, b6, b7 in zip(*[octets] * 8):
+        digest = ((((((((digest ^ b0) * prime ^ b1) * prime ^ b2) * prime
+                      ^ b3) * prime ^ b4) * prime ^ b5) * prime ^ b6) * prime
+                  ^ b7) * prime & _U64
+    for byte in data[whole:]:
+        digest = ((digest ^ byte) * prime) & _U64
     return digest
 
 

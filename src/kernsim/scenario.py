@@ -183,7 +183,7 @@ class ProcessProgram:
     # when the process leaves the Running state).
 
     def advance(self, kern, pcb) -> None:
-        while pcb.state.value == "running":
+        while pcb.state == "running":
             if self.pc >= len(self.statements):
                 kern.exit_process(pcb.id, "end of program")
                 return
@@ -217,6 +217,6 @@ class ProcessProgram:
     def run_handler(self, kern, pcb, fn_id: str) -> None:
         """Execute an upcall handler to completion (handlers cannot yield)."""
         for stmt in self.handlers.get(fn_id, []):
-            if pcb.state.value != "running":
+            if pcb.state != "running":
                 return
             self._exec(kern, pcb, stmt)

@@ -12,6 +12,11 @@ prefix holding the encoded actor and kind, cached per (actor, kind) pair,
 then the payload, which is encoded only when it is not empty. The bytes
 are those of ``json.dumps(record, separators=(",", ":"))``.
 
+:meth:`TraceLog.log_series` logs a run of events of one (actor, kind),
+each with its own tick and encoded payload, in a few large writes; its
+bytes equal those of one :meth:`TraceLog.log` per event. A busy UART
+logs the bytes it moves over a span of ticks this way.
+
 A payload given as a ``str`` is taken as already encoded and written
 unchanged. The busiest emitters hand over text: ``uart_tx`` (one text per
 byte value), ``syscall`` and ``syscall_return`` (the :mod:`kernsim.abi`
@@ -26,9 +31,13 @@ from __future__ import annotations
 
 import io
 import json
-from typing import Any, Callable, Dict, Optional, TextIO, Tuple, Union
+from itertools import count, islice
+from typing import Any, Callable, Dict, Iterable, Optional, TextIO, Tuple, Union
 
 ACTOR_KERNEL = "kernel"
+
+# The most lines TraceLog.log_series hands to one write of the stream.
+SERIES_CHUNK = 256
 
 
 def actor_process(pid: int) -> str:
@@ -90,18 +99,42 @@ class TraceLog:
         self.encode = json.JSONEncoder(separators=(",", ":")).encode
         self._prefixes: Dict[Tuple[str, str], str] = {}
         self._seq = 0
-        self._clock = clock or (lambda: 0)
+        # The simulated tick that log() stamps an event with.
+        self.clock = clock or (lambda: 0)
+
+    def _cache_prefix(self, actor: str, kind: str) -> str:
+        encode = self.encode
+        prefix = self._prefixes[actor, kind] = \
+            f',"actor":{encode(actor)},"kind":{encode(kind)},"payload":'
+        return prefix
 
     def log(self, actor: str, kind: str,
             payload: Union[Dict[str, Any], str, None] = None) -> None:
         prefix = self._prefixes.get((actor, kind))
         if prefix is None:
-            encode = self.encode
-            prefix = self._prefixes[actor, kind] = \
-                f',"actor":{encode(actor)},"kind":{encode(kind)},"payload":'
+            prefix = self._cache_prefix(actor, kind)
         if isinstance(payload, str):
             body = payload
         else:
             body = self.encode(payload) if payload else "{}"
-        self._write(f'{{"seq":{self._seq},"tick":{self._clock()}{prefix}{body}}}\n')
+        self._write(f'{{"seq":{self._seq},"tick":{self.clock()}{prefix}{body}}}\n')
         self._seq += 1
+
+    def log_series(self, actor: str, kind: str, ticks: Iterable[int],
+                   payloads: Iterable[str]) -> None:
+        """Log one ``(actor, kind)`` event per pair of a tick from ``ticks``
+        and an encoded payload from ``payloads``, in order.
+
+        The bytes equal those of one :meth:`log` per event made at its
+        tick. At most ``SERIES_CHUNK`` lines go to each write, so a long
+        series streams rather than building one string.
+        """
+        prefix = self._prefixes.get((actor, kind)) or self._cache_prefix(actor, kind)
+        events = zip(count(self._seq), ticks, payloads)
+        while True:
+            lines = [f'{{"seq":{seq},"tick":{tick}{prefix}{body}}}\n'
+                     for seq, tick, body in islice(events, SERIES_CHUNK)]
+            self._seq += len(lines)
+            self._write("".join(lines))
+            if len(lines) < SERIES_CHUNK:
+                break

@@ -77,9 +77,12 @@ def test_in_flight_window_is_untouchable():
     w.reset()
 
 
-def test_hw_peek_works_while_in_flight():
-    w = BufferWindow(bytearray(b"\x10\x20\x30"))
+def test_hw_read_works_while_in_flight():
+    w = BufferWindow(bytearray(b"\x10\x20\x30\x40"))
+    w.slice(1, 3)
     w.take()
-    assert w.peek(1) == 0x20
-    with pytest.raises(RangeError):
-        w.peek(3)
+    assert w.hw_read(1, 2) == b"\x30\x40"
+    assert w.hw_read(3, 0) == b""
+    for offset, length in ((3, 1), (2, 2), (-1, 1), (0, -1)):
+        with pytest.raises(RangeError):
+            w.hw_read(offset, length)

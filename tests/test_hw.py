@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from kernsim.audit import parse_trace
-from kernsim.board import Board
+from kernsim.board import MAX_BUFFER_SIZE, Board, BoardConfig
 from kernsim.buffers import BufferWindow
 from kernsim.hw import (
     AlarmHw,
@@ -18,7 +18,7 @@ from kernsim.hw import (
 )
 from kernsim.loader import fnv1a64
 from kernsim.regmap import load_register_map
-from kernsim.trace import TraceLog
+from kernsim.trace import SERIES_CHUNK, TraceLog
 
 from conftest import minimal_board_dict, script_source, trace_events
 
@@ -388,18 +388,26 @@ def test_long_sleep_needs_loop_steps_per_event_not_per_tick():
     assert len(steps) < 20
 
 
-def test_console_transfer_needs_loop_steps_per_transfer_not_per_byte():
-    cfg = minimal_board_dict(capsules=[{"name": "console", "type": "console",
-                                        "driver_id": 1, "buffer_size": 4096}],
+def _console_board(size, out=None):
+    """A board whose one process sends ``size`` bytes of "Z" in one
+    console transfer and waits for it to finish."""
+    cfg = minimal_board_dict(ram_size=max(65536, 4 * size + 8192),
+                             capsules=[{"name": "console", "type": "console",
+                                        "driver_id": 1, "buffer_size": size}],
                              capabilities={})
-    board = Board.from_dict(cfg)
+    board = Board(BoardConfig.from_dict(cfg), out=out)
     board.load_app(script_source([
-        {"op": "write_local", "offset": 0, "data": "5a" * 4096},
+        {"op": "write_local", "offset": 0, "data": "5a" * size},
         {"op": "syscall", "call": {"class": "ro_allow", "driver": 1, "buf": 0,
-                                   "base": 0, "len": 4096}},
-        {"op": "sync_command", "driver": 1, "cmd": 1, "args": [4096, 0],
+                                   "base": 0, "len": size}},
+        {"op": "sync_command", "driver": 1, "cmd": 1, "args": [size, 0],
          "fn": "on_tx_done"},
-        {"op": "halt"}], {"on_tx_done": []}, min_memory=8192))
+        {"op": "halt"}], {"on_tx_done": []}, min_memory=max(8192, 2 * size)))
+    return board
+
+
+def test_console_transfer_needs_loop_steps_per_transfer_not_per_byte():
+    board = _console_board(4096)
     steps = []
     loop_step = board.kernel.loop_step
     board.kernel.loop_step = lambda: steps.append(1) or loop_step()
@@ -410,3 +418,46 @@ def test_console_transfer_needs_loop_steps_per_transfer_not_per_byte():
     assert sum(e.kind == "upcall_run" for e in events) == 1
     assert events[-1].kind == "quiescent"
     assert len(steps) < 20
+
+
+def test_console_transfer_costs_python_calls_per_transfer_not_per_byte(monkeypatch):
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(TraceLog, "log", counted("log", TraceLog.log))
+    monkeypatch.setattr(UartHw, "tick", counted("uart.tick", UartHw.tick))
+    counts = []
+    for size in (64, 4096):
+        calls.clear()
+        board = _console_board(size)
+        assert board.run(10_000) == 0
+        assert bytes(board.chip.uart.output) == b"Z" * size
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+
+
+class _WriteSizes:
+    """A trace stream that keeps only the size of each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append((len(text), text.count("\n")))
+
+
+def test_a_64k_transfer_streams_in_bounded_writes():
+    out = _WriteSizes()
+    board = _console_board(MAX_BUFFER_SIZE, out)
+    assert board.run(10 * MAX_BUFFER_SIZE) == 0
+    assert len(board.chip.uart.output) == MAX_BUFFER_SIZE
+    # Every line is far shorter than 200 bytes, so no write may hold more
+    # than one chunk's worth of lines.
+    assert max(lines for _, lines in out.writes) == SERIES_CHUNK
+    assert max(size for size, _ in out.writes) < SERIES_CHUNK * 200
+    assert sum(lines for _, lines in out.writes) > MAX_BUFFER_SIZE

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -23,7 +24,10 @@ from oracles import fnv1a64_reference
 
 
 def test_fnv1a64_matches_reference_oracle():
-    for payload in (b"", b"a", b"hello world", bytes(range(256)) * 3):
+    rng = random.Random(64)
+    payloads = [rng.randbytes(n) for n in range(41)]
+    payloads += [b"hello world", bytes(range(256)) * 3, rng.randbytes(100_000)]
+    for payload in payloads:
         assert fnv1a64(payload) == fnv1a64_reference(payload)
 
 

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from kernsim.board import DEFAULT_MAX_TICKS, Board, BoardConfig
+from kernsim.buffers import BufferWindow
 
 from conftest import BOARDS_DIR, SCENARIOS_DIR, minimal_board_dict, script_source
 from oracles import RING, run_per_tick
@@ -152,3 +153,169 @@ def test_wide_uart_and_async_loads_match():
     assert code == 0
     assert trace.count(b'"kind":"uart_tx"') == 7 + 17 + 27
     assert trace.count(b'"kind":"hash_submit"') == 3
+
+
+# --- a busy UART: bytes moved in one batch per clock step -----------------
+
+def _send_txdata_between_transfers(board):
+    """Make the board write one to three bytes to TXDATA at the first loop
+    step after each DMA transfer ends. That step falls on the same tick
+    under both runners, so the traces must still match."""
+    uart, loop_step = board.chip.uart, board.kernel.loop_step
+    seen = 0
+
+    def step():
+        nonlocal seen
+        if not uart.busy and len(uart.output) != seen:
+            for i in range(1 + len(uart.output) % 3):
+                uart.regs.write_reg("TXDATA", (len(uart.output) + i) & 0xFF)
+            seen = len(uart.output)
+        return loop_step()
+
+    board.kernel.loop_step = step
+    return board
+
+
+def _uart_heavy_app(rng, index, buffer_size):
+    main = []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.3:
+            # Soon enough to fall inside a transfer or on its last tick.
+            main.append(_sleep(rng.randint(1, 2 * buffer_size + 20)))
+        size = rng.randint(1, buffer_size)
+        main.extend(_console_write(bytes(rng.randrange(256) for _ in range(size))))
+    return script_source(main, {"on_alarm": [], "on_tx": []}, 1024,
+                         name=f"tx{index}")
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_uart_heavy_boards_match_per_tick_stepper(seed):
+    rng = random.Random(f"uart:{seed}")
+    buffer_size = rng.randint(1, 300)
+    cfg = minimal_board_dict(
+        loader=rng.choice(("sync", "async")),
+        peripherals={"alarm": {"irq": 0},
+                     "uart": {"irq": 1, "bytes_per_tick": rng.randint(1, 5)},
+                     "hashengine": {"irq": 2, "chunk_bytes": rng.choice((1, 64))}},
+        capsules=[{"name": "alarm_driver", "type": "alarm", "driver_id": 0},
+                  {"name": "console", "type": "console", "driver_id": 1,
+                   "buffer_size": buffer_size}],
+        capabilities={})
+    sources = [(f"tx{i}", _uart_heavy_app(rng, i, buffer_size))
+               for i in range(rng.randint(1, 3))]
+    code, trace = _assert_same(
+        lambda: _send_txdata_between_transfers(Board.from_dict(cfg)),
+        sources, DEFAULT_MAX_TICKS)
+    assert trace.count(b'"kind":"uart_tx"') > 0
+
+
+def _hw_transfers(board, lengths):
+    """Drive the UART of a board without a console: at the first loop step
+    the UART is idle, start the next transfer of ``lengths`` (0 is an empty
+    one) after a TXDATA write, and take each completion in its IRQ."""
+    uart, loop_step = board.chip.uart, board.kernel.loop_step
+    board.chip.irqc.set_handler(1, uart.take_completion)
+    todo = list(lengths)
+
+    def step():
+        if todo and not uart.busy:
+            uart.regs.write_reg("TXDATA", len(todo))
+            uart.start_tx(BufferWindow(bytes(i % 251 for i in range(todo.pop(0)))))
+        return loop_step()
+
+    board.kernel.loop_step = step
+    return board
+
+
+@pytest.mark.parametrize("bytes_per_tick", [1, 2, 5])
+def test_empty_and_raw_uart_transfers_match_per_tick_stepper(bytes_per_tick):
+    cfg = minimal_board_dict(
+        peripherals={"alarm": {"irq": 0},
+                     "uart": {"irq": 1, "bytes_per_tick": bytes_per_tick}},
+        capsules=[{"name": "alarm_driver", "type": "alarm", "driver_id": 0}],
+        capabilities={})
+    sleeper = script_source([_sleep(7), _sleep(40), {"op": "halt"}],
+                            {"on_alarm": []})
+    # 600 bytes span more than two of the trace's write chunks.
+    lengths = [0, 5, 0, 0, 23, 1, 0, 64, 600]
+    code, trace = _assert_same(lambda: _hw_transfers(Board.from_dict(cfg), lengths),
+                               [("sleeper", sleeper)], DEFAULT_MAX_TICKS)
+    assert code == 0
+    assert trace.count(b'"kind":"uart_tx"') == sum(lengths) + len(lengths)
+    assert trace.count(b'"actor":"hw:uart","kind":"irq_raised"') == len(lengths)
+
+
+def _one_transfer_and_a_sleeper(deadline, bytes_per_tick):
+    cfg = minimal_board_dict(
+        peripherals={"alarm": {"irq": 0},
+                     "uart": {"irq": 1, "bytes_per_tick": bytes_per_tick}},
+        capsules=[{"name": "alarm_driver", "type": "alarm", "driver_id": 0},
+                  {"name": "console", "type": "console", "driver_id": 1,
+                   "buffer_size": 200}],
+        capabilities={})
+    sources = [("tx", script_source(_console_write(bytes(range(200))),
+                                    {"on_tx": []}, 1024, name="tx")),
+               ("sleeper", script_source([_sleep(deadline), {"op": "halt"}],
+                                         {"on_alarm": []}, name="sleeper"))]
+    return lambda: Board.from_dict(cfg), sources
+
+
+@pytest.mark.parametrize("bytes_per_tick", [1, 3])
+@pytest.mark.parametrize("where", ["inside", "last"])
+def test_alarm_match_inside_or_at_the_end_of_a_transfer_matches(bytes_per_tick,
+                                                                 where):
+    # A first run with a far deadline finds the ticks the transfer spans;
+    # the deadline does not move them.
+    make_board, sources = _one_transfer_and_a_sleeper(5000, bytes_per_tick)
+    board = make_board()
+    board.finalize()
+    for name, source in sources:
+        board.load_app(source, name)
+    board.run()
+    sent = [e["tick"] for e in map(json.loads, board.trace.out.getvalue().splitlines())
+            if e["kind"] == "uart_tx"]
+    first, last = sent[0], sent[-1]
+    assert last - first >= 2
+    deadline = (first + last) // 2 if where == "inside" else last
+    make_board, sources = _one_transfer_and_a_sleeper(deadline, bytes_per_tick)
+    code, trace = _assert_same(make_board, sources, DEFAULT_MAX_TICKS)
+    assert code == 0
+    at_deadline = [(e["actor"], e["kind"]) for e in map(json.loads, trace.splitlines())
+                   if e["tick"] == deadline and e["actor"].startswith("hw:")]
+    moved = bytes_per_tick if where == "inside" else 200 - (last - first) * bytes_per_tick
+    assert at_deadline[:moved + 1] == ([("hw:alarm", "irq_raised")]
+                                       + [("hw:uart", "uart_tx")] * moved)
+    assert (("hw:uart", "irq_raised") in at_deadline) == (where == "last")
+
+
+def test_event_order_on_a_tick_shared_by_an_alarm_match_and_the_last_byte():
+    # bytes_per_tick 2 sends "hello" on ticks 1, 1, 2, 2 and 3; the alarm
+    # matches on tick 3. That tick logs the alarm's IRQ, then the last
+    # byte, then the UART's completion IRQ.
+    events = [
+        (1, "uart", "uart_tx", '{"byte":104}'),
+        (1, "uart", "uart_tx", '{"byte":101}'),
+        (2, "uart", "uart_tx", '{"byte":108}'),
+        (2, "uart", "uart_tx", '{"byte":108}'),
+        (3, "alarm", "irq_raised", '{"irq":0}'),
+        (3, "uart", "uart_tx", '{"byte":111}'),
+        (3, "uart", "irq_raised", '{"irq":1}'),
+    ]
+    for steps in ([3], [1, 1, 1], [2, 1], [1, 2]):
+        board = Board.from_dict(minimal_board_dict(peripherals={
+            "alarm": {"irq": 0}, "uart": {"irq": 1, "bytes_per_tick": 2}}))
+        chip = board.chip
+        chip.alarm.regs.write_reg("COMPARE", 3)
+        chip.alarm.regs.field_set("CTRL", "ENABLE", 1)
+        chip.alarm.regs.field_set("CTRL", "IRQEN", 1)
+        chip.uart.start_tx(BufferWindow(bytearray(b"hello")))
+        before = board.trace.out.getvalue()
+        for n in steps:
+            chip.tick(n)
+        # The board logged its boot events first.
+        expected = "".join(
+            f'{{"seq":{seq},"tick":{tick},"actor":"hw:{actor}","kind":"{kind}",'
+            f'"payload":{payload}}}\n'
+            for seq, (tick, actor, kind, payload)
+            in enumerate(events, start=before.count("\n")))
+        assert board.trace.out.getvalue() == before + expected, steps
