@@ -123,8 +123,7 @@ class ReturnVariant(str, Enum):
     FAILURE_REGION = "failure_region"
 
 
-@dataclass(frozen=True)
-class SyscallReturn:
+class SyscallReturn(NamedTuple):
     variant: ReturnVariant
     value: int = 0
     base: int = 0

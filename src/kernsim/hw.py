@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from operator import floordiv
 from typing import Callable, Dict, Optional, Tuple
 
 from .errors import Key
@@ -259,13 +257,8 @@ class UartHw:
         moved = min(n * per_tick, self._total - sent)
         data = window.hw_read(sent, moved)
         self.output += data
-        # Byte i moves on tick first + i // per_tick, which is
-        # (first * per_tick + i) // per_tick.
-        start = (self.trace.clock() - n + 1) * per_tick
-        self.trace.log_series(self._actor, K_UART_TX,
-                              map(floordiv, range(start, start + moved),
-                                  repeat(per_tick)),
-                              map(_TX_PAYLOADS.__getitem__, data))
+        self.trace.log_series(self._actor, K_UART_TX, self.trace.clock() - n + 1,
+                              per_tick, [_TX_PAYLOADS[byte] for byte in data])
         self._sent = sent = sent + moved
         if sent >= self._total:
             self._window = None

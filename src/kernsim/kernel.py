@@ -134,6 +134,10 @@ class ProcessControlBlock:
     grant_watermark: int = 0  # grants grow downward from ram.end
     upcall_queue: List[PendingUpcall] = field(default_factory=list)
     allow_slots: Dict[Tuple[int, int, str], MemoryRegion] = field(default_factory=dict)
+    # Per allow slot, the capsule that last visited it and the note its
+    # accesses carried, so a slot's note is encoded once per visitor.
+    allow_notes: Dict[Tuple[int, int, str], Tuple[str, str]] = \
+        field(default_factory=dict)
     upcall_slots: Dict[Tuple[int, int], UpcallDescriptor] = field(default_factory=dict)
     grants: Dict[str, MemoryRegion] = field(default_factory=dict)
     # The last value a syscall returned, and the compact JSON text of its
@@ -194,23 +198,27 @@ class CarveAllocator:
 
 # --- scoped views handed to capsules ---------------------------------------------
 
+def region_note(via: str, purpose: str, detail: str) -> str:
+    """The encoded note of a capsule's accesses to a region: it names the
+    capsule ("via"), the purpose and then ``detail``, the encoded members
+    that follow."""
+    return f',"via":{encode_basestring_ascii(via)},"purpose":"{purpose}"{detail}'
+
+
 class ScopedRegion:
     """A capsule's view of one region of process memory: a grant
     allocation or an allowed buffer. Valid only inside the visitor call it
     is handed to. Every access is bounds-checked against the region and
-    logged with the note, which names the capsule ("via"), the purpose and
-    then ``detail``, the encoded members that follow; only a read-write
-    region can be written."""
+    logged with ``note``, the :func:`region_note` of the capsule ``via``
+    and the ``purpose``; only a read-write region can be written."""
 
     def __init__(self, memory: MemoryController, region: MemoryRegion,
-                 via: str, purpose: str, detail: str):
+                 via: str, purpose: str, note: str):
         self._memory = memory
         self._region = region
         self._via = via
         self._purpose = purpose
-        # Encoded once here; every access appends it to its mem_access head.
-        self._note = (f',"via":{encode_basestring_ascii(via)},'
-                      f'"purpose":"{purpose}"{detail}')
+        self._note = note
         self._live = True
 
     def _span(self, offset: int, length: int) -> int:
@@ -730,18 +738,26 @@ class Kernel:
                 f"capsule {capsule_name!r} re-entered its grant for pid {pid}")
         region = pcb.grants.get(capsule_name)
         if region is None:
+            top = pcb.grant_watermark
+            base = top - schema_size
             if schema_size > pcb.free_grant_bytes:
+                refused = (f"pid {pid} has {pcb.free_grant_bytes} bytes free, "
+                           f"grant needs {schema_size}")
+            elif schema_size and any(slot.length and slot.base < top and base < slot.end
+                                     for slot in pcb.allow_slots.values()):
+                # A grant never takes bytes that a live allow shares.
+                refused = f"grant [{base}, {top}) overlaps a buffer pid {pid} shares"
+            else:
+                refused = ""
+            if refused:
                 self.trace.log(ACTOR_KERNEL, K_GRANT_NOMEM,
                                {"pid": pid, "capsule": capsule_name,
                                 "size": schema_size})
-                raise GrantNoMem(
-                    f"pid {pid} has {pcb.free_grant_bytes} bytes free, "
-                    f"grant needs {schema_size}")
-            base = pcb.grant_watermark - schema_size
+                raise GrantNoMem(refused)
             if schema_size:
                 self.memory.write(None, base, bytes(schema_size),
-                                  note=f',"via":{encode_basestring_ascii(capsule_name)}'
-                                       f',"purpose":"grant_zero","pid":{pid}')
+                                  note=region_note(capsule_name, "grant_zero",
+                                                   f',"pid":{pid}'))
             region = pcb.grants[capsule_name] = MemoryRegion(base, schema_size)
             pcb.grant_watermark = base
             self._sync_regions(pcb)
@@ -750,7 +766,8 @@ class Kernel:
                             "size": schema_size, "base": base})
         self._grant_entries.add(key)
         try:
-            return self._visit(region, capsule_name, "grant", f',"pid":{pid}',
+            return self._visit(region, capsule_name, "grant",
+                               region_note(capsule_name, "grant", f',"pid":{pid}'),
                                visitor)
         finally:
             self._grant_entries.discard(key)
@@ -765,15 +782,19 @@ class Kernel:
         if region is None:
             raise NoSharedBuffer(
                 f"pid {pid} shares nothing in slot {key}")
-        return self._visit(region, capsule.name, "allow",
-                           f',"pid":{pid},"driver":{capsule.driver_id},'
-                           f'"buf":{buf_num},"mode":"{mode}"', visitor)
+        via = capsule.name
+        known = pcb.allow_notes.get(key)
+        if known is None or known[0] != via:
+            known = pcb.allow_notes[key] = (via, region_note(
+                via, "allow", f',"pid":{pid},"driver":{capsule.driver_id},'
+                              f'"buf":{buf_num},"mode":"{mode}"'))
+        return self._visit(region, via, "allow", known[1], visitor)
 
     def _visit(self, region: MemoryRegion, via: str, purpose: str,
-               detail: str, visitor: Callable):
-        """Hand the visitor a view of the region, and invalidate the view
-        when the visitor returns, so a capsule cannot keep it."""
-        handle = ScopedRegion(self.memory, region, via, purpose, detail)
+               note: str, visitor: Callable):
+        """Hand the visitor a fresh view of the region, and invalidate the
+        view when the visitor returns, so a capsule cannot keep it."""
+        handle = ScopedRegion(self.memory, region, via, purpose, note)
         try:
             return visitor(handle)
         finally:
@@ -843,6 +864,7 @@ class Kernel:
         if not pcb.live:
             return
         pcb.allow_slots.clear()
+        pcb.allow_notes.clear()
         pcb.upcall_slots.clear()
         pcb.upcall_queue.clear()
         pcb.grants.clear()

@@ -14,12 +14,18 @@ easy to get wrong:
   several regions, and
 * zero-length accesses and zero-length regions are always legal at any
   base address; they transfer nothing and are never dereferenced.
+
+Coverage is computed when a process's regions change, not on every
+access: :meth:`MemoryController.configure_regions` merges the regions
+granting each access kind into sorted, disjoint intervals, touching ones
+stitched together. Every access still checks coverage by the per-byte
+rule above; it asks whether one merged interval holds all of its bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import AccessDenied, OutOfBounds, TooManyRegions
 from .trace import K_MEM_ACCESS, K_MEM_FAULT, ACTOR_KERNEL, TraceLog, actor_process
@@ -63,6 +69,21 @@ class MemoryRegion:
 
 EMPTY_REGION = MemoryRegion(0, 0, ACCESS_NONE)
 
+# Sorted, disjoint [start, stop) intervals, no two touching.
+Coverage = Tuple[Tuple[int, int], ...]
+
+
+def _coverage(regions: Sequence[MemoryRegion], kind: str) -> Coverage:
+    """The bytes that the regions granting ``kind`` cover, merged."""
+    merged: List[Tuple[int, int]] = []
+    for start, stop in sorted((r.base, r.end) for r in regions
+                              if r.length > 0 and r.grants(kind)):
+        if merged and start <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], stop))
+        else:
+            merged.append((start, stop))
+    return tuple(merged)
+
 
 class _Actors(dict):
     """The trace actor of each accessor, built once per pid."""
@@ -82,7 +103,8 @@ class MemoryController:
         self.data = bytearray(total_size)
         self.mpu_max_regions = mpu_max_regions
         self.trace = trace
-        self._regions: Dict[int, List[MemoryRegion]] = {}
+        # The merged coverage of each configured process, per access kind.
+        self._coverage: Dict[int, Dict[str, Coverage]] = {}
         self._actors = _Actors({None: ACTOR_KERNEL})
 
     # -- region configuration ------------------------------------------
@@ -91,7 +113,8 @@ class MemoryController:
         """Replace the MPU configuration for a process.
 
         Zero-length regions may carry any base; they never match an access
-        and are never dereferenced, so bounds do not apply to them.
+        and are never dereferenced, so bounds do not apply to them. A
+        refused configuration leaves the previous one in force.
         """
         if len(regions) > self.mpu_max_regions:
             raise TooManyRegions(
@@ -101,39 +124,34 @@ class MemoryController:
                 raise OutOfBounds(
                     f"region [{region.base}, {region.end}) outside "
                     f"{self.total_size}-byte space")
-        self._regions[pid] = list(regions)
+        self._coverage[pid] = {kind: _coverage(regions, kind)
+                               for kind in (READ, WRITE)}
 
     def drop_regions(self, pid: int) -> None:
-        self._regions.pop(pid, None)
+        self._coverage.pop(pid, None)
 
     # -- access checks ----------------------------------------------------
 
     def check_access(self, pid: int, base: int, length: int, kind: str) -> bool:
         """Would this process access be allowed?
 
-        Walks the (sorted) granting regions and verifies they cover
-        [base, base + length) without a gap. Equivalent to the per-byte
-        predicate "every byte lies in some region granting `kind`".
+        True iff one merged interval of the coverage granting ``kind``
+        holds [base, base + length), which is the per-byte predicate
+        "every byte lies in some region granting `kind`".
         """
         if length == 0:
             return True
         if base < 0:
             return False
-        intervals = sorted(
-            (r.base, r.end)
-            for r in self._regions.get(pid, ())
-            if r.length > 0 and r.grants(kind)
-        )
-        covered_to = base
-        end = base + length
-        for start, stop in intervals:
-            if start > covered_to:
-                break
-            if stop > covered_to:
-                covered_to = stop
-            if covered_to >= end:
+        coverage = self._coverage.get(pid)
+        if coverage is None:
+            return False
+        for start, stop in coverage[kind]:
+            if base < start:
+                return False
+            if base + length <= stop:
                 return True
-        return covered_to >= end
+        return False
 
     # -- the access path ----------------------------------------------------
 

@@ -13,9 +13,10 @@ then the payload, which is encoded only when it is not empty. The bytes
 are those of ``json.dumps(record, separators=(",", ":"))``.
 
 :meth:`TraceLog.log_series` logs a run of events of one (actor, kind),
-each with its own tick and encoded payload, in a few large writes; its
-bytes equal those of one :meth:`TraceLog.log` per event. A busy UART
-logs the bytes it moves over a span of ticks this way.
+each with its own encoded payload, the tick advancing by one every
+``per_tick`` events, in a few large writes; its bytes equal those of one
+:meth:`TraceLog.log` per event. A busy UART logs the bytes it moves over
+a span of ticks this way.
 
 A payload given as a ``str`` is taken as already encoded and written
 unchanged. The busiest emitters hand over text: ``uart_tx`` (one text per
@@ -31,8 +32,7 @@ from __future__ import annotations
 
 import io
 import json
-from itertools import count, islice
-from typing import Any, Callable, Dict, Iterable, Optional, TextIO, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Sequence, TextIO, Tuple, Union
 
 ACTOR_KERNEL = "kernel"
 
@@ -120,21 +120,20 @@ class TraceLog:
         self._write(f'{{"seq":{self._seq},"tick":{self.clock()}{prefix}{body}}}\n')
         self._seq += 1
 
-    def log_series(self, actor: str, kind: str, ticks: Iterable[int],
-                   payloads: Iterable[str]) -> None:
-        """Log one ``(actor, kind)`` event per pair of a tick from ``ticks``
-        and an encoded payload from ``payloads``, in order.
+    def log_series(self, actor: str, kind: str, first: int, per_tick: int,
+                   payloads: Sequence[str]) -> None:
+        """Log one ``(actor, kind)`` event per encoded payload, in order,
+        the i-th stamped with tick ``first + i // per_tick``.
 
         The bytes equal those of one :meth:`log` per event made at its
         tick. At most ``SERIES_CHUNK`` lines go to each write, so a long
         series streams rather than building one string.
         """
         prefix = self._prefixes.get((actor, kind)) or self._cache_prefix(actor, kind)
-        events = zip(count(self._seq), ticks, payloads)
-        while True:
-            lines = [f'{{"seq":{seq},"tick":{tick}{prefix}{body}}}\n'
-                     for seq, tick, body in islice(events, SERIES_CHUNK)]
-            self._seq += len(lines)
-            self._write("".join(lines))
-            if len(lines) < SERIES_CHUNK:
-                break
+        seq, n = self._seq, len(payloads)
+        for at in range(0, n, SERIES_CHUNK):
+            self._write("".join([
+                f'{{"seq":{seq + i},"tick":{first + i // per_tick}'
+                f'{prefix}{payloads[i]}}}\n'
+                for i in range(at, min(at + SERIES_CHUNK, n))]))
+        self._seq = seq + n

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -10,6 +11,8 @@ from kernsim.abi import (
     SyscallReturn,
     YieldMode,
 )
+from kernsim.audit import parse_trace
+from kernsim.board import run_simulation
 from kernsim.capsules import CAPSULE_TYPES, AlarmDriver, Capsule
 from kernsim.errors import (
     PhaseError,
@@ -19,7 +22,7 @@ from kernsim.errors import (
 from kernsim.kernel import PATTERN_MEMO, ProcessState
 from kernsim.loader import pack_binary
 
-from conftest import make_board, script_source, trace_events
+from conftest import BOARDS_DIR, make_board, script_source, trace_events
 from oracles import OneSlotSwapModel
 
 DRIVER_ALARM = 0
@@ -270,6 +273,60 @@ def test_grant_nomem_charges_only_that_process(board):
     ret = kern.handle_syscall(
         pid_big, SyscallInvocation.command(DRIVER_ALARM, 1, 100))
     assert ret == SyscallReturn.success()
+
+
+def test_grant_is_refused_over_a_live_allow(board):
+    pid = load_idle_process(board, min_memory=256)
+    kern = board.kernel
+    pcb = kern.processes[pid]
+    top = pcb.grant_watermark
+    # One byte of the share lies where the alarm's 16-byte grant would go;
+    # a share just below that space is no obstacle.
+    rw_allow(kern, pid, DRIVER_PROBE_A, 0, top - 17, 2)
+    rw_allow(kern, pid, DRIVER_PROBE_B, 0, top - 32, 16)
+    set_alarm = SyscallInvocation.command(DRIVER_ALARM, 1, 100)
+    assert kern.handle_syscall(pid, set_alarm) == SyscallReturn.failure(ErrorCode.NOMEM)
+    assert pcb.grant_watermark == top and not pcb.grants
+    assert [e.payload for e in trace_events(board) if e.kind == "grant_nomem"] == \
+        [{"pid": pid, "capsule": "alarm_driver", "size": 16}]
+    # Once the share is reclaimed with a zero-length allow, the grant fits.
+    rw_allow(kern, pid, DRIVER_PROBE_A, 0, top - 8, 0)
+    assert kern.handle_syscall(pid, set_alarm) == SyscallReturn.success()
+    assert pcb.grants["alarm_driver"].base == top - 16
+
+
+def test_a_grant_never_takes_an_allowed_buffer_on_the_demo_board(tmp_path):
+    # The process shares the top 16 bytes of its RAM, exactly where the
+    # alarm would carve its grant. The grant is refused, and the probe's
+    # write lands in the process's own buffer.
+    command = [{"op": "syscall", "call": {"class": "command", "driver": driver,
+                                          "cmd": cmd, "args": args}}
+               for driver, cmd, args in ((DRIVER_ALARM, 1, [500, 0]),
+                                         (DRIVER_PROBE_A, 1, [15, 255]),
+                                         (DRIVER_PROBE_A, 2, [15, 0]))]
+    app = tmp_path / "app.json"
+    app.write_text(json.dumps({"name": "grant_over_allow", "min_memory": 1024, "main": [
+        {"op": "syscall", "call": {"class": "rw_allow", "driver": DRIVER_PROBE_A,
+                                   "buf": 0, "base": 1008, "len": 16}},
+        command[0], {"op": "expect", "pattern": {"variant": "failure", "err": "NOMEM"}},
+        command[1], {"op": "expect", "pattern": {"variant": "success"}},
+        command[2], {"op": "expect", "pattern": {"variant": "success_value",
+                                                 "value": 255}},
+        {"op": "halt"}]}))
+    trace = tmp_path / "trace.jsonl"
+    assert run_simulation(BOARDS_DIR / "demo.json", [app], max_ticks=2000,
+                          trace_path=trace) == 0
+    events = parse_trace(trace.read_bytes())
+    ram = next(e["payload"] for e in events if e["kind"] == "process_created")
+    kinds = [e["kind"] for e in events]
+    assert "grant_alloc" not in kinds and kinds.count("grant_nomem") == 1
+    probe_write = [e["payload"] for e in events if e["kind"] == "mem_access"
+                   and e["payload"].get("via") == "probe_a"
+                   and e["payload"]["op"] == "write"]
+    assert probe_write == [{"base": ram["ram_base"] + 1023, "len": 1, "op": "write",
+                            "via": "probe_a", "purpose": "allow", "pid": 1,
+                            "driver": DRIVER_PROBE_A, "buf": 0, "mode": "rw"}]
+    assert ram["ram_len"] == 1024
 
 
 def test_grant_enter_after_exit_is_process_dead(board):

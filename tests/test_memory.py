@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from kernsim.errors import AccessDenied, OutOfBounds, TooManyRegions
@@ -12,7 +14,7 @@ from kernsim.memory import (
 )
 from kernsim.trace import TraceLog
 
-from oracles import mpu_allowed
+from oracles import mpu_allowed, permission_bytemap
 
 
 def controller(size=8192, mpu_max_regions=8):
@@ -142,3 +144,69 @@ def test_exhaustive_small_space_against_oracle():
                     assert mem.check_access(1, base, length, kind) == \
                         mpu_allowed(regions, base, length, kind), \
                         (regions, base, length, kind)
+
+
+def _random_regions(rng, space, limit):
+    """Up to ``limit`` regions of every access level: some touch the one
+    before, many overlap, some are empty (at any base)."""
+    regions = []
+    for _ in range(rng.randint(0, limit)):
+        if regions and rng.random() < 0.3:
+            base = min(regions[-1].end, space)
+        else:
+            base = rng.randrange(space + 1)
+        if rng.random() < 0.15:
+            base, length = rng.randrange(2 * space), 0
+        else:
+            length = rng.randint(0, space - base)
+        regions.append(MemoryRegion(base, length,
+                                    rng.choice((ACCESS_NONE, ACCESS_READ, ACCESS_RW))))
+    return regions
+
+
+def test_merged_coverage_matches_the_per_byte_oracle_on_random_regions():
+    # Every (base, len, kind) on a 96-byte space, lengths running up to two
+    # bytes past its end, for 200 seeded region sets.
+    space, limit = 96, 8
+    rng = random.Random(0x96)
+    mem = controller(size=space, mpu_max_regions=limit)
+    for _ in range(200):
+        regions = _random_regions(rng, space, limit)
+        mem.configure_regions(1, regions)
+        for kind in (READ, WRITE):
+            # Bytes past the space lie in no region.
+            bytemap = permission_bytemap(regions, space + 2, kind)
+            for base in range(space + 1):
+                allowed = True
+                assert mem.check_access(1, base, 0, kind)
+                for length in range(1, space + 3 - base):
+                    allowed = allowed and bytemap[base + length - 1]
+                    assert mem.check_access(1, base, length, kind) == allowed, \
+                        (regions, base, length, kind)
+            assert not mem.check_access(1, -1, 1, kind)
+            assert mem.check_access(1, -1, 0, kind)
+
+
+def test_a_refused_configuration_leaves_the_previous_coverage():
+    mem = controller(size=96, mpu_max_regions=2)
+    mem.configure_regions(1, [MemoryRegion(0, 16, ACCESS_RW)])
+    with pytest.raises(TooManyRegions):
+        mem.configure_regions(1, [MemoryRegion(16, 16, ACCESS_RW)] * 3)
+    with pytest.raises(OutOfBounds):
+        mem.configure_regions(1, [MemoryRegion(16, 16, ACCESS_RW),
+                                  MemoryRegion(90, 16, ACCESS_RW)])
+    assert mem.check_access(1, 0, 16, WRITE)
+    assert not mem.check_access(1, 16, 1, READ)
+
+
+def test_dropped_and_unconfigured_processes_may_access_nothing():
+    mem = controller(size=96)
+    mem.configure_regions(1, [MemoryRegion(0, 96, ACCESS_RW)])
+    mem.drop_regions(1)
+    mem.drop_regions(2)  # never configured: a no-op
+    for pid in (1, 2):
+        for base in range(96):
+            for length in (1, 96 - base):
+                for kind in (READ, WRITE):
+                    assert not mem.check_access(pid, base, length, kind)
+        assert mem.check_access(pid, 0, 0, READ)
