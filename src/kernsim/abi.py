@@ -131,31 +131,41 @@ class SyscallReturn(NamedTuple):
     upcall: UpcallDescriptor = NULL_UPCALL
     error: Optional[ErrorCode] = None
 
+    # Positional builds cost a third of keyword ones; success() is shared.
     @classmethod
     def success(cls) -> "SyscallReturn":
-        return cls(ReturnVariant.SUCCESS)
+        return _SUCCESS_RETURN
 
     @classmethod
     def success_value(cls, value: int) -> "SyscallReturn":
-        return cls(ReturnVariant.SUCCESS_VALUE, value=value)
+        return cls(_SUCCESS_VALUE, value)
 
     @classmethod
     def success_region(cls, base: int, length: int) -> "SyscallReturn":
-        return cls(ReturnVariant.SUCCESS_REGION, base=base, length=length)
+        return cls(_SUCCESS_REGION, 0, base, length)
 
     @classmethod
     def success_upcall(cls, upcall: UpcallDescriptor) -> "SyscallReturn":
-        return cls(ReturnVariant.SUCCESS_UPCALL, upcall=upcall)
+        return cls(_SUCCESS_UPCALL, 0, 0, 0, upcall)
 
     @classmethod
     def failure(cls, error: ErrorCode) -> "SyscallReturn":
-        return cls(ReturnVariant.FAILURE, error=error)
+        return cls(_FAILURE, 0, 0, 0, NULL_UPCALL, error)
 
     @classmethod
     def failure_region(cls, error: ErrorCode, base: int,
                        length: int) -> "SyscallReturn":
-        return cls(ReturnVariant.FAILURE_REGION, error=error, base=base,
-                   length=length)
+        return cls(_FAILURE_REGION, 0, base, length, NULL_UPCALL, error)
+
+
+# The members the encoders and constructors test against or build with,
+# bound once: an Enum class attribute lookup costs far more than a module
+# global. ReturnVariant unpacks in definition order.
+_YIELD, _SUBSCRIBE, _COMMAND = \
+    SyscallClass.YIELD, SyscallClass.SUBSCRIBE, SyscallClass.COMMAND
+(_SUCCESS, _SUCCESS_VALUE, _SUCCESS_REGION, _SUCCESS_UPCALL, _FAILURE,
+ _FAILURE_REGION) = ReturnVariant
+_SUCCESS_RETURN = SyscallReturn(_SUCCESS)
 
 
 # --- invocation records -------------------------------------------------
@@ -218,12 +228,12 @@ _YIELD_TEXTS = {mode: f'{{"class":"yield","mode":"{mode.value}"}}'
 def encode_invocation(inv: SyscallInvocation) -> str:
     """The compact JSON text of an invocation's record."""
     klass = inv.klass
-    if klass is SyscallClass.COMMAND:
+    if klass is _COMMAND:
         return (f'{{"class":"command","driver":{inv.driver_id},'
                 f'"cmd":{inv.subcommand},"args":[{inv.arg0},{inv.arg1}]}}')
-    if klass is SyscallClass.YIELD:
+    if klass is _YIELD:
         return _YIELD_TEXTS[inv.yield_mode]
-    if klass is SyscallClass.SUBSCRIBE:
+    if klass is _SUBSCRIBE:
         return (f'{{"class":"subscribe","driver":{inv.driver_id},'
                 f'"sub":{inv.subcommand},"fn":{encode_basestring_ascii(inv.fn_id)},'
                 f'"userdata":{inv.userdata}}}')
@@ -243,16 +253,16 @@ def encode_return(ret: SyscallReturn) -> str:
     """The compact JSON text of a return's record; distinct returns give
     distinct records."""
     v = ret.variant
-    if v is ReturnVariant.SUCCESS_VALUE:
+    if v is _SUCCESS_VALUE:
         return f'{{"variant":"success_value","value":{ret.value}}}'
-    if v is ReturnVariant.SUCCESS:
+    if v is _SUCCESS:
         return '{"variant":"success"}'
-    if v is ReturnVariant.FAILURE:
+    if v is _FAILURE:
         return _FAILURE_TEXTS[ret.error]
-    if v is ReturnVariant.SUCCESS_REGION:
+    if v is _SUCCESS_REGION:
         return (f'{{"variant":"success_region","base":{ret.base},'
                 f'"len":{ret.length}}}')
-    if v is ReturnVariant.SUCCESS_UPCALL:
+    if v is _SUCCESS_UPCALL:
         if ret.upcall.is_null:
             return '{"variant":"success_upcall","fn":"null"}'
         fn = encode_basestring_ascii(ret.upcall.fn_id)
@@ -265,15 +275,15 @@ def encode_return(ret: SyscallReturn) -> str:
 def _return_record(ret: SyscallReturn) -> Dict[str, Any]:
     """The record whose text encode_return gives, as a dict."""
     v = ret.variant
-    if v is ReturnVariant.SUCCESS_VALUE:
+    if v is _SUCCESS_VALUE:
         return {"variant": "success_value", "value": ret.value}
-    if v is ReturnVariant.SUCCESS:
+    if v is _SUCCESS:
         return {"variant": "success"}
-    if v is ReturnVariant.FAILURE:
+    if v is _FAILURE:
         return {"variant": "failure", "err": ret.error.name}
-    if v is ReturnVariant.SUCCESS_REGION:
+    if v is _SUCCESS_REGION:
         return {"variant": "success_region", "base": ret.base, "len": ret.length}
-    if v is ReturnVariant.SUCCESS_UPCALL:
+    if v is _SUCCESS_UPCALL:
         if ret.upcall.is_null:
             return {"variant": "success_upcall", "fn": "null"}
         return {"variant": "success_upcall", "fn": ret.upcall.fn_id,

@@ -51,6 +51,8 @@ class SimClock:
 class InterruptLine:
     irq_id: int
     name: str
+    actor: str  # the trace actor and payload of the line's events
+    payload: str
     handler: Optional[Callable[[], None]] = None
     pending: bool = False
 
@@ -65,13 +67,16 @@ class InterruptController:
 
     def __init__(self, trace: TraceLog):
         self.lines: Dict[int, InterruptLine] = {}
+        self._ordered: Tuple[InterruptLine, ...] = ()  # by ascending irq id
         self.trace = trace
 
     def add_line(self, irq_id: int, name: str) -> None:
         if irq_id in self.lines:
             raise ValueError(f"irq {irq_id} already taken by "
                              f"{self.lines[irq_id].name!r}")
-        self.lines[irq_id] = InterruptLine(irq_id, name)
+        self.lines[irq_id] = InterruptLine(irq_id, name, actor_hw(name),
+                                           f'{{"irq":{irq_id}}}')
+        self._ordered = tuple(self.lines[i] for i in sorted(self.lines))
 
     def set_handler(self, irq_id: int, handler: Callable[[], None]) -> None:
         self.lines[irq_id].handler = handler
@@ -79,7 +84,7 @@ class InterruptController:
     def raise_irq(self, irq_id: int) -> None:
         line = self.lines[irq_id]
         line.pending = True
-        self.trace.log(actor_hw(line.name), K_IRQ_RAISED, {"irq": irq_id})
+        self.trace.log(line.actor, K_IRQ_RAISED, line.payload)
 
     def any_pending(self) -> bool:
         return any(l.pending for l in self.lines.values())
@@ -88,11 +93,10 @@ class InterruptController:
         """Deliver every pending line that has a handler once; returns the
         count serviced."""
         serviced = 0
-        for irq_id in sorted(self.lines):
-            line = self.lines[irq_id]
+        for line in self._ordered:
             if line.pending and line.handler is not None:
                 line.pending = False
-                self.trace.log(actor_hw(line.name), K_IRQ_SERVICED, {"irq": irq_id})
+                self.trace.log(line.actor, K_IRQ_SERVICED, line.payload)
                 line.handler()
                 serviced += 1
         return serviced
@@ -161,6 +165,8 @@ class AlarmHw:
         """True while a future compare match will raise an IRQ."""
         return (not self._fired
                 and self._values[self._ctrl_at] & self._arm_mask == self._arm_mask)
+
+    busy = armed  # future work of its own: a compare match to come
 
     def ticks_until_event(self) -> Optional[int]:
         """Ticks until COUNT reaches COMPARE while armed, else None.
@@ -395,5 +401,10 @@ class Chip:
         return nearest
 
     def busy(self) -> bool:
-        """True while any peripheral still has future work of its own."""
-        return self.ticks_until_event() is not None
+        """True while any peripheral still has future work of its own (the
+        alarm armed, a transfer or hash job in flight): each one's ``busy``
+        is asked in turn, and no gap to a next event is computed."""
+        for periph in self._peripherals:
+            if periph.busy:
+                return True
+        return False

@@ -110,8 +110,13 @@ class ProcessState(str, Enum):
     EXITED = "exited"
 
 
-LIVE_STATES = (ProcessState.UNSTARTED, ProcessState.RUNNING,
-               ProcessState.YIELDED_WAIT)
+# The members the loop and the syscall path test against, bound once: an
+# Enum class attribute lookup costs far more than a module global.
+_UNSTARTED, _RUNNING, _YIELDED_WAIT = LIVE_STATES = (
+    ProcessState.UNSTARTED, ProcessState.RUNNING, ProcessState.YIELDED_WAIT)
+_SUBSCRIBE, _COMMAND, _YIELD, _NO_WAIT = (SyscallClass.SUBSCRIBE, SyscallClass.COMMAND,
+                                          SyscallClass.YIELD, YieldMode.NO_WAIT)
+_FINALIZED = BoardPhase.FINALIZED
 
 
 @dataclass
@@ -140,6 +145,8 @@ class ProcessControlBlock:
         field(default_factory=dict)
     upcall_slots: Dict[Tuple[int, int], UpcallDescriptor] = field(default_factory=dict)
     grants: Dict[str, MemoryRegion] = field(default_factory=dict)
+    # Per grant, the note its accesses carry, encoded when it is allocated.
+    grant_notes: Dict[str, str] = field(default_factory=dict)
     # The last value a syscall returned, and the compact JSON text of its
     # record that the syscall_return event carried. An `expect` matches its
     # pattern against the return and logs the text as "actual".
@@ -582,14 +589,15 @@ class Kernel:
         pcb = self._live_pcb(pid)
         self.trace.log(pcb.actor, K_SYSCALL,
                        f'{{"call":{encode_invocation(inv)}}}')
-        if inv.klass in ALLOW_CLASSES:
-            ret = self._sys_allow(pcb, inv)
-        elif inv.klass is SyscallClass.SUBSCRIBE:
-            ret = self._sys_subscribe(pcb, inv)
-        elif inv.klass is SyscallClass.COMMAND:
+        klass = inv.klass
+        if klass is _COMMAND:
             ret = self._sys_command(pcb, inv)
-        elif inv.klass is SyscallClass.YIELD:
+        elif klass is _YIELD:
             ret = self._sys_yield(pcb, inv)
+        elif klass is _SUBSCRIBE:
+            ret = self._sys_subscribe(pcb, inv)
+        elif klass in ALLOW_CLASSES:
+            ret = self._sys_allow(pcb, inv)
         else:  # EXIT
             self._terminate(pcb, ProcessState.EXITED, "exit syscall")
             ret = None
@@ -662,7 +670,7 @@ class Kernel:
 
     def _sys_yield(self, pcb: ProcessControlBlock,
                    inv: SyscallInvocation) -> Optional[SyscallReturn]:
-        if inv.yield_mode is YieldMode.NO_WAIT:
+        if inv.yield_mode is _NO_WAIT:
             if pcb.upcall_queue:
                 self._deliver_upcall(pcb)
                 return SyscallReturn.success_value(1)
@@ -670,26 +678,25 @@ class Kernel:
         if pcb.upcall_queue:
             self._deliver_upcall(pcb)
             return SyscallReturn.success()
-        self._set_state(pcb, ProcessState.YIELDED_WAIT)
+        self._set_state(pcb, _YIELDED_WAIT)
         return None
 
     # -- upcalls ------------------------------------------------------------------
 
     def schedule_upcall(self, capsule_name: str, driver_id: int, pid: int,
                         subscribe_num: int, args) -> bool:
-        args = tuple(list(args)[:3] + [0] * (3 - len(args)))
+        args = (*args, 0, 0, 0)[:3]
         actor = actor_capsule(capsule_name)
-        detail = {"pid": pid, "driver": driver_id, "sub": subscribe_num,
-                  "args": list(args)}
+        detail = (f'{{"pid":{pid},"driver":{driver_id},"sub":{subscribe_num},'
+                  f'"args":[{args[0]},{args[1]},{args[2]}],')
+        log = self.trace.log
         pcb = self.processes.get(pid)
         if pcb is None or not pcb.live:
-            detail["reason"] = "dead process"
-            self.trace.log(actor, K_UPCALL_DROPPED, detail)
+            log(actor, K_UPCALL_DROPPED, detail + '"reason":"dead process"}')
             return False
         descriptor = pcb.upcall_slots.get((driver_id, subscribe_num), NULL_UPCALL)
         if descriptor.is_null:
-            detail["reason"] = "null subscription"
-            self.trace.log(actor, K_UPCALL_DROPPED, detail)
+            log(actor, K_UPCALL_DROPPED, detail + '"reason":"null subscription"}')
             return False
         for queued in pcb.upcall_queue:
             # Per-slot replacement: stale completions never pile up.
@@ -697,34 +704,32 @@ class Kernel:
                 queued.args = args
                 queued.fn_id = descriptor.fn_id
                 queued.userdata = descriptor.userdata
-                detail["replaced"] = True
-                self.trace.log(actor, K_UPCALL_QUEUED, detail)
+                log(actor, K_UPCALL_QUEUED, detail + '"replaced":true}')
                 return True
         if len(pcb.upcall_queue) >= self.upcall_queue_depth:
-            detail["reason"] = "queue full"
-            self.trace.log(actor, K_UPCALL_DROPPED, detail)
+            log(actor, K_UPCALL_DROPPED, detail + '"reason":"queue full"}')
             return False
         pcb.upcall_queue.append(PendingUpcall(driver_id, subscribe_num, args,
                                               descriptor.fn_id,
                                               descriptor.userdata))
-        detail["replaced"] = False
-        self.trace.log(actor, K_UPCALL_QUEUED, detail)
+        log(actor, K_UPCALL_QUEUED, detail + '"replaced":false}')
         return True
 
     def _deliver_upcall(self, pcb: ProcessControlBlock) -> None:
         up = pcb.upcall_queue.pop(0)
+        a0, a1, a2 = up.args
         self.trace.log(pcb.actor, K_UPCALL_RUN,
-                       {"driver": up.driver_id, "sub": up.subscribe_num,
-                        "fn": up.fn_id, "userdata": up.userdata,
-                        "args": list(up.args)})
+                       f'{{"driver":{up.driver_id},"sub":{up.subscribe_num},'
+                       f'"fn":{encode_basestring_ascii(up.fn_id)},'
+                       f'"userdata":{up.userdata},"args":[{a0},{a1},{a2}]}}')
         pcb.program.run_handler(self, pcb, up.fn_id)
 
     def _resume_yielded(self, pcb: ProcessControlBlock) -> None:
         """A yield-wait completes: run one queued upcall, then hand the
         yield's return value to the script."""
-        self._set_state(pcb, ProcessState.RUNNING)
+        self._set_state(pcb, _RUNNING)
         self._deliver_upcall(pcb)
-        if pcb.state is ProcessState.RUNNING:
+        if pcb.state is _RUNNING:
             self._return(pcb, SyscallReturn.success())
 
     # -- grants ---------------------------------------------------------------------
@@ -759,6 +764,8 @@ class Kernel:
                                   note=region_note(capsule_name, "grant_zero",
                                                    f',"pid":{pid}'))
             region = pcb.grants[capsule_name] = MemoryRegion(base, schema_size)
+            pcb.grant_notes[capsule_name] = region_note(capsule_name, "grant",
+                                                        f',"pid":{pid}')
             pcb.grant_watermark = base
             self._sync_regions(pcb)
             self.trace.log(ACTOR_KERNEL, K_GRANT_ALLOC,
@@ -767,8 +774,7 @@ class Kernel:
         self._grant_entries.add(key)
         try:
             return self._visit(region, capsule_name, "grant",
-                               region_note(capsule_name, "grant", f',"pid":{pid}'),
-                               visitor)
+                               pcb.grant_notes[capsule_name], visitor)
         finally:
             self._grant_entries.discard(key)
 
@@ -868,6 +874,7 @@ class Kernel:
         pcb.upcall_slots.clear()
         pcb.upcall_queue.clear()
         pcb.grants.clear()
+        pcb.grant_notes.clear()
         self.memory.drop_regions(pcb.id)
         self._live.remove(pcb)
         if pcb.ram.length:
@@ -882,10 +889,9 @@ class Kernel:
     def _set_state(self, pcb: ProcessControlBlock, state: ProcessState,
                    reason: Optional[str] = None) -> None:
         pcb.state = state
-        payload: Dict[str, Any] = {"pid": pcb.id, "state": state.value}
-        if reason:
-            payload["reason"] = reason
-        self.trace.log(ACTOR_KERNEL, K_PROCESS_STATE, payload)
+        tail = f',"reason":{encode_basestring_ascii(reason)}' if reason else ""
+        self.trace.log(ACTOR_KERNEL, K_PROCESS_STATE,
+                       f'{{"pid":{pcb.id},"state":"{state.value}"{tail}}}')
 
     # -- privileged, capability-gated operations ------------------------------------------
 
@@ -918,33 +924,32 @@ class Kernel:
         """One kernel loop iteration: service interrupts, then give every
         schedulable process one syscall-or-upcall quantum, in pid order.
         Returns False when there was nothing at all to do."""
-        if self.registry.phase is not BoardPhase.FINALIZED:
+        if self.registry.phase is not _FINALIZED:
             raise PhaseError("the kernel loop only runs on a finalized board")
         progressed = self.chip.irqc.service() > 0
         # A snapshot: a process created during this step first runs in the
         # next one, and one that dies during it is skipped by its state.
         for pcb in tuple(self._live):
-            if pcb.state is ProcessState.UNSTARTED:
-                self._set_state(pcb, ProcessState.RUNNING, "started")
+            state = pcb.state
+            if state is _RUNNING:
                 pcb.program.advance(self, pcb)
                 progressed = True
-            elif pcb.state is ProcessState.RUNNING:
+            elif state is _YIELDED_WAIT:
+                if pcb.upcall_queue:
+                    self._resume_yielded(pcb)
+                    progressed = True
+            elif state is _UNSTARTED:
+                self._set_state(pcb, _RUNNING, "started")
                 pcb.program.advance(self, pcb)
-                progressed = True
-            elif pcb.state is ProcessState.YIELDED_WAIT and pcb.upcall_queue:
-                self._resume_yielded(pcb)
                 progressed = True
         return progressed
 
     def quiescent(self) -> bool:
-        """The sleep condition: no process work, no pending interrupts, no
-        peripheral activity. A loader job in its integrity check keeps the
-        hash engine busy or its interrupt pending."""
-        if self.chip.irqc.any_pending() or self.chip.busy():
-            return False
+        """The sleep condition, checked in this order: every live process
+        waits in a yield with no upcall queued, then no interrupt is
+        pending and no peripheral is busy. A loader job in its integrity
+        check keeps the hash engine busy or its interrupt pending."""
         for pcb in self._live:
-            if pcb.state in (ProcessState.UNSTARTED, ProcessState.RUNNING):
+            if pcb.state is not _YIELDED_WAIT or pcb.upcall_queue:
                 return False
-            if pcb.state is ProcessState.YIELDED_WAIT and pcb.upcall_queue:
-                return False
-        return True
+        return not (self.chip.irqc.any_pending() or self.chip.busy())

@@ -19,13 +19,16 @@ each with its own encoded payload, the tick advancing by one every
 a span of ticks this way.
 
 A payload given as a ``str`` is taken as already encoded and written
-unchanged. The busiest emitters hand over text: ``uart_tx`` (one text per
-byte value), ``syscall`` and ``syscall_return`` (the :mod:`kernsim.abi`
+unchanged. Every emitter on the loop and syscall paths hands over text:
+``uart_tx`` (one text per byte value), ``irq_raised`` and ``irq_serviced``
+(one per line), ``syscall`` and ``syscall_return`` (the :mod:`kernsim.abi`
 encoders), ``expect`` (the pattern alone goes through :attr:`TraceLog.encode`,
-once per pattern object) and ``mem_access`` (a head plus the note's
-members). Such text must equal the compact JSON of the record it stands
-for, byte for byte; strings in it are escaped by
-``json.encoder.encode_basestring_ascii``, as the log's encoder does.
+once per pattern object), ``mem_access`` (a head plus the note's members),
+and ``process_state``, ``upcall_queued``, ``upcall_dropped`` and
+``upcall_run`` (built by the kernel where they are logged). Such text must
+equal the compact JSON of the record it stands for, byte for byte; strings
+in it are escaped by ``json.encoder.encode_basestring_ascii``, as the log's
+encoder does.
 """
 
 from __future__ import annotations

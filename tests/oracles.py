@@ -165,3 +165,31 @@ def return_record(ret):
         return {"variant": "failure", "err": ret.error.name}
     return {"variant": "failure_region", "err": ret.error.name,
             "base": ret.base, "len": ret.length}
+
+
+def upcall_record(pid, driver, sub, args, **outcome):
+    """The record an upcall_queued or upcall_dropped event carries: the
+    args cut or padded with zeros to three, then ``replaced`` or
+    ``reason``."""
+    args = (list(args) + [0, 0, 0])[:3]
+    return dict({"pid": pid, "driver": driver, "sub": sub, "args": args}, **outcome)
+
+
+def upcall_run_record(driver, sub, fn, userdata, args):
+    """The record an upcall_run event carries."""
+    return {"driver": driver, "sub": sub, "fn": fn, "userdata": userdata,
+            "args": list(args)}
+
+
+def process_state_record(pid, state, reason=None):
+    """The record a process_state event carries; an empty reason is left
+    out."""
+    record = {"pid": pid, "state": state}
+    if reason:
+        record["reason"] = reason
+    return record
+
+
+def irq_record(irq_id):
+    """The record an irq_raised or irq_serviced event carries."""
+    return {"irq": irq_id}

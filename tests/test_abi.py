@@ -114,6 +114,33 @@ def test_encode_return_examples():
         '{"variant":"success_upcall","fn":"null"}'
 
 
+def test_each_return_constructor_equals_its_keyword_built_tuple():
+    upcall = UpcallDescriptor("on_tx", 2 ** 32 - 1)
+    cases = [
+        (SyscallReturn.success(), SyscallReturn(variant=ReturnVariant.SUCCESS)),
+        (SyscallReturn.success_value(2 ** 32 - 1),
+         SyscallReturn(variant=ReturnVariant.SUCCESS_VALUE, value=2 ** 32 - 1)),
+        (SyscallReturn.success_region(16, 32),
+         SyscallReturn(variant=ReturnVariant.SUCCESS_REGION, base=16, length=32)),
+        (SyscallReturn.success_upcall(upcall),
+         SyscallReturn(variant=ReturnVariant.SUCCESS_UPCALL, upcall=upcall)),
+        (SyscallReturn.success_upcall(NULL_UPCALL),
+         SyscallReturn(variant=ReturnVariant.SUCCESS_UPCALL, upcall=NULL_UPCALL)),
+    ]
+    for error in ErrorCode:
+        cases += [
+            (SyscallReturn.failure(error),
+             SyscallReturn(variant=ReturnVariant.FAILURE, error=error)),
+            (SyscallReturn.failure_region(error, 4, 8),
+             SyscallReturn(variant=ReturnVariant.FAILURE_REGION, error=error,
+                           base=4, length=8))]
+    for built, keyword in cases:
+        assert type(built) is SyscallReturn
+        assert [(type(value), value) for value in built] == \
+            [(type(value), value) for value in keyword]
+    assert SyscallReturn.success() is SyscallReturn.success()
+
+
 def test_error_code_encodings_are_stable():
     assert [e.value for e in ErrorCode] == [1, 2, 3, 4, 5, 6, 7, 8]
     assert ErrorCode.FAIL.value == 1

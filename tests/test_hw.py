@@ -289,6 +289,60 @@ def make_chip(initial_count=0, bytes_per_tick=1):
     return chip, trace
 
 
+def test_chip_busy_agrees_with_ticks_until_event():
+    chip, _ = make_chip()
+    alarm, uart, engine = chip.alarm, chip.uart, chip.hashengine
+    seen = []
+
+    def check():
+        for periph in (alarm, uart, engine):
+            assert periph.busy == (periph.ticks_until_event() is not None)
+        seen.append(chip.busy())
+        assert seen[-1] == (chip.ticks_until_event() is not None)
+
+    check()  # idle
+    alarm.regs.write_reg("COMPARE", 10)
+    check()  # a compare value, but disabled
+    alarm.regs.field_set("CTRL", "ENABLE", 1)
+    check()  # enabled without its IRQ
+    alarm.regs.field_set("CTRL", "IRQEN", 1)
+    check()  # armed
+    chip.tick(10)
+    check()  # fired, latched until COMPARE is rewritten
+    uart.start_tx(BufferWindow(bytearray(b"hi")))
+    check()  # a transfer in flight
+    chip.tick(2)
+    check()  # the transfer done
+    engine.submit(b"x" * 100, "job", 0)
+    alarm.regs.write_reg("COMPARE", 100)
+    check()  # a hash job in flight and the alarm armed again
+    chip.tick(2)
+    check()  # the hash job done, the alarm still armed
+    assert seen == [False, False, False, True, False, True, False, True, True]
+
+
+def test_lines_added_out_of_order_are_serviced_in_ascending_irq_id():
+    irqc = InterruptController(TraceLog())
+    order = []
+
+    def handler(irq_id):
+        order.append(irq_id)
+        if irq_id == 3:  # raises a line behind it and one ahead of it
+            irqc.raise_irq(1)
+            irqc.raise_irq(5)
+
+    for irq_id in (5, 1, 9, 3):
+        irqc.add_line(irq_id, f"p{irq_id}")
+        irqc.set_handler(irq_id, lambda irq_id=irq_id: handler(irq_id))
+    irqc.raise_irq(9)
+    irqc.raise_irq(3)
+    assert irqc.service() == 3
+    assert order == [3, 5, 9]
+    assert irqc.service() == 1
+    assert order == [3, 5, 9, 1]
+    assert not irqc.any_pending()
+
+
 def _chip_state(chip, trace):
     periphs = (chip.alarm, chip.uart, chip.hashengine)
     return (chip.clock.now, [dict(p.regs.values) for p in periphs],

@@ -17,8 +17,11 @@ from kernsim.abi import (
     SyscallInvocation,
     SyscallReturn,
     UpcallDescriptor,
+    YieldMode,
 )
 from kernsim.board import run_simulation
+from kernsim.hw import InterruptController
+from kernsim.kernel import PendingUpcall
 from kernsim.trace import TraceLog
 
 from conftest import (
@@ -30,7 +33,14 @@ from conftest import (
     minimal_board_dict,
     script_source,
 )
-from oracles import compact, return_record
+from oracles import (
+    compact,
+    irq_record,
+    process_state_record,
+    return_record,
+    upcall_record,
+    upcall_run_record,
+)
 
 PINS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "pins.json")
                   .read_text(encoding="utf-8"))["sweep"]
@@ -250,7 +260,10 @@ def _probe_loop_app(tmp_path, count):
     return app
 
 
-def test_the_syscall_path_never_calls_the_encoder_per_event(tmp_path, monkeypatch):
+def _encoder_calls(tmp_path, monkeypatch, apps):
+    """For loops of 10 and 100 iterations, the ``JSONEncoder.encode``
+    calls and the trace of a demo_sync run of the apps ``apps(count)``
+    writes."""
     calls = []
     encode = json.JSONEncoder.encode
 
@@ -259,18 +272,159 @@ def test_the_syscall_path_never_calls_the_encoder_per_event(tmp_path, monkeypatc
         return encode(self, value)
 
     monkeypatch.setattr(json.JSONEncoder, "encode", counting)
-    counts = []
+    runs = []
     for count in (10, 100):
         del calls[:]
         trace_path = tmp_path / f"t{count}.jsonl"
-        assert run_simulation(BOARDS_DIR / "demo_sync.json",
-                              [_probe_loop_app(tmp_path, count)],
+        assert run_simulation(BOARDS_DIR / "demo_sync.json", apps(count),
                               trace_path=trace_path) == 0
-        text = trace_path.read_text(encoding="utf-8")
+        runs.append((count, len(calls), trace_path.read_text(encoding="utf-8")))
+    return runs
+
+
+def test_the_syscall_path_never_calls_the_encoder_per_event(tmp_path, monkeypatch):
+    runs = _encoder_calls(tmp_path, monkeypatch,
+                          lambda count: [_probe_loop_app(tmp_path, count)])
+    for count, _, text in runs:
         assert text.count('"kind":"expect"') == count + 1
         assert text.count('"via":"probe_a"') == 2 * count
-        counts.append(len(calls))
+    counts = [calls for _, calls, _ in runs]
     assert counts[0] == counts[1], counts
+
+
+def _alarm_and_console_loop_apps(tmp_path, count):
+    """Two processes that loop ``count`` times: one arms the alarm and
+    waits for it, the other writes to the console and waits for the
+    transfer to finish."""
+    alarm = tmp_path / f"alarm{count}.json"
+    alarm.write_text(json.dumps({"name": "alarm", "min_memory": 256, "main": [
+        {"op": "loop", "count": count, "body": [
+            {"op": "sync_command", "driver": 0, "cmd": 1, "args": [5, 0],
+             "fn": "on_alarm"}]},
+        {"op": "halt"}], "handlers": {"on_alarm": []}}))
+    console = tmp_path / f"console{count}.json"
+    console.write_text(json.dumps({"name": "console", "min_memory": 256, "main": [
+        {"op": "loop", "count": count, "body": [
+            {"op": "write_local", "offset": 0, "data": "68690a"},
+            {"op": "syscall", "call": {"class": "subscribe", "driver": 1, "sub": 0,
+                                       "fn": "on_tx_done"}},
+            {"op": "syscall", "call": {"class": "ro_allow", "driver": 1, "buf": 0,
+                                       "base": 0, "len": 3}},
+            {"op": "syscall", "call": {"class": "command", "driver": 1, "cmd": 1,
+                                       "args": [3, 0]}},
+            {"op": "expect", "pattern": {"variant": "success"}},
+            {"op": "syscall", "call": {"class": "yield", "mode": "wait"}}]},
+        {"op": "halt"}], "handlers": {"on_tx_done": []}}))
+    return [alarm, console]
+
+
+def test_the_loop_path_never_calls_the_encoder_per_event(tmp_path, monkeypatch):
+    runs = _encoder_calls(tmp_path, monkeypatch,
+                          lambda count: _alarm_and_console_loop_apps(tmp_path, count))
+    for count, _, text in runs:
+        assert text.count('"kind":"upcall_run"') == 2 * count
+        assert text.count('"kind":"irq_serviced"') == 2 * count
+        assert text.count('"kind":"uart_tx"') == 3 * count
+    counts = [calls for _, calls, _ in runs]
+    assert counts[0] == counts[1], counts
+
+
+def _new_lines(board, start, kinds):
+    return list(_lines_as_records(board.trace.out.getvalue()[start:], kinds))
+
+
+def _assert_lines(lines, expected):
+    """Each line is the compact JSON of the expected (actor, kind,
+    payload) with its own seq and tick."""
+    assert len(lines) == len(expected)
+    for (line, seq, tick, _, _), (actor, kind, payload) in zip(lines, expected):
+        assert line == compact({"seq": seq, "tick": tick, "actor": actor,
+                                "kind": kind, "payload": payload})
+
+
+def test_upcall_queued_and_dropped_texts_are_the_compact_json_of_their_records():
+    board = make_board(upcall_queue_depth=1)
+    job = board.load_app(script_source([], {"h": []}))
+    kernel, pid = board.kernel, job.pid
+    for driver in (0, 1):
+        kernel.handle_syscall(pid, SyscallInvocation.subscribe(driver, 0, "h"))
+    start = len(board.trace.out.getvalue())
+    expected = []
+    for capsule in AWKWARD_NAMES:
+        actor = f"capsule:{capsule}"
+        for driver, target, args, outcome in (
+                (0, 99, [7, 8, 9], {"reason": "dead process"}),
+                (2, pid, [1], {"reason": "null subscription"}),
+                (0, pid, [1, 2 ** 32 - 1, 0], {"replaced": False}),
+                (0, pid, [1], {"replaced": True}),
+                (1, pid, (), {"reason": "queue full"})):
+            queued = kernel.schedule_upcall(capsule, driver, target, 0, args)
+            assert queued == ("replaced" in outcome)
+            kind = "upcall_queued" if queued else "upcall_dropped"
+            expected.append((actor, kind, upcall_record(target, driver, 0, args,
+                                                        **outcome)))
+        kernel.processes[pid].upcall_queue.clear()
+    _assert_lines(_new_lines(board, start, ("upcall_queued", "upcall_dropped")),
+                  expected)
+
+
+def test_upcall_run_text_is_the_compact_json_of_its_record():
+    board = make_board()
+    job = board.load_app(script_source([]))
+    kernel, pid = board.kernel, job.pid
+    pcb = kernel.processes[pid]
+    start = len(board.trace.out.getvalue())
+    expected = []
+    for i, fn in enumerate(AWKWARD_NAMES):
+        args = (i, 2 ** 32 - 1, 0)
+        pcb.upcall_queue.append(PendingUpcall(1, 0, args, fn, 2 ** 32 - 1 - i))
+        kernel.handle_syscall(pid, SyscallInvocation.yield_(YieldMode.NO_WAIT))
+        expected.append((f"process:{pid}", "upcall_run",
+                         upcall_run_record(1, 0, fn, 2 ** 32 - 1 - i, args)))
+    _assert_lines(_new_lines(board, start, ("upcall_run",)), expected)
+
+
+def test_process_state_text_is_the_compact_json_of_its_record():
+    board = make_board(max_processes=len(AWKWARD_NAMES))
+    pids = [board.load_app(script_source([{"op": "syscall", "call": {
+        "class": "yield", "mode": "wait"}}])).pid for _ in AWKWARD_NAMES]
+    kernel = board.kernel
+    board.finalize()
+    start = len(board.trace.out.getvalue())
+    kernel.loop_step()  # each process starts, then waits in its yield
+    for pid, reason in zip(pids, AWKWARD_NAMES):
+        kernel.exit_process(pid, reason)
+    expected = []
+    for pid in pids:
+        expected += [("kernel", "process_state",
+                      process_state_record(pid, "running", "started")),
+                     ("kernel", "process_state",
+                      process_state_record(pid, "yielded_wait"))]
+    expected += [("kernel", "process_state",
+                  process_state_record(pid, "exited", reason))
+                 for pid, reason in zip(pids, AWKWARD_NAMES)]
+    lines = _new_lines(board, start, ("process_state",))
+    assert '"reason":""' not in "".join(line for line, *_ in lines)
+    _assert_lines(lines, expected)
+
+
+def test_irq_texts_are_the_compact_json_of_their_records():
+    ticks = iter(range(1, 1000))
+    irqc = InterruptController(TraceLog(lambda: next(ticks)))
+    names = dict(zip((7, 0, 31, 2), AWKWARD_NAMES[1:]))
+    for irq_id, name in names.items():
+        irqc.add_line(irq_id, name)
+        irqc.set_handler(irq_id, lambda: None)
+    expected = []
+    for irq_id in (31, 0, 7, 2):
+        irqc.raise_irq(irq_id)
+        expected.append((f"hw:{names[irq_id]}", "irq_raised", irq_record(irq_id)))
+    assert irqc.service() == 4
+    expected += [(f"hw:{names[irq_id]}", "irq_serviced", irq_record(irq_id))
+                 for irq_id in (0, 2, 7, 31)]
+    lines = list(_lines_as_records(irqc.trace.out.getvalue(),
+                                   ("irq_raised", "irq_serviced")))
+    _assert_lines(lines, expected)
 
 
 def _expect_lines(tmp_path, main):

@@ -1,6 +1,6 @@
-"""Each benchmark workload, at seed 0, still gives the exit code and the
-trace bytes that perfbench/pins.json pins, so a change that moves a byte
-of a workload's trace fails here and not only in a benchmark run."""
+"""Each benchmark workload, at seeds 0 and 15, still gives the exit code
+and the trace bytes that perfbench/pins.json pins, so a change that moves
+a byte of a workload's trace fails here and not only in a benchmark run."""
 
 import hashlib
 import json
@@ -17,12 +17,23 @@ WORKLOADS = runpy.run_path(str(PERFBENCH / "workloads.py"))
 PINS = json.loads((PERFBENCH / "pins.json").read_text())["seeds"]
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS["GENERATORS"]))
-def test_seed_0_matches_its_pin(name, tmp_path):
-    workload = WORKLOADS["generate"](name, 0, tmp_path / "in")
+def _assert_matches_its_pin(name, seed, tmp_path):
+    workload = WORKLOADS["generate"](name, seed, tmp_path / "in")
     trace = tmp_path / "trace.jsonl"
     code = run_simulation(workload.board, workload.apps,
                           max_ticks=workload.max_ticks, trace_path=trace)
-    pin = PINS[name]["0"]
+    pin = PINS[name][str(seed)]
     assert code == pin["exit"]
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == pin["sha256"]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS["GENERATORS"]))
+def test_seed_0_matches_its_pin(name, tmp_path):
+    _assert_matches_its_pin(name, 0, tmp_path)
+
+
+# A second seed, so that a change meant to keep every byte is checked on
+# the content of two seeds, not one.
+@pytest.mark.parametrize("name", sorted(WORKLOADS["GENERATORS"]))
+def test_seed_15_matches_its_pin(name, tmp_path):
+    _assert_matches_its_pin(name, 15, tmp_path)
