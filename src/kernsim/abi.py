@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from json.encoder import encode_basestring_ascii
-from typing import Any, Dict, List, NamedTuple, Optional
+from typing import Any, Dict, NamedTuple, Optional
 
-from .errors import Key, MalformedInvocation, Schema, walk
+from .errors import Key, Schema
 
 U32_MAX = (1 << 32) - 1  # each integer of a syscall record fills a register
 
@@ -207,16 +207,6 @@ def invocation(record: Dict[str, Any]) -> SyscallInvocation:
         return _EXIT
     return getattr(SyscallInvocation, tag)(record["driver"], record["buf"],
                                            record["base"], record["len"])
-
-
-def decode_invocation(record: Dict[str, Any]) -> SyscallInvocation:
-    """Map a structured scenario record onto an invocation; a record the
-    SYSCALL schema refuses raises :class:`MalformedInvocation`."""
-    violations: List[str] = []
-    checked = walk(SYSCALL, record, "record", violations)
-    if violations:
-        raise MalformedInvocation("; ".join(violations))
-    return invocation(checked)
 
 
 # Invocation and return texts. Every value of a record is a register, a

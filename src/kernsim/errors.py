@@ -172,12 +172,6 @@ class AccessDenied(KernsimError):
         self.kind = kind
 
 
-# --- syscall ABI -------------------------------------------------------
-
-class MalformedInvocation(KernsimError):
-    """Scenario record does not decode to a known system call."""
-
-
 # --- register maps and MMIO ---------------------------------------------
 
 class UnknownOffset(SimulationDiagnostic):

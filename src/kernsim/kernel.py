@@ -14,6 +14,11 @@ distinguished empty region (base 0, length 0) or the null upcall. The
 kernel owns the slots. A capsule reaches process memory only through a
 :class:`ScopedRegion`, one view of a grant allocation or of an allowed
 buffer that is handed to a visitor and invalidated when it returns.
+
+Inside the kernel a process is named by its control block: the
+interpreter hands over the PCB it runs, and pids appear only at the
+capsule boundary, where a capsule names a process to visit its grant or
+an allowed buffer, or to schedule an upcall.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ from .memory import (
     MemoryController,
     MemoryRegion,
 )
-from .scenario import ProcessProgram, ScenarioScript, parse_script_bytes
+from .scenario import ProcessProgram, ScenarioScript, Stmt, parse_script_bytes
 from .trace import (
     ACTOR_KERNEL,
     K_CAPSULE_ERROR,
@@ -97,9 +102,6 @@ from .trace import (
 )
 
 CARVE_ALIGN = 16
-# The most encoded expect patterns the kernel keeps: more than the
-# distinct expects of the loop bodies of all live processes need.
-PATTERN_MEMO = 512
 
 
 class ProcessState(str, Enum):
@@ -469,7 +471,6 @@ class Kernel:
         self.allocator = CarveAllocator(memory.total_size)
         self.loader = ProcessLoader(self)
         self.expect_failures = 0
-        self._pattern_texts: Dict[int, Tuple[Dict[str, Any], str]] = {}
 
     # -- capsule registration and budget ------------------------------------
 
@@ -575,6 +576,7 @@ class Kernel:
         ])
 
     def _live_pcb(self, pid: int) -> ProcessControlBlock:
+        """The live process a capsule names by pid."""
         pcb = self.processes.get(pid)
         if pcb is None or not pcb.live:
             raise ProcessDead(f"pid {pid} is not live")
@@ -582,11 +584,12 @@ class Kernel:
 
     # -- syscall dispatch -----------------------------------------------------------
 
-    def handle_syscall(self, pid: int,
+    def handle_syscall(self, pcb: ProcessControlBlock,
                        inv: SyscallInvocation) -> Optional[SyscallReturn]:
-        """Dispatch one system call. Returns None when no value is
-        delivered to the process (a blocked yield-wait, or exit)."""
-        pcb = self._live_pcb(pid)
+        """Dispatch one system call of a live process. Returns None when no
+        value is delivered to the process (a blocked yield-wait, or exit)."""
+        if not pcb.live:
+            raise ProcessDead(f"pid {pcb.id} is not live")
         self.trace.log(pcb.actor, K_SYSCALL,
                        f'{{"call":{encode_invocation(inv)}}}')
         klass = inv.klass
@@ -651,6 +654,10 @@ class Kernel:
             pcb.upcall_slots[key] = NULL_UPCALL
         else:
             pcb.upcall_slots[key] = UpcallDescriptor(inv.fn_id, inv.userdata)
+        # An upcall the slot queued before the swap never runs.
+        if pcb.upcall_queue:
+            pcb.upcall_queue[:] = [up for up in pcb.upcall_queue
+                                   if (up.driver_id, up.subscribe_num) != key]
         return SyscallReturn.success_upcall(previous)
 
     def _sys_command(self, pcb: ProcessControlBlock,
@@ -808,48 +815,30 @@ class Kernel:
 
     # -- process-local memory (the script side) ---------------------------------------
 
-    def resolve_base(self, pid: int, seg: str, base: int) -> int:
-        pcb = self._live_pcb(pid)
-        if seg == "ram":
-            return pcb.ram.base + base
-        if seg == "flash":
-            return pcb.flash.base + base
-        return base
-
-    def process_local_write(self, pid: int, offset: int, data: bytes) -> bool:
-        pcb = self._live_pcb(pid)
+    def process_local_write(self, pcb: ProcessControlBlock, offset: int,
+                            data: bytes) -> bool:
         try:
-            self.memory.write(pid, pcb.ram.base + offset, data)
+            self.memory.write(pcb.id, pcb.ram.base + offset, data)
         except AccessDenied:
             self._fault(pcb, f"write_local at offset {offset}")
             return False
         return True
 
-    def process_local_read(self, pid: int, offset: int,
+    def process_local_read(self, pcb: ProcessControlBlock, offset: int,
                            length: int) -> Optional[bytes]:
-        pcb = self._live_pcb(pid)
         try:
-            return self.memory.read(pid, pcb.ram.base + offset, length)
+            return self.memory.read(pcb.id, pcb.ram.base + offset, length)
         except AccessDenied:
             self._fault(pcb, f"read_local at offset {offset}")
             return None
 
-    def record_expect(self, pid: int, pattern: Dict[str, Any]) -> None:
-        pcb = self.processes[pid]
+    def record_expect(self, pcb: ProcessControlBlock, stmt: Stmt) -> None:
+        """Match an expect statement's pattern against the last return,
+        and log the pattern's text as the statement carries it."""
         passed = pcb.last_return is not None and \
-            match_return(pattern, pcb.last_return)
-        # A looped expect repeats one pattern object, so each is encoded
-        # once; holding the pattern keeps its id from being reused. The
-        # memo is emptied when full, so a script of expects that each run
-        # once leaves at most PATTERN_MEMO texts behind.
-        texts = self._pattern_texts
-        known = texts.get(id(pattern))
-        if known is None:
-            if len(texts) >= PATTERN_MEMO:
-                texts.clear()
-            known = texts[id(pattern)] = (pattern, self.trace.encode(pattern))
+            match_return(stmt.pattern, pcb.last_return)
         self.trace.log(pcb.actor, K_EXPECT,
-                       f'{{"pattern":{known[1]},'
+                       f'{{"pattern":{stmt.text},'
                        f'"actual":{pcb.last_return_text or "null"},'
                        f'"pass":{"true" if passed else "false"}}}')
         if not passed:
@@ -857,10 +846,8 @@ class Kernel:
 
     # -- lifecycle ----------------------------------------------------------------------
 
-    def exit_process(self, pid: int, reason: str) -> None:
-        pcb = self.processes.get(pid)
-        if pcb is not None and pcb.live:
-            self._terminate(pcb, ProcessState.EXITED, reason)
+    def exit_process(self, pcb: ProcessControlBlock, reason: str) -> None:
+        self._terminate(pcb, ProcessState.EXITED, reason)
 
     def _fault(self, pcb: ProcessControlBlock, reason: str) -> None:
         self._terminate(pcb, ProcessState.FAULTED, reason)

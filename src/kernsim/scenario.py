@@ -4,10 +4,13 @@ A scenario file gives a process a `main` statement list and a table of
 named upcall handlers. Statements either issue system calls, check the
 last return value against a pattern, or touch process-local memory
 (which goes through the MPU like any other process access). Loops are
-unrolled, the `sync_command` macro is expanded and every system call is
-decoded at parse time, so the interpreter only ever walks a flat list of
-decoded statements; at run time it only resolves an allow's base against
-the running process.
+unrolled, the `sync_command` macro is expanded, every system call is
+decoded and every expect's pattern is encoded as the trace's compact JSON
+at parse time, once per script statement: an unrolled loop repeats the
+statements of its body. The interpreter only ever walks a flat list of
+decoded statements and hands the kernel the control block of the process
+it runs; the one thing left for run time is adding that process's segment
+base to an allow's base.
 
 Upcall handlers run to completion and may not yield; that is checked at
 parse time, not discovered at runtime.
@@ -23,6 +26,7 @@ from typing import Any, Dict, List, NamedTuple, Optional
 from .abi import ALLOW_CLASSES, ARGS, REGISTER, SYSCALL, U32_MAX, \
     SyscallClass, SyscallInvocation, YieldMode, invocation
 from .errors import INVALID, Key, Schema, ScenarioError, walk, where
+from .trace import encode_json
 
 MAX_STATEMENTS = 200_000
 DEFAULT_MIN_MEMORY = 1024
@@ -33,6 +37,7 @@ class Stmt(NamedTuple):
     inv: Optional[SyscallInvocation] = None
     seg: str = "ram"  # what an allow's base is relative to
     pattern: Optional[Dict[str, Any]] = None
+    text: str = ""  # an expect's pattern as the trace writes it
     offset: int = 0
     data: bytes = b""
     len: int = 0
@@ -77,7 +82,13 @@ SCENARIO: Schema = {
     "handlers": Key(dict, default={}, item=Key(list)),
 }
 _WAIT = Stmt("syscall", inv=SyscallInvocation.yield_(YieldMode.WAIT))
-_EXPECT_SUCCESS = Stmt("expect", pattern={"variant": "success"})
+
+
+def _expect(pattern: Dict[str, Any]) -> Stmt:
+    return Stmt("expect", pattern=pattern, text=encode_json(pattern))
+
+
+_EXPECT_SUCCESS = _expect({"variant": "success"})
 
 
 def _parse_statements(raw_list, path, in_handler: bool, budget: List[int],
@@ -120,7 +131,9 @@ def _parse_statements(raw_list, path, in_handler: bool, budget: List[int],
                            f"got {rec['data']!r}")
                 continue
             stmts.append(Stmt("write_local", offset=rec["offset"], data=data))
-        elif op != "sync_command":  # expect, read_local or halt
+        elif op == "expect":
+            stmts.append(_expect(rec["pattern"]))
+        elif op != "sync_command":  # read_local or halt
             stmts.append(Stmt(**rec))
         elif in_handler:
             out.append(f"{where(here)}: sync_command yields and cannot appear "
@@ -185,7 +198,7 @@ class ProcessProgram:
     def advance(self, kern, pcb) -> None:
         while pcb.state == "running":
             if self.pc >= len(self.statements):
-                kern.exit_process(pcb.id, "end of program")
+                kern.exit_process(pcb, "end of program")
                 return
             stmt = self.statements[self.pc]
             self.pc += 1
@@ -196,21 +209,22 @@ class ProcessProgram:
         """Run one statement; returns True if it consumed the quantum."""
         if stmt.op == "syscall":
             inv = stmt.inv
-            if inv.klass in ALLOW_CLASSES:
-                inv = inv._replace(base=kern.resolve_base(pcb.id, stmt.seg, inv.base))
-            kern.handle_syscall(pcb.id, inv)
+            if inv.klass in ALLOW_CLASSES and stmt.seg != "abs":
+                region = pcb.ram if stmt.seg == "ram" else pcb.flash
+                inv = inv._replace(base=region.base + inv.base)
+            kern.handle_syscall(pcb, inv)
             return True
         if stmt.op == "expect":
-            kern.record_expect(pcb.id, stmt.pattern)
+            kern.record_expect(pcb, stmt)
             return False
         if stmt.op == "write_local":
-            kern.process_local_write(pcb.id, stmt.offset, stmt.data)
+            kern.process_local_write(pcb, stmt.offset, stmt.data)
             return False
         if stmt.op == "read_local":
-            kern.process_local_read(pcb.id, stmt.offset, stmt.len)
+            kern.process_local_read(pcb, stmt.offset, stmt.len)
             return False
         if stmt.op == "halt":
-            kern.exit_process(pcb.id, "halt")
+            kern.exit_process(pcb, "halt")
             return True
         raise AssertionError(f"unreachable statement op {stmt.op!r}")
 

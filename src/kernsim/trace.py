@@ -22,13 +22,13 @@ A payload given as a ``str`` is taken as already encoded and written
 unchanged. Every emitter on the loop and syscall paths hands over text:
 ``uart_tx`` (one text per byte value), ``irq_raised`` and ``irq_serviced``
 (one per line), ``syscall`` and ``syscall_return`` (the :mod:`kernsim.abi`
-encoders), ``expect`` (the pattern alone goes through :attr:`TraceLog.encode`,
-once per pattern object), ``mem_access`` (a head plus the note's members),
-and ``process_state``, ``upcall_queued``, ``upcall_dropped`` and
-``upcall_run`` (built by the kernel where they are logged). Such text must
-equal the compact JSON of the record it stands for, byte for byte; strings
-in it are escaped by ``json.encoder.encode_basestring_ascii``, as the log's
-encoder does.
+encoders), ``expect`` (its pattern goes through :func:`encode_json` once per
+script statement, when :mod:`kernsim.scenario` parses the script),
+``mem_access`` (a head plus the note's members), and ``process_state``,
+``upcall_queued``, ``upcall_dropped`` and ``upcall_run`` (built by the kernel
+where they are logged). Such text must equal the compact JSON of the record
+it stands for, byte for byte; strings in it are escaped by
+``json.encoder.encode_basestring_ascii``, as :func:`encode_json` does.
 """
 
 from __future__ import annotations
@@ -41,6 +41,15 @@ ACTOR_KERNEL = "kernel"
 
 # The most lines TraceLog.log_series hands to one write of the stream.
 SERIES_CHUNK = 256
+
+# One encoder for every caller: json.dumps builds a new one on every call
+# that passes non-default arguments.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+def encode_json(value: Any) -> str:
+    """The compact JSON text of a value, as the log writes it."""
+    return _ENCODER.encode(value)
 
 
 def actor_process(pid: int) -> str:
@@ -97,18 +106,14 @@ class TraceLog:
                  out: Optional[TextIO] = None):
         self.out = io.StringIO() if out is None else out
         self._write = self.out.write
-        # One encoder per log: json.dumps builds a new one on every call
-        # that passes non-default arguments.
-        self.encode = json.JSONEncoder(separators=(",", ":")).encode
         self._prefixes: Dict[Tuple[str, str], str] = {}
         self._seq = 0
         # The simulated tick that log() stamps an event with.
         self.clock = clock or (lambda: 0)
 
     def _cache_prefix(self, actor: str, kind: str) -> str:
-        encode = self.encode
         prefix = self._prefixes[actor, kind] = \
-            f',"actor":{encode(actor)},"kind":{encode(kind)},"payload":'
+            f',"actor":{encode_json(actor)},"kind":{encode_json(kind)},"payload":'
         return prefix
 
     def log(self, actor: str, kind: str,
@@ -119,7 +124,7 @@ class TraceLog:
         if isinstance(payload, str):
             body = payload
         else:
-            body = self.encode(payload) if payload else "{}"
+            body = encode_json(payload) if payload else "{}"
         self._write(f'{{"seq":{self._seq},"tick":{self.clock()}{prefix}{body}}}\n')
         self._seq += 1
 

@@ -6,6 +6,7 @@ import pytest
 
 from kernsim.abi import (
     NULL_UPCALL,
+    SYSCALL,
     ErrorCode,
     ReturnVariant,
     SyscallClass,
@@ -13,51 +14,60 @@ from kernsim.abi import (
     SyscallReturn,
     UpcallDescriptor,
     YieldMode,
-    decode_invocation,
     encode_invocation,
     encode_return,
+    invocation,
     match_return,
 )
-from kernsim.errors import MalformedInvocation
+from kernsim.errors import walk
 
 from conftest import AWKWARD_NAMES
 from oracles import compact, invocation_record, return_record
 
 
+def decode(record):
+    """The invocation a syscall record names, as a scenario decodes it:
+    checked by the SYSCALL walk, then built. A record the walk refuses
+    gives its violations instead."""
+    out = []
+    checked = walk(SYSCALL, record, "record", out)
+    return out if out else invocation(checked)
+
+
 def test_decode_command():
-    inv = decode_invocation({"class": "command", "driver": 0, "cmd": 1,
-                             "args": [500, 0]})
+    inv = decode({"class": "command", "driver": 0, "cmd": 1, "args": [500, 0]})
     assert inv == SyscallInvocation.command(0, 1, 500, 0)
 
 
 def test_decode_ro_allow():
-    inv = decode_invocation({"class": "ro_allow", "driver": 2, "buf": 0,
-                             "base": 100, "len": 16})
+    inv = decode({"class": "ro_allow", "driver": 2, "buf": 0,
+                  "base": 100, "len": 16})
     assert inv.klass is SyscallClass.RO_ALLOW
     assert (inv.driver_id, inv.subcommand, inv.base, inv.length) == (2, 0, 100, 16)
 
 
 def test_decode_unknown_class_is_error_not_crash():
-    with pytest.raises(MalformedInvocation):
-        decode_invocation({"class": "frobnicate"})
+    assert decode({"class": "frobnicate"}) == [
+        "class must be one of ('yield', 'subscribe', 'command', 'rw_allow', "
+        "'ro_allow', 'exit'), got 'frobnicate'"]
 
 
 def test_decode_yield_modes():
-    assert decode_invocation({"class": "yield"}).yield_mode is YieldMode.WAIT
-    assert decode_invocation(
-        {"class": "yield", "mode": "no_wait"}).yield_mode is YieldMode.NO_WAIT
-    with pytest.raises(MalformedInvocation):
-        decode_invocation({"class": "yield", "mode": "sometimes"})
+    assert decode({"class": "yield"}).yield_mode is YieldMode.WAIT
+    assert decode({"class": "yield", "mode": "no_wait"}).yield_mode is \
+        YieldMode.NO_WAIT
+    assert decode({"class": "yield", "mode": "sometimes"}) == [
+        "mode must be one of ('wait', 'no_wait'), got 'sometimes'"]
 
 
 def test_decode_rejects_bad_field_types():
-    with pytest.raises(MalformedInvocation):
-        decode_invocation({"class": "command", "driver": "zero", "cmd": 1})
-    with pytest.raises(MalformedInvocation):
-        decode_invocation({"class": "command", "driver": 0, "cmd": 1,
-                           "args": [1, 2, 3]})
-    with pytest.raises(MalformedInvocation):
-        decode_invocation({"class": "subscribe", "driver": 0, "sub": 0, "fn": 7})
+    assert decode({"class": "command", "driver": "zero", "cmd": 1}) == [
+        "driver must be an integer in [0, 4294967295], got 'zero'"]
+    assert decode({"class": "command", "driver": 0, "cmd": 1,
+                   "args": [1, 2, 3]}) == [
+        "args must be a list of at most 2 items, got [1, 2, 3]"]
+    assert decode({"class": "subscribe", "driver": 0, "sub": 0, "fn": 7}) == [
+        "fn must be a string, got 7"]
 
 
 @pytest.mark.parametrize("record, needle", [
@@ -74,19 +84,19 @@ def test_decode_rejects_bad_field_types():
 ], ids=["driver_negative", "cmd_past_u32", "arg1_negative", "arg0_true",
         "userdata_negative", "len_negative", "base_negative"])
 def test_decode_bounds_each_integer_to_a_register(record, needle):
-    with pytest.raises(MalformedInvocation,
-                       match=f"^{re.escape(needle)} must be an integer in "
-                             "\\[0, 4294967295\\]"):
-        decode_invocation(record)
+    violations = decode(record)
+    assert len(violations) == 1
+    assert re.match(f"^{re.escape(needle)} must be an integer in "
+                    "\\[0, 4294967295\\]", violations[0])
 
 
 def test_decode_accepts_the_largest_register_value():
     top = 2 ** 32 - 1
-    assert decode_invocation({"class": "command", "driver": top, "cmd": top,
-                              "args": [top, top]}) == \
+    assert decode({"class": "command", "driver": top, "cmd": top,
+                   "args": [top, top]}) == \
         SyscallInvocation.command(top, top, top, top)
-    assert decode_invocation({"class": "rw_allow", "driver": top, "buf": top,
-                              "base": top, "len": top}) == \
+    assert decode({"class": "rw_allow", "driver": top, "buf": top,
+                   "base": top, "len": top}) == \
         SyscallInvocation.rw_allow(top, top, top, top)
 
 
@@ -102,7 +112,7 @@ def test_invocation_encode_decode_round_trip():
         SyscallInvocation.exit(),
     ]
     for inv in invocations:
-        assert decode_invocation(json.loads(encode_invocation(inv))) == inv
+        assert decode(json.loads(encode_invocation(inv))) == inv
 
 
 def test_encode_return_examples():

@@ -88,35 +88,35 @@ def test_acceptance_01_swap_semantics_suite():
     for klass in ("rw_allow", "ro_allow"):
         for length in range(1, 6):
             for seq in itertools.product(offsets, repeat=length):
-                pid = fresh_pid()
-                ram = kern.processes[pid].ram
+                pcb = kern.processes[fresh_pid()]
+                ram = pcb.ram
                 model = OneSlotSwapModel()
                 for off, size in seq:
                     inv = (SyscallInvocation.rw_allow if klass == "rw_allow"
                            else SyscallInvocation.ro_allow)(2, 0,
                                                             ram.base + off, size)
-                    got = kern.handle_syscall(pid, inv)
+                    got = kern.handle_syscall(pcb, inv)
                     assert got == SyscallReturn.success_region(
                         *model.install((ram.base + off, size)))
                 inv = (SyscallInvocation.rw_allow if klass == "rw_allow"
                        else SyscallInvocation.ro_allow)(2, 0, 0, 0)
-                got = kern.handle_syscall(pid, inv)
+                got = kern.handle_syscall(pcb, inv)
                 assert got == SyscallReturn.success_region(*model.install((0, 0)))
                 cases += 1
-                kern.exit_process(pid, "done")
+                kern.exit_process(pcb, "done")
 
     # Random interleavings across two allow slots and a subscribe slot.
     rng = random.Random(0xACC1)
     for _ in range(300):
-        pid = fresh_pid()
-        ram = kern.processes[pid].ram
+        pcb = kern.processes[fresh_pid()]
+        ram = pcb.ram
         allow_models = {(2, 0): OneSlotSwapModel(), (3, 0): OneSlotSwapModel()}
         sub_model = ("null", 0)
         for _ in range(rng.randrange(1, 6)):
             if rng.random() < 0.7:
                 driver = rng.choice([2, 3])
                 off, size = rng.choice(offsets)
-                got = kern.handle_syscall(pid, SyscallInvocation.rw_allow(
+                got = kern.handle_syscall(pcb, SyscallInvocation.rw_allow(
                     driver, 0, ram.base + off, size))
                 want = allow_models[(driver, 0)].install((ram.base + off, size))
                 assert got == SyscallReturn.success_region(*want)
@@ -124,12 +124,12 @@ def test_acceptance_01_swap_semantics_suite():
                 fn = rng.choice(["h1", "h2", "null"])
                 ud = rng.randrange(50)
                 got = kern.handle_syscall(
-                    pid, SyscallInvocation.subscribe(0, 0, fn, ud))
+                    pcb, SyscallInvocation.subscribe(0, 0, fn, ud))
                 assert got.variant is ReturnVariant.SUCCESS_UPCALL
                 assert (got.upcall.fn_id, got.upcall.userdata) == sub_model
                 sub_model = (fn, 0) if fn == "null" else (fn, ud)
         cases += 1
-        kern.exit_process(pid, "done")
+        kern.exit_process(pcb, "done")
 
     assert cases >= 1000
     print(f"ACCEPTANCE 01 PASS: swap semantics exact over {cases} sequences")

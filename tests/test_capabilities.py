@@ -96,10 +96,10 @@ def test_tokenless_manager_cannot_express_destroy():
     cfg = minimal_board_dict(capabilities={})  # nothing granted
     board = Board.from_dict(cfg)
     victim = board.load_app(script_source([], {}, 256)).pid
-    ret = board.kernel.handle_syscall(
-        victim, SyscallInvocation.command(4, 1, victim))
+    pcb = board.kernel.processes[victim]
+    ret = board.kernel.handle_syscall(pcb, SyscallInvocation.command(4, 1, victim))
     assert ret == SyscallReturn.failure(ErrorCode.NOSUPPORT)
-    assert board.kernel.processes[victim].state is ProcessState.UNSTARTED
+    assert pcb.state is ProcessState.UNSTARTED
     assert not any(e.kind == "privileged_op"
                    and e.payload["op"] == "process_destroy"
                    for e in trace_events(board))
@@ -134,7 +134,8 @@ def test_manager_destroy_via_scenario(board):
 
 def test_inspect_grants_gated_on_grant_inspection(board):
     pid = board.load_app(script_source([], {}, 256)).pid
-    board.kernel.handle_syscall(pid, SyscallInvocation.command(0, 1, 100))
+    board.kernel.handle_syscall(board.kernel.processes[pid],
+                                SyscallInvocation.command(0, 1, 100))
     token = board.registry.mint(CapabilityKind.GRANT_INSPECTION, "test")
     report = board.kernel.inspect_grants(token, pid)
     assert report == [{"capsule": "alarm_driver",

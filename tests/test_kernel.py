@@ -19,10 +19,11 @@ from kernsim.errors import (
     ProcessDead,
     ReentrancyError,
 )
-from kernsim.kernel import PATTERN_MEMO, ProcessState
+from kernsim.kernel import Kernel, ProcessState
 from kernsim.loader import pack_binary
+from kernsim.scenario import parse_script
 
-from conftest import BOARDS_DIR, make_board, script_source, trace_events
+from conftest import AWKWARD_NAMES, BOARDS_DIR, make_board, script_source, trace_events
 from oracles import OneSlotSwapModel
 
 DRIVER_ALARM = 0
@@ -41,14 +42,14 @@ def load_idle_process(board, min_memory=1024, handlers=None):
     return job.pid
 
 
-def rw_allow(kern, pid, driver, buf, base, length):
+def rw_allow(kern, pcb, driver, buf, base, length):
     return kern.handle_syscall(
-        pid, SyscallInvocation.rw_allow(driver, buf, base, length))
+        pcb, SyscallInvocation.rw_allow(driver, buf, base, length))
 
 
-def ro_allow(kern, pid, driver, buf, base, length):
+def ro_allow(kern, pcb, driver, buf, base, length):
     return kern.handle_syscall(
-        pid, SyscallInvocation.ro_allow(driver, buf, base, length))
+        pcb, SyscallInvocation.ro_allow(driver, buf, base, length))
 
 
 # --- swap semantics -----------------------------------------------------------
@@ -57,19 +58,21 @@ def ro_allow(kern, pid, driver, buf, base, length):
 def test_allow_swap_returns_previous_region(board):
     pid = load_idle_process(board)
     kern = board.kernel
-    ram = kern.processes[pid].ram
-    first = rw_allow(kern, pid, DRIVER_PROBE_A, 0, ram.base, 16)
+    pcb = kern.processes[pid]
+    ram = pcb.ram
+    first = rw_allow(kern, pcb, DRIVER_PROBE_A, 0, ram.base, 16)
     assert first == SyscallReturn.success_region(0, 0)
-    second = rw_allow(kern, pid, DRIVER_PROBE_A, 0, ram.base + 32, 8)
+    second = rw_allow(kern, pcb, DRIVER_PROBE_A, 0, ram.base + 32, 8)
     assert second == SyscallReturn.success_region(ram.base, 16)
 
 
 def test_rw_and_ro_slots_are_distinct(board):
     pid = load_idle_process(board)
     kern = board.kernel
-    ram = kern.processes[pid].ram
-    rw_allow(kern, pid, DRIVER_PROBE_A, 0, ram.base, 16)
-    first_ro = ro_allow(kern, pid, DRIVER_PROBE_A, 0, ram.base + 16, 8)
+    pcb = kern.processes[pid]
+    ram = pcb.ram
+    rw_allow(kern, pcb, DRIVER_PROBE_A, 0, ram.base, 16)
+    first_ro = ro_allow(kern, pcb, DRIVER_PROBE_A, 0, ram.base + 16, 8)
     assert first_ro == SyscallReturn.success_region(0, 0)
 
 
@@ -84,16 +87,17 @@ def test_exhaustive_one_slot_sequences_both_modes(board):
         for length in range(1, 6):
             for seq in itertools.product(region_offsets, repeat=length):
                 pid = load_idle_process(board, min_memory=256)
-                ram = kern.processes[pid].ram
+                pcb = kern.processes[pid]
+                ram = pcb.ram
                 model = OneSlotSwapModel()
                 for off, size in seq:
-                    got = issue(kern, pid, DRIVER_PROBE_A, 0, ram.base + off, size)
+                    got = issue(kern, pcb, DRIVER_PROBE_A, 0, ram.base + off, size)
                     want = model.install((ram.base + off, size))
                     assert got == SyscallReturn.success_region(*want)
-                got = issue(kern, pid, DRIVER_PROBE_A, 0, 0, 0)
+                got = issue(kern, pcb, DRIVER_PROBE_A, 0, 0, 0)
                 want = model.install((0, 0))
                 assert got == SyscallReturn.success_region(*want)
-                kern.exit_process(pid, "test done")
+                kern.exit_process(pcb, "test done")
 
 
 def test_random_interleavings_across_slots_and_subscribes(board):
@@ -110,43 +114,44 @@ def test_random_interleavings_across_slots_and_subscribes(board):
     ]
     for _ in range(300):
         pid = load_idle_process(board, min_memory=256, handlers=handlers)
-        ram = kern.processes[pid].ram
+        pcb = kern.processes[pid]
+        ram = pcb.ram
         models = {s: OneSlotSwapModel() for s in slots}
         sub_model = {slots[2]: ("null", 0)}
         for _ in range(rng.randrange(1, 6)):
             slot = rng.choice(slots)
             if slot[0] == "allow":
                 off, size = rng.choice(region_offsets)
-                got = rw_allow(kern, pid, slot[1], slot[2], ram.base + off, size)
+                got = rw_allow(kern, pcb, slot[1], slot[2], ram.base + off, size)
                 want = models[slot].install((ram.base + off, size))
                 assert got == SyscallReturn.success_region(*want)
             else:
                 fn = rng.choice(["h1", "h2", "null"])
                 userdata = rng.randrange(100)
-                got = kern.handle_syscall(pid, SyscallInvocation.subscribe(
+                got = kern.handle_syscall(pcb, SyscallInvocation.subscribe(
                     slot[1], slot[2], fn, userdata))
                 prev_fn, prev_ud = sub_model[slot]
                 assert got.variant is ReturnVariant.SUCCESS_UPCALL
                 assert (got.upcall.fn_id, got.upcall.userdata) == (prev_fn, prev_ud)
                 sub_model[slot] = (fn, 0) if fn == "null" else (fn, userdata)
-        kern.exit_process(pid, "test done")
+        kern.exit_process(pcb, "test done")
 
 
 def test_subscribe_swap_and_null(board):
-    pid = load_idle_process(board)
     kern = board.kernel
+    pcb = kern.processes[load_idle_process(board)]
     first = kern.handle_syscall(
-        pid, SyscallInvocation.subscribe(DRIVER_ALARM, 0, "h1", 7))
+        pcb, SyscallInvocation.subscribe(DRIVER_ALARM, 0, "h1", 7))
     assert first.upcall.is_null
     second = kern.handle_syscall(
-        pid, SyscallInvocation.subscribe(DRIVER_ALARM, 0, "null"))
+        pcb, SyscallInvocation.subscribe(DRIVER_ALARM, 0, "null"))
     assert (second.upcall.fn_id, second.upcall.userdata) == ("h1", 7)
 
 
 def test_subscribe_unknown_handler_is_inval(board):
-    pid = load_idle_process(board)
+    pcb = board.kernel.processes[load_idle_process(board)]
     ret = board.kernel.handle_syscall(
-        pid, SyscallInvocation.subscribe(DRIVER_ALARM, 0, "nonexistent"))
+        pcb, SyscallInvocation.subscribe(DRIVER_ALARM, 0, "nonexistent"))
     assert ret == SyscallReturn.failure(ErrorCode.INVAL)
 
 
@@ -156,32 +161,34 @@ def test_subscribe_unknown_handler_is_inval(board):
 def test_allow_outside_regions_is_inval(board):
     pid = load_idle_process(board, min_memory=64)
     kern = board.kernel
-    ram = kern.processes[pid].ram
-    ret = rw_allow(kern, pid, DRIVER_PROBE_A, 0, ram.base + 60, 8)
+    pcb = kern.processes[pid]
+    ram = pcb.ram
+    ret = rw_allow(kern, pcb, DRIVER_PROBE_A, 0, ram.base + 60, 8)
     assert ret == SyscallReturn.failure_region(ErrorCode.INVAL, ram.base + 60, 8)
     # failure did not install anything
-    ret = rw_allow(kern, pid, DRIVER_PROBE_A, 0, ram.base, 8)
+    ret = rw_allow(kern, pcb, DRIVER_PROBE_A, 0, ram.base, 8)
     assert ret == SyscallReturn.success_region(0, 0)
 
 
 def test_rw_allow_over_read_only_flash_is_inval(board):
     pid = load_idle_process(board)
     kern = board.kernel
-    flash = kern.processes[pid].flash
-    ret = rw_allow(kern, pid, DRIVER_PROBE_A, 0, flash.base, 8)
+    pcb = kern.processes[pid]
+    flash = pcb.flash
+    ret = rw_allow(kern, pcb, DRIVER_PROBE_A, 0, flash.base, 8)
     assert ret.variant is ReturnVariant.FAILURE_REGION
     assert ret.error is ErrorCode.INVAL
-    ok = ro_allow(kern, pid, DRIVER_PROBE_A, 0, flash.base, 8)
+    ok = ro_allow(kern, pcb, DRIVER_PROBE_A, 0, flash.base, 8)
     assert ok == SyscallReturn.success_region(0, 0)
 
 
 def test_zero_length_allow_accepted_at_any_base(board):
-    pid = load_idle_process(board)
     kern = board.kernel
+    pcb = kern.processes[load_idle_process(board)]
     before = len([e for e in trace_events(board) if e.kind == "mem_access"])
-    ret = rw_allow(kern, pid, DRIVER_PROBE_A, 0, 500, 0)
+    ret = rw_allow(kern, pcb, DRIVER_PROBE_A, 0, 500, 0)
     assert ret == SyscallReturn.success_region(0, 0)
-    ret = rw_allow(kern, pid, DRIVER_PROBE_A, 0, 999999999, 0)
+    ret = rw_allow(kern, pcb, DRIVER_PROBE_A, 0, 999999999, 0)
     assert ret == SyscallReturn.success_region(500, 0)
     after = len([e for e in trace_events(board) if e.kind == "mem_access"])
     assert before == after  # allow validation never touches memory
@@ -190,10 +197,11 @@ def test_zero_length_allow_accepted_at_any_base(board):
 def test_allow_unknown_driver_and_bad_buffer_number(board):
     pid = load_idle_process(board)
     kern = board.kernel
-    ram = kern.processes[pid].ram
-    ret = rw_allow(kern, pid, 99, 0, ram.base, 8)
+    pcb = kern.processes[pid]
+    ram = pcb.ram
+    ret = rw_allow(kern, pcb, 99, 0, ram.base, 8)
     assert ret == SyscallReturn.failure_region(ErrorCode.NODEVICE, ram.base, 8)
-    ret = rw_allow(kern, pid, DRIVER_PROBE_A, 5, ram.base, 8)
+    ret = rw_allow(kern, pcb, DRIVER_PROBE_A, 5, ram.base, 8)
     assert ret == SyscallReturn.failure_region(ErrorCode.INVAL, ram.base, 8)
 
 
@@ -201,31 +209,31 @@ def test_allow_unknown_driver_and_bad_buffer_number(board):
 
 
 def test_command_zero_is_existence_check(board):
-    pid = load_idle_process(board)
+    pcb = board.kernel.processes[load_idle_process(board)]
     for driver in (DRIVER_ALARM, DRIVER_CONSOLE, DRIVER_PROBE_A, DRIVER_MANAGER):
         ret = board.kernel.handle_syscall(
-            pid, SyscallInvocation.command(driver, 0))
+            pcb, SyscallInvocation.command(driver, 0))
         assert ret == SyscallReturn.success()
 
 
 def test_unknown_driver_is_nodevice(board):
-    pid = load_idle_process(board)
-    ret = board.kernel.handle_syscall(pid, SyscallInvocation.command(99, 1))
+    pcb = board.kernel.processes[load_idle_process(board)]
+    ret = board.kernel.handle_syscall(pcb, SyscallInvocation.command(99, 1))
     assert ret == SyscallReturn.failure(ErrorCode.NODEVICE)
 
 
 def test_unknown_command_is_nosupport(board):
-    pid = load_idle_process(board)
+    pcb = board.kernel.processes[load_idle_process(board)]
     ret = board.kernel.handle_syscall(
-        pid, SyscallInvocation.command(DRIVER_ALARM, 77))
+        pcb, SyscallInvocation.command(DRIVER_ALARM, 77))
     assert ret == SyscallReturn.failure(ErrorCode.NOSUPPORT)
 
 
 def test_syscall_from_dead_process_rejected(board):
-    pid = load_idle_process(board)
-    board.kernel.exit_process(pid, "test")
+    pcb = board.kernel.processes[load_idle_process(board)]
+    board.kernel.exit_process(pcb, "test")
     with pytest.raises(ProcessDead):
-        board.kernel.handle_syscall(pid, SyscallInvocation.command(DRIVER_ALARM, 0))
+        board.kernel.handle_syscall(pcb, SyscallInvocation.command(DRIVER_ALARM, 0))
 
 
 # --- grants ----------------------------------------------------------------------------
@@ -237,7 +245,7 @@ def test_grant_lazily_allocated_zeroed_and_watermarked(board):
     pcb = kern.processes[pid]
     top = pcb.grant_watermark
     ret = kern.handle_syscall(
-        pid, SyscallInvocation.command(DRIVER_ALARM, 1, 5000))
+        pcb, SyscallInvocation.command(DRIVER_ALARM, 1, 5000))
     assert ret == SyscallReturn.success()
     assert pcb.grant_watermark == top - 16
     alloc = pcb.grants["alarm_driver"]
@@ -247,7 +255,7 @@ def test_grant_lazily_allocated_zeroed_and_watermarked(board):
     assert data[0] == 1
     assert int.from_bytes(data[4:8], "little") == 5000
     # second set reuses the same allocation
-    kern.handle_syscall(pid, SyscallInvocation.command(DRIVER_ALARM, 1, 9000))
+    kern.handle_syscall(pcb, SyscallInvocation.command(DRIVER_ALARM, 1, 9000))
     assert pcb.grant_watermark == top - 16
 
 
@@ -255,23 +263,23 @@ def test_grant_area_is_walled_off_from_the_process(board):
     pid = load_idle_process(board, min_memory=64)
     kern = board.kernel
     pcb = kern.processes[pid]
-    assert kern.process_local_write(pid, 40, b"x")  # still accessible
-    kern.handle_syscall(pid, SyscallInvocation.command(DRIVER_ALARM, 1, 100))
+    assert kern.process_local_write(pcb, 40, b"x")  # still accessible
+    kern.handle_syscall(pcb, SyscallInvocation.command(DRIVER_ALARM, 1, 100))
     # the top 16 bytes became kernel-only grant space
     assert kern.processes[pid].state is ProcessState.UNSTARTED
-    assert not kern.process_local_write(pid, 50, b"x")
+    assert not kern.process_local_write(pcb, 50, b"x")
     assert kern.processes[pid].state is ProcessState.FAULTED
 
 
 def test_grant_nomem_charges_only_that_process(board):
-    pid_small = load_idle_process(board, min_memory=8)
-    pid_big = load_idle_process(board, min_memory=256)
     kern = board.kernel
+    small = kern.processes[load_idle_process(board, min_memory=8)]
+    big = kern.processes[load_idle_process(board, min_memory=256)]
     ret = kern.handle_syscall(
-        pid_small, SyscallInvocation.command(DRIVER_ALARM, 1, 100))
+        small, SyscallInvocation.command(DRIVER_ALARM, 1, 100))
     assert ret == SyscallReturn.failure(ErrorCode.NOMEM)
     ret = kern.handle_syscall(
-        pid_big, SyscallInvocation.command(DRIVER_ALARM, 1, 100))
+        big, SyscallInvocation.command(DRIVER_ALARM, 1, 100))
     assert ret == SyscallReturn.success()
 
 
@@ -282,16 +290,16 @@ def test_grant_is_refused_over_a_live_allow(board):
     top = pcb.grant_watermark
     # One byte of the share lies where the alarm's 16-byte grant would go;
     # a share just below that space is no obstacle.
-    rw_allow(kern, pid, DRIVER_PROBE_A, 0, top - 17, 2)
-    rw_allow(kern, pid, DRIVER_PROBE_B, 0, top - 32, 16)
+    rw_allow(kern, pcb, DRIVER_PROBE_A, 0, top - 17, 2)
+    rw_allow(kern, pcb, DRIVER_PROBE_B, 0, top - 32, 16)
     set_alarm = SyscallInvocation.command(DRIVER_ALARM, 1, 100)
-    assert kern.handle_syscall(pid, set_alarm) == SyscallReturn.failure(ErrorCode.NOMEM)
+    assert kern.handle_syscall(pcb, set_alarm) == SyscallReturn.failure(ErrorCode.NOMEM)
     assert pcb.grant_watermark == top and not pcb.grants
     assert [e.payload for e in trace_events(board) if e.kind == "grant_nomem"] == \
         [{"pid": pid, "capsule": "alarm_driver", "size": 16}]
     # Once the share is reclaimed with a zero-length allow, the grant fits.
-    rw_allow(kern, pid, DRIVER_PROBE_A, 0, top - 8, 0)
-    assert kern.handle_syscall(pid, set_alarm) == SyscallReturn.success()
+    rw_allow(kern, pcb, DRIVER_PROBE_A, 0, top - 8, 0)
+    assert kern.handle_syscall(pcb, set_alarm) == SyscallReturn.success()
     assert pcb.grants["alarm_driver"].base == top - 16
 
 
@@ -332,7 +340,7 @@ def test_a_grant_never_takes_an_allowed_buffer_on_the_demo_board(tmp_path):
 def test_grant_enter_after_exit_is_process_dead(board):
     pid = load_idle_process(board)
     kern = board.kernel
-    kern.exit_process(pid, "test")
+    kern.exit_process(kern.processes[pid], "test")
     with pytest.raises(ProcessDead):
         kern.grant_enter("alarm_driver", 16, pid, lambda g: None)
 
@@ -353,9 +361,9 @@ def test_grant_reentry_is_fatal(board):
 # --- upcall queueing ----------------------------------------------------------------------
 
 
-def subscribe(board, pid, driver, sub, fn="h1", userdata=0):
+def subscribe(board, pcb, driver, sub, fn="h1", userdata=0):
     return board.kernel.handle_syscall(
-        pid, SyscallInvocation.subscribe(driver, sub, fn, userdata))
+        pcb, SyscallInvocation.subscribe(driver, sub, fn, userdata))
 
 
 def test_upcall_to_null_subscription_dropped(board):
@@ -367,8 +375,9 @@ def test_upcall_to_null_subscription_dropped(board):
 
 def test_upcall_to_dead_process_dropped(board):
     pid = load_idle_process(board)
-    subscribe(board, pid, DRIVER_ALARM, 0)
-    board.kernel.exit_process(pid, "test")
+    pcb = board.kernel.processes[pid]
+    subscribe(board, pcb, DRIVER_ALARM, 0)
+    board.kernel.exit_process(pcb, "test")
     assert not board.kernel.schedule_upcall("alarm_driver", DRIVER_ALARM, pid, 0, [1])
     drops = [e for e in trace_events(board) if e.kind == "upcall_dropped"]
     assert drops[-1].payload["reason"] == "dead process"
@@ -377,10 +386,11 @@ def test_upcall_to_dead_process_dropped(board):
 def test_duplicate_upcall_replaces_in_place(board):
     pid = load_idle_process(board)
     kern = board.kernel
-    subscribe(board, pid, DRIVER_ALARM, 0)
+    pcb = kern.processes[pid]
+    subscribe(board, pcb, DRIVER_ALARM, 0)
     kern.schedule_upcall("alarm_driver", DRIVER_ALARM, pid, 0, [1, 0, 0])
     kern.schedule_upcall("alarm_driver", DRIVER_ALARM, pid, 0, [2, 0, 0])
-    queue = kern.processes[pid].upcall_queue
+    queue = pcb.upcall_queue
     assert len(queue) == 1
     assert queue[0].args == (2, 0, 0)
 
@@ -391,7 +401,7 @@ def test_upcall_queue_depth_limit(board):
     kern = board.kernel
     pcb = kern.processes[pid]
     for driver in (DRIVER_ALARM, DRIVER_CONSOLE):
-        subscribe(board, pid, driver, 0)
+        subscribe(board, pcb, driver, 0)
     # fill the queue artificially small by shrinking the configured depth
     kern.upcall_queue_depth = 1
     assert kern.schedule_upcall("alarm_driver", DRIVER_ALARM, pid, 0, [1])
@@ -487,11 +497,11 @@ def test_loop_step_requires_finalized_board(board):
 
 
 def test_pending_alarm_interrupt_progresses(board):
-    pid = load_idle_process(board, handlers={"on_alarm": []})
-    subscribe(board, pid, DRIVER_ALARM, 0, fn="on_alarm")
+    pcb = board.kernel.processes[load_idle_process(board, handlers={"on_alarm": []})]
+    subscribe(board, pcb, DRIVER_ALARM, 0, fn="on_alarm")
     board.kernel.handle_syscall(
-        pid, SyscallInvocation.command(DRIVER_ALARM, 1, 1))
-    board.kernel.handle_syscall(pid, SyscallInvocation.yield_(YieldMode.WAIT))
+        pcb, SyscallInvocation.command(DRIVER_ALARM, 1, 1))
+    board.kernel.handle_syscall(pcb, SyscallInvocation.yield_(YieldMode.WAIT))
     board.finalize()
     board.chip.tick(1)
     assert board.chip.irqc.any_pending()
@@ -508,11 +518,11 @@ def test_exit_invalidates_everything(board):
     kern = board.kernel
     pcb = kern.processes[pid]
     ram = pcb.ram
-    rw_allow(kern, pid, DRIVER_PROBE_A, 0, ram.base, 16)
-    subscribe(board, pid, DRIVER_ALARM, 0)
-    kern.handle_syscall(pid, SyscallInvocation.command(DRIVER_ALARM, 1, 5000))
+    rw_allow(kern, pcb, DRIVER_PROBE_A, 0, ram.base, 16)
+    subscribe(board, pcb, DRIVER_ALARM, 0)
+    kern.handle_syscall(pcb, SyscallInvocation.command(DRIVER_ALARM, 1, 5000))
     kern.schedule_upcall("alarm_driver", DRIVER_ALARM, pid, 0, [1])
-    kern.handle_syscall(pid, SyscallInvocation.exit())
+    kern.handle_syscall(pcb, SyscallInvocation.exit())
     assert pcb.state is ProcessState.EXITED
     assert not pcb.allow_slots and not pcb.upcall_slots
     assert not pcb.upcall_queue and not pcb.grants
@@ -585,9 +595,10 @@ def test_mutual_distrust_spinner_cannot_starve_alarm(board):
 def test_overlapping_shares_alias_within_one_step(board):
     pid = load_idle_process(board)
     kern = board.kernel
-    ram = kern.processes[pid].ram
-    rw_allow(kern, pid, DRIVER_PROBE_A, 0, ram.base, 16)
-    rw_allow(kern, pid, DRIVER_PROBE_B, 0, ram.base + 8, 16)
+    pcb = kern.processes[pid]
+    ram = pcb.ram
+    rw_allow(kern, pcb, DRIVER_PROBE_A, 0, ram.base, 16)
+    rw_allow(kern, pcb, DRIVER_PROBE_B, 0, ram.base + 8, 16)
     probe_a = board.capsules_by_name["probe_a"]
     probe_b = board.capsules_by_name["probe_b"]
     kern.with_buffer(probe_a, pid, 0, "rw",
@@ -599,9 +610,10 @@ def test_overlapping_shares_alias_within_one_step(board):
 def test_disjoint_shares_do_not_alias(board):
     pid = load_idle_process(board)
     kern = board.kernel
-    ram = kern.processes[pid].ram
-    rw_allow(kern, pid, DRIVER_PROBE_A, 0, ram.base, 8)
-    rw_allow(kern, pid, DRIVER_PROBE_B, 0, ram.base + 8, 8)
+    pcb = kern.processes[pid]
+    ram = pcb.ram
+    rw_allow(kern, pcb, DRIVER_PROBE_A, 0, ram.base, 8)
+    rw_allow(kern, pcb, DRIVER_PROBE_B, 0, ram.base + 8, 8)
     probe_a = board.capsules_by_name["probe_a"]
     probe_b = board.capsules_by_name["probe_b"]
     kern.with_buffer(probe_a, pid, 0, "rw", lambda h: h.write(0, b"\x77"))
@@ -614,8 +626,9 @@ def test_buffer_handles_cannot_be_stashed(board):
     from kernsim.errors import StaleHandle
     pid = load_idle_process(board)
     kern = board.kernel
-    ram = kern.processes[pid].ram
-    rw_allow(kern, pid, DRIVER_PROBE_A, 0, ram.base, 16)
+    pcb = kern.processes[pid]
+    ram = pcb.ram
+    rw_allow(kern, pcb, DRIVER_PROBE_A, 0, ram.base, 16)
     probe_a = board.capsules_by_name["probe_a"]
     stash = []
     kern.with_buffer(probe_a, pid, 0, "rw", lambda h: stash.append(h))
@@ -826,14 +839,136 @@ def test_process_killed_earlier_in_a_step_does_not_run():
     assert _started_pids(board) == [1]
 
 
-def test_expect_pattern_memo_stays_bounded(board):
-    pid = load_idle_process(board)
-    looped = {"variant": "success", "n": [1]}
-    patterns = [looped, {"variant": "success", "n": 0}] * 3 + \
-        [{"variant": "success", "n": n} for n in range(PATTERN_MEMO + 10)]
-    for pattern in patterns:
-        board.kernel.record_expect(pid, pattern)
-    assert len(board.kernel._pattern_texts) <= PATTERN_MEMO
+def test_expect_logs_each_pattern_text_in_order(board):
+    pcb = board.kernel.processes[load_idle_process(board)]
+    looped = [{"variant": "success", "n": [1]}, {"variant": "success", "n": 0}]
+    distinct = [{"variant": "success", "n": n} for n in range(20)]
+    script = parse_script({"main": [
+        {"op": "loop", "count": 3,
+         "body": [{"op": "expect", "pattern": p} for p in looped]}] +
+        [{"op": "expect", "pattern": p} for p in distinct]})
+    for stmt in script.main:
+        board.kernel.record_expect(pcb, stmt)
     expects = [e.payload for e in trace_events(board) if e.kind == "expect"]
-    assert [e["pattern"] for e in expects] == patterns
+    assert [e["pattern"] for e in expects] == looped * 3 + distinct
     assert {e["actual"] for e in expects} == {None}
+
+
+def test_expect_pattern_texts_of_loops_and_handlers_are_their_compact_json():
+    # Awkward strings and nested values, in a looped body and in a
+    # handler; each line's pattern text is json.dumps of the pattern.
+    patterns = [{name: [name, {"n": None, "b": [True, -1.5]}], "variant": name}
+                for name in AWKWARD_NAMES]
+    expects = [{"op": "expect", "pattern": p} for p in patterns]
+    main = [{"op": "sync_command", "driver": DRIVER_ALARM, "cmd": 1, "args": [3, 0],
+             "fn": "on_alarm"},
+            {"op": "loop", "count": 2, "body": expects},
+            {"op": "halt"}]
+    board, code = run_board(main, {"on_alarm": expects})
+    assert code == 1  # no pattern matches a return
+    lines = [line for line in board.trace.out.getvalue().splitlines()
+             if '"kind":"expect"' in line
+             and '"pattern":{"variant":"success"}' not in line]
+    # the handler runs inside the sync_command's wait, before the loop
+    assert len(lines) == 3 * len(patterns)
+    for line, pattern in zip(lines, patterns * 3):
+        text = json.dumps(pattern, separators=(",", ":"))
+        assert f'"payload":{{"pattern":{text},"actual":' in line
+
+
+# --- subscribe drops the swapped slot's queued upcalls --------------------------
+
+
+@pytest.mark.parametrize("fn, swapped, flag, runs", [
+    ("null", {"variant": "success_upcall", "fn": "old"}, 0, []),
+    ("missing", {"variant": "failure", "err": "INVAL"}, 1, ["old"]),
+], ids=["swap_drops_the_queued_upcall", "failed_subscribe_keeps_it"])
+def test_a_subscribe_that_swaps_drops_the_slot_s_queued_upcall(tmp_path, fn, swapped,
+                                                                 flag, runs):
+    # The alarm fires during the time commands and queues an upcall of
+    # "old"; only a subscribe that succeeds takes it off the queue.
+    app = tmp_path / "app.json"
+    app.write_text(json.dumps({"name": "stale_upcall", "main": [
+        {"op": "syscall", "call": {"class": "subscribe", "driver": DRIVER_ALARM,
+                                   "sub": 0, "fn": "old"}},
+        {"op": "syscall", "call": {"class": "command", "driver": DRIVER_ALARM,
+                                   "cmd": 1, "args": [3, 0]}},
+        {"op": "loop", "count": 20, "body": [
+            {"op": "syscall", "call": {"class": "command", "driver": DRIVER_ALARM,
+                                       "cmd": 2}}]},
+        {"op": "syscall", "call": {"class": "subscribe", "driver": DRIVER_ALARM,
+                                   "sub": 0, "fn": fn}},
+        {"op": "expect", "pattern": swapped},
+        {"op": "syscall", "call": {"class": "yield", "mode": "no_wait"}},
+        {"op": "expect", "pattern": {"variant": "success_value", "value": flag}},
+        {"op": "halt"}], "handlers": {"old": []}}))
+    trace = tmp_path / "trace.jsonl"
+    assert run_simulation(BOARDS_DIR / "demo.json", [app], max_ticks=2000,
+                          trace_path=trace) == 0
+    events = parse_trace(trace.read_bytes())
+    assert any(e["kind"] == "upcall_queued" for e in events)
+    assert [e["payload"]["fn"] for e in events if e["kind"] == "upcall_run"] == runs
+
+
+def test_subscribe_keeps_the_queued_upcalls_of_other_slots(board):
+    pid = load_idle_process(board)
+    kern = board.kernel
+    pcb = kern.processes[pid]
+    for driver in (DRIVER_ALARM, DRIVER_CONSOLE):
+        subscribe(board, pcb, driver, 0)
+        kern.schedule_upcall("test", driver, pid, 0, [1])
+    assert subscribe(board, pcb, DRIVER_ALARM, 0, fn="h2").upcall.fn_id == "h1"
+    assert [(up.driver_id, up.fn_id) for up in pcb.upcall_queue] == \
+        [(DRIVER_CONSOLE, "h1")]
+
+
+# --- pids only at the capsule boundary ------------------------------------------
+
+
+def test_only_capsule_visits_look_a_process_up_by_pid(monkeypatch):
+    # Allows on each segment, expects, local accesses, existence probes
+    # and probe commands: the kernel resolves a pid only when a capsule
+    # visits an allowed buffer or its grant.
+    calls = {"_live_pcb": 0, "with_buffer": 0, "grant_enter": 0}
+    for name in calls:
+        def counting(self, *args, _name=name, _original=getattr(Kernel, name)):
+            calls[_name] += 1
+            return _original(self, *args)
+        monkeypatch.setattr(Kernel, name, counting)
+
+    def call(klass, **record):
+        return {"op": "syscall", "call": dict(record, **{"class": klass})}
+
+    def expect(**pattern):
+        return {"op": "expect", "pattern": pattern}
+
+    main = [
+        call("rw_allow", driver=DRIVER_PROBE_A, buf=0, base=16, len=16),
+        expect(variant="success_region"),
+        call("ro_allow", driver=DRIVER_PROBE_A, buf=0, base=2, len=8, seg="flash"),
+        call("ro_allow", driver=DRIVER_PROBE_B, buf=0, base=99, len=0, seg="abs"),
+        {"op": "loop", "count": 3, "body": [
+            {"op": "write_local", "offset": 16, "data": "c0ffee"},
+            {"op": "read_local", "offset": 16, "len": 3},
+            call("command", driver=DRIVER_PROBE_A, cmd=0),
+            expect(variant="success"),
+            call("command", driver=DRIVER_PROBE_A, cmd=1, args=[3, 171]),
+            call("command", driver=DRIVER_PROBE_A, cmd=2, args=[3]),
+            expect(variant="success_value", value=171),
+            call("command", driver=DRIVER_PROBE_A, cmd=4, args=[0]),
+            # byte 2 of the image, which begins '{"name"'
+            expect(variant="success_value", value=ord("n")),
+            call("command", driver=DRIVER_ALARM, cmd=1, args=[500, 0]),
+            expect(variant="success")]},
+        {"op": "halt"}]
+    # A process loaded first keeps this one's image off flash base 0.
+    board, code = run_board(None, apps=[script_source([{"op": "halt"}], {}, 16),
+                                        script_source(main)])
+    assert code == 0
+    pcb = board.kernel.processes[2]
+    assert pcb.flash.base
+    bases = [e.payload["call"]["base"] for e in trace_events(board)
+             if e.kind == "syscall" and "allow" in e.payload["call"]["class"]]
+    assert bases == [pcb.ram.base + 16, pcb.flash.base + 2, 99]
+    assert (calls["with_buffer"], calls["grant_enter"]) == (9, 3)
+    assert calls["_live_pcb"] == calls["with_buffer"] + calls["grant_enter"]

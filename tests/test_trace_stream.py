@@ -22,6 +22,7 @@ from kernsim.abi import (
 from kernsim.board import run_simulation
 from kernsim.hw import InterruptController
 from kernsim.kernel import PendingUpcall
+from kernsim.scenario import parse_script
 from kernsim.trace import TraceLog
 
 from conftest import (
@@ -183,8 +184,8 @@ def test_mem_access_and_expect_texts_are_the_compact_json_of_their_records():
     job = board.load_app(script_source([], {}, 1024))
     kernel, pid = board.kernel, job.pid
     pcb = kernel.processes[pid]
-    kernel.handle_syscall(pid, SyscallInvocation.rw_allow(2, 0, pcb.ram.base, 64))
-    kernel.handle_syscall(pid, SyscallInvocation.ro_allow(2, 0, pcb.ram.base + 64, 64))
+    kernel.handle_syscall(pcb, SyscallInvocation.rw_allow(2, 0, pcb.ram.base, 64))
+    kernel.handle_syscall(pcb, SyscallInvocation.ro_allow(2, 0, pcb.ram.base + 64, 64))
     start = len(board.trace.out.getvalue())
     expected = []
     for i in range(1_200):
@@ -225,7 +226,8 @@ def test_mem_access_and_expect_texts_are_the_compact_json_of_their_records():
             expected.append(("syscall_return", {"ret": record}))
             expected.append(("expect", {"pattern": pattern, "actual": record,
                                         "pass": passed}))
-            kernel.record_expect(pid, pattern)
+            kernel.record_expect(pcb, parse_script(
+                {"main": [{"op": "expect", "pattern": pattern}]}).main[0])
             continue
         expected.append(("mem_access", dict(access, **note)))
     lines = list(_lines_as_records(board.trace.out.getvalue()[start:],
@@ -346,8 +348,9 @@ def test_upcall_queued_and_dropped_texts_are_the_compact_json_of_their_records()
     board = make_board(upcall_queue_depth=1)
     job = board.load_app(script_source([], {"h": []}))
     kernel, pid = board.kernel, job.pid
+    pcb = kernel.processes[pid]
     for driver in (0, 1):
-        kernel.handle_syscall(pid, SyscallInvocation.subscribe(driver, 0, "h"))
+        kernel.handle_syscall(pcb, SyscallInvocation.subscribe(driver, 0, "h"))
     start = len(board.trace.out.getvalue())
     expected = []
     for capsule in AWKWARD_NAMES:
@@ -378,7 +381,7 @@ def test_upcall_run_text_is_the_compact_json_of_its_record():
     for i, fn in enumerate(AWKWARD_NAMES):
         args = (i, 2 ** 32 - 1, 0)
         pcb.upcall_queue.append(PendingUpcall(1, 0, args, fn, 2 ** 32 - 1 - i))
-        kernel.handle_syscall(pid, SyscallInvocation.yield_(YieldMode.NO_WAIT))
+        kernel.handle_syscall(pcb, SyscallInvocation.yield_(YieldMode.NO_WAIT))
         expected.append((f"process:{pid}", "upcall_run",
                          upcall_run_record(1, 0, fn, 2 ** 32 - 1 - i, args)))
     _assert_lines(_new_lines(board, start, ("upcall_run",)), expected)
@@ -393,7 +396,7 @@ def test_process_state_text_is_the_compact_json_of_its_record():
     start = len(board.trace.out.getvalue())
     kernel.loop_step()  # each process starts, then waits in its yield
     for pid, reason in zip(pids, AWKWARD_NAMES):
-        kernel.exit_process(pid, reason)
+        kernel.exit_process(kernel.processes[pid], reason)
     expected = []
     for pid in pids:
         expected += [("kernel", "process_state",
