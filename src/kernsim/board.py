@@ -41,7 +41,7 @@ from .errors import (
     SpecError,
     walk,
 )
-from .hw import AlarmHw, Chip, HashEngineHw, InterruptController, SimClock, UartHw
+from .hw import AlarmHw, Chip, HashEngineHw, InterruptController, UartHw
 from .kernel import Kernel, LoaderJob, PackedApp
 from .loader import VERIFIER_POLICIES, fnv1a64, pack_binary
 from .memory import MemoryController
@@ -55,6 +55,7 @@ from .trace import (
     K_FINALIZED,
     K_QUIESCENT,
     K_TICK_LIMIT,
+    SimClock,
     TraceLog,
 )
 
@@ -131,6 +132,7 @@ class BoardConfig(SimpleNamespace):
 
         names: set = set()
         driver_ids: Dict[int, Dict[str, Any]] = {}
+        irq_owners: Dict[str, Dict[str, Any]] = {}  # by peripheral
         layers = [layer for layer in board["capsules"] or () if layer and layer["name"]]
         for layer in layers:
             name, ctype, driver_id = layer["name"], layer["type"], layer["driver_id"]
@@ -149,6 +151,9 @@ class BoardConfig(SimpleNamespace):
             if needed and needed not in peripherals:
                 v.append(f"capsule {name!r} (type {ctype!r}) needs the {needed!r} "
                          f"peripheral")
+            elif needed and irq_owners.setdefault(needed, layer) is not layer:
+                v.append(f"capsule {name!r} (type {ctype!r}) takes the {needed!r} "
+                         f"interrupt of capsule {irq_owners[needed]['name']!r}")
         v.extend(validate_composition([layer for layer in layers if layer["type"]]))
         v.extend(f"capability grant names unknown capsule {holder!r}"
                  for holder in board["capabilities"] or {} if holder not in names)
@@ -210,9 +215,8 @@ class Board:
     def __init__(self, config: BoardConfig, seed: int = 0,
                  out: Optional[TextIO] = None):
         self.config = config
-        self.seed = seed
         clock = SimClock()
-        self.trace = TraceLog(lambda: clock.now, out)
+        self.trace = TraceLog(clock, out)
         irqc = InterruptController(self.trace)
 
         pcfgs = config.peripherals

@@ -22,6 +22,7 @@ from .trace import (
     K_IRQ_RAISED,
     K_IRQ_SERVICED,
     K_UART_TX,
+    SimClock,
     TraceLog,
     actor_hw,
 )
@@ -37,14 +38,6 @@ def tick_passed(now: int, deadline: int) -> bool:
     it; anything further away is treated as still in the future.
     """
     return ((now - deadline) & TICK_MASK) < HALF_RING
-
-
-class SimClock:
-    """Monotone tick counter; the only source of simulated time. Only
-    :meth:`Chip.tick` advances it."""
-
-    def __init__(self):
-        self.now = 0
 
 
 @dataclass
@@ -213,7 +206,6 @@ class UartHw:
         self.bytes_per_tick = bytes_per_tick
         self.trace = trace
         self._actor = actor_hw(spec.name)
-        self.output = bytearray()
         self._window = None
         self._sent = 0
         self._total = 0
@@ -221,11 +213,7 @@ class UartHw:
 
     def _on_write(self, reg: RegisterSpec, value: int) -> None:
         if reg.name == "TXDATA":
-            self._emit(value & 0xFF)
-
-    def _emit(self, byte: int) -> None:
-        self.output.append(byte)
-        self.trace.log(self._actor, K_UART_TX, _TX_PAYLOADS[byte])
+            self.trace.log(self._actor, K_UART_TX, _TX_PAYLOADS[value & 0xFF])
 
     @property
     def busy(self) -> bool:
@@ -262,8 +250,7 @@ class UartHw:
         per_tick, sent = self.bytes_per_tick, self._sent
         moved = min(n * per_tick, self._total - sent)
         data = window.hw_read(sent, moved)
-        self.output += data
-        self.trace.log_series(self._actor, K_UART_TX, self.trace.clock() - n + 1,
+        self.trace.log_series(self._actor, K_UART_TX, self.trace.clock.now - n + 1,
                               per_tick, [_TX_PAYLOADS[byte] for byte in data])
         self._sent = sent = sent + moved
         if sent >= self._total:

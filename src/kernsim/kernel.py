@@ -18,7 +18,9 @@ buffer that is handed to a visitor and invalidated when it returns.
 Inside the kernel a process is named by its control block: the
 interpreter hands over the PCB it runs, and pids appear only at the
 capsule boundary, where a capsule names a process to visit its grant or
-an allowed buffer, or to schedule an upcall.
+an allowed buffer, or to schedule an upcall. Nor does the memory
+controller name processes: a PCB hands its own MPU configuration to each
+access it makes, and holds each share and grant with its trace note.
 """
 
 from __future__ import annotations
@@ -77,6 +79,7 @@ from .memory import (
     WRITE,
     MemoryController,
     MemoryRegion,
+    MpuConfig,
 )
 from .scenario import ProcessProgram, ScenarioScript, Stmt, parse_script_bytes
 from .trace import (
@@ -98,7 +101,6 @@ from .trace import (
     K_UPCALL_RUN,
     TraceLog,
     actor_capsule,
-    actor_process,
 )
 
 CARVE_ALIGN = 16
@@ -137,27 +139,25 @@ class ProcessControlBlock:
     ram: MemoryRegion
     flash: MemoryRegion
     program: ProcessProgram
+    mpu: MpuConfig  # checks each access of the process; a grant replaces it
     state: ProcessState = ProcessState.UNSTARTED
     grant_watermark: int = 0  # grants grow downward from ram.end
     upcall_queue: List[PendingUpcall] = field(default_factory=list)
-    allow_slots: Dict[Tuple[int, int, str], MemoryRegion] = field(default_factory=dict)
-    # Per allow slot, the capsule that last visited it and the note its
-    # accesses carried, so a slot's note is encoded once per visitor.
-    allow_notes: Dict[Tuple[int, int, str], Tuple[str, str]] = \
+    # Each share and grant with the note its accesses carry, encoded when
+    # it is installed.
+    allow_slots: Dict[Tuple[int, int, str], Tuple[MemoryRegion, str]] = \
         field(default_factory=dict)
     upcall_slots: Dict[Tuple[int, int], UpcallDescriptor] = field(default_factory=dict)
-    grants: Dict[str, MemoryRegion] = field(default_factory=dict)
-    # Per grant, the note its accesses carry, encoded when it is allocated.
-    grant_notes: Dict[str, str] = field(default_factory=dict)
+    grants: Dict[str, Tuple[MemoryRegion, str]] = field(default_factory=dict)
     # The last value a syscall returned, and the compact JSON text of its
     # record that the syscall_return event carried. An `expect` matches its
     # pattern against the return and logs the text as "actual".
     last_return: Optional[SyscallReturn] = None
     last_return_text: Optional[str] = None
-    actor: str = field(init=False)  # the trace actor, built once
+    actor: str = field(init=False)  # the trace actor, the config's own
 
     def __post_init__(self):
-        self.actor = actor_process(self.id)
+        self.actor = self.mpu.actor
 
     @property
     def free_grant_bytes(self) -> int:
@@ -556,24 +556,23 @@ class Kernel:
                               note=f',"purpose":"load_zero","pid":{pid}')
         pcb = ProcessControlBlock(
             id=pid, name=script.name or name, ram=ram, flash=flash,
-            program=ProcessProgram(script), grant_watermark=ram.end)
+            program=ProcessProgram(script),
+            mpu=self._mpu_config(pid, flash, ram, ram.end),
+            grant_watermark=ram.end)
         self.processes[pid] = pcb
         self._live.append(pcb)
-        self._sync_regions(pcb)
         self.trace.log(ACTOR_KERNEL, K_PROCESS_CREATED,
                        {"pid": pid, "name": pcb.name,
                         "ram_base": ram.base, "ram_len": ram.length,
                         "flash_base": flash.base, "flash_len": flash.length})
         return pid, None, ""
 
-    def _sync_regions(self, pcb: ProcessControlBlock) -> None:
+    def _mpu_config(self, pid: int, flash: MemoryRegion, ram: MemoryRegion,
+                    watermark: int) -> MpuConfig:
         # The accessible RAM region ends at the grant watermark: grant
         # allocations are kernel state and are walled off from the process.
-        self.memory.configure_regions(pcb.id, [
-            pcb.flash,
-            MemoryRegion(pcb.ram.base, pcb.grant_watermark - pcb.ram.base,
-                         ACCESS_RW),
-        ])
+        return self.memory.configure_regions(pid, [
+            flash, MemoryRegion(ram.base, watermark - ram.base, ACCESS_RW)])
 
     def _live_pcb(self, pid: int) -> ProcessControlBlock:
         """The live process a capsule names by pid."""
@@ -587,7 +586,8 @@ class Kernel:
     def handle_syscall(self, pcb: ProcessControlBlock,
                        inv: SyscallInvocation) -> Optional[SyscallReturn]:
         """Dispatch one system call of a live process. Returns None when no
-        value is delivered to the process (a blocked yield-wait, or exit)."""
+        value is delivered to the process: a blocked yield-wait, a yield
+        whose upcall ended the process, or exit."""
         if not pcb.live:
             raise ProcessDead(f"pid {pcb.id} is not live")
         self.trace.log(pcb.actor, K_SYSCALL,
@@ -628,15 +628,19 @@ class Kernel:
         if inv.length > 0:
             # rw shares need a writeable region, ro shares a readable one.
             kind = WRITE if mode == "rw" else READ
-            if not self.memory.check_access(pcb.id, inv.base, inv.length, kind):
+            if not self.memory.check_access(pcb.mpu, inv.base, inv.length, kind):
                 return SyscallReturn.failure_region(ErrorCode.INVAL,
                                                     inv.base, inv.length)
         # Zero-length regions are accepted unconditionally at any base:
         # they are the reclaim idiom and are never dereferenced.
         key = (inv.driver_id, inv.subcommand, mode)
-        previous = pcb.allow_slots.get(key, EMPTY_REGION)
+        previous, _ = pcb.allow_slots.get(key, (EMPTY_REGION, ""))
         access = ACCESS_RW if mode == "rw" else ACCESS_READ
-        pcb.allow_slots[key] = MemoryRegion(inv.base, inv.length, access)
+        # Only the capsule registered under the driver id visits the slot.
+        note = region_note(driver.name, "allow",
+                           f',"pid":{pcb.id},"driver":{inv.driver_id},'
+                           f'"buf":{inv.subcommand},"mode":"{mode}"')
+        pcb.allow_slots[key] = (MemoryRegion(inv.base, inv.length, access), note)
         return SyscallReturn.success_region(previous.base, previous.length)
 
     def _sys_subscribe(self, pcb: ProcessControlBlock,
@@ -677,14 +681,14 @@ class Kernel:
 
     def _sys_yield(self, pcb: ProcessControlBlock,
                    inv: SyscallInvocation) -> Optional[SyscallReturn]:
-        if inv.yield_mode is _NO_WAIT:
-            if pcb.upcall_queue:
-                self._deliver_upcall(pcb)
-                return SyscallReturn.success_value(1)
-            return SyscallReturn.success_value(0)
         if pcb.upcall_queue:
             self._deliver_upcall(pcb)
-            return SyscallReturn.success()
+            if pcb.state is not _RUNNING:
+                return None  # the upcall ended the process
+            return SyscallReturn.success_value(1) if inv.yield_mode is _NO_WAIT \
+                else SyscallReturn.success()
+        if inv.yield_mode is _NO_WAIT:
+            return SyscallReturn.success_value(0)
         self._set_state(pcb, _YIELDED_WAIT)
         return None
 
@@ -748,15 +752,15 @@ class Kernel:
         if key in self._grant_entries:
             raise ReentrancyError(
                 f"capsule {capsule_name!r} re-entered its grant for pid {pid}")
-        region = pcb.grants.get(capsule_name)
-        if region is None:
+        grant = pcb.grants.get(capsule_name)
+        if grant is None:
             top = pcb.grant_watermark
             base = top - schema_size
             if schema_size > pcb.free_grant_bytes:
                 refused = (f"pid {pid} has {pcb.free_grant_bytes} bytes free, "
                            f"grant needs {schema_size}")
             elif schema_size and any(slot.length and slot.base < top and base < slot.end
-                                     for slot in pcb.allow_slots.values()):
+                                     for slot, _ in pcb.allow_slots.values()):
                 # A grant never takes bytes that a live allow shares.
                 refused = f"grant [{base}, {top}) overlaps a buffer pid {pid} shares"
             else:
@@ -770,18 +774,17 @@ class Kernel:
                 self.memory.write(None, base, bytes(schema_size),
                                   note=region_note(capsule_name, "grant_zero",
                                                    f',"pid":{pid}'))
-            region = pcb.grants[capsule_name] = MemoryRegion(base, schema_size)
-            pcb.grant_notes[capsule_name] = region_note(capsule_name, "grant",
-                                                        f',"pid":{pid}')
+            grant = pcb.grants[capsule_name] = (
+                MemoryRegion(base, schema_size),
+                region_note(capsule_name, "grant", f',"pid":{pid}'))
+            pcb.mpu = self._mpu_config(pid, pcb.flash, pcb.ram, base)
             pcb.grant_watermark = base
-            self._sync_regions(pcb)
             self.trace.log(ACTOR_KERNEL, K_GRANT_ALLOC,
                            {"pid": pid, "capsule": capsule_name,
                             "size": schema_size, "base": base})
         self._grant_entries.add(key)
         try:
-            return self._visit(region, capsule_name, "grant",
-                               pcb.grant_notes[capsule_name], visitor)
+            return self._visit(grant, capsule_name, "grant", visitor)
         finally:
             self._grant_entries.discard(key)
 
@@ -791,22 +794,17 @@ class Kernel:
                     visitor: Callable):
         pcb = self._live_pcb(pid)
         key = (capsule.driver_id, buf_num, mode)
-        region = pcb.allow_slots.get(key)
-        if region is None:
+        share = pcb.allow_slots.get(key)
+        if share is None:
             raise NoSharedBuffer(
                 f"pid {pid} shares nothing in slot {key}")
-        via = capsule.name
-        known = pcb.allow_notes.get(key)
-        if known is None or known[0] != via:
-            known = pcb.allow_notes[key] = (via, region_note(
-                via, "allow", f',"pid":{pid},"driver":{capsule.driver_id},'
-                              f'"buf":{buf_num},"mode":"{mode}"'))
-        return self._visit(region, via, "allow", known[1], visitor)
+        return self._visit(share, capsule.name, "allow", visitor)
 
-    def _visit(self, region: MemoryRegion, via: str, purpose: str,
-               note: str, visitor: Callable):
-        """Hand the visitor a fresh view of the region, and invalidate the
-        view when the visitor returns, so a capsule cannot keep it."""
+    def _visit(self, share: Tuple[MemoryRegion, str], via: str, purpose: str,
+               visitor: Callable):
+        """Hand the visitor a fresh view of the share's region, invalidated
+        when the visitor returns, so a capsule cannot keep it."""
+        region, note = share
         handle = ScopedRegion(self.memory, region, via, purpose, note)
         try:
             return visitor(handle)
@@ -818,7 +816,7 @@ class Kernel:
     def process_local_write(self, pcb: ProcessControlBlock, offset: int,
                             data: bytes) -> bool:
         try:
-            self.memory.write(pcb.id, pcb.ram.base + offset, data)
+            self.memory.write(pcb.mpu, pcb.ram.base + offset, data)
         except AccessDenied:
             self._fault(pcb, f"write_local at offset {offset}")
             return False
@@ -827,7 +825,7 @@ class Kernel:
     def process_local_read(self, pcb: ProcessControlBlock, offset: int,
                            length: int) -> Optional[bytes]:
         try:
-            return self.memory.read(pcb.id, pcb.ram.base + offset, length)
+            return self.memory.read(pcb.mpu, pcb.ram.base + offset, length)
         except AccessDenied:
             self._fault(pcb, f"read_local at offset {offset}")
             return None
@@ -857,12 +855,9 @@ class Kernel:
         if not pcb.live:
             return
         pcb.allow_slots.clear()
-        pcb.allow_notes.clear()
         pcb.upcall_slots.clear()
         pcb.upcall_queue.clear()
         pcb.grants.clear()
-        pcb.grant_notes.clear()
-        self.memory.drop_regions(pcb.id)
         self._live.remove(pcb)
         if pcb.ram.length:
             self.allocator.release(pcb.ram.base, pcb.ram.length)
@@ -903,7 +898,7 @@ class Kernel:
                         "kind": CapabilityKind.GRANT_INSPECTION.value,
                         "holder": self.current_holder(), "pid": pid})
         return [{"capsule": name, "base": region.base, "size": region.length}
-                for name, region in pcb.grants.items()]
+                for name, (region, _) in pcb.grants.items()]
 
     # -- the loop --------------------------------------------------------------------------
 

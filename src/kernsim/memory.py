@@ -18,14 +18,17 @@ easy to get wrong:
 Coverage is computed when a process's regions change, not on every
 access: :meth:`MemoryController.configure_regions` merges the regions
 granting each access kind into sorted, disjoint intervals, touching ones
-stitched together. Every access still checks coverage by the per-byte
-rule above; it asks whether one merged interval holds all of its bytes.
+stitched together, and returns them as an immutable :class:`MpuConfig`,
+which the process's control block holds and hands to each access; the
+controller keeps no per-process state. Every access still checks
+coverage by the per-byte rule above; it asks whether one merged interval
+holds all of its bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import AccessDenied, OutOfBounds, TooManyRegions
 from .trace import K_MEM_ACCESS, K_MEM_FAULT, ACTOR_KERNEL, TraceLog, actor_process
@@ -85,16 +88,18 @@ def _coverage(regions: Sequence[MemoryRegion], kind: str) -> Coverage:
     return tuple(merged)
 
 
-class _Actors(dict):
-    """The trace actor of each accessor, built once per pid."""
+class MpuConfig(NamedTuple):
+    """One process's MPU configuration: its pid, its trace actor and the
+    merged coverage of the regions granting reads and writes."""
 
-    def __missing__(self, pid: int) -> str:
-        actor = self[pid] = actor_process(pid)
-        return actor
+    pid: int
+    actor: str
+    read: Coverage
+    write: Coverage
 
 
 class MemoryController:
-    """One flat byte array plus the per-process region tables."""
+    """One flat byte array, its limits and the trace its accesses go to."""
 
     def __init__(self, total_size: int, mpu_max_regions: int, trace: TraceLog):
         if total_size <= 0:
@@ -103,18 +108,15 @@ class MemoryController:
         self.data = bytearray(total_size)
         self.mpu_max_regions = mpu_max_regions
         self.trace = trace
-        # The merged coverage of each configured process, per access kind.
-        self._coverage: Dict[int, Dict[str, Coverage]] = {}
-        self._actors = _Actors({None: ACTOR_KERNEL})
 
     # -- region configuration ------------------------------------------
 
-    def configure_regions(self, pid: int, regions: Sequence[MemoryRegion]) -> None:
-        """Replace the MPU configuration for a process.
+    def configure_regions(self, pid: int, regions: Sequence[MemoryRegion]) -> MpuConfig:
+        """The MPU configuration of process ``pid`` with these regions.
 
         Zero-length regions may carry any base; they never match an access
         and are never dereferenced, so bounds do not apply to them. A
-        refused configuration leaves the previous one in force.
+        refused configuration raises; the config the caller holds stays.
         """
         if len(regions) > self.mpu_max_regions:
             raise TooManyRegions(
@@ -124,16 +126,13 @@ class MemoryController:
                 raise OutOfBounds(
                     f"region [{region.base}, {region.end}) outside "
                     f"{self.total_size}-byte space")
-        self._coverage[pid] = {kind: _coverage(regions, kind)
-                               for kind in (READ, WRITE)}
-
-    def drop_regions(self, pid: int) -> None:
-        self._coverage.pop(pid, None)
+        return MpuConfig(pid, actor_process(pid), _coverage(regions, READ),
+                         _coverage(regions, WRITE))
 
     # -- access checks ----------------------------------------------------
 
-    def check_access(self, pid: int, base: int, length: int, kind: str) -> bool:
-        """Would this process access be allowed?
+    def check_access(self, config: MpuConfig, base: int, length: int, kind: str) -> bool:
+        """Would this access by the process with ``config`` be allowed?
 
         True iff one merged interval of the coverage granting ``kind``
         holds [base, base + length), which is the per-byte predicate
@@ -143,10 +142,7 @@ class MemoryController:
             return True
         if base < 0:
             return False
-        coverage = self._coverage.get(pid)
-        if coverage is None:
-            return False
-        for start, stop in coverage[kind]:
+        for start, stop in config.read if kind == READ else config.write:
             if base < start:
                 return False
             if base + length <= stop:
@@ -155,10 +151,10 @@ class MemoryController:
 
     # -- the access path ----------------------------------------------------
 
-    def access(self, pid: Optional[int], base: int, length: int, kind: str,
-               data: Optional[bytes] = None, note: str = "") -> bytes:
-        """Perform a checked read or write by process ``pid``, or by the
-        kernel if ``pid`` is None.
+    def access(self, config: Optional[MpuConfig], base: int, length: int,
+               kind: str, data: Optional[bytes] = None, note: str = "") -> bytes:
+        """Perform a checked read or write by the process with ``config``,
+        or by the kernel if ``config`` is None.
 
         The kernel bypasses region checks but not bounds checks. A process
         must have full region coverage; a violation raises
@@ -177,15 +173,17 @@ class MemoryController:
             # Never touches the array, never faults, leaves no trace event.
             return b""
 
-        actor = self._actors[pid]
-        if pid is None:
+        if config is None:
+            actor = ACTOR_KERNEL
             if base < 0 or base + length > self.total_size:
                 raise OutOfBounds(
                     f"kernel access [{base}, {base + length}) outside space")
-        elif not self.check_access(pid, base, length, kind):
-            self.trace.log(actor, K_MEM_FAULT,
-                           {"base": base, "len": length, "op": kind})
-            raise AccessDenied(pid, base, length, kind)
+        else:
+            actor = config.actor
+            if not self.check_access(config, base, length, kind):
+                self.trace.log(actor, K_MEM_FAULT,
+                               {"base": base, "len": length, "op": kind})
+                raise AccessDenied(config.pid, base, length, kind)
 
         if kind == READ:
             result = bytes(self.data[base:base + length])
@@ -199,10 +197,10 @@ class MemoryController:
 
     # Convenience wrappers used by the kernel and tests.
 
-    def read(self, pid: Optional[int], base: int, length: int,
+    def read(self, config: Optional[MpuConfig], base: int, length: int,
              note: str = "") -> bytes:
-        return self.access(pid, base, length, READ, note=note)
+        return self.access(config, base, length, READ, note=note)
 
-    def write(self, pid: Optional[int], base: int, data: bytes,
+    def write(self, config: Optional[MpuConfig], base: int, data: bytes,
               note: str = "") -> None:
-        self.access(pid, base, len(data), WRITE, data=data, note=note)
+        self.access(config, base, len(data), WRITE, data=data, note=note)

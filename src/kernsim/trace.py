@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import io
 import json
-from typing import Any, Callable, Dict, Optional, Sequence, TextIO, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, TextIO, Tuple, Union
 
 ACTOR_KERNEL = "kernel"
 
@@ -95,21 +95,28 @@ K_TICK_LIMIT = "tick_limit"
 K_QUIESCENT = "quiescent"
 
 
+class SimClock:
+    """Monotone tick counter; the only source of simulated time. Only
+    :meth:`kernsim.hw.Chip.tick` advances it."""
+
+    def __init__(self):
+        self.now = 0
+
+
 class TraceLog:
     """Append-only event log for one simulation run.
 
     Events go to ``out`` (an in-memory buffer unless a stream is given),
-    one compact JSON line each.
+    one compact JSON line each, stamped with ``clock.now``.
     """
 
-    def __init__(self, clock: Optional[Callable[[], int]] = None,
+    def __init__(self, clock: Optional[SimClock] = None,
                  out: Optional[TextIO] = None):
         self.out = io.StringIO() if out is None else out
         self._write = self.out.write
         self._prefixes: Dict[Tuple[str, str], str] = {}
         self._seq = 0
-        # The simulated tick that log() stamps an event with.
-        self.clock = clock or (lambda: 0)
+        self.clock = SimClock() if clock is None else clock
 
     def _cache_prefix(self, actor: str, kind: str) -> str:
         prefix = self._prefixes[actor, kind] = \
@@ -125,7 +132,7 @@ class TraceLog:
             body = payload
         else:
             body = encode_json(payload) if payload else "{}"
-        self._write(f'{{"seq":{self._seq},"tick":{self.clock()}{prefix}{body}}}\n')
+        self._write(f'{{"seq":{self._seq},"tick":{self.clock.now}{prefix}{body}}}\n')
         self._seq += 1
 
     def log_series(self, actor: str, kind: str, first: int, per_tick: int,

@@ -92,6 +92,14 @@ def trace_events(board: Board):
     return [SimpleNamespace(**record) for record in records]
 
 
+def uart_bytes(trace) -> bytes:
+    """The bytes a UART has sent, read from the uart_tx events of its
+    in-memory trace."""
+    return bytes(record["payload"]["byte"]
+                 for record in parse_trace(trace.out.getvalue().encode("utf-8"))
+                 if record["kind"] == "uart_tx")
+
+
 def script_source(main, handlers=None, min_memory=1024, pad="", **extra) -> bytes:
     """A scenario file's bytes. A non-empty ``pad`` lengthens the payload
     by an upcall handler of that name that nothing subscribes."""

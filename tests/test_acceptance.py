@@ -211,7 +211,7 @@ def test_acceptance_04_mpu_oracle_exhaustive_256():
     mem = MemoryController(space, 8, TraceLog())
     checked = 0
     for regions in configs:
-        mem.configure_regions(1, regions)
+        cfg = mem.configure_regions(1, regions)
         for kind, label in ((READ, "read"), (WRITE, "write")):
             bytemap = permission_bytemap(regions, space, label)
             for base in range(0, space + 1):
@@ -219,13 +219,13 @@ def test_acceptance_04_mpu_oracle_exhaustive_256():
                 for length in range(0, max_len + 1):
                     want = (length == 0) or \
                         (sum(bytemap[base:base + length]) == length)
-                    assert mem.check_access(1, base, length, kind) == want
+                    assert mem.check_access(cfg, base, length, kind) == want
                     checked += 1
             # boundary strip: ranges that run past the end of the space
             for base in range(0, space + 1):
                 for overrun in (1, 2):
                     length = space - base + overrun
-                    assert mem.check_access(1, base, length, kind) == \
+                    assert mem.check_access(cfg, base, length, kind) == \
                         mpu_allowed(regions, base, length, label)
                     checked += 1
     print(f"ACCEPTANCE 04 PASS: MPU equals per-byte oracle on {checked} checks")

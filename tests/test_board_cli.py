@@ -326,6 +326,34 @@ def test_two_mpu_regions_are_enough(tmp_path):
                      "--trace", str(tmp_path / "t.jsonl")]) == 0
 
 
+@pytest.mark.parametrize("layer, owner, peripheral", [
+    ({"name": "console2", "type": "console", "driver_id": 7}, "console", "uart"),
+    ({"name": "alarm2", "type": "alarm", "driver_id": 8}, "alarm_driver", "alarm"),
+])
+def test_a_second_capsule_on_one_interrupt_is_exit_2_at_check_and_run(
+        tmp_path, capsys, layer, owner, peripheral):
+    # Each interrupt has one handler: a second console would find the UART
+    # busy with the first one's transfer, and a second alarm driver would
+    # take the interrupt from the first.
+    cfg = json.loads((BOARDS_DIR / "demo_sync.json").read_text(encoding="utf-8"))
+    cfg["capsules"].append(layer)
+    board_path = tmp_path / "board.json"
+    board_path.write_text(json.dumps(cfg))
+    app = tmp_path / "app.json"
+    app.write_text(json.dumps({"name": "app", "main": [{"op": "halt"}]}))
+    trace_path = tmp_path / "t.jsonl"
+    violation = (f"capsule {layer['name']!r} (type {layer['type']!r}) takes the "
+                 f"{peripheral!r} interrupt of capsule {owner!r}")
+    assert check_board(board_path) == [violation]
+    assert cli_main(["check", "--board", str(board_path)]) == 2
+    assert cli_main(["run", "--board", str(board_path), "--app", str(app),
+                     "--trace", str(trace_path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    events = parse_trace(trace_path.read_bytes())
+    assert [(e["kind"], e["payload"]) for e in events] == \
+        [("config_error", {"violation": violation})]
+
+
 def _console(cfg):
     return next(layer for layer in cfg["capsules"] if layer["name"] == "console")
 

@@ -9,6 +9,8 @@ from kernsim.hw import InterruptController, UartHw
 from kernsim.regmap import load_register_map
 from kernsim.trace import TraceLog
 
+from conftest import uart_bytes
+
 MAPS_DIR = Path(__file__).resolve().parents[1] / "src" / "kernsim" / "maps"
 UART_SPEC = load_register_map(json.loads((MAPS_DIR / "uart.json").read_text()))
 
@@ -128,7 +130,7 @@ def test_console_write_round_trip_returns_same_window():
     irqc.set_handler(1, console.handle_interrupt)
     irqc.service()
     assert done and done[0][0] is window and done[0][1] == 9
-    assert bytes(uart.output) == b"hi kernel"
+    assert uart_bytes(uart.trace) == b"hi kernel"
     assert window.capacity == 64
 
 
@@ -140,7 +142,7 @@ def test_console_busy_while_pending_first_unaffected():
     assert not console.write(second, lambda w, n: None)
     for _ in range(5):
         uart.tick()
-    assert bytes(uart.output) == b"first"
+    assert uart_bytes(uart.trace) == b"first"
 
 
 def test_sliced_window_sends_exactly_the_window():
@@ -153,7 +155,7 @@ def test_sliced_window_sends_exactly_the_window():
         uart.tick()
     irqc.set_handler(1, console.handle_interrupt)
     irqc.service()
-    assert bytes(uart.output) == b"abc"
+    assert uart_bytes(uart.trace) == b"abc"
     assert done == [(64, 3)]
 
 
@@ -200,4 +202,4 @@ def test_completion_client_may_start_the_next_write():
     for _ in range(3):
         uart.tick()
     irqc.service()
-    assert bytes(uart.output) == b"onetwo" and not console.pending
+    assert uart_bytes(uart.trace) == b"onetwo" and not console.pending

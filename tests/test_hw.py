@@ -20,7 +20,7 @@ from kernsim.loader import fnv1a64
 from kernsim.regmap import load_register_map
 from kernsim.trace import SERIES_CHUNK, TraceLog
 
-from conftest import minimal_board_dict, script_source, trace_events
+from conftest import minimal_board_dict, script_source, trace_events, uart_bytes
 
 MAPS_DIR = Path(__file__).resolve().parents[1] / "src" / "kernsim" / "maps"
 
@@ -100,10 +100,10 @@ def test_uart_one_byte_per_tick_and_completion_irq():
     for _ in range(4):
         uart.tick()
     assert not irqc.any_pending()
-    assert bytes(uart.output) == b"hell"
+    assert uart_bytes(uart.trace) == b"hell"
     uart.tick()
     assert irqc.any_pending()
-    assert bytes(uart.output) == b"hello"
+    assert uart_bytes(uart.trace) == b"hello"
     returned, count = uart.take_completion()
     assert returned is window and count == 5
     assert not uart.busy
@@ -113,7 +113,7 @@ def test_uart_txdata_register_emits_single_byte():
     irqc = InterruptController(TraceLog())
     uart = UartHw(_spec("uart"), irqc, 1, TraceLog())
     uart.regs.write_reg("TXDATA", 0x41)
-    assert bytes(uart.output) == b"A"
+    assert uart_bytes(uart.trace) == b"A"
 
 
 def test_hash_engine_timing_is_ceil_len_over_64():
@@ -277,7 +277,7 @@ def test_hash_engine_zero_length_payload_fires_after_one_tick():
 
 def make_chip(initial_count=0, bytes_per_tick=1):
     clock = SimClock()
-    trace = TraceLog(lambda: clock.now)
+    trace = TraceLog(clock)
     irqc = InterruptController(trace)
     chip = Chip(clock, irqc,
                 AlarmHw(_spec("alarm"), irqc, 0, initial_count=initial_count),
@@ -466,7 +466,7 @@ def test_console_transfer_needs_loop_steps_per_transfer_not_per_byte():
     loop_step = board.kernel.loop_step
     board.kernel.loop_step = lambda: steps.append(1) or loop_step()
     assert board.run(10_000) == 0
-    assert bytes(board.chip.uart.output) == b"Z" * 4096
+    assert uart_bytes(board.trace) == b"Z" * 4096
     events = trace_events(board)
     assert sum(e.kind == "uart_tx" for e in events) == 4096
     assert sum(e.kind == "upcall_run" for e in events) == 1
@@ -490,7 +490,7 @@ def test_console_transfer_costs_python_calls_per_transfer_not_per_byte(monkeypat
         calls.clear()
         board = _console_board(size)
         assert board.run(10_000) == 0
-        assert bytes(board.chip.uart.output) == b"Z" * size
+        assert uart_bytes(board.trace) == b"Z" * size
         counts.append(dict(calls))
     assert counts[0] == counts[1]
 
@@ -500,16 +500,18 @@ class _WriteSizes:
 
     def __init__(self):
         self.writes = []
+        self.uart_tx = 0  # the uart_tx lines written
 
     def write(self, text):
         self.writes.append((len(text), text.count("\n")))
+        self.uart_tx += text.count('"kind":"uart_tx"')
 
 
 def test_a_64k_transfer_streams_in_bounded_writes():
     out = _WriteSizes()
     board = _console_board(MAX_BUFFER_SIZE, out)
     assert board.run(10 * MAX_BUFFER_SIZE) == 0
-    assert len(board.chip.uart.output) == MAX_BUFFER_SIZE
+    assert out.uart_tx == MAX_BUFFER_SIZE
     # Every line is far shorter than 200 bytes, so no write may hold more
     # than one chunk's worth of lines.
     assert max(lines for _, lines in out.writes) == SERIES_CHUNK

@@ -12,7 +12,7 @@ from kernsim.abi import (
     YieldMode,
 )
 from kernsim.audit import parse_trace
-from kernsim.board import run_simulation
+from kernsim.board import Board, BoardConfig, run_simulation
 from kernsim.capsules import CAPSULE_TYPES, AlarmDriver, Capsule
 from kernsim.errors import (
     PhaseError,
@@ -23,7 +23,8 @@ from kernsim.kernel import Kernel, ProcessState
 from kernsim.loader import pack_binary
 from kernsim.scenario import parse_script
 
-from conftest import AWKWARD_NAMES, BOARDS_DIR, make_board, script_source, trace_events
+from conftest import (AWKWARD_NAMES, BOARDS_DIR, make_board, script_source, trace_events,
+                      uart_bytes)
 from oracles import OneSlotSwapModel
 
 DRIVER_ALARM = 0
@@ -248,7 +249,7 @@ def test_grant_lazily_allocated_zeroed_and_watermarked(board):
         pcb, SyscallInvocation.command(DRIVER_ALARM, 1, 5000))
     assert ret == SyscallReturn.success()
     assert pcb.grant_watermark == top - 16
-    alloc = pcb.grants["alarm_driver"]
+    alloc, _ = pcb.grants["alarm_driver"]
     assert (alloc.base, alloc.length) == (top - 16, 16)
     # armed flag and deadline live in the grant bytes
     data = kern.memory.data[alloc.base:alloc.base + 16]
@@ -300,7 +301,7 @@ def test_grant_is_refused_over_a_live_allow(board):
     # Once the share is reclaimed with a zero-length allow, the grant fits.
     rw_allow(kern, pcb, DRIVER_PROBE_A, 0, top - 8, 0)
     assert kern.handle_syscall(pcb, set_alarm) == SyscallReturn.success()
-    assert pcb.grants["alarm_driver"].base == top - 16
+    assert pcb.grants["alarm_driver"][0].base == top - 16
 
 
 def test_a_grant_never_takes_an_allowed_buffer_on_the_demo_board(tmp_path):
@@ -470,6 +471,36 @@ def test_upcalls_delivered_only_inside_yield(board):
             assert events[i - 1].payload["call"]["class"] == "yield"
 
 
+@pytest.mark.parametrize("mode", ["no_wait", "wait"])
+@pytest.mark.parametrize("ending", [
+    [{"op": "syscall", "call": {"class": "exit"}}],
+    [{"op": "write_local", "offset": 4096, "data": "00"}]], ids=["exit", "fault"])
+def test_a_yield_whose_upcall_ends_the_process_returns_nothing(mode, ending):
+    # The alarm fires at tick 2, while the time commands run, so the
+    # yield finds the upcall queued and runs it at once.
+    main = [
+        {"op": "syscall", "call": {"class": "subscribe", "driver": DRIVER_ALARM,
+                                   "sub": 0, "fn": "h"}},
+        {"op": "syscall", "call": {"class": "command", "driver": DRIVER_ALARM,
+                                   "cmd": 1, "args": [2, 0]}},
+        {"op": "loop", "count": 3, "body": [
+            {"op": "syscall", "call": {"class": "command", "driver": DRIVER_ALARM,
+                                       "cmd": 2}}]},
+        {"op": "syscall", "call": {"class": "yield", "mode": mode}},
+        {"op": "halt"}]
+    board = Board(BoardConfig.from_file(BOARDS_DIR / "demo_sync.json"))
+    board, code = run_board(main, {"h": ending}, board=board)
+    assert code == 0
+    tail = [(e.kind, e.payload) for e in trace_events(board)
+            if e.kind in ("syscall", "upcall_run", "syscall_return", "process_state")]
+    at = tail.index(("syscall", {"call": {"class": "yield", "mode": mode}}))
+    assert tail[at + 1][0] == "upcall_run"
+    assert tail[-1] == ("process_state", {
+        "pid": 1, "state": "exited", "reason": "exit syscall"} if ending[0]["op"] == "syscall"
+        else {"pid": 1, "state": "faulted", "reason": "write_local at offset 4096"})
+    assert "syscall_return" not in [kind for kind, _ in tail[at:]]
+
+
 def test_two_processes_one_quantum_each_in_pid_order(board):
     main = [{"op": "loop", "count": 5, "body": [
         {"op": "syscall", "call": {"class": "yield", "mode": "no_wait"}}]},
@@ -531,6 +562,29 @@ def test_exit_invalidates_everything(board):
     assert kern.quiescent() or not board.chip.busy()
 
 
+@pytest.mark.parametrize("end", ["exit", "fault"])
+def test_shares_and_grants_of_an_ended_process_cannot_be_visited(board, end):
+    # A process's memory state lives in its PCB, and a capsule reaches it
+    # only through the kernel, which refuses a process that has ended.
+    pid = load_idle_process(board)
+    kern = board.kernel
+    pcb = kern.processes[pid]
+    rw_allow(kern, pcb, DRIVER_PROBE_A, 0, pcb.ram.base, 16)
+    kern.handle_syscall(pcb, SyscallInvocation.command(DRIVER_ALARM, 1, 5000))
+    assert list(pcb.grants) == ["alarm_driver"]
+    probe = board.capsules_by_name["probe_a"]
+    assert kern.with_buffer(probe, pid, 0, "rw", lambda buf: buf.read(0, 1)) == b"\0"
+    if end == "exit":
+        kern.exit_process(pcb, "test")
+    else:
+        assert not kern.process_local_write(pcb, 1 << 20, b"\xff")
+    assert pcb.state is (ProcessState.EXITED if end == "exit" else ProcessState.FAULTED)
+    with pytest.raises(ProcessDead):
+        kern.with_buffer(probe, pid, 0, "rw", lambda buf: None)
+    with pytest.raises(ProcessDead):
+        kern.grant_enter("alarm_driver", 16, pid, lambda grant: None)
+
+
 def test_exit_orphans_in_flight_console_write(board):
     # The process dies mid-transmission: the UART finishes on its own, the
     # completion upcall reaches nobody, and the driver's window is back.
@@ -546,7 +600,7 @@ def test_exit_orphans_in_flight_console_write(board):
     ]
     board, code = run_board(main, {"on_tx": []}, board=board)
     assert code == 0
-    assert bytes(board.chip.uart.output) == bytes.fromhex("aabbccddeeff00112233")
+    assert uart_bytes(board.trace) == bytes.fromhex("aabbccddeeff00112233")
     assert not any(e.kind == "upcall_run" for e in trace_events(board))
     console = board.capsules_by_name["console"]
     assert not console.pending

@@ -23,9 +23,9 @@ def controller(size=8192, mpu_max_regions=8):
 
 def test_in_bounds_write_at_region_edge():
     mem = controller()
-    mem.configure_regions(1, [MemoryRegion(0, 4096, ACCESS_RW)])
-    mem.write(1, 4095, b"\xaa")
-    assert mem.read(1, 4095, 1) == b"\xaa"
+    cfg = mem.configure_regions(1, [MemoryRegion(0, 4096, ACCESS_RW)])
+    mem.write(cfg, 4095, b"\xaa")
+    assert mem.read(cfg, 4095, 1) == b"\xaa"
 
 
 def test_region_count_limit():
@@ -33,7 +33,7 @@ def test_region_count_limit():
     regions = [MemoryRegion(i * 16, 8, ACCESS_RW) for i in range(9)]
     with pytest.raises(TooManyRegions):
         mem.configure_regions(1, regions)
-    mem.configure_regions(1, regions[:8])
+    assert mem.configure_regions(1, regions[:8]).pid == 1
 
 
 def test_region_must_fit_address_space():
@@ -44,16 +44,18 @@ def test_region_must_fit_address_space():
 
 def test_zero_length_region_carries_arbitrary_base():
     mem = controller(size=256)
-    mem.configure_regions(1, [MemoryRegion(999999, 0, ACCESS_RW)])
+    cfg = mem.configure_regions(1, [MemoryRegion(999999, 0, ACCESS_RW)])
+    assert (cfg.read, cfg.write) == ((), ())
 
 
-def test_reconfigure_discards_previous_regions():
+def test_a_config_holds_only_its_own_regions():
     mem = controller()
-    mem.configure_regions(1, [MemoryRegion(0, 64, ACCESS_RW)])
-    mem.configure_regions(1, [MemoryRegion(64, 64, ACCESS_RW)])
+    old = mem.configure_regions(1, [MemoryRegion(0, 64, ACCESS_RW)])
+    cfg = mem.configure_regions(1, [MemoryRegion(64, 64, ACCESS_RW)])
     with pytest.raises(AccessDenied):
-        mem.read(1, 0, 1)
-    mem.read(1, 64, 1)
+        mem.read(cfg, 0, 1)
+    mem.read(cfg, 64, 1)
+    mem.read(old, 0, 1)
 
 
 def test_boundary_enumeration_against_oracle():
@@ -61,57 +63,56 @@ def test_boundary_enumeration_against_oracle():
     # with the per-byte predicate.
     mem = controller()
     regions = [MemoryRegion(0, 4096, ACCESS_RW)]
-    mem.configure_regions(1, regions)
+    cfg = mem.configure_regions(1, regions)
     for base in (4094, 4095, 4096, 4097):
         expected = mpu_allowed(regions, base, 1, "read")
-        assert mem.check_access(1, base, 1, READ) == expected
+        assert mem.check_access(cfg, base, 1, READ) == expected
     with pytest.raises(AccessDenied):
-        mem.read(1, 4096, 1)
+        mem.read(cfg, 4096, 1)
 
 
 def test_write_overlapping_edge_by_one_byte_denied():
     mem = controller()
-    mem.configure_regions(1, [MemoryRegion(0, 64, ACCESS_RW)])
+    cfg = mem.configure_regions(1, [MemoryRegion(0, 64, ACCESS_RW)])
     with pytest.raises(AccessDenied):
-        mem.write(1, 60, b"\x00" * 5)
+        mem.write(cfg, 60, b"\x00" * 5)
 
 
 def test_coverage_may_span_adjacent_regions():
     mem = controller()
-    mem.configure_regions(1, [MemoryRegion(0, 32, ACCESS_RW),
-                              MemoryRegion(32, 32, ACCESS_RW)])
-    mem.write(1, 28, b"\x11" * 8)
-    assert mem.read(1, 28, 8) == b"\x11" * 8
+    cfg = mem.configure_regions(1, [MemoryRegion(0, 32, ACCESS_RW),
+                                    MemoryRegion(32, 32, ACCESS_RW)])
+    mem.write(cfg, 28, b"\x11" * 8)
+    assert mem.read(cfg, 28, 8) == b"\x11" * 8
 
 
 def test_read_only_region_rejects_writes():
     mem = controller()
-    mem.configure_regions(1, [MemoryRegion(0, 64, ACCESS_READ)])
-    assert mem.read(1, 0, 4) == b"\x00" * 4
+    cfg = mem.configure_regions(1, [MemoryRegion(0, 64, ACCESS_READ)])
+    assert mem.read(cfg, 0, 4) == b"\x00" * 4
     with pytest.raises(AccessDenied):
-        mem.write(1, 0, b"\x01")
+        mem.write(cfg, 0, b"\x01")
 
 
 def test_none_region_grants_nothing():
     mem = controller()
-    mem.configure_regions(1, [MemoryRegion(0, 64, ACCESS_NONE)])
+    cfg = mem.configure_regions(1, [MemoryRegion(0, 64, ACCESS_NONE)])
     with pytest.raises(AccessDenied):
-        mem.read(1, 0, 1)
+        mem.read(cfg, 0, 1)
 
 
 def test_zero_length_access_never_faults_or_touches():
     mem = controller(size=256)
-    mem.configure_regions(1, [])
+    cfg = mem.configure_regions(1, [])
     snapshot = bytes(mem.data)
-    assert mem.read(1, 999999, 0) == b""
-    mem.write(1, 123456, b"")
+    assert mem.read(cfg, 999999, 0) == b""
+    mem.write(cfg, 123456, b"")
     assert mem.read(None, 400, 0) == b""  # even past the end
     assert bytes(mem.data) == snapshot
 
 
 def test_kernel_bypasses_regions_but_not_bounds():
     mem = controller(size=256)
-    mem.configure_regions(1, [])
     mem.write(None, 0, b"\xfe")
     assert mem.read(None, 0, 1) == b"\xfe"
     with pytest.raises(OutOfBounds):
@@ -120,10 +121,10 @@ def test_kernel_bypasses_regions_but_not_bounds():
 
 def test_denied_access_modifies_nothing():
     mem = controller(size=256)
-    mem.configure_regions(1, [MemoryRegion(0, 16, ACCESS_RW)])
+    cfg = mem.configure_regions(1, [MemoryRegion(0, 16, ACCESS_RW)])
     snapshot = bytes(mem.data)
     with pytest.raises(AccessDenied):
-        mem.write(1, 8, b"\xff" * 16)  # tail out of region
+        mem.write(cfg, 8, b"\xff" * 16)  # tail out of region
     assert bytes(mem.data) == snapshot
 
 
@@ -137,11 +138,11 @@ def test_exhaustive_small_space_against_oracle():
     ]
     mem = controller(size=64)
     for regions in configs:
-        mem.configure_regions(1, regions)
+        cfg = mem.configure_regions(1, regions)
         for base in range(0, 66):
             for length in range(0, 66 - base):
                 for kind in (READ, WRITE):
-                    assert mem.check_access(1, base, length, kind) == \
+                    assert mem.check_access(cfg, base, length, kind) == \
                         mpu_allowed(regions, base, length, kind), \
                         (regions, base, length, kind)
 
@@ -172,41 +173,28 @@ def test_merged_coverage_matches_the_per_byte_oracle_on_random_regions():
     mem = controller(size=space, mpu_max_regions=limit)
     for _ in range(200):
         regions = _random_regions(rng, space, limit)
-        mem.configure_regions(1, regions)
+        cfg = mem.configure_regions(1, regions)
         for kind in (READ, WRITE):
             # Bytes past the space lie in no region.
             bytemap = permission_bytemap(regions, space + 2, kind)
             for base in range(space + 1):
                 allowed = True
-                assert mem.check_access(1, base, 0, kind)
+                assert mem.check_access(cfg, base, 0, kind)
                 for length in range(1, space + 3 - base):
                     allowed = allowed and bytemap[base + length - 1]
-                    assert mem.check_access(1, base, length, kind) == allowed, \
+                    assert mem.check_access(cfg, base, length, kind) == allowed, \
                         (regions, base, length, kind)
-            assert not mem.check_access(1, -1, 1, kind)
-            assert mem.check_access(1, -1, 0, kind)
+            assert not mem.check_access(cfg, -1, 1, kind)
+            assert mem.check_access(cfg, -1, 0, kind)
 
 
-def test_a_refused_configuration_leaves_the_previous_coverage():
+def test_a_refused_configuration_raises_and_the_held_one_stays_in_force():
     mem = controller(size=96, mpu_max_regions=2)
-    mem.configure_regions(1, [MemoryRegion(0, 16, ACCESS_RW)])
+    cfg = mem.configure_regions(1, [MemoryRegion(0, 16, ACCESS_RW)])
     with pytest.raises(TooManyRegions):
         mem.configure_regions(1, [MemoryRegion(16, 16, ACCESS_RW)] * 3)
     with pytest.raises(OutOfBounds):
         mem.configure_regions(1, [MemoryRegion(16, 16, ACCESS_RW),
                                   MemoryRegion(90, 16, ACCESS_RW)])
-    assert mem.check_access(1, 0, 16, WRITE)
-    assert not mem.check_access(1, 16, 1, READ)
-
-
-def test_dropped_and_unconfigured_processes_may_access_nothing():
-    mem = controller(size=96)
-    mem.configure_regions(1, [MemoryRegion(0, 96, ACCESS_RW)])
-    mem.drop_regions(1)
-    mem.drop_regions(2)  # never configured: a no-op
-    for pid in (1, 2):
-        for base in range(96):
-            for length in (1, 96 - base):
-                for kind in (READ, WRITE):
-                    assert not mem.check_access(pid, base, length, kind)
-        assert mem.check_access(pid, 0, 0, READ)
+    assert mem.check_access(cfg, 0, 16, WRITE)
+    assert not mem.check_access(cfg, 16, 1, READ)

@@ -161,15 +161,25 @@ def _send_txdata_between_transfers(board):
     """Make the board write one to three bytes to TXDATA at the first loop
     step after each DMA transfer ends. That step falls on the same tick
     under both runners, so the traces must still match."""
-    uart, loop_step = board.chip.uart, board.kernel.loop_step
-    seen = 0
+    uart, loop_step, out = board.chip.uart, board.kernel.loop_step, board.trace.out
+    # The trace text read so far, the bytes sent in it (its uart_tx
+    # lines), and the bytes sent at the last TXDATA write.
+    read = sent = seen = 0
+
+    def count_sent():
+        nonlocal read, sent
+        out.seek(read)
+        sent += out.read().count('"kind":"uart_tx"')
+        read = out.tell()
 
     def step():
         nonlocal seen
-        if not uart.busy and len(uart.output) != seen:
-            for i in range(1 + len(uart.output) % 3):
-                uart.regs.write_reg("TXDATA", (len(uart.output) + i) & 0xFF)
-            seen = len(uart.output)
+        count_sent()
+        if not uart.busy and sent != seen:
+            for i in range(1 + sent % 3):
+                uart.regs.write_reg("TXDATA", (sent + i) & 0xFF)
+                count_sent()
+            seen = sent
         return loop_step()
 
     board.kernel.loop_step = step

@@ -7,7 +7,6 @@ import json
 import random
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -105,9 +104,20 @@ def _compact(record):
 _NESTED = {"a": [1, {"b": None, "c": [True, False]}], "d": {"e": {"f": -3}}}
 
 
+class _Ticks:
+    """A clock whose tick moves to the next of ``ticks`` each time a log
+    line reads it."""
+
+    def __init__(self, ticks):
+        self._ticks = iter(ticks)
+
+    @property
+    def now(self):
+        return next(self._ticks)
+
+
 def test_templated_line_is_the_compact_json_of_its_record():
-    ticks = iter(range(0, 10_000, 7))
-    trace = TraceLog(lambda: next(ticks))
+    trace = TraceLog(_Ticks(range(0, 10_000, 7)))
     events = [
         ("kernel", "boot", {"board": "b"}),
         ('capsule:quo"te', "syscall", None),
@@ -196,9 +206,10 @@ def test_mem_access_and_expect_texts_are_the_compact_json_of_their_records():
             mode = rng.choice(("rw", "ro"))
             access["base"] = pcb.ram.base + (0 if mode == "rw" else 64) + offset
             access["op"] = "read" if mode == "ro" else access["op"]
-            note = {"via": via, "purpose": "allow", "pid": pid, "driver": 2,
+            # The share's note names the capsule registered under its driver.
+            capsule = kernel.drivers[2]
+            note = {"via": capsule.name, "purpose": "allow", "pid": pid, "driver": 2,
                     "buf": 0, "mode": mode}
-            capsule = SimpleNamespace(name=via, driver_id=2)
             kernel.with_buffer(capsule, pid, 0, mode,
                                _visitor(access["op"], offset, size))
         elif i % 3 == 1:
@@ -209,7 +220,7 @@ def test_mem_access_and_expect_texts_are_the_compact_json_of_their_records():
                     "purpose": "grant_zero", "pid": pid}))
             note = {"via": via, "purpose": "grant", "pid": pid}
             kernel.grant_enter(via, 64, pid, _visitor(access["op"], offset, size))
-            access["base"] = pcb.grants[via].base + offset
+            access["base"] = pcb.grants[via][0].base + offset
         else:
             ret = rng.choice([
                 SyscallReturn.success(),
@@ -412,8 +423,7 @@ def test_process_state_text_is_the_compact_json_of_its_record():
 
 
 def test_irq_texts_are_the_compact_json_of_their_records():
-    ticks = iter(range(1, 1000))
-    irqc = InterruptController(TraceLog(lambda: next(ticks)))
+    irqc = InterruptController(TraceLog(_Ticks(range(1, 1000))))
     names = dict(zip((7, 0, 31, 2), AWKWARD_NAMES[1:]))
     for irq_id, name in names.items():
         irqc.add_line(irq_id, name)
