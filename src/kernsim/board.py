@@ -291,17 +291,17 @@ class Board:
 
     def load_app(self, source: bytes, name: str = "app") -> LoaderJob:
         """Pack a scenario file into a process binary and hand it to the
-        configured loader, together with the parsed script and the digest
-        computed here; the loader keeps them only for a byte-equal payload."""
+        configured loader, together with the script parsed here; the
+        loader keeps it only for a byte-equal payload."""
         source = bytes(source)
         script = parse_script_bytes(source, name)
-        computed = None if script.credential_digest is not None else fnv1a64(source)
-        digest = script.credential_digest if computed is None else computed
+        digest = (fnv1a64(source) if script.credential_digest is None
+                  else script.credential_digest)
         blob = pack_binary(source, script.min_memory, entry_name=script.entry,
                            digest=digest, key_id=script.key_id)
         return self.kernel.loader.submit(self._boot_token, blob, script.name,
                                          self.config.loader == "sync",
-                                         PackedApp(source, script, computed))
+                                         PackedApp(source, script))
 
     def load_binary(self, blob: bytes, name: str = "app") -> LoaderJob:
         """Feed an already-packed binary to the configured loader, which

@@ -315,12 +315,10 @@ class CapsuleServices:
 @dataclass(eq=False)
 class PackedApp:
     """What the packer learned about one payload, handed to the loader so
-    that the same bytes are not parsed and digested twice: the script as
-    parsed under the job's name and, unless the script names its own
-    credential digest, the payload's FNV-1a-64."""
+    that the same bytes are not parsed twice: the script as parsed under
+    the job's name."""
     payload: bytes
     script: ScenarioScript
-    digest: Optional[int]
 
 
 @dataclass
@@ -333,24 +331,16 @@ class LoaderJob:
     reject_reason: Optional[RejectReason] = None
     detail: str = ""
     pid: Optional[int] = None
-    # The packer's results, kept only for the payload and name they were
-    # made from.
+    # The packer's parse, kept only for the payload and name it was made
+    # from.
     packed: Optional[PackedApp] = None
-
-
-def _digest(job: LoaderJob) -> int:
-    """The payload's FNV-1a-64: the packer's value if it handed one over,
-    else computed."""
-    if job.packed is not None and job.packed.digest is not None:
-        return job.packed.digest
-    return fnv1a64(job.payload)
 
 
 class ProcessLoader:
     """Three-stage loader state machine: the header is checked when a
     binary is submitted, then the credential and runnability once the
-    payload's digest is known, at once (sync) or on the hash engine's
-    completion interrupt (async)."""
+    loader has digested the payload it holds (:func:`fnv1a64`), at once
+    (sync) or on the hash engine's completion interrupt (async)."""
 
     def __init__(self, kernel: "Kernel"):
         self.kernel = kernel
@@ -381,7 +371,7 @@ class ProcessLoader:
         if sync:
             # Same machine, driven inline: the digest is taken on the spot
             # instead of by the hash engine.
-            self.advance(job, _digest(job))
+            self.advance(job, fnv1a64(job.payload))
         elif kernel.chip.hashengine is None:
             raise PhaseError("async loading requires a hash engine")
         else:
@@ -430,7 +420,7 @@ class ProcessLoader:
         engine = self.kernel.chip.hashengine
         if self._waiting and not engine.busy:
             job = self._waiting.pop(0)
-            engine.submit(job.payload, job, _digest(job))
+            engine.submit(job.payload, job, fnv1a64(job.payload))
             self.kernel.trace.log(ACTOR_KERNEL, K_HASH_SUBMIT,
                                   {"job": job.job_id, "len": len(job.payload)})
 

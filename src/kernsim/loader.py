@@ -4,7 +4,7 @@ Binary layout (all integers little-endian):
 
     offset  size  field
     0       4     magic "KSIM"
-    4       2     version (currently 1)
+    4       2     version (currently 2)
     6       2     header_len (total header bytes)
     8       4     payload_len
     12      4     min_memory (RAM bytes the process needs)
@@ -13,11 +13,15 @@ Binary layout (all integers little-endian):
     18+n    8     credential digest
     26+n    2     credential key id
 
-The payload (a scenario script) follows immediately at header_len.
+The payload (a scenario script) follows immediately at header_len. The
+credential digest is the first eight bytes of the payload's SHA-256,
+read little-endian. Version 1 binaries carried an FNV-1a-64 digest and
+are refused as unsupported.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -26,33 +30,21 @@ from typing import Optional
 from .errors import KernsimError
 
 MAGIC = b"KSIM"
-VERSION = 1
+VERSION = 2
 _FIXED = struct.Struct("<4sHHII")
 _NAME_LEN = struct.Struct("<H")
 _CREDENTIAL = struct.Struct("<QH")
 
-FNV_OFFSET_BASIS = 0xCBF29CE484222325
-FNV_PRIME = 0x100000001B3
-_U64 = 0xFFFFFFFFFFFFFFFF
-
 
 def fnv1a64(data: bytes) -> int:
-    """FNV-1a, 64 bit, taking eight bytes per loop iteration.
+    """The credential digest: the first eight bytes of the payload's
+    SHA-256, read little-endian.
 
-    Masking to 64 bits once per eight bytes gives the value of masking
-    after each: an XOR with a byte touches only the low byte, and a
-    product mod 2**64 depends only on its operands mod 2**64.
+    The name is that of the FNV-1a-64 digest it replaced; it stays until
+    the benchmark's ``loader.digest`` span, which wraps it by this name,
+    is renamed with it.
     """
-    digest, prime = FNV_OFFSET_BASIS, FNV_PRIME
-    whole = len(data) - len(data) % 8
-    octets = iter(data[:whole])
-    for b0, b1, b2, b3, b4, b5, b6, b7 in zip(*[octets] * 8):
-        digest = ((((((((digest ^ b0) * prime ^ b1) * prime ^ b2) * prime
-                      ^ b3) * prime ^ b4) * prime ^ b5) * prime ^ b6) * prime
-                  ^ b7) * prime & _U64
-    for byte in data[whole:]:
-        digest = ((digest ^ byte) * prime) & _U64
-    return digest
+    return int.from_bytes(hashlib.sha256(data).digest()[:8], "little")
 
 
 class HeaderError(KernsimError):
@@ -72,7 +64,8 @@ class BinaryHeader:
 
 def pack_binary(payload: bytes, min_memory: int, entry_name: str = "main",
                 digest: Optional[int] = None, key_id: int = 0) -> bytes:
-    """Build a process binary; digest defaults to the payload's FNV-1a-64."""
+    """Build a process binary; digest defaults to the payload's credential
+    digest (:func:`fnv1a64`)."""
     if digest is None:
         digest = fnv1a64(payload)
     name = entry_name.encode("utf-8")

@@ -38,14 +38,6 @@ def permission_bytemap(regions, space_size, kind):
     return [mpu_allowed(regions, addr, 1, kind) for addr in range(space_size)]
 
 
-def fnv1a64_reference(data):
-    """FNV-1a, 64 bit: XOR the byte in, multiply by the prime, mod 2^64."""
-    h = 14695981039346656037
-    for b in bytes(data):
-        h = ((h ^ b) * 1099511628211) % (1 << 64)
-    return h
-
-
 def field_update_reference(reg_value, bit_offset, bit_width, field_value):
     """Mask/shift oracle for read-modify-write of one field."""
     mask = ((1 << bit_width) - 1) << bit_offset

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import struct
 import tracemalloc
 
 import pytest
@@ -20,15 +22,21 @@ from kernsim.loader import (
 from kernsim.scenario import parse_script_bytes
 
 from conftest import make_board, script_source, trace_events
-from oracles import fnv1a64_reference
 
 
-def test_fnv1a64_matches_reference_oracle():
+def sha256_digest(data):
+    """The credential digest by its definition: the first eight bytes of
+    the SHA-256, read little-endian."""
+    return int.from_bytes(hashlib.sha256(data).digest()[:8], "little")
+
+
+def test_fnv1a64_is_the_truncated_sha256_known_answer():
+    # SHA-256 of no bytes begins e3 b0 c4 42 98 fc 1c 14.
+    assert fnv1a64(b"") == 0x141CFC9842C4B0E3
     rng = random.Random(64)
-    payloads = [rng.randbytes(n) for n in range(41)]
-    payloads += [b"hello world", bytes(range(256)) * 3, rng.randbytes(100_000)]
-    for payload in payloads:
-        assert fnv1a64(payload) == fnv1a64_reference(payload)
+    for n in (0, 1, 7, 8, 9, 84 * 1024):
+        payload = rng.randbytes(n)
+        assert fnv1a64(payload) == sha256_digest(payload), n
 
 
 def test_pack_parse_round_trip():
@@ -39,7 +47,7 @@ def test_pack_parse_round_trip():
     assert header.min_memory == 512
     assert header.entry_name == "main"
     assert header.key_id == 3
-    assert header.digest == fnv1a64_reference(payload)
+    assert header.digest == sha256_digest(payload)
     assert header.payload_len == len(payload)
 
 
@@ -104,7 +112,7 @@ def test_sync_rejects_flipped_payload_byte():
     flip_at = header.header_len + 5
     blob[flip_at] ^= 0x01
     corrupted_payload = bytes(blob[header.header_len:])
-    assert fnv1a64_reference(corrupted_payload) != header.digest
+    assert sha256_digest(corrupted_payload) != header.digest
     job = board.load_binary(bytes(blob))
     assert job.state is LoaderState.REJECTED
     assert job.reject_reason is RejectReason.BAD_INTEGRITY
@@ -216,6 +224,26 @@ def test_sync_and_async_decide_identically():
         assert outcomes[("sync", name)] == outcomes[("async", name)], name
 
 
+def version1_binary(payload):
+    """A binary in the version 1 layout, built field by field, with entry
+    point "main"."""
+    header_len = 4 + 2 + 2 + 4 + 4 + 2 + 4 + 8 + 2
+    return (struct.pack("<4sHHIIH", b"KSIM", 1, header_len, len(payload), 256, 4)
+            + b"main" + struct.pack("<QH", 0, 0) + payload)
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_a_version1_binary_is_refused_as_bad_header(mode):
+    # Version 1 credentials were FNV-1a-64; such a binary fails its header
+    # check, not its integrity check.
+    board = make_board(loader=mode)
+    job = board.load_binary(version1_binary(good_source()))
+    assert job.state is LoaderState.REJECTED
+    assert job.reject_reason is RejectReason.BAD_HEADER
+    assert job.detail == "unsupported version 1"
+    assert not any(e.kind == "hash_submit" for e in trace_events(board))
+
+
 def test_invalid_transitions_rejected():
     board = sync_board()
     job = board.load_app(good_source())
@@ -252,7 +280,7 @@ def test_dynamic_load_after_finalize_with_construction_token():
     assert board.kernel.processes[job.pid].state is ProcessState.EXITED
 
 
-# -- the packer's parse and digest, handed to the loader ------------------------
+# -- the packer's parse, handed to the loader; the loader's own digest ----------
 
 MODES = ["sync", "async"]
 
@@ -286,21 +314,21 @@ def submit(board, blob, name, packed):
 
 def load_handed_over(board, source, tamper):
     """Pack source as load_app does, change the blob with tamper, and load
-    it with the packer's results for the untouched source handed over."""
+    it with the packer's script for the untouched source handed over."""
     script = parse_script_bytes(source, "app")
-    digest = fnv1a64(source)
-    blob = bytearray(pack_binary(source, script.min_memory, digest=digest))
+    blob = bytearray(pack_binary(source, script.min_memory))
     tamper(blob)
-    return submit(board, bytes(blob), script.name, PackedApp(source, script, digest))
+    return submit(board, bytes(blob), script.name, PackedApp(source, script))
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_load_app_parses_and_digests_each_app_once(mode, calls):
+def test_load_app_parses_each_app_once_and_digests_it_in_packer_and_loader(
+        mode, calls):
     board = make_board(loader=mode)
     jobs = [board.load_app(good_source(256 + 16 * i)) for i in range(3)]
     board.run(200)
     assert [job.state for job in jobs] == [LoaderState.RUNNABLE] * 3
-    assert calls == {"fnv1a64": 3, "parse_script_bytes": 3}
+    assert calls == {"fnv1a64": 6, "parse_script_bytes": 3}
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -314,7 +342,8 @@ def test_a_flipped_payload_byte_misses_the_handoff(mode, calls):
     board.run(100)
     assert job.state is LoaderState.REJECTED
     assert job.reject_reason is RejectReason.BAD_INTEGRITY
-    assert calls["fnv1a64"] == 1  # the loader's own, over the flipped bytes
+    # The packer's, then the loader's own over the flipped bytes.
+    assert calls["fnv1a64"] == 2
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -333,6 +362,24 @@ def test_a_changed_header_digest_is_still_rejected(mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
+def test_a_wrong_header_digest_is_rejected_though_the_script_is_handed_over(
+        mode, calls):
+    # The handed-over script is byte-equal and kept, but the verdict rests
+    # on the loader's own digest of the payload, not on the header's.
+    board = make_board(loader=mode)
+    source = good_source()
+    script = parse_script_bytes(source, "app")
+    wrong = fnv1a64(source) ^ 1
+    job = submit(board, pack_binary(source, script.min_memory, digest=wrong),
+                 script.name, PackedApp(source, script))
+    assert job.packed is not None
+    board.run(100)
+    assert job.state is LoaderState.REJECTED
+    assert job.reject_reason is RejectReason.BAD_INTEGRITY
+    assert calls["fnv1a64"] == 1  # the loader's own
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_a_wrong_explicit_credential_digest_is_rejected(mode, calls):
     board = make_board(loader=mode)
     job = board.load_app(script_source([{"op": "halt"}], {}, 256,
@@ -340,7 +387,7 @@ def test_a_wrong_explicit_credential_digest_is_rejected(mode, calls):
     board.run(100)
     assert job.state is LoaderState.REJECTED
     assert job.reject_reason is RejectReason.BAD_INTEGRITY
-    assert calls["fnv1a64"] == 1  # the packer had no digest to hand over
+    assert calls["fnv1a64"] == 1  # the loader's; the packer took the explicit one
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -351,7 +398,7 @@ def test_one_source_loaded_twice_makes_two_processes(mode, calls):
     board.run(100)
     assert (first.state, second.state) == (LoaderState.RUNNABLE,) * 2
     assert first.pid != second.pid
-    assert calls == {"fnv1a64": 2, "parse_script_bytes": 2}
+    assert calls == {"fnv1a64": 4, "parse_script_bytes": 2}
     assert board.kernel.loader._waiting == []
 
 
@@ -359,7 +406,7 @@ def test_one_source_loaded_twice_makes_two_processes(mode, calls):
 def test_the_loader_holds_no_job_after_the_run(mode):
     board = make_board(loader=mode)
     bad_header = submit(board, b"KSIMnope", "app",
-                        PackedApp(b"{}", parse_script_bytes(b"{}"), 0))
+                        PackedApp(b"{}", parse_script_bytes(b"{}")))
     jobs = [board.load_app(good_source()),
             board.load_app(b'{"main": [], "min_memory": 1048576}'),
             board.load_app(script_source([], {}, 64, credential={"digest": 1}))]
@@ -381,12 +428,12 @@ def test_the_kernel_parses_afresh_unless_payload_and_name_match(mode):
                       for name in ("handed", "loaded"))
     script = parse_script_bytes(handed, "app")
     other_bytes = submit(board, pack_binary(loaded, 256), script.name,
-                         PackedApp(handed, script, fnv1a64(handed)))
+                         PackedApp(handed, script))
     # Same bytes with no name of their own, loaded under another name.
     nameless = b'{"main": [{"op": "halt"}], "min_memory": 256}'
     script = parse_script_bytes(nameless, "handed")
     other_name = submit(board, pack_binary(nameless, 256), "loaded",
-                        PackedApp(nameless, script, fnv1a64(nameless)))
+                        PackedApp(nameless, script))
     board.run(100)
     for job in (other_bytes, other_name):
         assert job.packed is None
