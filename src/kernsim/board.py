@@ -16,8 +16,8 @@ event (or the tick limit, if that comes first), as a kernel sleeps until
 its next interrupt. The trace is the same as with one step per tick.
 
 Exit codes: 0 clean quiescence or tick limit, 1 any expect mismatch,
-2 configuration error or unwritable trace path, 3 capsule diagnostic
-(budget, reentrancy, register misuse).
+2 configuration error or a trace sink that cannot be written, 3 capsule
+diagnostic (budget, reentrancy, register misuse).
 """
 
 from __future__ import annotations
@@ -352,24 +352,27 @@ def run_simulation(board_path, app_paths, *, max_ticks: int = DEFAULT_MAX_TICKS,
                    seed: int = 0, trace_path=None,
                    err: Optional[TextIO] = None) -> int:
     """CLI entry: open the trace sink, then build, load and run, each event
-    going to the sink as it is logged. Returns the exit code; an
-    unwritable sink and configuration problems short-circuit with code 2,
-    and configuration problems still emit their diagnostics as trace
-    events. Diagnostics go to ``err``, by default the current stderr."""
+    going to the sink as it is logged. Returns the exit code: 2 for a sink
+    that fails to open, write, flush or close, and for configuration
+    problems, which still emit their diagnostics as trace events.
+    Diagnostics go to ``err``, by default the current stderr."""
     err = sys.stderr if err is None else err
-    if trace_path is None:
-        sink = contextlib.nullcontext(sys.stdout)
-    else:
-        try:
-            sink = open(trace_path, "w", encoding="utf-8", newline="")
-        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-            print(f"config error: cannot write trace: {exc}", file=err)
-            return 2
-    with sink as out:
-        try:
-            return _simulate(board_path, app_paths, max_ticks, seed, out, err)
-        finally:
-            _write_trace(out)
+    try:
+        if trace_path is None:
+            sink = contextlib.nullcontext(sys.stdout)
+        else:
+            try:
+                sink = open(trace_path, "w", encoding="utf-8", newline="")
+            except ValueError as exc:  # a NUL in the path
+                raise OSError(exc) from None
+        with sink as out:
+            try:
+                return _simulate(board_path, app_paths, max_ticks, seed, out, err)
+            finally:
+                _write_trace(out)
+    except OSError as exc:  # from the sink: a board or app file read raises ConfigError
+        print(f"config error: cannot write trace: {exc}", file=err)
+        return 2
 
 
 def _simulate(board_path, app_paths, max_ticks: int, seed: int, out: TextIO,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -43,7 +44,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # The reader of stdout has gone, as the run reported: let the flush
+        # at exit write to devnull (the SIGPIPE note in the Python docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

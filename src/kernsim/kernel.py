@@ -124,15 +124,6 @@ _FINALIZED = BoardPhase.FINALIZED
 
 
 @dataclass
-class PendingUpcall:
-    driver_id: int
-    subscribe_num: int
-    args: Tuple[int, int, int]
-    fn_id: str
-    userdata: int
-
-
-@dataclass
 class ProcessControlBlock:
     id: int
     name: str
@@ -142,12 +133,14 @@ class ProcessControlBlock:
     mpu: MpuConfig  # checks each access of the process; a grant replaces it
     state: ProcessState = ProcessState.UNSTARTED
     grant_watermark: int = 0  # grants grow downward from ram.end
-    upcall_queue: List[PendingUpcall] = field(default_factory=list)
     # Each share and grant with the note its accesses carry, encoded when
     # it is installed.
     allow_slots: Dict[Tuple[int, int, str], Tuple[MemoryRegion, str]] = \
         field(default_factory=dict)
     upcall_slots: Dict[Tuple[int, int], UpcallDescriptor] = field(default_factory=dict)
+    # The args of each slot's pending upcall, oldest first; it runs the
+    # handler its slot holds then, as a subscribe that succeeds drops it.
+    upcall_queue: Dict[Tuple[int, int], Tuple[int, int, int]] = field(default_factory=dict)
     grants: Dict[str, Tuple[MemoryRegion, str]] = field(default_factory=dict)
     # The last value a syscall returned, and the compact JSON text of its
     # record that the syscall_return event carried. An `expect` matches its
@@ -171,12 +164,11 @@ class ProcessControlBlock:
 class CarveAllocator:
     """First-fit allocator for process carve-outs in board RAM."""
 
-    def __init__(self, total: int, align: int = CARVE_ALIGN):
-        self.align = align
+    def __init__(self, total: int):
         self._free: List[Tuple[int, int]] = [(0, total)]
 
     def _pad(self, size: int) -> int:
-        return (size + self.align - 1) // self.align * self.align
+        return (size + CARVE_ALIGN - 1) // CARVE_ALIGN * CARVE_ALIGN
 
     def allocate(self, size: int) -> Optional[int]:
         if size == 0:
@@ -332,8 +324,8 @@ class LoaderJob:
     detail: str = ""
     pid: Optional[int] = None
     # The packer's parse, kept only for the payload and name it was made
-    # from.
-    packed: Optional[PackedApp] = None
+    # from, and handed to the runnability stage.
+    script: Optional[ScenarioScript] = None
 
 
 class ProcessLoader:
@@ -365,7 +357,7 @@ class ProcessLoader:
         if packed is not None and packed.script.name == name and \
                 packed.payload == job.payload:
             job.payload = packed.payload  # keep one copy of the bytes
-            job.packed = packed
+            job.script = packed.script
         self._transition(job, LoaderState.HEADER_CHECKED)
         self._transition(job, LoaderState.INTEGRITY_PENDING)
         if sync:
@@ -405,8 +397,7 @@ class ProcessLoader:
             return
         self._transition(job, LoaderState.INTEGRITY_CHECKED)
         pid, reason, detail = kernel.try_create_process(
-            job.header, job.payload, job.name,
-            job.packed.script if job.packed is not None else None)
+            job.header, job.payload, job.name, job.script)
         if pid is None:
             self._reject(job, reason, detail)
         else:
@@ -649,9 +640,7 @@ class Kernel:
         else:
             pcb.upcall_slots[key] = UpcallDescriptor(inv.fn_id, inv.userdata)
         # An upcall the slot queued before the swap never runs.
-        if pcb.upcall_queue:
-            pcb.upcall_queue[:] = [up for up in pcb.upcall_queue
-                                   if (up.driver_id, up.subscribe_num) != key]
+        pcb.upcall_queue.pop(key, None)
         return SyscallReturn.success_upcall(previous)
 
     def _sys_command(self, pcb: ProcessControlBlock,
@@ -695,35 +684,32 @@ class Kernel:
         if pcb is None or not pcb.live:
             log(actor, K_UPCALL_DROPPED, detail + '"reason":"dead process"}')
             return False
-        descriptor = pcb.upcall_slots.get((driver_id, subscribe_num), NULL_UPCALL)
-        if descriptor.is_null:
+        slot = (driver_id, subscribe_num)
+        if pcb.upcall_slots.get(slot, NULL_UPCALL).is_null:
             log(actor, K_UPCALL_DROPPED, detail + '"reason":"null subscription"}')
             return False
-        for queued in pcb.upcall_queue:
-            # Per-slot replacement: stale completions never pile up.
-            if (queued.driver_id, queued.subscribe_num) == (driver_id, subscribe_num):
-                queued.args = args
-                queued.fn_id = descriptor.fn_id
-                queued.userdata = descriptor.userdata
-                log(actor, K_UPCALL_QUEUED, detail + '"replaced":true}')
-                return True
-        if len(pcb.upcall_queue) >= self.upcall_queue_depth:
+        queue = pcb.upcall_queue
+        # Per-slot replacement: stale completions never pile up, and a
+        # replaced upcall keeps its place in the queue.
+        replaced = slot in queue
+        if not replaced and len(queue) >= self.upcall_queue_depth:
             log(actor, K_UPCALL_DROPPED, detail + '"reason":"queue full"}')
             return False
-        pcb.upcall_queue.append(PendingUpcall(driver_id, subscribe_num, args,
-                                              descriptor.fn_id,
-                                              descriptor.userdata))
-        log(actor, K_UPCALL_QUEUED, detail + '"replaced":false}')
+        queue[slot] = args
+        log(actor, K_UPCALL_QUEUED,
+            detail + ('"replaced":true}' if replaced else '"replaced":false}'))
         return True
 
     def _deliver_upcall(self, pcb: ProcessControlBlock) -> None:
-        up = pcb.upcall_queue.pop(0)
-        a0, a1, a2 = up.args
+        queue = pcb.upcall_queue
+        slot = next(iter(queue))
+        a0, a1, a2 = queue.pop(slot)
+        handler = pcb.upcall_slots[slot]
         self.trace.log(pcb.actor, K_UPCALL_RUN,
-                       f'{{"driver":{up.driver_id},"sub":{up.subscribe_num},'
-                       f'"fn":{encode_basestring_ascii(up.fn_id)},'
-                       f'"userdata":{up.userdata},"args":[{a0},{a1},{a2}]}}')
-        pcb.program.run_handler(self, pcb, up.fn_id)
+                       f'{{"driver":{slot[0]},"sub":{slot[1]},'
+                       f'"fn":{encode_basestring_ascii(handler.fn_id)},'
+                       f'"userdata":{handler.userdata},"args":[{a0},{a1},{a2}]}}')
+        pcb.program.run_handler(self, pcb, handler.fn_id)
 
     def _resume_yielded(self, pcb: ProcessControlBlock) -> None:
         """A yield-wait completes: run one queued upcall, then hand the

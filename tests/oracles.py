@@ -91,6 +91,80 @@ class OneSlotSwapModel:
         return previous
 
 
+class UpcallQueueModel:
+    """Reference model of one process's subscribe slots and upcall queue.
+
+    ``pending`` is an ordered map from slot ``(driver, sub)`` to the args
+    of the slot's pending upcall, kept as a list of ``[slot, args]`` pairs,
+    oldest first: a slot holds at most one. An upcall is dropped for a
+    ``dead process``, for a slot whose handler is ``null`` (never
+    subscribed counts as ``null``) and, when its slot has none pending,
+    for a ``queue full`` of ``depth`` slots; otherwise a repeat replaces
+    the slot's args where they stand. A subscribe that succeeds drops its
+    slot's pending upcall, and delivery pops the oldest and runs its
+    slot's handler as it is then. ``subscribes`` maps each driver id to
+    its number of subscribe slots; ``handlers`` are the process's handler
+    names. Methods return the records the trace and the syscall returns
+    carry, built as dicts.
+    """
+
+    def __init__(self, depth, handlers, subscribes, live=True):
+        self.depth = depth
+        self.handlers = set(handlers)
+        self.subscribes = dict(subscribes)
+        self.live = live
+        self.slots = {}  # slot -> (fn, userdata)
+        self.pending = []  # [slot, args] pairs, oldest first
+
+    def subscribe(self, slot, fn, userdata):
+        """The return record of a subscribe of ``fn`` to ``slot``."""
+        driver, sub = slot
+        if driver not in self.subscribes:
+            return {"variant": "failure", "err": "NODEVICE"}
+        if not 0 <= sub < self.subscribes[driver] or \
+                (fn != "null" and fn not in self.handlers):
+            return {"variant": "failure", "err": "INVAL"}
+        previous = self.slots.get(slot, ("null", 0))
+        self.slots[slot] = ("null", 0) if fn == "null" else (fn, userdata)
+        self.pending = [entry for entry in self.pending if entry[0] != slot]
+        if previous[0] == "null":
+            return {"variant": "success_upcall", "fn": "null"}
+        return {"variant": "success_upcall", "fn": previous[0],
+                "userdata": previous[1]}
+
+    def schedule(self, slot, args):
+        """The outcome an upcall_queued or upcall_dropped record ends in:
+        ``{"replaced": ...}`` or ``{"reason": ...}``."""
+        args = (list(args) + [0, 0, 0])[:3]
+        if not self.live:
+            return {"reason": "dead process"}
+        if self.slots.get(slot, ("null", 0))[0] == "null":
+            return {"reason": "null subscription"}
+        for entry in self.pending:
+            if entry[0] == slot:
+                entry[1] = args
+                return {"replaced": True}
+        if len(self.pending) >= self.depth:
+            return {"reason": "queue full"}
+        self.pending.append([slot, args])
+        return {"replaced": False}
+
+    def deliver(self):
+        """The upcall_run record of the oldest pending upcall, taken off
+        the queue, or None when nothing is pending."""
+        if not self.pending:
+            return None
+        (driver, sub), args = self.pending.pop(0)
+        fn, userdata = self.slots[driver, sub]
+        return {"driver": driver, "sub": sub, "fn": fn, "userdata": userdata,
+                "args": args}
+
+    def exit(self):
+        self.live = False
+        self.slots.clear()
+        self.pending.clear()
+
+
 def run_per_tick(board, max_ticks):
     """Reference run loop: one kernel loop step per clock tick.
 

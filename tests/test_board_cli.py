@@ -633,6 +633,41 @@ def test_unwritable_trace_path_is_exit_2_before_simulating(tmp_path, capsys,
     assert not (tmp_path / "no").exists()
 
 
+def _run_cli(*args, **kwargs):
+    return subprocess.run(
+        [sys.executable, "-m", "kernsim.cli", "run",
+         "--board", str(BOARDS_DIR / "demo.json"),
+         "--app", str(SCENARIOS_DIR / "alarm_fourcall.json"), *args],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), stderr=subprocess.PIPE,
+        text=True, timeout=60, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_trace_device_is_exit_2():
+    # Every write to /dev/full fails with ENOSPC, first seen when the
+    # buffered trace is flushed.
+    proc = _run_cli("--trace", "/dev/full", stdout=subprocess.DEVNULL)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: cannot write trace: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_a_closed_stdout_reader_is_exit_2():
+    # The read end of the pipe is closed before the run starts, so every
+    # write of the trace to stdout fails with EPIPE, the exit-time flush
+    # included.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_cli(stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: cannot write trace: ")
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+
+
 @pytest.mark.parametrize("mutate, key", [
     pytest.param(lambda cfg: cfg.update(max_proceses=2), "max_proceses",
                  id="board"),

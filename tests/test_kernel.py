@@ -13,7 +13,7 @@ from kernsim.abi import (
 )
 from kernsim.audit import parse_trace
 from kernsim.board import Board, BoardConfig, run_simulation
-from kernsim.capsules import CAPSULE_TYPES, AlarmDriver, Capsule
+from kernsim.capsules import CAPSULE_TYPES, AlarmDriver, Capsule, ProbeDriver
 from kernsim.errors import (
     PhaseError,
     ProcessDead,
@@ -25,7 +25,7 @@ from kernsim.scenario import parse_script
 
 from conftest import (AWKWARD_NAMES, BOARDS_DIR, make_board, script_source, trace_events,
                       uart_bytes)
-from oracles import OneSlotSwapModel
+from oracles import OneSlotSwapModel, UpcallQueueModel, return_record, upcall_record
 
 DRIVER_ALARM = 0
 DRIVER_CONSOLE = 1
@@ -388,12 +388,13 @@ def test_duplicate_upcall_replaces_in_place(board):
     pid = load_idle_process(board)
     kern = board.kernel
     pcb = kern.processes[pid]
-    subscribe(board, pcb, DRIVER_ALARM, 0)
+    for driver in (DRIVER_ALARM, DRIVER_CONSOLE):
+        subscribe(board, pcb, driver, 0)
     kern.schedule_upcall("alarm_driver", DRIVER_ALARM, pid, 0, [1, 0, 0])
+    kern.schedule_upcall("console", DRIVER_CONSOLE, pid, 0, [5])
     kern.schedule_upcall("alarm_driver", DRIVER_ALARM, pid, 0, [2, 0, 0])
-    queue = pcb.upcall_queue
-    assert len(queue) == 1
-    assert queue[0].args == (2, 0, 0)
+    assert list(pcb.upcall_queue.items()) == [((DRIVER_ALARM, 0), (2, 0, 0)),
+                                              ((DRIVER_CONSOLE, 0), (5, 0, 0))]
 
 
 def test_upcall_queue_depth_limit(board):
@@ -972,8 +973,78 @@ def test_subscribe_keeps_the_queued_upcalls_of_other_slots(board):
         subscribe(board, pcb, driver, 0)
         kern.schedule_upcall("test", driver, pid, 0, [1])
     assert subscribe(board, pcb, DRIVER_ALARM, 0, fn="h2").upcall.fn_id == "h1"
-    assert [(up.driver_id, up.fn_id) for up in pcb.upcall_queue] == \
-        [(DRIVER_CONSOLE, "h1")]
+    assert list(pcb.upcall_queue) == [(DRIVER_CONSOLE, 0)]
+    assert pcb.upcall_slots[DRIVER_CONSOLE, 0].fn_id == "h1"
+
+
+def test_upcall_queue_matches_its_reference_model(monkeypatch):
+    # Random subscribes (to a handler, to null, and ones that fail),
+    # capsule upcalls (to dead pids too), yields and exits on three
+    # processes; every upcall event and syscall return is the model's.
+    # Two subscribe slots on each probe give six slots to queue on.
+    monkeypatch.setattr(ProbeDriver, "NUM_SUBSCRIBES", 2)
+    subscribes = {DRIVER_ALARM: 1, DRIVER_CONSOLE: 1, DRIVER_PROBE_A: 2,
+                  DRIVER_PROBE_B: 2, DRIVER_MANAGER: 0}
+    slots = [(driver, sub) for driver, n in subscribes.items() for sub in range(n)]
+    unsubscribable = [(DRIVER_ALARM, 1), (DRIVER_MANAGER, 0), (9, 0)]
+    handlers = {"h1": [], "h2": []}
+    kinds = ("upcall_queued", "upcall_dropped", "upcall_run")
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(30):
+        depth = rng.choice((1, 2, 3, 8))
+        board = make_board(upcall_queue_depth=depth)
+        kern = board.kernel
+        pids = [board.load_app(script_source(
+            [{"op": "syscall", "call": {"class": "yield", "mode": "no_wait"}}],
+            handlers)).pid for _ in range(3)]
+        board.finalize()
+        kern.loop_step()  # each process starts and runs its yield
+        models = {pid: UpcallQueueModel(depth, handlers, subscribes) for pid in pids}
+        models[99] = UpcallQueueModel(depth, handlers, subscribes, live=False)
+        start = len(board.trace.out.getvalue())
+        expected = []
+        for _ in range(150):
+            op = rng.choices(("upcall", "subscribe", "yield", "exit"), (10, 4, 3, 0.2))[0]
+            live = [pid for pid in pids if models[pid].live]
+            if op == "upcall" or not live:
+                pid = rng.choice(sorted(models))
+                slot = rng.choice(slots + unsubscribable[:rng.randrange(2)])
+                model = models[pid]
+                args = [rng.randrange(2 ** 32) for _ in range(rng.randrange(5))]
+                outcome = model.schedule(slot, args)
+                queued = kern.schedule_upcall("cap", slot[0], pid, slot[1], args)
+                assert queued == ("replaced" in outcome)
+                expected.append(("capsule:cap", kinds[0] if queued else kinds[1],
+                                 upcall_record(pid, *slot, args, **outcome)))
+                seen.update(outcome.values())
+                continue
+            pid = rng.choice(live)
+            pcb, model = kern.processes[pid], models[pid]
+            if op == "subscribe":
+                slot = rng.choice(slots + unsubscribable)
+                fn = rng.choice(("h1", "h2", "h1", "h2", "null", "missing"))
+                userdata = rng.randrange(2 ** 32)
+                ret = kern.handle_syscall(
+                    pcb, SyscallInvocation.subscribe(*slot, fn, userdata))
+                assert return_record(ret) == model.subscribe(slot, fn, userdata)
+                seen.add(ret.variant.value)
+            elif op == "yield":
+                run = model.deliver()
+                ret = kern.handle_syscall(pcb, SyscallInvocation.yield_(YieldMode.NO_WAIT))
+                assert ret == SyscallReturn.success_value(int(run is not None))
+                if run is not None:
+                    expected.append((pcb.actor, kinds[2], run))
+                    seen.add("run")
+            else:
+                kern.handle_syscall(pcb, SyscallInvocation.exit())
+                model.exit()
+        assert [(e["actor"], e["kind"], e["payload"]) for e in parse_trace(
+            board.trace.out.getvalue()[start:].encode()) if e["kind"] in kinds] \
+            == expected
+    # The sequences reach every outcome the model knows.
+    assert seen == {"dead process", "null subscription", "queue full", False, True,
+                    "success_upcall", "failure", "run"}
 
 
 # --- pids only at the capsule boundary ------------------------------------------

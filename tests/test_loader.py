@@ -372,7 +372,7 @@ def test_a_wrong_header_digest_is_rejected_though_the_script_is_handed_over(
     wrong = fnv1a64(source) ^ 1
     job = submit(board, pack_binary(source, script.min_memory, digest=wrong),
                  script.name, PackedApp(source, script))
-    assert job.packed is not None
+    assert job.script is script
     board.run(100)
     assert job.state is LoaderState.REJECTED
     assert job.reject_reason is RejectReason.BAD_INTEGRITY
@@ -411,7 +411,7 @@ def test_the_loader_holds_no_job_after_the_run(mode):
             board.load_app(b'{"main": [], "min_memory": 1048576}'),
             board.load_app(script_source([], {}, 64, credential={"digest": 1}))]
     assert bad_header.reject_reason is RejectReason.BAD_HEADER
-    assert bad_header.packed is None
+    assert bad_header.script is None
     board.run(200)
     assert [job.state for job in jobs] == [LoaderState.RUNNABLE,
                                            LoaderState.REJECTED,
@@ -436,7 +436,7 @@ def test_the_kernel_parses_afresh_unless_payload_and_name_match(mode):
                         PackedApp(nameless, script))
     board.run(100)
     for job in (other_bytes, other_name):
-        assert job.packed is None
+        assert job.script is None
         assert job.state is LoaderState.RUNNABLE
         assert board.kernel.processes[job.pid].name == "loaded"
 

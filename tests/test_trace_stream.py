@@ -20,7 +20,6 @@ from kernsim.abi import (
 )
 from kernsim.board import run_simulation
 from kernsim.hw import InterruptController
-from kernsim.kernel import PendingUpcall
 from kernsim.scenario import parse_script
 from kernsim.trace import TraceLog
 
@@ -391,7 +390,8 @@ def test_upcall_run_text_is_the_compact_json_of_its_record():
     expected = []
     for i, fn in enumerate(AWKWARD_NAMES):
         args = (i, 2 ** 32 - 1, 0)
-        pcb.upcall_queue.append(PendingUpcall(1, 0, args, fn, 2 ** 32 - 1 - i))
+        pcb.upcall_slots[1, 0] = UpcallDescriptor(fn, 2 ** 32 - 1 - i)
+        pcb.upcall_queue[1, 0] = args
         kernel.handle_syscall(pcb, SyscallInvocation.yield_(YieldMode.NO_WAIT))
         expected.append((f"process:{pid}", "upcall_run",
                          upcall_run_record(1, 0, fn, 2 ** 32 - 1 - i, args)))
