@@ -47,42 +47,41 @@ def audit_zero_length_allows(events: List[Dict[str, Any]]) -> List[str]:
     that does not exist (NODEVICE or INVAL), to which no allow succeeds
     anywhere in the trace. No allow call of any length generates a memory
     access event (validation is pure arithmetic)."""
-    violations: List[str] = []
-    installed, refused = set(), []  # slots; (seq, slot, return) of failures
-    for i, event in enumerate(events):
-        if event["kind"] != "syscall":
+    # One pass. An allow waits in ``pending`` for its process's next
+    # event, which must be its return, with no memory traffic anywhere in
+    # the trace before it. ``outcomes`` holds, per allow in seq order, its
+    # violation or (seq, slot, return) of a refused zero-length allow.
+    outcomes: List[Any] = []
+    pending: Dict[str, tuple] = {}  # actor -> (outcome index, seq, call)
+    installed = set()
+    for event in events:
+        kind, actor = event["kind"], event["actor"]
+        if kind in ("mem_access", "mem_fault"):
+            for index, seq, _ in pending.values():
+                outcomes[index] = (f"seq {event['seq']}: memory access during "
+                                   f"an allow call (seq {seq})")
+            pending.clear()
             continue
-        call = _payload(event).get("call", {})
-        if call.get("class") not in ("rw_allow", "ro_allow"):
-            continue
-        actor = event["actor"]
-        # Find this process's next event: it must be the syscall return,
-        # with no memory traffic in between anywhere in the trace.
-        ret = None
-        for later in events[i + 1:]:
-            if later["kind"] in ("mem_access", "mem_fault"):
-                violations.append(
-                    f"seq {later['seq']}: memory access during an allow call "
-                    f"(seq {event['seq']})")
-                break
-            if later["actor"] == actor:
-                ret = later
-                break
-        if ret is None:
-            continue
-        if ret["kind"] != "syscall_return":
-            violations.append(
-                f"seq {event['seq']}: allow not followed by its return")
-            continue
-        slot = (call.get("class"), call.get("driver"), call.get("buf"))
-        record = _payload(ret).get("ret", {})
-        if record.get("variant") == "success_region":
-            installed.add(slot)
-        elif call.get("len") == 0:
-            refused.append((event["seq"], slot, record))
-    return violations + [
+        if actor in pending:
+            index, seq, call = pending.pop(actor)
+            if kind != "syscall_return":
+                outcomes[index] = f"seq {seq}: allow not followed by its return"
+            else:
+                slot = (call.get("class"), call.get("driver"), call.get("buf"))
+                record = _payload(event).get("ret", {})
+                if record.get("variant") == "success_region":
+                    installed.add(slot)
+                elif call.get("len") == 0:
+                    outcomes[index] = (seq, slot, record)
+        if kind == "syscall":
+            call = _payload(event).get("call", {})
+            if call.get("class") in ("rw_allow", "ro_allow"):
+                pending[actor] = (len(outcomes), event["seq"], call)
+                outcomes.append(None)
+    return [found for found in outcomes if isinstance(found, str)] + [
         f"seq {seq}: zero-length allow did not succeed (got {record.get('variant')})"
-        for seq, slot, record in refused
+        for seq, slot, record in (found for found in outcomes
+                                  if isinstance(found, tuple))
         if slot in installed or record.get("err") not in ("NODEVICE", "INVAL")]
 
 

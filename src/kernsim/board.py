@@ -30,7 +30,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, TextIO
 
-from .capabilities import CapabilityKind, CapabilityRegistry
+from .capabilities import BoardPhase, CapabilityKind, CapabilityRegistry
 from .capsules import CAPSULE_TYPES, validate_composition
 from .errors import (
     INVALID,
@@ -67,6 +67,10 @@ MAX_TICKS = Key(int, 0)
 MAX_RAM_SIZE = 16 * 1024 * 1024
 MAX_PROCESSES = 256
 MAX_BUFFER_SIZE = 64 * 1024
+# The longest board, app or register map file read. A script unrolls to
+# at most scenario.MAX_STATEMENTS statements, so no real input comes near
+# it; a file that never ends (such as /dev/zero) is refused at this length.
+MAX_INPUT_SIZE = 64 * 1024 * 1024
 
 # The model behind each known peripheral.
 _PERIPHERAL_MODELS = {"alarm": AlarmHw, "uart": UartHw, "hashengine": HashEngineHw}
@@ -174,9 +178,21 @@ class BoardConfig(SimpleNamespace):
 
 def _read(path: Path, what: str) -> bytes:
     try:
-        return path.read_bytes()
+        raw = _read_bounded(path)
     except (OSError, ValueError) as exc:  # ValueError: a NUL or lone surrogate
         raise ConfigError([f"cannot read {what}: {exc}"]) from None
+    if raw is None:
+        raise ConfigError([f"{what} {str(path)!r} is longer than "
+                           f"{MAX_INPUT_SIZE} bytes"])
+    return raw
+
+
+def _read_bounded(path) -> Optional[bytes]:
+    """The bytes of the file at ``path`` (a Path or a package resource),
+    or None when it holds more than MAX_INPUT_SIZE bytes."""
+    with path.open("rb") as f:
+        raw = f.read(MAX_INPUT_SIZE + 1)
+    return None if len(raw) > MAX_INPUT_SIZE else raw
 
 
 def _load_map(pname: str, map_ref: Optional[str], base_dir: Optional[Path],
@@ -186,14 +202,19 @@ def _load_map(pname: str, map_ref: Optional[str], base_dir: Optional[Path],
     register contract; else add the violations to v."""
     try:
         if map_ref is None:
-            raw = resources.files("kernsim").joinpath(f"maps/{pname}.json").read_bytes()
+            raw = _read_bounded(
+                resources.files("kernsim").joinpath(f"maps/{pname}.json"))
         else:
             path = Path(map_ref)
-            raw = (path if base_dir is None or path.is_absolute()
-                   else base_dir / path).read_bytes()
+            raw = _read_bounded(path if base_dir is None or path.is_absolute()
+                                else base_dir / path)
     except (OSError, ValueError):  # ValueError: a NUL or lone surrogate
         v.append(f"peripheral {pname!r} references a missing register map "
                  f"{map_ref!r}")
+        return
+    if raw is None:
+        v.append(f"register map {map_ref!r} for {pname!r} is longer than "
+                 f"{MAX_INPUT_SIZE} bytes")
         return
     try:
         spec = load_register_map(json.loads(raw))
@@ -275,8 +296,6 @@ class Board:
             irqc.set_handler(pcfgs["hashengine"]["irq"],
                              self.kernel.loader.on_hash_irq)
 
-        self._finalized = False
-
     @classmethod
     def from_dict(cls, data: Dict[str, Any], seed: int = 0,
                   base_dir: Optional[Path] = None) -> "Board":
@@ -285,7 +304,6 @@ class Board:
     def finalize(self) -> None:
         self.registry.finalize()
         self.trace.log(ACTOR_KERNEL, K_FINALIZED, {})
-        self._finalized = True
 
     # -- app loading ---------------------------------------------------------
 
@@ -312,7 +330,7 @@ class Board:
     # -- the run loop ------------------------------------------------------------
 
     def run(self, max_ticks: int = DEFAULT_MAX_TICKS) -> int:
-        if not self._finalized:
+        if self.registry.phase is BoardPhase.BUILDING:
             self.finalize()
         kernel, chip = self.kernel, self.chip
         clock, irqc = chip.clock, chip.irqc

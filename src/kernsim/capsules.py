@@ -201,20 +201,17 @@ class AlarmDriver(Capsule):
     CMD_SET = 1
     CMD_TIME = 2
 
-    def __init__(self, name: str, driver_id: int, virtualizer: AlarmVirtualizer,
-                 max_clients: int):
+    def __init__(self, name: str, driver_id: int, alarm: AlarmHw, max_clients: int):
         super().__init__(name, driver_id)
-        self.virt = virtualizer
+        # The driver's own virtualizer: slot i is its i-th client.
+        self.virt = AlarmVirtualizer(alarm)
         self._slot_pid: List[Optional[int]] = [None] * max_clients
-        self._client_ids: List[int] = []
         for i in range(max_clients):
-            cid = virtualizer.add_client(lambda now, slot=i: self._fire(slot, now))
-            self._client_ids.append(cid)
+            self.virt.add_client(lambda now, slot=i: self._fire(slot, now))
 
     @classmethod
     def build(cls, name, layer, deps, tokens):
-        return cls(name, layer["driver_id"], AlarmVirtualizer(deps.chip.alarm),
-                   deps.max_processes)
+        return cls(name, layer["driver_id"], deps.chip.alarm, deps.max_processes)
 
     def _slot_of(self, pid: int, allocate: bool) -> Optional[int]:
         for i, owner in enumerate(self._slot_pid):
@@ -243,7 +240,7 @@ class AlarmDriver(Capsule):
             slot = self._slot_of(pid, allocate=True)
             if slot is None:
                 return SyscallReturn.failure(ErrorCode.RESERVE)
-            self.virt.set_alarm(self._client_ids[slot], deadline)
+            self.virt.set_alarm(slot, deadline)
             return SyscallReturn.success()
         if cmd == self.CMD_TIME:
             return SyscallReturn.success_value(self.kern.now() & TICK_MASK)
@@ -270,7 +267,7 @@ class AlarmDriver(Capsule):
     def on_process_exit(self, pid: int) -> None:
         slot = self._slot_of(pid, allocate=False)
         if slot is not None:
-            self.virt.disarm(self._client_ids[slot])
+            self.virt.disarm(slot)
             self._slot_pid[slot] = None
 
 

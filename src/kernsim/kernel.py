@@ -15,12 +15,12 @@ kernel owns the slots. A capsule reaches process memory only through a
 :class:`ScopedRegion`, one view of a grant allocation or of an allowed
 buffer that is handed to a visitor and invalidated when it returns.
 
-Inside the kernel a process is named by its control block: the
-interpreter hands over the PCB it runs, and pids appear only at the
-capsule boundary, where a capsule names a process to visit its grant or
-an allowed buffer, or to schedule an upcall. Nor does the memory
-controller name processes: a PCB hands its own MPU configuration to each
-access it makes, and holds each share and grant with its trace note.
+Inside the kernel a process is named by its control block: a script's
+compiled steps hand over the PCB of the process that runs them, and pids
+appear only at the capsule boundary, where a capsule names a process to
+visit its grant or an allowed buffer, or to schedule an upcall. Nor does the
+memory controller name processes: a PCB hands its own MPU configuration to
+each access it makes, and holds each share and grant with its trace note.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ from .memory import (
     MemoryRegion,
     MpuConfig,
 )
-from .scenario import ProcessProgram, ScenarioScript, Stmt, parse_script_bytes
+from .scenario import ProcessProgram, ScenarioScript, parse_script_bytes
 from .trace import (
     ACTOR_KERNEL,
     K_CAPSULE_ERROR,
@@ -806,13 +806,14 @@ class Kernel:
             self._fault(pcb, f"read_local at offset {offset}")
             return None
 
-    def record_expect(self, pcb: ProcessControlBlock, stmt: Stmt) -> None:
-        """Match an expect statement's pattern against the last return,
-        and log the pattern's text as the statement carries it."""
+    def record_expect(self, pcb: ProcessControlBlock, pattern: Dict[str, Any],
+                      text: str) -> None:
+        """Match an expect's pattern against the last return, and log
+        ``text``, the pattern as the trace writes it."""
         passed = pcb.last_return is not None and \
-            match_return(stmt.pattern, pcb.last_return)
+            match_return(pattern, pcb.last_return)
         self.trace.log(pcb.actor, K_EXPECT,
-                       f'{{"pattern":{stmt.text},'
+                       f'{{"pattern":{text},'
                        f'"actual":{pcb.last_return_text or "null"},'
                        f'"pass":{"true" if passed else "false"}}}')
         if not passed:

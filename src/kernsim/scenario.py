@@ -2,15 +2,15 @@
 
 A scenario file gives a process a `main` statement list and a table of
 named upcall handlers. Statements either issue system calls, check the
-last return value against a pattern, or touch process-local memory
-(which goes through the MPU like any other process access). Loops are
-unrolled, the `sync_command` macro is expanded, every system call is
-decoded and every expect's pattern is encoded as the trace's compact JSON
-at parse time, once per script statement: an unrolled loop repeats the
-statements of its body. The interpreter only ever walks a flat list of
-decoded statements and hands the kernel the control block of the process
-it runs; the one thing left for run time is adding that process's segment
-base to an allow's base.
+last return value against a pattern, or touch process-local memory (which
+goes through the MPU like any other process access). At parse time, loops
+are unrolled, the `sync_command` macro is expanded, and each statement is
+compiled into its step: the function of its kind bound to the arguments
+that kind uses, such as a decoded system call, or an expect's pattern
+with its compact JSON text. An unrolled loop repeats the steps of its
+body. A process runs a step with the kernel and its own control block;
+the one rule left for run time is that an allow adds that process's ram
+or flash base to its base.
 
 Upcall handlers run to completion and may not yield; that is checked at
 parse time, not discovered at runtime.
@@ -21,10 +21,10 @@ from __future__ import annotations
 import binascii
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, NamedTuple, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .abi import ALLOW_CLASSES, ARGS, REGISTER, SYSCALL, U32_MAX, \
-    SyscallClass, SyscallInvocation, YieldMode, invocation
+from .abi import ARGS, REGISTER, SYSCALL, U32_MAX, SyscallClass, \
+    SyscallInvocation, YieldMode, invocation
 from .errors import INVALID, Key, Schema, ScenarioError, walk, where
 from .trace import encode_json
 
@@ -32,15 +32,40 @@ MAX_STATEMENTS = 200_000
 DEFAULT_MIN_MEMORY = 1024
 
 
-class Stmt(NamedTuple):
-    op: str
-    inv: Optional[SyscallInvocation] = None
-    seg: str = "ram"  # what an allow's base is relative to
-    pattern: Optional[Dict[str, Any]] = None
-    text: str = ""  # an expect's pattern as the trace writes it
-    offset: int = 0
-    data: bytes = b""
-    len: int = 0
+# A compiled statement: (run, a, b), a and b being the arguments its kind
+# uses (None where it uses fewer). run(kern, pcb, a, b) runs it for the
+# process of control block pcb, and returns True when it ends the quantum.
+Step = Tuple[Callable[..., bool], Any, Any]
+
+
+def _syscall(kern, pcb, inv: SyscallInvocation, seg: Optional[str]) -> bool:
+    """Make the call. An allow's base is relative to the process's
+    ``seg``, "ram" or "flash"; any other call, or an absolute one, has none."""
+    if seg is not None:
+        region = pcb.ram if seg == "ram" else pcb.flash
+        inv = inv._replace(base=region.base + inv.base)
+    kern.handle_syscall(pcb, inv)
+    return True
+
+
+def _expect(kern, pcb, pattern: Dict[str, Any], text: str) -> bool:
+    kern.record_expect(pcb, pattern, text)
+    return False
+
+
+def _write_local(kern, pcb, offset: int, data: bytes) -> bool:
+    kern.process_local_write(pcb, offset, data)
+    return False
+
+
+def _read_local(kern, pcb, offset: int, length: int) -> bool:
+    kern.process_local_read(pcb, offset, length)
+    return False
+
+
+def _halt(kern, pcb, _a, _b) -> bool:
+    kern.exit_process(pcb, "halt")
+    return True
 
 
 @dataclass
@@ -49,8 +74,8 @@ class ScenarioScript:
     min_memory: int
     key_id: int
     entry: str
-    main: List[Stmt]
-    handlers: Dict[str, List[Stmt]] = field(default_factory=dict)
+    main: List[Step]
+    handlers: Dict[str, List[Step]] = field(default_factory=dict)
     credential_digest: Optional[int] = None  # explicit override; None = computed
 
 
@@ -81,22 +106,17 @@ SCENARIO: Schema = {
     "main": Key(list, default=()),
     "handlers": Key(dict, default={}, item=Key(list)),
 }
-_WAIT = Stmt("syscall", inv=SyscallInvocation.yield_(YieldMode.WAIT))
-
-
-def _expect(pattern: Dict[str, Any]) -> Stmt:
-    return Stmt("expect", pattern=pattern, text=encode_json(pattern))
-
-
-_EXPECT_SUCCESS = _expect({"variant": "success"})
+_WAIT = (_syscall, SyscallInvocation.yield_(YieldMode.WAIT), None)
+_SUCCESS = {"variant": "success"}
+_EXPECT_SUCCESS = (_expect, _SUCCESS, encode_json(_SUCCESS))
 
 
 def _parse_statements(raw_list, path, in_handler: bool, budget: List[int],
-                      out: List[str]) -> List[Stmt]:
-    """The flat statements a list unrolls to, each checked against
+                      out: List[str]) -> List[Step]:
+    """The flat steps a list unrolls to, each statement checked against
     STATEMENT here, so that a loop nests one call deep. ``budget`` holds
     the statements the script may still unroll to."""
-    stmts: List[Stmt] = []
+    stmts: List[Step] = []
     for i, raw in enumerate(raw_list):
         here = (path, i)
         seen = len(out)
@@ -121,8 +141,9 @@ def _parse_statements(raw_list, path, in_handler: bool, budget: List[int],
             if in_handler and inv.klass is SyscallClass.YIELD:
                 out.append(f"{where(here)}: upcall handlers run to completion "
                            "and may not yield")
-            else:
-                stmts.append(Stmt("syscall", inv=inv, seg=call.get("seg", "ram")))
+            else:  # only an allow has a seg; an "abs" one adds no base
+                seg = call.get("seg")
+                stmts.append((_syscall, inv, None if seg == "abs" else seg))
         elif op == "write_local":
             try:
                 data = binascii.unhexlify(rec["data"])
@@ -130,21 +151,23 @@ def _parse_statements(raw_list, path, in_handler: bool, budget: List[int],
                 out.append(f"{where((here, 'data'))} must be hex, "
                            f"got {rec['data']!r}")
                 continue
-            stmts.append(Stmt("write_local", offset=rec["offset"], data=data))
+            stmts.append((_write_local, rec["offset"], data))
         elif op == "expect":
-            stmts.append(_expect(rec["pattern"]))
-        elif op != "sync_command":  # read_local or halt
-            stmts.append(Stmt(**rec))
+            stmts.append((_expect, rec["pattern"], encode_json(rec["pattern"])))
+        elif op == "read_local":
+            stmts.append((_read_local, rec["offset"], rec["len"]))
+        elif op == "halt":
+            stmts.append((_halt, None, None))
         elif in_handler:
             out.append(f"{where(here)}: sync_command yields and cannot appear "
                        "in a handler")
         else:  # subscribe, command, wait, expect
             driver = rec["driver"]
             stmts += (
-                Stmt("syscall", inv=SyscallInvocation.subscribe(
-                    driver, rec["sub"], rec["fn"], rec["userdata"])),
-                Stmt("syscall", inv=SyscallInvocation.command(
-                    driver, rec["cmd"], *rec["args"])),
+                (_syscall, SyscallInvocation.subscribe(
+                    driver, rec["sub"], rec["fn"], rec["userdata"]), None),
+                (_syscall, SyscallInvocation.command(
+                    driver, rec["cmd"], *rec["args"]), None),
                 _WAIT, _EXPECT_SUCCESS)
     return stmts
 
@@ -183,54 +206,30 @@ def parse_script_bytes(blob: bytes, name: str = "app") -> ScenarioScript:
 
 
 class ProcessProgram:
-    """Runtime interpreter state for one process's script."""
+    """The steps of one process's script, and how far it has run."""
 
     def __init__(self, script: ScenarioScript):
-        self.statements = script.main
+        self.steps = script.main
         self.handlers = script.handlers
         self.pc = 0
 
-    # The kernel drives execution; `kern` is the kernel and `pcb` the
-    # process control block. One call to advance() is one quantum: it runs
-    # local statements freely and stops after the first system call (or
-    # when the process leaves the Running state).
-
     def advance(self, kern, pcb) -> None:
+        """One quantum of the process whose control block is ``pcb``: run
+        steps until a system call or halt ends it, or the process leaves
+        the Running state."""
+        steps = self.steps
         while pcb.state == "running":
-            if self.pc >= len(self.statements):
+            if self.pc >= len(steps):
                 kern.exit_process(pcb, "end of program")
                 return
-            stmt = self.statements[self.pc]
+            run, a, b = steps[self.pc]
             self.pc += 1
-            if self._exec(kern, pcb, stmt):
+            if run(kern, pcb, a, b):
                 return
-
-    def _exec(self, kern, pcb, stmt: Stmt) -> bool:
-        """Run one statement; returns True if it consumed the quantum."""
-        if stmt.op == "syscall":
-            inv = stmt.inv
-            if inv.klass in ALLOW_CLASSES and stmt.seg != "abs":
-                region = pcb.ram if stmt.seg == "ram" else pcb.flash
-                inv = inv._replace(base=region.base + inv.base)
-            kern.handle_syscall(pcb, inv)
-            return True
-        if stmt.op == "expect":
-            kern.record_expect(pcb, stmt)
-            return False
-        if stmt.op == "write_local":
-            kern.process_local_write(pcb, stmt.offset, stmt.data)
-            return False
-        if stmt.op == "read_local":
-            kern.process_local_read(pcb, stmt.offset, stmt.len)
-            return False
-        if stmt.op == "halt":
-            kern.exit_process(pcb, "halt")
-            return True
-        raise AssertionError(f"unreachable statement op {stmt.op!r}")
 
     def run_handler(self, kern, pcb, fn_id: str) -> None:
         """Execute an upcall handler to completion (handlers cannot yield)."""
-        for stmt in self.handlers.get(fn_id, []):
+        for run, a, b in self.handlers.get(fn_id, []):
             if pcb.state != "running":
                 return
-            self._exec(kern, pcb, stmt)
+            run(kern, pcb, a, b)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from kernsim import board as board_module
 from kernsim.audit import parse_trace, run_all_audits
 from kernsim.board import (
     MAX_BUFFER_SIZE,
@@ -556,6 +557,40 @@ def test_unparsable_file_is_exit_2_at_check_and_run(tmp_path, capsys, where,
     events = parse_trace(trace_path.read_bytes())
     assert events[-1]["kind"] == "config_error"
     assert "does not parse" in events[-1]["payload"]["violation"]
+
+
+@pytest.mark.parametrize("where, path", [
+    ("board", None), ("map", None), ("app", None),
+    ("board", "/dev/zero"), ("app", "/dev/zero"),
+])
+def test_file_longer_than_the_input_bound_is_exit_2_at_check_and_run(
+        tmp_path, capsys, monkeypatch, where, path):
+    # Each file is valid JSON, padded past the bound; /dev/zero never ends.
+    if path is not None and not os.path.exists(path):
+        pytest.skip(f"{path} is absent")
+    monkeypatch.setattr(board_module, "MAX_INPUT_SIZE", 1024)
+    cfg = minimal_board_dict()
+    cfg["peripherals"]["alarm"]["map"] = "m.json"
+    files = {"board": tmp_path / "board.json", "map": tmp_path / "m.json",
+             "app": tmp_path / "app.json"}
+    texts = {"board": json.dumps(cfg), "map": _alarm_map(),
+             "app": json.dumps({"name": "app", "main": [{"op": "halt"}]})}
+    for name, text in texts.items():
+        files[name].write_text(text.ljust(2048) if name == where else text)
+    board_path = path if where == "board" and path else str(files["board"])
+    app = path if where == "app" and path else str(files["app"])
+    named = {"board": f"board file {board_path!r}", "app": f"app file {app!r}",
+             "map": "register map 'm.json' for 'alarm'"}[where]
+    trace_path = tmp_path / "t.jsonl"
+    assert cli_main(["check", "--board", board_path]) == \
+        (0 if where == "app" else 2)
+    assert cli_main(["run", "--board", board_path, "--app", app,
+                     "--trace", str(trace_path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    events = parse_trace(trace_path.read_bytes())
+    assert events[-1]["kind"] == "config_error"
+    assert events[-1]["payload"]["violation"] == \
+        f"{named} is longer than 1024 bytes"
 
 
 @pytest.mark.parametrize("where", ["board", "app"])

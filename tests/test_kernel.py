@@ -902,8 +902,8 @@ def test_expect_logs_each_pattern_text_in_order(board):
         {"op": "loop", "count": 3,
          "body": [{"op": "expect", "pattern": p} for p in looped]}] +
         [{"op": "expect", "pattern": p} for p in distinct]})
-    for stmt in script.main:
-        board.kernel.record_expect(pcb, stmt)
+    for run, pattern, text in script.main:
+        assert run(board.kernel, pcb, pattern, text) is False  # it never ends a quantum
     expects = [e.payload for e in trace_events(board) if e.kind == "expect"]
     assert [e["pattern"] for e in expects] == looped * 3 + distinct
     assert {e["actual"] for e in expects} == {None}

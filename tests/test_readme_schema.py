@@ -1,11 +1,13 @@
 """README's "Board configuration" and "Scenario scripts" give one table
 per input object. Each table must list exactly the keys its schema
-names, and mark as required exactly the keys the schema requires."""
+names, and mark as required exactly the keys the schema requires.
+"Trace format" names every trace auditor."""
 
 import re
 from pathlib import Path
 
 from kernsim.abi import SYSCALL_RECORDS
+from kernsim.audit import ALL_AUDITS
 from kernsim.board import BOARD, LAYER
 from kernsim.regmap import REGISTER_MAP
 from kernsim.scenario import SCENARIO, STATEMENTS
@@ -61,3 +63,9 @@ def test_each_table_names_the_keys_of_its_schema():
         assert list(rows) == list(schema), name
         required = {key: rows[key] == "yes" for key in rows}
         assert required == {key: spec.required for key, spec in schema.items()}, name
+
+
+def test_trace_format_names_every_auditor():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Trace format"):text.index("## Tests")]
+    assert [name for name in ALL_AUDITS if f"- `{name}`: " not in section] == []

@@ -4,9 +4,10 @@ import pytest
 
 from kernsim import board as board_module
 from kernsim import kernel as kernel_module
+from kernsim.abi import SyscallInvocation, YieldMode
 from kernsim.errors import ScenarioError
 from kernsim.kernel import ProcessState
-from kernsim.scenario import parse_script, parse_script_bytes
+from kernsim.scenario import _expect, _halt, _syscall, parse_script, parse_script_bytes
 
 from conftest import make_board, script_source, trace_events
 
@@ -15,7 +16,7 @@ def test_parse_minimal_script():
     script = parse_script({"main": [{"op": "halt"}]})
     assert script.min_memory == 1024
     assert script.entry == "main"
-    assert [s.op for s in script.main] == ["halt"]
+    assert script.main == [(_halt, None, None)]
 
 
 def test_loops_unroll_at_parse():
@@ -24,7 +25,7 @@ def test_loops_unroll_at_parse():
             {"op": "syscall", "call": {"class": "command", "driver": 0,
                                        "cmd": 2}}]}]})
     assert len(script.main) == 3
-    assert all(s.op == "syscall" for s in script.main)
+    assert script.main == [(_syscall, SyscallInvocation.command(0, 2), None)] * 3
 
 
 def test_nested_loops_multiply():
@@ -43,7 +44,7 @@ def test_unroll_budget_enforced():
 def test_empty_loop_body_unrolls_to_nothing_whatever_the_count():
     script = parse_script({"main": [{"op": "loop", "count": 2 ** 80, "body": []},
                                     {"op": "halt"}]})
-    assert [s.op for s in script.main] == ["halt"]
+    assert script.main == [(_halt, None, None)]
 
 
 def test_sync_command_macro_expands_to_four_calls():
@@ -51,14 +52,11 @@ def test_sync_command_macro_expands_to_four_calls():
         {"op": "sync_command", "driver": 0, "cmd": 1, "args": [500, 0],
          "fn": "on_alarm"}],
         "handlers": {"on_alarm": []}})
-    ops = [(s.op, s.inv and s.inv.klass.value,
-            s.inv and s.inv.yield_mode and s.inv.yield_mode.value)
-           for s in script.main]
-    assert ops == [
-        ("syscall", "subscribe", None),
-        ("syscall", "command", None),
-        ("syscall", "yield", "wait"),
-        ("expect", None, None),
+    assert script.main == [
+        (_syscall, SyscallInvocation.subscribe(0, 0, "on_alarm", 0), None),
+        (_syscall, SyscallInvocation.command(0, 1, 500, 0), None),
+        (_syscall, SyscallInvocation.yield_(YieldMode.WAIT), None),
+        (_expect, {"variant": "success"}, '{"variant":"success"}'),
     ]
 
 
@@ -213,8 +211,8 @@ def test_handler_statements_run_inside_delivery():
 
 
 def test_allow_in_a_loop_resolves_against_each_running_process(monkeypatch):
-    # Both processes share one parsed script, so the loop body's two Stmt
-    # objects run three times in each process; every run must resolve
+    # Both processes share one parsed script, so the loop body's two steps
+    # run three times in each process; every run must resolve
     # its base afresh against the process that runs it. The packer parses
     # and hands its script to the kernel, so both parse through one cache.
     cached = functools.lru_cache()(parse_script_bytes)
@@ -232,7 +230,7 @@ def test_allow_in_a_loop_resolves_against_each_running_process(monkeypatch):
     board.load_app(source)
     assert board.run(100) == 0
     first, second = board.kernel.processes[1], board.kernel.processes[2]
-    assert first.program.statements is second.program.statements
+    assert first.program.steps is second.program.steps
     assert first.ram.base != second.ram.base
     assert first.flash.base != second.flash.base
     for pcb in (first, second):
@@ -242,9 +240,9 @@ def test_allow_in_a_loop_resolves_against_each_running_process(monkeypatch):
                   and "base" in e.payload["call"]]
         assert allows == [("rw_allow", pcb.ram.base + 16),
                           ("ro_allow", pcb.flash.base + 4)] * 3
-    body = first.program.statements[:2]
-    assert first.program.statements[:6] == body * 3
-    assert [(s.seg, s.inv.base) for s in body] == [("ram", 16), ("flash", 4)]
+    body = first.program.steps[:2]
+    assert first.program.steps[:6] == body * 3
+    assert [(seg, inv.base) for _, inv, seg in body] == [("ram", 16), ("flash", 4)]
 
 
 def test_expect_after_yield_no_wait_sees_the_yield_not_the_handler():

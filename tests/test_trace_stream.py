@@ -236,8 +236,9 @@ def test_mem_access_and_expect_texts_are_the_compact_json_of_their_records():
             expected.append(("syscall_return", {"ret": record}))
             expected.append(("expect", {"pattern": pattern, "actual": record,
                                         "pass": passed}))
-            kernel.record_expect(pcb, parse_script(
-                {"main": [{"op": "expect", "pattern": pattern}]}).main[0])
+            run, *args = parse_script(
+                {"main": [{"op": "expect", "pattern": pattern}]}).main[0]
+            run(kernel, pcb, *args)
             continue
         expected.append(("mem_access", dict(access, **note)))
     lines = list(_lines_as_records(board.trace.out.getvalue()[start:],
