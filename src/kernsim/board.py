@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -71,6 +72,10 @@ MAX_BUFFER_SIZE = 64 * 1024
 # at most scenario.MAX_STATEMENTS statements, so no real input comes near
 # it; a file that never ends (such as /dev/zero) is refused at this length.
 MAX_INPUT_SIZE = 64 * 1024 * 1024
+# The size of the first read of an input file: it holds every shipped
+# input, and stays below the size from which the C allocator maps fresh
+# pages for a buffer.
+_FIRST_READ = 128 * 1024
 
 # The model behind each known peripheral.
 _PERIPHERAL_MODELS = {"alarm": AlarmHw, "uart": UartHw, "hashengine": HashEngineHw}
@@ -189,9 +194,14 @@ def _read(path: Path, what: str) -> bytes:
 
 def _read_bounded(path) -> Optional[bytes]:
     """The bytes of the file at ``path`` (a Path or a package resource),
-    or None when it holds more than MAX_INPUT_SIZE bytes."""
+    or None when it holds more than MAX_INPUT_SIZE bytes. A read of n bytes
+    allocates n, so the bounded read runs only when a small first read
+    fills its buffer."""
     with path.open("rb") as f:
-        raw = f.read(MAX_INPUT_SIZE + 1)
+        first = min(_FIRST_READ, MAX_INPUT_SIZE + 1)
+        raw = f.read(first)
+        if len(raw) == first:
+            raw += f.read(MAX_INPUT_SIZE + 1 - first)
     return None if len(raw) > MAX_INPUT_SIZE else raw
 
 
@@ -370,11 +380,22 @@ def run_simulation(board_path, app_paths, *, max_ticks: int = DEFAULT_MAX_TICKS,
                    seed: int = 0, trace_path=None,
                    err: Optional[TextIO] = None) -> int:
     """CLI entry: open the trace sink, then build, load and run, each event
-    going to the sink as it is logged. Returns the exit code: 2 for a sink
-    that fails to open, write, flush or close, and for configuration
-    problems, which still emit their diagnostics as trace events.
-    Diagnostics go to ``err``, by default the current stderr."""
+    going to the sink as it is logged. Returns the exit code: 2 for a
+    trace path that names the board or an app file (refused before the
+    sink opens, so no input is overwritten), for a sink that fails to
+    open, write, flush or close, and for configuration problems, which
+    still emit their diagnostics as trace events. Diagnostics go to
+    ``err``, by default the current stderr."""
     err = sys.stderr if err is None else err
+    for path in (board_path, *app_paths) if trace_path is not None else ():
+        try:
+            aliased = os.path.samefile(trace_path, path)
+        except (OSError, ValueError):  # a missing path, or one with a NUL
+            aliased = False
+        if aliased:
+            print(f"config error: trace file {str(trace_path)!r} is the "
+                  f"input file {str(path)!r}", file=err)
+            return 2
     try:
         if trace_path is None:
             sink = contextlib.nullcontext(sys.stdout)

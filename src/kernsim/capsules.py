@@ -5,14 +5,13 @@ are handed at attach time (scoped buffer visitors, grants, upcall
 scheduling) and the register files of the peripherals they were built
 over. They never receive raw process memory or storable buffer handles.
 
-Also here: the alarm virtualizer that multiplexes one hardware compare
-register across many clients, and configuration-time composition
-validation for capsule stacks.
+Also here: configuration-time composition validation for capsule stacks.
+The alarm driver multiplexes the one hardware compare register across
+the processes that arm alarms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Type
 
 from .abi import ErrorCode, SyscallReturn
@@ -112,74 +111,7 @@ class Capsule:
         pass
 
 
-# --- alarm virtualizer ------------------------------------------------------------
-
-@dataclass
-class AlarmClientEntry:
-    client_id: int
-    callback: Callable[[int], None]
-    deadline: int = 0
-    armed: bool = False
-
-
-class AlarmVirtualizer:
-    """Multiplexes one hardware alarm across many clients.
-
-    The hardware compare register always holds the armed deadline that
-    will fire soonest (wraparound-aware); when the hardware fires, every
-    client whose deadline has passed is delivered, in registration order,
-    and the compare is re-armed for the next minimum.
-    """
-
-    def __init__(self, hw: AlarmHw):
-        self.hw = hw
-        self.entries: List[AlarmClientEntry] = []
-
-    def add_client(self, callback: Callable[[int], None]) -> int:
-        """Register a client; only valid during board construction."""
-        entry = AlarmClientEntry(len(self.entries), callback)
-        self.entries.append(entry)
-        return entry.client_id
-
-    def set_alarm(self, client_id: int, deadline: int) -> None:
-        entry = self.entries[client_id]
-        entry.deadline = deadline & TICK_MASK
-        entry.armed = True
-        self._program()
-
-    def disarm(self, client_id: int) -> None:
-        self.entries[client_id].armed = False
-        self._program()
-
-    def handle_irq(self) -> None:
-        now = self.hw.count
-        due = [e for e in self.entries if e.armed and tick_passed(now, e.deadline)]
-        for entry in due:
-            entry.armed = False
-        for entry in due:  # registration order: entries list is never reordered
-            entry.callback(now)
-        self._program()
-
-    def _distance(self, now: int, deadline: int) -> int:
-        if tick_passed(now, deadline):
-            return 0
-        return (deadline - now) & TICK_MASK
-
-    def _program(self) -> None:
-        armed = [e for e in self.entries if e.armed]
-        if not armed:
-            self.hw.regs.field_set("CTRL", "IRQEN", 0)
-            return
-        now = self.hw.count
-        best = min(armed, key=lambda e: self._distance(now, e.deadline))
-        # COMPARE first: it reopens the fire latch while the IRQ is still
-        # masked, so a stale compare value cannot fire spuriously.
-        self.hw.regs.write_reg("COMPARE", best.deadline)
-        self.hw.regs.field_set("CTRL", "ENABLE", 1)
-        self.hw.regs.field_set("CTRL", "IRQEN", 1)
-
-
-# --- drivers ------------------------------------------------------------------------
+# --- alarm driver -------------------------------------------------------------------
 
 # Grant layout for the alarm driver: armed flag at byte 0, 32-bit deadline
 # at bytes 4..8. The rest of the schema is reserved.
@@ -188,10 +120,18 @@ _ALARM_DEADLINE_OFF = 4
 
 
 class AlarmDriver(Capsule):
-    """Timer driver: deadline bookkeeping in grants, wakeups as upcalls.
+    """Timer driver: multiplexes the one hardware compare register across
+    processes, with deadline bookkeeping in grants and wakeups as upcalls.
+
+    A process takes the first free slot of the driver's table when it first
+    arms an alarm and holds it until it exits. COMPARE always holds the
+    armed deadline that comes soonest (wraparound-aware); when it fires,
+    every slot whose deadline has passed is delivered, in slot order, and
+    COMPARE is reprogrammed for the next one.
 
     Commands: 1 = arm an alarm at an absolute tick (arg0), 2 = read the
-    current tick. Subscribe slot 0 receives (fire_tick, deadline, 0).
+    alarm's COUNT, the frame deadlines are in. Subscribe slot 0 receives
+    (fire_tick, deadline, 0).
     """
 
     NUM_SUBSCRIBES = 1
@@ -203,27 +143,18 @@ class AlarmDriver(Capsule):
 
     def __init__(self, name: str, driver_id: int, alarm: AlarmHw, max_clients: int):
         super().__init__(name, driver_id)
-        # The driver's own virtualizer: slot i is its i-th client.
-        self.virt = AlarmVirtualizer(alarm)
-        self._slot_pid: List[Optional[int]] = [None] * max_clients
-        for i in range(max_clients):
-            self.virt.add_client(lambda now, slot=i: self._fire(slot, now))
+        self.hw = alarm
+        # Slot i: [pid holding it or None, its armed deadline or None].
+        self._slots: List[List[Optional[int]]] = [[None, None]
+                                                  for _ in range(max_clients)]
 
     @classmethod
     def build(cls, name, layer, deps, tokens):
         return cls(name, layer["driver_id"], deps.chip.alarm, deps.max_processes)
 
-    def _slot_of(self, pid: int, allocate: bool) -> Optional[int]:
-        for i, owner in enumerate(self._slot_pid):
-            if owner == pid:
-                return i
-        if not allocate:
-            return None
-        for i, owner in enumerate(self._slot_pid):
-            if owner is None:
-                self._slot_pid[i] = pid
-                return i
-        return None
+    def _slot_of(self, pid: Optional[int]) -> Optional[List[Optional[int]]]:
+        """The first slot held by pid; with None, the first free slot."""
+        return next((slot for slot in self._slots if slot[0] == pid), None)
 
     def command(self, cmd: int, arg0: int, arg1: int, pid: int) -> SyscallReturn:
         if cmd == self.CMD_SET:
@@ -237,23 +168,27 @@ class AlarmDriver(Capsule):
                 self.kern.grant_enter(pid, arm)
             except GrantNoMem:
                 return SyscallReturn.failure(ErrorCode.NOMEM)
-            slot = self._slot_of(pid, allocate=True)
+            slot = self._slot_of(pid) or self._slot_of(None)
             if slot is None:
                 return SyscallReturn.failure(ErrorCode.RESERVE)
-            self.virt.set_alarm(slot, deadline)
+            slot[:] = pid, deadline
+            self._program()
             return SyscallReturn.success()
         if cmd == self.CMD_TIME:
-            return SyscallReturn.success_value(self.kern.now() & TICK_MASK)
+            return SyscallReturn.success_value(self.hw.count)
         return SyscallReturn.failure(ErrorCode.NOSUPPORT)
 
     def handle_interrupt(self) -> None:
-        self.virt.handle_irq()
+        now = self.hw.count
+        due = [slot for slot in self._slots
+               if slot[1] is not None and tick_passed(now, slot[1])]
+        for slot in due:
+            slot[1] = None
+        for slot in due:
+            self._fire(slot[0], now)
+        self._program()
 
-    def _fire(self, slot: int, now: int) -> None:
-        pid = self._slot_pid[slot]
-        if pid is None:
-            return
-
+    def _fire(self, pid: int, now: int) -> None:
         def complete(grant):
             grant.write_u8(_ALARM_ARMED_OFF, 0)
             return grant.read_u32(_ALARM_DEADLINE_OFF)
@@ -264,11 +199,30 @@ class AlarmDriver(Capsule):
             return  # process died between fire and delivery
         self.kern.schedule_upcall(pid, 0, [now & TICK_MASK, deadline, 0])
 
+    def _distance(self, now: int, deadline: int) -> int:
+        if tick_passed(now, deadline):
+            return 0
+        return (deadline - now) & TICK_MASK
+
+    def _program(self) -> None:
+        armed = [deadline for _, deadline in self._slots if deadline is not None]
+        if not armed:
+            self.hw.regs.field_set("CTRL", "IRQEN", 0)
+            return
+        now = self.hw.count
+        best = min(armed, key=lambda deadline: self._distance(now, deadline))
+        # COMPARE first: it reopens the fire latch while the IRQ is still
+        # masked, so a stale compare value cannot fire spuriously.
+        self.hw.regs.write_reg("COMPARE", best)
+        self.hw.regs.field_set("CTRL", "ENABLE", 1)
+        self.hw.regs.field_set("CTRL", "IRQEN", 1)
+
     def on_process_exit(self, pid: int) -> None:
-        slot = self._slot_of(pid, allocate=False)
+        slot = self._slot_of(pid)
         if slot is not None:
-            self.virt.disarm(slot)
-            self._slot_pid[slot] = None
+            slot[1] = None
+            self._program()
+            slot[0] = None
 
 
 class ConsoleDriver(Capsule):

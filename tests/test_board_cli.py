@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -242,6 +243,26 @@ def test_cli_subprocess_entry_point(tmp_path):
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert trace_path.exists()
+
+
+@pytest.mark.parametrize("board, apps", [
+    ("demo.json", ["demo_a.json", "demo_b.json"]),
+    ("demo_sync.json", ["manager_victim.json", "manager_killer.json"]),
+])
+def test_trace_does_not_depend_on_the_hash_seed(board, apps):
+    # str hashing, and so set and dict-of-set iteration, changes with
+    # PYTHONHASHSEED; the trace must not.
+    digests = set()
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "kernsim.cli", "run",
+             "--board", str(BOARDS_DIR / board),
+             *(arg for app in apps for arg in ("--app", str(SCENARIOS_DIR / app)))],
+            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed),
+            capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(hashlib.sha256(proc.stdout).hexdigest())
+    assert len(digests) == 1
 
 
 def test_shipped_scenarios_all_run_clean_and_pass_audits(tmp_path):
@@ -591,6 +612,101 @@ def test_file_longer_than_the_input_bound_is_exit_2_at_check_and_run(
     assert events[-1]["kind"] == "config_error"
     assert events[-1]["payload"]["violation"] == \
         f"{named} is longer than 1024 bytes"
+
+
+class _RecordingPath:
+    """A path whose opened file records the size each read asks for."""
+
+    def __init__(self, path):
+        self.path = path
+        self.sizes = []
+
+    def open(self, mode):
+        f = self.path.open(mode)
+        sizes = self.sizes
+
+        class Recording:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                f.close()
+
+            def read(self, n=-1):
+                sizes.append(n)
+                return f.read(n)
+
+        return Recording()
+
+
+def test_reading_a_small_file_asks_for_no_more_than_the_first_chunk():
+    # A read of n bytes allocates n, so asking for the input bound would
+    # allocate 64 MiB for each file.
+    path = _RecordingPath(BOARDS_DIR / "demo.json")
+    assert board_module._read_bounded(path) == \
+        (BOARDS_DIR / "demo.json").read_bytes()
+    assert max(path.sizes) < board_module.MAX_INPUT_SIZE
+    assert path.sizes == [board_module._FIRST_READ]
+
+
+@pytest.mark.parametrize("size", [99, 100, 101, 300, 301, 302])
+def test_a_file_past_the_first_chunk_is_read_to_the_input_bound(
+        tmp_path, monkeypatch, size):
+    monkeypatch.setattr(board_module, "_FIRST_READ", 100)
+    monkeypatch.setattr(board_module, "MAX_INPUT_SIZE", 300)
+    data = bytes(range(256)) * 2
+    path = tmp_path / "f.bin"
+    path.write_bytes(data[:size])
+    assert board_module._read_bounded(path) == \
+        (data[:size] if size <= 300 else None)
+
+
+@pytest.mark.parametrize("alias", ["same", "dot", "symlink", "hardlink"])
+@pytest.mark.parametrize("role", ["board", "app"])
+def test_a_trace_path_naming_an_input_is_refused_and_writes_nothing(
+        tmp_path, capsys, monkeypatch, role, alias):
+    monkeypatch.chdir(tmp_path)
+    names = {"board": "b.json", "app_a": "a.json", "app_b": "c.json"}
+    sources = {"board": BOARDS_DIR / "demo.json",
+               "app_a": SCENARIOS_DIR / "demo_a.json",
+               "app_b": SCENARIOS_DIR / "demo_b.json"}
+    for key, name in names.items():
+        (tmp_path / name).write_bytes(sources[key].read_bytes())
+    before = {name: (tmp_path / name).read_bytes() for name in names.values()}
+    # An app alias names the second app, so every app is checked.
+    target = names["board" if role == "board" else "app_b"]
+    if alias == "same":
+        trace = target
+    elif alias == "dot":
+        trace = f"./{target}"
+    elif alias == "symlink":
+        trace = "link.json"
+        os.symlink(target, trace)
+    else:
+        trace = "hard.json"
+        os.link(target, trace)
+    assert cli_main(["run", "--board", names["board"], "--app", names["app_a"],
+                     "--app", names["app_b"], "--trace", trace]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("config error: trace file ")
+    assert captured.out == ""
+    assert {name: (tmp_path / name).read_bytes() for name in names.values()} \
+        == before
+
+
+def test_a_trace_path_beside_missing_inputs_is_not_refused(tmp_path, capsys):
+    # The trace exists and the inputs do not: the run overwrites the old
+    # trace with the missing board's configuration error.
+    trace = tmp_path / "t.jsonl"
+    trace.write_text("old trace\n")
+    assert cli_main(["run", "--board", str(tmp_path / "no_board.json"),
+                     "--app", str(tmp_path / "no_app.json"),
+                     "--trace", str(trace)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    events = parse_trace(trace.read_bytes())
+    assert events[-1]["payload"]["violation"].startswith(
+        "cannot read board file: ")
 
 
 @pytest.mark.parametrize("where", ["board", "app"])

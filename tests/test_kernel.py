@@ -23,8 +23,8 @@ from kernsim.kernel import Kernel, ProcessState
 from kernsim.loader import pack_binary
 from kernsim.scenario import parse_script
 
-from conftest import (AWKWARD_NAMES, BOARDS_DIR, make_board, script_source, trace_events,
-                      uart_bytes)
+from conftest import (AWKWARD_NAMES, BOARDS_DIR, make_board, minimal_board_dict,
+                      script_source, trace_events, uart_bytes)
 from oracles import OneSlotSwapModel, UpcallQueueModel, return_record, upcall_record
 
 DRIVER_ALARM = 0
@@ -540,6 +540,26 @@ def test_pending_alarm_interrupt_progresses(board):
     assert board.kernel.loop_step() is True
     runs = [e for e in trace_events(board) if e.kind == "upcall_run"]
     assert len(runs) == 1
+
+
+def test_alarm_set_at_time_plus_100_fires_100_ticks_after_the_read():
+    # Command 2 reads COUNT, the frame of deadlines and fire ticks, which
+    # starts at initial_count and not at the simulation clock's 0.
+    cfg = minimal_board_dict()
+    cfg["peripherals"]["alarm"]["initial_count"] = 1000
+    board = Board.from_dict(cfg)
+    kern = board.kernel
+    pcb = kern.processes[load_idle_process(board, handlers={"on_alarm": []})]
+    subscribe(board, pcb, DRIVER_ALARM, 0, fn="on_alarm")
+    now = kern.handle_syscall(pcb, SyscallInvocation.command(DRIVER_ALARM, 2, 0))
+    assert now == SyscallReturn.success_value(1000)
+    kern.handle_syscall(
+        pcb, SyscallInvocation.command(DRIVER_ALARM, 1, now.value + 100))
+    kern.handle_syscall(pcb, SyscallInvocation.yield_(YieldMode.WAIT))
+    assert board.run(1000) == 0
+    runs = [(e.tick, e.payload["args"]) for e in trace_events(board)
+            if e.kind == "upcall_run"]
+    assert runs == [(100, [1100, 1100, 0])]
 
 
 # --- exit and invalidation ----------------------------------------------------------------
