@@ -7,9 +7,11 @@ the loader/verifier policy. Everything is validated before the board
 finalizes; an invalid configuration never simulates.
 
 The run loop runs kernel loop steps until the system is quiescent
-(nothing runnable, no pending interrupts, no armed or busy peripherals, no
-in-flight loader jobs) or the tick limit is reached. After a step that did
-work, or while an interrupt is pending, the clock advances one tick.
+(nothing runnable, no pending interrupts, and no next hardware event:
+the chip's ``ticks_until_event()``, its only work test, answers for
+armed alarms, transfers and in-flight loader jobs alike) or the tick
+limit is reached. After a step that did work, or while an interrupt is
+pending, the clock advances one tick.
 After a step that found nothing to do, nothing can change until a
 peripheral acts, so the clock advances straight to the next hardware
 event (or the tick limit, if that comes first), as a kernel sleeps until
@@ -31,6 +33,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, TextIO
 
+from .abi import U32_MAX
 from .capabilities import BoardPhase, CapabilityKind, CapabilityRegistry
 from .capsules import CAPSULE_TYPES, validate_composition
 from .errors import (
@@ -80,11 +83,12 @@ _FIRST_READ = 128 * 1024
 # The model behind each known peripheral.
 _PERIPHERAL_MODELS = {"alarm": AlarmHw, "uart": UartHw, "hashengine": HashEngineHw}
 # The board schema. A process holds two MPU regions, its flash and its RAM;
-# a key id is 16 bits in the binary header.
+# a key id is 16 bits in the binary header; a syscall names its driver in
+# a 32-bit register.
 LAYER: Schema = {
     "name": Key(str, 1, required=True),
     "type": Key(CAPSULE_TYPES.keys(), required=True),
-    "driver_id": Key(int, 0, null=True),
+    "driver_id": Key(int, 0, U32_MAX, null=True),
     "provides": Key(dict, default={}),
     "requires": Key(dict, default={}),
     "buffer_size": Key(int, 0, MAX_BUFFER_SIZE),

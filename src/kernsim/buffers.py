@@ -77,6 +77,11 @@ class BufferWindow:
 
     # -- split-phase ownership -------------------------------------------------
 
+    @property
+    def in_flight(self) -> bool:
+        """True from :meth:`take` until :meth:`release`."""
+        return self._in_flight
+
     def take(self) -> None:
         """Mark the window as owned by an in-flight operation."""
         self._guard()

@@ -12,7 +12,7 @@ the processes that arm alarms.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Type
+from typing import Any, Dict, List, Optional, Type
 
 from .abi import ErrorCode, SyscallReturn
 from .buffers import BufferWindow
@@ -20,7 +20,6 @@ from .capabilities import CapabilityKind
 from .errors import (
     GrantNoMem,
     NoSharedBuffer,
-    NoSuchProcess,
     ProcessDead,
     RangeError,
     WriteToReadOnly,
@@ -231,8 +230,9 @@ class ConsoleDriver(Capsule):
     Userspace shares its data read-only (slot 0), subscribes the done
     callback (slot 0), and issues command 1 with the byte count. The
     driver copies the bytes into its own static window, slices it to the
-    transfer length, and hands it to the UART; the window comes back at
-    full capacity when the completion interrupt arrives.
+    transfer length, and lends it to the UART; the window comes back at
+    full capacity when the completion interrupt is handled. While it is
+    lent out, command 1 answers BUSY.
     """
 
     NUM_SUBSCRIBES = 1
@@ -246,8 +246,6 @@ class ConsoleDriver(Capsule):
         super().__init__(name, driver_id)
         self.uart = uart
         self.window = BufferWindow(buffer_size)
-        # The completion client of the transmit in flight, if any.
-        self._client: Optional[Callable[[BufferWindow, int], None]] = None
         self._owner_pid: Optional[int] = None
 
     @classmethod
@@ -256,34 +254,14 @@ class ConsoleDriver(Capsule):
         return cls(name, layer["driver_id"], deps.chip.uart,
                    64 if size is None else size)
 
-    @property
-    def pending(self) -> bool:
-        return self._client is not None
-
-    # HIL surface, usable by kernel-side clients as well as the syscall path.
-    def write(self, window: BufferWindow,
-              client: Callable[[BufferWindow, int], None]) -> bool:
-        """Start a split-phase transmit; False means BUSY. The window is
-        owned by the operation until the completion callback returns it;
-        the callback may start the next transmit."""
-        if self.pending:
-            return False
-        if len(window) < 1:
-            raise ValueError("console write needs a non-empty window")
-        if client is None:
-            raise ValueError("console write needs a completion client")
-        self._client = client
-        window.take()
-        self.uart.start_tx(window)
-        return True
-
     def command(self, cmd: int, arg0: int, arg1: int, pid: int) -> SyscallReturn:
         if cmd != self.CMD_WRITE:
             return SyscallReturn.failure(ErrorCode.NOSUPPORT)
-        if self.pending:
+        window = self.window
+        if window.in_flight:
             return SyscallReturn.failure(ErrorCode.BUSY)
         length = arg0
-        if length < 1 or length > self.window.capacity:
+        if length < 1 or length > window.capacity:
             return SyscallReturn.failure(ErrorCode.SIZE)
         try:
             data = self.kern.with_ro_buffer(pid, 0, lambda h: h.read(0, length))
@@ -291,12 +269,11 @@ class ConsoleDriver(Capsule):
             return SyscallReturn.failure(ErrorCode.RESERVE)
         except RangeError:
             return SyscallReturn.failure(ErrorCode.SIZE)
-        self.window.reset()
-        self.window.write(0, data)
-        self.window.slice(0, length)
+        window.write(0, data)
+        window.slice(0, length)
+        window.take()
         self._owner_pid = pid
-        if not self.write(self.window, self._tx_done):
-            return SyscallReturn.failure(ErrorCode.BUSY)
+        self.uart.start_tx(window)
         return SyscallReturn.success()
 
     def handle_interrupt(self) -> None:
@@ -305,12 +282,8 @@ class ConsoleDriver(Capsule):
             return
         window, count = completion
         window.release()
-        client, self._client = self._client, None
-        client(window, count)
-
-    def _tx_done(self, window: BufferWindow, count: int) -> None:
-        pid, self._owner_pid = self._owner_pid, None
         window.reset()
+        pid, self._owner_pid = self._owner_pid, None
         if pid is not None:
             self.kern.schedule_upcall(pid, 0, [count, 0, 0])
 
@@ -395,7 +368,7 @@ class ManagerDriver(Capsule):
             return SyscallReturn.failure(ErrorCode.NOSUPPORT)
         try:
             self.kern.process_destroy(self.token, arg0)
-        except NoSuchProcess:
+        except ProcessDead:
             return SyscallReturn.failure(ErrorCode.INVAL)
         return SyscallReturn.success()
 

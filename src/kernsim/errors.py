@@ -238,10 +238,6 @@ class WrongKind(KernsimError):
     """Token kind does not match the privileged operation."""
 
 
-class NoSuchProcess(KernsimError):
-    pass
-
-
 # --- kernel ---------------------------------------------------------------
 
 class ProcessDead(KernsimError):

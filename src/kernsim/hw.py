@@ -159,8 +159,6 @@ class AlarmHw:
         return (not self._fired
                 and self._values[self._ctrl_at] & self._arm_mask == self._arm_mask)
 
-    busy = armed  # future work of its own: a compare match to come
-
     def ticks_until_event(self) -> Optional[int]:
         """Ticks until COUNT reaches COMPARE while armed, else None.
 
@@ -334,7 +332,12 @@ class HashEngineHw:
 
 
 class Chip:
-    """Bundles the clock and peripherals and drives them in time."""
+    """Bundles the clock and peripherals and drives them in time.
+
+    :meth:`ticks_until_event` is the chip's only work test: None means no
+    peripheral has future work of its own (no alarm armed, no transfer or
+    hash job in flight).
+    """
 
     def __init__(self, clock: SimClock, irqc: InterruptController,
                  alarm: Optional[AlarmHw] = None, uart: Optional[UartHw] = None,
@@ -386,12 +389,3 @@ class Chip:
             if gap is not None and (nearest is None or gap < nearest):
                 nearest = gap
         return nearest
-
-    def busy(self) -> bool:
-        """True while any peripheral still has future work of its own (the
-        alarm armed, a transfer or hash job in flight): each one's ``busy``
-        is asked in turn, and no gap to a next event is computed."""
-        for periph in self._peripherals:
-            if periph.busy:
-                return True
-        return False

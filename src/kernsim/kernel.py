@@ -51,7 +51,6 @@ from .errors import (
     GrantNoMem,
     InvalidTransition,
     NoSharedBuffer,
-    NoSuchProcess,
     PhaseError,
     ProcessDead,
     RangeError,
@@ -265,10 +264,6 @@ class CapsuleServices:
 
     def _charge(self) -> None:
         self._kernel.charge_capsule()
-
-    def now(self) -> int:
-        self._charge()
-        return self._kernel.chip.clock.now
 
     def schedule_upcall(self, pid: int, subscribe_num: int, args) -> bool:
         self._charge()
@@ -856,9 +851,7 @@ class Kernel:
 
     def process_destroy(self, token, pid: int) -> None:
         self.registry.validate(token, CapabilityKind.PROCESS_MANAGEMENT)
-        pcb = self.processes.get(pid)
-        if pcb is None or not pcb.live:
-            raise NoSuchProcess(f"pid {pid} is not live")
+        pcb = self._live_pcb(pid)
         self.trace.log(ACTOR_KERNEL, K_PRIVILEGED_OP,
                        {"op": "process_destroy",
                         "kind": CapabilityKind.PROCESS_MANAGEMENT.value,
@@ -869,7 +862,7 @@ class Kernel:
         self.registry.validate(token, CapabilityKind.GRANT_INSPECTION)
         pcb = self.processes.get(pid)
         if pcb is None:
-            raise NoSuchProcess(f"pid {pid} does not exist")
+            raise ProcessDead(f"pid {pid} does not exist")
         self.trace.log(ACTOR_KERNEL, K_PRIVILEGED_OP,
                        {"op": "inspect_grants",
                         "kind": CapabilityKind.GRANT_INSPECTION.value,
@@ -906,9 +899,11 @@ class Kernel:
     def quiescent(self) -> bool:
         """The sleep condition, checked in this order: every live process
         waits in a yield with no upcall queued, then no interrupt is
-        pending and no peripheral is busy. A loader job in its integrity
-        check keeps the hash engine busy or its interrupt pending."""
+        pending and the chip's ``ticks_until_event()``, its only work
+        test, is None. A loader job in its integrity check keeps the hash
+        engine busy or its interrupt pending."""
         for pcb in self._live:
             if pcb.state is not _YIELDED_WAIT or pcb.upcall_queue:
                 return False
-        return not (self.chip.irqc.any_pending() or self.chip.busy())
+        chip = self.chip
+        return not chip.irqc.any_pending() and chip.ticks_until_event() is None

@@ -64,6 +64,22 @@ def test_check_reports_unknown_capability_reference(tmp_path):
     assert any("Teleportation" in v for v in violations)
 
 
+@pytest.mark.parametrize("driver_id, refused", [
+    (2 ** 32 - 1, False), (2 ** 32, True), (2 ** 64, True)])
+def test_check_bounds_driver_id_to_a_32_bit_register(tmp_path, capsys,
+                                                      driver_id, refused):
+    # A script's driver is one 32-bit register, so no syscall could reach
+    # a capsule whose driver_id lies past it.
+    cfg = minimal_board_dict()
+    cfg["capsules"][2]["driver_id"] = driver_id
+    path = tmp_path / "board.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["check", "--board", str(path)]) == (2 if refused else 0)
+    bound = (f"capsules[2].driver_id must be an integer in [0, 4294967295], "
+             f"got {driver_id}")
+    assert (bound in capsys.readouterr().err) is refused
+
+
 def test_cli_check_exit_codes(capsys):
     assert cli_main(["check", "--board", str(BOARDS_DIR / "demo.json")]) == 0
     assert cli_main(["check", "--board",
@@ -416,7 +432,7 @@ def _add_annotation(cfg, **fields):
                  "peripherals.alarm.irq must be an integer >= 0, got True",
                  id="irq_true"),
     pytest.param(lambda cfg: _add_annotation(cfg, driver_id=True),
-                 "capsules[5].driver_id must be an integer >= 0, got True",
+                 "capsules[5].driver_id must be an integer in [0, 4294967295], got True",
                  id="annotation_driver_id_true"),
     pytest.param(lambda cfg: cfg.update(ram_size=True), "ram_size",
                  id="ram_size_true"),

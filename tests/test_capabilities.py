@@ -8,8 +8,8 @@ from kernsim.capabilities import (
 )
 from kernsim.errors import (
     ForeignCapability,
-    NoSuchProcess,
     PhaseError,
+    ProcessDead,
     WrongKind,
 )
 from kernsim.kernel import ProcessState
@@ -63,7 +63,7 @@ def test_process_destroy_with_valid_token(board):
     token = board.capsules_by_name["manager"].token
     board.kernel.process_destroy(token, pid)
     assert board.kernel.processes[pid].state is ProcessState.EXITED
-    with pytest.raises(NoSuchProcess):
+    with pytest.raises(ProcessDead):
         board.kernel.process_destroy(token, pid)  # already dead
 
 
@@ -100,6 +100,20 @@ def test_tokenless_manager_cannot_express_destroy():
     ret = board.kernel.handle_syscall(pcb, SyscallInvocation.command(4, 1, victim))
     assert ret == SyscallReturn.failure(ErrorCode.NOSUPPORT)
     assert pcb.state is ProcessState.UNSTARTED
+    assert not any(e.kind == "privileged_op"
+                   and e.payload["op"] == "process_destroy"
+                   for e in trace_events(board))
+
+
+@pytest.mark.parametrize("target", ["ended", "never_existed"])
+def test_manager_destroy_of_a_process_that_is_not_live_answers_inval(board, target):
+    pid = board.load_app(script_source([], {}, 256)).pid
+    victim = board.load_app(script_source([], {}, 256)).pid
+    board.kernel.exit_process(board.kernel.processes[victim], "test")
+    target_pid = victim if target == "ended" else 99
+    ret = board.kernel.handle_syscall(board.kernel.processes[pid],
+                                      SyscallInvocation.command(4, 1, target_pid))
+    assert ret == SyscallReturn.failure(ErrorCode.INVAL)
     assert not any(e.kind == "privileged_op"
                    and e.payload["op"] == "process_destroy"
                    for e in trace_events(board))
@@ -144,3 +158,5 @@ def test_inspect_grants_gated_on_grant_inspection(board):
     with pytest.raises(WrongKind):
         board.kernel.inspect_grants(
             board.capsules_by_name["manager"].token, pid)
+    with pytest.raises(ProcessDead, match="pid 99 does not exist"):
+        board.kernel.inspect_grants(token, 99)

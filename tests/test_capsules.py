@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from kernsim.abi import ErrorCode, SyscallReturn
 from kernsim.buffers import BufferWindow
 from kernsim.capsules import ConsoleDriver, validate_composition
+from kernsim.errors import NoSharedBuffer
 from kernsim.hw import InterruptController, UartHw
 from kernsim.regmap import load_register_map
 from kernsim.trace import TraceLog
@@ -101,105 +103,70 @@ def test_validation_matches_pairwise_brute_force():
 
 # --- console over the uart -------------------------------------------------------
 
-class _NullServices:
-    def __init__(self):
+class _ShareServices:
+    """Each pid's read-only share 0 is a window over its bytes in
+    ``shares``; upcalls are recorded."""
+
+    def __init__(self, shares):
+        self.shares = {pid: BufferWindow(data) for pid, data in shares.items()}
         self.upcalls = []
+
+    def with_ro_buffer(self, pid, buf_num, visitor):
+        if pid not in self.shares:
+            raise NoSharedBuffer(f"pid {pid} shares nothing")
+        return visitor(self.shares[pid])
 
     def schedule_upcall(self, pid, sub, args):
         self.upcalls.append((pid, sub, tuple(args)))
         return True
 
 
-def make_console(buffer_size=64):
+def make_console(shares, buffer_size=64):
     irqc = InterruptController(TraceLog())
     uart = UartHw(UART_SPEC, irqc, 1, TraceLog())
     console = ConsoleDriver("console", 1, uart, buffer_size)
-    console.attach(_NullServices())
+    console.attach(_ShareServices(shares))
+    irqc.set_handler(1, console.handle_interrupt)
     return console, uart, irqc
 
 
-def test_console_write_round_trip_returns_same_window():
-    console, uart, irqc = make_console()
-    window = BufferWindow(bytearray(64))
-    window.write(0, b"hi kernel")
-    window.slice(0, 9)
-    done = []
-    assert console.write(window, lambda w, n: done.append((w, n)))
+def _write(console, pid, length):
+    return console.command(ConsoleDriver.CMD_WRITE, length, 0, pid)
+
+
+def test_console_write_sends_exactly_the_bytes_asked_for_and_returns_the_window():
+    console, uart, irqc = make_console({1: b"hi kernel, and more"})
+    assert _write(console, 1, 9) == SyscallReturn.success()
+    assert console.window.in_flight and len(console.window) == 9
     for _ in range(9):
         uart.tick()
-    irqc.set_handler(1, console.handle_interrupt)
     irqc.service()
-    assert done and done[0][0] is window and done[0][1] == 9
     assert uart_bytes(uart.trace) == b"hi kernel"
-    assert window.capacity == 64
+    assert console.kern.upcalls == [(1, 0, (9, 0, 0))]
+    assert not console.window.in_flight
+    assert len(console.window) == console.window.capacity == 64
 
 
-def test_console_busy_while_pending_first_unaffected():
-    console, uart, irqc = make_console()
-    first = BufferWindow(bytearray(b"first"))
-    second = BufferWindow(bytearray(b"second"))
-    assert console.write(first, lambda w, n: None)
-    assert not console.write(second, lambda w, n: None)
-    for _ in range(5):
-        uart.tick()
-    assert uart_bytes(uart.trace) == b"first"
-
-
-def test_sliced_window_sends_exactly_the_window():
-    console, uart, irqc = make_console()
-    window = BufferWindow(bytearray(b"abcdefgh" * 8))  # capacity 64
-    window.slice(0, 3)
-    done = []
-    console.write(window, lambda w, n: done.append((w.capacity, n)))
-    for _ in range(3):
-        uart.tick()
-    irqc.set_handler(1, console.handle_interrupt)
-    irqc.service()
-    assert uart_bytes(uart.trace) == b"abc"
-    assert done == [(64, 3)]
-
-
-def test_completion_never_runs_inside_start_call():
-    # The completion is deferred to interrupt service, never the start call.
-    console, uart, irqc = make_console()
-    window = BufferWindow(bytearray(b"z"))
-    ran = []
-    started = console.write(window, lambda w, n: ran.append(n))
-    assert started and ran == []
+def test_completion_never_runs_inside_the_command():
+    # The completion is deferred to interrupt service, never the command.
+    console, uart, irqc = make_console({1: b"z"})
+    assert _write(console, 1, 1) == SyscallReturn.success()
+    assert console.kern.upcalls == []
     uart.tick()
-    assert ran == []  # raised the IRQ, but nothing serviced it yet
-    irqc.set_handler(1, console.handle_interrupt)
+    assert console.kern.upcalls == []  # raised the IRQ, but nothing serviced it yet
     irqc.service()
-    assert ran == [1]
+    assert console.kern.upcalls == [(1, 0, (1, 0, 0))]
 
 
-def test_empty_window_refused():
-    console, uart, irqc = make_console()
-    window = BufferWindow(bytearray(8))
-    window.slice(0, 0)
-    with pytest.raises(ValueError):
-        console.write(window, lambda w, n: None)
+@pytest.mark.parametrize("pid, length, err", [
+    (1, 0, ErrorCode.SIZE),        # an empty write
+    (1, 9, ErrorCode.SIZE),        # past the driver's 8-byte window
+    (1, 5, ErrorCode.SIZE),        # past the 4-byte share
+    (2, 1, ErrorCode.RESERVE),     # nothing shared
+])
+def test_a_refused_write_leaves_the_window_and_uart_idle(pid, length, err):
+    console, uart, irqc = make_console({1: b"abcd"}, 8)
+    assert _write(console, pid, length) == SyscallReturn.failure(err)
+    assert not console.window.in_flight and not uart.busy
+    assert len(console.window) == 8
 
-
-def test_write_without_a_client_refused():
-    console, uart, irqc = make_console()
-    with pytest.raises(ValueError):
-        console.write(BufferWindow(bytearray(b"x")), None)
-    assert not console.pending and not uart.busy
-
-
-def test_completion_client_may_start_the_next_write():
-    console, uart, irqc = make_console()
-    irqc.set_handler(1, console.handle_interrupt)
-    second = BufferWindow(bytearray(b"two"))
-    restarted = []
-    assert console.write(BufferWindow(bytearray(b"one")), lambda w, n:
-                         restarted.append(console.write(second, lambda w, n: None)))
-    for _ in range(3):
-        uart.tick()
-    irqc.service()
-    assert restarted == [True] and console.pending
-    for _ in range(3):
-        uart.tick()
-    irqc.service()
-    assert uart_bytes(uart.trace) == b"onetwo" and not console.pending

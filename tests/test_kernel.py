@@ -580,7 +580,7 @@ def test_exit_invalidates_everything(board):
     assert not pcb.upcall_queue and not pcb.grants
     # the alarm entry was disarmed, so the hardware stops expecting a fire
     assert not board.chip.alarm.armed
-    assert kern.quiescent() or not board.chip.busy()
+    assert kern.quiescent() or board.chip.ticks_until_event() is None
 
 
 @pytest.mark.parametrize("end", ["exit", "fault"])
@@ -624,8 +624,38 @@ def test_exit_orphans_in_flight_console_write(board):
     assert uart_bytes(board.trace) == bytes.fromhex("aabbccddeeff00112233")
     assert not any(e.kind == "upcall_run" for e in trace_events(board))
     console = board.capsules_by_name["console"]
-    assert not console.pending
-    console.window.read()  # raises WindowInFlight while the window is in flight
+    assert not console.window.in_flight
+    assert len(console.window) == console.window.capacity
+
+
+def test_console_write_is_busy_until_the_completion_interrupt_is_handled(board):
+    kern, chip = board.kernel, board.chip
+    console = board.capsules_by_name["console"]
+    first, second = (kern.processes[load_idle_process(board)] for _ in range(2))
+    for pcb, data in ((first, b"0123456789"), (second, b"wxyz")):
+        assert kern.process_local_write(pcb, 0, data)
+        ro_allow(kern, pcb, DRIVER_CONSOLE, 0, pcb.ram.base, len(data))
+        subscribe(board, pcb, DRIVER_CONSOLE, 0)
+
+    def write(pcb, length):
+        return kern.handle_syscall(
+            pcb, SyscallInvocation.command(DRIVER_CONSOLE, 1, length))
+
+    busy = SyscallReturn.failure(ErrorCode.BUSY)
+    assert write(first, 10) == SyscallReturn.success()
+    assert write(second, 4) == busy
+    chip.tick(10)
+    assert uart_bytes(board.trace) == b"0123456789"
+    # The last byte has moved and the IRQ is raised, but until it is
+    # handled the window is still lent to the UART.
+    assert chip.irqc.any_pending() and write(second, 4) == busy
+    chip.irqc.service()
+    assert not console.window.in_flight
+    assert len(console.window) == console.window.capacity
+    assert list(first.upcall_queue.items()) == [((DRIVER_CONSOLE, 0), (10, 0, 0))]
+    assert write(second, 4) == SyscallReturn.success()
+    chip.tick(4)
+    assert uart_bytes(board.trace) == b"0123456789wxyz"
 
 
 def test_faulted_process_is_not_restarted(board):
@@ -727,11 +757,13 @@ def test_grant_refs_cannot_be_stashed(board):
 
 
 class SpinnerCapsule(Capsule):
-    """Test fixture: burns kernel-service calls until told to stop."""
+    """Test fixture: burns kernel-service calls until told to stop. Each
+    one enters its 0-byte grant, which logs one grant_alloc the first
+    time and nothing after."""
 
     def command(self, cmd, arg0, arg1, pid):
         for _ in range(arg0):
-            self.kern.now()
+            self.kern.grant_enter(pid, lambda grant: None)
         return SyscallReturn.success()
 
 
