@@ -33,7 +33,6 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, TextIO
 
-from .abi import U32_MAX
 from .capabilities import BoardPhase, CapabilityKind, CapabilityRegistry
 from .capsules import CAPSULE_TYPES, validate_composition
 from .errors import (
@@ -66,11 +65,9 @@ from .trace import (
 DEFAULT_MAX_TICKS = 10_000
 MAX_TICKS = Key(int, 0)
 # Upper bounds on the board integers that size an allocation: RAM is one
-# byte array, the alarm driver keeps a client slot per allowed process,
-# and a console copies each transfer into a window of buffer_size bytes.
+# byte array, and the alarm driver keeps a client slot per allowed process.
 MAX_RAM_SIZE = 16 * 1024 * 1024
 MAX_PROCESSES = 256
-MAX_BUFFER_SIZE = 64 * 1024
 # The longest board, app or register map file read. A script unrolls to
 # at most scenario.MAX_STATEMENTS statements, so no real input comes near
 # it; a file that never ends (such as /dev/zero) is refused at this length.
@@ -82,52 +79,48 @@ _FIRST_READ = 128 * 1024
 
 # The model behind each known peripheral.
 _PERIPHERAL_MODELS = {"alarm": AlarmHw, "uart": UartHw, "hashengine": HashEngineHw}
-# The board schema. A process holds two MPU regions, its flash and its RAM;
-# a key id is 16 bits in the binary header; a syscall names its driver in
-# a 32-bit register.
-LAYER: Schema = {
-    "name": Key(str, 1, required=True),
-    "type": Key(CAPSULE_TYPES.keys(), required=True),
-    "driver_id": Key(int, 0, U32_MAX, null=True),
-    "provides": Key(dict, default={}),
-    "requires": Key(dict, default={}),
-    "buffer_size": Key(int, 0, MAX_BUFFER_SIZE),
-    "min_buffer_size": Key(int, 0),
-}
-BOARD: Schema = {
-    "name": Key(str, default="board"),
-    "ram_size": Key(int, 1, MAX_RAM_SIZE, required=True),
-    "mpu_max_regions": Key(int, 2, default=8),
-    "upcall_queue_depth": Key(int, 1, default=8),
-    "capsule_step_budget": Key(int, 1, default=100_000),
-    "max_processes": Key(int, 1, MAX_PROCESSES, 8),
-    "loader": Key(("sync", "async"), default="sync"),
-    "verifier": Key(VERIFIER_POLICIES, default="digest_match"),
-    "trusted_key_ids": Key(list, default=(), item=Key(int, 0, 0xFFFF)),
-    "peripherals": Key({name: Key({"irq": Key(int, 0, required=True),
-                                   "map": Key(str, null=True), **model.KNOBS})
-                        for name, model in _PERIPHERAL_MODELS.items()}),
-    "capsules": Key(list, default=(), item=Key(LAYER)),
-    "capabilities": Key(dict, default={}, item=Key(
-        list, item=Key(tuple(kind.value for kind in CapabilityKind)))),
-}
+
+
+def board_schema() -> Schema:
+    """The board schema. A process holds two MPU regions, its flash and its
+    RAM; a key id is 16 bits in the binary header. A capsule layer holds
+    the keys its type takes: the schema is built for each check, so that
+    every type registered in CAPSULE_TYPES is known."""
+    return {
+        "name": Key(str, default="board"),
+        "ram_size": Key(int, 1, MAX_RAM_SIZE, required=True),
+        "mpu_max_regions": Key(int, 2, default=8),
+        "upcall_queue_depth": Key(int, 1, default=8),
+        "capsule_step_budget": Key(int, 1, default=100_000),
+        "max_processes": Key(int, 1, MAX_PROCESSES, 8),
+        "loader": Key(("sync", "async"), default="sync"),
+        "verifier": Key(VERIFIER_POLICIES, default="digest_match"),
+        "trusted_key_ids": Key(list, default=(), item=Key(int, 0, 0xFFFF)),
+        "peripherals": Key({name: Key({"irq": Key(int, 0, required=True),
+                                       "map": Key(str, null=True), **model.KNOBS})
+                            for name, model in _PERIPHERAL_MODELS.items()}),
+        "capsules": Key(list, default=(), item=Key(
+            {name: ctype.LAYER for name, ctype in CAPSULE_TYPES.items()}, tag="type")),
+        "capabilities": Key(dict, default={}, item=Key(
+            list, item=Key(tuple(kind.value for kind in CapabilityKind)))),
+    }
 
 
 class BoardConfig(SimpleNamespace):
-    """A board that passed validation: an attribute for each BOARD key,
+    """A board that passed validation: an attribute for each board key,
     holding the schema default where the file leaves the key out, and
     ``peripheral_specs``, the register map of each peripheral."""
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any],
-                  base_dir: Optional[Path] = None) -> "BoardConfig":
+                  base_dir: Path = Path()) -> "BoardConfig":
         """Full static validation, raising ConfigError with every violation
         found. The walk checks each key; the rules that tie keys together
         are checked here, on the values that passed. Each peripheral's map
         is loaded once, here."""
         v: List[str] = []
         specs: Dict[str, RegisterMapSpec] = {}
-        board = walk(Key(BOARD), data, "board config", v)
+        board = walk(Key(board_schema()), data, "board config", v)
         if board is INVALID:
             raise ConfigError(v)
         peripherals = board["peripherals"] = {
@@ -143,20 +136,16 @@ class BoardConfig(SimpleNamespace):
         if board["loader"] == "async" and "hashengine" not in peripherals:
             v.append("async loader requires a hashengine peripheral")
 
-        names: set = set()
+        grants = board["capabilities"] or {}
+        named: Dict[str, Dict[str, Any]] = {}
         driver_ids: Dict[int, Dict[str, Any]] = {}
         irq_owners: Dict[str, Dict[str, Any]] = {}  # by peripheral
         layers = [layer for layer in board["capsules"] or () if layer and layer["name"]]
         for layer in layers:
-            name, ctype, driver_id = layer["name"], layer["type"], layer["driver_id"]
-            if name in names:
+            name, ctype, driver_id = layer["name"], layer["type"], layer.get("driver_id")
+            if named.setdefault(name, layer) is not layer:
                 v.append(f"duplicate capsule name {name!r}")
-            names.add(name)
-            if not ctype:
-                continue
-            if driver_id is None and CAPSULE_TYPES[ctype].NEEDS_DRIVER_ID:
-                v.append(f"capsule {name!r} (type {ctype!r}) needs a driver_id")
-            elif driver_id not in (None, INVALID) and \
+            if driver_id not in (None, INVALID) and \
                     driver_ids.setdefault(driver_id, layer) is not layer:
                 v.append(f"capsule {name!r} reuses driver_id {driver_id} of "
                          f"{driver_ids[driver_id]['name']!r}")
@@ -167,9 +156,16 @@ class BoardConfig(SimpleNamespace):
             elif needed and irq_owners.setdefault(needed, layer) is not layer:
                 v.append(f"capsule {name!r} (type {ctype!r}) takes the {needed!r} "
                          f"interrupt of capsule {irq_owners[needed]['name']!r}")
-        v.extend(validate_composition([layer for layer in layers if layer["type"]]))
+            kinds = [kind for kind in grants.get(name) or () if kind is not INVALID]
+            for i, kind in enumerate(kinds):
+                if kind in kinds[:i]:
+                    v.append(f"capsule {name!r} is granted {kind} twice")
+                elif kind not in CAPSULE_TYPES[ctype].CAPABILITIES:
+                    v.append(f"capsule {name!r} (type {ctype!r}) may not be "
+                             f"granted {kind}")
+        v.extend(validate_composition(layers))
         v.extend(f"capability grant names unknown capsule {holder!r}"
-                 for holder in board["capabilities"] or {} if holder not in names)
+                 for holder in grants if holder not in named)
         if v:
             raise ConfigError(v)
         return cls(**board, peripheral_specs=specs)
@@ -209,7 +205,7 @@ def _read_bounded(path) -> Optional[bytes]:
     return None if len(raw) > MAX_INPUT_SIZE else raw
 
 
-def _load_map(pname: str, map_ref: Optional[str], base_dir: Optional[Path],
+def _load_map(pname: str, map_ref: Optional[str], base_dir: Path,
               v: List[str], specs: Dict[str, RegisterMapSpec]) -> None:
     """Add the peripheral's register map (the packaged one unless the
     board names a file) to specs if it loads and meets the model's
@@ -219,9 +215,8 @@ def _load_map(pname: str, map_ref: Optional[str], base_dir: Optional[Path],
             raw = _read_bounded(
                 resources.files("kernsim").joinpath(f"maps/{pname}.json"))
         else:
-            path = Path(map_ref)
-            raw = _read_bounded(path if base_dir is None or path.is_absolute()
-                                else base_dir / path)
+            # Relative to the board file; joining keeps an absolute path.
+            raw = _read_bounded(base_dir / map_ref)
     except (OSError, ValueError):  # ValueError: a NUL or lone surrogate
         v.append(f"peripheral {pname!r} references a missing register map "
                  f"{map_ref!r}")
@@ -242,6 +237,21 @@ def _load_map(pname: str, map_ref: Optional[str], base_dir: Optional[Path],
         if not lacks:
             specs[pname] = spec
     v.extend(f"register map for {pname!r}: {violation}" for violation in lacks)
+
+
+def _named_maps(board_path) -> List[Path]:
+    """The register map files a board file names, whatever else it holds.
+    A board that is not a regular file (a pipe is read only once, by its
+    build), cannot be read or does not parse names none."""
+    try:
+        data = json.loads(_read(Path(board_path), "board file")) \
+            if os.path.isfile(board_path) else None
+    except (ConfigError, ValueError, RecursionError):
+        return []
+    peripherals = data.get("peripherals") if type(data) is dict else None
+    return [Path(board_path).parent / pcfg["map"]
+            for pcfg in (peripherals.values() if type(peripherals) is dict else ())
+            if type(pcfg) is dict and type(pcfg.get("map")) is str]
 
 
 class Board:
@@ -288,31 +298,28 @@ class Board:
         self._boot_token = self.registry.mint(CapabilityKind.LOADER_CONTROL,
                                               "kernel")
 
-        # What capsule builders may see during construction.
+        # What capsule builders may see during construction. The board has
+        # each capsule's IRQ_PERIPHERAL, and gives its interrupt to no other.
         deps = SimpleNamespace(chip=self.chip, max_processes=config.max_processes)
         self.capsules_by_name: Dict[str, Any] = {}
         for layer in config.capsules:
             name = layer["name"]
-            kinds = config.capabilities.get(name, [])
             tokens = [self.registry.mint(CapabilityKind(kind), name)
-                      for kind in kinds]
+                      for kind in config.capabilities.get(name, ())]
             capsule = CAPSULE_TYPES[layer["type"]].build(name, layer, deps, tokens)
             self.kernel.register_capsule(capsule)
             self.capsules_by_name[name] = capsule
-
-        # Interrupt wiring: peripheral-owning capsules get their IRQ; the
-        # hash engine interrupt belongs to the kernel's loader.
-        for capsule in self.kernel.capsules:
-            periph = capsule.IRQ_PERIPHERAL
-            if periph in pcfgs:
-                self.kernel.register_irq_capsule(pcfgs[periph]["irq"], capsule)
+            if capsule.IRQ_PERIPHERAL:
+                self.kernel.register_irq_capsule(
+                    pcfgs[capsule.IRQ_PERIPHERAL]["irq"], capsule)
+        # The hash engine interrupt belongs to the kernel's loader.
         if hashengine is not None:
             irqc.set_handler(pcfgs["hashengine"]["irq"],
                              self.kernel.loader.on_hash_irq)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any], seed: int = 0,
-                  base_dir: Optional[Path] = None) -> "Board":
+                  base_dir: Path = Path()) -> "Board":
         return cls(BoardConfig.from_dict(data, base_dir), seed=seed)
 
     def finalize(self) -> None:
@@ -385,13 +392,15 @@ def run_simulation(board_path, app_paths, *, max_ticks: int = DEFAULT_MAX_TICKS,
                    err: Optional[TextIO] = None) -> int:
     """CLI entry: open the trace sink, then build, load and run, each event
     going to the sink as it is logged. Returns the exit code: 2 for a
-    trace path that names the board or an app file (refused before the
-    sink opens, so no input is overwritten), for a sink that fails to
-    open, write, flush or close, and for configuration problems, which
-    still emit their diagnostics as trace events. Diagnostics go to
+    trace path that names an input file (the board, an app, or a register
+    map the board names: refused before the sink opens), for a sink that
+    fails to open, write, flush or close, and for configuration problems,
+    which still emit their diagnostics as trace events. Diagnostics go to
     ``err``, by default the current stderr."""
     err = sys.stderr if err is None else err
-    for path in (board_path, *app_paths) if trace_path is not None else ():
+    inputs = () if trace_path is None else \
+        (board_path, *app_paths, *_named_maps(board_path))
+    for path in inputs:
         try:
             aliased = os.path.samefile(trace_path, path)
         except (OSError, ValueError):  # a missing path, or one with a NUL

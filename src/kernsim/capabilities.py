@@ -17,7 +17,6 @@ from .trace import ACTOR_KERNEL, K_CAP_MINTED, TraceLog
 
 class CapabilityKind(str, Enum):
     PROCESS_MANAGEMENT = "ProcessManagement"
-    GRANT_INSPECTION = "GrantInspection"
     LOADER_CONTROL = "LoaderControl"
 
 

@@ -12,21 +12,24 @@ the processes that arm alarms.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Type
+from typing import Any, Dict, List, Optional, Tuple, Type
 
-from .abi import ErrorCode, SyscallReturn
+from .abi import U32_MAX, ErrorCode, SyscallReturn
 from .buffers import BufferWindow
 from .capabilities import CapabilityKind
 from .errors import (
     GrantNoMem,
+    Key,
     NoSharedBuffer,
     ProcessDead,
     RangeError,
+    Schema,
     WriteToReadOnly,
 )
 from .hw import TICK_MASK, AlarmHw, UartHw, tick_passed
 
 CONFIGURABLE = "configurable"
+MAX_BUFFER_SIZE = 64 * 1024  # the largest console window
 
 
 # --- composition ------------------------------------------------------------
@@ -75,8 +78,9 @@ class Capsule:
     Subclasses declare how many subscribe and allow slots their driver
     surface exposes and, if they keep per-process state, the byte size of
     their grant schema. A board layer names a subclass by its type (see
-    CAPSULE_TYPES); the layer needs a driver_id if NEEDS_DRIVER_ID, and the
-    board needs the IRQ_PERIPHERAL, whose interrupt the capsule takes.
+    CAPSULE_TYPES) and holds only the keys of its LAYER (by default a
+    driver's); the board needs the IRQ_PERIPHERAL, whose interrupt the
+    capsule takes, and may grant it only the kinds in CAPABILITIES.
     """
 
     NUM_SUBSCRIBES = 0
@@ -84,7 +88,13 @@ class Capsule:
     NUM_RO_BUFFERS = 0
     GRANT_SCHEMA = 0
     IRQ_PERIPHERAL: Optional[str] = None
-    NEEDS_DRIVER_ID = True
+    # A syscall names its driver in one 32-bit register.
+    LAYER: Schema = {"name": Key(str, 1, required=True),
+                     "driver_id": Key(int, 0, U32_MAX, required=True),
+                     "provides": Key(dict, default={}),
+                     "requires": Key(dict, default={}),
+                     "min_buffer_size": Key(int, 0)}
+    CAPABILITIES: Tuple[CapabilityKind, ...] = ()
 
     def __init__(self, name: str, driver_id: Optional[int] = None):
         self.name = name
@@ -95,7 +105,7 @@ class Capsule:
     def build(cls, name: str, layer: Dict[str, Any], deps, tokens) -> "Capsule":
         """The capsule a checked board layer describes, built over the
         board's chip (``deps``) with the capability tokens granted to it."""
-        return cls(name, layer["driver_id"])
+        return cls(name, layer.get("driver_id"))
 
     def attach(self, services) -> None:
         self.kern = services
@@ -238,6 +248,8 @@ class ConsoleDriver(Capsule):
     NUM_SUBSCRIBES = 1
     NUM_RO_BUFFERS = 1
     IRQ_PERIPHERAL = "uart"
+    LAYER: Schema = {**Capsule.LAYER,
+                     "buffer_size": Key(int, 0, MAX_BUFFER_SIZE, 64)}
 
     CMD_WRITE = 1
 
@@ -250,9 +262,7 @@ class ConsoleDriver(Capsule):
 
     @classmethod
     def build(cls, name, layer, deps, tokens):
-        size = layer["buffer_size"]  # a 64-byte window unless it declares one
-        return cls(name, layer["driver_id"], deps.chip.uart,
-                   64 if size is None else size)
+        return cls(name, layer["driver_id"], deps.chip.uart, layer["buffer_size"])
 
     def command(self, cmd: int, arg0: int, arg1: int, pid: int) -> SyscallReturn:
         if cmd != self.CMD_WRITE:
@@ -349,6 +359,8 @@ class ManagerDriver(Capsule):
     NOSUPPORT.
     """
 
+    CAPABILITIES = (CapabilityKind.PROCESS_MANAGEMENT,)
+
     CMD_DESTROY = 1
 
     def __init__(self, name: str, driver_id: int, token=None):
@@ -357,14 +369,10 @@ class ManagerDriver(Capsule):
 
     @classmethod
     def build(cls, name, layer, deps, tokens):
-        token = next((t for t in tokens
-                      if t.kind is CapabilityKind.PROCESS_MANAGEMENT), None)
-        return cls(name, layer["driver_id"], token)
+        return cls(name, layer["driver_id"], *tokens)
 
     def command(self, cmd: int, arg0: int, arg1: int, pid: int) -> SyscallReturn:
-        if cmd != self.CMD_DESTROY:
-            return SyscallReturn.failure(ErrorCode.NOSUPPORT)
-        if self.token is None:
+        if cmd != self.CMD_DESTROY or self.token is None:
             return SyscallReturn.failure(ErrorCode.NOSUPPORT)
         try:
             self.kern.process_destroy(self.token, arg0)
@@ -376,7 +384,8 @@ class ManagerDriver(Capsule):
 class AnnotationLayer(Capsule):
     """Inert layer that exists only for composition annotations."""
 
-    NEEDS_DRIVER_ID = False
+    LAYER: Schema = {name: key for name, key in Capsule.LAYER.items()
+                     if name != "driver_id"}
 
 
 # The capsule class each board layer type names.

@@ -9,7 +9,7 @@ from typing import Any, Dict, List, Optional
 @dataclass(frozen=True, slots=True)
 class Key:
     """One key of an input object. ``type`` is int, str, list, dict (an
-    object with any keys), a tuple or dict-keys view of the words allowed,
+    object with any keys), a tuple of the words allowed,
     or a schema (key name -> Key) for a nested object; a tagged object's
     type maps each word its ``tag`` key may hold to a schema. ``lo`` and
     ``hi`` bound an integer, a list's length, or a string (lo: non-empty;

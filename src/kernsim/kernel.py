@@ -292,10 +292,6 @@ class CapsuleServices:
         self._charge()
         self._kernel.process_destroy(token, pid)
 
-    def inspect_grants(self, token, pid: int):
-        self._charge()
-        return self._kernel.inspect_grants(token, pid)
-
 
 # --- process loading --------------------------------------------------------------
 
@@ -453,9 +449,7 @@ class Kernel:
     def register_capsule(self, capsule) -> None:
         if self.registry.phase is not BoardPhase.BUILDING:
             raise PhaseError("capsules can only be registered while building")
-        if capsule.driver_id is not None:
-            if capsule.driver_id in self.drivers:
-                raise ValueError(f"driver id {capsule.driver_id} already taken")
+        if capsule.driver_id is not None:  # the board checked it is unique
             self.drivers[capsule.driver_id] = capsule
         self.capsules.append(capsule)
         capsule.attach(CapsuleServices(self, capsule))
@@ -857,18 +851,6 @@ class Kernel:
                         "kind": CapabilityKind.PROCESS_MANAGEMENT.value,
                         "holder": self.current_holder(), "pid": pid})
         self._terminate(pcb, ProcessState.EXITED, "destroyed")
-
-    def inspect_grants(self, token, pid: int):
-        self.registry.validate(token, CapabilityKind.GRANT_INSPECTION)
-        pcb = self.processes.get(pid)
-        if pcb is None:
-            raise ProcessDead(f"pid {pid} does not exist")
-        self.trace.log(ACTOR_KERNEL, K_PRIVILEGED_OP,
-                       {"op": "inspect_grants",
-                        "kind": CapabilityKind.GRANT_INSPECTION.value,
-                        "holder": self.current_holder(), "pid": pid})
-        return [{"capsule": name, "base": region.base, "size": region.length}
-                for name, (region, _) in pcb.grants.items()]
 
     # -- the loop --------------------------------------------------------------------------
 

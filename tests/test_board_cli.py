@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 
@@ -9,15 +10,16 @@ import pytest
 from kernsim import board as board_module
 from kernsim.audit import parse_trace, run_all_audits
 from kernsim.board import (
-    MAX_BUFFER_SIZE,
     MAX_PROCESSES,
     MAX_RAM_SIZE,
     check_board,
     run_simulation,
 )
+from kernsim.capabilities import CapabilityKind
+from kernsim.capsules import CAPSULE_TYPES, MAX_BUFFER_SIZE
 from kernsim.cli import main as cli_main
 
-from conftest import BOARDS_DIR, SCENARIOS_DIR, SRC, minimal_board_dict
+from conftest import BOARDS_DIR, DATA_DIR, SCENARIOS_DIR, SRC, minimal_board_dict
 
 
 def test_check_shipped_demo_board_ok():
@@ -396,8 +398,8 @@ def _console(cfg):
     return next(layer for layer in cfg["capsules"] if layer["name"] == "console")
 
 
-def _add_annotation(cfg, **fields):
-    cfg["capsules"].append({"name": "pins", "type": "annotation", **fields})
+def _add_probe(cfg, **fields):
+    cfg["capsules"].append({"name": "pins", "type": "probe", **fields})
 
 
 @pytest.mark.parametrize("mutate, needle", [
@@ -418,12 +420,12 @@ def _add_annotation(cfg, **fields):
                  "min_buffer_size", id="min_buffer_size_a_string"),
     pytest.param(lambda cfg: _console(cfg).update(buffer_size=-1),
                  "buffer_size", id="negative_console_buffer_size"),
-    pytest.param(lambda cfg: _add_annotation(cfg, driver_id=0),
-                 "reuses driver_id 0", id="annotation_driver_id_taken"),
-    pytest.param(lambda cfg: _add_annotation(cfg, driver_id=[1]), "driver_id",
-                 id="annotation_driver_id_a_list"),
-    pytest.param(lambda cfg: _add_annotation(cfg, driver_id=-1), "driver_id",
-                 id="annotation_driver_id_negative"),
+    pytest.param(lambda cfg: _add_probe(cfg, driver_id=0),
+                 "reuses driver_id 0", id="probe_driver_id_taken"),
+    pytest.param(lambda cfg: _add_probe(cfg, driver_id=[1]), "driver_id",
+                 id="probe_driver_id_a_list"),
+    pytest.param(lambda cfg: _add_probe(cfg, driver_id=-1), "driver_id",
+                 id="probe_driver_id_negative"),
     pytest.param(lambda cfg: _console(cfg).update(type=["a"]),
                  "capsules[1].type must be one of",
                  id="capsule_type_a_list"),
@@ -431,9 +433,9 @@ def _add_annotation(cfg, **fields):
                                                        uart={"irq": 5}),
                  "peripherals.alarm.irq must be an integer >= 0, got True",
                  id="irq_true"),
-    pytest.param(lambda cfg: _add_annotation(cfg, driver_id=True),
+    pytest.param(lambda cfg: _add_probe(cfg, driver_id=True),
                  "capsules[5].driver_id must be an integer in [0, 4294967295], got True",
-                 id="annotation_driver_id_true"),
+                 id="probe_driver_id_true"),
     pytest.param(lambda cfg: cfg.update(ram_size=True), "ram_size",
                  id="ram_size_true"),
     pytest.param(lambda cfg: cfg.update(name={"x": [1, None]}),
@@ -678,19 +680,23 @@ def test_a_file_past_the_first_chunk_is_read_to_the_input_bound(
 
 
 @pytest.mark.parametrize("alias", ["same", "dot", "symlink", "hardlink"])
-@pytest.mark.parametrize("role", ["board", "app"])
+@pytest.mark.parametrize("role", ["board", "app", "map"])
 def test_a_trace_path_naming_an_input_is_refused_and_writes_nothing(
         tmp_path, capsys, monkeypatch, role, alias):
     monkeypatch.chdir(tmp_path)
-    names = {"board": "b.json", "app_a": "a.json", "app_b": "c.json"}
-    sources = {"board": BOARDS_DIR / "demo.json",
-               "app_a": SCENARIOS_DIR / "demo_a.json",
-               "app_b": SCENARIOS_DIR / "demo_b.json"}
+    names = {"board": "b.json", "app_a": "a.json", "app_b": "c.json",
+             "map": "u.json"}
+    board = json.loads((BOARDS_DIR / "demo.json").read_text())
+    board["peripherals"]["uart"]["map"] = names["map"]
+    sources = {"board": json.dumps(board).encode(),
+               "app_a": (SCENARIOS_DIR / "demo_a.json").read_bytes(),
+               "app_b": (SCENARIOS_DIR / "demo_b.json").read_bytes(),
+               "map": (DATA_DIR / "maps" / "uart.json").read_bytes()}
     for key, name in names.items():
-        (tmp_path / name).write_bytes(sources[key].read_bytes())
+        (tmp_path / name).write_bytes(sources[key])
     before = {name: (tmp_path / name).read_bytes() for name in names.values()}
     # An app alias names the second app, so every app is checked.
-    target = names["board" if role == "board" else "app_b"]
+    target = names["app_b" if role == "app" else role]
     if alias == "same":
         trace = target
     elif alias == "dot":
@@ -709,6 +715,22 @@ def test_a_trace_path_naming_an_input_is_refused_and_writes_nothing(
     assert captured.out == ""
     assert {name: (tmp_path / name).read_bytes() for name in names.values()} \
         == before
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_a_board_on_a_pipe_is_read_once_with_a_trace_path(tmp_path):
+    # Looking for the register maps a board names must not consume a board
+    # that can be read only once.
+    trace_path = tmp_path / "t.jsonl"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kernsim.cli", "run", "--board", "/dev/stdin",
+         "--app", str(SCENARIOS_DIR / "alarm_fourcall.json"),
+         "--trace", str(trace_path)],
+        input=(BOARDS_DIR / "demo_sync.json").read_bytes(), env=env,
+        capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert parse_trace(trace_path.read_bytes())[-1]["kind"] == "quiescent"
 
 
 def test_a_trace_path_beside_missing_inputs_is_not_refused(tmp_path, capsys):
@@ -861,3 +883,100 @@ def test_a_key_the_schema_does_not_name_is_exit_2_at_check_and_run(
     events = parse_trace(trace_path.read_bytes())
     assert [e["payload"]["violation"] for e in events] == [
         f"{key} is not a known key"]
+
+
+# A valid value for each layer key that some capsule type takes and
+# another does not.
+_TYPED_KEYS = {"driver_id": 9, "buffer_size": 64}
+_ALL_LAYER_KEYS = {key for ctype in CAPSULE_TYPES.values() for key in ctype.LAYER}
+
+
+def _board_with_one_of_each_type():
+    """minimal_board_dict's layers plus one of each type it lacks, and the
+    index of the first layer of each type."""
+    cfg = minimal_board_dict()
+    for ctype in CAPSULE_TYPES:
+        if all(layer["type"] != ctype for layer in cfg["capsules"]):
+            layer = {"name": f"a_{ctype}", "type": ctype}
+            if "driver_id" in CAPSULE_TYPES[ctype].LAYER:
+                layer["driver_id"] = 100 + len(cfg["capsules"])
+            cfg["capsules"].append(layer)
+    first = {}
+    for i, layer in enumerate(cfg["capsules"]):
+        first.setdefault(layer["type"], i)
+    return cfg, first
+
+
+def _check_and_run_refuse(tmp_path, capsys, cfg, violations):
+    board_path = tmp_path / "board.json"
+    board_path.write_text(json.dumps(cfg))
+    app = tmp_path / "app.json"
+    app.write_text(json.dumps({"name": "app", "main": [{"op": "halt"}]}))
+    trace_path = tmp_path / "t.jsonl"
+    assert check_board(board_path) == violations
+    assert cli_main(["check", "--board", str(board_path)]) == 2
+    assert cli_main(["run", "--board", str(board_path), "--app", str(app),
+                     "--trace", str(trace_path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert all(f"config error: {violation}" in err for violation in violations)
+    events = parse_trace(trace_path.read_bytes())
+    assert [e["payload"]["violation"] for e in events] == violations
+
+
+@pytest.mark.parametrize("ctype, key", [
+    (ctype, key) for ctype in CAPSULE_TYPES
+    for key in sorted(_ALL_LAYER_KEYS - set(CAPSULE_TYPES[ctype].LAYER))])
+def test_a_layer_key_its_type_does_not_take_is_exit_2_at_check_and_run(
+        tmp_path, capsys, ctype, key):
+    cfg, first = _board_with_one_of_each_type()
+    (tmp_path / "ok.json").write_text(json.dumps(cfg))
+    assert check_board(tmp_path / "ok.json") == []
+    cfg["capsules"][first[ctype]][key] = _TYPED_KEYS[key]
+    _check_and_run_refuse(tmp_path, capsys, cfg,
+                          [f"capsules[{first[ctype]}].{key} is not a known key"])
+
+
+def test_each_shipped_type_declares_only_the_keys_and_kinds_it_uses():
+    assert [ctype for ctype, cls in CAPSULE_TYPES.items()
+            if "buffer_size" in cls.LAYER] == ["console"]
+    assert [ctype for ctype, cls in CAPSULE_TYPES.items()
+            if "driver_id" not in cls.LAYER] == ["annotation"]
+    assert {ctype: cls.CAPABILITIES for ctype, cls in CAPSULE_TYPES.items()
+            if cls.CAPABILITIES} == {"manager": (CapabilityKind.PROCESS_MANAGEMENT,)}
+
+
+@pytest.mark.parametrize("ctype, kind", [
+    (ctype, kind) for ctype in CAPSULE_TYPES for kind in CapabilityKind
+    if kind not in CAPSULE_TYPES[ctype].CAPABILITIES])
+def test_a_kind_its_holder_type_does_not_take_is_exit_2_at_check_and_run(
+        tmp_path, capsys, ctype, kind):
+    cfg, first = _board_with_one_of_each_type()
+    holder = cfg["capsules"][first[ctype]]["name"]
+    cfg["capabilities"] = {holder: [kind.value]}
+    _check_and_run_refuse(tmp_path, capsys, cfg, [
+        f"capsule {holder!r} (type {ctype!r}) may not be granted {kind.value}"])
+
+
+def test_an_unknown_kind_and_a_kind_granted_twice_are_exit_2_at_check_and_run(
+        tmp_path, capsys):
+    cfg = json.loads((BOARDS_DIR / "demo_sync.json").read_text())
+    cfg["capabilities"] = {"probe_a": ["GrantInspection"],
+                           "manager": ["ProcessManagement", "ProcessManagement"]}
+    _check_and_run_refuse(tmp_path, capsys, cfg, [
+        "capabilities.probe_a[0] must be one of ('ProcessManagement', "
+        "'LoaderControl'), got 'GrantInspection'",
+        "capsule 'manager' is granted ProcessManagement twice"])
+
+
+_WORKLOADS = runpy.run_path(str(SRC.parent / "perfbench" / "workloads.py"))
+
+
+@pytest.mark.parametrize("board", [
+    "demo.json", "demo_sync.json", "polarity_ok.json",
+    *sorted(_WORKLOADS["GENERATORS"])])
+def test_shipped_and_workload_boards_take_only_their_types_keys_and_kinds(
+        tmp_path, board):
+    path = BOARDS_DIR / board if board.endswith(".json") else \
+        _WORKLOADS["generate"](board, 0, tmp_path, scale=0.01).board
+    assert check_board(path) == []

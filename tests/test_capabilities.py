@@ -47,7 +47,7 @@ def test_token_from_another_board_is_foreign():
 
 def test_wrong_kind_rejected():
     registry = CapabilityRegistry(TraceLog())
-    token = registry.mint(CapabilityKind.GRANT_INSPECTION, "x")
+    token = registry.mint(CapabilityKind.LOADER_CONTROL, "x")
     with pytest.raises(WrongKind):
         registry.validate(token, CapabilityKind.PROCESS_MANAGEMENT)
 
@@ -69,9 +69,9 @@ def test_process_destroy_with_valid_token(board):
 
 def test_wrong_kind_token_rejected_by_kernel(board):
     pid = board.load_app(script_source([], {}, 256)).pid
-    grant_token = board.registry.mint(CapabilityKind.GRANT_INSPECTION, "test")
+    loader_token = board.registry.mint(CapabilityKind.LOADER_CONTROL, "test")
     with pytest.raises(WrongKind):
-        board.kernel.process_destroy(grant_token, pid)
+        board.kernel.process_destroy(loader_token, pid)
 
 
 def test_foreign_token_rejected_by_kernel(board):
@@ -145,18 +145,3 @@ def test_manager_destroy_via_scenario(board):
     assert len(privileged) == 1
     assert privileged[0].payload["holder"] == "manager"
 
-
-def test_inspect_grants_gated_on_grant_inspection(board):
-    pid = board.load_app(script_source([], {}, 256)).pid
-    board.kernel.handle_syscall(board.kernel.processes[pid],
-                                SyscallInvocation.command(0, 1, 100))
-    token = board.registry.mint(CapabilityKind.GRANT_INSPECTION, "test")
-    report = board.kernel.inspect_grants(token, pid)
-    assert report == [{"capsule": "alarm_driver",
-                       "base": board.kernel.processes[pid].grant_watermark,
-                       "size": 16}]
-    with pytest.raises(WrongKind):
-        board.kernel.inspect_grants(
-            board.capsules_by_name["manager"].token, pid)
-    with pytest.raises(ProcessDead, match="pid 99 does not exist"):
-        board.kernel.inspect_grants(token, 99)

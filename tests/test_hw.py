@@ -5,8 +5,9 @@ from pathlib import Path
 import pytest
 
 from kernsim.audit import parse_trace
-from kernsim.board import MAX_BUFFER_SIZE, Board, BoardConfig
+from kernsim.board import Board, BoardConfig
 from kernsim.buffers import BufferWindow
+from kernsim.capsules import MAX_BUFFER_SIZE
 from kernsim.hw import (
     AlarmHw,
     Chip,

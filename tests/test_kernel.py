@@ -13,6 +13,7 @@ from kernsim.abi import (
 )
 from kernsim.audit import parse_trace
 from kernsim.board import Board, BoardConfig, run_simulation
+from kernsim.capabilities import CapabilityKind
 from kernsim.capsules import CAPSULE_TYPES, AlarmDriver, Capsule, ProbeDriver
 from kernsim.errors import (
     PhaseError,
@@ -870,6 +871,8 @@ def test_capsule_exception_in_any_entry_point_is_exit_3(entry, monkeypatch):
 
 class SpawnerCapsule(Capsule):
     """Test fixture: loads a child process from inside a process quantum."""
+
+    CAPABILITIES = (CapabilityKind.LOADER_CONTROL,)
 
     def __init__(self, name, driver_id, token):
         super().__init__(name, driver_id)
