@@ -1,7 +1,8 @@
 """Pins the exact violation list of every single-field mutation of three
 valid inputs: a board with every optional key spelled out, the shipped
 alarm register map (named through a board's ``map`` key) and the fuzz
-scenario. Each field is set to each of nine values in turn, and the list
+scenario. Each field is set to each of nine values in turn, each key of
+each object is deleted, and each object gets one unknown key. The list
 that `check` (or the scenario parser) reports is compared with
 ``violation_messages.jsonl``, so that any reworded message shows as a
 diff of that file.
@@ -29,6 +30,9 @@ from kernsim.scenario import parse_script_bytes  # noqa: E402
 
 PIN_FILE = HERE / "violation_messages.jsonl"
 VALUES = (-1, 0, 2 ** 32, 2 ** 64, True, None, "x", [1], {"a": 1})
+# The value a deleted key's record shows, and the key added to each object.
+DELETED = "<deleted>"
+UNKNOWN = "zz"
 
 FULL_BOARD = {
     "name": "test",
@@ -77,17 +81,37 @@ def _fields(node, prefix=()):
         yield from _fields(child, prefix + (key,))
 
 
+def _node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _with(doc, path, value):
+    """A copy of doc with the field at path set to value (added if
+    absent), or deleted if value is DELETED."""
+    changed = copy.deepcopy(doc)
+    node = _node(changed, path[:-1])
+    if value == DELETED:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return changed
+
+
 def _mutations(doc):
-    """The unchanged document, then each field set to each value."""
+    """The unchanged document, then each field set to each value, then,
+    for each object, each of its keys deleted and an unknown key added."""
     yield "", None, doc
     for path in _fields(doc):
         for value in VALUES:
-            changed = copy.deepcopy(doc)
-            node = changed
-            for key in path[:-1]:
-                node = node[key]
-            node[path[-1]] = value
-            yield ".".join(map(str, path)), value, changed
+            yield ".".join(map(str, path)), value, _with(doc, path, value)
+    objects = [()] + [path for path in _fields(doc)
+                      if isinstance(_node(doc, path), dict)]
+    for obj in objects:
+        for path in [obj + (key,) for key in _node(doc, obj)] + [obj + (UNKNOWN,)]:
+            value = 1 if path[-1] == UNKNOWN else DELETED
+            yield ".".join(map(str, path)), value, _with(doc, path, value)
 
 
 def _board_violations(workdir: Path, board, alarm_map=None):
