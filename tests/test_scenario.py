@@ -1,13 +1,15 @@
+import copy
 import functools
 
 import pytest
 
 from kernsim import board as board_module
 from kernsim import kernel as kernel_module
-from kernsim.abi import SyscallInvocation, YieldMode
+from kernsim.abi import SYSCALL_RECORDS, SyscallInvocation, YieldMode
 from kernsim.errors import ScenarioError
 from kernsim.kernel import ProcessState
-from kernsim.scenario import _expect, _halt, _syscall, parse_script, parse_script_bytes
+from kernsim.scenario import STATEMENTS, _expect, _halt, _syscall, parse_script, \
+    parse_script_bytes
 
 from conftest import make_board, script_source, trace_events
 
@@ -140,6 +142,39 @@ def test_a_key_the_schema_does_not_name_is_refused(doc, key):
     with pytest.raises(ScenarioError) as info:
         parse_script(doc)
     assert info.value.violations == [f"{key} is not a known key"]
+
+
+# A statement of each op and a call of each class that takes an optional
+# key, holding only the keys its schema requires.
+_BARE = {
+    "write_local": {"op": "write_local", "offset": 4},
+    "loop": {"op": "loop", "count": 2},
+    "sync_command": {"op": "sync_command", "driver": 0, "cmd": 1, "fn": "h"},
+    **{klass: {"op": "syscall", "call": {"class": klass, **call}}
+       for klass, call in (("yield", {}), ("subscribe", {"driver": 1, "sub": 0}),
+                           ("command", {"driver": 1, "cmd": 2}),
+                           ("rw_allow", {"driver": 2, "buf": 0, "base": 4, "len": 8}),
+                           ("ro_allow", {"driver": 2, "buf": 0, "base": 4, "len": 8}))},
+}
+_OPTIONAL_KEYS = [(form, name, key.default)
+                  for schemas in (STATEMENTS, SYSCALL_RECORDS)
+                  for form, schema in schemas.items()
+                  for name, key in schema.items() if not key.required]
+
+
+@pytest.mark.parametrize("form, name, default", _OPTIONAL_KEYS,
+                         ids=[f"{form}.{name}" for form, name, _ in _OPTIONAL_KEYS])
+def test_a_left_out_key_gives_the_steps_of_its_default(form, name, default):
+    bare = _BARE[form]
+    explicit = copy.deepcopy(bare)
+    record = explicit["call"] if form in SYSCALL_RECORDS else explicit
+    record[name] = list(default) if type(default) is tuple else default
+
+    def steps(stmt):
+        return parse_script({"main": [stmt, {"op": "halt"}],
+                             "handlers": {"h": []}}).main
+
+    assert steps(bare) == steps(explicit)
 
 
 @pytest.mark.parametrize("key, value", [("base", "x"), ("seg", "ram")])
