@@ -81,6 +81,7 @@ class SyscallInvocation(NamedTuple):
     fn_id: str = "null"
     userdata: int = 0
 
+    # Positional builds, as SyscallReturn's: a scenario builds one per call.
     @classmethod
     def yield_(cls, mode: YieldMode) -> "SyscallInvocation":
         return cls(SyscallClass.YIELD, yield_mode=mode)
@@ -88,26 +89,23 @@ class SyscallInvocation(NamedTuple):
     @classmethod
     def subscribe(cls, driver: int, sub: int, fn_id: str,
                   userdata: int = 0) -> "SyscallInvocation":
-        return cls(SyscallClass.SUBSCRIBE, driver_id=driver, subcommand=sub,
-                   fn_id=fn_id, userdata=userdata)
+        return cls(_SUBSCRIBE, None, driver, sub, 0, 0, 0, 0, fn_id,
+                   userdata)
 
     @classmethod
     def command(cls, driver: int, cmd: int, arg0: int = 0,
                 arg1: int = 0) -> "SyscallInvocation":
-        return cls(SyscallClass.COMMAND, driver_id=driver, subcommand=cmd,
-                   arg0=arg0, arg1=arg1)
+        return cls(_COMMAND, None, driver, cmd, arg0, arg1)
 
     @classmethod
     def rw_allow(cls, driver: int, buf: int, base: int,
                  length: int) -> "SyscallInvocation":
-        return cls(SyscallClass.RW_ALLOW, driver_id=driver, subcommand=buf,
-                   base=base, length=length)
+        return cls(SyscallClass.RW_ALLOW, None, driver, buf, 0, 0, base, length)
 
     @classmethod
     def ro_allow(cls, driver: int, buf: int, base: int,
                  length: int) -> "SyscallInvocation":
-        return cls(SyscallClass.RO_ALLOW, driver_id=driver, subcommand=buf,
-                   base=base, length=length)
+        return cls(SyscallClass.RO_ALLOW, None, driver, buf, 0, 0, base, length)
 
     @classmethod
     def exit(cls) -> "SyscallInvocation":
@@ -172,7 +170,9 @@ _SUCCESS_RETURN = SyscallReturn(_SUCCESS)
 
 # Each integer of a syscall record fills a register. An allow's ``seg``
 # says what its base is relative to: the process's RAM, its program image
-# or nothing.
+# or nothing. A checked record reads as the invocation it names and the
+# segment its base is relative to: None for an absolute allow, and for a
+# call with no base.
 REGISTER = Key(int, 0, U32_MAX, required=True)
 _ALLOW = {"driver": REGISTER, "buf": REGISTER, "base": REGISTER,
           "len": REGISTER, "seg": Key(("ram", "flash", "abs"), default="ram")}
@@ -187,26 +187,25 @@ SYSCALL_RECORDS: Dict[str, Schema] = {
     "ro_allow": _ALLOW,
     "exit": {},
 }
-SYSCALL = Key(SYSCALL_RECORDS, tag="class", required=True)
-_YIELDS = {mode.value: SyscallInvocation.yield_(mode) for mode in YieldMode}
-_EXIT = SyscallInvocation.exit()
+_YIELDS = {mode.value: (SyscallInvocation.yield_(mode), None) for mode in YieldMode}
+_EXIT = (SyscallInvocation.exit(), None)
 
 
-def invocation(record: Dict[str, Any]) -> SyscallInvocation:
-    """The invocation a record that passed the SYSCALL walk names."""
-    tag = record["class"]
-    if tag == "command":
-        return SyscallInvocation.command(record["driver"], record["cmd"],
-                                         *record["args"])
-    if tag == "yield":
-        return _YIELDS[record["mode"]]
-    if tag == "subscribe":
-        return SyscallInvocation.subscribe(record["driver"], record["sub"],
-                                           record["fn"], record["userdata"])
-    if tag == "exit":
-        return _EXIT
-    return getattr(SyscallInvocation, tag)(record["driver"], record["buf"],
-                                           record["base"], record["len"])
+def _allow(build):
+    return lambda driver, buf, base, length, seg: (
+        build(driver, buf, base, length), None if seg == "abs" else seg)
+
+
+SYSCALL = Key(SYSCALL_RECORDS, tag="class", required=True, make={
+    "yield": _YIELDS.__getitem__,
+    "subscribe": lambda driver, sub, fn, userdata: (
+        SyscallInvocation.subscribe(driver, sub, fn, userdata), None),
+    "command": lambda driver, cmd, args: (
+        SyscallInvocation.command(driver, cmd, *args), None),
+    "rw_allow": _allow(SyscallInvocation.rw_allow),
+    "ro_allow": _allow(SyscallInvocation.ro_allow),
+    "exit": lambda: _EXIT,
+})
 
 
 # Invocation and return texts. Every value of a record is a register, a

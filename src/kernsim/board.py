@@ -34,16 +34,8 @@ from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, TextIO
 
 from .capabilities import BoardPhase, CapabilityKind, CapabilityRegistry
-from .capsules import CAPSULE_TYPES, validate_composition
-from .errors import (
-    INVALID,
-    ConfigError,
-    Key,
-    Schema,
-    SimulationDiagnostic,
-    SpecError,
-    walk,
-)
+from .capsules import CAPSULE_TYPES, LAYERS, validate_composition
+from .errors import INVALID, ConfigError, Key, Schema, SimulationDiagnostic, SpecError
 from .hw import AlarmHw, Chip, HashEngineHw, InterruptController, UartHw
 from .kernel import Kernel, LoaderJob, PackedApp
 from .loader import VERIFIER_POLICIES, fnv1a64, pack_binary
@@ -81,29 +73,27 @@ _FIRST_READ = 128 * 1024
 _PERIPHERAL_MODELS = {"alarm": AlarmHw, "uart": UartHw, "hashengine": HashEngineHw}
 
 
-def board_schema() -> Schema:
-    """The board schema. A process holds two MPU regions, its flash and its
-    RAM; a key id is 16 bits in the binary header. A capsule layer holds
-    the keys its type takes: the schema is built for each check, so that
-    every type registered in CAPSULE_TYPES is known."""
-    return {
-        "name": Key(str, default="board"),
-        "ram_size": Key(int, 1, MAX_RAM_SIZE, required=True),
-        "mpu_max_regions": Key(int, 2, default=8),
-        "upcall_queue_depth": Key(int, 1, default=8),
-        "capsule_step_budget": Key(int, 1, default=100_000),
-        "max_processes": Key(int, 1, MAX_PROCESSES, 8),
-        "loader": Key(("sync", "async"), default="sync"),
-        "verifier": Key(VERIFIER_POLICIES, default="digest_match"),
-        "trusted_key_ids": Key(list, default=(), item=Key(int, 0, 0xFFFF)),
-        "peripherals": Key({name: Key({"irq": Key(int, 0, required=True),
-                                       "map": Key(str, null=True), **model.KNOBS})
-                            for name, model in _PERIPHERAL_MODELS.items()}),
-        "capsules": Key(list, default=(), item=Key(
-            {name: ctype.LAYER for name, ctype in CAPSULE_TYPES.items()}, tag="type")),
-        "capabilities": Key(dict, default={}, item=Key(
-            list, item=Key(tuple(kind.value for kind in CapabilityKind)))),
-    }
+# The board schema. A process holds two MPU regions, its flash and its
+# RAM; a key id is 16 bits in the binary header. A capsule layer holds
+# the keys its type takes, looked up in CAPSULE_TYPES at each check.
+BOARD: Schema = {
+    "name": Key(str, default="board"),
+    "ram_size": Key(int, 1, MAX_RAM_SIZE, required=True),
+    "mpu_max_regions": Key(int, 2, default=8),
+    "upcall_queue_depth": Key(int, 1, default=8),
+    "capsule_step_budget": Key(int, 1, default=100_000),
+    "max_processes": Key(int, 1, MAX_PROCESSES, 8),
+    "loader": Key(("sync", "async"), default="sync"),
+    "verifier": Key(VERIFIER_POLICIES, default="digest_match"),
+    "trusted_key_ids": Key(list, default=(), item=Key(int, 0, 0xFFFF)),
+    "peripherals": Key({name: Key({"irq": Key(int, 0, required=True),
+                                   "map": Key(str, null=True), **model.KNOBS})
+                        for name, model in _PERIPHERAL_MODELS.items()}),
+    "capsules": Key(list, default=(), item=Key(LAYERS, tag="type")),
+    "capabilities": Key(dict, default={}, item=Key(
+        list, item=Key(tuple(kind.value for kind in CapabilityKind)))),
+}
+_BOARD = Key(BOARD)
 
 
 class BoardConfig(SimpleNamespace):
@@ -115,12 +105,12 @@ class BoardConfig(SimpleNamespace):
     def from_dict(cls, data: Dict[str, Any],
                   base_dir: Path = Path()) -> "BoardConfig":
         """Full static validation, raising ConfigError with every violation
-        found. The walk checks each key; the rules that tie keys together
+        found. The schema's checker checks each key; the rules that tie keys together
         are checked here, on the values that passed. Each peripheral's map
         is loaded once, here."""
         v: List[str] = []
         specs: Dict[str, RegisterMapSpec] = {}
-        board = walk(Key(board_schema()), data, "board config", v)
+        board = _BOARD.check(data, "board config", v)
         if board is INVALID:
             raise ConfigError(v)
         peripherals = board["peripherals"] = {
@@ -432,7 +422,7 @@ def _simulate(board_path, app_paths, max_ticks: int, seed: int, out: TextIO,
     trace = TraceLog(out=out)
     try:
         refused: List[str] = []
-        if walk(MAX_TICKS, max_ticks, "max_ticks", refused) is INVALID:
+        if MAX_TICKS.check(max_ticks, "max_ticks", refused) is INVALID:
             raise ConfigError(refused)
         board = Board(BoardConfig.from_file(board_path), seed, out)
         trace = board.trace

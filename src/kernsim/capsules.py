@@ -12,6 +12,7 @@ the processes that arm alarms.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import Any, Dict, List, Optional, Tuple, Type
 
 from .abi import U32_MAX, ErrorCode, SyscallReturn
@@ -396,3 +397,20 @@ CAPSULE_TYPES: Dict[str, Type[Capsule]] = {
     "manager": ManagerDriver,
     "annotation": AnnotationLayer,
 }
+
+
+class _Layers(Mapping):
+    """The LAYER schema of each type in CAPSULE_TYPES, by type name, read
+    from that table at each lookup: a type added to it is known at once."""
+
+    def __getitem__(self, ctype: str) -> Schema:
+        return CAPSULE_TYPES[ctype].LAYER
+
+    def __iter__(self):
+        return iter(CAPSULE_TYPES)
+
+    def __len__(self) -> int:
+        return len(CAPSULE_TYPES)
+
+
+LAYERS = _Layers()

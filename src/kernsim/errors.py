@@ -1,9 +1,12 @@
-"""Exception types shared across the simulator, and the one walker that
-checks every input file (board, register map, scenario) against its
-declarative schema."""
+"""Exception types shared across the simulator, and the schema keys that
+describe every input file (board, register map, scenario). Each Key is
+compiled once, when it is built, into the function that checks a value
+against it, so boards, register maps and scripts are all checked by the
+compiled checkers of their schemas."""
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from math import inf
+from typing import Any, Callable, Dict, List, Optional
 
 
 @dataclass(frozen=True, slots=True)
@@ -15,7 +18,17 @@ class Key:
     ``hi`` bound an integer, a list's length, or a string (lo: non-empty;
     hi: most UTF-8 bytes). ``item`` checks each list item or map value.
     An absent key (or a null one, if ``null``) reads as ``default``; an
-    object's default is walked too. JSON true and false are not integers."""
+    object's default is checked too. JSON true and false are not integers.
+
+    A checked object reads as the dict of its keys, the tag first. A
+    tagged object's ``make`` may map a word to the function that builds
+    what such an object reads as instead, from its values in schema
+    order; the object reads as INVALID if it broke a rule.
+
+    ``check(value, path, out)``, compiled when the key is built, gives
+    the value checked, an object's absent keys filled in. Each breach
+    appends a violation naming the field by its path (and the bad value,
+    cut at 80 characters) to ``out``, and the bad value reads as INVALID."""
 
     type: Any
     lo: Optional[int] = None
@@ -25,21 +38,21 @@ class Key:
     null: bool = False
     item: Optional["Key"] = None
     tag: Optional[str] = None
+    make: Any = field(default=None, repr=False, compare=False)
     kind: str = field(init=False, repr=False, compare=False)
-    plain: Any = field(init=False, repr=False, compare=False)  # needs no walk
+    check: Callable[[Any, Any, List[str]], Any] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kind = {int: "int", str: "str", list: "list", dict: "map"}.get(self.type) \
             if isinstance(self.type, type) else \
-            "object" if type(self.type) is dict else "words"
-        plain = kind in ("str", "list", "map") and self.lo is None and \
-            self.hi is None and self.item is None
+            "words" if type(self.type) is tuple else "object"
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "plain", self.type if plain else None)
+        object.__setattr__(self, "check", _COMPILERS[kind](self))
 
 
 Schema = Dict[str, Key]
-# Where a walk found a bad value; falsy, so ``value or {}`` reads as empty.
+# Where a check found a bad value; falsy, so ``value or {}`` reads as empty.
 INVALID = type("Invalid", (), {"__bool__": lambda self: False})()
 
 
@@ -56,50 +69,9 @@ def where(path) -> str:
     return text
 
 
-def walk(key: Key, value, path, out: List[str]):
-    """value checked against key, each object's absent keys filled in
-    from its schema. Each breach appends a violation naming the field by
-    its path (and the bad value, cut at 80 characters) to ``out``, and
-    the bad value reads as INVALID."""
-    kind, lo, hi, item = key.kind, key.lo, key.hi, key.item
-    if kind == "int":
-        if type(value) is int and lo <= value and (hi is None or value <= hi):
-            return value
-        expected = "an integer " + (f">= {lo}" if hi is None else f"in [{lo}, {hi}]")
-    elif kind == "object":
-        if type(value) is not dict:
-            expected = "an object"
-        else:
-            word = key.tag and value.get(key.tag)  # a tagged object's variant
-            schema = key.type if key.tag is None else \
-                key.type.get(word) if type(word) is str else None
-            if schema is not None:
-                return _walk_object(schema, value, path, out, key.tag)
-            path, value, expected = (path, key.tag), word, f"one of {tuple(key.type)}"
-    elif kind == "list":
-        if type(value) is list and (hi is None or len(value) <= hi):
-            return value if item is None else [
-                entry if type(entry) is int and item.kind == "int" and
-                item.lo <= entry and (item.hi is None or entry <= item.hi)
-                else walk(item, entry, (path, i), out)
-                for i, entry in enumerate(value)]
-        expected = "a list" if hi is None else f"a list of at most {hi} items"
-    elif kind == "map":
-        if type(value) is dict:
-            return value if item is None else {
-                name: walk(item, entry, (path, name), out)
-                for name, entry in value.items()}
-        expected = "an object"
-    elif kind == "words":
-        if type(value) in (str, int) and value in key.type:
-            return value
-        expected = f"one of {tuple(key.type)}"
-    else:
-        if type(value) is str and len(value) >= (lo or 0) and \
-                (hi is None or _utf8_size(value) <= hi):
-            return value
-        expected = ("a non-empty string" if lo else "a string") + \
-            (f" of at most {hi} UTF-8 bytes" if hi is not None else "")
+def _refuse(out: List[str], path, expected: str, value) -> Any:
+    """Append the violation of a value at path that is not ``expected``
+    (the value cut at 80 characters); the value reads as INVALID."""
     out.append(f"{where(path)} must be {expected}, got {value!r:.80}")
     return INVALID
 
@@ -108,34 +80,163 @@ def _utf8_size(text: str) -> float:
     try:
         return len(text.encode("utf-8"))
     except UnicodeEncodeError:  # a lone surrogate has no UTF-8 form
-        return float("inf")
+        return inf
 
 
-def _walk_object(schema: Schema, value: Dict[str, Any], path, out: List[str],
-                 tag: Optional[str]) -> Dict[str, Any]:
-    result = {} if tag is None else {tag: value[tag]}
-    known = len(result)
-    for name, key in schema.items():
-        entry = value.get(name, INVALID)
-        if entry is INVALID or entry is None and key.null:
-            known += entry is None  # a null that reads as the default
-            if key.required:
-                out.append(f"{where((path, name))} is required")
-            result[name] = (INVALID if key.required else
-                            key.default if key.kind != "object" or key.default is None
-                            else _walk_object(key.type, key.default, (path, name),
-                                              out, None))
-            continue
-        known += 1
-        if type(entry) is key.plain or type(entry) is int and key.kind == "int" \
-                and key.lo <= entry and (key.hi is None or entry <= key.hi):
-            result[name] = entry  # the common cases, checked without a call
-        else:
-            result[name] = walk(key, entry, (path, name), out)
-    if known != len(value):
-        out.extend(f"{where((path, name))} is not a known key" for name in value
-                   if name not in schema and name != tag)
-    return result
+def _int(key: Key):
+    lo, hi = key.lo, inf if key.hi is None else key.hi
+    expected = "an integer " + (f">= {lo}" if key.hi is None else f"in [{lo}, {hi}]")
+
+    def check(value, path, out):
+        if type(value) is int and lo <= value <= hi:
+            return value
+        return _refuse(out, path, expected, value)
+    return check
+
+
+def _str(key: Key):
+    lo, hi = key.lo or 0, inf if key.hi is None else key.hi
+    expected = ("a non-empty string" if lo else "a string") + \
+        (f" of at most {hi} UTF-8 bytes" if key.hi is not None else "")
+
+    def check(value, path, out):
+        if type(value) is str and len(value) >= lo and \
+                (hi is inf or _utf8_size(value) <= hi):
+            return value
+        return _refuse(out, path, expected, value)
+    return check
+
+
+def _words(key: Key):
+    words = key.type
+    expected = f"one of {words}"
+
+    def check(value, path, out):
+        if type(value) in (str, int) and value in words:
+            return value
+        return _refuse(out, path, expected, value)
+    return check
+
+
+def _list(key: Key):
+    hi = inf if key.hi is None else key.hi
+    item = key.item and key.item.check
+    lo, top = _bounds(key.item)
+    expected = "a list" if key.hi is None else f"a list of at most {hi} items"
+
+    def check(value, path, out):
+        if type(value) is list and len(value) <= hi:
+            if item is None:
+                return value
+            for entry in value:
+                if not (type(entry) is int and lo <= entry <= top):
+                    return [item(entry, (path, i), out) for i, entry in enumerate(value)]
+            return value  # a list of integers in range, as it is
+        return _refuse(out, path, expected, value)
+    return check
+
+
+def _map(key: Key):
+    item = key.item and key.item.check
+
+    def check(value, path, out):
+        if type(value) is dict:
+            return value if item is None else \
+                {name: item(entry, (path, name), out) for name, entry in value.items()}
+        return _refuse(out, path, "an object", value)
+    return check
+
+
+def _object(key: Key):
+    tag, variants, make = key.tag, key.type, key.make
+    if tag is None:
+        read, keys = reader(variants), tuple(variants)
+
+        def check(value, path, out):
+            if type(value) is dict:
+                return dict(zip(keys, read(value, path, out)))
+            return _refuse(out, path, "an object", value)
+        return check
+
+    def form(word):  # the reader, keys and make of a variant
+        schema = variants[word]
+        return reader(schema, tag), (tag, *schema), make and make[word]
+    # A table that may grow (the capsule layers) is read at each check.
+    forms = {word: form(word) for word in variants} if type(variants) is dict else None
+
+    def check(value, path, out):
+        word = value.get(tag) if type(value) is dict else None
+        if type(word) is not str or word not in variants:
+            if type(value) is not dict:
+                return _refuse(out, path, "an object", value)
+            return _refuse(out, (path, tag), f"one of {tuple(variants)}", word)
+        read, keys, made = form(word) if forms is None else forms[word]
+        if made is None:
+            return dict(zip(keys, [word, *read(value, path, out)]))
+        seen = len(out)
+        values = read(value, path, out)
+        return made(*values) if len(out) == seen else INVALID
+    return check
+
+
+_COMPILERS = {"int": _int, "str": _str, "words": _words, "list": _list,
+              "map": _map, "object": _object}
+
+
+def _bounds(key: Optional[Key]):
+    """The range of an integer key, which a value in it passes without a
+    call to its checker; an empty one for any other key."""
+    if key is not None and key.kind == "int":
+        return key.lo, inf if key.hi is None else key.hi
+    return 1, 0
+
+
+def reader(schema: Schema, tag: Optional[str] = None):
+    """The compiled checker of the keys of an object of ``schema``, for a
+    dict value (whose ``tag`` key, if any, already named the schema):
+    read(value, path, out) gives the object's values in schema order, each
+    bad one INVALID. Each key is checked in schema order, an absent one
+    filled in from its default, and then each key the schema does not
+    name is refused."""
+    fields = [(name, key.check, _PLAIN.get(key.kind) if key.lo is key.hi is key.item is None
+               else None, *_bounds(key)) for name, key in schema.items()]
+    absent = {name: (key.required, key.null, key.default,
+                     key.kind == "object" and key.default is not None)
+              for name, key in schema.items()}
+    allowed = {*schema, tag}
+
+    def read(value, path, out):
+        values = []
+        get = value.get
+        for name, check, plain, lo, hi in fields:
+            entry = get(name, INVALID)
+            if type(entry) is plain or type(entry) is int and lo <= entry <= hi:
+                pass  # the common cases, checked without a call
+            elif entry is INVALID or entry is None:
+                entry = _absent(absent[name], check, entry, (path, name), out)
+            else:
+                entry = check(entry, (path, name), out)
+            values.append(entry)
+        if not value.keys() <= allowed:
+            out.extend(f"{where((path, name))} is not a known key" for name in value
+                       if name not in allowed)
+        return values
+    return read
+
+
+def _absent(absent, check, entry, path, out):
+    """The value of a key that is absent or null: its default if that is
+    what it reads as, else the violation."""
+    required, null, default, checked_default = absent
+    if entry is None and not null:
+        return check(entry, path, out)
+    if required:
+        out.append(f"{where(path)} is required")
+        return INVALID
+    return check(default, path, out) if checked_default else default
+
+
+_PLAIN = {"str": str, "list": list, "map": dict}
 
 
 class KernsimError(Exception):

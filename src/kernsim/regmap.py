@@ -26,7 +26,6 @@ from .errors import (
     UnknownOffset,
     UnknownRegister,
     ValueOutOfRange,
-    walk,
 )
 
 
@@ -135,14 +134,15 @@ REGISTER_MAP: Schema = {
     "name": Key(str, 1, required=True),
     "registers": Key(list, default=(), item=Key(_REGISTER)),
 }
+_REGISTER_MAP = Key(REGISTER_MAP)
 
 
 def load_register_map(data: Dict[str, Any]) -> RegisterMapSpec:
     """Validate a map description; collects all violations before raising.
-    The walk checks each key; the layout rules are checked here, on the
-    registers and fields whose keys passed."""
+    The schema's checker checks each key; the layout rules are checked
+    here, on the registers and fields whose keys passed."""
     violations: List[str] = []
-    spec = walk(Key(REGISTER_MAP), data, "register map", violations)
+    spec = _REGISTER_MAP.check(data, "register map", violations)
     registers: List[RegisterSpec] = []
     seen_names: set = set()
     for raw in spec and spec["registers"] or ():

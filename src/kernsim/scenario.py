@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .abi import ARGS, REGISTER, SYSCALL, U32_MAX, SyscallClass, \
-    SyscallInvocation, YieldMode, invocation
-from .errors import INVALID, Key, Schema, ScenarioError, walk, where
+    SyscallInvocation, YieldMode
+from .errors import INVALID, Key, Schema, ScenarioError, reader, where
 from .trace import encode_json
 
 MAX_STATEMENTS = 200_000
@@ -80,8 +80,8 @@ class ScenarioScript:
 
 
 # The lists under "main", a handler name and a loop's "body" hold
-# statements, which _parse_statements walks one at a time. The header
-# fields are bounded to their widths in the packed binary.
+# statements, which _parse_statements checks and compiles one at a time.
+# The header fields are bounded to their widths in the packed binary.
 _U32 = Key(int, 0, U32_MAX, 0)
 STATEMENTS: Dict[str, Schema] = {
     "syscall": {"call": SYSCALL},
@@ -106,75 +106,111 @@ SCENARIO: Schema = {
     "main": Key(list, default=()),
     "handlers": Key(dict, default={}, item=Key(list)),
 }
+_SCENARIO = Key(SCENARIO)
 _WAIT = (_syscall, SyscallInvocation.yield_(YieldMode.WAIT), None)
 _SUCCESS = {"variant": "success"}
 _EXPECT_SUCCESS = (_expect, _SUCCESS, encode_json(_SUCCESS))
+_YIELD = SyscallClass.YIELD
+
+
+def _spend(budget: List[int], count: int, out: List[str]) -> None:
+    """Take count statements from the script's unroll budget."""
+    budget[0] -= count
+    if budget[0] < 0:
+        raise ScenarioError(out + [
+            f"script exceeds {MAX_STATEMENTS} statements after unrolling"])
+
+
+# Each op's builder adds the steps of a statement whose keys passed its
+# schema to ``stmts``, given the statement's values in schema order. The
+# statements it unrolls to were taken from the budget first, except a
+# loop's, which its body decides.
+
+def _syscall_steps(stmts, values, here, in_handler, budget, out):
+    (inv, seg), = values
+    if in_handler and inv.klass is _YIELD:
+        out.append(f"{where(here)}: upcall handlers run to completion "
+                   "and may not yield")
+    else:
+        stmts.append((_syscall, inv, seg))
+
+
+def _expect_steps(stmts, values, here, in_handler, budget, out):
+    pattern, = values
+    stmts.append((_expect, pattern, encode_json(pattern)))
+
+
+def _write_local_steps(stmts, values, here, in_handler, budget, out):
+    offset, data = values
+    try:
+        stmts.append((_write_local, offset, binascii.unhexlify(data)))
+    except ValueError:  # not hex, or not ASCII
+        out.append(f"{where((here, 'data'))} must be hex, got {data!r}")
+
+
+def _read_local_steps(stmts, values, here, in_handler, budget, out):
+    stmts.append((_read_local, *values))
+
+
+def _halt_steps(stmts, values, here, in_handler, budget, out):
+    stmts.append((_halt, None, None))
+
+
+def _loop_steps(stmts, values, here, in_handler, budget, out):
+    count, body = values
+    body = _parse_statements(body, (here, "body"), in_handler, budget, out)
+    _spend(budget, len(body) * count, out)
+    if body:  # an empty body unrolls to nothing, whatever the count
+        stmts.extend(body * count)
+
+
+def _sync_command_steps(stmts, values, here, in_handler, budget, out):
+    driver, cmd, args, fn, sub, userdata = values
+    if in_handler:
+        out.append(f"{where(here)}: sync_command yields and cannot appear "
+                   "in a handler")
+    else:  # subscribe, command, wait, expect
+        stmts += (
+            (_syscall, SyscallInvocation.subscribe(driver, sub, fn, userdata), None),
+            (_syscall, SyscallInvocation.command(driver, cmd, *args), None),
+            _WAIT, _EXPECT_SUCCESS)
+
+
+# Each op's compiled checker, which gives a statement's values, the
+# statements it unrolls to, and its builder.
+_FORMS = {op: (reader(STATEMENTS[op], "op"), count, build)
+          for op, count, build in (
+              ("syscall", 1, _syscall_steps), ("expect", 1, _expect_steps),
+              ("write_local", 1, _write_local_steps),
+              ("read_local", 1, _read_local_steps), ("halt", 1, _halt_steps),
+              ("loop", 0, _loop_steps), ("sync_command", 4, _sync_command_steps))}
 
 
 def _parse_statements(raw_list, path, in_handler: bool, budget: List[int],
                       out: List[str]) -> List[Step]:
     """The flat steps a list unrolls to, each statement checked against
-    STATEMENT here, so that a loop nests one call deep. ``budget`` holds
-    the statements the script may still unroll to."""
+    its op's schema and built in one pass, so that a loop nests one call
+    deep. ``budget`` holds the statements the script may still unroll to."""
     stmts: List[Step] = []
     for i, raw in enumerate(raw_list):
         here = (path, i)
-        seen = len(out)
-        rec = walk(STATEMENT, raw, here, out)
-        if len(out) != seen:
+        op = raw.get("op") if type(raw) is dict else None
+        form = _FORMS.get(op) if type(op) is str else None
+        if form is None:  # not an object, or no known op
+            STATEMENT.check(raw, here, out)
             continue
-        op = rec["op"]
-        if op == "loop":
-            body = _parse_statements(rec["body"], (here, "body"), in_handler,
-                                     budget, out)
-        budget[0] -= (len(body) * rec["count"] if op == "loop" else
-                      4 if op == "sync_command" else 1)
-        if budget[0] < 0:
-            raise ScenarioError(out + [
-                f"script exceeds {MAX_STATEMENTS} statements after unrolling"])
-        if op == "loop":
-            if body:  # an empty body unrolls to nothing, whatever the count
-                stmts.extend(body * rec["count"])
-        elif op == "syscall":
-            call = rec["call"]
-            inv = invocation(call)
-            if in_handler and inv.klass is SyscallClass.YIELD:
-                out.append(f"{where(here)}: upcall handlers run to completion "
-                           "and may not yield")
-            else:  # only an allow has a seg; an "abs" one adds no base
-                seg = call.get("seg")
-                stmts.append((_syscall, inv, None if seg == "abs" else seg))
-        elif op == "write_local":
-            try:
-                data = binascii.unhexlify(rec["data"])
-            except ValueError:  # not hex, or not ASCII
-                out.append(f"{where((here, 'data'))} must be hex, "
-                           f"got {rec['data']!r}")
-                continue
-            stmts.append((_write_local, rec["offset"], data))
-        elif op == "expect":
-            stmts.append((_expect, rec["pattern"], encode_json(rec["pattern"])))
-        elif op == "read_local":
-            stmts.append((_read_local, rec["offset"], rec["len"]))
-        elif op == "halt":
-            stmts.append((_halt, None, None))
-        elif in_handler:
-            out.append(f"{where(here)}: sync_command yields and cannot appear "
-                       "in a handler")
-        else:  # subscribe, command, wait, expect
-            driver = rec["driver"]
-            stmts += (
-                (_syscall, SyscallInvocation.subscribe(
-                    driver, rec["sub"], rec["fn"], rec["userdata"]), None),
-                (_syscall, SyscallInvocation.command(
-                    driver, rec["cmd"], *rec["args"]), None),
-                _WAIT, _EXPECT_SUCCESS)
+        read, count, build = form
+        seen = len(out)
+        values = read(raw, here, out)
+        if len(out) == seen:
+            _spend(budget, count, out)
+            build(stmts, values, here, in_handler, budget, out)
     return stmts
 
 
 def parse_script(data: Dict[str, Any], name: str = "app") -> ScenarioScript:
     out: List[str] = []
-    doc = walk(Key(SCENARIO), data, "scenario", out)
+    doc = _SCENARIO.check(data, "scenario", out)
     if doc is INVALID:
         raise ScenarioError(out)
     budget = [MAX_STATEMENTS]

@@ -16,10 +16,9 @@ from kernsim.abi import (
     YieldMode,
     encode_invocation,
     encode_return,
-    invocation,
     match_return,
 )
-from kernsim.errors import walk
+from kernsim.errors import INVALID
 
 from conftest import AWKWARD_NAMES
 from oracles import compact, invocation_record, return_record
@@ -27,11 +26,11 @@ from oracles import compact, invocation_record, return_record
 
 def decode(record):
     """The invocation a syscall record names, as a scenario decodes it:
-    checked by the SYSCALL walk, then built. A record the walk refuses
-    gives its violations instead."""
+    checked and built by SYSCALL's checker. A record it refuses gives its
+    violations instead."""
     out = []
-    checked = walk(SYSCALL, record, "record", out)
-    return out if out else invocation(checked)
+    checked = SYSCALL.check(record, "record", out)
+    return out if checked is INVALID else checked[0]
 
 
 def test_decode_command():

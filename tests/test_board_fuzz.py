@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kernsim.board import MAX_PROCESSES, MAX_RAM_SIZE, board_schema
+from kernsim.board import BOARD, MAX_PROCESSES, MAX_RAM_SIZE
 from kernsim.capsules import MAX_BUFFER_SIZE
 from kernsim.cli import main as cli_main
 from kernsim.errors import Key
@@ -22,7 +22,7 @@ from kernsim.regmap import REGISTER_MAP
 from conftest import DATA_DIR, minimal_board_dict, schema_fields, set_field
 
 BASE_BOARD = minimal_board_dict(trusted_key_ids=[7])
-BOARD_FIELDS = list(schema_fields(Key(board_schema()), BASE_BOARD))
+BOARD_FIELDS = list(schema_fields(Key(BOARD), BASE_BOARD))
 ALARM_MAP = json.loads((DATA_DIR / "maps" / "alarm.json").read_text())
 MAP_FIELDS = list(schema_fields(Key(REGISTER_MAP), ALARM_MAP))
 

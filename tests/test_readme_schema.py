@@ -8,7 +8,7 @@ from pathlib import Path
 
 from kernsim.abi import SYSCALL_RECORDS
 from kernsim.audit import ALL_AUDITS
-from kernsim.board import board_schema
+from kernsim.board import BOARD
 from kernsim.capsules import CAPSULE_TYPES
 from kernsim.regmap import REGISTER_MAP
 from kernsim.scenario import SCENARIO, STATEMENTS
@@ -16,7 +16,6 @@ from kernsim.scenario import SCENARIO, STATEMENTS
 README = Path(__file__).resolve().parents[1] / "README.md"
 _REGISTER = REGISTER_MAP["registers"].item.type
 
-BOARD = board_schema()
 # Each object schema by the name its README table is marked with; the
 # objects with no keys (a halt statement, an exit call) have no table.
 # A capsule type's layer is marked by its type, so a type added to
