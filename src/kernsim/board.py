@@ -105,9 +105,9 @@ class BoardConfig(SimpleNamespace):
     def from_dict(cls, data: Dict[str, Any],
                   base_dir: Path = Path()) -> "BoardConfig":
         """Full static validation, raising ConfigError with every violation
-        found. The schema's checker checks each key; the rules that tie keys together
-        are checked here, on the values that passed. Each peripheral's map
-        is loaded once, here."""
+        found. The schema's checker checks each key; the rules that tie
+        keys together are checked here, on the values that passed. Each
+        peripheral's map is loaded once, here."""
         v: List[str] = []
         specs: Dict[str, RegisterMapSpec] = {}
         board = _BOARD.check(data, "board config", v)
@@ -154,8 +154,13 @@ class BoardConfig(SimpleNamespace):
                     v.append(f"capsule {name!r} (type {ctype!r}) may not be "
                              f"granted {kind}")
         v.extend(validate_composition(layers))
+        # A grant names a capsule the file declares, even one refused above.
+        raw_layers = data.get("capsules")
+        declared = {layer.get("name") for layer in raw_layers if type(layer) is dict
+                    and type(layer.get("name")) is str} \
+            if type(raw_layers) is list else set()
         v.extend(f"capability grant names unknown capsule {holder!r}"
-                 for holder in grants if holder not in named)
+                 for holder in grants if holder not in declared)
         if v:
             raise ConfigError(v)
         return cls(**board, peripheral_specs=specs)

@@ -66,7 +66,7 @@ def validate_composition(layers: List[Dict[str, Any]]) -> List[str]:
         floor = below and below.get("min_buffer_size")
         if type(size) is int and type(floor) is int and size < floor:
             mismatches.append(
-                f"layer {name!r} declares buffer_size={size} below "
+                f"layer {name!r} has buffer_size={size} below "
                 f"min_buffer_size={floor} declared by layer {below['name']!r}")
     return mismatches
 

@@ -55,6 +55,30 @@ def test_check_reports_buffer_size_violation(tmp_path):
     assert any("uart_pins" in v and "console" in v for v in violations)
 
 
+def test_a_console_that_leaves_out_buffer_size_has_the_default_below_a_floor(tmp_path):
+    cfg = minimal_board_dict()
+    cfg["capsules"] = [
+        {"name": "uart_pins", "type": "annotation", "min_buffer_size": 128},
+        {"name": "console", "type": "console", "driver_id": 1},
+    ]
+    cfg["capabilities"] = {}
+    path = tmp_path / "board.json"
+    path.write_text(json.dumps(cfg))
+    assert check_board(path) == [
+        "layer 'console' has buffer_size=64 below min_buffer_size=128 declared "
+        "by layer 'uart_pins'"]
+
+
+def test_a_refused_layer_still_names_the_capsule_a_grant_holds(tmp_path):
+    cfg = minimal_board_dict()
+    cfg["capsules"][4]["type"] = "bogus"
+    path = tmp_path / "board.json"
+    path.write_text(json.dumps(cfg))
+    assert check_board(path) == [
+        "capsules[4].type must be one of ('alarm', 'console', 'probe', "
+        "'manager', 'annotation'), got 'bogus'"]
+
+
 def test_check_reports_unknown_capability_reference(tmp_path):
     cfg = minimal_board_dict()
     cfg["capabilities"] = {"ghost": ["ProcessManagement"],

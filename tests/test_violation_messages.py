@@ -151,14 +151,30 @@ def _lines(records):
     return [json.dumps(record) for record in records]
 
 
+def _moved(pinned, current):
+    """A report of the pinned lines that current moves: how many, then the
+    input, field and value of the first five with their old and new
+    violations."""
+    moved = [(json.loads(old), json.loads(new)) for old, new in zip(pinned, current)
+             if old != new]
+    report = [f"{len(moved)} of {len(pinned)} pinned lines moved"]
+    for old, new in moved[:5]:
+        report += [f"{new['input']} {new['field']!r} = {new['value']!r}:",
+                   f"  pinned:  {old['violations']}", f"  current: {new['violations']}"]
+    return "\n".join(report)
+
+
 def test_every_violation_message_is_pinned():
     pinned = PIN_FILE.read_text(encoding="utf-8").splitlines()
     current = _lines(current_records())
     assert len(current) == len(pinned)
-    changed = [(old, new) for old, new in zip(pinned, current) if old != new]
-    assert changed == []
+    assert pinned == current, _moved(pinned, current)
 
 
 if __name__ == "__main__":
-    PIN_FILE.write_text("\n".join(_lines(current_records())) + "\n",
-                        encoding="utf-8")
+    pinned = PIN_FILE.read_text(encoding="utf-8").splitlines()
+    current = _lines(current_records())
+    PIN_FILE.write_text("\n".join(current) + "\n", encoding="utf-8")
+    rewritten = sum(old != new for old, new in zip(pinned, current)) + \
+        abs(len(current) - len(pinned))
+    print(f"rewrote {rewritten} of {len(current)} lines of {PIN_FILE.name}")
