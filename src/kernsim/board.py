@@ -156,9 +156,9 @@ class BoardConfig(SimpleNamespace):
         v.extend(validate_composition(layers))
         # A grant names a capsule the file declares, even one refused above.
         raw_layers = data.get("capsules")
-        declared = {layer.get("name") for layer in raw_layers if type(layer) is dict
-                    and type(layer.get("name")) is str} \
-            if type(raw_layers) is list else set()
+        declared = {layer["name"] for layer in
+                    (raw_layers if type(raw_layers) is list else ())
+                    if type(layer) is dict and type(layer.get("name")) is str}
         v.extend(f"capability grant names unknown capsule {holder!r}"
                  for holder in grants if holder not in declared)
         if v:
