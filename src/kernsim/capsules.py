@@ -42,7 +42,7 @@ def validate_composition(layers: List[Dict[str, Any]]) -> List[str]:
     value of "configurable" satisfies any required value for that
     property. A layer's ``buffer_size`` must meet the ``min_buffer_size``
     of the layer beneath it. A value that is not an object or an integer
-    (one the board walk refused) declares nothing."""
+    (one the board check refused) declares nothing."""
     mismatches: List[str] = []
     for i, layer in enumerate(layers):
         below = layers[i - 1] if i > 0 else None

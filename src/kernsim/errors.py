@@ -198,8 +198,9 @@ def reader(schema: Schema, tag: Optional[str] = None):
     bad one INVALID. Each key is checked in schema order, an absent one
     filled in from its default, and then each key the schema does not
     name is refused."""
-    fields = [(name, key.check, _PLAIN.get(key.kind) if key.lo is key.hi is key.item is None
-               else None, *_bounds(key)) for name, key in schema.items()]
+    fields = [(name, key.check,
+               _PLAIN.get(key.kind) if key.lo is key.hi is key.item is None else None,
+               *_bounds(key)) for name, key in schema.items()]
     absent = {name: (key.required, key.null, key.default,
                      key.kind == "object" and key.default is not None)
               for name, key in schema.items()}
