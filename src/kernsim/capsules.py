@@ -27,7 +27,7 @@ from .errors import (
     Schema,
     WriteToReadOnly,
 )
-from .hw import TICK_MASK, AlarmHw, UartHw, tick_passed
+from .hw import HALF_RING, TICK_MASK, AlarmHw, UartHw, tick_passed
 
 CONFIGURABLE = "configurable"
 MAX_BUFFER_SIZE = 64 * 1024  # the largest console window
@@ -142,6 +142,11 @@ class AlarmDriver(Capsule):
     Commands: 1 = arm an alarm at an absolute tick (arg0), 2 = read the
     alarm's COUNT, the frame deadlines are in. Subscribe slot 0 receives
     (fire_tick, deadline, 0).
+
+    The driver writes only COMPARE and CTRL, through MMIO, with the
+    offsets and masks resolved when it is built: arming is two writes,
+    COMPARE and then CTRL with ENABLE and IRQEN set together, and
+    disarming is one CTRL write that clears IRQEN and keeps ENABLE.
     """
 
     NUM_SUBSCRIBES = 1
@@ -154,6 +159,12 @@ class AlarmDriver(Capsule):
     def __init__(self, name: str, driver_id: int, alarm: AlarmHw, max_clients: int):
         super().__init__(name, driver_id)
         self.hw = alarm
+        regs = self._regs = alarm.regs
+        ctrl = regs.spec.register("CTRL")
+        self._compare_at = regs.spec.register("COMPARE").offset
+        self._ctrl_at = ctrl.offset
+        self._irqen = ctrl.field("IRQEN").mask
+        self._arm_mask = ctrl.field("ENABLE").mask | self._irqen
         # Slot i: [pid holding it or None, its armed deadline or None].
         self._slots: List[List[Optional[int]]] = [[None, None]
                                                   for _ in range(max_clients)]
@@ -209,23 +220,25 @@ class AlarmDriver(Capsule):
             return  # process died between fire and delivery
         self.kern.schedule_upcall(pid, 0, [now & TICK_MASK, deadline, 0])
 
-    def _distance(self, now: int, deadline: int) -> int:
-        if tick_passed(now, deadline):
-            return 0
-        return (deadline - now) & TICK_MASK
-
     def _program(self) -> None:
-        armed = [deadline for _, deadline in self._slots if deadline is not None]
-        if not armed:
-            self.hw.regs.field_set("CTRL", "IRQEN", 0)
-            return
+        regs, ctrl_at = self._regs, self._ctrl_at
         now = self.hw.count
-        best = min(armed, key=lambda deadline: self._distance(now, deadline))
+        best = gap = None
+        for _, deadline in self._slots:
+            if deadline is not None:
+                # Ticks until the deadline; one that has passed is 0 away.
+                until = (deadline - now) & TICK_MASK
+                if until > HALF_RING:
+                    until = 0
+                if gap is None or until < gap:
+                    best, gap = deadline, until
+        if best is None:
+            regs.mmio_write(ctrl_at, regs.values[ctrl_at] & ~self._irqen)
+            return
         # COMPARE first: it reopens the fire latch while the IRQ is still
         # masked, so a stale compare value cannot fire spuriously.
-        self.hw.regs.write_reg("COMPARE", best)
-        self.hw.regs.field_set("CTRL", "ENABLE", 1)
-        self.hw.regs.field_set("CTRL", "IRQEN", 1)
+        regs.mmio_write(self._compare_at, best)
+        regs.mmio_write(ctrl_at, regs.values[ctrl_at] | self._arm_mask)
 
     def on_process_exit(self, pid: int) -> None:
         slot = self._slot_of(pid)

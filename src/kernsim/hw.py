@@ -7,7 +7,8 @@ inputs raise identical IRQ sequences. Each peripheral also tells how many
 ticks remain until it raises its next interrupt, so the clock can cover
 the ticks in between in one step: an idle gap in one addition, a UART DMA
 transfer in one batch that moves the span's bytes together and logs each
-with the tick it moved on.
+with the tick it moved on. A one-tick UART step that moves one byte logs
+it as a single event.
 """
 
 from __future__ import annotations
@@ -182,8 +183,10 @@ class UartHw:
     A DMA transfer reads straight from the buffer window handed to
     :meth:`start_tx`. :meth:`tick` moves the bytes of a span of ticks in
     one range read and logs them in one series, each stamped with the tick
-    it moved on. The completion IRQ is raised on the tick the last byte
-    moves, and the window is handed back through :meth:`take_completion`.
+    it moved on; a one-tick step that moves one byte logs it with one
+    :meth:`TraceLog.log` call. The completion IRQ is raised on the tick
+    the last byte moves, and the window is handed back through
+    :meth:`take_completion`.
     As in Tock's UART HIL, the driver sees one interrupt per transfer, not
     one per byte, so :meth:`ticks_until_event` answers the ticks left in
     the transfer. Writing TXDATA sends a single byte immediately (the
@@ -248,8 +251,11 @@ class UartHw:
         per_tick, sent = self.bytes_per_tick, self._sent
         moved = min(n * per_tick, self._total - sent)
         data = window.hw_read(sent, moved)
-        self.trace.log_series(self._actor, K_UART_TX, self.trace.clock.now - n + 1,
-                              per_tick, [_TX_PAYLOADS[byte] for byte in data])
+        if moved == 1 and n == 1:
+            self.trace.log(self._actor, K_UART_TX, _TX_PAYLOADS[data[0]])
+        else:
+            self.trace.log_series(self._actor, K_UART_TX, self.trace.clock.now - n + 1,
+                                  per_tick, [_TX_PAYLOADS[byte] for byte in data])
         self._sent = sent = sent + moved
         if sent >= self._total:
             self._window = None

@@ -212,6 +212,8 @@ class ScopedRegion:
     logged with ``note``, the :func:`region_note` of the capsule ``via``
     and the ``purpose``; only a read-write region can be written."""
 
+    __slots__ = ("_memory", "_region", "_via", "_purpose", "_note", "_live")
+
     def __init__(self, memory: MemoryController, region: MemoryRegion,
                  via: str, purpose: str, note: str):
         self._memory = memory
@@ -234,15 +236,16 @@ class ScopedRegion:
     def read(self, offset: int = 0, length: Optional[int] = None) -> bytes:
         if length is None:
             length = self._region.length - offset
-        base = self._span(offset, length)
-        return self._memory.read(None, base, length, note=self._note)
+        return self._memory.access(None, self._span(offset, length), length,
+                                   READ, note=self._note)
 
     def write(self, offset: int, data: bytes) -> None:
         if self._region.access != ACCESS_RW:
             raise WriteToReadOnly(
                 f"capsule {self._via!r} wrote through a read-only share")
-        base = self._span(offset, len(data))
-        self._memory.write(None, base, data, note=self._note)
+        length = len(data)
+        self._memory.access(None, self._span(offset, length), length, WRITE,
+                            data, self._note)
 
     def write_u8(self, offset: int, value: int) -> None:
         self.write(offset, bytes([value & 0xFF]))
@@ -262,34 +265,31 @@ class CapsuleServices:
         self._kernel = kernel
         self._capsule = capsule
 
-    def _charge(self) -> None:
-        self._kernel.charge_capsule()
-
     def schedule_upcall(self, pid: int, subscribe_num: int, args) -> bool:
-        self._charge()
+        self._kernel.charge_capsule()
         return self._kernel.schedule_upcall(
             self._capsule.name, self._capsule.driver_id, pid, subscribe_num, args)
 
     def grant_enter(self, pid: int, visitor: Callable):
-        self._charge()
+        self._kernel.charge_capsule()
         return self._kernel.grant_enter(
             self._capsule.name, self._capsule.GRANT_SCHEMA, pid, visitor)
 
     def with_rw_buffer(self, pid: int, buf_num: int, visitor: Callable):
-        self._charge()
+        self._kernel.charge_capsule()
         return self._kernel.with_buffer(self._capsule, pid, buf_num, "rw", visitor)
 
     def with_ro_buffer(self, pid: int, buf_num: int, visitor: Callable):
-        self._charge()
+        self._kernel.charge_capsule()
         return self._kernel.with_buffer(self._capsule, pid, buf_num, "ro", visitor)
 
     def report_error(self, message: str) -> None:
-        self._charge()
+        self._kernel.charge_capsule()
         self._kernel.trace.log(actor_capsule(self._capsule.name), K_CAPSULE_ERROR,
                                {"error": message})
 
     def process_destroy(self, token, pid: int) -> None:
-        self._charge()
+        self._kernel.charge_capsule()
         self._kernel.process_destroy(token, pid)
 
 
@@ -748,29 +748,27 @@ class Kernel:
                            {"pid": pid, "capsule": capsule_name,
                             "size": schema_size, "base": base})
         self._grant_entries.add(key)
+        handle = ScopedRegion(self.memory, grant[0], capsule_name, "grant", grant[1])
         try:
-            return self._visit(grant, capsule_name, "grant", visitor)
+            return visitor(handle)
         finally:
+            handle._live = False
             self._grant_entries.discard(key)
 
     # -- scoped buffer access ------------------------------------------------------
 
     def with_buffer(self, capsule, pid: int, buf_num: int, mode: str,
                     visitor: Callable):
+        """Hand the visitor a fresh view of the buffer pid shares in the
+        capsule's slot, invalidated when the visitor returns, so a capsule
+        cannot keep it."""
         pcb = self._live_pcb(pid)
         key = (capsule.driver_id, buf_num, mode)
         share = pcb.allow_slots.get(key)
         if share is None:
             raise NoSharedBuffer(
                 f"pid {pid} shares nothing in slot {key}")
-        return self._visit(share, capsule.name, "allow", visitor)
-
-    def _visit(self, share: Tuple[MemoryRegion, str], via: str, purpose: str,
-               visitor: Callable):
-        """Hand the visitor a fresh view of the share's region, invalidated
-        when the visitor returns, so a capsule cannot keep it."""
-        region, note = share
-        handle = ScopedRegion(self.memory, region, via, purpose, note)
+        handle = ScopedRegion(self.memory, share[0], capsule.name, "allow", share[1])
         try:
             return visitor(handle)
         finally:
@@ -798,9 +796,11 @@ class Kernel:
     def record_expect(self, pcb: ProcessControlBlock, pattern: Dict[str, Any],
                       text: str) -> None:
         """Match an expect's pattern against the last return, and log
-        ``text``, the pattern as the trace writes it."""
-        passed = pcb.last_return is not None and \
-            match_return(pattern, pcb.last_return)
+        ``text``, the pattern as the trace writes it. A pattern whose text
+        is the return's passes without a match: equal texts are equal
+        records."""
+        passed = text == pcb.last_return_text or (
+            pcb.last_return is not None and match_return(pattern, pcb.last_return))
         self.trace.log(pcb.actor, K_EXPECT,
                        f'{{"pattern":{text},'
                        f'"actual":{pcb.last_return_text or "null"},'

@@ -16,7 +16,8 @@ are those of ``json.dumps(record, separators=(",", ":"))``.
 each with its own encoded payload, the tick advancing by one every
 ``per_tick`` events, in a few large writes; its bytes equal those of one
 :meth:`TraceLog.log` per event. A busy UART logs the bytes it moves over
-a span of ticks this way.
+a span of ticks this way; a one-tick step that moves one byte goes
+through :meth:`TraceLog.log`, as one event.
 
 A payload given as a ``str`` is taken as already encoded and written
 unchanged. Every emitter on the loop and syscall paths hands over text:
@@ -132,8 +133,9 @@ class TraceLog:
             body = payload
         else:
             body = encode_json(payload) if payload else "{}"
-        self._write(f'{{"seq":{self._seq},"tick":{self.clock.now}{prefix}{body}}}\n')
-        self._seq += 1
+        seq = self._seq
+        self._write(f'{{"seq":{seq},"tick":{self.clock.now}{prefix}{body}}}\n')
+        self._seq = seq + 1
 
     def log_series(self, actor: str, kind: str, first: int, per_tick: int,
                    payloads: Sequence[str]) -> None:
@@ -142,7 +144,9 @@ class TraceLog:
 
         The bytes equal those of one :meth:`log` per event made at its
         tick. At most ``SERIES_CHUNK`` lines go to each write, so a long
-        series streams rather than building one string.
+        series streams rather than building one string. A single event
+        costs less through :meth:`log`, which is how the UART logs a
+        one-tick step that moves one byte.
         """
         prefix = self._prefixes.get((actor, kind)) or self._cache_prefix(actor, kind)
         seq, n = self._seq, len(payloads)

@@ -6,7 +6,7 @@ from pathlib import Path
 from kernsim.abi import SyscallReturn
 from kernsim.capsules import AlarmDriver
 from kernsim.hw import AlarmHw, InterruptController
-from kernsim.regmap import load_register_map
+from kernsim.regmap import RegisterFile, load_register_map
 from kernsim.trace import TraceLog
 
 from oracles import alarm_oracle
@@ -15,6 +15,9 @@ MAPS_DIR = Path(__file__).resolve().parents[1] / "src" / "kernsim" / "maps"
 ALARM_SPEC = load_register_map(json.loads((MAPS_DIR / "alarm.json").read_text()))
 
 RING = 1 << 32
+CTRL = ALARM_SPEC.register("CTRL")
+ENABLE = CTRL.field("ENABLE").mask
+IRQEN = CTRL.field("IRQEN").mask
 
 
 class FakeGrant:
@@ -159,6 +162,55 @@ def test_disarm_cancels():
         hw.tick()
         irqc.service()
     assert fires == [(1, 40)]
+
+
+def mmio_writes(monkeypatch):
+    """Record every software write to a register file as (register, value)."""
+    writes = []
+    original = RegisterFile.mmio_write
+
+    def recording(self, offset, value):
+        writes.append((self.spec.by_offset(offset).name, value))
+        return original(self, offset, value)
+
+    monkeypatch.setattr(RegisterFile, "mmio_write", recording)
+    return writes
+
+
+def test_arm_and_fire_register_traffic(monkeypatch):
+    writes = mmio_writes(monkeypatch)
+    hw, irqc, driver, fires = make_driver(1)
+    regs = hw.regs
+    # An arm is two writes: COMPARE, then CTRL with both bits in one write.
+    set_alarm(driver, 0, 30)
+    assert writes == [("COMPARE", 30), ("CTRL", ENABLE | IRQEN)]
+    assert (regs.field_get("CTRL", "ENABLE"), regs.field_get("CTRL", "IRQEN"),
+            regs.read_reg("COMPARE")) == (1, 1, 30)
+    # A fire that leaves nothing armed is one write: IRQEN cleared, ENABLE kept.
+    writes.clear()
+    hw.tick(30)
+    irqc.service()
+    assert fires == [(0, 30)]
+    assert writes == [("CTRL", ENABLE)]
+    assert (regs.field_get("CTRL", "ENABLE"), regs.field_get("CTRL", "IRQEN"),
+            regs.read_reg("COMPARE")) == (1, 0, 30)
+    # Re-arming from there is again two writes.
+    writes.clear()
+    set_alarm(driver, 0, 45)
+    assert writes == [("COMPARE", 45), ("CTRL", ENABLE | IRQEN)]
+
+
+def test_the_soonest_deadline_is_programmed_and_a_passed_one_is_due_at_once():
+    hw, irqc, driver, fires = make_driver(3, initial_count=100)
+    # now + HALF_RING is the farthest deadline that is still to come.
+    set_alarm(driver, 0, 100 + RING // 2)
+    set_alarm(driver, 1, 110)
+    assert hw.regs.read_reg("COMPARE") == 110
+    set_alarm(driver, 2, 95)
+    assert hw.regs.read_reg("COMPARE") == 95
+    irqc.service()
+    assert fires == [(2, 100)]
+    assert hw.regs.read_reg("COMPARE") == 110
 
 
 def test_oracle_equivalence_200_random_scenarios():

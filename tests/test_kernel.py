@@ -986,6 +986,35 @@ def test_expect_pattern_texts_of_loops_and_handlers_are_their_compact_json():
         assert f'"payload":{{"pattern":{text},"actual":' in line
 
 
+_EMPTY_ALLOW = {"class": "rw_allow", "driver": DRIVER_PROBE_A, "buf": 0, "base": 0,
+                "len": 0}
+_EMPTY_REGION = {"variant": "success_region", "base": 0, "len": 0}
+_PROBE_NOOP = {"class": "command", "driver": DRIVER_PROBE_A, "cmd": 0}
+
+
+@pytest.mark.parametrize("call, pattern, actual, passed", [
+    (_EMPTY_ALLOW, _EMPTY_REGION, _EMPTY_REGION, True),
+    (_EMPTY_ALLOW, {"len": 0, "base": 0, "variant": "success_region"},
+     _EMPTY_REGION, True),
+    (_EMPTY_ALLOW, {"variant": "success_region"}, _EMPTY_REGION, True),
+    (_EMPTY_ALLOW, {}, _EMPTY_REGION, True),
+    # A key the record lacks reads as null, so a null value matches it.
+    (_PROBE_NOOP, {"variant": "success", "value": None}, {"variant": "success"},
+     True),
+    (_EMPTY_ALLOW, {"variant": "success_region", "base": 1}, _EMPTY_REGION, False),
+    (None, {}, None, False),
+], ids=["whole_record", "keys_reordered", "subset", "empty", "absent_key_null",
+        "wrong_value", "before_any_syscall"])
+def test_expect_verdicts(call, pattern, actual, passed):
+    main = [{"op": "syscall", "call": call}] if call else []
+    main += [{"op": "expect", "pattern": pattern}, {"op": "halt"}]
+    board, code = run_board(main)
+    [expect] = [e.payload for e in trace_events(board) if e.kind == "expect"]
+    assert expect == {"pattern": pattern, "actual": actual, "pass": passed}
+    assert code == (0 if passed else 1)
+    assert board.kernel.expect_failures == (0 if passed else 1)
+
+
 # --- subscribe drops the swapped slot's queued upcalls --------------------------
 
 

@@ -4,6 +4,8 @@ and exit codes equal."""
 
 import json
 import random
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,9 @@ from conftest import BOARDS_DIR, SCENARIOS_DIR, minimal_board_dict, script_sourc
 from oracles import RING, run_per_tick
 
 SCENARIOS = sorted(p.name for p in SCENARIOS_DIR.glob("*.json"))
+# run_path compiles the file without writing bytecode next to it.
+WORKLOADS = runpy.run_path(
+    str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
 GROUPS = [
     ["manager_victim.json", "manager_killer.json"],
     ["grant_worker.json", "grant_hog.json"],
@@ -56,6 +61,20 @@ def test_shipped_scenarios_match_per_tick_stepper(board_name, apps):
     config = BoardConfig.from_dict(data, BOARDS_DIR)
     sources = [(a[:-5], (SCENARIOS_DIR / a).read_bytes()) for a in apps]
     _assert_same(lambda: Board(config), sources, DEFAULT_MAX_TICKS)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS["GENERATORS"]))
+def test_benchmark_workloads_match_per_tick_stepper(name, tmp_path):
+    # The stepper moves every UART byte in a one-tick step, one byte at a
+    # time; Board.run mixes such steps with the multi-tick spans of a
+    # transfer it sleeps through.
+    workload = WORKLOADS["generate"](name, 5, tmp_path, scale=0.25)
+    config = BoardConfig.from_file(workload.board)
+    sources = [(app.stem, app.read_bytes()) for app in workload.apps]
+    code, trace = _assert_same(lambda: Board(config), sources, workload.max_ticks)
+    assert code == 0
+    if name == "console_boot":
+        assert b'"kind":"uart_tx"' in trace
 
 
 def _sleep(deadline):
