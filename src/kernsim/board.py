@@ -200,6 +200,14 @@ def _read_bounded(path) -> Optional[bytes]:
     return None if len(raw) > MAX_INPUT_SIZE else raw
 
 
+_PACKAGED_MAPS = resources.files("kernsim").joinpath("maps")
+
+
+def _packaged_map(pname: str):
+    """The register map file that ships for a known peripheral."""
+    return _PACKAGED_MAPS.joinpath(f"{pname}.json")
+
+
 def _load_map(pname: str, map_ref: Optional[str], base_dir: Path,
               v: List[str], specs: Dict[str, RegisterMapSpec]) -> None:
     """Add the peripheral's register map (the packaged one unless the
@@ -207,8 +215,7 @@ def _load_map(pname: str, map_ref: Optional[str], base_dir: Path,
     register contract; else add the violations to v."""
     try:
         if map_ref is None:
-            raw = _read_bounded(
-                resources.files("kernsim").joinpath(f"maps/{pname}.json"))
+            raw = _read_bounded(_packaged_map(pname))
         else:
             # Relative to the board file; joining keeps an absolute path.
             raw = _read_bounded(base_dir / map_ref)
@@ -235,18 +242,24 @@ def _load_map(pname: str, map_ref: Optional[str], base_dir: Path,
 
 
 def _named_maps(board_path) -> List[Path]:
-    """The register map files a board file names, whatever else it holds.
-    A board that is not a regular file (a pipe is read only once, by its
-    build), cannot be read or does not parse names none."""
+    """The register map files a board reads, whatever else its file holds:
+    each ``map`` string, and the packaged map of each known peripheral
+    without one. A board that is not a regular file (a pipe is read only
+    once, by its build), cannot be read or does not parse names none."""
     try:
         data = json.loads(_read(Path(board_path), "board file")) \
             if os.path.isfile(board_path) else None
     except (ConfigError, ValueError, RecursionError):
         return []
     peripherals = data.get("peripherals") if type(data) is dict else None
-    return [Path(board_path).parent / pcfg["map"]
-            for pcfg in (peripherals.values() if type(peripherals) is dict else ())
-            if type(pcfg) is dict and type(pcfg.get("map")) is str]
+    maps = []
+    for pname, pcfg in (peripherals.items() if type(peripherals) is dict else ()):
+        map_ref = pcfg.get("map") if type(pcfg) is dict else None
+        if type(map_ref) is str:
+            maps.append(Path(board_path).parent / map_ref)
+        elif pname in _PERIPHERAL_MODELS:
+            maps.append(_packaged_map(pname))
+    return maps
 
 
 class Board:
@@ -388,10 +401,11 @@ def run_simulation(board_path, app_paths, *, max_ticks: int = DEFAULT_MAX_TICKS,
     """CLI entry: open the trace sink, then build, load and run, each event
     going to the sink as it is logged. Returns the exit code: 2 for a
     trace path that names an input file (the board, an app, or a register
-    map the board names: refused before the sink opens), for a sink that
-    fails to open, write, flush or close, and for configuration problems,
-    which still emit their diagnostics as trace events. Diagnostics go to
-    ``err``, by default the current stderr."""
+    map the board reads, its own or a packaged one: refused before the
+    sink opens), for a sink that fails to open, write, flush or close, and
+    for configuration problems, which still emit their diagnostics as
+    trace events. Diagnostics go to ``err``, by default the current
+    stderr."""
     err = sys.stderr if err is None else err
     inputs = () if trace_path is None else \
         (board_path, *app_paths, *_named_maps(board_path))

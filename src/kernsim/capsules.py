@@ -16,7 +16,6 @@ from collections.abc import Mapping
 from typing import Any, Dict, List, Optional, Tuple, Type
 
 from .abi import U32_MAX, ErrorCode, SyscallReturn
-from .buffers import BufferWindow
 from .capabilities import CapabilityKind
 from .errors import (
     GrantNoMem,
@@ -30,7 +29,7 @@ from .errors import (
 from .hw import HALF_RING, TICK_MASK, AlarmHw, UartHw, tick_passed
 
 CONFIGURABLE = "configurable"
-MAX_BUFFER_SIZE = 64 * 1024  # the largest console window
+MAX_BUFFER_SIZE = 64 * 1024  # the largest console buffer
 
 
 # --- composition ------------------------------------------------------------
@@ -253,10 +252,11 @@ class ConsoleDriver(Capsule):
 
     Userspace shares its data read-only (slot 0), subscribes the done
     callback (slot 0), and issues command 1 with the byte count. The
-    driver copies the bytes into its own static window, slices it to the
-    transfer length, and lends it to the UART; the window comes back at
-    full capacity when the completion interrupt is handled. While it is
-    lent out, command 1 answers BUSY.
+    driver copies the bytes into its own buffer and lends the buffer to
+    the UART with the transfer length, as Tock's console does with the
+    buffer in its ``TakeCell``: ``self.buffer`` is None while the UART
+    holds it, and command 1 answers BUSY exactly then. The completion
+    interrupt hands the buffer back.
     """
 
     NUM_SUBSCRIBES = 1
@@ -271,7 +271,7 @@ class ConsoleDriver(Capsule):
                  buffer_size: int):
         super().__init__(name, driver_id)
         self.uart = uart
-        self.window = BufferWindow(buffer_size)
+        self.buffer: Optional[bytearray] = bytearray(buffer_size)
         self._owner_pid: Optional[int] = None
 
     @classmethod
@@ -281,11 +281,11 @@ class ConsoleDriver(Capsule):
     def command(self, cmd: int, arg0: int, arg1: int, pid: int) -> SyscallReturn:
         if cmd != self.CMD_WRITE:
             return SyscallReturn.failure(ErrorCode.NOSUPPORT)
-        window = self.window
-        if window.in_flight:
+        buffer = self.buffer
+        if buffer is None:
             return SyscallReturn.failure(ErrorCode.BUSY)
         length = arg0
-        if length < 1 or length > window.capacity:
+        if length < 1 or length > len(buffer):
             return SyscallReturn.failure(ErrorCode.SIZE)
         try:
             data = self.kern.with_ro_buffer(pid, 0, lambda h: h.read(0, length))
@@ -293,20 +293,17 @@ class ConsoleDriver(Capsule):
             return SyscallReturn.failure(ErrorCode.RESERVE)
         except RangeError:
             return SyscallReturn.failure(ErrorCode.SIZE)
-        window.write(0, data)
-        window.slice(0, length)
-        window.take()
+        buffer[:length] = data
+        self.buffer = None
         self._owner_pid = pid
-        self.uart.start_tx(window)
+        self.uart.transmit_buffer(buffer, length)
         return SyscallReturn.success()
 
     def handle_interrupt(self) -> None:
         completion = self.uart.take_completion()
         if completion is None:
             return
-        window, count = completion
-        window.release()
-        window.reset()
+        self.buffer, count = completion
         pid, self._owner_pid = self._owner_pid, None
         if pid is not None:
             self.kern.schedule_upcall(pid, 0, [count, 0, 0])

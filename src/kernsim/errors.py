@@ -300,14 +300,10 @@ class UnknownEnumName(KernsimError):
     pass
 
 
-# --- buffer windows ------------------------------------------------------
+# --- scoped buffer regions ---------------------------------------------
 
 class RangeError(KernsimError):
-    """Requested window lies outside the current window."""
-
-
-class WindowInFlight(SimulationDiagnostic):
-    """A window was used while a split-phase operation owns it."""
+    """An access through a scoped region lies outside the shared bytes."""
 
 
 class WriteToReadOnly(KernsimError):

@@ -8,7 +8,9 @@ ticks remain until it raises its next interrupt, so the clock can cover
 the ticks in between in one step: an idle gap in one addition, a UART DMA
 transfer in one batch that moves the span's bytes together and logs each
 with the tick it moved on. A one-tick UART step that moves one byte logs
-it as a single event.
+it as a single event. A UART transfer owns the buffer it sends from: the
+driver hands the buffer over to start it and gets it back with the
+completion.
 """
 
 from __future__ import annotations
@@ -180,13 +182,14 @@ class UartHw:
     """Transmit-only UART whose DMA engine moves ``bytes_per_tick`` bytes
     a tick.
 
-    A DMA transfer reads straight from the buffer window handed to
-    :meth:`start_tx`. :meth:`tick` moves the bytes of a span of ticks in
-    one range read and logs them in one series, each stamped with the tick
-    it moved on; a one-tick step that moves one byte logs it with one
-    :meth:`TraceLog.log` call. The completion IRQ is raised on the tick
-    the last byte moves, and the window is handed back through
-    :meth:`take_completion`.
+    As Tock's ``Transmit::transmit_buffer`` does, :meth:`transmit_buffer`
+    takes the caller's buffer for the transfer, and the DMA reads straight
+    from its first ``length`` bytes. :meth:`tick` moves the bytes of a
+    span of ticks in one slice and logs them in one series, each stamped
+    with the tick it moved on; a one-tick step that moves one byte logs it
+    with one :meth:`TraceLog.log` call. The completion IRQ is raised on
+    the tick the last byte moves, and :meth:`take_completion` hands the
+    buffer back with the count sent.
     As in Tock's UART HIL, the driver sees one interrupt per transfer, not
     one per byte, so :meth:`ticks_until_event` answers the ticks left in
     the transfer. Writing TXDATA sends a single byte immediately (the
@@ -207,10 +210,10 @@ class UartHw:
         self.bytes_per_tick = bytes_per_tick
         self.trace = trace
         self._actor = actor_hw(spec.name)
-        self._window = None
+        self._buffer: Optional[bytearray] = None
         self._sent = 0
         self._total = 0
-        self._completion: Optional[Tuple[object, int]] = None
+        self._completion: Optional[Tuple[bytearray, int]] = None
 
     def _on_write(self, reg: RegisterSpec, value: int) -> None:
         if reg.name == "TXDATA":
@@ -218,21 +221,26 @@ class UartHw:
 
     @property
     def busy(self) -> bool:
-        return self._window is not None
+        return self._buffer is not None
 
     def ticks_until_event(self) -> Optional[int]:
         """Ticks until the transfer in flight completes, else None. An
         empty transfer completes on the next tick."""
-        if self._window is None:
+        if self._buffer is None:
             return None
         return max(1, -(-(self._total - self._sent) // self.bytes_per_tick))
 
-    def start_tx(self, window) -> None:
+    def transmit_buffer(self, buffer: bytearray, length: int) -> None:
+        """Take ``buffer`` and send its first ``length`` bytes; the caller
+        holds no reference until :meth:`take_completion` hands it back."""
         if self.busy:
             raise RuntimeError("uart DMA already active")
-        self._window = window
+        if not 0 <= length <= len(buffer):
+            raise ValueError(f"transfer of {length} bytes from a "
+                             f"{len(buffer)}-byte buffer")
+        self._buffer = buffer
         self._sent = 0
-        self._total = len(window)
+        self._total = length
         self.regs.hw_set("TXLEN", self._total)
         self.regs.hw_field_set("STATUS", "TXBUSY", 1)
 
@@ -245,12 +253,12 @@ class UartHw:
         completion IRQ, raised when the last byte has moved, falls on the
         span's last tick.
         """
-        window = self._window
-        if window is None:
+        buffer = self._buffer
+        if buffer is None:
             return
         per_tick, sent = self.bytes_per_tick, self._sent
         moved = min(n * per_tick, self._total - sent)
-        data = window.hw_read(sent, moved)
+        data = buffer[sent:sent + moved]
         if moved == 1 and n == 1:
             self.trace.log(self._actor, K_UART_TX, _TX_PAYLOADS[data[0]])
         else:
@@ -258,12 +266,12 @@ class UartHw:
                                   per_tick, [_TX_PAYLOADS[byte] for byte in data])
         self._sent = sent = sent + moved
         if sent >= self._total:
-            self._window = None
+            self._buffer = None
             self.regs.hw_field_set("STATUS", "TXBUSY", 0)
-            self._completion = (window, sent)
+            self._completion = (buffer, sent)
             self.irqc.raise_irq(self.irq_id)
 
-    def take_completion(self) -> Optional[Tuple[object, int]]:
+    def take_completion(self) -> Optional[Tuple[bytearray, int]]:
         completion, self._completion = self._completion, None
         return completion
 

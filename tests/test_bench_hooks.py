@@ -5,7 +5,6 @@ deleting one fails here rather than in a traced benchmark run."""
 import runpy
 from pathlib import Path
 
-from kernsim.buffers import BufferWindow
 from kernsim.capsules import ConsoleDriver
 
 from conftest import make_board
@@ -46,7 +45,7 @@ def test_the_tick_hook_reads_the_uart_and_hash_engine_of_a_built_board():
     assert chip.uart is not None and chip.hashengine is not None
     assert (chip.uart.busy, chip.hashengine.busy) == (False, False)
     assert ticked(5) == 0
-    chip.uart.start_tx(BufferWindow(bytearray(b"hi")))
+    chip.uart.transmit_buffer(bytearray(b"hi"), 2)
     assert chip.uart.busy is True and ticked(2) == 2
     chip.uart.tick(2)
     assert chip.uart.busy is False and ticked(1) == 2

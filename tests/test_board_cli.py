@@ -704,23 +704,33 @@ def test_a_file_past_the_first_chunk_is_read_to_the_input_bound(
 
 
 @pytest.mark.parametrize("alias", ["same", "dot", "symlink", "hardlink"])
-@pytest.mark.parametrize("role", ["board", "app", "map"])
+@pytest.mark.parametrize("role", ["board", "app", "map", "packaged"])
 def test_a_trace_path_naming_an_input_is_refused_and_writes_nothing(
         tmp_path, capsys, monkeypatch, role, alias):
     monkeypatch.chdir(tmp_path)
+    # Packaged maps are read from copies here, so a regression cannot
+    # truncate the maps of the source tree.
+    monkeypatch.setattr(board_module, "_packaged_map",
+                        lambda pname: tmp_path / "pkg" / f"{pname}.json")
+    packaged = ("alarm", "uart", "hashengine")
     names = {"board": "b.json", "app_a": "a.json", "app_b": "c.json",
-             "map": "u.json"}
+             "map": "u.json",
+             **{f"pkg_{pname}": f"pkg/{pname}.json" for pname in packaged}}
     board = json.loads((BOARDS_DIR / "demo.json").read_text())
-    board["peripherals"]["uart"]["map"] = names["map"]
+    if role != "packaged":  # else the uart reads its packaged map
+        board["peripherals"]["uart"]["map"] = names["map"]
     sources = {"board": json.dumps(board).encode(),
                "app_a": (SCENARIOS_DIR / "demo_a.json").read_bytes(),
                "app_b": (SCENARIOS_DIR / "demo_b.json").read_bytes(),
-               "map": (DATA_DIR / "maps" / "uart.json").read_bytes()}
+               "map": (DATA_DIR / "maps" / "uart.json").read_bytes(),
+               **{f"pkg_{pname}": (DATA_DIR / "maps" / f"{pname}.json").read_bytes()
+                  for pname in packaged}}
+    (tmp_path / "pkg").mkdir()
     for key, name in names.items():
         (tmp_path / name).write_bytes(sources[key])
     before = {name: (tmp_path / name).read_bytes() for name in names.values()}
     # An app alias names the second app, so every app is checked.
-    target = names["app_b" if role == "app" else role]
+    target = names[{"app": "app_b", "packaged": "pkg_uart"}.get(role, role)]
     if alias == "same":
         trace = target
     elif alias == "dot":

@@ -4,9 +4,8 @@ from pathlib import Path
 import pytest
 
 from kernsim.abi import ErrorCode, SyscallReturn
-from kernsim.buffers import BufferWindow
 from kernsim.capsules import ConsoleDriver, validate_composition
-from kernsim.errors import NoSharedBuffer
+from kernsim.errors import NoSharedBuffer, RangeError
 from kernsim.hw import InterruptController, UartHw
 from kernsim.regmap import load_register_map
 from kernsim.trace import TraceLog
@@ -103,12 +102,25 @@ def test_validation_matches_pairwise_brute_force():
 
 # --- console over the uart -------------------------------------------------------
 
+class _Share:
+    """A read-only share over ``data``: as through a scoped region, a read
+    past its end raises RangeError."""
+
+    def __init__(self, data):
+        self.data = bytes(data)
+
+    def read(self, offset, length):
+        if offset + length > len(self.data):
+            raise RangeError(f"read [{offset}, {offset + length}) outside share")
+        return self.data[offset:offset + length]
+
+
 class _ShareServices:
-    """Each pid's read-only share 0 is a window over its bytes in
-    ``shares``; upcalls are recorded."""
+    """Each pid's read-only share 0 holds its bytes in ``shares``; upcalls
+    are recorded."""
 
     def __init__(self, shares):
-        self.shares = {pid: BufferWindow(data) for pid, data in shares.items()}
+        self.shares = {pid: _Share(data) for pid, data in shares.items()}
         self.upcalls = []
 
     def with_ro_buffer(self, pid, buf_num, visitor):
@@ -134,17 +146,17 @@ def _write(console, pid, length):
     return console.command(ConsoleDriver.CMD_WRITE, length, 0, pid)
 
 
-def test_console_write_sends_exactly_the_bytes_asked_for_and_returns_the_window():
+def test_console_write_sends_exactly_the_bytes_asked_for_and_returns_the_buffer():
     console, uart, irqc = make_console({1: b"hi kernel, and more"})
+    buffer = console.buffer
     assert _write(console, 1, 9) == SyscallReturn.success()
-    assert console.window.in_flight and len(console.window) == 9
+    assert console.buffer is None and uart.busy
     for _ in range(9):
         uart.tick()
     irqc.service()
     assert uart_bytes(uart.trace) == b"hi kernel"
     assert console.kern.upcalls == [(1, 0, (9, 0, 0))]
-    assert not console.window.in_flight
-    assert len(console.window) == console.window.capacity == 64
+    assert console.buffer is buffer and len(buffer) == 64
 
 
 def test_completion_never_runs_inside_the_command():
@@ -160,13 +172,14 @@ def test_completion_never_runs_inside_the_command():
 
 @pytest.mark.parametrize("pid, length, err", [
     (1, 0, ErrorCode.SIZE),        # an empty write
-    (1, 9, ErrorCode.SIZE),        # past the driver's 8-byte window
+    (1, 9, ErrorCode.SIZE),        # past the driver's 8-byte buffer
     (1, 5, ErrorCode.SIZE),        # past the 4-byte share
     (2, 1, ErrorCode.RESERVE),     # nothing shared
 ])
-def test_a_refused_write_leaves_the_window_and_uart_idle(pid, length, err):
+def test_a_refused_write_leaves_the_buffer_and_uart_idle(pid, length, err):
     console, uart, irqc = make_console({1: b"abcd"}, 8)
+    buffer = console.buffer
     assert _write(console, pid, length) == SyscallReturn.failure(err)
-    assert not console.window.in_flight and not uart.busy
-    assert len(console.window) == 8
+    assert console.buffer is buffer and not uart.busy
+    assert buffer == bytearray(8)
 

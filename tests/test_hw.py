@@ -6,7 +6,6 @@ import pytest
 
 from kernsim.audit import parse_trace
 from kernsim.board import Board, BoardConfig
-from kernsim.buffers import BufferWindow
 from kernsim.capsules import MAX_BUFFER_SIZE
 from kernsim.hw import (
     AlarmHw,
@@ -95,8 +94,8 @@ def test_alarm_count_free_runs_and_never_resets():
 def test_uart_one_byte_per_tick_and_completion_irq():
     irqc = InterruptController(TraceLog())
     uart = UartHw(_spec("uart"), irqc, 1, TraceLog())
-    window = BufferWindow(bytearray(b"hello"))
-    uart.start_tx(window)
+    buffer = bytearray(b"hello, world")
+    uart.transmit_buffer(buffer, 5)  # the first 5 bytes, not the whole buffer
     assert uart.busy
     for _ in range(4):
         uart.tick()
@@ -106,8 +105,35 @@ def test_uart_one_byte_per_tick_and_completion_irq():
     assert irqc.any_pending()
     assert uart_bytes(uart.trace) == b"hello"
     returned, count = uart.take_completion()
-    assert returned is window and count == 5
+    assert returned is buffer and count == 5
     assert not uart.busy
+
+
+def test_a_second_transfer_on_a_busy_uart_is_refused_and_the_first_goes_on():
+    irqc = InterruptController(TraceLog())
+    uart = UartHw(_spec("uart"), irqc, 1, TraceLog())
+    first, second = bytearray(b"abc"), bytearray(b"wxyz")
+    uart.transmit_buffer(first, 3)
+    uart.tick()
+    with pytest.raises(RuntimeError):
+        uart.transmit_buffer(second, 4)
+    assert uart.regs.read_reg("TXLEN") == 3
+    assert uart.regs.field_get("STATUS", "TXBUSY") == 1
+    uart.tick(2)
+    assert uart_bytes(uart.trace) == b"abc"
+    returned, count = uart.take_completion()
+    assert returned is first and count == 3
+    assert first == b"abc" and second == b"wxyz"
+    assert not uart.busy and uart.take_completion() is None
+
+
+@pytest.mark.parametrize("length", [-1, 4])
+def test_a_transfer_outside_its_buffer_is_refused(length):
+    irqc = InterruptController(TraceLog())
+    uart = UartHw(_spec("uart"), irqc, 1, TraceLog())
+    with pytest.raises(ValueError):
+        uart.transmit_buffer(bytearray(b"abc"), length)
+    assert not uart.busy and uart.regs.read_reg("TXLEN") == 0
 
 
 def test_uart_txdata_register_emits_single_byte():
@@ -246,7 +272,7 @@ def test_uart_ticks_until_event():
     irqc = InterruptController(TraceLog())
     uart = UartHw(_spec("uart"), irqc, 1, TraceLog(), bytes_per_tick=2)
     assert uart.ticks_until_event() is None
-    uart.start_tx(BufferWindow(bytearray(b"abc")))
+    uart.transmit_buffer(bytearray(b"abc"), 3)
     assert uart.ticks_until_event() == 2
     uart.tick()
     assert uart.ticks_until_event() == 1 and not irqc.any_pending()
@@ -313,7 +339,7 @@ def test_chip_has_a_next_event_exactly_while_a_peripheral_has_work():
     check()  # armed
     chip.tick(10)
     check()  # fired, latched until COMPARE is rewritten
-    uart.start_tx(BufferWindow(bytearray(b"hi")))
+    uart.transmit_buffer(bytearray(b"hi"), 2)
     check()  # a transfer in flight
     chip.tick(2)
     check()  # the transfer done
@@ -385,7 +411,7 @@ def test_chip_tick_rejects_stepping_past_the_next_event():
         chip.tick(51)
     with pytest.raises(ValueError):
         chip.tick(0)
-    chip.uart.start_tx(BufferWindow(bytearray(b"hi")))
+    chip.uart.transmit_buffer(bytearray(b"hi"), 2)
     assert chip.ticks_until_event() == 2
     with pytest.raises(ValueError):
         chip.tick(3)
@@ -402,7 +428,7 @@ def test_chip_tick_n_through_a_busy_uart_matches_n_single_ticks(bytes_per_tick,
     ticks = max(1, -(-length // bytes_per_tick))
     chips = [make_chip(bytes_per_tick=bytes_per_tick) for _ in range(2)]
     for chip, _ in chips:
-        chip.uart.start_tx(BufferWindow(bytearray(payload)))
+        chip.uart.transmit_buffer(bytearray(payload), length)
         _arm(chip.alarm, ticks)  # matches on the tick the transfer ends
     (fast, fast_trace), (slow, slow_trace) = chips
     assert fast.ticks_until_event() == ticks

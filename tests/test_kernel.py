@@ -609,7 +609,7 @@ def test_shares_and_grants_of_an_ended_process_cannot_be_visited(board, end):
 
 def test_exit_orphans_in_flight_console_write(board):
     # The process dies mid-transmission: the UART finishes on its own, the
-    # completion upcall reaches nobody, and the driver's window is back.
+    # completion upcall reaches nobody, and the driver's buffer is back.
     main = [
         {"op": "write_local", "offset": 0, "data": "aabbccddeeff00112233"},
         {"op": "syscall", "call": {"class": "subscribe", "driver": 1, "sub": 0,
@@ -625,13 +625,39 @@ def test_exit_orphans_in_flight_console_write(board):
     assert uart_bytes(board.trace) == bytes.fromhex("aabbccddeeff00112233")
     assert not any(e.kind == "upcall_run" for e in trace_events(board))
     console = board.capsules_by_name["console"]
-    assert not console.window.in_flight
-    assert len(console.window) == console.window.capacity
+    assert console.buffer is not None and not board.chip.uart.busy
+
+
+def test_console_sends_the_bytes_it_copied_when_the_write_was_issued(board):
+    # The process rewrites its shared bytes while the transfer is in
+    # flight; the UART still sends the bytes the command copied.
+    main = [
+        {"op": "write_local", "offset": 0, "data": "0123456789"},
+        {"op": "syscall", "call": {"class": "subscribe", "driver": 1, "sub": 0,
+                                   "fn": "on_tx"}},
+        {"op": "syscall", "call": {"class": "ro_allow", "driver": 1, "buf": 0,
+                                   "base": 0, "len": 5}},
+        {"op": "syscall", "call": {"class": "command", "driver": 1, "cmd": 1,
+                                   "args": [5, 0]}},
+        {"op": "write_local", "offset": 0, "data": "ffffffffff"},
+        {"op": "syscall", "call": {"class": "yield", "mode": "wait"}},
+        {"op": "halt"},
+    ]
+    board, code = run_board(main, {"on_tx": []}, board=board)
+    assert code == 0
+    assert uart_bytes(board.trace) == bytes.fromhex("0123456789")
+    events = trace_events(board)
+    sent = [i for i, e in enumerate(events) if e.kind == "uart_tx"]
+    rewrite = max(i for i, e in enumerate(events)
+                  if e.kind == "mem_access" and e.payload["op"] == "write")
+    assert sent[0] < rewrite < sent[-1]  # between the first and last byte
+    assert any(e.kind == "upcall_run" for e in events)
 
 
 def test_console_write_is_busy_until_the_completion_interrupt_is_handled(board):
     kern, chip = board.kernel, board.chip
     console = board.capsules_by_name["console"]
+    buffer = console.buffer
     first, second = (kern.processes[load_idle_process(board)] for _ in range(2))
     for pcb, data in ((first, b"0123456789"), (second, b"wxyz")):
         assert kern.process_local_write(pcb, 0, data)
@@ -648,11 +674,11 @@ def test_console_write_is_busy_until_the_completion_interrupt_is_handled(board):
     chip.tick(10)
     assert uart_bytes(board.trace) == b"0123456789"
     # The last byte has moved and the IRQ is raised, but until it is
-    # handled the window is still lent to the UART.
+    # handled the buffer is still lent to the UART.
     assert chip.irqc.any_pending() and write(second, 4) == busy
+    assert console.buffer is None
     chip.irqc.service()
-    assert not console.window.in_flight
-    assert len(console.window) == console.window.capacity
+    assert console.buffer is buffer
     assert list(first.upcall_queue.items()) == [((DRIVER_CONSOLE, 0), (10, 0, 0))]
     assert write(second, 4) == SyscallReturn.success()
     chip.tick(4)

@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from kernsim.board import DEFAULT_MAX_TICKS, Board, BoardConfig
-from kernsim.buffers import BufferWindow
 
 from conftest import BOARDS_DIR, SCENARIOS_DIR, minimal_board_dict, script_source
 from oracles import RING, run_per_tick
@@ -249,7 +248,8 @@ def _hw_transfers(board, lengths):
     def step():
         if todo and not uart.busy:
             uart.regs.write_reg("TXDATA", len(todo))
-            uart.start_tx(BufferWindow(bytes(i % 251 for i in range(todo.pop(0)))))
+            length = todo.pop(0)
+            uart.transmit_buffer(bytearray(i % 251 for i in range(length)), length)
         return loop_step()
 
     board.kernel.loop_step = step
@@ -337,7 +337,7 @@ def test_event_order_on_a_tick_shared_by_an_alarm_match_and_the_last_byte():
         chip.alarm.regs.write_reg("COMPARE", 3)
         chip.alarm.regs.field_set("CTRL", "ENABLE", 1)
         chip.alarm.regs.field_set("CTRL", "IRQEN", 1)
-        chip.uart.start_tx(BufferWindow(bytearray(b"hello")))
+        chip.uart.transmit_buffer(bytearray(b"hello"), 5)
         before = board.trace.out.getvalue()
         for n in steps:
             chip.tick(n)
