@@ -7,19 +7,21 @@ both kinds as the compact JSON text that :func:`encode_invocation` and
 :func:`encode_return` build with f-strings, byte for byte the
 ``json.dumps(record, separators=(",", ":"))`` of the record, strings
 escaped by ``encode_basestring_ascii`` as the log's encoder does.
-:func:`match_return` builds a return's record as a dict to match an
-``expect`` pattern against, which is cheaper than parsing the text.
+:func:`match_return` judges an ``expect`` pattern on that text, so a
+verdict follows from the bytes the trace shows.
 Values are immutable after construction.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, NamedTuple, Optional
 
 from .errors import Key, Schema
+from .trace import json_equal
 
 U32_MAX = (1 << 32) - 1  # each integer of a syscall record fills a register
 
@@ -261,28 +263,9 @@ def encode_return(ret: SyscallReturn) -> str:
             f'"base":{ret.base},"len":{ret.length}}}')
 
 
-def _return_record(ret: SyscallReturn) -> Dict[str, Any]:
-    """The record whose text encode_return gives, as a dict."""
-    v = ret.variant
-    if v is _SUCCESS_VALUE:
-        return {"variant": "success_value", "value": ret.value}
-    if v is _SUCCESS:
-        return {"variant": "success"}
-    if v is _FAILURE:
-        return {"variant": "failure", "err": ret.error.name}
-    if v is _SUCCESS_REGION:
-        return {"variant": "success_region", "base": ret.base, "len": ret.length}
-    if v is _SUCCESS_UPCALL:
-        if ret.upcall.is_null:
-            return {"variant": "success_upcall", "fn": "null"}
-        return {"variant": "success_upcall", "fn": ret.upcall.fn_id,
-                "userdata": ret.upcall.userdata}
-    return {"variant": "failure_region", "err": ret.error.name,
-            "base": ret.base, "len": ret.length}
-
-
-def match_return(pattern: Dict[str, Any], ret: SyscallReturn) -> bool:
-    """Subset match: every key in the pattern must equal the value of the
-    return's record."""
-    record = _return_record(ret)
-    return all(record.get(key) == value for key, value in pattern.items())
+def match_return(pattern: Dict[str, Any], text: str) -> bool:
+    """Subset match against the record a syscall_return event's ``text``
+    holds: each key of the pattern must hold the same JSON value there, a
+    key the record lacks reading as null."""
+    record = json.loads(text)
+    return all(json_equal(record.get(key), value) for key, value in pattern.items())

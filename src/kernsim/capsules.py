@@ -27,6 +27,7 @@ from .errors import (
     WriteToReadOnly,
 )
 from .hw import HALF_RING, TICK_MASK, AlarmHw, UartHw, tick_passed
+from .trace import json_equal
 
 CONFIGURABLE = "configurable"
 MAX_BUFFER_SIZE = 64 * 1024  # the largest console buffer
@@ -39,9 +40,11 @@ def validate_composition(layers: List[Dict[str, Any]]) -> List[str]:
     naming both layers and the violated property. A layer's ``provides``
     and ``requires`` are objects of property -> value, and a provider
     value of "configurable" satisfies any required value for that
-    property. A layer's ``buffer_size`` must meet the ``min_buffer_size``
-    of the layer beneath it. A value that is not an object or an integer
-    (one the board check refused) declares nothing."""
+    property; any other must be the same JSON value, so ``true`` does not
+    satisfy ``1``, and a provided null counts as provided. A layer's
+    ``buffer_size`` must meet the ``min_buffer_size`` of the layer beneath
+    it. A value that is not an object or an integer (one the board check
+    refused) declares nothing."""
     mismatches: List[str] = []
     for i, layer in enumerate(layers):
         below = layers[i - 1] if i > 0 else None
@@ -52,12 +55,13 @@ def validate_composition(layers: List[Dict[str, Any]]) -> List[str]:
                     f"layer {name!r} requires {prop}={wanted!r} but is at "
                     f"the bottom of the stack")
                 continue
-            have = (below.get("provides") or {}).get(prop)
-            if have is None:
+            provided = below.get("provides") or {}
+            have = provided.get(prop)
+            if prop not in provided:
                 mismatches.append(
                     f"layer {name!r} requires {prop}={wanted!r} but layer "
                     f"{below['name']!r} does not provide {prop}")
-            elif have != wanted and have != CONFIGURABLE:
+            elif have != CONFIGURABLE and not json_equal(have, wanted):
                 mismatches.append(
                     f"layer {name!r} requires {prop}={wanted!r} but layer "
                     f"{below['name']!r} provides {prop}={have!r}")

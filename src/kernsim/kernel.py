@@ -141,10 +141,9 @@ class ProcessControlBlock:
     # handler its slot holds then, as a subscribe that succeeds drops it.
     upcall_queue: Dict[Tuple[int, int], Tuple[int, int, int]] = field(default_factory=dict)
     grants: Dict[str, Tuple[MemoryRegion, str]] = field(default_factory=dict)
-    # The last value a syscall returned, and the compact JSON text of its
-    # record that the syscall_return event carried. An `expect` matches its
-    # pattern against the return and logs the text as "actual".
-    last_return: Optional[SyscallReturn] = None
+    # The compact JSON text of the record the last syscall_return event
+    # carried. An `expect` matches its pattern against it and logs it as
+    # "actual".
     last_return_text: Optional[str] = None
     actor: str = field(init=False)  # the trace actor, the config's own
 
@@ -579,8 +578,7 @@ class Kernel:
         return ret
 
     def _return(self, pcb: ProcessControlBlock, ret: SyscallReturn) -> None:
-        """Deliver a syscall's return value: log it and keep its record."""
-        pcb.last_return = ret
+        """Deliver a syscall's return value: log it and keep its text."""
         text = pcb.last_return_text = encode_return(ret)
         self.trace.log(pcb.actor, K_SYSCALL_RETURN, f'{{"ret":{text}}}')
 
@@ -795,15 +793,15 @@ class Kernel:
 
     def record_expect(self, pcb: ProcessControlBlock, pattern: Dict[str, Any],
                       text: str) -> None:
-        """Match an expect's pattern against the last return, and log
-        ``text``, the pattern as the trace writes it. A pattern whose text
-        is the return's passes without a match: equal texts are equal
-        records."""
-        passed = text == pcb.last_return_text or (
-            pcb.last_return is not None and match_return(pattern, pcb.last_return))
+        """Match an expect's pattern against the text of the last return,
+        and log ``text``, the pattern as the trace writes it. A pattern
+        whose text is the return's passes without a parse: equal texts are
+        equal records."""
+        actual = pcb.last_return_text
+        passed = text == actual or (actual is not None and match_return(pattern, actual))
         self.trace.log(pcb.actor, K_EXPECT,
                        f'{{"pattern":{text},'
-                       f'"actual":{pcb.last_return_text or "null"},'
+                       f'"actual":{actual or "null"},'
                        f'"pass":{"true" if passed else "false"}}}')
         if not passed:
             self.expect_failures += 1

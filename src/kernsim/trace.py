@@ -53,6 +53,19 @@ def encode_json(value: Any) -> str:
     return _ENCODER.encode(value)
 
 
+def json_equal(a: Any, b: Any) -> bool:
+    """Whether two decoded JSON values are the same JSON value: ``true``
+    is not ``1`` and ``0.0`` is not ``0``, though Python's ``==`` holds
+    them equal."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is list:
+        return len(a) == len(b) and all(map(json_equal, a, b))
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(json_equal(v, b[k]) for k, v in a.items())
+    return a == b
+
+
 def actor_process(pid: int) -> str:
     return f"process:{pid}"
 

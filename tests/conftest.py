@@ -13,6 +13,8 @@ if str(SRC) not in sys.path:
 from kernsim.audit import parse_trace, run_all_audits  # noqa: E402
 from kernsim.board import Board  # noqa: E402
 
+from oracles import subset_match  # noqa: E402
+
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "kernsim"
 BOARDS_DIR = DATA_DIR / "boards"
 SCENARIOS_DIR = DATA_DIR / "scenarios"
@@ -81,14 +83,24 @@ def make_board(**overrides) -> Board:
     return Board.from_dict(minimal_board_dict(**overrides))
 
 
+def unjustified_expects(records):
+    """The expect events whose verdict does not follow from the pattern
+    and the actual record they log."""
+    return [record for record in records if record["kind"] == "expect"
+            and record["payload"]["pass"] != subset_match(
+                record["payload"]["pattern"], record["payload"]["actual"])]
+
+
 def trace_events(board: Board):
     """The events the board has logged so far, parsed back from its
     in-memory trace, with the record keys as attributes. Every trace read
-    this way must pass all the trace auditors."""
+    this way must pass all the trace auditors, and justify each expect's
+    verdict."""
     records = parse_trace(board.trace.out.getvalue().encode("utf-8"))
     violations = {name: found for name, found in run_all_audits(records).items()
                   if found}
     assert not violations, violations
+    assert not unjustified_expects(records), unjustified_expects(records)
     return [SimpleNamespace(**record) for record in records]
 
 

@@ -259,3 +259,27 @@ def process_state_record(pid, state, reason=None):
 def irq_record(irq_id):
     """The record an irq_raised or irq_serviced event carries."""
     return {"irq": irq_id}
+
+
+# --- expect verdicts and composition, from JSON values ------------------------
+
+def tagged_json(value):
+    """A decoded JSON value with each part tagged by its type, so that
+    Python's ``==`` holds between two tagged values only when they are the
+    same JSON value: ``true`` is not ``1``, and ``0.0`` is not ``0``."""
+    if isinstance(value, dict):
+        return "object", {key: tagged_json(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return "array", [tagged_json(item) for item in value]
+    return type(value).__name__, value
+
+
+def subset_match(pattern, actual):
+    """An expect's verdict, from the pattern and the actual record its
+    event logs: every key of the pattern holds the same JSON value in the
+    record, a key the record lacks reading as null. A null actual, logged
+    before any return, matches nothing."""
+    if actual is None:
+        return False
+    return all(tagged_json(actual.get(key)) == tagged_json(value)
+               for key, value in pattern.items())

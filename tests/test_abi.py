@@ -190,11 +190,12 @@ def test_return_round_trip_property_10k():
 
 
 def test_match_return_is_subset_match():
-    ret = SyscallReturn.success_region(40, 0)
-    assert match_return({"variant": "success_region", "len": 0}, ret)
-    assert match_return({}, ret)
-    assert not match_return({"variant": "success_region", "len": 1}, ret)
-    assert not match_return({"missing": 1}, ret)
+    text = encode_return(SyscallReturn.success_region(40, 0))
+    assert match_return({"variant": "success_region", "len": 0}, text)
+    assert match_return({}, text)
+    assert not match_return({"variant": "success_region", "len": 1}, text)
+    assert not match_return({"missing": 1}, text)
+    assert not match_return({"variant": "success_region", "len": False}, text)
 
 
 # --- the encoders' text is the compact JSON of the record -------------------
@@ -251,6 +252,8 @@ def test_encoded_text_is_the_compact_json_of_the_record_10k():
         assert encode_invocation(inv) == compact(invocation_record(inv)), inv
         ret = _any_return(rng, list(ReturnVariant)[i % len(ReturnVariant)])
         assert encode_return(ret) == compact(return_record(ret)), ret
-        assert match_return(return_record(ret), ret)
+        # The text is parsed as the record's compact JSON would be: _name's
+        # uncombined surrogate pairs decode to one code point either way.
+        assert match_return(json.loads(compact(return_record(ret))), encode_return(ret))
         seen.update((inv.fn_id, inv.arg0, ret.upcall.fn_id, ret.error))
     assert {*AWKWARD_NAMES, *ErrorCode, 0, 2 ** 32 - 1} <= seen

@@ -19,7 +19,14 @@ from kernsim.capabilities import CapabilityKind
 from kernsim.capsules import CAPSULE_TYPES, MAX_BUFFER_SIZE
 from kernsim.cli import main as cli_main
 
-from conftest import BOARDS_DIR, DATA_DIR, SCENARIOS_DIR, SRC, minimal_board_dict
+from conftest import (
+    BOARDS_DIR,
+    DATA_DIR,
+    SCENARIOS_DIR,
+    SRC,
+    minimal_board_dict,
+    unjustified_expects,
+)
 
 
 def test_check_shipped_demo_board_ok():
@@ -328,9 +335,10 @@ def test_shipped_scenarios_all_run_clean_and_pass_audits(tmp_path):
                               [SCENARIOS_DIR / s for s in scenario_names],
                               max_ticks=5000, trace_path=trace_path)
         assert code == 0, (board_name, scenario_names)
-        results = run_all_audits(parse_trace(trace_path.read_bytes()))
-        for audit_name, violations in results.items():
+        records = parse_trace(trace_path.read_bytes())
+        for audit_name, violations in run_all_audits(records).items():
             assert violations == [], (board_name, scenario_names, audit_name)
+        assert unjustified_expects(records) == [], (board_name, scenario_names)
 
 
 @pytest.mark.parametrize("peripheral, knob, value", [
@@ -358,6 +366,35 @@ def test_bad_timing_knob_is_exit_2_at_check_and_run(tmp_path, capsys,
     events = parse_trace(trace_path.read_bytes())
     assert [e["kind"] for e in events] == ["config_error"]
     assert knob in events[0]["payload"]["violation"]
+
+
+@pytest.mark.parametrize("provided, wanted, code", [
+    (1, True, 2),
+    (1.0, 1, 2),
+    ([1], [True], 2),
+    (None, None, 0),
+    ("present", "present", 0),
+], ids=["int_is_not_bool", "float_is_not_int", "nested_bool", "null_is_provided",
+        "same_value"])
+def test_composition_compares_json_values_at_check_and_run(tmp_path, capsys,
+                                                           provided, wanted, code):
+    # The demo board's console requires a property of the uart_pins layer
+    # beneath it; true does not satisfy 1, and a provided null is provided.
+    cfg = json.loads((BOARDS_DIR / "demo.json").read_text())
+    uart_pins, console = cfg["capsules"][:2]
+    uart_pins["provides"] = {"uart_dma": provided}
+    console["requires"] = {"uart_dma": wanted}
+    board_path = tmp_path / "board.json"
+    board_path.write_text(json.dumps(cfg))
+    app = tmp_path / "app.json"
+    app.write_text(json.dumps({"name": "app", "main": [{"op": "halt"}]}))
+    trace_path = tmp_path / "t.jsonl"
+    assert cli_main(["check", "--board", str(board_path)]) == code
+    assert cli_main(["run", "--board", str(board_path), "--app", str(app),
+                     "--trace", str(trace_path)]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    kinds = [e["kind"] for e in parse_trace(trace_path.read_bytes())]
+    assert ("config_error" in kinds) == bool(code)
 
 
 def _mpu_board_and_app(tmp_path, regions):

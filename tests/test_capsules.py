@@ -11,6 +11,7 @@ from kernsim.regmap import load_register_map
 from kernsim.trace import TraceLog
 
 from conftest import uart_bytes
+from oracles import tagged_json
 
 MAPS_DIR = Path(__file__).resolve().parents[1] / "src" / "kernsim" / "maps"
 UART_SPEC = load_register_map(json.loads((MAPS_DIR / "uart.json").read_text()))
@@ -72,13 +73,18 @@ def test_buffer_size_below_declared_minimum():
 
 
 def test_validation_matches_pairwise_brute_force():
-    # Completeness: ok iff every adjacent pair satisfies by brute force.
+    # Completeness: ok iff every adjacent pair satisfies by brute force. A
+    # provided value must be the same JSON value as the wanted one, and a
+    # provided null is provided.
     def brute_force_ok(layers):
         for i, layer in enumerate(layers):
             below = layers[i - 1] if i else None
             for prop, wanted in layer.get("requires", {}).items():
-                have = below.get("provides", {}).get(prop) if below else None
-                if have != wanted and have != "configurable":
+                provides = below.get("provides", {}) if below else {}
+                if prop not in provides:
+                    return False
+                have = provides[prop]
+                if tagged_json(have) != tagged_json(wanted) and have != "configurable":
                     return False
             if (below and "buffer_size" in layer and "min_buffer_size" in below
                     and layer["buffer_size"] < below["min_buffer_size"]):
@@ -86,13 +92,16 @@ def test_validation_matches_pairwise_brute_force():
         return True
 
     cases = []
-    values = ["active_high", "active_low", "configurable"]
-    for provided in values:
-        for wanted in ["active_high", "active_low"]:
+    wanted_values = ["active_high", "active_low", 1, True, 1.0, 0, False, None,
+                     [1], [True]]
+    for provided in wanted_values + ["configurable"]:
+        for wanted in wanted_values:
             cases.append([
                 _layer("a", provides={"p": provided}),
                 _layer("b", requires={"p": wanted}),
             ])
+    for wanted in wanted_values:
+        cases.append([_layer("a", provides={}), _layer("b", requires={"p": wanted})])
     for bufsize in (8, 16, 32):
         cases.append([_layer("a", min_buffer_size=16),
                       _layer("b", buffer_size=bufsize)])

@@ -1028,9 +1028,14 @@ _PROBE_NOOP = {"class": "command", "driver": DRIVER_PROBE_A, "cmd": 0}
     (_PROBE_NOOP, {"variant": "success", "value": None}, {"variant": "success"},
      True),
     (_EMPTY_ALLOW, {"variant": "success_region", "base": 1}, _EMPTY_REGION, False),
+    # Values compare as JSON values: false, 0.0 and -0.0 are not 0.
+    (_EMPTY_ALLOW, {"variant": "success_region", "len": False}, _EMPTY_REGION, False),
+    (_EMPTY_ALLOW, {"variant": "success_region", "len": 0.0}, _EMPTY_REGION, False),
+    (_EMPTY_ALLOW, {"variant": "success_region", "len": -0.0}, _EMPTY_REGION, False),
     (None, {}, None, False),
 ], ids=["whole_record", "keys_reordered", "subset", "empty", "absent_key_null",
-        "wrong_value", "before_any_syscall"])
+        "wrong_value", "bool_is_not_int", "float_is_not_int", "negative_zero_is_not_int",
+        "before_any_syscall"])
 def test_expect_verdicts(call, pattern, actual, passed):
     main = [{"op": "syscall", "call": call}] if call else []
     main += [{"op": "expect", "pattern": pattern}, {"op": "halt"}]

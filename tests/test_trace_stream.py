@@ -37,6 +37,7 @@ from oracles import (
     irq_record,
     process_state_record,
     return_record,
+    subset_match,
     upcall_record,
     upcall_run_record,
 )
@@ -170,14 +171,22 @@ def _lines_as_records(text, kinds):
 
 def _any_pattern(rng, record):
     """A pattern that an expect might hold: a subset of the record, or a
-    subset with one value changed or a nested, awkwardly named key added."""
+    subset with one value changed, a nested, awkwardly named key added, or
+    an integer swapped for a float or a bool that Python's == holds equal
+    to it."""
     pattern = {key: value for key, value in record.items() if rng.random() < 0.6}
+    ints = [key for key, value in pattern.items() if type(value) is int]
     roll = rng.random()
     if roll < 0.2:
         pattern[rng.choice(AWKWARD_NAMES)] = [rng.choice(AWKWARD_NAMES),
                                                {"n": None, "b": [True, -1]}]
     elif roll < 0.4 and pattern:
         pattern[next(iter(pattern))] = rng.choice(AWKWARD_NAMES)
+    elif roll < 0.5 and ints:
+        key = rng.choice(ints)
+        value = pattern[key]
+        pattern[key] = bool(value) if value in (0, 1) and rng.random() < 0.5 \
+            else float(value)
     return pattern
 
 
@@ -232,7 +241,7 @@ def test_mem_access_and_expect_texts_are_the_compact_json_of_their_records():
             kernel._return(pcb, ret)
             record = return_record(ret)
             pattern = _any_pattern(rng, record)
-            passed = all(record.get(key) == value for key, value in pattern.items())
+            passed = subset_match(pattern, record)
             expected.append(("syscall_return", {"ret": record}))
             expected.append(("expect", {"pattern": pattern, "actual": record,
                                         "pass": passed}))
