@@ -45,10 +45,13 @@ def tick_passed(now: int, deadline: int) -> bool:
 
 @dataclass
 class InterruptLine:
+    """An interrupt line and the writers of its irq_raised and irq_serviced events."""
+
     irq_id: int
     name: str
-    actor: str  # the trace actor and payload of the line's events
     payload: str
+    raised: Callable[[str], None]
+    serviced: Callable[[str], None]
     handler: Optional[Callable[[], None]] = None
     pending: bool = False
 
@@ -70,8 +73,10 @@ class InterruptController:
         if irq_id in self.lines:
             raise ValueError(f"irq {irq_id} already taken by "
                              f"{self.lines[irq_id].name!r}")
-        self.lines[irq_id] = InterruptLine(irq_id, name, actor_hw(name),
-                                           f'{{"irq":{irq_id}}}')
+        actor, channel = actor_hw(name), self.trace.channel
+        self.lines[irq_id] = InterruptLine(irq_id, name, f'{{"irq":{irq_id}}}',
+                                           channel(actor, K_IRQ_RAISED),
+                                           channel(actor, K_IRQ_SERVICED))
         self._ordered = tuple(self.lines[i] for i in sorted(self.lines))
 
     def set_handler(self, irq_id: int, handler: Callable[[], None]) -> None:
@@ -80,7 +85,7 @@ class InterruptController:
     def raise_irq(self, irq_id: int) -> None:
         line = self.lines[irq_id]
         line.pending = True
-        self.trace.log(line.actor, K_IRQ_RAISED, line.payload)
+        line.raised(line.payload)
 
     def any_pending(self) -> bool:
         return any(l.pending for l in self.lines.values())
@@ -92,7 +97,7 @@ class InterruptController:
         for line in self._ordered:
             if line.pending and line.handler is not None:
                 line.pending = False
-                self.trace.log(line.actor, K_IRQ_SERVICED, line.payload)
+                line.serviced(line.payload)
                 line.handler()
                 serviced += 1
         return serviced
@@ -186,10 +191,12 @@ class UartHw:
     takes the caller's buffer for the transfer, and the DMA reads straight
     from its first ``length`` bytes. :meth:`tick` moves the bytes of a
     span of ticks in one slice and logs them in one series, each stamped
-    with the tick it moved on; a one-tick step that moves one byte logs it
-    with one :meth:`TraceLog.log` call. The completion IRQ is raised on
-    the tick the last byte moves, and :meth:`take_completion` hands the
-    buffer back with the count sent.
+    with the tick it moved on; a one-tick step that moves one byte, and a
+    TXDATA write, go through the ``uart_tx`` writer the UART holds. That
+    writer, TXLEN's offset and STATUS's offset and TXBUSY bits are bound
+    once, when the UART is built. The completion IRQ is raised on the tick
+    the last byte moves, and :meth:`take_completion` hands the buffer back
+    with the count sent.
     As in Tock's UART HIL, the driver sees one interrupt per transfer, not
     one per byte, so :meth:`ticks_until_event` answers the ticks left in
     the transfer. Writing TXDATA sends a single byte immediately (the
@@ -210,6 +217,13 @@ class UartHw:
         self.bytes_per_tick = bytes_per_tick
         self.trace = trace
         self._actor = actor_hw(spec.name)
+        self._log_tx = trace.channel(self._actor, K_UART_TX)
+        txlen, status = spec.register("TXLEN"), spec.register("STATUS")
+        self._values = self.regs.values
+        self._txlen_at, self._txlen_mask = txlen.offset, txlen.value_mask
+        self._status_at = status.offset
+        txbusy = status.field("TXBUSY")
+        self._txbusy_mask, self._txbusy = txbusy.mask, txbusy.encode(1)
         self._buffer: Optional[bytearray] = None
         self._sent = 0
         self._total = 0
@@ -217,7 +231,7 @@ class UartHw:
 
     def _on_write(self, reg: RegisterSpec, value: int) -> None:
         if reg.name == "TXDATA":
-            self.trace.log(self._actor, K_UART_TX, _TX_PAYLOADS[value & 0xFF])
+            self._log_tx(_TX_PAYLOADS[value & 0xFF])
 
     @property
     def busy(self) -> bool:
@@ -241,8 +255,9 @@ class UartHw:
         self._buffer = buffer
         self._sent = 0
         self._total = length
-        self.regs.hw_set("TXLEN", self._total)
-        self.regs.hw_field_set("STATUS", "TXBUSY", 1)
+        values, status = self._values, self._status_at
+        values[self._txlen_at] = length & self._txlen_mask
+        values[status] = (values[status] & ~self._txbusy_mask) | self._txbusy
 
     def tick(self, n: int = 1) -> None:
         """Move the bytes of the n ticks that end on the trace clock's tick.
@@ -260,14 +275,14 @@ class UartHw:
         moved = min(n * per_tick, self._total - sent)
         data = buffer[sent:sent + moved]
         if moved == 1 and n == 1:
-            self.trace.log(self._actor, K_UART_TX, _TX_PAYLOADS[data[0]])
+            self._log_tx(_TX_PAYLOADS[data[0]])
         else:
             self.trace.log_series(self._actor, K_UART_TX, self.trace.clock.now - n + 1,
                                   per_tick, [_TX_PAYLOADS[byte] for byte in data])
         self._sent = sent = sent + moved
         if sent >= self._total:
             self._buffer = None
-            self.regs.hw_field_set("STATUS", "TXBUSY", 0)
+            self._values[self._status_at] &= ~self._txbusy_mask
             self._completion = (buffer, sent)
             self.irqc.raise_irq(self.irq_id)
 
@@ -282,7 +297,8 @@ class HashEngineHw:
     The submitter hands over the digest of the exact bytes it submits; the
     engine models the time the hashing takes and publishes the value in
     DIGEST_LO/DIGEST_HI only when the job completes, together with the
-    completion IRQ.
+    completion IRQ. The registers' offsets and STATUS's bits are resolved
+    once.
     """
 
     REGISTERS = {"LEN": (), "STATUS": ("BUSY", "DONE"), "DIGEST_LO": (),
@@ -298,6 +314,12 @@ class HashEngineHw:
         self.irq_id = irq_id
         irqc.add_line(irq_id, spec.name)
         self.chunk_bytes = chunk_bytes
+        self._values = self.regs.values
+        self._len, self._lo, self._hi = map(spec.register, ("LEN", "DIGEST_LO", "DIGEST_HI"))
+        status = spec.register("STATUS")
+        busy, done = status.field("BUSY"), status.field("DONE")
+        self._status_at, self._status_mask = status.offset, busy.mask | done.mask
+        self._busy, self._done = busy.encode(1), done.encode(1)
         self._remaining = 0
         self._pending_digest = 0
         self._job_tag = None
@@ -320,9 +342,7 @@ class HashEngineHw:
         self._job_tag = job_tag
         self._pending_digest = digest
         self._remaining = math.ceil(len(payload) / self.chunk_bytes)
-        self.regs.hw_set("LEN", len(payload) & 0xFFFFFFFF)
-        self.regs.hw_field_set("STATUS", "BUSY", 1)
-        self.regs.hw_field_set("STATUS", "DONE", 0)
+        self._publish(self._busy, (self._len, len(payload) & 0xFFFFFFFF))
 
     def tick(self, n: int = 1) -> None:
         if self._job_tag is None:
@@ -333,12 +353,18 @@ class HashEngineHw:
             self._remaining = 0
             tag, digest = self._job_tag, self._pending_digest
             self._job_tag = None
-            self.regs.hw_set("DIGEST_LO", digest & 0xFFFFFFFF)
-            self.regs.hw_set("DIGEST_HI", (digest >> 32) & 0xFFFFFFFF)
-            self.regs.hw_field_set("STATUS", "BUSY", 0)
-            self.regs.hw_field_set("STATUS", "DONE", 1)
+            self._publish(self._done, (self._lo, digest & 0xFFFFFFFF),
+                          (self._hi, (digest >> 32) & 0xFFFFFFFF))
             self._completion = (tag, digest)
             self.irqc.raise_irq(self.irq_id)
+
+    def _publish(self, status: int, *writes: Tuple[RegisterSpec, int]) -> None:
+        """Store each (register, value) and set STATUS's BUSY and DONE
+        fields to the encoded bits ``status``."""
+        values = self._values
+        for reg, value in writes:
+            values[reg.offset] = value & reg.value_mask
+        values[self._status_at] = (values[self._status_at] & ~self._status_mask) | status
 
     def take_completion(self) -> Optional[Tuple[object, int]]:
         completion, self._completion = self._completion, None

@@ -25,7 +25,7 @@ each access it makes, and holds each share and grant with its trace note.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from itertools import count
 from json.encoder import encode_basestring_ascii
@@ -124,12 +124,17 @@ _FINALIZED = BoardPhase.FINALIZED
 
 @dataclass
 class ProcessControlBlock:
+    """One process, with the writers of its ``syscall``, ``syscall_return``,
+    ``expect`` and ``upcall_run`` events, bound from ``trace`` when it is
+    created; its ``mpu`` holds its ``mem_access`` writer."""
+
     id: int
     name: str
     ram: MemoryRegion
     flash: MemoryRegion
     program: ProcessProgram
     mpu: MpuConfig  # checks each access of the process; a grant replaces it
+    trace: InitVar[TraceLog]
     state: ProcessState = ProcessState.UNSTARTED
     grant_watermark: int = 0  # grants grow downward from ram.end
     # Each share and grant with the note its accesses carry, encoded when
@@ -147,8 +152,11 @@ class ProcessControlBlock:
     last_return_text: Optional[str] = None
     actor: str = field(init=False)  # the trace actor, the config's own
 
-    def __post_init__(self):
-        self.actor = self.mpu.actor
+    def __post_init__(self, trace: TraceLog):
+        self.actor = actor = self.mpu.actor
+        self.log_syscall, self.log_return, self.log_expect, self.log_upcall_run = (
+            trace.channel(actor, kind)
+            for kind in (K_SYSCALL, K_SYSCALL_RETURN, K_EXPECT, K_UPCALL_RUN))
 
     @property
     def free_grant_bytes(self) -> int:
@@ -424,6 +432,9 @@ class Kernel:
         self.memory = memory
         self.chip = chip
         self.trace = trace
+        self._log_state = trace.channel(ACTOR_KERNEL, K_PROCESS_STATE)
+        # Each capsule's upcall_queued and upcall_dropped writers, bound on first use.
+        self._upcall_writers: Dict[str, Tuple[Callable[[str], None], ...]] = {}
         self.registry = registry
         self.upcall_queue_depth = upcall_queue_depth
         self.capsule_step_budget = capsule_step_budget
@@ -526,7 +537,7 @@ class Kernel:
         pcb = ProcessControlBlock(
             id=pid, name=script.name or name, ram=ram, flash=flash,
             program=ProcessProgram(script),
-            mpu=self._mpu_config(pid, flash, ram, ram.end),
+            mpu=self._mpu_config(pid, flash, ram, ram.end), trace=self.trace,
             grant_watermark=ram.end)
         self.processes[pid] = pcb
         self._live.append(pcb)
@@ -559,8 +570,7 @@ class Kernel:
         whose upcall ended the process, or exit."""
         if not pcb.live:
             raise ProcessDead(f"pid {pcb.id} is not live")
-        self.trace.log(pcb.actor, K_SYSCALL,
-                       f'{{"call":{encode_invocation(inv)}}}')
+        pcb.log_syscall(f'{{"call":{encode_invocation(inv)}}}')
         klass = inv.klass
         if klass is _COMMAND:
             ret = self._sys_command(pcb, inv)
@@ -580,7 +590,7 @@ class Kernel:
     def _return(self, pcb: ProcessControlBlock, ret: SyscallReturn) -> None:
         """Deliver a syscall's return value: log it and keep its text."""
         text = pcb.last_return_text = encode_return(ret)
-        self.trace.log(pcb.actor, K_SYSCALL_RETURN, f'{{"ret":{text}}}')
+        pcb.log_return(f'{{"ret":{text}}}')
 
     def _sys_allow(self, pcb: ProcessControlBlock,
                    inv: SyscallInvocation) -> SyscallReturn:
@@ -663,28 +673,32 @@ class Kernel:
     def schedule_upcall(self, capsule_name: str, driver_id: int, pid: int,
                         subscribe_num: int, args) -> bool:
         args = (*args, 0, 0, 0)[:3]
-        actor = actor_capsule(capsule_name)
+        writers = self._upcall_writers.get(capsule_name)
+        if writers is None:
+            actor = actor_capsule(capsule_name)
+            writers = self._upcall_writers[capsule_name] = (
+                self.trace.channel(actor, K_UPCALL_QUEUED),
+                self.trace.channel(actor, K_UPCALL_DROPPED))
+        queued, dropped = writers
         detail = (f'{{"pid":{pid},"driver":{driver_id},"sub":{subscribe_num},'
                   f'"args":[{args[0]},{args[1]},{args[2]}],')
-        log = self.trace.log
         pcb = self.processes.get(pid)
         if pcb is None or not pcb.live:
-            log(actor, K_UPCALL_DROPPED, detail + '"reason":"dead process"}')
+            dropped(detail + '"reason":"dead process"}')
             return False
         slot = (driver_id, subscribe_num)
         if pcb.upcall_slots.get(slot, NULL_UPCALL).is_null:
-            log(actor, K_UPCALL_DROPPED, detail + '"reason":"null subscription"}')
+            dropped(detail + '"reason":"null subscription"}')
             return False
         queue = pcb.upcall_queue
         # Per-slot replacement: stale completions never pile up, and a
         # replaced upcall keeps its place in the queue.
         replaced = slot in queue
         if not replaced and len(queue) >= self.upcall_queue_depth:
-            log(actor, K_UPCALL_DROPPED, detail + '"reason":"queue full"}')
+            dropped(detail + '"reason":"queue full"}')
             return False
         queue[slot] = args
-        log(actor, K_UPCALL_QUEUED,
-            detail + ('"replaced":true}' if replaced else '"replaced":false}'))
+        queued(detail + ('"replaced":true}' if replaced else '"replaced":false}'))
         return True
 
     def _deliver_upcall(self, pcb: ProcessControlBlock) -> None:
@@ -692,10 +706,9 @@ class Kernel:
         slot = next(iter(queue))
         a0, a1, a2 = queue.pop(slot)
         handler = pcb.upcall_slots[slot]
-        self.trace.log(pcb.actor, K_UPCALL_RUN,
-                       f'{{"driver":{slot[0]},"sub":{slot[1]},'
-                       f'"fn":{encode_basestring_ascii(handler.fn_id)},'
-                       f'"userdata":{handler.userdata},"args":[{a0},{a1},{a2}]}}')
+        pcb.log_upcall_run(f'{{"driver":{slot[0]},"sub":{slot[1]},'
+                           f'"fn":{encode_basestring_ascii(handler.fn_id)},'
+                           f'"userdata":{handler.userdata},"args":[{a0},{a1},{a2}]}}')
         pcb.program.run_handler(self, pcb, handler.fn_id)
 
     def _resume_yielded(self, pcb: ProcessControlBlock) -> None:
@@ -799,8 +812,7 @@ class Kernel:
         equal records."""
         actual = pcb.last_return_text
         passed = text == actual or (actual is not None and match_return(pattern, actual))
-        self.trace.log(pcb.actor, K_EXPECT,
-                       f'{{"pattern":{text},'
+        pcb.log_expect(f'{{"pattern":{text},'
                        f'"actual":{actual or "null"},'
                        f'"pass":{"true" if passed else "false"}}}')
         if not passed:
@@ -836,8 +848,7 @@ class Kernel:
                    reason: Optional[str] = None) -> None:
         pcb.state = state
         tail = f',"reason":{encode_basestring_ascii(reason)}' if reason else ""
-        self.trace.log(ACTOR_KERNEL, K_PROCESS_STATE,
-                       f'{{"pid":{pcb.id},"state":"{state.value}"{tail}}}')
+        self._log_state(f'{{"pid":{pcb.id},"state":"{state.value}"{tail}}}')
 
     # -- privileged, capability-gated operations ------------------------------------------
 

@@ -28,7 +28,7 @@ holds all of its bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import AccessDenied, OutOfBounds, TooManyRegions
 from .trace import K_MEM_ACCESS, K_MEM_FAULT, ACTOR_KERNEL, TraceLog, actor_process
@@ -89,17 +89,20 @@ def _coverage(regions: Sequence[MemoryRegion], kind: str) -> Coverage:
 
 
 class MpuConfig(NamedTuple):
-    """One process's MPU configuration: its pid, its trace actor and the
-    merged coverage of the regions granting reads and writes."""
+    """One process's MPU configuration: its pid, its trace actor, the
+    merged coverage of the regions granting reads and writes, and the
+    writer of the process's ``mem_access`` events."""
 
     pid: int
     actor: str
     read: Coverage
     write: Coverage
+    log_access: Callable[[str], None]
 
 
 class MemoryController:
-    """One flat byte array, its limits and the trace its accesses go to."""
+    """One flat byte array, its limits, the trace its accesses go to and
+    the writer of the kernel's ``mem_access`` events."""
 
     def __init__(self, total_size: int, mpu_max_regions: int, trace: TraceLog):
         if total_size <= 0:
@@ -108,6 +111,7 @@ class MemoryController:
         self.data = bytearray(total_size)
         self.mpu_max_regions = mpu_max_regions
         self.trace = trace
+        self._log_kernel_access = trace.channel(ACTOR_KERNEL, K_MEM_ACCESS)
 
     # -- region configuration ------------------------------------------
 
@@ -126,8 +130,9 @@ class MemoryController:
                 raise OutOfBounds(
                     f"region [{region.base}, {region.end}) outside "
                     f"{self.total_size}-byte space")
-        return MpuConfig(pid, actor_process(pid), _coverage(regions, READ),
-                         _coverage(regions, WRITE))
+        actor = actor_process(pid)
+        return MpuConfig(pid, actor, _coverage(regions, READ), _coverage(regions, WRITE),
+                         self.trace.channel(actor, K_MEM_ACCESS))
 
     # -- access checks ----------------------------------------------------
 
@@ -174,14 +179,14 @@ class MemoryController:
             return b""
 
         if config is None:
-            actor = ACTOR_KERNEL
+            log_access = self._log_kernel_access
             if base < 0 or base + length > self.total_size:
                 raise OutOfBounds(
                     f"kernel access [{base}, {base + length}) outside space")
         else:
-            actor = config.actor
+            log_access = config.log_access
             if not self.check_access(config, base, length, kind):
-                self.trace.log(actor, K_MEM_FAULT,
+                self.trace.log(config.actor, K_MEM_FAULT,
                                {"base": base, "len": length, "op": kind})
                 raise AccessDenied(config.pid, base, length, kind)
 
@@ -191,8 +196,7 @@ class MemoryController:
             self.data[base:base + length] = data
             result = b""
 
-        self.trace.log(actor, K_MEM_ACCESS,
-                       f'{{"base":{base},"len":{length},"op":"{kind}"{note}}}')
+        log_access(f'{{"base":{base},"len":{length},"op":"{kind}"{note}}}')
         return result
 
     # Convenience wrappers used by the kernel and tests.

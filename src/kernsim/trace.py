@@ -8,27 +8,33 @@ written straight to the log's text stream, so byte-identical replay is a
 meaningful property and a run that dies leaves every earlier event.
 
 A line is built from a fixed template: the seq and tick integers, then a
-prefix holding the encoded actor and kind, cached per (actor, kind) pair,
-then the payload, which is encoded only when it is not empty. The bytes
-are those of ``json.dumps(record, separators=(",", ":"))``.
+head holding the encoded actor and kind, then the payload, which is
+encoded only when it is not empty. The bytes are those of
+``json.dumps(record, separators=(",", ":"))``. :meth:`TraceLog.channel`
+gives the writer of one (actor, kind) pair, which holds its head. Each
+source that logs per event binds its writers once, and :meth:`TraceLog.log`
+serves set-up and other cold events through the same writers.
 
 :meth:`TraceLog.log_series` logs a run of events of one (actor, kind),
 each with its own encoded payload, the tick advancing by one every
 ``per_tick`` events, in a few large writes; its bytes equal those of one
 :meth:`TraceLog.log` per event. A busy UART logs the bytes it moves over
 a span of ticks this way; a one-tick step that moves one byte goes
-through :meth:`TraceLog.log`, as one event.
+through its writer, as one event.
 
 A payload given as a ``str`` is taken as already encoded and written
-unchanged. Every emitter on the loop and syscall paths hands over text:
-``uart_tx`` (one text per byte value), ``irq_raised`` and ``irq_serviced``
-(one per line), ``syscall`` and ``syscall_return`` (the :mod:`kernsim.abi`
-encoders), ``expect`` (its pattern goes through :func:`encode_json` once per
-script statement, when :mod:`kernsim.scenario` parses the script),
-``mem_access`` (a head plus the note's members), and ``process_state``,
-``upcall_queued``, ``upcall_dropped`` and ``upcall_run`` (built by the kernel
-where they are logged). Such text must equal the compact JSON of the record
-it stands for, byte for byte; strings in it are escaped by
+unchanged. Every emitter on the loop and syscall paths hands text to a
+writer its source holds: ``uart_tx`` (the UART; one text per byte value),
+``irq_raised`` and ``irq_serviced`` (each interrupt line; one text each),
+``syscall``, ``syscall_return``, ``expect`` and ``upcall_run`` (each
+process's control block; the :mod:`kernsim.abi` encoders, and an
+``expect``'s pattern goes through :func:`encode_json` once per script
+statement, when :mod:`kernsim.scenario` parses the script), ``mem_access``
+(the memory controller for the kernel and each MPU configuration for its
+process; a head plus the note's members), and ``process_state`` and each
+capsule's ``upcall_queued`` and ``upcall_dropped`` (the kernel, which
+builds them where they are logged). Such text must equal the compact JSON
+of the record it stands for, byte for byte; strings in it are escaped by
 ``json.encoder.encode_basestring_ascii``, as :func:`encode_json` does.
 """
 
@@ -36,7 +42,8 @@ from __future__ import annotations
 
 import io
 import json
-from typing import Any, Dict, Optional, Sequence, TextIO, Tuple, Union
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Dict, Optional, Sequence, TextIO, Tuple, Union
 
 ACTOR_KERNEL = "kernel"
 
@@ -128,27 +135,36 @@ class TraceLog:
                  out: Optional[TextIO] = None):
         self.out = io.StringIO() if out is None else out
         self._write = self.out.write
-        self._prefixes: Dict[Tuple[str, str], str] = {}
+        self._channels: Dict[Tuple[str, str], Callable[[str], None]] = {}
         self._seq = 0
         self.clock = SimClock() if clock is None else clock
 
-    def _cache_prefix(self, actor: str, kind: str) -> str:
-        prefix = self._prefixes[actor, kind] = \
-            f',"actor":{encode_json(actor)},"kind":{encode_json(kind)},"payload":'
-        return prefix
+    def channel(self, actor: str, kind: str) -> Callable[[str], None]:
+        """The writer of ``(actor, kind)`` events, one per pair: called
+        with an encoded payload, it writes the line :meth:`log` writes,
+        stamped with the next seq and ``clock.now``."""
+        writer = self._channels.get((actor, kind))
+        if writer is None:
+            head = (f',"actor":{encode_basestring_ascii(actor)}'
+                    f',"kind":{encode_basestring_ascii(kind)},"payload":')
+
+            # What the writer uses is bound as defaults: a closure would
+            # make four cells per writer, objects set-up's collections scan.
+            def writer(body: str, log: TraceLog = self, write=self._write,
+                       clock: SimClock = self.clock, head: str = head) -> None:
+                seq = log._seq
+                write(f'{{"seq":{seq},"tick":{clock.now}{head}{body}}}\n')
+                log._seq = seq + 1
+
+            writer.head = head
+            self._channels[actor, kind] = writer
+        return writer
 
     def log(self, actor: str, kind: str,
             payload: Union[Dict[str, Any], str, None] = None) -> None:
-        prefix = self._prefixes.get((actor, kind))
-        if prefix is None:
-            prefix = self._cache_prefix(actor, kind)
-        if isinstance(payload, str):
-            body = payload
-        else:
-            body = encode_json(payload) if payload else "{}"
-        seq = self._seq
-        self._write(f'{{"seq":{seq},"tick":{self.clock.now}{prefix}{body}}}\n')
-        self._seq = seq + 1
+        if not isinstance(payload, str):
+            payload = encode_json(payload) if payload else "{}"
+        self.channel(actor, kind)(payload)
 
     def log_series(self, actor: str, kind: str, first: int, per_tick: int,
                    payloads: Sequence[str]) -> None:
@@ -158,14 +174,14 @@ class TraceLog:
         The bytes equal those of one :meth:`log` per event made at its
         tick. At most ``SERIES_CHUNK`` lines go to each write, so a long
         series streams rather than building one string. A single event
-        costs less through :meth:`log`, which is how the UART logs a
-        one-tick step that moves one byte.
+        costs less through the pair's :meth:`channel`, which is how the
+        UART logs a one-tick step that moves one byte.
         """
-        prefix = self._prefixes.get((actor, kind)) or self._cache_prefix(actor, kind)
+        head = self.channel(actor, kind).head
         seq, n = self._seq, len(payloads)
         for at in range(0, n, SERIES_CHUNK):
             self._write("".join([
                 f'{{"seq":{seq + i},"tick":{first + i // per_tick}'
-                f'{prefix}{payloads[i]}}}\n'
+                f'{head}{payloads[i]}}}\n'
                 for i in range(at, min(at + SERIES_CHUNK, n))]))
         self._seq = seq + n

@@ -95,8 +95,10 @@ def test_uart_one_byte_per_tick_and_completion_irq():
     irqc = InterruptController(TraceLog())
     uart = UartHw(_spec("uart"), irqc, 1, TraceLog())
     buffer = bytearray(b"hello, world")
+    assert uart.regs.field_get("STATUS", "TXBUSY") == 0
     uart.transmit_buffer(buffer, 5)  # the first 5 bytes, not the whole buffer
     assert uart.busy
+    assert uart.regs.read_reg("TXLEN") == 5
     for _ in range(4):
         uart.tick()
     assert not irqc.any_pending()
@@ -107,6 +109,8 @@ def test_uart_one_byte_per_tick_and_completion_irq():
     returned, count = uart.take_completion()
     assert returned is buffer and count == 5
     assert not uart.busy
+    assert uart.regs.field_get("STATUS", "TXBUSY") == 0
+    assert uart.regs.read_reg("TXLEN") == 5
 
 
 def test_a_second_transfer_on_a_busy_uart_is_refused_and_the_first_goes_on():
@@ -148,6 +152,7 @@ def test_hash_engine_timing_is_ceil_len_over_64():
     engine = HashEngineHw(_spec("hashengine"), irqc, 2)
     payload = b"x" * 130  # ceil(130/64) = 3 ticks
     engine.submit(payload, "job", fnv1a64(payload))
+    assert engine.regs.read_reg("LEN") == 130
     for _ in range(2):
         engine.tick()
     assert not irqc.any_pending()
@@ -159,6 +164,12 @@ def test_hash_engine_timing_is_ceil_len_over_64():
     assert (engine.regs.read_reg("DIGEST_HI") << 32
             | engine.regs.read_reg("DIGEST_LO")) == digest
     assert not engine.busy
+    assert engine.regs.field_get("STATUS", "BUSY") == 0
+    assert engine.regs.field_get("STATUS", "DONE") == 1
+    engine.submit(b"", "next", 0)  # a new job clears DONE
+    assert engine.regs.field_get("STATUS", "BUSY") == 1
+    assert engine.regs.field_get("STATUS", "DONE") == 0
+    assert engine.regs.read_reg("LEN") == 0
 
 
 def test_hash_engine_digest_hidden_until_done():
@@ -168,6 +179,7 @@ def test_hash_engine_digest_hidden_until_done():
     assert engine.regs.read_reg("DIGEST_LO") == 0
     assert engine.regs.read_reg("DIGEST_HI") == 0
     assert engine.regs.field_get("STATUS", "BUSY") == 1
+    assert engine.regs.field_get("STATUS", "DONE") == 0
     engine.tick()
     assert engine.regs.read_reg("DIGEST_LO") == 0
     engine.tick()

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from kernsim import trace as trace_module
 from kernsim.abi import (
     NULL_UPCALL,
     ErrorCode,
@@ -137,6 +138,47 @@ def test_templated_line_is_the_compact_json_of_its_record():
         expected.append(_compact({"seq": seq, "tick": tick, "actor": actor,
                                   "kind": kind, "payload": payload or {}}))
     assert trace.out.getvalue().splitlines(keepends=True) == expected
+
+
+_KINDS = sorted(value for key, value in vars(trace_module).items()
+                if key.startswith("K_"))
+
+
+def test_a_channel_writes_exactly_the_bytes_log_writes():
+    """For awkward actors and every kind, a channel write, a log call and
+    the compact JSON of the record give the same line; interleaved with
+    log_series, seq rises by one per line and each writer reads the
+    clock once."""
+    actors = ([f"capsule:{name}" for name in AWKWARD_NAMES]
+              + [f"hw:{name}" for name in AWKWARD_NAMES] + ["process:3", "kernel"])
+    by_log, by_channel, mixed = (TraceLog(_Ticks(range(0, 10 ** 6, 7)))
+                                 for _ in range(3))
+    ticks = iter(range(0, 10 ** 6, 7))
+    expected, mixed_expected = [], []
+    for i, (actor, kind) in enumerate((a, k) for a in actors for k in _KINDS):
+        payload = {"i": i, "actor": actor}
+        text = json.dumps(payload, separators=(",", ":"))
+        by_log.log(actor, kind, text)
+        by_channel.channel(actor, kind)(text)
+        expected.append(_compact({"seq": i, "tick": 7 * i, "actor": actor,
+                                  "kind": kind, "payload": payload}))
+        if i % 3 == 0:
+            mixed.channel(actor, kind)(text)
+            lines = [(next(ticks), payload)]
+        elif i % 3 == 1:
+            mixed.log(actor, kind, text)
+            lines = [(next(ticks), payload)]
+        else:
+            mixed.log_series(actor, kind, 5 * i, 2, [text, "{}", text])
+            lines = [(5 * i, payload), (5 * i, {}), (5 * i + 1, payload)]
+        for tick, body in lines:
+            mixed_expected.append(_compact({
+                "seq": len(mixed_expected), "tick": tick, "actor": actor,
+                "kind": kind, "payload": body}))
+        assert mixed.channel(actor, kind) is mixed.channel(actor, kind)
+    assert by_log.out.getvalue() == "".join(expected)
+    assert by_channel.out.getvalue() == "".join(expected)
+    assert mixed.out.getvalue() == "".join(mixed_expected)
 
 
 def test_board_trace_with_escaped_names_is_compact_json_line_by_line(tmp_path):
@@ -282,18 +324,18 @@ def _probe_loop_app(tmp_path, count):
     return app
 
 
-def _encoder_calls(tmp_path, monkeypatch, apps):
-    """For loops of 10 and 100 iterations, the ``JSONEncoder.encode``
-    calls and the trace of a demo_sync run of the apps ``apps(count)``
-    writes."""
+def _encoder_calls(tmp_path, monkeypatch, apps, owner=json.JSONEncoder, name="encode"):
+    """For loops of 10 and 100 iterations, the calls of ``owner.name``
+    (``JSONEncoder.encode`` unless given) and the trace of a demo_sync
+    run of the apps ``apps(count)`` writes."""
     calls = []
-    encode = json.JSONEncoder.encode
+    original = getattr(owner, name)
 
-    def counting(self, value):
-        calls.append(value)
-        return encode(self, value)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(json.JSONEncoder, "encode", counting)
+    monkeypatch.setattr(owner, name, counting)
     runs = []
     for count in (10, 100):
         del calls[:]
@@ -310,6 +352,17 @@ def test_the_syscall_path_never_calls_the_encoder_per_event(tmp_path, monkeypatc
     for count, _, text in runs:
         assert text.count('"kind":"expect"') == count + 1
         assert text.count('"via":"probe_a"') == 2 * count
+    counts = [calls for _, calls, _ in runs]
+    assert counts[0] == counts[1], counts
+
+
+def test_the_syscall_path_never_calls_trace_log_per_event(tmp_path, monkeypatch):
+    runs = _encoder_calls(tmp_path, monkeypatch,
+                          lambda count: [_probe_loop_app(tmp_path, count)],
+                          TraceLog, "log")
+    for count, _, text in runs:
+        assert text.count('"kind":"syscall"') == 3 * count + 1
+        assert text.count('"kind":"mem_access"') == 3 * count + 2
     counts = [calls for _, calls, _ in runs]
     assert counts[0] == counts[1], counts
 
@@ -347,6 +400,18 @@ def test_the_loop_path_never_calls_the_encoder_per_event(tmp_path, monkeypatch):
         assert text.count('"kind":"upcall_run"') == 2 * count
         assert text.count('"kind":"irq_serviced"') == 2 * count
         assert text.count('"kind":"uart_tx"') == 3 * count
+    counts = [calls for _, calls, _ in runs]
+    assert counts[0] == counts[1], counts
+
+
+def test_the_loop_path_never_calls_trace_log_per_event(tmp_path, monkeypatch):
+    runs = _encoder_calls(tmp_path, monkeypatch,
+                          lambda count: _alarm_and_console_loop_apps(tmp_path, count),
+                          TraceLog, "log")
+    for count, _, text in runs:
+        assert text.count('"kind":"upcall_queued"') == 2 * count
+        assert text.count('"kind":"irq_raised"') == 2 * count
+        assert text.count('"kind":"process_state"') == 2 * count + 6
     counts = [calls for _, calls, _ in runs]
     assert counts[0] == counts[1], counts
 
