@@ -241,8 +241,10 @@ _FAILURE_TEXTS = {error: f'{{"variant":"failure","err":"{error.name}"}}'
 
 
 def encode_return(ret: SyscallReturn) -> str:
-    """The compact JSON text of a return's record; distinct returns give
-    distinct records."""
+    """The compact JSON text of a return's record. Distinct returns give
+    distinct records for every handler name a scenario file can hold, as
+    ``json.loads`` pairs surrogates; names made in code may collide:
+    ``chr(0xD800) + chr(0xDFFF)`` encodes as ``chr(0x103FF)`` does."""
     v = ret.variant
     if v is _SUCCESS_VALUE:
         return f'{{"variant":"success_value","value":{ret.value}}}'

@@ -102,12 +102,14 @@ class BoardConfig(SimpleNamespace):
     ``peripheral_specs``, the register map of each peripheral."""
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any],
-                  base_dir: Path = Path()) -> "BoardConfig":
+    def from_dict(cls, data: Dict[str, Any], base_dir: Path = Path(),
+                  opened: Optional[List[Any]] = None) -> "BoardConfig":
         """Full static validation, raising ConfigError with every violation
         found. The schema's checker checks each key; the rules that tie
         keys together are checked here, on the values that passed. Each
-        peripheral's map is loaded once, here."""
+        peripheral's map is loaded once, here, and its path added to
+        ``opened``."""
+        opened = [] if opened is None else opened
         v: List[str] = []
         specs: Dict[str, RegisterMapSpec] = {}
         board = _BOARD.check(data, "board config", v)
@@ -122,7 +124,7 @@ class BoardConfig(SimpleNamespace):
             if pcfg and irq is not INVALID and irqs.setdefault(irq, pname) != pname:
                 v.append(f"peripheral {pname!r} reuses irq {irq} of {irqs[irq]!r}")
             if pcfg and pcfg["map"] is not INVALID:
-                _load_map(pname, pcfg["map"], base_dir, v, specs)
+                _load_map(pname, pcfg["map"], base_dir, v, specs, opened)
         if board["loader"] == "async" and "hashengine" not in peripherals:
             v.append("async loader requires a hashengine peripheral")
 
@@ -166,14 +168,14 @@ class BoardConfig(SimpleNamespace):
         return cls(**board, peripheral_specs=specs)
 
     @classmethod
-    def from_file(cls, path) -> "BoardConfig":
+    def from_file(cls, path, opened: Optional[List[Any]] = None) -> "BoardConfig":
         path = Path(path)
         raw = _read(path, "board file")
         try:
             data = json.loads(raw.decode("utf-8"))
         except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
             raise ConfigError([f"board file does not parse: {exc}"]) from None
-        return cls.from_dict(data, path.parent)
+        return cls.from_dict(data, path.parent, opened)
 
 
 def _read(path: Path, what: str) -> bytes:
@@ -209,16 +211,16 @@ def _packaged_map(pname: str):
 
 
 def _load_map(pname: str, map_ref: Optional[str], base_dir: Path,
-              v: List[str], specs: Dict[str, RegisterMapSpec]) -> None:
+              v: List[str], specs: Dict[str, RegisterMapSpec],
+              opened: List[Any]) -> None:
     """Add the peripheral's register map (the packaged one unless the
     board names a file) to specs if it loads and meets the model's
-    register contract; else add the violations to v."""
+    register contract, else the violations to v; add its path to opened."""
+    # A named map is relative to the board file; joining keeps an absolute path.
+    path = _packaged_map(pname) if map_ref is None else base_dir / map_ref
+    opened.append(path)
     try:
-        if map_ref is None:
-            raw = _read_bounded(_packaged_map(pname))
-        else:
-            # Relative to the board file; joining keeps an absolute path.
-            raw = _read_bounded(base_dir / map_ref)
+        raw = _read_bounded(path)
     except (OSError, ValueError):  # ValueError: a NUL or lone surrogate
         v.append(f"peripheral {pname!r} references a missing register map "
                  f"{map_ref!r}")
@@ -239,27 +241,6 @@ def _load_map(pname: str, map_ref: Optional[str], base_dir: Path,
         if not lacks:
             specs[pname] = spec
     v.extend(f"register map for {pname!r}: {violation}" for violation in lacks)
-
-
-def _named_maps(board_path) -> List[Path]:
-    """The register map files a board reads, whatever else its file holds:
-    each ``map`` string, and the packaged map of each known peripheral
-    without one. A board that is not a regular file (a pipe is read only
-    once, by its build), cannot be read or does not parse names none."""
-    try:
-        data = json.loads(_read(Path(board_path), "board file")) \
-            if os.path.isfile(board_path) else None
-    except (ConfigError, ValueError, RecursionError):
-        return []
-    peripherals = data.get("peripherals") if type(data) is dict else None
-    maps = []
-    for pname, pcfg in (peripherals.items() if type(peripherals) is dict else ()):
-        map_ref = pcfg.get("map") if type(pcfg) is dict else None
-        if type(map_ref) is str:
-            maps.append(Path(board_path).parent / map_ref)
-        elif pname in _PERIPHERAL_MODELS:
-            maps.append(_packaged_map(pname))
-    return maps
 
 
 class Board:
@@ -398,18 +379,20 @@ def check_board(path) -> List[str]:
 def run_simulation(board_path, app_paths, *, max_ticks: int = DEFAULT_MAX_TICKS,
                    seed: int = 0, trace_path=None,
                    err: Optional[TextIO] = None) -> int:
-    """CLI entry: open the trace sink, then build, load and run, each event
-    going to the sink as it is logged. Returns the exit code: 2 for a
-    trace path that names an input file (the board, an app, or a register
-    map the board reads, its own or a packaged one: refused before the
-    sink opens), for a sink that fails to open, write, flush or close, and
-    for configuration problems, which still emit their diagnostics as
-    trace events. Diagnostics go to ``err``, by default the current
-    stderr."""
+    """CLI entry: read the board and every app, open the trace sink, then
+    build, load and run, each event going to the sink as it is logged.
+    Returns the exit code: 2 for a trace path that names a file the run
+    reads (the board, an app, a map the build opened) or any packaged map,
+    refused before the sink opens; for a sink that fails to open, write,
+    flush or close; and for configuration problems, which still emit their
+    diagnostics as trace events. Diagnostics go to ``err`` (default stderr)."""
     err = sys.stderr if err is None else err
-    inputs = () if trace_path is None else \
-        (board_path, *app_paths, *_named_maps(board_path))
-    for path in inputs:
+    inputs: List[Any] = [board_path, *app_paths]
+    config = _attempt(BoardConfig.from_file, board_path, inputs)  # adds its maps
+    apps = [(Path(path).stem, _attempt(_read, Path(path), "app file"))
+            for path in app_paths]
+    for path in () if trace_path is None else \
+            [*inputs, *map(_packaged_map, _PERIPHERAL_MODELS)]:
         try:
             aliased = os.path.samefile(trace_path, path)
         except (OSError, ValueError):  # a missing path, or one with a NUL
@@ -428,26 +411,39 @@ def run_simulation(board_path, app_paths, *, max_ticks: int = DEFAULT_MAX_TICKS,
                 raise OSError(exc) from None
         with sink as out:
             try:
-                return _simulate(board_path, app_paths, max_ticks, seed, out, err)
+                return _simulate(config, apps, max_ticks, seed, out, err)
             finally:
                 _write_trace(out)
-    except OSError as exc:  # from the sink: a board or app file read raises ConfigError
+    except OSError as exc:  # from the sink
         print(f"config error: cannot write trace: {exc}", file=err)
         return 2
 
 
-def _simulate(board_path, app_paths, max_ticks: int, seed: int, out: TextIO,
+def _attempt(read, *args):
+    """What read(*args) returns, or the ConfigError it raises, for the run
+    to raise when it reaches that input, after the sink opens."""
+    try:
+        return read(*args)
+    except ConfigError as exc:
+        return exc
+
+
+def _simulate(config, apps, max_ticks: int, seed: int, out: TextIO,
               err: TextIO) -> int:
     trace = TraceLog(out=out)
     try:
         refused: List[str] = []
         if MAX_TICKS.check(max_ticks, "max_ticks", refused) is INVALID:
             raise ConfigError(refused)
-        board = Board(BoardConfig.from_file(board_path), seed, out)
+        if isinstance(config, ConfigError):
+            raise config
+        board = Board(config, seed, out)
         trace = board.trace
         board.finalize()
-        for app_path in map(Path, app_paths):
-            board.load_app(_read(app_path, "app file"), app_path.stem)
+        for name, source in apps:
+            if isinstance(source, ConfigError):
+                raise source
+            board.load_app(source, name)
     except ConfigError as exc:  # ScenarioError is a ConfigError
         for violation in exc.violations:
             trace.log(ACTOR_KERNEL, K_CONFIG_ERROR, {"violation": violation})

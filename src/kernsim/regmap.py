@@ -203,11 +203,12 @@ class RegisterFile:
 
     Software (driver) accesses use :meth:`mmio_read` / :meth:`mmio_write`
     and the field accessors; an access outside the declared matrix is a
-    detected error, never silent. The hardware side of the peripheral
-    updates its own registers through :meth:`hw_set` / :meth:`hw_get`,
-    which bypass the access matrix and do not run write hooks. A
-    peripheral model on a per-tick path may instead index :attr:`values`
-    (register value by byte offset) directly, with the same semantics.
+    detected error, never silent. The hardware side (``AlarmHw``, ``UartHw``,
+    ``HashEngineHw``) indexes :attr:`values` (register value by byte offset)
+    with offsets and masks it resolved once, bypassing the access matrix
+    and write hooks. Of the name-keyed ``hw_*`` accessors, only tests call
+    :meth:`hw_get` and nothing calls the rest; they stay until ROADMAP
+    item 6 removes them, because the benchmark wraps them by name.
     """
 
     def __init__(self, spec: RegisterMapSpec,

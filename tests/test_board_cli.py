@@ -804,6 +804,75 @@ def test_a_board_on_a_pipe_is_read_once_with_a_trace_path(tmp_path):
     assert parse_trace(trace_path.read_bytes())[-1]["kind"] == "quiescent"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_a_board_on_a_pipe_naming_the_trace_as_a_map_is_refused(tmp_path):
+    # The maps a board names are known from its one read, so a board that
+    # can be read only once is held to the same rule as a file.
+    trace_path = tmp_path / "u.json"
+    map_bytes = (DATA_DIR / "maps" / "uart.json").read_bytes()
+    trace_path.write_bytes(map_bytes)
+    board = json.loads((BOARDS_DIR / "demo.json").read_text())
+    board["peripherals"]["uart"]["map"] = str(trace_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "kernsim.cli", "run", "--board", "/dev/stdin",
+         "--app", str(SCENARIOS_DIR / "demo_a.json"), "--trace", str(trace_path)],
+        input=json.dumps(board).encode(), env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"config error: trace file ")
+    assert b"Traceback" not in proc.stderr
+    assert trace_path.read_bytes() == map_bytes
+
+
+@pytest.mark.parametrize("uart", ["absent", "null"])
+def test_a_trace_path_naming_a_packaged_map_is_refused_without_its_peripheral(
+        tmp_path, capsys, monkeypatch, uart):
+    # Every packaged map belongs to the package, whatever peripherals the
+    # board has.
+    monkeypatch.setattr(board_module, "_packaged_map",
+                        lambda pname: tmp_path / "pkg" / f"{pname}.json")
+    (tmp_path / "pkg").mkdir()
+    for pname in ("alarm", "uart", "hashengine"):
+        (tmp_path / "pkg" / f"{pname}.json").write_bytes(
+            (DATA_DIR / "maps" / f"{pname}.json").read_bytes())
+    board = json.loads((BOARDS_DIR / "demo_sync.json").read_text())
+    board["capsules"] = [layer for layer in board["capsules"]
+                         if layer["name"] not in ("console", "uart_pins")]
+    if uart == "absent":
+        del board["peripherals"]["uart"]
+    else:
+        board["peripherals"]["uart"] = None
+    board_path = tmp_path / "b.json"
+    board_path.write_text(json.dumps(board))
+    files = [board_path, SCENARIOS_DIR / "demo_a.json", *(tmp_path / "pkg").iterdir()]
+    before = {path: path.read_bytes() for path in files}
+    assert cli_main(["run", "--board", str(board_path),
+                     "--app", str(SCENARIOS_DIR / "demo_a.json"),
+                     "--trace", str(tmp_path / "pkg" / "uart.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: trace file ")
+    assert "Traceback" not in captured.err
+    assert {path: path.read_bytes() for path in files} == before
+
+
+def test_a_traced_run_reads_each_input_once(tmp_path, monkeypatch):
+    reads = {}
+    read_bounded = board_module._read_bounded
+
+    def counting(path):
+        reads[str(path)] = reads.get(str(path), 0) + 1
+        return read_bounded(path)
+
+    monkeypatch.setattr(board_module, "_read_bounded", counting)
+    apps = [SCENARIOS_DIR / "demo_a.json", SCENARIOS_DIR / "demo_b.json"]
+    assert run_simulation(BOARDS_DIR / "demo.json", apps,
+                          trace_path=tmp_path / "t.jsonl") == 0
+    maps = [str(board_module._packaged_map(pname))
+            for pname in ("alarm", "uart", "hashengine")]
+    assert reads == {str(path): 1 for path in
+                     [BOARDS_DIR / "demo.json", *maps, *apps]}
+
+
 def test_a_trace_path_beside_missing_inputs_is_not_refused(tmp_path, capsys):
     # The trace exists and the inputs do not: the run overwrites the old
     # trace with the missing board's configuration error.
