@@ -234,6 +234,11 @@ def encode_invocation(inv: SyscallInvocation) -> str:
     return '{"class":"exit"}'
 
 
+def call_text(inv: SyscallInvocation) -> str:
+    """The payload of the ``syscall`` event that logs an invocation."""
+    return f'{{"call":{encode_invocation(inv)}}}'
+
+
 # --- return records -----------------------------------------------------
 
 _FAILURE_TEXTS = {error: f'{{"variant":"failure","err":"{error.name}"}}'

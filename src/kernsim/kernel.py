@@ -40,7 +40,7 @@ from .abi import (
     SyscallReturn,
     UpcallDescriptor,
     YieldMode,
-    encode_invocation,
+    call_text,
     encode_return,
     match_return,
 )
@@ -120,6 +120,9 @@ _UNSTARTED, _RUNNING, _YIELDED_WAIT = LIVE_STATES = (
 _SUBSCRIBE, _COMMAND, _YIELD, _NO_WAIT = (SyscallClass.SUBSCRIBE, SyscallClass.COMMAND,
                                           SyscallClass.YIELD, YieldMode.NO_WAIT)
 _FINALIZED = BoardPhase.FINALIZED
+# A yield's returns and texts: success, and no_wait's 1 (ran an upcall) and 0.
+_SUCCESS, _RAN_UPCALL, _NONE_QUEUED = ((ret, encode_return(ret)) for ret in (
+    SyscallReturn.success(), SyscallReturn.success_value(1), SyscallReturn.success_value(0)))
 
 
 @dataclass
@@ -563,33 +566,32 @@ class Kernel:
 
     # -- syscall dispatch -----------------------------------------------------------
 
-    def handle_syscall(self, pcb: ProcessControlBlock,
-                       inv: SyscallInvocation) -> Optional[SyscallReturn]:
-        """Dispatch one system call of a live process. Returns None when no
-        value is delivered to the process: a blocked yield-wait, a yield
-        whose upcall ended the process, or exit."""
+    def handle_syscall(self, pcb: ProcessControlBlock, inv: SyscallInvocation,
+                       text: Optional[str] = None) -> Optional[SyscallReturn]:
+        """Dispatch one system call of a live process, logged as ``text``, its
+        call_text, if given. Returns None when no value is delivered to the
+        process: a blocked yield-wait, a yield whose upcall ended it, or exit."""
         if not pcb.live:
             raise ProcessDead(f"pid {pcb.id} is not live")
-        pcb.log_syscall(f'{{"call":{encode_invocation(inv)}}}')
+        pcb.log_syscall(text or call_text(inv))
         klass = inv.klass
         if klass is _COMMAND:
             ret = self._sys_command(pcb, inv)
         elif klass is _YIELD:
-            ret = self._sys_yield(pcb, inv)
+            return self._sys_yield(pcb, inv)
         elif klass is _SUBSCRIBE:
             ret = self._sys_subscribe(pcb, inv)
         elif klass in ALLOW_CLASSES:
             ret = self._sys_allow(pcb, inv)
         else:  # EXIT
             self._terminate(pcb, ProcessState.EXITED, "exit syscall")
-            ret = None
-        if ret is not None:
-            self._return(pcb, ret)
+            return None
+        self._return(pcb, ret)
         return ret
 
-    def _return(self, pcb: ProcessControlBlock, ret: SyscallReturn) -> None:
-        """Deliver a syscall's return value: log it and keep its text."""
-        text = pcb.last_return_text = encode_return(ret)
+    def _return(self, pcb: ProcessControlBlock, ret: SyscallReturn, text=None) -> None:
+        """Deliver a syscall's return value: log its text and keep it."""
+        text = pcb.last_return_text = text or encode_return(ret)
         pcb.log_return(f'{{"ret":{text}}}')
 
     def _sys_allow(self, pcb: ProcessControlBlock,
@@ -661,12 +663,14 @@ class Kernel:
             self._deliver_upcall(pcb)
             if pcb.state is not _RUNNING:
                 return None  # the upcall ended the process
-            return SyscallReturn.success_value(1) if inv.yield_mode is _NO_WAIT \
-                else SyscallReturn.success()
-        if inv.yield_mode is _NO_WAIT:
-            return SyscallReturn.success_value(0)
-        self._set_state(pcb, _YIELDED_WAIT)
-        return None
+            ret = _RAN_UPCALL if inv.yield_mode is _NO_WAIT else _SUCCESS
+        elif inv.yield_mode is _NO_WAIT:
+            ret = _NONE_QUEUED
+        else:
+            self._set_state(pcb, _YIELDED_WAIT)
+            return None
+        self._return(pcb, *ret)
+        return ret[0]
 
     # -- upcalls ------------------------------------------------------------------
 
@@ -717,7 +721,7 @@ class Kernel:
         self._set_state(pcb, _RUNNING)
         self._deliver_upcall(pcb)
         if pcb.state is _RUNNING:
-            self._return(pcb, SyscallReturn.success())
+            self._return(pcb, *_SUCCESS)
 
     # -- grants ---------------------------------------------------------------------
 

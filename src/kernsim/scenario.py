@@ -8,9 +8,9 @@ are unrolled, the `sync_command` macro is expanded, and each statement is
 compiled into its step: the function of its kind bound to the arguments
 that kind uses, such as a decoded system call, or an expect's pattern
 with its compact JSON text. An unrolled loop repeats the steps of its
-body. A process runs a step with the kernel and its own control block;
-the one rule left for run time is that an allow adds that process's ram
-or flash base to its base.
+body, and a loop body's calls carry their ``syscall`` text from parse.
+A process runs a step with the kernel and its own control block; an
+allow relative to its process's ram or flash adds that base at run time.
 
 Upcall handlers run to completion and may not yield; that is checked at
 parse time, not discovered at runtime.
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .abi import ARGS, REGISTER, SYSCALL, U32_MAX, SyscallClass, \
-    SyscallInvocation, YieldMode
+    SyscallInvocation, YieldMode, call_text
 from .errors import INVALID, Key, Schema, ScenarioError, reader, where
 from .trace import encode_json
 
@@ -38,14 +38,16 @@ DEFAULT_MIN_MEMORY = 1024
 Step = Tuple[Callable[..., bool], Any, Any]
 
 
-def _syscall(kern, pcb, inv: SyscallInvocation, seg: Optional[str]) -> bool:
-    """Make the call. An allow's base is relative to the process's
-    ``seg``, "ram" or "flash"; any other call, or an absolute one, has none."""
-    if seg is not None:
-        region = pcb.ram if seg == "ram" else pcb.flash
-        inv = inv._replace(base=region.base + inv.base)
-    kern.handle_syscall(pcb, inv)
+def _syscall(kern, pcb, inv: SyscallInvocation, text: Optional[str]) -> bool:
+    """Make the call, logged as ``text`` if its loop's parse built that."""
+    kern.handle_syscall(pcb, inv, text)
     return True
+
+
+def _relative_allow(kern, pcb, inv: SyscallInvocation, seg: str) -> bool:
+    """Make an allow whose base is relative to the process's ``seg``."""
+    region = pcb.ram if seg == "ram" else pcb.flash
+    return _syscall(kern, pcb, inv._replace(base=region.base + inv.base), None)
 
 
 def _expect(kern, pcb, pattern: Dict[str, Any], text: str) -> bool:
@@ -132,7 +134,7 @@ def _syscall_steps(stmts, values, here, in_handler, budget, out):
         out.append(f"{where(here)}: upcall handlers run to completion "
                    "and may not yield")
     else:
-        stmts.append((_syscall, inv, seg))
+        stmts.append((_relative_allow, inv, seg) if seg else (_syscall, inv, None))
 
 
 def _expect_steps(stmts, values, here, in_handler, budget, out):
@@ -160,6 +162,9 @@ def _loop_steps(stmts, values, here, in_handler, budget, out):
     count, body = values
     body = _parse_statements(body, (here, "body"), in_handler, budget, out)
     _spend(budget, len(body) * count, out)
+    if count > 1:  # a call that repeats carries its text from here on
+        body = [(_syscall, s[1], call_text(s[1])) if s[0] is _syscall and s[2] is None
+                else s for s in body]
     if body:  # an empty body unrolls to nothing, whatever the count
         stmts.extend(body * count)
 

@@ -27,14 +27,14 @@ unchanged. Every emitter on the loop and syscall paths hands text to a
 writer its source holds: ``uart_tx`` (the UART; one text per byte value),
 ``irq_raised`` and ``irq_serviced`` (each interrupt line; one text each),
 ``syscall``, ``syscall_return``, ``expect`` and ``upcall_run`` (each
-process's control block; the :mod:`kernsim.abi` encoders, and an
-``expect``'s pattern goes through :func:`encode_json` once per script
-statement, when :mod:`kernsim.scenario` parses the script), ``mem_access``
-(the memory controller for the kernel and each MPU configuration for its
-process; a head plus the note's members), and ``process_state`` and each
-capsule's ``upcall_queued`` and ``upcall_dropped`` (the kernel, which
-builds them where they are logged). Such text must equal the compact JSON
-of the record it stands for, byte for byte; strings in it are escaped by
+process's control block; the :mod:`kernsim.abi` encoders, though a loop
+body's calls and each ``expect`` pattern carry their text from when
+:mod:`kernsim.scenario` parses the script), ``mem_access`` (the memory
+controller for the kernel and each MPU configuration for its process; a
+head plus the note's members), and ``process_state`` and each capsule's
+``upcall_queued`` and ``upcall_dropped`` (the kernel, which builds them
+where they are logged). Such text must equal the compact JSON of the
+record it stands for, byte for byte; strings in it are escaped by
 ``json.encoder.encode_basestring_ascii``, as :func:`encode_json` does.
 """
 
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import io
 import json
-from json.encoder import encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable, Dict, Optional, Sequence, TextIO, Tuple, Union
 
 ACTOR_KERNEL = "kernel"
@@ -50,14 +50,15 @@ ACTOR_KERNEL = "kernel"
 # The most lines TraceLog.log_series hands to one write of the stream.
 SERIES_CHUNK = 256
 
-# One encoder for every caller: json.dumps builds a new one on every call
-# that passes non-default arguments.
-_ENCODER = json.JSONEncoder(separators=(",", ":"))
+# The C encoder json.dumps builds per call, built once as iterencode does but
+# with markers=None: they detect cycles, and decoded JSON cannot be cyclic.
+_encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                         None, ":", ",", False, False, True)
 
 
 def encode_json(value: Any) -> str:
     """The compact JSON text of a value, as the log writes it."""
-    return _ENCODER.encode(value)
+    return "".join(_encode(value, 0))
 
 
 def json_equal(a: Any, b: Any) -> bool:

@@ -14,6 +14,7 @@ from kernsim.abi import (
     SyscallReturn,
     UpcallDescriptor,
     YieldMode,
+    call_text,
     encode_invocation,
     encode_return,
     match_return,
@@ -257,3 +258,10 @@ def test_encoded_text_is_the_compact_json_of_the_record_10k():
         assert match_return(json.loads(compact(return_record(ret))), encode_return(ret))
         seen.update((inv.fn_id, inv.arg0, ret.upcall.fn_id, ret.error))
     assert {*AWKWARD_NAMES, *ErrorCode, 0, 2 ** 32 - 1} <= seen
+
+
+def test_call_text_is_the_compact_json_of_the_syscall_payload():
+    rng = random.Random(0xCA11)
+    for i in range(2_000):
+        inv = _any_invocation(rng, list(SyscallClass)[i % len(SyscallClass)])
+        assert call_text(inv) == compact({"call": invocation_record(inv)}), inv

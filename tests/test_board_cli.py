@@ -537,6 +537,26 @@ def test_board_value_of_wrong_type_is_exit_2_at_check_and_run(
     assert needle in events[0]["payload"]["violation"]
 
 
+def _without_hashengine(cfg):
+    cfg["loader"] = "async"
+    del cfg["peripherals"]["hashengine"]
+
+
+@pytest.mark.parametrize("mutate, violation", [
+    pytest.param(_without_hashengine, "async loader requires a hashengine peripheral",
+                 id="async_loader_without_hashengine"),
+    pytest.param(lambda cfg: _add_probe(cfg, name="console", driver_id=9),
+                 "duplicate capsule name 'console'", id="capsule_name_taken"),
+])
+def test_a_board_breaking_a_build_rule_gets_exactly_its_violation(
+        tmp_path, mutate, violation):
+    cfg = minimal_board_dict()
+    mutate(cfg)
+    board_path = tmp_path / "board.json"
+    board_path.write_text(json.dumps(cfg))
+    assert check_board(board_path) == [violation]
+
+
 def test_board_values_at_their_limits_run(tmp_path):
     cfg = minimal_board_dict(ram_size=MAX_RAM_SIZE, max_processes=MAX_PROCESSES)
     _console(cfg).update(buffer_size=MAX_BUFFER_SIZE)

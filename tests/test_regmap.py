@@ -71,6 +71,27 @@ def test_all_violations_reported_at_once():
     assert len(exc.value.violations) >= 3
 
 
+def test_duplicate_register_name_rejected():
+    data = {"name": "p", "registers": [
+        {"name": "A", "offset": 0, "width": 32, "access": "RW"},
+        {"name": "A", "offset": 4, "width": 32, "access": "RW"},
+    ]}
+    with pytest.raises(SpecError) as exc:
+        load_register_map(data)
+    assert exc.value.violations == ["duplicate register name 'A'"]
+
+
+def test_duplicate_field_name_rejected():
+    data = {"name": "p", "registers": [
+        {"name": "A", "offset": 0, "width": 32, "access": "RW",
+         "fields": [{"name": "F", "offset": 0, "width": 1},
+                    {"name": "F", "offset": 4, "width": 1}]},
+    ]}
+    with pytest.raises(SpecError) as exc:
+        load_register_map(data)
+    assert exc.value.violations == ["A.F: duplicate field name"]
+
+
 def test_field_overlap_rejected():
     data = {"name": "p", "registers": [
         {"name": "A", "offset": 0, "width": 32, "access": "RW",

@@ -5,11 +5,11 @@ import pytest
 
 from kernsim import board as board_module
 from kernsim import kernel as kernel_module
-from kernsim.abi import SYSCALL_RECORDS, SyscallInvocation, YieldMode
+from kernsim.abi import SYSCALL_RECORDS, SyscallInvocation, YieldMode, call_text
 from kernsim.errors import ScenarioError
 from kernsim.kernel import ProcessState
-from kernsim.scenario import STATEMENTS, _expect, _halt, _syscall, parse_script, \
-    parse_script_bytes
+from kernsim.scenario import STATEMENTS, _expect, _halt, _relative_allow, _syscall, \
+    parse_script, parse_script_bytes
 
 from conftest import make_board, script_source, trace_events
 
@@ -27,7 +27,9 @@ def test_loops_unroll_at_parse():
             {"op": "syscall", "call": {"class": "command", "driver": 0,
                                        "cmd": 2}}]}]})
     assert len(script.main) == 3
-    assert script.main == [(_syscall, SyscallInvocation.command(0, 2), None)] * 3
+    inv = SyscallInvocation.command(0, 2)
+    assert script.main == [(_syscall, inv, call_text(inv))] * 3
+    assert len({id(step) for step in script.main}) == 1
 
 
 def test_nested_loops_multiply():
@@ -60,6 +62,60 @@ def test_sync_command_macro_expands_to_four_calls():
         (_syscall, SyscallInvocation.yield_(YieldMode.WAIT), None),
         (_expect, {"variant": "success"}, '{"variant":"success"}'),
     ]
+    looped = parse_script({"main": [{"op": "loop", "count": 2, "body": [
+        {"op": "sync_command", "driver": 0, "cmd": 1, "args": [500, 0],
+         "fn": "on_alarm"}]}], "handlers": {"on_alarm": []}})
+    assert looped.main == [(run, inv, call_text(inv) if run is _syscall else text)
+                           for run, inv, text in script.main] * 2
+
+
+def _call(klass, **record):
+    return {"op": "syscall", "call": {"class": klass, **record}}
+
+
+def test_a_looped_call_holds_its_text_and_an_unlooped_one_none():
+    script = parse_script({"main": [
+        _call("command", driver=1, cmd=2, args=[3]),
+        {"op": "loop", "count": 2, "body": [
+            _call("command", driver=1, cmd=2, args=[3]),
+            _call("subscribe", driver=0, sub=1, fn="h", userdata=7),
+            {"op": "halt"}]},
+        {"op": "loop", "count": 1, "body": [_call("yield", mode="no_wait")]}],
+        "handlers": {"h": []}})
+    command = SyscallInvocation.command(1, 2, 3)
+    subscribe = SyscallInvocation.subscribe(0, 1, "h", 7)
+    body = [(_syscall, command, call_text(command)),
+            (_syscall, subscribe, call_text(subscribe)), (_halt, None, None)]
+    assert script.main == [(_syscall, command, None), *body, *body,
+                           (_syscall, SyscallInvocation.yield_(YieldMode.NO_WAIT),
+                            None)]
+    assert script.main[1] is script.main[4]
+
+
+def test_nested_loops_bind_each_call_once():
+    script = parse_script({"main": [{"op": "loop", "count": 3, "body": [
+        _call("exit"),
+        {"op": "loop", "count": 2, "body": [_call("command", driver=4, cmd=5)]},
+        {"op": "loop", "count": 1, "body": [_call("yield")]}]}]})
+    steps = script.main
+    assert len(steps) == 12
+    assert [text for _, _, text in steps] == [
+        '{"call":{"class":"exit"}}',
+        *['{"call":{"class":"command","driver":4,"cmd":5,"args":[0,0]}}'] * 2,
+        '{"call":{"class":"yield","mode":"wait"}}'] * 3
+    # The inner loop's step was bound once, by the inner loop, and every
+    # unrolled copy of either loop shares it, as the outer body's do.
+    assert len({id(step) for step in steps}) == 3
+
+
+def test_an_absolute_allow_in_a_loop_is_bound_and_a_relative_one_is_not():
+    script = parse_script({"main": [{"op": "loop", "count": 2, "body": [
+        _call("rw_allow", driver=2, buf=0, base=12345, len=4, seg="abs"),
+        _call("ro_allow", driver=2, buf=1, base=8, len=4, seg="flash")]}]})
+    absolute = SyscallInvocation.rw_allow(2, 0, 12345, 4)
+    relative = SyscallInvocation.ro_allow(2, 1, 8, 4)
+    assert script.main == [(_syscall, absolute, call_text(absolute)),
+                           (_relative_allow, relative, "flash")] * 2
 
 
 @pytest.mark.parametrize("key", ["driver", "cmd", "sub", "userdata"])
@@ -243,6 +299,30 @@ def test_handler_statements_run_inside_delivery():
     expects = [e.payload for e in trace_events(board) if e.kind == "expect"]
     assert expects == [{"pattern": {"variant": "success"},
                         "actual": {"variant": "success"}, "pass": True}]
+
+
+def test_a_handler_statement_that_ends_its_process_stops_the_handler():
+    board = make_board()
+    main = [
+        {"op": "syscall", "call": {"class": "subscribe", "driver": 0, "sub": 0,
+                                   "fn": "on_alarm"}},
+        {"op": "syscall", "call": {"class": "command", "driver": 0, "cmd": 1,
+                                   "args": [0, 0]}},
+        {"op": "syscall", "call": {"class": "yield", "mode": "wait"}},
+        {"op": "halt"},
+    ]
+    handlers = {"on_alarm": [
+        {"op": "write_local", "offset": 0, "data": "01"},
+        {"op": "write_local", "offset": 4096, "data": "02"},  # past its RAM
+        {"op": "write_local", "offset": 1, "data": "03"},
+        {"op": "halt"}]}
+    board.load_app(script_source(main, handlers, 256))
+    board.run(100)
+    pcb = board.kernel.processes[1]
+    assert pcb.state is ProcessState.FAULTED
+    events = [e for e in trace_events(board) if e.actor == "process:1"]
+    assert [e.kind for e in events].count("mem_access") == 1
+    assert board.memory.data[pcb.ram.base:pcb.ram.base + 2] == b"\x01\x00"
 
 
 def test_allow_in_a_loop_resolves_against_each_running_process(monkeypatch):

@@ -9,6 +9,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kernsim import trace as trace_module
 from kernsim.abi import (
@@ -22,7 +24,7 @@ from kernsim.abi import (
 from kernsim.board import run_simulation
 from kernsim.hw import InterruptController
 from kernsim.scenario import parse_script
-from kernsim.trace import TraceLog
+from kernsim.trace import TraceLog, encode_json
 
 from conftest import (
     AWKWARD_NAMES,
@@ -96,6 +98,26 @@ def test_peak_memory_stays_flat_as_the_trace_grows(tmp_path):
     assert large_events - small_events == 30_000
     per_event = (large_peak - small_peak) / (large_events - small_events)
     assert per_event < 100, f"{per_event:.0f} B of peak memory per trace event"
+
+
+# JSON values nested a few deep: strings over every plane with lone
+# surrogates, integers far past 64 bits, and floats with NaN and the
+# infinities, which json.dumps writes as NaN, Infinity and -Infinity.
+_JSON_TEXT = st.text(st.characters(blacklist_categories=()), max_size=8)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 200, 2 ** 200)
+    | st.floats(allow_nan=True, allow_infinity=True) | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=16)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(value=_JSON_VALUES)
+@example(value={"\u00e9\ud800": [float("nan"), float("inf"), float("-inf"), -0.0,
+                                   2 ** 100, "\udfff\U0001f600", {"": None}]})
+def test_encode_json_gives_the_bytes_of_json_dumps(value):
+    assert encode_json(value) == json.dumps(value, separators=(",", ":"))
 
 
 def _compact(record):
