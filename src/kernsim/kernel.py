@@ -663,14 +663,14 @@ class Kernel:
             self._deliver_upcall(pcb)
             if pcb.state is not _RUNNING:
                 return None  # the upcall ended the process
-            ret = _RAN_UPCALL if inv.yield_mode is _NO_WAIT else _SUCCESS
+            ret, text = _RAN_UPCALL if inv.yield_mode is _NO_WAIT else _SUCCESS
         elif inv.yield_mode is _NO_WAIT:
-            ret = _NONE_QUEUED
+            ret, text = _NONE_QUEUED
         else:
             self._set_state(pcb, _YIELDED_WAIT)
             return None
-        self._return(pcb, *ret)
-        return ret[0]
+        self._return(pcb, ret, text)
+        return ret
 
     # -- upcalls ------------------------------------------------------------------
 
