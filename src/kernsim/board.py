@@ -28,6 +28,7 @@ import contextlib
 import json
 import os
 import sys
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
@@ -288,7 +289,8 @@ class Board:
                                               "kernel")
 
         # What capsule builders may see during construction. The board has
-        # each capsule's IRQ_PERIPHERAL, and gives its interrupt to no other.
+        # each capsule's IRQ_PERIPHERAL, and gives its interrupt to no other:
+        # the capsule is that peripheral's one client.
         deps = SimpleNamespace(chip=self.chip, max_processes=config.max_processes)
         self.capsules_by_name: Dict[str, Any] = {}
         for layer in config.capsules:
@@ -299,12 +301,11 @@ class Board:
             self.kernel.register_capsule(capsule)
             self.capsules_by_name[name] = capsule
             if capsule.IRQ_PERIPHERAL:
-                self.kernel.register_irq_capsule(
-                    pcfgs[capsule.IRQ_PERIPHERAL]["irq"], capsule)
-        # The hash engine interrupt belongs to the kernel's loader.
+                getattr(self.chip, capsule.IRQ_PERIPHERAL).client = partial(
+                    self.kernel.capsule_call, capsule, "handle_interrupt")
+        # The hash engine's client is the kernel's loader.
         if hashengine is not None:
-            irqc.set_handler(pcfgs["hashengine"]["irq"],
-                             self.kernel.loader.on_hash_irq)
+            hashengine.client = self.kernel.loader.on_hash_irq
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any], seed: int = 0,

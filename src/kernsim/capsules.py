@@ -2,8 +2,10 @@
 
 Capsules are restricted to safe surfaces: the kernel services facade they
 are handed at attach time (scoped buffer visitors, grants, upcall
-scheduling) and the register files of the peripherals they were built
-over. They never receive raw process memory or storable buffer handles.
+scheduling) and the interface calls of the peripherals they were built
+over (``set_alarm``, ``disarm``, ``transmit_buffer``), never their
+registers; a capsule that takes a peripheral's interrupt is its one
+client. They never receive raw process memory or storable buffer handles.
 
 Also here: configuration-time composition validation for capsule stacks.
 The alarm driver multiplexes the one hardware compare register across
@@ -26,7 +28,7 @@ from .errors import (
     Schema,
     WriteToReadOnly,
 )
-from .hw import HALF_RING, TICK_MASK, AlarmHw, UartHw, tick_passed
+from .hw import AlarmHw, UartHw, ticks_until
 from .trace import json_equal
 
 CONFIGURABLE = "configurable"
@@ -84,7 +86,8 @@ class Capsule:
     their grant schema. A board layer names a subclass by its type (see
     CAPSULE_TYPES) and holds only the keys of its LAYER (by default a
     driver's); the board needs the IRQ_PERIPHERAL, whose interrupt the
-    capsule takes, and may grant it only the kinds in CAPABILITIES.
+    capsule takes, and may grant it only the kinds in CAPABILITIES. Such a
+    capsule's ``handle_interrupt`` takes that peripheral's completion.
     """
 
     NUM_SUBSCRIBES = 0
@@ -117,9 +120,6 @@ class Capsule:
     def command(self, cmd: int, arg0: int, arg1: int, pid: int) -> SyscallReturn:
         return SyscallReturn.failure(ErrorCode.NOSUPPORT)
 
-    def handle_interrupt(self) -> None:
-        pass
-
     def on_process_exit(self, pid: int) -> None:
         pass
 
@@ -146,10 +146,10 @@ class AlarmDriver(Capsule):
     alarm's COUNT, the frame deadlines are in. Subscribe slot 0 receives
     (fire_tick, deadline, 0).
 
-    The driver writes only COMPARE and CTRL, through MMIO, with the
-    offsets and masks resolved when it is built: arming is two writes,
-    COMPARE and then CTRL with ENABLE and IRQEN set together, and
-    disarming is one CTRL write that clears IRQEN and keeps ENABLE.
+    As Tock's ``capsules/core/src/alarm.rs`` does over ``hil::time``, the
+    driver keeps only its slot table: it arms and disarms the hardware
+    through ``AlarmHw.set_alarm`` and ``AlarmHw.disarm``, and is the
+    alarm's client, so a fire calls :meth:`handle_interrupt`.
     """
 
     NUM_SUBSCRIBES = 1
@@ -162,12 +162,6 @@ class AlarmDriver(Capsule):
     def __init__(self, name: str, driver_id: int, alarm: AlarmHw, max_clients: int):
         super().__init__(name, driver_id)
         self.hw = alarm
-        regs = self._regs = alarm.regs
-        ctrl = regs.spec.register("CTRL")
-        self._compare_at = regs.spec.register("COMPARE").offset
-        self._ctrl_at = ctrl.offset
-        self._irqen = ctrl.field("IRQEN").mask
-        self._arm_mask = ctrl.field("ENABLE").mask | self._irqen
         # Slot i: [pid holding it or None, its armed deadline or None].
         self._slots: List[List[Optional[int]]] = [[None, None]
                                                   for _ in range(max_clients)]
@@ -182,7 +176,7 @@ class AlarmDriver(Capsule):
 
     def command(self, cmd: int, arg0: int, arg1: int, pid: int) -> SyscallReturn:
         if cmd == self.CMD_SET:
-            deadline = arg0 & TICK_MASK
+            deadline = arg0
 
             def arm(grant):
                 grant.write_u8(_ALARM_ARMED_OFF, 1)
@@ -205,7 +199,7 @@ class AlarmDriver(Capsule):
     def handle_interrupt(self) -> None:
         now = self.hw.count
         due = [slot for slot in self._slots
-               if slot[1] is not None and tick_passed(now, slot[1])]
+               if slot[1] is not None and not ticks_until(now, slot[1])]
         for slot in due:
             slot[1] = None
         for slot in due:
@@ -221,27 +215,22 @@ class AlarmDriver(Capsule):
             deadline = self.kern.grant_enter(pid, complete)
         except (ProcessDead, GrantNoMem):
             return  # process died between fire and delivery
-        self.kern.schedule_upcall(pid, 0, [now & TICK_MASK, deadline, 0])
+        self.kern.schedule_upcall(pid, 0, [now, deadline, 0])
 
     def _program(self) -> None:
-        regs, ctrl_at = self._regs, self._ctrl_at
+        """Arm the alarm at the soonest deadline (the first in slot order
+        of equals), or disarm it if none is set."""
         now = self.hw.count
         best = gap = None
         for _, deadline in self._slots:
             if deadline is not None:
-                # Ticks until the deadline; one that has passed is 0 away.
-                until = (deadline - now) & TICK_MASK
-                if until > HALF_RING:
-                    until = 0
+                until = ticks_until(now, deadline)
                 if gap is None or until < gap:
                     best, gap = deadline, until
         if best is None:
-            regs.mmio_write(ctrl_at, regs.values[ctrl_at] & ~self._irqen)
-            return
-        # COMPARE first: it reopens the fire latch while the IRQ is still
-        # masked, so a stale compare value cannot fire spuriously.
-        regs.mmio_write(self._compare_at, best)
-        regs.mmio_write(ctrl_at, regs.values[ctrl_at] | self._arm_mask)
+            self.hw.disarm()
+        else:
+            self.hw.set_alarm(best)
 
     def on_process_exit(self, pid: int) -> None:
         slot = self._slot_of(pid)
@@ -259,8 +248,9 @@ class ConsoleDriver(Capsule):
     driver copies the bytes into its own buffer and lends the buffer to
     the UART with the transfer length, as Tock's console does with the
     buffer in its ``TakeCell``: ``self.buffer`` is None while the UART
-    holds it, and command 1 answers BUSY exactly then. The completion
-    interrupt hands the buffer back.
+    holds it, and command 1 answers BUSY exactly then. The console is the
+    UART's client: the completion interrupt hands the buffer back to
+    :meth:`handle_interrupt` with the count sent.
     """
 
     NUM_SUBSCRIBES = 1
@@ -303,11 +293,8 @@ class ConsoleDriver(Capsule):
         self.uart.transmit_buffer(buffer, length)
         return SyscallReturn.success()
 
-    def handle_interrupt(self) -> None:
-        completion = self.uart.take_completion()
-        if completion is None:
-            return
-        self.buffer, count = completion
+    def handle_interrupt(self, buffer: bytearray, count: int) -> None:
+        self.buffer = buffer
         pid, self._owner_pid = self._owner_pid, None
         if pid is not None:
             self.kern.schedule_upcall(pid, 0, [count, 0, 0])

@@ -10,14 +10,15 @@ transfer in one batch that moves the span's bytes together and logs each
 with the tick it moved on. A one-tick UART step that moves one byte logs
 it as a single event. A UART transfer owns the buffer it sends from: the
 driver hands the buffer over to start it and gets it back with the
-completion.
+completion. Each model is also its chip driver, as in Tock, so capsules
+never touch registers, and it hands each completion to one client.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from .errors import Key
 from .regmap import RegisterFile, RegisterMapSpec, RegisterSpec
@@ -34,34 +35,33 @@ TICK_MASK = 0xFFFFFFFF
 HALF_RING = 0x80000000
 
 
-def tick_passed(now: int, deadline: int) -> bool:
-    """Wraparound-aware "deadline has passed" on the 32-bit tick ring.
-
-    A deadline counts as passed when now is within half the ring ahead of
-    it; anything further away is treated as still in the future.
-    """
-    return ((now - deadline) & TICK_MASK) < HALF_RING
+def ticks_until(now: int, deadline: int) -> int:
+    """Ticks from now until deadline on the 32-bit tick ring, 0 once it
+    has passed: as with Tock's ``Ticks::within_range``, when now is on it
+    or less than half the ring past it."""
+    until = (deadline - now) & TICK_MASK
+    return 0 if until > HALF_RING else until
 
 
 @dataclass
 class InterruptLine:
-    """An interrupt line and the writers of its irq_raised and irq_serviced events."""
+    """An interrupt line, its peripheral's handler and the writers of its
+    irq_raised and irq_serviced events."""
 
     irq_id: int
     name: str
     payload: str
     raised: Callable[[str], None]
     serviced: Callable[[str], None]
-    handler: Optional[Callable[[], None]] = None
+    handler: Callable[[], None]
     pending: bool = False
 
 
 class InterruptController:
     """Fixed-priority (ascending irq id) interrupt delivery.
 
-    Peripherals add their line at construction; whoever owns the
-    peripheral attaches the handler. A pending line without a handler
-    stays pending rather than being lost.
+    Each peripheral adds its line at construction with its own
+    ``handle_interrupt``, which hands its completion to its client.
     """
 
     def __init__(self, trace: TraceLog):
@@ -69,18 +69,15 @@ class InterruptController:
         self._ordered: Tuple[InterruptLine, ...] = ()  # by ascending irq id
         self.trace = trace
 
-    def add_line(self, irq_id: int, name: str) -> None:
+    def add_line(self, irq_id: int, name: str, handler: Callable[[], None]) -> None:
         if irq_id in self.lines:
             raise ValueError(f"irq {irq_id} already taken by "
                              f"{self.lines[irq_id].name!r}")
         actor, channel = actor_hw(name), self.trace.channel
         self.lines[irq_id] = InterruptLine(irq_id, name, f'{{"irq":{irq_id}}}',
                                            channel(actor, K_IRQ_RAISED),
-                                           channel(actor, K_IRQ_SERVICED))
+                                           channel(actor, K_IRQ_SERVICED), handler)
         self._ordered = tuple(self.lines[i] for i in sorted(self.lines))
-
-    def set_handler(self, irq_id: int, handler: Callable[[], None]) -> None:
-        self.lines[irq_id].handler = handler
 
     def raise_irq(self, irq_id: int) -> None:
         line = self.lines[irq_id]
@@ -91,11 +88,10 @@ class InterruptController:
         return any(l.pending for l in self.lines.values())
 
     def service(self) -> int:
-        """Deliver every pending line that has a handler once; returns the
-        count serviced."""
+        """Deliver every pending line once; returns the count serviced."""
         serviced = 0
         for line in self._ordered:
-            if line.pending and line.handler is not None:
+            if line.pending:
                 line.pending = False
                 line.serviced(line.payload)
                 line.handler()
@@ -103,7 +99,37 @@ class InterruptController:
         return serviced
 
 
-class AlarmHw:
+class Peripheral:
+    """A register file, an interrupt line and the one ``client`` that a
+    line's service hands the completion to, as a Tock chip driver calls
+    back ``AlarmClient::alarm`` or ``TransmitClient::transmitted_buffer``.
+    The board sets ``client`` once, when it is built. Interrupts come only
+    from work a client started, so a model nobody drives needs none.
+    """
+
+    client: Callable[..., None]
+
+    def __init__(self, spec: RegisterMapSpec, irqc: InterruptController,
+                 irq_id: int,
+                 on_write: Optional[Callable[[RegisterSpec, int], None]] = None):
+        self.regs = RegisterFile(spec, on_write=on_write)
+        self._values = self.regs.values
+        self.irqc = irqc
+        self.irq_id = irq_id
+        irqc.add_line(irq_id, spec.name, self.handle_interrupt)
+        self._completion: Tuple[Any, ...] = ()
+
+    def _complete(self, *completion: Any) -> None:
+        """Raise the interrupt whose service hands ``completion`` to the client."""
+        self._completion = completion
+        self.irqc.raise_irq(self.irq_id)
+
+    def handle_interrupt(self) -> None:
+        completion, self._completion = self._completion, ()
+        self.client(*completion)
+
+
+class AlarmHw(Peripheral):
     """Free-running 32-bit counter with a compare register.
 
     COUNT advances every tick and never resets on a match. The IRQ fires
@@ -114,11 +140,14 @@ class AlarmHw:
 
     The register offsets and the ENABLE|IRQEN mask are resolved once, so
     the per-tick path is integer arithmetic on the stored register values.
+    The chip-driver half, :meth:`set_alarm` and :meth:`disarm`, writes
+    COMPARE and CTRL through MMIO; a fire calls ``client()``.
     """
 
     # The register contract a map for the model must meet: the registers
     # and fields it uses, the widths it relies on (COUNT and COMPARE hold
-    # ticks of the 32-bit ring) and those its driver writes through MMIO.
+    # ticks of the 32-bit ring) and those its chip-driver half writes
+    # through MMIO.
     # KNOBS: the board keys of its timing knob, passed to the constructor.
     REGISTERS = {"COUNT": (), "COMPARE": (), "CTRL": ("ENABLE", "IRQEN")}
     WIDTHS = {"COUNT": 32, "COMPARE": 32}
@@ -127,17 +156,14 @@ class AlarmHw:
 
     def __init__(self, spec: RegisterMapSpec, irqc: InterruptController,
                  irq_id: int, initial_count: int = 0):
-        self.regs = RegisterFile(spec, on_write=self._on_write)
-        self.irqc = irqc
-        self.irq_id = irq_id
-        irqc.add_line(irq_id, spec.name)
+        super().__init__(spec, irqc, irq_id, self._on_write)
         self._fired = False
         ctrl = spec.register("CTRL")
-        self._values = self.regs.values
         self._count_at = spec.register("COUNT").offset
         self._compare_at = spec.register("COMPARE").offset
         self._ctrl_at = ctrl.offset
-        self._arm_mask = ctrl.field("ENABLE").mask | ctrl.field("IRQEN").mask
+        self._irqen = ctrl.field("IRQEN").mask
+        self._arm_mask = ctrl.field("ENABLE").mask | self._irqen
         self._values[self._count_at] = initial_count & TICK_MASK
 
     @property
@@ -151,10 +177,10 @@ class AlarmHw:
 
     def _check(self) -> None:
         values = self._values
-        if self.armed and ((values[self._count_at] - values[self._compare_at])
-                           & TICK_MASK) < HALF_RING:
+        if self.armed and not ticks_until(values[self._count_at],
+                                          values[self._compare_at]):
             self._fired = True
-            self.irqc.raise_irq(self.irq_id)
+            self._complete()
 
     def tick(self, n: int = 1) -> None:
         values = self._values
@@ -178,12 +204,23 @@ class AlarmHw:
         values = self._values
         return (values[self._compare_at] - values[self._count_at]) & TICK_MASK
 
+    def set_alarm(self, deadline: int) -> None:
+        """Write COMPARE, then CTRL with ENABLE and IRQEN, so CTRL never
+        unmasks the IRQ over a stale compare value."""
+        regs, ctrl_at = self.regs, self._ctrl_at
+        regs.mmio_write(self._compare_at, deadline)
+        regs.mmio_write(ctrl_at, self._values[ctrl_at] | self._arm_mask)
+
+    def disarm(self) -> None:
+        """One CTRL write that clears IRQEN and keeps ENABLE."""
+        self.regs.mmio_write(self._ctrl_at, self._values[self._ctrl_at] & ~self._irqen)
+
 
 # The encoded trace payload of a uart_tx event, one per byte value.
 _TX_PAYLOADS = tuple(f'{{"byte":{byte}}}' for byte in range(256))
 
 
-class UartHw:
+class UartHw(Peripheral):
     """Transmit-only UART whose DMA engine moves ``bytes_per_tick`` bytes
     a tick.
 
@@ -195,8 +232,8 @@ class UartHw:
     TXDATA write, go through the ``uart_tx`` writer the UART holds. That
     writer, TXLEN's offset and STATUS's offset and TXBUSY bits are bound
     once, when the UART is built. The completion IRQ is raised on the tick
-    the last byte moves, and :meth:`take_completion` hands the buffer back
-    with the count sent.
+    the last byte moves, and its service hands the buffer back with the
+    count sent, as ``client(buffer, count)``.
     As in Tock's UART HIL, the driver sees one interrupt per transfer, not
     one per byte, so :meth:`ticks_until_event` answers the ticks left in
     the transfer. Writing TXDATA sends a single byte immediately (the
@@ -210,16 +247,12 @@ class UartHw:
 
     def __init__(self, spec: RegisterMapSpec, irqc: InterruptController,
                  irq_id: int, trace: TraceLog, bytes_per_tick: int = 1):
-        self.regs = RegisterFile(spec, on_write=self._on_write)
-        self.irqc = irqc
-        self.irq_id = irq_id
-        irqc.add_line(irq_id, spec.name)
+        super().__init__(spec, irqc, irq_id, self._on_write)
         self.bytes_per_tick = bytes_per_tick
         self.trace = trace
         self._actor = actor_hw(spec.name)
         self._log_tx = trace.channel(self._actor, K_UART_TX)
         txlen, status = spec.register("TXLEN"), spec.register("STATUS")
-        self._values = self.regs.values
         self._txlen_at, self._txlen_mask = txlen.offset, txlen.value_mask
         self._status_at = status.offset
         txbusy = status.field("TXBUSY")
@@ -227,7 +260,6 @@ class UartHw:
         self._buffer: Optional[bytearray] = None
         self._sent = 0
         self._total = 0
-        self._completion: Optional[Tuple[bytearray, int]] = None
 
     def _on_write(self, reg: RegisterSpec, value: int) -> None:
         if reg.name == "TXDATA":
@@ -246,7 +278,7 @@ class UartHw:
 
     def transmit_buffer(self, buffer: bytearray, length: int) -> None:
         """Take ``buffer`` and send its first ``length`` bytes; the caller
-        holds no reference until :meth:`take_completion` hands it back."""
+        holds no reference until the client gets it back."""
         if self.busy:
             raise RuntimeError("uart DMA already active")
         if not 0 <= length <= len(buffer):
@@ -283,22 +315,17 @@ class UartHw:
         if sent >= self._total:
             self._buffer = None
             self._values[self._status_at] &= ~self._txbusy_mask
-            self._completion = (buffer, sent)
-            self.irqc.raise_irq(self.irq_id)
-
-    def take_completion(self) -> Optional[Tuple[bytearray, int]]:
-        completion, self._completion = self._completion, None
-        return completion
+            self._complete(buffer, sent)
 
 
-class HashEngineHw:
+class HashEngineHw(Peripheral):
     """Digest accelerator: one job at a time, 64 payload bytes per tick.
 
     The submitter hands over the digest of the exact bytes it submits; the
     engine models the time the hashing takes and publishes the value in
     DIGEST_LO/DIGEST_HI only when the job completes, together with the
-    completion IRQ. The registers' offsets and STATUS's bits are resolved
-    once.
+    completion IRQ, whose service calls ``client(job, digest)``. The
+    registers' offsets and STATUS's bits are resolved once.
     """
 
     REGISTERS = {"LEN": (), "STATUS": ("BUSY", "DONE"), "DIGEST_LO": (),
@@ -309,54 +336,45 @@ class HashEngineHw:
 
     def __init__(self, spec: RegisterMapSpec, irqc: InterruptController,
                  irq_id: int, chunk_bytes: int = 64):
-        self.regs = RegisterFile(spec)
-        self.irqc = irqc
-        self.irq_id = irq_id
-        irqc.add_line(irq_id, spec.name)
+        super().__init__(spec, irqc, irq_id)
         self.chunk_bytes = chunk_bytes
-        self._values = self.regs.values
         self._len, self._lo, self._hi = map(spec.register, ("LEN", "DIGEST_LO", "DIGEST_HI"))
         status = spec.register("STATUS")
         busy, done = status.field("BUSY"), status.field("DONE")
         self._status_at, self._status_mask = status.offset, busy.mask | done.mask
         self._busy, self._done = busy.encode(1), done.encode(1)
         self._remaining = 0
-        self._pending_digest = 0
-        self._job_tag = None
-        self._completion: Optional[Tuple[object, int]] = None
+        self._job: Optional[Tuple[Any, int]] = None  # (job tag, digest)
 
     @property
     def busy(self) -> bool:
-        return self._job_tag is not None
+        return self._job is not None
 
     def ticks_until_event(self) -> Optional[int]:
         """Ticks until the running job completes, else None. A job with
         no chunks left (an empty payload) completes on the next tick."""
-        if self._job_tag is None:
+        if self._job is None:
             return None
         return max(1, self._remaining)
 
     def submit(self, payload: bytes, job_tag, digest: int) -> None:
         if self.busy:
             raise RuntimeError("hash engine already busy")
-        self._job_tag = job_tag
-        self._pending_digest = digest
+        self._job = (job_tag, digest)
         self._remaining = math.ceil(len(payload) / self.chunk_bytes)
         self._publish(self._busy, (self._len, len(payload) & 0xFFFFFFFF))
 
     def tick(self, n: int = 1) -> None:
-        if self._job_tag is None:
+        if self._job is None:
             return
         if self._remaining > n:
             self._remaining -= n
         else:
             self._remaining = 0
-            tag, digest = self._job_tag, self._pending_digest
-            self._job_tag = None
+            (tag, digest), self._job = self._job, None
             self._publish(self._done, (self._lo, digest & 0xFFFFFFFF),
                           (self._hi, (digest >> 32) & 0xFFFFFFFF))
-            self._completion = (tag, digest)
-            self.irqc.raise_irq(self.irq_id)
+            self._complete(tag, digest)
 
     def _publish(self, status: int, *writes: Tuple[RegisterSpec, int]) -> None:
         """Store each (register, value) and set STATUS's BUSY and DONE
@@ -365,10 +383,6 @@ class HashEngineHw:
         for reg, value in writes:
             values[reg.offset] = value & reg.value_mask
         values[self._status_at] = (values[self._status_at] & ~self._status_mask) | status
-
-    def take_completion(self) -> Optional[Tuple[object, int]]:
-        completion, self._completion = self._completion, None
-        return completion
 
 
 class Chip:

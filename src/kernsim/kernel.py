@@ -416,11 +416,8 @@ class ProcessLoader:
             self.kernel.trace.log(ACTOR_KERNEL, K_HASH_SUBMIT,
                                   {"job": job.job_id, "len": len(job.payload)})
 
-    def on_hash_irq(self) -> None:
-        completion = self.kernel.chip.hashengine.take_completion()
-        if completion is None:
-            return
-        job, digest = completion
+    def on_hash_irq(self, job: LoaderJob, digest: int) -> None:
+        """The hash engine's client: a job's digest is ready."""
         self.advance(job, digest)
         self._feed_engine()
 
@@ -468,10 +465,6 @@ class Kernel:
         capsule.attach(CapsuleServices(self, capsule))
         self.trace.log(ACTOR_KERNEL, K_CAPSULE_REGISTERED,
                        {"name": capsule.name, "driver_id": capsule.driver_id})
-
-    def register_irq_capsule(self, irq_id: int, capsule) -> None:
-        self.chip.irqc.set_handler(
-            irq_id, lambda: self.capsule_call(capsule, "handle_interrupt"))
 
     def capsule_call(self, capsule, entry: str, *args):
         """Run one capsule entry point under a fresh step-budget frame.

@@ -203,10 +203,12 @@ class RegisterFile:
 
     Software (driver) accesses use :meth:`mmio_read` / :meth:`mmio_write`
     and the field accessors; an access outside the declared matrix is a
-    detected error, never silent. The hardware side (``AlarmHw``, ``UartHw``,
-    ``HashEngineHw``) indexes :attr:`values` (register value by byte offset)
-    with offsets and masks it resolved once, bypassing the access matrix
-    and write hooks. Of the name-keyed ``hw_*`` accessors, only tests call
+    detected error, never silent. Driver-side MMIO comes only from the
+    chip-driver halves of the peripheral models (``AlarmHw.set_alarm`` and
+    ``disarm``); capsules never hold a register file. The hardware side
+    (``AlarmHw``, ``UartHw``, ``HashEngineHw``) indexes :attr:`values`
+    (register value by byte offset) with offsets and masks it resolved
+    once, bypassing the access matrix and write hooks. Of the name-keyed ``hw_*`` accessors, only tests call
     :meth:`hw_get` and nothing calls the rest; they stay until ROADMAP
     item 6 removes them, because the benchmark wraps them by name.
     """

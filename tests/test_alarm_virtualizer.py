@@ -69,7 +69,7 @@ def make_driver(n_clients, initial_count=0):
     driver.attach(services)
     for i in range(n_clients):
         driver._slots[i][0] = i + 1
-    irqc.set_handler(0, driver.handle_interrupt)
+    hw.client = driver.handle_interrupt
     return hw, irqc, driver, services.fires
 
 

@@ -88,6 +88,33 @@ def test_allow_returning_non_region_flagged():
     assert len(audit_return_shapes(bad)) == 1
 
 
+def test_allow_not_followed_by_its_return_flagged():
+    good = _allow(0, 2, 0, 16, 4, {"variant": "success_region", "base": 0, "len": 0})
+    other = ev(1, "process:2", "syscall", {"call": {"class": "yield", "mode": "wait"}})
+    assert audit_zero_length_allows([good[0], other, good[1]]) == []
+    # Mutated: the allowing process's next event is another call, not its return.
+    bad = [good[0], ev(1, "process:1", "syscall",
+                       {"call": {"class": "yield", "mode": "no_wait"}})]
+    assert audit_zero_length_allows(bad) == ["seq 0: allow not followed by its return"]
+
+
+@pytest.mark.parametrize("variant", ["success", "success_value", "failure_region"])
+def test_subscribe_returning_a_wrong_variant_flagged(variant):
+    call = ev(0, "process:1", "syscall",
+              {"call": {"class": "subscribe", "driver": 0, "sub": 0, "fn": "h",
+                        "userdata": 0}})
+    good = [call, ev(1, "process:1", "syscall_return",
+                     {"ret": {"variant": "success_upcall", "fn": "null",
+                              "userdata": 0}})]
+    assert audit_return_shapes(good) == []
+    refused = [call, ev(1, "process:1", "syscall_return",
+                        {"ret": {"variant": "failure", "err": "NODEVICE"}})]
+    assert audit_return_shapes(refused) == []
+    # Mutated: the return's variant is one a subscribe never gives.
+    bad = [call, ev(1, "process:1", "syscall_return", {"ret": {"variant": variant}})]
+    assert audit_return_shapes(bad) == [f"seq 1: subscribe returned {variant}"]
+
+
 def test_capsule_attributed_memory_access_flagged():
     bad = [ev(0, "capsule:console", "mem_access",
               {"base": 0, "len": 4, "op": "read"})]

@@ -374,8 +374,10 @@ def test_bad_timing_knob_is_exit_2_at_check_and_run(tmp_path, capsys,
     ([1], [True], 2),
     (None, None, 0),
     ("present", "present", 0),
+    ({"w": 1}, {"w": True}, 2),
+    ({"w": 1}, {"w": 1}, 0),
 ], ids=["int_is_not_bool", "float_is_not_int", "nested_bool", "null_is_provided",
-        "same_value"])
+        "same_value", "object_member_int_is_not_bool", "same_object"])
 def test_composition_compares_json_values_at_check_and_run(tmp_path, capsys,
                                                            provided, wanted, code):
     # The demo board's console requires a property of the uart_pins layer

@@ -147,7 +147,7 @@ def make_console(shares, buffer_size=64):
     uart = UartHw(UART_SPEC, irqc, 1, TraceLog())
     console = ConsoleDriver("console", 1, uart, buffer_size)
     console.attach(_ShareServices(shares))
-    irqc.set_handler(1, console.handle_interrupt)
+    uart.client = console.handle_interrupt
     return console, uart, irqc
 
 

@@ -14,7 +14,7 @@ from kernsim.hw import (
     InterruptController,
     SimClock,
     UartHw,
-    tick_passed,
+    ticks_until,
 )
 from kernsim.loader import fnv1a64
 from kernsim.regmap import load_register_map
@@ -35,13 +35,23 @@ def make_alarm(initial_count=0):
     return hw, irqc
 
 
-def test_tick_passed_half_ring():
-    assert tick_passed(100, 100)
-    assert tick_passed(101, 100)
-    assert not tick_passed(99, 100)
+def received(periph):
+    """Each completion periph's client is handed, as a tuple of its arguments."""
+    got = []
+    periph.client = lambda *completion: got.append(completion)
+    return got
+
+
+def test_ticks_until_half_ring():
+    # 0 once the deadline has passed, on it or up to half the ring behind
+    assert ticks_until(100, 100) == 0
+    assert ticks_until(101, 100) == 0
+    assert ticks_until(99, 100) == 1
+    assert ticks_until(0, 2 ** 31) == 2 ** 31  # the farthest still to come
+    assert ticks_until(0, 2 ** 31 + 1) == 0
     # wraparound: deadline just before the wrap, now just after
-    assert tick_passed(5, 2 ** 32 - 5)
-    assert not tick_passed(2 ** 32 - 5, 5)
+    assert ticks_until(5, 2 ** 32 - 5) == 0
+    assert ticks_until(2 ** 32 - 5, 5) == 10
 
 
 def test_alarm_fires_when_count_passes_compare():
@@ -94,6 +104,7 @@ def test_alarm_count_free_runs_and_never_resets():
 def test_uart_one_byte_per_tick_and_completion_irq():
     irqc = InterruptController(TraceLog())
     uart = UartHw(_spec("uart"), irqc, 1, TraceLog())
+    got = received(uart)
     buffer = bytearray(b"hello, world")
     assert uart.regs.field_get("STATUS", "TXBUSY") == 0
     uart.transmit_buffer(buffer, 5)  # the first 5 bytes, not the whole buffer
@@ -106,7 +117,8 @@ def test_uart_one_byte_per_tick_and_completion_irq():
     uart.tick()
     assert irqc.any_pending()
     assert uart_bytes(uart.trace) == b"hello"
-    returned, count = uart.take_completion()
+    assert got == [] and irqc.service() == 1
+    [(returned, count)] = got
     assert returned is buffer and count == 5
     assert not uart.busy
     assert uart.regs.field_get("STATUS", "TXBUSY") == 0
@@ -116,6 +128,7 @@ def test_uart_one_byte_per_tick_and_completion_irq():
 def test_a_second_transfer_on_a_busy_uart_is_refused_and_the_first_goes_on():
     irqc = InterruptController(TraceLog())
     uart = UartHw(_spec("uart"), irqc, 1, TraceLog())
+    got = received(uart)
     first, second = bytearray(b"abc"), bytearray(b"wxyz")
     uart.transmit_buffer(first, 3)
     uart.tick()
@@ -125,10 +138,11 @@ def test_a_second_transfer_on_a_busy_uart_is_refused_and_the_first_goes_on():
     assert uart.regs.field_get("STATUS", "TXBUSY") == 1
     uart.tick(2)
     assert uart_bytes(uart.trace) == b"abc"
-    returned, count = uart.take_completion()
+    assert irqc.service() == 1
+    [(returned, count)] = got
     assert returned is first and count == 3
     assert first == b"abc" and second == b"wxyz"
-    assert not uart.busy and uart.take_completion() is None
+    assert not uart.busy and irqc.service() == 0 and len(got) == 1
 
 
 @pytest.mark.parametrize("length", [-1, 4])
@@ -150,6 +164,7 @@ def test_uart_txdata_register_emits_single_byte():
 def test_hash_engine_timing_is_ceil_len_over_64():
     irqc = InterruptController(TraceLog())
     engine = HashEngineHw(_spec("hashengine"), irqc, 2)
+    got = received(engine)
     payload = b"x" * 130  # ceil(130/64) = 3 ticks
     engine.submit(payload, "job", fnv1a64(payload))
     assert engine.regs.read_reg("LEN") == 130
@@ -157,8 +172,8 @@ def test_hash_engine_timing_is_ceil_len_over_64():
         engine.tick()
     assert not irqc.any_pending()
     engine.tick()
-    assert irqc.any_pending()
-    tag, digest = engine.take_completion()
+    assert irqc.any_pending() and irqc.service() == 1
+    [(tag, digest)] = got
     assert tag == "job"
     assert digest == fnv1a64(payload)
     assert (engine.regs.read_reg("DIGEST_HI") << 32
@@ -203,8 +218,7 @@ def test_interrupt_priority_is_ascending_irq_id():
     irqc = InterruptController(TraceLog())
     order = []
     for irq_id, name in ((5, "b"), (1, "a")):
-        irqc.add_line(irq_id, name)
-        irqc.set_handler(irq_id, lambda irq_id=irq_id: order.append(irq_id))
+        irqc.add_line(irq_id, name, lambda irq_id=irq_id: order.append(irq_id))
     irqc.raise_irq(5)
     irqc.raise_irq(1)
     assert irqc.service() == 2
@@ -214,11 +228,10 @@ def test_interrupt_priority_is_ascending_irq_id():
 def test_irq_stays_pending_until_handled_and_clears_on_delivery():
     irqc = InterruptController(TraceLog())
     fired = []
-    irqc.add_line(0, "a")
-    irqc.raise_irq(0)
+    irqc.add_line(0, "a", lambda: fired.append(0))
     assert irqc.service() == 0
+    irqc.raise_irq(0)
     assert irqc.any_pending()
-    irqc.set_handler(0, lambda: fired.append(0))
     assert irqc.service() == 1
     assert not irqc.any_pending()
     assert fired == [0]
@@ -307,11 +320,12 @@ def test_hash_engine_ticks_until_event():
 def test_hash_engine_zero_length_payload_fires_after_one_tick():
     irqc = InterruptController(TraceLog())
     engine = HashEngineHw(_spec("hashengine"), irqc, 2)
+    got = received(engine)
     engine.submit(b"", "empty", fnv1a64(b""))
     assert engine.ticks_until_event() == 1
     engine.tick()
-    assert irqc.any_pending()
-    assert engine.take_completion() == ("empty", fnv1a64(b""))
+    assert irqc.any_pending() and irqc.service() == 1
+    assert got == [("empty", fnv1a64(b""))]
 
 
 def make_chip(initial_count=0, bytes_per_tick=1):
@@ -323,8 +337,8 @@ def make_chip(initial_count=0, bytes_per_tick=1):
                 UartHw(_spec("uart"), irqc, 1, bytes_per_tick=bytes_per_tick,
                        trace=trace),
                 HashEngineHw(_spec("hashengine"), irqc, 2))
-    for line in irqc.lines.values():
-        line.handler = lambda: None
+    for periph in (chip.alarm, chip.uart, chip.hashengine):
+        periph.client = lambda *completion: None
     return chip, trace
 
 
@@ -374,8 +388,7 @@ def test_lines_added_out_of_order_are_serviced_in_ascending_irq_id():
             irqc.raise_irq(5)
 
     for irq_id in (5, 1, 9, 3):
-        irqc.add_line(irq_id, f"p{irq_id}")
-        irqc.set_handler(irq_id, lambda irq_id=irq_id: handler(irq_id))
+        irqc.add_line(irq_id, f"p{irq_id}", lambda irq_id=irq_id: handler(irq_id))
     irqc.raise_irq(9)
     irqc.raise_irq(3)
     assert irqc.service() == 3
@@ -439,6 +452,7 @@ def test_chip_tick_n_through_a_busy_uart_matches_n_single_ticks(bytes_per_tick,
     payload = bytes(range(length))
     ticks = max(1, -(-length // bytes_per_tick))
     chips = [make_chip(bytes_per_tick=bytes_per_tick) for _ in range(2)]
+    got = received(chips[0][0].uart)
     for chip, _ in chips:
         chip.uart.transmit_buffer(bytearray(payload), length)
         _arm(chip.alarm, ticks)  # matches on the tick the transfer ends
@@ -456,7 +470,8 @@ def test_chip_tick_n_through_a_busy_uart_matches_n_single_ticks(bytes_per_tick,
     assert [(e["tick"], e["actor"]) for e in events
             if e["kind"] == "irq_raised"] == [(ticks, "hw:alarm"),
                                               (ticks, "hw:uart")]
-    assert fast.uart.take_completion()[1] == length
+    assert fast.irqc.service() == 2
+    assert [count for _, count in got] == [length]
 
 
 def test_idle_chip_takes_any_step():

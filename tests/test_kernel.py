@@ -14,7 +14,8 @@ from kernsim.abi import (
 from kernsim.audit import parse_trace
 from kernsim.board import Board, BoardConfig, run_simulation
 from kernsim.capabilities import CapabilityKind
-from kernsim.capsules import CAPSULE_TYPES, AlarmDriver, Capsule, ProbeDriver
+from kernsim.capsules import (CAPSULE_TYPES, AlarmDriver, Capsule, ConsoleDriver,
+                               ProbeDriver)
 from kernsim.errors import (
     PhaseError,
     ProcessDead,
@@ -892,6 +893,36 @@ def test_capsule_exception_in_any_entry_point_is_exit_3(entry, monkeypatch):
         f"RuntimeError('boom in {entry}')")
 
 
+class CrashingConsole(ConsoleDriver):
+    """Test fixture: a console whose completion entry raises."""
+
+    def handle_interrupt(self, buffer, count):
+        raise RuntimeError(f"boom after {count} bytes")
+
+
+def test_console_exception_in_its_completion_is_exit_3():
+    # The UART hands its completion to the console through capsule_call,
+    # so a crash there is a diagnostic naming the console and the entry.
+    cfg = minimal_board_dict()
+    cfg["capsules"][1]["type"] = "crashing_console"
+    main = [
+        {"op": "write_local", "offset": 0, "data": "6869"},
+        {"op": "syscall", "call": {"class": "ro_allow", "driver": 1, "buf": 0,
+                                   "base": 0, "len": 2}},
+        {"op": "syscall", "call": {"class": "command", "driver": 1, "cmd": 1,
+                                   "args": [2, 0]}},
+        {"op": "syscall", "call": {"class": "yield", "mode": "wait"}},
+    ]
+    board, code = run_board(main, {}, board=Board.from_dict(cfg))
+    assert code == 3
+    assert uart_bytes(board.trace) == b"hi"
+    last = trace_events(board)[-1]
+    assert last.kind == "diagnostic"
+    assert last.payload["reason"] == (
+        "capsule 'console' crashed in handle_interrupt: "
+        "RuntimeError('boom after 2 bytes')")
+
+
 # --- loop step snapshot ----------------------------------------------------------------
 
 
@@ -921,6 +952,7 @@ def fixture_capsule_types(monkeypatch):
     for ctype, capsule in (("spinner", SpinnerCapsule),
                            ("reentrant", ReentrantCapsule),
                            ("crashing_alarm", CrashingAlarmDriver),
+                           ("crashing_console", CrashingConsole),
                            ("spawner", SpawnerCapsule)):
         monkeypatch.setitem(CAPSULE_TYPES, ctype, capsule)
 

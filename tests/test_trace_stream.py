@@ -523,8 +523,7 @@ def test_irq_texts_are_the_compact_json_of_their_records():
     irqc = InterruptController(TraceLog(_Ticks(range(1, 1000))))
     names = dict(zip((7, 0, 31, 2), AWKWARD_NAMES[1:]))
     for irq_id, name in names.items():
-        irqc.add_line(irq_id, name)
-        irqc.set_handler(irq_id, lambda: None)
+        irqc.add_line(irq_id, name, lambda: None)
     expected = []
     for irq_id in (31, 0, 7, 2):
         irqc.raise_irq(irq_id)
