@@ -19,7 +19,8 @@ its next interrupt. The trace is the same as with one step per tick.
 
 Exit codes: 0 clean quiescence or tick limit, 1 any expect mismatch,
 2 configuration error or a trace sink that cannot be written, 3 capsule
-diagnostic (budget, reentrancy, register misuse).
+diagnostic (step-budget overrun, grant re-entry, scoped handle used after
+its visit, capsule exception, or a command returning no SyscallReturn).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .capabilities import BoardPhase, CapabilityKind, CapabilityRegistry
 from .capsules import CAPSULE_TYPES, LAYERS, validate_composition
 from .errors import INVALID, ConfigError, Key, Schema, SimulationDiagnostic, SpecError
 from .hw import AlarmHw, Chip, HashEngineHw, InterruptController, UartHw
-from .kernel import Kernel, LoaderJob, PackedApp
+from .kernel import Kernel, LoaderJob
 from .loader import VERIFIER_POLICIES, fnv1a64, pack_binary
 from .memory import MemoryController
 from .regmap import RegisterMapSpec, load_register_map
@@ -274,6 +275,7 @@ class Board:
             upcall_queue_depth=config.upcall_queue_depth,
             capsule_step_budget=config.capsule_step_budget,
             max_processes=config.max_processes,
+            loader=config.loader,
             verifier_policy=config.verifier,
             trusted_key_ids=config.trusted_key_ids)
 
@@ -320,23 +322,20 @@ class Board:
 
     def load_app(self, source: bytes, name: str = "app") -> LoaderJob:
         """Pack a scenario file into a process binary and hand it to the
-        configured loader, together with the script parsed here; the
-        loader keeps it only for a byte-equal payload."""
+        loader, together with the script parsed here; the loader keeps it
+        only for a byte-equal payload."""
         source = bytes(source)
         script = parse_script_bytes(source, name)
         digest = (fnv1a64(source) if script.credential_digest is None
                   else script.credential_digest)
         blob = pack_binary(source, script.min_memory, entry_name=script.entry,
                            digest=digest, key_id=script.key_id)
-        return self.kernel.loader.submit(self._boot_token, blob, script.name,
-                                         self.config.loader == "sync",
-                                         PackedApp(source, script))
+        return self.kernel.loader.submit(self._boot_token, blob, script.name, script)
 
     def load_binary(self, blob: bytes, name: str = "app") -> LoaderJob:
-        """Feed an already-packed binary to the configured loader, which
-        parses and digests its payload afresh."""
-        return self.kernel.loader.submit(self._boot_token, blob, name,
-                                         self.config.loader == "sync")
+        """Feed an already-packed binary to the loader, which parses and
+        digests its payload afresh."""
+        return self.kernel.loader.submit(self._boot_token, blob, name)
 
     # -- the run loop ------------------------------------------------------------
 

@@ -248,8 +248,9 @@ class SimulationDiagnostic(KernsimError):
     """A detected bug in kernel-side extension code.
 
     These are not recoverable outcomes: a capsule that overruns its step
-    budget, re-enters a grant, or touches a register it must not touch has
-    violated its contract, and the run halts with exit code 3.
+    budget, re-enters a grant, uses a scoped handle after its visit, raises
+    from an entry point (``crashed in <entry>``) or returns no
+    ``SyscallReturn`` from ``command`` has broken its contract: exit code 3.
     """
 
 

@@ -243,9 +243,7 @@ class ScopedRegion:
                              f"{size}-byte {self._purpose} region")
         return self._region.base + offset
 
-    def read(self, offset: int = 0, length: Optional[int] = None) -> bytes:
-        if length is None:
-            length = self._region.length - offset
+    def read(self, offset: int, length: int) -> bytes:
         return self._memory.access(None, self._span(offset, length), length,
                                    READ, note=self._note)
 
@@ -305,15 +303,6 @@ class CapsuleServices:
 
 # --- process loading --------------------------------------------------------------
 
-@dataclass(eq=False)
-class PackedApp:
-    """What the packer learned about one payload, handed to the loader so
-    that the same bytes are not parsed twice: the script as parsed under
-    the job's name."""
-    payload: bytes
-    script: ScenarioScript
-
-
 @dataclass
 class LoaderJob:
     job_id: int
@@ -324,8 +313,8 @@ class LoaderJob:
     reject_reason: Optional[RejectReason] = None
     detail: str = ""
     pid: Optional[int] = None
-    # The packer's parse, kept only for the payload and name it was made
-    # from, and handed to the runnability stage.
+    # The packer's parse, kept only for the payload (its source) and name
+    # it was made from, and handed to the runnability stage.
     script: Optional[ScenarioScript] = None
 
 
@@ -333,15 +322,22 @@ class ProcessLoader:
     """Three-stage loader state machine: the header is checked when a
     binary is submitted, then the credential and runnability once the
     loader has digested the payload it holds (:func:`fnv1a64`), at once
-    (sync) or on the hash engine's completion interrupt (async)."""
+    (sync) or on the hash engine's completion interrupt (async). The board
+    fixes the mode, verifier policy and trusted key ids when it builds the
+    kernel, and every load follows them, whoever submits it; an async
+    board has a hash engine, as the board check requires."""
 
-    def __init__(self, kernel: "Kernel"):
+    def __init__(self, kernel: "Kernel", mode: str, verifier_policy: str,
+                 trusted_key_ids):
         self.kernel = kernel
+        self.sync = mode == "sync"
+        self.verifier_policy = verifier_policy
+        self.trusted_key_ids = tuple(trusted_key_ids)
         self._ids = count(1)
         self._waiting: List[LoaderJob] = []
 
-    def submit(self, token, blob: bytes, name: str, sync: bool,
-               packed: Optional[PackedApp] = None) -> LoaderJob:
+    def submit(self, token, blob: bytes, name: str,
+               script: Optional[ScenarioScript] = None) -> LoaderJob:
         kernel = self.kernel
         kernel.registry.validate(token, CapabilityKind.LOADER_CONTROL)
         job = LoaderJob(next(self._ids), name)
@@ -355,18 +351,16 @@ class ProcessLoader:
         except HeaderError as exc:
             self._reject(job, RejectReason.BAD_HEADER, str(exc))
             return job
-        if packed is not None and packed.script.name == name and \
-                packed.payload == job.payload:
-            job.payload = packed.payload  # keep one copy of the bytes
-            job.script = packed.script
+        if script is not None and script.name == name and \
+                script.source == job.payload:
+            job.payload = script.source  # keep one copy of the bytes
+            job.script = script
         self._transition(job, LoaderState.HEADER_CHECKED)
         self._transition(job, LoaderState.INTEGRITY_PENDING)
-        if sync:
+        if self.sync:
             # Same machine, driven inline: the digest is taken on the spot
             # instead of by the hash engine.
             self.advance(job, fnv1a64(job.payload))
-        elif kernel.chip.hashengine is None:
-            raise PhaseError("async loading requires a hash engine")
         else:
             self._waiting.append(job)
             self._feed_engine()
@@ -374,11 +368,8 @@ class ProcessLoader:
 
     def _transition(self, job: LoaderJob, state: LoaderState, **extra) -> None:
         job.state = state
-        payload: Dict[str, Any] = {"job": job.job_id, "state": state.value}
-        if job.pid is not None:
-            payload["pid"] = job.pid
-        payload.update(extra)
-        self.kernel.trace.log(ACTOR_KERNEL, K_LOADER_STATE, payload)
+        self.kernel.trace.log(ACTOR_KERNEL, K_LOADER_STATE,
+                              {"job": job.job_id, "state": state.value, **extra})
 
     def _reject(self, job: LoaderJob, reason: RejectReason, detail: str) -> None:
         job.reject_reason = reason
@@ -390,20 +381,19 @@ class ProcessLoader:
         """The integrity and runnability stages, given the payload's digest."""
         if job.state is not LoaderState.INTEGRITY_PENDING:
             raise InvalidTransition(f"integrity check while {job.state.value}")
-        kernel = self.kernel
-        if not credential_accepted(kernel.verifier_policy, job.header, digest,
-                                   kernel.trusted_key_ids):
+        if not credential_accepted(self.verifier_policy, job.header, digest,
+                                   self.trusted_key_ids):
             self._reject(job, RejectReason.BAD_INTEGRITY,
                          "credential digest not accepted")
             return
         self._transition(job, LoaderState.INTEGRITY_CHECKED)
-        pid, reason, detail = kernel.try_create_process(
+        pid, reason, detail = self.kernel.try_create_process(
             job.header, job.payload, job.name, job.script)
         if pid is None:
             self._reject(job, reason, detail)
         else:
             job.pid = pid
-            self._transition(job, LoaderState.RUNNABLE)
+            self._transition(job, LoaderState.RUNNABLE, pid=pid)
 
     def _feed_engine(self) -> None:
         """Start the next waiting job if the hash engine is free. A job
@@ -428,7 +418,8 @@ class Kernel:
     def __init__(self, memory: MemoryController, chip: Chip, trace: TraceLog,
                  registry: CapabilityRegistry, *,
                  upcall_queue_depth: int, capsule_step_budget: int,
-                 max_processes: int, verifier_policy: str, trusted_key_ids):
+                 max_processes: int, loader: str, verifier_policy: str,
+                 trusted_key_ids):
         self.memory = memory
         self.chip = chip
         self.trace = trace
@@ -439,8 +430,6 @@ class Kernel:
         self.upcall_queue_depth = upcall_queue_depth
         self.capsule_step_budget = capsule_step_budget
         self.max_processes = max_processes
-        self.verifier_policy = verifier_policy
-        self.trusted_key_ids = tuple(trusted_key_ids)
 
         self.processes: Dict[int, ProcessControlBlock] = {}
         # The live subset of processes, in pid order (pids only grow).
@@ -451,7 +440,7 @@ class Kernel:
         self._frames: List[List[Any]] = []
         self._grant_entries: set = set()
         self.allocator = CarveAllocator(memory.total_size)
-        self.loader = ProcessLoader(self)
+        self.loader = ProcessLoader(self, loader, verifier_policy, trusted_key_ids)
         self.expect_failures = 0
 
     # -- capsule registration and budget ------------------------------------

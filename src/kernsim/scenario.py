@@ -79,6 +79,7 @@ class ScenarioScript:
     main: List[Step]
     handlers: Dict[str, List[Step]] = field(default_factory=dict)
     credential_digest: Optional[int] = None  # explicit override; None = computed
+    source: Optional[bytes] = None  # the bytes parse_script_bytes parsed
 
 
 # The lists under "main", a handler name and a loop's "body" hold
@@ -243,7 +244,9 @@ def parse_script_bytes(blob: bytes, name: str = "app") -> ScenarioScript:
         data = json.loads(blob.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         raise ScenarioError([f"scenario does not parse: {exc}"]) from None
-    return parse_script(data, name)
+    script = parse_script(data, name)
+    script.source = blob
+    return script
 
 
 class ProcessProgram:

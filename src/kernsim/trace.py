@@ -64,14 +64,20 @@ def encode_json(value: Any) -> str:
 def json_equal(a: Any, b: Any) -> bool:
     """Whether two decoded JSON values are the same JSON value: ``true``
     is not ``1`` and ``0.0`` is not ``0``, though Python's ``==`` holds
-    them equal."""
-    if type(a) is not type(b):
-        return False
-    if type(a) is list:
-        return len(a) == len(b) and all(map(json_equal, a, b))
-    if type(a) is dict:
-        return a.keys() == b.keys() and all(json_equal(v, b[k]) for k, v in a.items())
-    return a == b
+    them equal. The pairs still to compare wait on a stack, so no nesting
+    depth reaches the recursion limit."""
+    pending = [(a, b)]
+    while pending:
+        a, b = pending.pop()
+        if type(a) is not type(b):
+            return False
+        if type(a) is list and len(a) == len(b):
+            pending.extend(zip(a, b))
+        elif type(a) is dict and a.keys() == b.keys():
+            pending.extend((v, b[k]) for k, v in a.items())
+        elif a != b:  # a scalar, or lists or objects of other shapes
+            return False
+    return True
 
 
 def actor_process(pid: int) -> str:

@@ -368,6 +368,13 @@ def test_bad_timing_knob_is_exit_2_at_check_and_run(tmp_path, capsys,
     assert knob in events[0]["payload"]["violation"]
 
 
+def _nested(depth, inner):
+    value = inner
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 @pytest.mark.parametrize("provided, wanted, code", [
     (1, True, 2),
     (1.0, 1, 2),
@@ -376,12 +383,19 @@ def test_bad_timing_knob_is_exit_2_at_check_and_run(tmp_path, capsys,
     ("present", "present", 0),
     ({"w": 1}, {"w": True}, 2),
     ({"w": 1}, {"w": 1}, 0),
+    ([1], [1, 1], 2),
+    ({"w": 1}, {"v": 1}, 2),
+    (_nested(500, 1), _nested(500, 1), 0),
+    (_nested(500, 1), _nested(500, 2), 2),
 ], ids=["int_is_not_bool", "float_is_not_int", "nested_bool", "null_is_provided",
-        "same_value", "object_member_int_is_not_bool", "same_object"])
+        "same_value", "object_member_int_is_not_bool", "same_object",
+        "list_length_differs", "object_keys_differ", "same_list_500_deep",
+        "innermost_of_500_differs"])
 def test_composition_compares_json_values_at_check_and_run(tmp_path, capsys,
                                                            provided, wanted, code):
     # The demo board's console requires a property of the uart_pins layer
     # beneath it; true does not satisfy 1, and a provided null is provided.
+    # Values nested deeper than one frame per level allows still compare.
     cfg = json.loads((BOARDS_DIR / "demo.json").read_text())
     uart_pins, console = cfg["capsules"][:2]
     uart_pins["provides"] = {"uart_dma": provided}
@@ -395,8 +409,11 @@ def test_composition_compares_json_values_at_check_and_run(tmp_path, capsys,
     assert cli_main(["run", "--board", str(board_path), "--app", str(app),
                      "--trace", str(trace_path)]) == code
     assert "Traceback" not in capsys.readouterr().err
-    kinds = [e["kind"] for e in parse_trace(trace_path.read_bytes())]
-    assert ("config_error" in kinds) == bool(code)
+    violations = [e["payload"]["violation"] for e in parse_trace(trace_path.read_bytes())
+                  if e["kind"] == "config_error"]
+    assert violations == ([] if code == 0 else [
+        f"layer 'console' requires uart_dma={wanted!r} but layer 'uart_pins' "
+        f"provides uart_dma={provided!r}"])
 
 
 def _mpu_board_and_app(tmp_path, regions):
@@ -679,6 +696,31 @@ def test_unparsable_file_is_exit_2_at_check_and_run(tmp_path, capsys, where,
     events = parse_trace(trace_path.read_bytes())
     assert events[-1]["kind"] == "config_error"
     assert "does not parse" in events[-1]["payload"]["violation"]
+
+
+@pytest.mark.parametrize("where, text, violation", [
+    ("board", "[]", "board config must be an object, got []"),
+    ("board", '"x"', "board config must be an object, got 'x'"),
+    ("board", "null", "board config must be an object, got None"),
+    ("app", '"x"', "scenario must be an object, got 'x'"),
+    ("app", "[]", "scenario must be an object, got []"),
+])
+def test_top_level_not_an_object_is_exit_2_at_check_and_run(tmp_path, capsys, where,
+                                                            text, violation):
+    board_path = tmp_path / "board.json"
+    board_path.write_text(json.dumps(minimal_board_dict()))
+    app = tmp_path / "app.json"
+    app.write_text(json.dumps({"name": "app", "main": [{"op": "halt"}]}))
+    {"board": board_path, "app": app}[where].write_text(text)
+    trace_path = tmp_path / "t.jsonl"
+    assert cli_main(["check", "--board", str(board_path)]) == \
+        (0 if where == "app" else 2)
+    assert cli_main(["run", "--board", str(board_path), "--app", str(app),
+                     "--trace", str(trace_path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    events = parse_trace(trace_path.read_bytes())
+    assert events[-1]["kind"] == "config_error"
+    assert events[-1]["payload"]["violation"] == violation
 
 
 @pytest.mark.parametrize("where, path", [

@@ -225,10 +225,12 @@ def test_unknown_driver_is_nodevice(board):
     assert ret == SyscallReturn.failure(ErrorCode.NODEVICE)
 
 
-def test_unknown_command_is_nosupport(board):
+@pytest.mark.parametrize("driver", [DRIVER_ALARM, DRIVER_CONSOLE, DRIVER_PROBE_A,
+                                    DRIVER_MANAGER])
+def test_unknown_command_is_nosupport(board, driver):
     pcb = board.kernel.processes[load_idle_process(board)]
     ret = board.kernel.handle_syscall(
-        pcb, SyscallInvocation.command(DRIVER_ALARM, 77))
+        pcb, SyscallInvocation.command(driver, 77))
     assert ret == SyscallReturn.failure(ErrorCode.NOSUPPORT)
 
 
@@ -923,6 +925,34 @@ def test_console_exception_in_its_completion_is_exit_3():
         "RuntimeError('boom after 2 bytes')")
 
 
+class WrongReturnCapsule(Capsule):
+    """Test fixture: a capsule whose command returns the value the test
+    sets on the class, not a SyscallReturn."""
+
+    returns = None
+
+    @classmethod
+    def build(cls, name, layer, deps, tokens):
+        return cls(name, layer["driver_id"])
+
+    def command(self, cmd, arg0, arg1, pid):
+        return self.returns
+
+
+@pytest.mark.parametrize("returns", [None, 0, "success", (0, 0)])
+def test_command_returning_no_syscall_return_is_exit_3(returns, monkeypatch):
+    monkeypatch.setattr(WrongReturnCapsule, "returns", returns)
+    board = _board_with([{"name": "wrong", "type": "wrong_return", "driver_id": 9}])
+    main = [{"op": "syscall", "call": {"class": "command", "driver": 9, "cmd": 1}},
+            {"op": "halt"}]
+    board.load_app(script_source(main, {}, 256))
+    assert board.run(100) == 3
+    last = trace_events(board)[-1]
+    assert last.kind == "diagnostic"
+    assert last.payload["reason"] == \
+        f"capsule 'wrong' returned {returns!r} from command"
+
+
 # --- loop step snapshot ----------------------------------------------------------------
 
 
@@ -942,7 +972,7 @@ class SpawnerCapsule(Capsule):
 
     def command(self, cmd, arg0, arg1, pid):
         blob = pack_binary(script_source([{"op": "halt"}], {}, 128), 128)
-        self.kernel.loader.submit(self.token, blob, "child", True)
+        self.kernel.loader.submit(self.token, blob, "child")
         return SyscallReturn.success()
 
 
@@ -953,6 +983,7 @@ def fixture_capsule_types(monkeypatch):
                            ("reentrant", ReentrantCapsule),
                            ("crashing_alarm", CrashingAlarmDriver),
                            ("crashing_console", CrashingConsole),
+                           ("wrong_return", WrongReturnCapsule),
                            ("spawner", SpawnerCapsule)):
         monkeypatch.setitem(CAPSULE_TYPES, ctype, capsule)
 
@@ -976,6 +1007,39 @@ def test_process_created_during_a_step_first_runs_in_the_next():
     assert _started_pids(board) == [1]
     board.kernel.loop_step()
     assert _started_pids(board) == [1, 2]
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_a_capsule_load_follows_the_board_loader(mode):
+    # The board's loader key binds every submitter, a capsule included: on
+    # a sync board the child is created inside the submitting quantum; on
+    # an async one the hash engine digests it, and the child is created
+    # when the hash interrupt is serviced, at a later tick.
+    board = _board_with([{"name": "spawner", "type": "spawner", "driver_id": 9}],
+                        loader=mode, capabilities={"spawner": ["LoaderControl"]})
+    board.capsules_by_name["spawner"].kernel = board.kernel
+    board.load_app(script_source(
+        [{"op": "syscall", "call": {"class": "command", "driver": 9, "cmd": 1}},
+         {"op": "halt"}], {}, 256))
+    assert board.run(200) == 0
+    events = trace_events(board)
+    start = next(i for i, e in enumerate(events) if e.kind == "syscall"
+                 and e.payload["call"].get("driver") == 9)
+    end = next(i for i, e in enumerate(events)
+               if i > start and e.kind == "syscall_return")
+    hashed = [e.payload["job"] for e in events[start:end] if e.kind == "hash_submit"]
+    created = next(i for i, e in enumerate(events)
+                   if e.kind == "process_created" and e.payload["pid"] == 2)
+    if mode == "sync":
+        assert start < created < end
+        assert hashed == []
+    else:
+        assert hashed == [2]
+        serviced = max(i for i, e in enumerate(events[:created])
+                       if e.kind == "irq_serviced")
+        assert end < serviced < created
+        assert events[serviced].actor == "hw:hashengine"
+        assert events[serviced].tick == events[created].tick > events[start].tick
 
 
 def test_process_loaded_by_the_hash_irq_starts_in_the_same_step():

@@ -10,7 +10,7 @@ from kernsim import kernel as kernel_module
 from kernsim import loader as loader_module
 from kernsim import scenario as scenario_module
 from kernsim.errors import ForeignCapability, InvalidTransition
-from kernsim.kernel import LoaderJob, PackedApp, ProcessState
+from kernsim.kernel import LoaderJob, ProcessState
 from kernsim.loader import (
     HeaderError,
     LoaderState,
@@ -66,6 +66,14 @@ def test_parse_rejects_truncation_and_length_lies():
         parse_binary(blob + b"extra")
     with pytest.raises(HeaderError):
         parse_binary(blob[:-1])
+
+
+@pytest.mark.parametrize("cut", [16, 17])
+def test_parse_rejects_a_binary_cut_inside_its_entry_name_length(cut):
+    # The fixed header is whole and valid; the two-byte name length is not.
+    blob = pack_binary(b'{"main": []}', 64)
+    with pytest.raises(HeaderError, match="^truncated entry name length$"):
+        parse_binary(blob[:cut])
 
 
 def sync_board(**overrides):
@@ -265,7 +273,7 @@ def test_loading_requires_the_loader_token():
     board_b = sync_board()
     with pytest.raises(ForeignCapability):
         board_b.kernel.loader.submit(board_a._boot_token,
-                                     pack_binary(good_source(), 256), "x", True)
+                                     pack_binary(good_source(), 256), "x")
 
 
 def test_dynamic_load_after_finalize_with_construction_token():
@@ -274,7 +282,7 @@ def test_dynamic_load_after_finalize_with_construction_token():
     board = async_board()
     board.finalize()
     job = board.kernel.loader.submit(board._boot_token,
-                                     pack_binary(good_source(), 256), "late", False)
+                                     pack_binary(good_source(), 256), "late")
     board.run(100)
     assert job.state is LoaderState.RUNNABLE
     assert board.kernel.processes[job.pid].state is ProcessState.EXITED
@@ -306,10 +314,9 @@ def calls(monkeypatch):
     return counts
 
 
-def submit(board, blob, name, packed):
-    """Load blob on the board's configured loader with packed handed over."""
-    return board.kernel.loader.submit(board._boot_token, blob, name,
-                                      board.config.loader == "sync", packed)
+def submit(board, blob, name, script):
+    """Load blob on the board's loader with script handed over."""
+    return board.kernel.loader.submit(board._boot_token, blob, name, script)
 
 
 def load_handed_over(board, source, tamper):
@@ -318,7 +325,7 @@ def load_handed_over(board, source, tamper):
     script = parse_script_bytes(source, "app")
     blob = bytearray(pack_binary(source, script.min_memory))
     tamper(blob)
-    return submit(board, bytes(blob), script.name, PackedApp(source, script))
+    return submit(board, bytes(blob), script.name, script)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -371,7 +378,7 @@ def test_a_wrong_header_digest_is_rejected_though_the_script_is_handed_over(
     script = parse_script_bytes(source, "app")
     wrong = fnv1a64(source) ^ 1
     job = submit(board, pack_binary(source, script.min_memory, digest=wrong),
-                 script.name, PackedApp(source, script))
+                 script.name, script)
     assert job.script is script
     board.run(100)
     assert job.state is LoaderState.REJECTED
@@ -405,8 +412,7 @@ def test_one_source_loaded_twice_makes_two_processes(mode, calls):
 @pytest.mark.parametrize("mode", MODES)
 def test_the_loader_holds_no_job_after_the_run(mode):
     board = make_board(loader=mode)
-    bad_header = submit(board, b"KSIMnope", "app",
-                        PackedApp(b"{}", parse_script_bytes(b"{}")))
+    bad_header = submit(board, b"KSIMnope", "app", parse_script_bytes(b"{}"))
     jobs = [board.load_app(good_source()),
             board.load_app(b'{"main": [], "min_memory": 1048576}'),
             board.load_app(script_source([], {}, 64, credential={"digest": 1}))]
@@ -427,13 +433,11 @@ def test_the_kernel_parses_afresh_unless_payload_and_name_match(mode):
     handed, loaded = (script_source([{"op": "halt"}], {}, 256, name=name)
                       for name in ("handed", "loaded"))
     script = parse_script_bytes(handed, "app")
-    other_bytes = submit(board, pack_binary(loaded, 256), script.name,
-                         PackedApp(handed, script))
+    other_bytes = submit(board, pack_binary(loaded, 256), script.name, script)
     # Same bytes with no name of their own, loaded under another name.
     nameless = b'{"main": [{"op": "halt"}], "min_memory": 256}'
     script = parse_script_bytes(nameless, "handed")
-    other_name = submit(board, pack_binary(nameless, 256), "loaded",
-                        PackedApp(nameless, script))
+    other_name = submit(board, pack_binary(nameless, 256), "loaded", script)
     board.run(100)
     for job in (other_bytes, other_name):
         assert job.script is None
