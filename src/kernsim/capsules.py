@@ -29,7 +29,7 @@ from .errors import (
     WriteToReadOnly,
 )
 from .hw import AlarmHw, UartHw, ticks_until
-from .trace import json_equal
+from .trace import encode_json, json_equal
 
 CONFIGURABLE = "configurable"
 MAX_BUFFER_SIZE = 64 * 1024  # the largest console buffer
@@ -46,27 +46,24 @@ def validate_composition(layers: List[Dict[str, Any]]) -> List[str]:
     satisfy ``1``, and a provided null counts as provided. A layer's
     ``buffer_size`` must meet the ``min_buffer_size`` of the layer beneath
     it. A value that is not an object or an integer (one the board check
-    refused) declares nothing."""
+    refused) declares nothing. A message writes values as compact JSON."""
     mismatches: List[str] = []
     for i, layer in enumerate(layers):
         below = layers[i - 1] if i > 0 else None
         name = layer["name"]
         for prop, wanted in (layer.get("requires") or {}).items():
+            head = f"layer {name!r} requires {prop}={encode_json(wanted)} but"
             if below is None:
-                mismatches.append(
-                    f"layer {name!r} requires {prop}={wanted!r} but is at "
-                    f"the bottom of the stack")
+                mismatches.append(f"{head} is at the bottom of the stack")
                 continue
             provided = below.get("provides") or {}
             have = provided.get(prop)
             if prop not in provided:
                 mismatches.append(
-                    f"layer {name!r} requires {prop}={wanted!r} but layer "
-                    f"{below['name']!r} does not provide {prop}")
+                    f"{head} layer {below['name']!r} does not provide {prop}")
             elif have != CONFIGURABLE and not json_equal(have, wanted):
-                mismatches.append(
-                    f"layer {name!r} requires {prop}={wanted!r} but layer "
-                    f"{below['name']!r} provides {prop}={have!r}")
+                mismatches.append(f"{head} layer {below['name']!r} provides "
+                                  f"{prop}={encode_json(have)}")
         size = layer.get("buffer_size")
         floor = below and below.get("min_buffer_size")
         if type(size) is int and type(floor) is int and size < floor:
@@ -136,8 +133,10 @@ class AlarmDriver(Capsule):
     """Timer driver: multiplexes the one hardware compare register across
     processes, with deadline bookkeeping in grants and wakeups as upcalls.
 
-    A process takes the first free slot of the driver's table when it first
-    arms an alarm and holds it until it exits. COMPARE always holds the
+    There is one slot per process the board allows. A process takes the
+    first free slot when it first arms an alarm and holds it until it
+    exits, so every arm finds one, and a deadline is set only while its
+    process, and so its grant, lives. COMPARE always holds the
     armed deadline that comes soonest (wraparound-aware); when it fires,
     every slot whose deadline has passed is delivered, in slot order, and
     COMPARE is reprogrammed for the next one.
@@ -187,8 +186,6 @@ class AlarmDriver(Capsule):
             except GrantNoMem:
                 return SyscallReturn.failure(ErrorCode.NOMEM)
             slot = self._slot_of(pid) or self._slot_of(None)
-            if slot is None:
-                return SyscallReturn.failure(ErrorCode.RESERVE)
             slot[:] = pid, deadline
             self._program()
             return SyscallReturn.success()
@@ -211,10 +208,7 @@ class AlarmDriver(Capsule):
             grant.write_u8(_ALARM_ARMED_OFF, 0)
             return grant.read_u32(_ALARM_DEADLINE_OFF)
 
-        try:
-            deadline = self.kern.grant_enter(pid, complete)
-        except (ProcessDead, GrantNoMem):
-            return  # process died between fire and delivery
+        deadline = self.kern.grant_enter(pid, complete)
         self.kern.schedule_upcall(pid, 0, [now, deadline, 0])
 
     def _program(self) -> None:
@@ -311,8 +305,8 @@ class ProbeDriver(Capsule):
 
     Commands: 1 = write byte (arg0=offset, arg1=value) through the rw
     share; 2 = read byte (arg0=offset) through the rw share; 3 = attempt a
-    write through the read-only share, reporting 1 if it was refused;
-    4 = read byte through the read-only share.
+    write through the read-only share, which the kernel's scoped view always
+    refuses, so it reports 1; 4 = read byte through the read-only share.
     """
 
     NUM_RW_BUFFERS = 1
@@ -333,15 +327,12 @@ class ProbeDriver(Capsule):
                 data = self.kern.with_rw_buffer(pid, 0, lambda h: h.read(arg0, 1))
                 return SyscallReturn.success_value(data[0])
             if cmd == self.CMD_RO_WRITE_ATTEMPT:
-                def attempt(handle):
-                    try:
-                        handle.write(arg0, bytes([arg1 & 0xFF]))
-                    except WriteToReadOnly:
-                        self.kern.report_error("write refused on read-only share")
-                        return 1
-                    return 0
-                refused = self.kern.with_ro_buffer(pid, 0, attempt)
-                return SyscallReturn.success_value(refused)
+                try:
+                    self.kern.with_ro_buffer(
+                        pid, 0, lambda h: h.write(arg0, bytes([arg1 & 0xFF])))
+                except WriteToReadOnly:
+                    self.kern.report_error("write refused on read-only share")
+                return SyscallReturn.success_value(1)
             if cmd == self.CMD_RO_READ_BYTE:
                 data = self.kern.with_ro_buffer(pid, 0, lambda h: h.read(arg0, 1))
                 return SyscallReturn.success_value(data[0])

@@ -61,7 +61,8 @@ class InterruptController:
     """Fixed-priority (ascending irq id) interrupt delivery.
 
     Each peripheral adds its line at construction with its own
-    ``handle_interrupt``, which hands its completion to its client.
+    ``handle_interrupt``, which hands its completion to its client. No two
+    lines share an irq id: the board check refuses a reused one.
     """
 
     def __init__(self, trace: TraceLog):
@@ -70,9 +71,6 @@ class InterruptController:
         self.trace = trace
 
     def add_line(self, irq_id: int, name: str, handler: Callable[[], None]) -> None:
-        if irq_id in self.lines:
-            raise ValueError(f"irq {irq_id} already taken by "
-                             f"{self.lines[irq_id].name!r}")
         actor, channel = actor_hw(name), self.trace.channel
         self.lines[irq_id] = InterruptLine(irq_id, name, f'{{"irq":{irq_id}}}',
                                            channel(actor, K_IRQ_RAISED),
@@ -358,8 +356,7 @@ class HashEngineHw(Peripheral):
         return max(1, self._remaining)
 
     def submit(self, payload: bytes, job_tag, digest: int) -> None:
-        if self.busy:
-            raise RuntimeError("hash engine already busy")
+        """Start a job; the loader submits one only while the engine is idle."""
         self._job = (job_tag, digest)
         self._remaining = math.ceil(len(payload) / self.chunk_bytes)
         self._publish(self._busy, (self._len, len(payload) & 0xFFFFFFFF))

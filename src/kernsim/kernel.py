@@ -193,8 +193,8 @@ class CarveAllocator:
         return None
 
     def release(self, base: int, size: int) -> None:
-        if size == 0:
-            return
+        """Free ``size`` bytes, never 0: a program image is a parsed script,
+        and a process's RAM is released only if it has some."""
         self._free.append((base, self._pad(size)))
         self._free.sort()
         merged: List[Tuple[int, int]] = []
@@ -446,8 +446,7 @@ class Kernel:
     # -- capsule registration and budget ------------------------------------
 
     def register_capsule(self, capsule) -> None:
-        if self.registry.phase is not BoardPhase.BUILDING:
-            raise PhaseError("capsules can only be registered while building")
+        """Called only by ``Board`` while it builds, before finalize."""
         if capsule.driver_id is not None:  # the board checked it is unique
             self.drivers[capsule.driver_id] = capsule
         self.capsules.append(capsule)
@@ -473,12 +472,13 @@ class Kernel:
             self._frames.pop()
 
     def charge_capsule(self) -> None:
-        if self._frames:
-            frame = self._frames[-1]
-            frame[1] -= 1
-            if frame[1] < 0:
-                raise CapsuleBudgetExceeded(
-                    f"capsule {frame[0]!r} exceeded its step budget")
+        """Charge the running capsule one step: a capsule reaches its
+        services only from its entry points, run by :meth:`capsule_call`."""
+        frame = self._frames[-1]
+        frame[1] -= 1
+        if frame[1] < 0:
+            raise CapsuleBudgetExceeded(
+                f"capsule {frame[0]!r} exceeded its step budget")
 
     def current_holder(self) -> str:
         return self._frames[-1][0] if self._frames else "kernel"
@@ -513,12 +513,10 @@ class Kernel:
         pid = next(self._next_pid)
         flash = MemoryRegion(flash_base, len(payload), ACCESS_READ)
         ram = MemoryRegion(ram_base, header.min_memory, ACCESS_RW)
-        if flash.length:
-            self.memory.write(None, flash.base, payload,
-                              note=f',"purpose":"load_image","pid":{pid}')
-        if ram.length:
-            self.memory.write(None, ram.base, bytes(ram.length),
-                              note=f',"purpose":"load_zero","pid":{pid}')
+        self.memory.write(None, flash.base, payload,
+                          note=f',"purpose":"load_image","pid":{pid}')
+        self.memory.write(None, ram.base, bytes(ram.length),
+                          note=f',"purpose":"load_zero","pid":{pid}')
         pcb = ProcessControlBlock(
             id=pid, name=script.name or name, ram=ram, flash=flash,
             program=ProcessProgram(script),
@@ -814,8 +812,8 @@ class Kernel:
 
     def _terminate(self, pcb: ProcessControlBlock, state: ProcessState,
                    reason: str) -> None:
-        if not pcb.live:
-            return
+        """End a live process: its steps run only while it runs, and
+        :meth:`handle_syscall` and :meth:`process_destroy` refuse a dead one."""
         pcb.allow_slots.clear()
         pcb.upcall_slots.clear()
         pcb.upcall_queue.clear()
@@ -823,8 +821,7 @@ class Kernel:
         self._live.remove(pcb)
         if pcb.ram.length:
             self.allocator.release(pcb.ram.base, pcb.ram.length)
-        if pcb.flash.length:
-            self.allocator.release(pcb.flash.base, pcb.flash.length)
+        self.allocator.release(pcb.flash.base, pcb.flash.length)
         self._set_state(pcb, state, reason)
         # Let every capsule drop in-flight references to this process.
         for capsule in self.capsules:

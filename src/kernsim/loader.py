@@ -134,11 +134,10 @@ VERIFIER_POLICIES = ("accept_all", "digest_match", "digest_key_id")
 
 def credential_accepted(policy: str, header: BinaryHeader, computed_digest: int,
                         trusted_key_ids) -> bool:
-    """Apply the configured verifier policy to a computed payload digest."""
+    """Apply the configured verifier policy, one of VERIFIER_POLICIES (the
+    only values the board schema admits), to a computed payload digest."""
     if policy == "accept_all":
         return True
     if policy == "digest_match":
         return computed_digest == header.digest
-    if policy == "digest_key_id":
-        return computed_digest == header.digest and header.key_id in trusted_key_ids
-    raise ValueError(f"unknown verifier policy {policy!r}")
+    return computed_digest == header.digest and header.key_id in trusted_key_ids

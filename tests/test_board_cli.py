@@ -27,6 +27,7 @@ from conftest import (
     minimal_board_dict,
     unjustified_expects,
 )
+from oracles import compact
 
 
 def test_check_shipped_demo_board_ok():
@@ -412,8 +413,8 @@ def test_composition_compares_json_values_at_check_and_run(tmp_path, capsys,
     violations = [e["payload"]["violation"] for e in parse_trace(trace_path.read_bytes())
                   if e["kind"] == "config_error"]
     assert violations == ([] if code == 0 else [
-        f"layer 'console' requires uart_dma={wanted!r} but layer 'uart_pins' "
-        f"provides uart_dma={provided!r}"])
+        f"layer 'console' requires uart_dma={compact(wanted)} but layer 'uart_pins' "
+        f"provides uart_dma={compact(provided)}"])
 
 
 def _mpu_board_and_app(tmp_path, regions):

@@ -160,6 +160,47 @@ def test_load_past_max_processes_is_rejected_with_no_room():
     assert rets and all(r.get("err") != "RESERVE" for r in rets)
 
 
+def test_a_process_created_after_another_exits_takes_its_alarm_slot():
+    # The alarm driver has one slot per allowed process, here one. The
+    # second app's longer payload keeps the hash engine busy until the
+    # first has armed, fired and halted, so its arm must find the slot that
+    # the first one's exit freed.
+    def sleeper(name, deadline, pad):
+        return script_source([
+            {"op": "syscall", "call": {"class": "subscribe", "driver": 0,
+                                       "sub": 0, "fn": "on_alarm"}},
+            {"op": "syscall", "call": {"class": "command", "driver": 0,
+                                       "cmd": 1, "args": [deadline, 0]}},
+            {"op": "expect", "pattern": {"variant": "success"}},
+            {"op": "syscall", "call": {"class": "yield", "mode": "wait"}},
+            {"op": "halt"}], {"on_alarm": []}, 256, name=name, pad=pad)
+
+    board = make_board(loader="async", max_processes=1, peripherals={
+        "alarm": {"irq": 0}, "hashengine": {"irq": 2, "chunk_bytes": 1}},
+        capsules=[{"name": "alarm_driver", "type": "alarm", "driver_id": 0}],
+        capabilities={})
+    board.finalize()
+    jobs = [board.load_app(sleeper("first", 400, "x"), "first"),
+            board.load_app(sleeper("second", 2000, "x" * 600), "second")]
+    assert board.run() == 0
+    assert [job.pid for job in jobs] == [1, 2]
+    events = trace_events(board)
+    kinds = [e.kind for e in events]
+    assert "diagnostic" not in kinds
+    exited = next(i for i, e in enumerate(events) if e.kind == "process_state"
+                  and e.payload == {"pid": 1, "state": "exited", "reason": "halt"})
+    created = next(i for i, e in enumerate(events)
+                   if e.kind == "process_created" and e.payload["pid"] == 2)
+    assert exited < created
+    rets = [e.payload["ret"] for e in events if e.kind == "syscall_return"]
+    assert rets and all(r.get("err") != "RESERVE" for r in rets)
+    arms = [(e.actor, e.payload["pattern"], e.payload["pass"]) for e in events
+            if e.kind == "expect"]
+    assert arms == [("process:1", {"variant": "success"}, True),
+                    ("process:2", {"variant": "success"}, True)]
+    assert [e.payload["pid"] for e in events if e.kind == "upcall_queued"] == [1, 2]
+
+
 def test_key_id_policy():
     board = sync_board(verifier="digest_key_id", trusted_key_ids=[7])
     accepted = board.load_app(script_source([{"op": "halt"}], {}, 256,

@@ -8,7 +8,9 @@ from kernsim.errors import (
     IllegalAccessKind,
     SpecError,
     UnknownEnumName,
+    UnknownField,
     UnknownOffset,
+    UnknownRegister,
     ValueOutOfRange,
 )
 from kernsim.regmap import RegisterFile, load_register_map
@@ -169,6 +171,18 @@ def test_enum_fields_accept_declared_names_only():
     assert regs.field_get("CFG", "cs_pol") == 1
     with pytest.raises(UnknownEnumName):
         regs.field_set("CFG", "cs_pol", "active_sideways")
+
+
+def test_accessors_refuse_names_the_map_does_not_declare():
+    # Peripheral models resolve only names the board check found in their
+    # maps; the named accessors still refuse any other name.
+    regs = RegisterFile(load_register_map(alarm_map_dict()))
+    with pytest.raises(UnknownRegister):
+        regs.read_reg("STATUS")
+    with pytest.raises(UnknownField):
+        regs.field_get("CTRL", "BUSY")
+    with pytest.raises(UnknownEnumName, match="declares no enum"):
+        regs.field_set("CTRL", "ENABLE", "on")
 
 
 def test_value_out_of_range():

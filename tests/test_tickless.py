@@ -173,6 +173,44 @@ def test_wide_uart_and_async_loads_match():
     assert trace.count(b'"kind":"hash_submit"') == 3
 
 
+# --- boards without an alarm: Chip.tick skips the missing model ----------
+
+def test_uart_and_console_board_without_an_alarm_matches():
+    cfg = minimal_board_dict(
+        peripherals={"uart": {"irq": 1, "bytes_per_tick": 2}},
+        capsules=[{"name": "console", "type": "console", "driver_id": 1,
+                   "buffer_size": 40}],
+        capabilities={})
+    # The first writer sends both its writes; the others find the console
+    # busy and wait for an upcall that never comes.
+    sources = [(f"w{i}", script_source(_console_write(bytes(range(9 * i + 5)))
+                                       + _console_write(b"again"),
+                                       {"on_tx": []}, 256, name=f"w{i}"))
+               for i in range(3)]
+    code, trace = _assert_same(lambda: Board.from_dict(cfg), sources,
+                               DEFAULT_MAX_TICKS)
+    assert code == 0
+    assert b'"actor":"hw:alarm"' not in trace
+    assert trace.count(b'"kind":"uart_tx"') == 5 + 5
+    assert trace.count(b'"err":"BUSY"') == 2
+
+
+def test_async_board_with_only_a_hash_engine_matches():
+    cfg = minimal_board_dict(
+        loader="async", peripherals={"hashengine": {"irq": 2, "chunk_bytes": 7}},
+        capsules=[], capabilities={})
+    spin = [{"op": "loop", "count": 3, "body": [
+        {"op": "syscall", "call": {"class": "yield", "mode": "no_wait"}}]}]
+    sources = [(f"h{i}", script_source(spin + [{"op": "halt"}] * (i % 2), {},
+                                       256, name=f"h{i}", pad="p" * 40 * i))
+               for i in range(4)]
+    code, trace = _assert_same(lambda: Board.from_dict(cfg), sources,
+                               DEFAULT_MAX_TICKS)
+    assert code == 0
+    assert trace.count(b'"kind":"hash_submit"') == 4
+    assert trace.count(b'"state":"runnable"') == 4
+
+
 # --- a busy UART: bytes moved in one batch per clock step -----------------
 
 def _send_txdata_between_transfers(board):

@@ -9,16 +9,20 @@ Runs the tier-1 suite (``tests/``) in this process under a
 lives in ``src/kernsim``. A module's executable lines are the line
 numbers its compiled code objects report through ``co_lines()``, line 0
 left out. The floor file (``coverage_floor.txt`` beside this script)
-lists the lines that tier-1 is allowed not to run, each with its reason,
-one entry a line:
+lists the lines that tier-1 is allowed not to run, one entry a line: the
+line's place, its stripped text between backticks, and the reason it
+does not run:
 
-    capsules.py:191 RESERVE when no alarm slot is free: there is one per process
+    capsules.py:118 `return SyscallReturn.failure(ErrorCode.NOSUPPORT)` the base command
 
 The script exits 1 when a line does not run and the floor does not list
 it, when a listed line now runs (the entry is stale), when an entry has
-no reason or names no executable line, or when a test fails; and 0
-otherwise. Lines that only subprocess tests run (``cli.console_main``,
-``__main__``) are not seen, since the collector traces this process.
+no reason, names no executable line or gives text other than its line's
+(a source edit moved the line), or when a test fails; and 0 otherwise.
+``tests/test_coverage_floor.py`` checks every entry's form, text and
+line in tier-1, without tracing. Lines that only subprocess tests run
+(``cli.console_main``, ``__main__``) are not seen, since the collector
+traces this process.
 
 The tracer's own allocations show up in ``tracemalloc``, so the two
 tests that bound what a load retains with it fail under tracing. They
@@ -41,7 +45,8 @@ DESELECTED = [
     "tests/test_loader.py::test_a_load_keeps_no_copy_of_the_packed_binary[sync]",
     "tests/test_loader.py::test_a_load_keeps_no_copy_of_the_packed_binary[async]",
 ]
-ENTRY = re.compile(r"(?P<module>[\w/]+\.py):(?P<line>\d+)\s+(?P<reason>\S.*)")
+ENTRY = re.compile(r"(?P<module>[\w/]+\.py):(?P<line>\d+)\s+`(?P<text>[^`]+)`"
+                   r"\s+(?P<reason>\S.*)")
 
 
 def _code_objects(code: CodeType) -> Iterator[CodeType]:
@@ -51,13 +56,16 @@ def _code_objects(code: CodeType) -> Iterator[CodeType]:
             yield from _code_objects(const)
 
 
-def executable_lines() -> Dict[str, Set[int]]:
-    """Each module's executable lines, by its path relative to the package."""
+def executable_lines() -> Dict[str, Dict[int, str]]:
+    """Each module's executable lines, by its path relative to the
+    package: the stripped text of each, by its number."""
     lines = {}
     for path in sorted(PACKAGE.rglob("*.py")):
-        code = compile(path.read_text(encoding="utf-8"), str(path), "exec")
+        source = path.read_text(encoding="utf-8")
+        texts = source.splitlines()
         lines[path.relative_to(PACKAGE).as_posix()] = {
-            line for obj in _code_objects(code)
+            line: texts[line - 1].strip()
+            for obj in _code_objects(compile(source, str(path), "exec"))
             for _, _, line in obj.co_lines() if line}
     return lines
 
@@ -97,41 +105,58 @@ def run_tier1() -> Tuple[int, Dict[str, Set[int]]]:
                        for name, lines in ran.items()}
 
 
-def read_floor() -> Tuple[Dict[str, Set[int]], List[str]]:
-    """The listed lines of each module, and the entries that are malformed."""
-    listed: Dict[str, Set[int]] = {}
+def read_floor(floor: str) -> Tuple[Dict[str, Dict[int, str]], List[str]]:
+    """The listed lines of each module in the floor file's text ``floor``,
+    each with the text its entry gives, and the entries that are malformed."""
+    listed: Dict[str, Dict[int, str]] = {}
     bad = []
-    for number, text in enumerate(FLOOR.read_text(encoding="utf-8").splitlines(), 1):
+    for number, text in enumerate(floor.splitlines(), 1):
         if not text.strip() or text.startswith("#"):
             continue
         entry = ENTRY.fullmatch(text.strip())
         if entry is None:
-            bad.append(f"{FLOOR.name}:{number}: want 'module.py:line reason'")
+            bad.append(f"{FLOOR.name}:{number}: want 'module.py:line `text` reason'")
             continue
-        listed.setdefault(entry["module"], set()).add(int(entry["line"]))
+        listed.setdefault(entry["module"], {})[int(entry["line"])] = entry["text"]
     return listed, bad
+
+
+def misplaced(executable: Dict[str, Dict[int, str]],
+              listed: Dict[str, Dict[int, str]]) -> List[str]:
+    """The entries that name no module of the package, no executable line
+    or a line whose text is not theirs."""
+    problems = []
+    for module, entries in sorted(listed.items()):
+        lines = executable.get(module)
+        if lines is None:
+            problems.append(f"{module} is listed but is not a module of the package")
+            continue
+        for line, text in sorted(entries.items()):
+            if line not in lines:
+                problems.append(f"{module}:{line} is listed but not executable")
+            elif lines[line] != text:
+                problems.append(f"{module}:{line} is listed as `{text}` "
+                                f"but reads `{lines[line]}`")
+    return problems
 
 
 def main() -> int:
     executable = executable_lines()
-    listed, problems = read_floor()
+    listed, problems = read_floor(FLOOR.read_text(encoding="utf-8"))
+    problems += misplaced(executable, listed)
     code, ran = run_tier1()
     if code != 0:
         problems.append(f"tier-1 failed under tracing (pytest exit {code})")
     total = sum(map(len, executable.values()))
-    covered = sum(len(lines & ran.get(module, set()))
+    covered = sum(len(lines.keys() & ran.get(module, set()))
                   for module, lines in executable.items())
     for module, lines in sorted(executable.items()):
-        missed = lines - ran.get(module, set())
-        allowed = listed.get(module, set())
+        missed = lines.keys() - ran.get(module, set())
+        allowed = listed.get(module, {}).keys()
         problems += [f"{module}:{line} did not run and is not listed"
                      for line in sorted(missed - allowed)]
         problems += [f"{module}:{line} is listed but ran"
-                     for line in sorted(allowed & (lines - missed))]
-        problems += [f"{module}:{line} is listed but not executable"
-                     for line in sorted(allowed - lines)]
-    problems += [f"{module} is listed but is not a module of the package"
-                 for module in sorted(set(listed) - set(executable))]
+                     for line in sorted(allowed & (lines.keys() - missed))]
     print(f"coverage floor: {covered} of {total} executable lines ran")
     for problem in problems:
         print(problem)
