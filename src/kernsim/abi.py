@@ -193,19 +193,22 @@ _YIELDS = {mode.value: (SyscallInvocation.yield_(mode), None) for mode in YieldM
 _EXIT = (SyscallInvocation.exit(), None)
 
 
-def _allow(build):
+def _allow(klass):
     return lambda driver, buf, base, length, seg: (
-        build(driver, buf, base, length), None if seg == "abs" else seg)
+        SyscallInvocation(klass, None, driver, buf, 0, 0, base, length),
+        None if seg == "abs" else seg)
 
 
+# Each make builds its invocation positionally, as the classmethods do, in
+# the one call that the generated check of a statement makes for it.
 SYSCALL = Key(SYSCALL_RECORDS, tag="class", required=True, make={
     "yield": _YIELDS.__getitem__,
     "subscribe": lambda driver, sub, fn, userdata: (
-        SyscallInvocation.subscribe(driver, sub, fn, userdata), None),
+        SyscallInvocation(_SUBSCRIBE, None, driver, sub, 0, 0, 0, 0, fn, userdata), None),
     "command": lambda driver, cmd, args: (
-        SyscallInvocation.command(driver, cmd, *args), None),
-    "rw_allow": _allow(SyscallInvocation.rw_allow),
-    "ro_allow": _allow(SyscallInvocation.ro_allow),
+        SyscallInvocation(_COMMAND, None, driver, cmd, *args), None),
+    "rw_allow": _allow(SyscallClass.RW_ALLOW),
+    "ro_allow": _allow(SyscallClass.RO_ALLOW),
     "exit": lambda: _EXIT,
 })
 

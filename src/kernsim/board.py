@@ -367,13 +367,25 @@ class Board:
         return 1 if self.kernel.expect_failures else 0
 
 
-def check_board(path) -> List[str]:
-    """Validate a board file without running; returns all violations."""
+def check_board(path, app_paths=(), max_ticks: int = DEFAULT_MAX_TICKS) -> List[str]:
+    """The violations a run of these inputs would log as ``config_error``
+    events, found without running: those of ``max_ticks``, else of the
+    board file, else of the first app file that cannot be read or parsed.
+    Each app is read and parsed as the run reads and loads it."""
     try:
+        _check_max_ticks(max_ticks)
         BoardConfig.from_file(path)
-    except ConfigError as exc:
+        for app in map(Path, app_paths):
+            parse_script_bytes(_read(app, "app file"), app.stem)
+    except ConfigError as exc:  # ScenarioError is a ConfigError
         return exc.violations
     return []
+
+
+def _check_max_ticks(max_ticks: int) -> None:
+    refused: List[str] = []
+    if MAX_TICKS.check(max_ticks, "max_ticks", refused) is INVALID:
+        raise ConfigError(refused)
 
 
 def run_simulation(board_path, app_paths, *, max_ticks: int = DEFAULT_MAX_TICKS,
@@ -432,9 +444,7 @@ def _simulate(config, apps, max_ticks: int, seed: int, out: TextIO,
               err: TextIO) -> int:
     trace = TraceLog(out=out)
     try:
-        refused: List[str] = []
-        if MAX_TICKS.check(max_ticks, "max_ticks", refused) is INVALID:
-            raise ConfigError(refused)
+        _check_max_ticks(max_ticks)
         if isinstance(config, ConfigError):
             raise config
         board = Board(config, seed, out)

@@ -25,15 +25,19 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--trace", default=None,
                        help="write the trace here instead of stdout")
 
-    check_p = sub.add_parser("check", help="validate a board config")
+    check_p = sub.add_parser(
+        "check", help="validate a board config and the apps a run would load")
     check_p.add_argument("--board", required=True)
+    check_p.add_argument("--app", action="append", default=[],
+                         help="scenario script JSON file (repeatable)")
+    check_p.add_argument("--max-ticks", type=int, default=DEFAULT_MAX_TICKS)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "check":
-        violations = check_board(args.board)
+        violations = check_board(args.board, args.app, args.max_ticks)
         for violation in violations:
             print(f"violation: {violation}", file=sys.stderr)
         if not violations:

@@ -1,12 +1,13 @@
 """Exception types shared across the simulator, and the schema keys that
 describe every input file (board, register map, scenario). Each Key is
 compiled once, when it is built, into the function that checks a value
-against it, so boards, register maps and scripts are all checked by the
-compiled checkers of their schemas."""
+against it: straight-line Python source written from the key's table and
+compiled with ``exec``, as ``dataclasses`` writes ``__init__``. Boards,
+register maps and scripts are all checked by these generated checkers."""
 
 from dataclasses import dataclass, field
 from math import inf
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -23,12 +24,20 @@ class Key:
     A checked object reads as the dict of its keys, the tag first. A
     tagged object's ``make`` may map a word to the function that builds
     what such an object reads as instead, from its values in schema
-    order; the object reads as INVALID if it broke a rule.
+    order; the object reads as INVALID if it broke a rule. ``context``
+    names arguments that the key's check takes after ``out``; its make
+    then gets the path, ``out`` and those arguments after the values.
 
     ``check(value, path, out)``, compiled when the key is built, gives
     the value checked, an object's absent keys filled in. Each breach
     appends a violation naming the field by its path (and the bad value,
-    cut at 80 characters) to ``out``, and the bad value reads as INVALID."""
+    cut at 80 characters) to ``out``, and the bad value reads as INVALID.
+    The check of an object tests each of its keys in line, a nested
+    object's keys too where its variants are fixed, and tests that every
+    key is present and none unknown with one comparison of key sets; an
+    absent key or a bad value calls ``_other``, which gives the default
+    or calls the key's own check to refuse it, and an unknown key calls
+    ``_unknown``."""
 
     type: Any
     lo: Optional[int] = None
@@ -39,16 +48,21 @@ class Key:
     item: Optional["Key"] = None
     tag: Optional[str] = None
     make: Any = field(default=None, repr=False, compare=False)
+    context: Optional[Tuple[str, ...]] = field(default=None, repr=False, compare=False)
     kind: str = field(init=False, repr=False, compare=False)
-    check: Callable[[Any, Any, List[str]], Any] = field(
-        init=False, repr=False, compare=False)
+    check: Callable[..., Any] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kind = {int: "int", str: "str", list: "list", dict: "map"}.get(self.type) \
             if isinstance(self.type, type) else \
             "words" if type(self.type) is tuple else "object"
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "check", _COMPILERS[kind](self))
+        source = _Source(("value", "path", "out", *(self.context or ())))
+        source.check(self, "value", "path", 1, False, self.context)
+        object.__setattr__(self, "check", source.compile())
+        if kind == "object" and type(self.type) is not dict:
+            for schema in self.type.values():  # a table that may grow
+                _variant(schema, self.tag)
 
 
 Schema = Dict[str, Key]
@@ -76,6 +90,44 @@ def _refuse(out: List[str], path, expected: str, value) -> Any:
     return INVALID
 
 
+def _refuse_object(key: Key, value, path, out: List[str]) -> Any:
+    """Refuse a value of a tagged object key that is not an object, or
+    whose tag names no variant."""
+    if type(value) is not dict:
+        return _refuse(out, path, "an object", value)
+    return _refuse(out, (path, key.tag), f"one of {tuple(key.type)}", value.get(key.tag))
+
+
+def _other(key: Key, value, path, out: List[str]) -> Any:
+    """What a value of a key that fails the key's test reads as. An absent
+    key (INVALID), or a null one where the key allows null, reads as its
+    default, checked if it is an object's, unless the key is required;
+    the key's check refuses any other value."""
+    if value is not INVALID and (value is not None or not key.null):
+        return key.check(value, path, out)
+    if key.required:
+        out.append(f"{where(path)} is required")
+        return INVALID
+    return key.check(key.default, path, out) if key.kind == "object" and \
+        key.default is not None else key.default
+
+
+def _unknown(value: Dict[str, Any], path, allowed, out: List[str]) -> None:
+    """Refuse each key of an object that its schema does not name."""
+    out.extend(f"{where((path, name))} is not a known key" for name in value
+               if name not in allowed)
+
+
+def _items(item: Key, value: List[Any], path, out: List[str]) -> List[Any]:
+    """A list's items, each checked."""
+    return [item.check(entry, (path, i), out) for i, entry in enumerate(value)]
+
+
+def _entries(item: Key, value: Dict[str, Any], path, out: List[str]) -> Dict[str, Any]:
+    """An object's entries, each value checked."""
+    return {name: item.check(entry, (path, name), out) for name, entry in value.items()}
+
+
 def _utf8_size(text: str) -> float:
     try:
         return len(text.encode("utf-8"))
@@ -83,161 +135,160 @@ def _utf8_size(text: str) -> float:
         return inf
 
 
-def _int(key: Key):
-    lo, hi = key.lo, inf if key.hi is None else key.hi
-    expected = "an integer " + (f">= {lo}" if key.hi is None else f"in [{lo}, {hi}]")
-
-    def check(value, path, out):
-        if type(value) is int and lo <= value <= hi:
-            return value
-        return _refuse(out, path, expected, value)
-    return check
+# The readers of the variants of tagged objects whose table may grow, by
+# schema and tag, each kept with its schema.
+_VARIANTS: Dict[Tuple[int, Optional[str]], Tuple[Schema, Callable[..., Any]]] = {}
 
 
-def _str(key: Key):
-    lo, hi = key.lo or 0, inf if key.hi is None else key.hi
-    expected = ("a non-empty string" if lo else "a string") + \
-        (f" of at most {hi} UTF-8 bytes" if key.hi is not None else "")
-
-    def check(value, path, out):
-        if type(value) is str and len(value) >= lo and \
-                (hi is inf or _utf8_size(value) <= hi):
-            return value
-        return _refuse(out, path, expected, value)
-    return check
-
-
-def _words(key: Key):
-    words = key.type
-    expected = f"one of {words}"
-
-    def check(value, path, out):
-        if type(value) in (str, int) and value in words:
-            return value
-        return _refuse(out, path, expected, value)
-    return check
+def _variant(schema: Schema, tag: Optional[str]) -> Callable[..., Any]:
+    """The checker of an object of ``schema`` whose ``tag`` key, read
+    from a table that may grow, already named its variant ``w``:
+    check(value, path, out, w)."""
+    found = _VARIANTS.get((id(schema), tag))
+    if found is None:
+        source = _Source(("value", "path", "out", "w"))
+        source.keys(schema, tag, "w", None, "value", "path", 1, None)
+        found = _VARIANTS[(id(schema), tag)] = (schema, source.compile())
+    return found[1]
 
 
-def _list(key: Key):
-    hi = inf if key.hi is None else key.hi
-    item = key.item and key.item.check
-    lo, top = _bounds(key.item)
-    expected = "a list" if key.hi is None else f"a list of at most {hi} items"
+class _Source:
+    """The source of one checker, ``def check(params): ...; return value``,
+    and the constants it names. The check of a value against a key is one
+    if statement: the key's test, and a branch for a value that fails it."""
 
-    def check(value, path, out):
-        if type(value) is list and len(value) <= hi:
-            if item is None:
-                return value
-            for entry in value:
-                if not (type(entry) is int and lo <= entry <= top):
-                    return [item(entry, (path, i), out) for i, entry in enumerate(value)]
-            return value  # a list of integers in range, as it is
-        return _refuse(out, path, expected, value)
-    return check
+    def __init__(self, params):
+        self.lines = [f"def check({', '.join(params)}):"]
+        self.names = dict(_HELPERS)
 
+    def name(self, value) -> str:
+        """The name under which the source reads a constant."""
+        name = f"_{len(self.names)}"
+        self.names[name] = value
+        return name
 
-def _map(key: Key):
-    item = key.item and key.item.check
+    def add(self, indent: int, line: str) -> None:
+        self.lines.append("    " * indent + line)
 
-    def check(value, path, out):
-        if type(value) is dict:
-            return value if item is None else \
-                {name: item(entry, (path, name), out) for name, entry in value.items()}
-        return _refuse(out, path, "an object", value)
-    return check
-
-
-def _object(key: Key):
-    tag, variants, make = key.tag, key.type, key.make
-    if tag is None:
-        read, keys = reader(variants), tuple(variants)
-
-        def check(value, path, out):
-            if type(value) is dict:
-                return dict(zip(keys, read(value, path, out)))
-            return _refuse(out, path, "an object", value)
+    def compile(self) -> Callable[..., Any]:
+        """The checker, shared by every key whose source is the same and
+        names no constant (such as each integer key of the same bounds)."""
+        self.add(1, "return value")
+        source = "\n".join(self.lines)
+        check = _SHARED.get(source)
+        if check is None:
+            shared = len(self.names) == len(_HELPERS)
+            exec(compile(source, "<kernsim schema checker>", "exec"), self.names)
+            check = self.names["check"]
+            if shared:
+                _SHARED[source] = check
         return check
 
-    def form(word):  # the reader, keys and make of a variant
-        schema = variants[word]
-        return reader(schema, tag), (tag, *schema), make and make[word]
-    # A table that may grow (the capsule layers) is read at each check.
-    forms = {word: form(word) for word in variants} if type(variants) is dict else None
+    def test(self, key: Key, var: str, path: str) -> Tuple[str, str]:
+        """The test that ``var`` passes as a value of ``key`` at ``path``
+        (a tagged object's: that it is one, and that its tag, kept in
+        ``{var}_tag``, names a variant), and the expression that refuses
+        it otherwise."""
+        kind, lo, hi = key.kind, key.lo, key.hi
+        if kind == "int":
+            test = f"type({var}) is int and {lo} <= {var}" + \
+                ("" if hi is None else f" <= {hi}")
+            expected = "an integer " + (f">= {lo}" if hi is None else f"in [{lo}, {hi}]")
+        elif kind == "str":
+            test = f"type({var}) is str" + (f" and len({var}) >= {lo}" if lo else "") + \
+                ("" if hi is None else f" and _utf8_size({var}) <= {hi}")
+            expected = ("a non-empty string" if lo else "a string") + \
+                ("" if hi is None else f" of at most {hi} UTF-8 bytes")
+        elif kind == "words":
+            test = f"type({var}) in (str, int) and {var} in {key.type!r}"
+            expected = f"one of {key.type}"
+        elif kind == "list":
+            test = f"type({var}) is list" + \
+                ("" if hi is None else f" and len({var}) <= {hi}")
+            expected = "a list" if hi is None else f"a list of at most {hi} items"
+        elif key.tag is None:
+            test, expected = f"type({var}) is dict", "an object"
+        else:
+            return (f"type({var}) is dict and type({var}_tag := {var}.get({key.tag!r})) "
+                    f"is str and {var}_tag in {self.name(key.type)}",
+                    f"_refuse_object({self.name(key)}, {var}, {path}, out)")
+        return test, f"_refuse(out, {path}, {expected!r}, {var})"
 
-    def check(value, path, out):
-        word = value.get(tag) if type(value) is dict else None
-        if type(word) is not str or word not in variants:
-            if type(value) is not dict:
-                return _refuse(out, path, "an object", value)
-            return _refuse(out, (path, tag), f"one of {tuple(variants)}", word)
-        read, keys, made = form(word) if forms is None else forms[word]
-        if made is None:
-            return dict(zip(keys, [word, *read(value, path, out)]))
-        seen = len(out)
-        values = read(value, path, out)
-        return made(*values) if len(out) == seen else INVALID
-    return check
+    def check(self, key: Key, var: str, path: str, indent: int, nested: bool,
+              context=None) -> None:
+        """Check the value in ``var``, at ``path``, against ``key``, leaving
+        what it reads as in ``var``. A ``nested`` key's value is INVALID
+        where the key is absent, and calls ``_other`` where it fails the
+        test; a key's own check refuses it."""
+        test, refuse = self.test(key, var, path)
+        self.add(indent, f"if {test}:")
+        body, kind, item = len(self.lines), key.kind, key.item
+        if kind == "list" and item is not None and item.kind == "int":
+            # A list of integers in range reads as it is.
+            self.add(indent + 1, f"for entry in {var}:")
+            self.add(indent + 2, f"if not ({self.test(item, 'entry', path)[0]}):")
+            self.add(indent + 3, f"{var} = _items({self.name(item)}, {var}, {path}, out)")
+            self.add(indent + 3, "break")
+        elif item is not None:
+            self.add(indent + 1, f"{var} = {'_items' if kind == 'list' else '_entries'}("
+                                 f"{self.name(item)}, {var}, {path}, out)")
+        elif kind == "object" and key.tag is None and nested:  # read once a file: not inlined
+            self.add(indent + 1, f"{var} = {self.name(key.check)}({var}, {path}, out)")
+        elif kind == "object" and key.tag is None:
+            self.keys(key.type, None, None, None, var, path, indent + 1, context)
+        elif kind == "object" and type(key.type) is dict:
+            words = list(key.type)
+            for i, word in enumerate(words):
+                self.add(indent + 1, "else:" if i == len(words) - 1 else
+                         f"{'el' if i else ''}if {var}_tag == {word!r}:")
+                self.keys(key.type[word], key.tag, repr(word),
+                          key.make and key.make[word], var, path, indent + 2, context)
+        elif kind == "object":  # a table that may grow: read at each check
+            self.add(indent + 1, f"{var} = _variant({self.name(key.type)}[{var}_tag], "
+                                 f"{key.tag!r})({var}, {path}, out, {var}_tag)")
+        if len(self.lines) == body:
+            self.add(indent + 1, "pass")
+        self.add(indent, "else:")
+        self.add(indent + 1, f"{var} = _other({self.name(key)}, {var}, {path}, out)"
+                 if nested else f"{var} = {refuse}")
+
+    def keys(self, schema: Schema, tag: Optional[str], word: Optional[str], make,
+             var: str, path: str, indent: int, context) -> None:
+        """Check each key of the object in ``var`` against ``schema`` (its
+        ``tag`` key, if any, holding the word that the expression ``word``
+        gives), and leave what the object reads as in ``var``."""
+        level = len(self.lines)  # names this object's locals apart
+        allowed = self.name(frozenset([*([tag] if tag else []), *schema]))
+        values = [f"v{level}_{i}" for i in range(len(schema))]
+        if make is not None:
+            self.add(indent, f"seen{level} = len(out)")
+        self.add(indent, f"if {var}.keys() == {allowed}:")
+        for value, name in zip(values, schema):
+            self.add(indent + 1, f"{value} = {var}[{name!r}]")
+        self.add(indent + 1, f"unknown{level} = False")
+        self.add(indent, "else:")
+        for value, name in zip(values, schema):
+            self.add(indent + 1, f"{value} = {var}.get({name!r}, INVALID)")
+        self.add(indent + 1, f"unknown{level} = not {var}.keys() <= {allowed}")
+        for value, (name, key) in zip(values, schema.items()):
+            self.check(key, value, f"({path}, {name!r})", indent, True)
+        self.add(indent, f"if unknown{level}:")
+        self.add(indent + 1, f"_unknown({var}, {path}, {allowed}, out)")
+        if make is not None:
+            args = [*values, *(() if context is None else ("path", "out", *context))]
+            self.add(indent, f"{var} = {self.name(make)}({', '.join(args)}) "
+                             f"if len(out) == seen{level} else INVALID")
+        else:
+            self.add(indent, f"{var} = {{" + ", ".join(
+                [*([f"{tag!r}: {word}"] if tag else []),
+                 *(f"{name!r}: {value}" for name, value in zip(schema, values))]) + "}")
 
 
-_COMPILERS = {"int": _int, "str": _str, "words": _words, "list": _list,
-              "map": _map, "object": _object}
-
-
-def _bounds(key: Optional[Key]):
-    """The range of an integer key, which a value in it passes without a
-    call to its checker; an empty one for any other key."""
-    if key is not None and key.kind == "int":
-        return key.lo, inf if key.hi is None else key.hi
-    return 1, 0
-
-
-def reader(schema: Schema, tag: Optional[str] = None):
-    """The compiled checker of the keys of an object of ``schema``, for a
-    dict value (whose ``tag`` key, if any, already named the schema):
-    read(value, path, out) gives the object's values in schema order, each
-    bad one INVALID. Each key is checked in schema order, an absent one
-    filled in from its default, and then each key the schema does not
-    name is refused."""
-    fields = [(name, key.check,
-               _PLAIN.get(key.kind) if key.lo is key.hi is key.item is None else None,
-               *_bounds(key)) for name, key in schema.items()]
-    absent = {name: (key.required, key.null, key.default,
-                     key.kind == "object" and key.default is not None)
-              for name, key in schema.items()}
-    allowed = {*schema, tag}
-
-    def read(value, path, out):
-        values = []
-        get = value.get
-        for name, check, plain, lo, hi in fields:
-            entry = get(name, INVALID)
-            if type(entry) is plain or type(entry) is int and lo <= entry <= hi:
-                pass  # the common cases, checked without a call
-            elif entry is INVALID or entry is None:
-                entry = _absent(absent[name], check, entry, (path, name), out)
-            else:
-                entry = check(entry, (path, name), out)
-            values.append(entry)
-        if not value.keys() <= allowed:
-            out.extend(f"{where((path, name))} is not a known key" for name in value
-                       if name not in allowed)
-        return values
-    return read
-
-
-def _absent(absent, check, entry, path, out):
-    """The value of a key that is absent or null: its default if that is
-    what it reads as, else the violation."""
-    required, null, default, checked_default = absent
-    if entry is None and not null:
-        return check(entry, path, out)
-    if required:
-        out.append(f"{where(path)} is required")
-        return INVALID
-    return check(default, path, out) if checked_default else default
-
-
-_PLAIN = {"str": str, "list": list, "map": dict}
+# What every checker's source may name, and the checkers shared by source.
+_HELPERS = {"INVALID": INVALID, "_other": _other, "_refuse": _refuse,
+            "_refuse_object": _refuse_object, "_unknown": _unknown, "_items": _items,
+            "_entries": _entries, "_utf8_size": _utf8_size, "_variant": _variant}
+_SHARED: Dict[str, Callable[..., Any]] = {}
 
 
 class KernsimError(Exception):

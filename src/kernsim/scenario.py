@@ -25,7 +25,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .abi import ARGS, REGISTER, SYSCALL, U32_MAX, SyscallClass, \
     SyscallInvocation, YieldMode, call_text
-from .errors import INVALID, Key, Schema, ScenarioError, reader, where
+from .errors import INVALID, Key, Schema, ScenarioError, where
 from .trace import encode_json
 
 MAX_STATEMENTS = 200_000
@@ -83,8 +83,8 @@ class ScenarioScript:
 
 
 # The lists under "main", a handler name and a loop's "body" hold
-# statements, which _parse_statements checks and compiles one at a time.
-# The header fields are bounded to their widths in the packed binary.
+# statements, each checked and built by STATEMENT's check. The header
+# fields are bounded to their widths in the packed binary.
 _U32 = Key(int, 0, U32_MAX, 0)
 STATEMENTS: Dict[str, Schema] = {
     "syscall": {"call": SYSCALL},
@@ -99,7 +99,6 @@ STATEMENTS: Dict[str, Schema] = {
                      "fn": Key(str, required=True), "sub": _U32,
                      "userdata": _U32},
 }
-STATEMENT = Key(STATEMENTS, tag="op")
 SCENARIO: Schema = {
     "name": Key(str),
     "min_memory": Key(int, 0, U32_MAX, DEFAULT_MIN_MEMORY),
@@ -124,13 +123,15 @@ def _spend(budget: List[int], count: int, out: List[str]) -> None:
             f"script exceeds {MAX_STATEMENTS} statements after unrolling"])
 
 
-# Each op's builder adds the steps of a statement whose keys passed its
-# schema to ``stmts``, given the statement's values in schema order. The
-# statements it unrolls to were taken from the budget first, except a
-# loop's, which its body decides.
+# Each op's builder is its make: it adds the steps of a statement whose
+# keys passed its schema to ``stmts``, given the statement's values in
+# schema order, its path, the violations so far, whether it is in a
+# handler and the script's unroll budget. The statements it unrolls to
+# are taken from the budget first, except a loop's, which its body decides.
 
-def _syscall_steps(stmts, values, here, in_handler, budget, out):
-    (inv, seg), = values
+def _syscall_steps(call, here, out, stmts, in_handler, budget):
+    inv, seg = call
+    _spend(budget, 1, out)
     if in_handler and inv.klass is _YIELD:
         out.append(f"{where(here)}: upcall handlers run to completion "
                    "and may not yield")
@@ -138,40 +139,47 @@ def _syscall_steps(stmts, values, here, in_handler, budget, out):
         stmts.append((_relative_allow, inv, seg) if seg else (_syscall, inv, None))
 
 
-def _expect_steps(stmts, values, here, in_handler, budget, out):
-    pattern, = values
+def _expect_steps(pattern, here, out, stmts, in_handler, budget):
+    _spend(budget, 1, out)
     stmts.append((_expect, pattern, encode_json(pattern)))
 
 
-def _write_local_steps(stmts, values, here, in_handler, budget, out):
-    offset, data = values
+def _write_local_steps(offset, data, here, out, stmts, in_handler, budget):
+    _spend(budget, 1, out)
     try:
         stmts.append((_write_local, offset, binascii.unhexlify(data)))
     except ValueError:  # not hex, or not ASCII
         out.append(f"{where((here, 'data'))} must be hex, got {data!r}")
 
 
-def _read_local_steps(stmts, values, here, in_handler, budget, out):
-    stmts.append((_read_local, *values))
+def _read_local_steps(offset, length, here, out, stmts, in_handler, budget):
+    _spend(budget, 1, out)
+    stmts.append((_read_local, offset, length))
 
 
-def _halt_steps(stmts, values, here, in_handler, budget, out):
+def _halt_steps(here, out, stmts, in_handler, budget):
+    _spend(budget, 1, out)
     stmts.append((_halt, None, None))
 
 
-def _loop_steps(stmts, values, here, in_handler, budget, out):
-    count, body = values
-    body = _parse_statements(body, (here, "body"), in_handler, budget, out)
-    _spend(budget, len(body) * count, out)
+def _loop_steps(count, body, here, out, stmts, in_handler, budget):
+    # The body's statements are read here, not through _parse_statements,
+    # so that a loop nests two calls deep, as JSON's object and list do.
+    steps: List[Step] = []
+    here = (here, "body")
+    for i, raw in enumerate(body):
+        _add_steps(raw, (here, i), out, steps, in_handler, budget)
+    _spend(budget, len(steps) * count, out)
     if count > 1:  # a call that repeats carries its text from here on
-        body = [(_syscall, s[1], call_text(s[1])) if s[0] is _syscall and s[2] is None
-                else s for s in body]
-    if body:  # an empty body unrolls to nothing, whatever the count
-        stmts.extend(body * count)
+        steps = [(_syscall, s[1], call_text(s[1])) if s[0] is _syscall and s[2] is None
+                 else s for s in steps]
+    if steps:  # an empty body unrolls to nothing, whatever the count
+        stmts.extend(steps * count)
 
 
-def _sync_command_steps(stmts, values, here, in_handler, budget, out):
-    driver, cmd, args, fn, sub, userdata = values
+def _sync_command_steps(driver, cmd, args, fn, sub, userdata, here, out, stmts,
+                        in_handler, budget):
+    _spend(budget, 4, out)
     if in_handler:
         out.append(f"{where(here)}: sync_command yields and cannot appear "
                    "in a handler")
@@ -182,35 +190,23 @@ def _sync_command_steps(stmts, values, here, in_handler, budget, out):
             _WAIT, _EXPECT_SUCCESS)
 
 
-# Each op's compiled checker, which gives a statement's values, the
-# statements it unrolls to, and its builder.
-_FORMS = {op: (reader(STATEMENTS[op], "op"), count, build)
-          for op, count, build in (
-              ("syscall", 1, _syscall_steps), ("expect", 1, _expect_steps),
-              ("write_local", 1, _write_local_steps),
-              ("read_local", 1, _read_local_steps), ("halt", 1, _halt_steps),
-              ("loop", 0, _loop_steps), ("sync_command", 4, _sync_command_steps))}
+# A statement is checked and built by one call of its key's check:
+# _add_steps(raw, here, out, stmts, in_handler, budget).
+STATEMENT = Key(STATEMENTS, tag="op", make={
+    "syscall": _syscall_steps, "expect": _expect_steps,
+    "write_local": _write_local_steps, "read_local": _read_local_steps,
+    "halt": _halt_steps, "loop": _loop_steps, "sync_command": _sync_command_steps,
+}, context=("stmts", "in_handler", "budget"))
+_add_steps = STATEMENT.check
 
 
 def _parse_statements(raw_list, path, in_handler: bool, budget: List[int],
                       out: List[str]) -> List[Step]:
-    """The flat steps a list unrolls to, each statement checked against
-    its op's schema and built in one pass, so that a loop nests one call
-    deep. ``budget`` holds the statements the script may still unroll to."""
+    """The flat steps a list unrolls to. ``budget`` holds the statements
+    the script may still unroll to."""
     stmts: List[Step] = []
     for i, raw in enumerate(raw_list):
-        here = (path, i)
-        op = raw.get("op") if type(raw) is dict else None
-        form = _FORMS.get(op) if type(op) is str else None
-        if form is None:  # not an object, or no known op
-            STATEMENT.check(raw, here, out)
-            continue
-        read, count, build = form
-        seen = len(out)
-        values = read(raw, here, out)
-        if len(out) == seen:
-            _spend(budget, count, out)
-            build(stmts, values, here, in_handler, budget, out)
+        _add_steps(raw, (path, i), out, stmts, in_handler, budget)
     return stmts
 
 
@@ -240,11 +236,17 @@ def parse_script(data: Dict[str, Any], name: str = "app") -> ScenarioScript:
 
 
 def parse_script_bytes(blob: bytes, name: str = "app") -> ScenarioScript:
+    """The script a scenario file's bytes hold. A file nested too deep for
+    the recursion limit, whether JSON's decoder or the statement reader
+    reaches it first, is refused like one that does not parse."""
     try:
         data = json.loads(blob.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         raise ScenarioError([f"scenario does not parse: {exc}"]) from None
-    script = parse_script(data, name)
+    try:
+        script = parse_script(data, name)
+    except RecursionError as exc:  # loops nested deeper than the reader goes
+        raise ScenarioError([f"scenario does not parse: {exc}"]) from None
     script.source = blob
     return script
 

@@ -1,13 +1,19 @@
 """Independent reference implementations the test suite checks against.
 
 Everything here is deliberately written the dumb way (per-byte loops,
-event-list replay, straight bit arithmetic) and never imports the
-implementation paths it is used to check.
+event-list replay, straight bit arithmetic, a generic loop over a
+schema's keys) and never imports the implementation paths it is used to
+check.
 """
 
 import json
+import math
 
-from kernsim.errors import SimulationDiagnostic
+from kernsim.abi import call_text
+from kernsim.errors import INVALID, Key, ScenarioError, SimulationDiagnostic, where
+from kernsim.scenario import MAX_STATEMENTS, SCENARIO, STATEMENT, STATEMENTS, \
+    ScenarioScript
+from kernsim.scenario import _syscall as scenario_syscall
 
 RING = 1 << 32
 HALF = 1 << 31
@@ -283,3 +289,205 @@ def subset_match(pattern, actual):
         return False
     return all(tagged_json(actual.get(key)) == tagged_json(value)
                for key, value in pattern.items())
+
+
+# --- schema checking: the per-key loop reader ---------------------------------
+
+def reference_check(key):
+    """The checker of a schema key, compiled the plain way: one generic
+    loop step per key of an object, each nested key checked by its own
+    reference checker, never by the generated ``key.check``. It gives what
+    the value reads as, each breach appended to ``out`` in the same words."""
+    found = _REFERENCES.get(id(key))
+    if found is None:  # keep the key, so that its id is not reused
+        found = _REFERENCES[id(key)] = (key, _REFERENCE_COMPILERS[key.kind](key))
+    return found[1]
+
+
+def reference_reader(schema, tag=None):
+    """The loop reader of the keys of an object of ``schema``, for a dict
+    (whose ``tag`` key, if any, already named the schema):
+    read(value, path, out) gives its values in schema order, each bad one
+    INVALID. Each key is checked in schema order, an absent one filled in
+    from its default, and then each key the schema does not name is
+    refused."""
+    found = _REFERENCES.get((id(schema), tag))
+    if found is not None:
+        return found[1]
+    fields = [(name, key, reference_check(key)) for name, key in schema.items()]
+    allowed = {*schema, tag}
+
+    def read(value, path, out):
+        values = []
+        for name, key, check in fields:
+            entry = value.get(name, INVALID)
+            if entry is INVALID or entry is None:
+                entry = _reference_absent(key, check, entry, (path, name), out)
+            else:
+                entry = check(entry, (path, name), out)
+            values.append(entry)
+        if not value.keys() <= allowed:
+            out.extend(f"{where((path, name))} is not a known key" for name in value
+                       if name not in allowed)
+        return values
+    _REFERENCES[(id(schema), tag)] = (schema, read)
+    return read
+
+
+_REFERENCES = {}
+
+
+def _reference_absent(key, check, entry, path, out):
+    if entry is None and not key.null:
+        return check(entry, path, out)
+    if key.required:
+        out.append(f"{where(path)} is required")
+        return INVALID
+    if key.kind == "object" and key.default is not None:
+        return check(key.default, path, out)
+    return key.default
+
+
+def _reference_refuse(out, path, expected, value):
+    out.append(f"{where(path)} must be {expected}, got {value!r:.80}")
+    return INVALID
+
+
+def _reference_int(key):
+    lo, hi = key.lo, math.inf if key.hi is None else key.hi
+    expected = "an integer " + (f">= {lo}" if key.hi is None else f"in [{lo}, {hi}]")
+    return lambda value, path, out: value if type(value) is int and lo <= value <= hi \
+        else _reference_refuse(out, path, expected, value)
+
+
+def _reference_str(key):
+    lo, hi = key.lo or 0, math.inf if key.hi is None else key.hi
+    expected = ("a non-empty string" if lo else "a string") + \
+        (f" of at most {hi} UTF-8 bytes" if key.hi is not None else "")
+
+    def size(text):
+        try:
+            return len(text.encode("utf-8"))
+        except UnicodeEncodeError:
+            return math.inf
+    return lambda value, path, out: value if type(value) is str and len(value) >= lo \
+        and (hi is math.inf or size(value) <= hi) \
+        else _reference_refuse(out, path, expected, value)
+
+
+def _reference_words(key):
+    return lambda value, path, out: value if type(value) in (str, int) and \
+        value in key.type else _reference_refuse(out, path, f"one of {key.type}", value)
+
+
+def _reference_list(key):
+    hi = math.inf if key.hi is None else key.hi
+    expected = "a list" if key.hi is None else f"a list of at most {hi} items"
+
+    def check(value, path, out):
+        if type(value) is not list or len(value) > hi:
+            return _reference_refuse(out, path, expected, value)
+        if key.item is None:
+            return value
+        item = reference_check(key.item)
+        return [item(entry, (path, i), out) for i, entry in enumerate(value)]
+    return check
+
+
+def _reference_map(key):
+    def check(value, path, out):
+        if type(value) is not dict:
+            return _reference_refuse(out, path, "an object", value)
+        if key.item is None:
+            return value
+        item = reference_check(key.item)
+        return {name: item(entry, (path, name), out) for name, entry in value.items()}
+    return check
+
+
+def _reference_object(key):
+    tag, variants, make = key.tag, key.type, key.make
+
+    def check(value, path, out):
+        if tag is None:
+            if type(value) is not dict:
+                return _reference_refuse(out, path, "an object", value)
+            return dict(zip(variants, reference_reader(variants)(value, path, out)))
+        word = value.get(tag) if type(value) is dict else None
+        if type(word) is not str or word not in variants:
+            if type(value) is not dict:
+                return _reference_refuse(out, path, "an object", value)
+            return _reference_refuse(out, (path, tag), f"one of {tuple(variants)}", word)
+        schema = variants[word]
+        seen = len(out)
+        values = reference_reader(schema, tag)(value, path, out)
+        if make is None:
+            return dict(zip((tag, *schema), [word, *values]))
+        return make[word](*values) if len(out) == seen else INVALID
+    return check
+
+
+_REFERENCE_COMPILERS = {"int": _reference_int, "str": _reference_str,
+                        "words": _reference_words, "list": _reference_list,
+                        "map": _reference_map, "object": _reference_object}
+
+
+def reference_statements(raw_list, path, in_handler, budget, out):
+    """The steps a statement list unrolls to, each statement read by the
+    loop reader and built by its op's make (a loop's body read here, so
+    that it is read by the loop reader too)."""
+    stmts = []
+    for i, raw in enumerate(raw_list):
+        here = (path, i)
+        op = raw.get("op") if type(raw) is dict else None
+        if type(op) is not str or op not in STATEMENTS:
+            reference_check(STATEMENT)(raw, here, out)
+            continue
+        seen = len(out)
+        values = reference_reader(STATEMENTS[op], "op")(raw, here, out)
+        if len(out) != seen:
+            continue
+        if op != "loop":
+            STATEMENT.make[op](*values, here, out, stmts, in_handler, budget)
+            continue
+        count, body = values
+        body = reference_statements(body, (here, "body"), in_handler, budget, out)
+        budget[0] -= len(body) * count
+        if budget[0] < 0:
+            raise ScenarioError(out + [
+                f"script exceeds {MAX_STATEMENTS} statements after unrolling"])
+        if count > 1:
+            body = [(step[0], step[1], call_text(step[1]))
+                    if step[0] is scenario_syscall and step[2] is None else step
+                    for step in body]
+        if body:  # an empty body unrolls to nothing, whatever the count
+            stmts.extend(body * count)
+    return stmts
+
+
+def reference_parse_script(data, name="app"):
+    """The script parse_script must give for a decoded scenario file, or
+    the violations of the ScenarioError it must raise (as a list)."""
+    out = []
+    doc = reference_check(_SCENARIO_KEY)(data, "scenario", out)
+    if doc is INVALID:
+        return out
+    budget = [MAX_STATEMENTS]
+    try:
+        main = reference_statements(doc["main"] or (), ("scenario", "main"), False,
+                                    budget, out)
+        handlers = {hname: reference_statements(body or (), (("scenario", "handlers"),
+                                                             hname), True, budget, out)
+                    for hname, body in (doc["handlers"] or {}).items()}
+    except ScenarioError as exc:
+        return exc.violations
+    if out:
+        return out
+    return ScenarioScript(
+        name=name if doc["name"] is None else doc["name"],
+        min_memory=doc["min_memory"], key_id=doc["credential"]["key_id"],
+        entry=doc["entry"], main=main, handlers=handlers,
+        credential_digest=doc["credential"]["digest"])
+
+
+_SCENARIO_KEY = Key(SCENARIO)

@@ -120,6 +120,44 @@ def test_cli_check_exit_codes(capsys):
                      str(BOARDS_DIR / "polarity_mismatch.json")]) == 2
 
 
+# check takes the inputs run takes. The bad app holds a negative driver and
+# an unknown op, "missing" names no file, and the bad board is the polarity
+# fixture.
+_BAD_APP = {"main": [{"op": "syscall", "call": {"class": "command", "driver": -1}},
+                     {"op": "frobnicate"}]}
+
+
+@pytest.mark.parametrize("board, apps, max_ticks", [
+    pytest.param("demo.json", ["demo_a.json", "demo_b.json"], 1000, id="valid_apps"),
+    pytest.param("demo.json", ["bad"], 1000, id="invalid_app"),
+    pytest.param("demo.json", ["demo_a.json"], -5, id="negative_max_ticks"),
+    pytest.param("demo.json", ["demo_a.json", "bad", "missing"], 1000,
+                 id="valid_board_with_a_bad_app"),
+    pytest.param("demo.json", ["missing", "bad"], 1000, id="unreadable_app"),
+    pytest.param("polarity_mismatch.json", ["bad"], -1, id="every_input_bad"),
+])
+def test_check_reports_the_config_errors_that_run_logs(tmp_path, capsys, board,
+                                                       apps, max_ticks):
+    (tmp_path / "bad.json").write_text(json.dumps(_BAD_APP))
+    paths = [str(tmp_path / "bad.json") if app == "bad" else
+             str(tmp_path / "missing.json") if app == "missing" else
+             str(SCENARIOS_DIR / app) for app in apps]
+    flags = ["--board", str(BOARDS_DIR / board), "--max-ticks", str(max_ticks),
+             *(arg for path in paths for arg in ("--app", path))]
+    check_code = cli_main(["check", *flags])
+    checked = capsys.readouterr().err.splitlines()
+    trace_path = tmp_path / "t.jsonl"
+    run_code = cli_main(["run", *flags, "--trace", str(trace_path)])
+    capsys.readouterr()
+    logged = [event["payload"]["violation"] for event in
+              parse_trace(trace_path.read_bytes()) if event["kind"] == "config_error"]
+    assert checked == ([f"violation: {violation}" for violation in logged]
+                       if logged else ["ok"])
+    assert check_code == (2 if logged else 0)
+    assert (run_code == 2) == bool(logged)
+    assert bool(logged) == (apps != ["demo_a.json", "demo_b.json"])
+
+
 def test_run_empty_board_immediate_quiescence(tmp_path):
     trace_path = tmp_path / "trace.jsonl"
     code = run_simulation(BOARDS_DIR / "demo_sync.json", [],

@@ -1,17 +1,21 @@
 import copy
 import functools
+import os
+import subprocess
+import sys
 
 import pytest
 
 from kernsim import board as board_module
 from kernsim import kernel as kernel_module
+from kernsim import scenario as scenario_module
 from kernsim.abi import SYSCALL_RECORDS, SyscallInvocation, YieldMode, call_text
 from kernsim.errors import ScenarioError
 from kernsim.kernel import ProcessState
 from kernsim.scenario import STATEMENTS, _expect, _halt, _relative_allow, _syscall, \
     parse_script, parse_script_bytes
 
-from conftest import make_board, script_source, trace_events
+from conftest import BOARDS_DIR, SRC, make_board, script_source, trace_events
 
 
 def test_parse_minimal_script():
@@ -43,6 +47,43 @@ def test_unroll_budget_enforced():
     with pytest.raises(ScenarioError):
         parse_script({"main": [
             {"op": "loop", "count": 10 ** 6, "body": [{"op": "halt"}]}]})
+
+
+def _nested_loops(depth: int) -> str:
+    """A script whose one statement is ``depth`` loops, each holding the
+    next, around a halt; written as text, since json.dumps recurses."""
+    return ('{"main":' + '[{"op":"loop","count":1,"body":' * depth +
+            '[{"op":"halt"}]' + '}]' * depth + '}')
+
+
+@pytest.mark.parametrize("depth, code", [(480, 0), (600, 2)])
+def test_loops_nested_near_the_recursion_limit_end_without_a_traceback(
+        tmp_path, depth, code):
+    # A loop level costs the reader two frames, as it costs JSON's decoder
+    # an object and a list, so a nest that decodes also reads; deeper ones
+    # are refused as not parsing.
+    app = tmp_path / "deep.json"
+    app.write_text(_nested_loops(depth))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kernsim", "run", "--board",
+         str(BOARDS_DIR / "demo_sync.json"), "--app", str(app)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+        text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert ("scenario does not parse: maximum recursion depth exceeded"
+            in proc.stderr) == (code == 2)
+
+
+def test_a_recursion_error_anywhere_in_the_parse_is_a_scenario_error(monkeypatch):
+    def too_deep(value):
+        raise RecursionError("maximum recursion depth exceeded")
+    monkeypatch.setattr(scenario_module, "encode_json", too_deep)
+    with pytest.raises(ScenarioError) as refused:
+        parse_script_bytes(_nested_loops(3).replace(
+            '{"op":"halt"}', '{"op":"expect","pattern":{}}').encode())
+    assert refused.value.violations == [
+        "scenario does not parse: maximum recursion depth exceeded"]
 
 
 def test_empty_loop_body_unrolls_to_nothing_whatever_the_count():
