@@ -36,7 +36,7 @@ from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, TextIO
 
 from .capabilities import BoardPhase, CapabilityKind, CapabilityRegistry
-from .capsules import CAPSULE_TYPES, LAYERS, validate_composition
+from .capsules import CAPSULE_TYPES, validate_composition
 from .errors import INVALID, ConfigError, Key, Schema, SimulationDiagnostic, SpecError
 from .hw import AlarmHw, Chip, HashEngineHw, InterruptController, UartHw
 from .kernel import Kernel, LoaderJob
@@ -77,7 +77,7 @@ _PERIPHERAL_MODELS = {"alarm": AlarmHw, "uart": UartHw, "hashengine": HashEngine
 
 # The board schema. A process holds two MPU regions, its flash and its
 # RAM; a key id is 16 bits in the binary header. A capsule layer holds
-# the keys its type takes, looked up in CAPSULE_TYPES at each check.
+# the keys its type takes, read from CAPSULE_TYPES once, at import.
 BOARD: Schema = {
     "name": Key(str, default="board"),
     "ram_size": Key(int, 1, MAX_RAM_SIZE, required=True),
@@ -91,7 +91,8 @@ BOARD: Schema = {
     "peripherals": Key({name: Key({"irq": Key(int, 0, required=True),
                                    "map": Key(str, null=True), **model.KNOBS})
                         for name, model in _PERIPHERAL_MODELS.items()}),
-    "capsules": Key(list, default=(), item=Key(LAYERS, tag="type")),
+    "capsules": Key(list, default=(), item=Key(
+        {ctype: model.LAYER for ctype, model in CAPSULE_TYPES.items()}, tag="type")),
     "capabilities": Key(dict, default={}, item=Key(
         list, item=Key(tuple(kind.value for kind in CapabilityKind)))),
 }

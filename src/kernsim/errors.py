@@ -6,6 +6,7 @@ compiled with ``exec``, as ``dataclasses`` writes ``__init__``. Boards,
 register maps and scripts are all checked by these generated checkers."""
 
 from dataclasses import dataclass, field
+from itertools import count
 from math import inf
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -13,9 +14,10 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 @dataclass(frozen=True, slots=True)
 class Key:
     """One key of an input object. ``type`` is int, str, list, dict (an
-    object with any keys), a tuple of the words allowed,
-    or a schema (key name -> Key) for a nested object; a tagged object's
-    type maps each word its ``tag`` key may hold to a schema. ``lo`` and
+    object with any keys), a tuple of the words allowed, or a schema (key
+    name -> Key) for a nested object; a tagged object's type maps each
+    word its ``tag`` key may hold to a schema. The tables are read once,
+    when the key is built: a word added later is not known. ``lo`` and
     ``hi`` bound an integer, a list's length, or a string (lo: non-empty;
     hi: most UTF-8 bytes). ``item`` checks each list item or map value.
     An absent key (or a null one, if ``null``) reads as ``default``; an
@@ -33,11 +35,10 @@ class Key:
     appends a violation naming the field by its path (and the bad value,
     cut at 80 characters) to ``out``, and the bad value reads as INVALID.
     The check of an object tests each of its keys in line, a nested
-    object's keys too where its variants are fixed, and tests that every
-    key is present and none unknown with one comparison of key sets; an
-    absent key or a bad value calls ``_other``, which gives the default
-    or calls the key's own check to refuse it, and an unknown key calls
-    ``_unknown``."""
+    tagged object's keys too, and tests that every key is present and
+    none unknown with one comparison of key sets; an absent key or a bad
+    value calls ``_other``, which gives the default or calls the key's
+    own check to refuse it, and an unknown key calls ``_unknown``."""
 
     type: Any
     lo: Optional[int] = None
@@ -59,10 +60,7 @@ class Key:
         object.__setattr__(self, "kind", kind)
         source = _Source(("value", "path", "out", *(self.context or ())))
         source.check(self, "value", "path", 1, False, self.context)
-        object.__setattr__(self, "check", source.compile())
-        if kind == "object" and type(self.type) is not dict:
-            for schema in self.type.values():  # a table that may grow
-                _variant(schema, self.tag)
+        object.__setattr__(self, "check", source.compile(kind))
 
 
 Schema = Dict[str, Key]
@@ -135,23 +133,6 @@ def _utf8_size(text: str) -> float:
         return inf
 
 
-# The readers of the variants of tagged objects whose table may grow, by
-# schema and tag, each kept with its schema.
-_VARIANTS: Dict[Tuple[int, Optional[str]], Tuple[Schema, Callable[..., Any]]] = {}
-
-
-def _variant(schema: Schema, tag: Optional[str]) -> Callable[..., Any]:
-    """The checker of an object of ``schema`` whose ``tag`` key, read
-    from a table that may grow, already named its variant ``w``:
-    check(value, path, out, w)."""
-    found = _VARIANTS.get((id(schema), tag))
-    if found is None:
-        source = _Source(("value", "path", "out", "w"))
-        source.keys(schema, tag, "w", None, "value", "path", 1, None)
-        found = _VARIANTS[(id(schema), tag)] = (schema, source.compile())
-    return found[1]
-
-
 class _Source:
     """The source of one checker, ``def check(params): ...; return value``,
     and the constants it names. The check of a value against a key is one
@@ -170,15 +151,17 @@ class _Source:
     def add(self, indent: int, line: str) -> None:
         self.lines.append("    " * indent + line)
 
-    def compile(self) -> Callable[..., Any]:
-        """The checker, shared by every key whose source is the same and
+    def compile(self, kind: str) -> Callable[..., Any]:
+        """The checker of a key of ``kind``, under a file name of its own (a
+        profile's row), shared by every key whose source is the same and
         names no constant (such as each integer key of the same bounds)."""
         self.add(1, "return value")
         source = "\n".join(self.lines)
         check = _SHARED.get(source)
         if check is None:
             shared = len(self.names) == len(_HELPERS)
-            exec(compile(source, "<kernsim schema checker>", "exec"), self.names)
+            filename = f"<kernsim schema checker {next(_COMPILED)}: {kind}>"
+            exec(compile(source, filename, "exec"), self.names)
             check = self.names["check"]
             if shared:
                 _SHARED[source] = check
@@ -235,28 +218,25 @@ class _Source:
         elif kind == "object" and key.tag is None and nested:  # read once a file: not inlined
             self.add(indent + 1, f"{var} = {self.name(key.check)}({var}, {path}, out)")
         elif kind == "object" and key.tag is None:
-            self.keys(key.type, None, None, None, var, path, indent + 1, context)
-        elif kind == "object" and type(key.type) is dict:
+            self.keys(key.type, None, None, var, path, indent + 1, context)
+        elif kind == "object":
             words = list(key.type)
             for i, word in enumerate(words):
                 self.add(indent + 1, "else:" if i == len(words) - 1 else
                          f"{'el' if i else ''}if {var}_tag == {word!r}:")
-                self.keys(key.type[word], key.tag, repr(word),
-                          key.make and key.make[word], var, path, indent + 2, context)
-        elif kind == "object":  # a table that may grow: read at each check
-            self.add(indent + 1, f"{var} = _variant({self.name(key.type)}[{var}_tag], "
-                                 f"{key.tag!r})({var}, {path}, out, {var}_tag)")
+                self.keys(key.type[word], key.tag, key.make and key.make[word],
+                          var, path, indent + 2, context)
         if len(self.lines) == body:
             self.add(indent + 1, "pass")
         self.add(indent, "else:")
         self.add(indent + 1, f"{var} = _other({self.name(key)}, {var}, {path}, out)"
                  if nested else f"{var} = {refuse}")
 
-    def keys(self, schema: Schema, tag: Optional[str], word: Optional[str], make,
-             var: str, path: str, indent: int, context) -> None:
+    def keys(self, schema: Schema, tag: Optional[str], make, var: str, path: str,
+             indent: int, context) -> None:
         """Check each key of the object in ``var`` against ``schema`` (its
-        ``tag`` key, if any, holding the word that the expression ``word``
-        gives), and leave what the object reads as in ``var``."""
+        ``tag`` key, if any, holding the word kept in ``{var}_tag``), and
+        leave what the object reads as in ``var``."""
         level = len(self.lines)  # names this object's locals apart
         allowed = self.name(frozenset([*([tag] if tag else []), *schema]))
         values = [f"v{level}_{i}" for i in range(len(schema))]
@@ -280,15 +260,16 @@ class _Source:
                              f"if len(out) == seen{level} else INVALID")
         else:
             self.add(indent, f"{var} = {{" + ", ".join(
-                [*([f"{tag!r}: {word}"] if tag else []),
+                [*([f"{tag!r}: {var}_tag"] if tag else []),
                  *(f"{name!r}: {value}" for name, value in zip(schema, values))]) + "}")
 
 
 # What every checker's source may name, and the checkers shared by source.
 _HELPERS = {"INVALID": INVALID, "_other": _other, "_refuse": _refuse,
             "_refuse_object": _refuse_object, "_unknown": _unknown, "_items": _items,
-            "_entries": _entries, "_utf8_size": _utf8_size, "_variant": _variant}
+            "_entries": _entries, "_utf8_size": _utf8_size}
 _SHARED: Dict[str, Callable[..., Any]] = {}
+_COMPILED = count(1)  # numbers each checker's file name
 
 
 class KernsimError(Exception):

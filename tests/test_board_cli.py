@@ -1189,6 +1189,18 @@ def test_each_shipped_type_declares_only_the_keys_and_kinds_it_uses():
             if cls.CAPABILITIES} == {"manager": (CapabilityKind.PROCESS_MANAGEMENT,)}
 
 
+def test_a_capsule_type_added_after_import_is_exit_2_at_check_and_run(
+        tmp_path, capsys, monkeypatch):
+    # The board schema reads CAPSULE_TYPES once, at import, as a Tock
+    # board fixes its capsules when the kernel is built.
+    shipped = tuple(CAPSULE_TYPES)
+    monkeypatch.setitem(CAPSULE_TYPES, "late", CAPSULE_TYPES["probe"])
+    cfg = minimal_board_dict()
+    cfg["capsules"].append({"name": "late", "type": "late", "driver_id": 9})
+    _check_and_run_refuse(tmp_path, capsys, cfg, [
+        f"capsules[{len(cfg['capsules']) - 1}].type must be one of {shipped}, got 'late'"])
+
+
 @pytest.mark.parametrize("ctype, kind", [
     (ctype, kind) for ctype in CAPSULE_TYPES for kind in CapabilityKind
     if kind not in CAPSULE_TYPES[ctype].CAPABILITIES])

@@ -57,11 +57,11 @@ def _check_and_run(workdir, board, alarm_map=None):
         board = set_field(board, ("peripherals", "alarm", "map"), "alarm.json")
     path = workdir / "board.json"
     path.write_text(json.dumps(board))
+    app = str(workdir / "app.json")
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        checked = cli_main(["check", "--board", str(path)])
-        ran = cli_main(["run", "--board", str(path), "--app",
-                        str(workdir / "app.json"),
+        checked = cli_main(["check", "--board", str(path), "--app", app])
+        ran = cli_main(["run", "--board", str(path), "--app", app,
                         "--trace", str(workdir / "t.jsonl")])
     assert checked in (0, 2)
     assert ran in (0, 1, 2, 3)

@@ -12,11 +12,12 @@ from kernsim.abi import (
     YieldMode,
 )
 from kernsim.audit import parse_trace
-from kernsim.board import Board, BoardConfig, run_simulation
+from kernsim.board import BOARD, Board, BoardConfig, run_simulation
 from kernsim.capabilities import CapabilityKind
 from kernsim.capsules import (CAPSULE_TYPES, AlarmDriver, Capsule, ConsoleDriver,
                                ProbeDriver)
 from kernsim.errors import (
+    Key,
     PhaseError,
     ProcessDead,
     ReentrancyError,
@@ -976,16 +977,22 @@ class SpawnerCapsule(Capsule):
         return SyscallReturn.success()
 
 
+# The fixture capsules above, as board layer types. The board schema reads
+# CAPSULE_TYPES once, at import, so they get a board key of their own.
+_FIXTURE_TYPES = {"spinner": SpinnerCapsule, "reentrant": ReentrantCapsule,
+                  "crashing_alarm": CrashingAlarmDriver, "crashing_console": CrashingConsole,
+                  "wrong_return": WrongReturnCapsule, "spawner": SpawnerCapsule}
+_FIXTURE_BOARD = Key({**BOARD, "capsules": Key(list, default=(), item=Key(
+    {ctype: model.LAYER for ctype, model in {**CAPSULE_TYPES, **_FIXTURE_TYPES}.items()},
+    tag="type"))})
+
+
 @pytest.fixture(autouse=True)
 def fixture_capsule_types(monkeypatch):
-    """The fixture capsules above, as board layer types for each test."""
-    for ctype, capsule in (("spinner", SpinnerCapsule),
-                           ("reentrant", ReentrantCapsule),
-                           ("crashing_alarm", CrashingAlarmDriver),
-                           ("crashing_console", CrashingConsole),
-                           ("wrong_return", WrongReturnCapsule),
-                           ("spawner", SpawnerCapsule)):
+    """The fixture capsules' types, known to the board for each test."""
+    for ctype, capsule in _FIXTURE_TYPES.items():
         monkeypatch.setitem(CAPSULE_TYPES, ctype, capsule)
+    monkeypatch.setattr("kernsim.board._BOARD", _FIXTURE_BOARD)
 
 
 def _started_pids(board):

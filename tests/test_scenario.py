@@ -1,6 +1,7 @@
 import copy
 import functools
 import os
+import re
 import subprocess
 import sys
 
@@ -8,12 +9,13 @@ import pytest
 
 from kernsim import board as board_module
 from kernsim import kernel as kernel_module
+from kernsim import regmap as regmap_module
 from kernsim import scenario as scenario_module
-from kernsim.abi import SYSCALL_RECORDS, SyscallInvocation, YieldMode, call_text
-from kernsim.errors import ScenarioError
+from kernsim.abi import SYSCALL, SYSCALL_RECORDS, SyscallInvocation, YieldMode, call_text
+from kernsim.errors import Key, ScenarioError
 from kernsim.kernel import ProcessState
-from kernsim.scenario import STATEMENTS, _expect, _halt, _relative_allow, _syscall, \
-    parse_script, parse_script_bytes
+from kernsim.scenario import STATEMENT, STATEMENTS, _expect, _halt, _relative_allow, \
+    _syscall, parse_script, parse_script_bytes
 
 from conftest import BOARDS_DIR, SRC, make_board, script_source, trace_events
 
@@ -239,6 +241,19 @@ def test_a_key_the_schema_does_not_name_is_refused(doc, key):
     with pytest.raises(ScenarioError) as info:
         parse_script(doc)
     assert info.value.violations == [f"{key} is not a known key"]
+
+
+def test_each_generated_checker_has_a_file_name_of_its_own():
+    # A profile keys its rows by file name and line, so each schema's
+    # checker keeps a row of its own; a source that names no constant is
+    # compiled once and shared.
+    keys = [STATEMENT, SYSCALL, scenario_module._SCENARIO, board_module._BOARD,
+            regmap_module._REGISTER_MAP]
+    names = [key.check.__code__.co_filename for key in keys]
+    assert len(set(names)) == len(keys)
+    assert all(re.fullmatch(r"<kernsim schema checker \d+: object>", name)
+               for name in names)
+    assert Key(int, 0, 7).check is Key(int, 0, 7).check
 
 
 # A statement of each op and a call of each class that takes an optional

@@ -1,10 +1,11 @@
 """Fixed-seed property tests over scenario files and packed binaries:
 whatever one field of a valid scenario holds (each key the scenario,
-statement and syscall-record schemas name), `run` ends in a documented
-exit code with no traceback and a trace that passes all six auditors; and
-a packed binary with a byte flipped, cut short or extended loads and runs
-the same way on a sync and an async board. Examples are derandomized, so
-tier-1 stays deterministic."""
+statement and syscall-record schemas name), `check` and `run` end in a
+documented exit code with no traceback, the run's trace passes all six
+auditors, and a scenario that passes `check` is never refused by `run`;
+and a packed binary with a byte flipped, cut short or extended loads and
+runs the same way on a sync and an async board. Examples are
+derandomized, so tier-1 stays deterministic."""
 
 import contextlib
 import functools
@@ -114,14 +115,21 @@ def test_one_changed_scenario_field_never_crashes_run(workdir, field, value):
     doc = set_field(SCENARIO, field, value)
     app, trace = workdir / "app.json", workdir / "t.jsonl"
     app.write_text(json.dumps(doc))
+    board = str(BOARDS_DIR / "demo_sync.json")
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = cli_main(["run", "--board", str(BOARDS_DIR / "demo_sync.json"),
-                         "--app", str(app), "--trace", str(trace)])
+        checked = cli_main(["check", "--board", board, "--app", str(app)])
+        code = cli_main(["run", "--board", board, "--app", str(app),
+                         "--trace", str(trace)])
+    assert checked in (0, 2)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
-    audits = run_all_audits(parse_trace(trace.read_bytes()))
+    events = parse_trace(trace.read_bytes())
+    audits = run_all_audits(events)
     assert not any(audits.values()), audits
+    if checked == 0:  # what check passes, run does not refuse
+        assert code != 2, err.getvalue()
+        assert "config_error" not in [event["kind"] for event in events]
 
 
 def test_the_field_list_does_not_shrink():
