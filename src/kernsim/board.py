@@ -62,9 +62,9 @@ MAX_TICKS = Key(int, 0)
 # byte array, and the alarm driver keeps a client slot per allowed process.
 MAX_RAM_SIZE = 16 * 1024 * 1024
 MAX_PROCESSES = 256
-# The longest board, app or register map file read. A script unrolls to
-# at most scenario.MAX_STATEMENTS statements, so no real input comes near
-# it; a file that never ends (such as /dev/zero) is refused at this length.
+# The longest board, app or register map file read. A loop is one
+# statement however often it runs, so no real input comes near it; a
+# file that never ends (such as /dev/zero) is refused at this length.
 MAX_INPUT_SIZE = 64 * 1024 * 1024
 # The size of the first read of an input file: it holds every shipped
 # input, and stays below the size from which the C allocator maps fresh

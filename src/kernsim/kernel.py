@@ -776,7 +776,7 @@ class Kernel:
         try:
             self.memory.write(pcb.mpu, pcb.ram.base + offset, data)
         except AccessDenied:
-            self._fault(pcb, f"write_local at offset {offset}")
+            self.fault_process(pcb, f"write_local at offset {offset}")
             return False
         return True
 
@@ -785,7 +785,7 @@ class Kernel:
         try:
             return self.memory.read(pcb.mpu, pcb.ram.base + offset, length)
         except AccessDenied:
-            self._fault(pcb, f"read_local at offset {offset}")
+            self.fault_process(pcb, f"read_local at offset {offset}")
             return None
 
     def record_expect(self, pcb: ProcessControlBlock, pattern: Dict[str, Any],
@@ -807,7 +807,7 @@ class Kernel:
     def exit_process(self, pcb: ProcessControlBlock, reason: str) -> None:
         self._terminate(pcb, ProcessState.EXITED, reason)
 
-    def _fault(self, pcb: ProcessControlBlock, reason: str) -> None:
+    def fault_process(self, pcb: ProcessControlBlock, reason: str) -> None:
         self._terminate(pcb, ProcessState.FAULTED, reason)
 
     def _terminate(self, pcb: ProcessControlBlock, state: ProcessState,

@@ -3,14 +3,15 @@
 A scenario file gives a process a `main` statement list and a table of
 named upcall handlers. Statements either issue system calls, check the
 last return value against a pattern, or touch process-local memory (which
-goes through the MPU like any other process access). At parse time, loops
-are unrolled, the `sync_command` macro is expanded, and each statement is
-compiled into its step: the function of its kind bound to the arguments
-that kind uses, such as a decoded system call, or an expect's pattern
-with its compact JSON text. An unrolled loop repeats the steps of its
-body, and a loop body's calls carry their ``syscall`` text from parse.
-A process runs a step with the kernel and its own control block; an
-allow relative to its process's ram or flash adds that base at run time.
+goes through the MPU like any other process access). At parse time, the
+`sync_command` macro is expanded, and each statement is compiled into its
+step: the function of its kind bound to the arguments that kind uses, such
+as a decoded system call, or an expect's pattern with its compact JSON
+text. A loop stays one step, run in place, and its body's calls carry
+their ``syscall`` text from parse. A process runs a step with the kernel
+and its own control block; an allow relative to its process's ram or
+flash adds that base at run time. What bounds a process is its quantum:
+one that would run more than MAX_STATEMENTS statements faults it.
 
 Upcall handlers run to completion and may not yield; that is checked at
 parse time, not discovered at runtime.
@@ -20,22 +21,27 @@ from __future__ import annotations
 
 import binascii
 import json
+import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from .abi import ARGS, REGISTER, SYSCALL, U32_MAX, SyscallClass, \
     SyscallInvocation, YieldMode, call_text
 from .errors import INVALID, Key, Schema, ScenarioError, where
 from .trace import encode_json
 
-MAX_STATEMENTS = 200_000
+MAX_STATEMENTS = 200_000  # the most one quantum, or one handler run, runs
+# The frames a parse may take below its own: JSON's decoder takes one per
+# list or object, the statement reader two per loop. As the count starts at
+# the parse's frame, a file parses, or not, alike wherever it is parsed.
+PARSE_FRAMES = 1000
 DEFAULT_MIN_MEMORY = 1024
 
 
 # A compiled statement: (run, a, b), a and b being the arguments its kind
-# uses (None where it uses fewer). run(kern, pcb, a, b) runs it for the
-# process of control block pcb, and returns True when it ends the quantum.
-Step = Tuple[Callable[..., bool], Any, Any]
+# uses (None where it uses fewer); a loop's is (None, body steps, count).
+# run(kern, pcb, a, b) runs it for pcb's process, True if that ends the quantum.
+Step = Tuple[Optional[Callable[..., bool]], Any, Any]
 
 
 def _syscall(kern, pcb, inv: SyscallInvocation, text: Optional[str]) -> bool:
@@ -115,23 +121,13 @@ _EXPECT_SUCCESS = (_expect, _SUCCESS, encode_json(_SUCCESS))
 _YIELD = SyscallClass.YIELD
 
 
-def _spend(budget: List[int], count: int, out: List[str]) -> None:
-    """Take count statements from the script's unroll budget."""
-    budget[0] -= count
-    if budget[0] < 0:
-        raise ScenarioError(out + [
-            f"script exceeds {MAX_STATEMENTS} statements after unrolling"])
-
-
 # Each op's builder is its make: it adds the steps of a statement whose
 # keys passed its schema to ``stmts``, given the statement's values in
-# schema order, its path, the violations so far, whether it is in a
-# handler and the script's unroll budget. The statements it unrolls to
-# are taken from the budget first, except a loop's, which its body decides.
+# schema order, its path, the violations so far and whether it is in a
+# handler.
 
-def _syscall_steps(call, here, out, stmts, in_handler, budget):
+def _syscall_steps(call, here, out, stmts, in_handler):
     inv, seg = call
-    _spend(budget, 1, out)
     if in_handler and inv.klass is _YIELD:
         out.append(f"{where(here)}: upcall handlers run to completion "
                    "and may not yield")
@@ -139,47 +135,42 @@ def _syscall_steps(call, here, out, stmts, in_handler, budget):
         stmts.append((_relative_allow, inv, seg) if seg else (_syscall, inv, None))
 
 
-def _expect_steps(pattern, here, out, stmts, in_handler, budget):
-    _spend(budget, 1, out)
+def _expect_steps(pattern, here, out, stmts, in_handler):
     stmts.append((_expect, pattern, encode_json(pattern)))
 
 
-def _write_local_steps(offset, data, here, out, stmts, in_handler, budget):
-    _spend(budget, 1, out)
+def _write_local_steps(offset, data, here, out, stmts, in_handler):
     try:
         stmts.append((_write_local, offset, binascii.unhexlify(data)))
     except ValueError:  # not hex, or not ASCII
         out.append(f"{where((here, 'data'))} must be hex, got {data!r}")
 
 
-def _read_local_steps(offset, length, here, out, stmts, in_handler, budget):
-    _spend(budget, 1, out)
+def _read_local_steps(offset, length, here, out, stmts, in_handler):
     stmts.append((_read_local, offset, length))
 
 
-def _halt_steps(here, out, stmts, in_handler, budget):
-    _spend(budget, 1, out)
+def _halt_steps(here, out, stmts, in_handler):
     stmts.append((_halt, None, None))
 
 
-def _loop_steps(count, body, here, out, stmts, in_handler, budget):
+def _loop_steps(count, body, here, out, stmts, in_handler):
     # The body's statements are read here, not through _parse_statements,
     # so that a loop nests two calls deep, as JSON's object and list do.
     steps: List[Step] = []
     here = (here, "body")
     for i, raw in enumerate(body):
-        _add_steps(raw, (here, i), out, steps, in_handler, budget)
-    _spend(budget, len(steps) * count, out)
-    if count > 1:  # a call that repeats carries its text from here on
-        steps = [(_syscall, s[1], call_text(s[1])) if s[0] is _syscall and s[2] is None
-                 else s for s in steps]
-    if steps:  # an empty body unrolls to nothing, whatever the count
-        stmts.extend(steps * count)
+        _add_steps(raw, (here, i), out, steps, in_handler)
+    if count > 1 and steps:  # a call that repeats carries its text from here on
+        stmts.append((None, [(_syscall, s[1], call_text(s[1]))
+                             if s[0] is _syscall and s[2] is None else s
+                             for s in steps], count))
+    elif count:  # one pass is its body; none, or an empty body, adds nothing
+        stmts += steps
 
 
 def _sync_command_steps(driver, cmd, args, fn, sub, userdata, here, out, stmts,
-                        in_handler, budget):
-    _spend(budget, 4, out)
+                        in_handler):
     if in_handler:
         out.append(f"{where(here)}: sync_command yields and cannot appear "
                    "in a handler")
@@ -191,22 +182,20 @@ def _sync_command_steps(driver, cmd, args, fn, sub, userdata, here, out, stmts,
 
 
 # A statement is checked and built by one call of its key's check:
-# _add_steps(raw, here, out, stmts, in_handler, budget).
+# _add_steps(raw, here, out, stmts, in_handler).
 STATEMENT = Key(STATEMENTS, tag="op", make={
     "syscall": _syscall_steps, "expect": _expect_steps,
     "write_local": _write_local_steps, "read_local": _read_local_steps,
     "halt": _halt_steps, "loop": _loop_steps, "sync_command": _sync_command_steps,
-}, context=("stmts", "in_handler", "budget"))
+}, context=("stmts", "in_handler"))
 _add_steps = STATEMENT.check
 
 
-def _parse_statements(raw_list, path, in_handler: bool, budget: List[int],
-                      out: List[str]) -> List[Step]:
-    """The flat steps a list unrolls to. ``budget`` holds the statements
-    the script may still unroll to."""
+def _parse_statements(raw_list, path, in_handler: bool, out: List[str]) -> List[Step]:
+    """The steps of a statement list."""
     stmts: List[Step] = []
     for i, raw in enumerate(raw_list):
-        _add_steps(raw, (path, i), out, stmts, in_handler, budget)
+        _add_steps(raw, (path, i), out, stmts, in_handler)
     return stmts
 
 
@@ -215,67 +204,76 @@ def parse_script(data: Dict[str, Any], name: str = "app") -> ScenarioScript:
     doc = _SCENARIO.check(data, "scenario", out)
     if doc is INVALID:
         raise ScenarioError(out)
-    budget = [MAX_STATEMENTS]
-    main = _parse_statements(doc["main"] or (), ("scenario", "main"), False,
-                             budget, out)
+    main = _parse_statements(doc["main"] or (), ("scenario", "main"), False, out)
     handlers = {hname: _parse_statements(body or (), (("scenario", "handlers"), hname),
-                                         True, budget, out)
+                                         True, out)
                 for hname, body in (doc["handlers"] or {}).items()}
     if out:
         raise ScenarioError(out)
     credential = doc["credential"]
     return ScenarioScript(
-        name=name if doc["name"] is None else doc["name"],
-        min_memory=doc["min_memory"],
-        key_id=credential["key_id"],
-        entry=doc["entry"],
-        main=main,
-        handlers=handlers,
-        credential_digest=credential["digest"],
-    )
+        name=name if doc["name"] is None else doc["name"], min_memory=doc["min_memory"],
+        key_id=credential["key_id"], entry=doc["entry"], main=main, handlers=handlers,
+        credential_digest=credential["digest"])
 
 
 def parse_script_bytes(blob: bytes, name: str = "app") -> ScenarioScript:
-    """The script a scenario file's bytes hold. A file nested too deep for
-    the recursion limit, whether JSON's decoder or the statement reader
+    """The script a scenario file's bytes hold. A file nested deeper than
+    PARSE_FRAMES allows, whether JSON's decoder or the statement reader
     reaches it first, is refused like one that does not parse."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + PARSE_FRAMES)
     try:
-        data = json.loads(blob.decode("utf-8"))
+        script = parse_script(json.loads(blob.decode("utf-8")), name)
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         raise ScenarioError([f"scenario does not parse: {exc}"]) from None
-    try:
-        script = parse_script(data, name)
-    except RecursionError as exc:  # loops nested deeper than the reader goes
-        raise ScenarioError([f"scenario does not parse: {exc}"]) from None
+    finally:
+        sys.setrecursionlimit(limit)
     script.source = blob
     return script
 
 
+def _walk(steps: List[Step]) -> Iterator[Step]:
+    """The statements ``steps`` run, in order: a loop's step ``(None, body,
+    count)`` runs its body count times, and a body is never empty."""
+    for step in steps:
+        if step[0] is None:
+            for _ in range(step[2]):
+                yield from _walk(step[1])
+        else:
+            yield step
+
+
 class ProcessProgram:
-    """The steps of one process's script, and how far it has run."""
+    """The statements of one process's script, walked as it runs."""
 
     def __init__(self, script: ScenarioScript):
-        self.steps = script.main
+        self.main = _walk(script.main)
         self.handlers = script.handlers
-        self.pc = 0
 
     def advance(self, kern, pcb) -> None:
         """One quantum of the process whose control block is ``pcb``: run
-        steps until a system call or halt ends it, or the process leaves
-        the Running state."""
-        steps = self.steps
-        while pcb.state == "running":
-            if self.pc >= len(steps):
-                kern.exit_process(pcb, "end of program")
+        statements until a system call or halt ends it, or the process
+        leaves the Running state. The process is faulted instead of
+        running statement MAX_STATEMENTS + 1 of one quantum."""
+        for ran, (run, a, b) in enumerate(self.main):
+            if ran == MAX_STATEMENTS:
+                kern.fault_process(pcb, f"ran {ran} statements without a system call")
                 return
-            run, a, b = steps[self.pc]
-            self.pc += 1
-            if run(kern, pcb, a, b):
+            if run(kern, pcb, a, b) or pcb.state != "running":
                 return
+        kern.exit_process(pcb, "end of program")
 
     def run_handler(self, kern, pcb, fn_id: str) -> None:
-        """Execute an upcall handler to completion (handlers cannot yield)."""
-        for run, a, b in self.handlers.get(fn_id, []):
+        """Execute an upcall handler to completion (handlers cannot yield),
+        or fault the process instead of running statement MAX_STATEMENTS + 1."""
+        for ran, (run, a, b) in enumerate(_walk(self.handlers.get(fn_id, []))):
             if pcb.state != "running":
+                return
+            if ran == MAX_STATEMENTS:
+                kern.fault_process(pcb, f"handler ran {ran} statements")
                 return
             run(kern, pcb, a, b)

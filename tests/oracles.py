@@ -10,9 +10,8 @@ import json
 import math
 
 from kernsim.abi import call_text
-from kernsim.errors import INVALID, Key, ScenarioError, SimulationDiagnostic, where
-from kernsim.scenario import MAX_STATEMENTS, SCENARIO, STATEMENT, STATEMENTS, \
-    ScenarioScript
+from kernsim.errors import INVALID, Key, SimulationDiagnostic, where
+from kernsim.scenario import SCENARIO, STATEMENT, STATEMENTS, ScenarioScript
 from kernsim.scenario import _syscall as scenario_syscall
 
 RING = 1 << 32
@@ -432,10 +431,10 @@ _REFERENCE_COMPILERS = {"int": _reference_int, "str": _reference_str,
                         "map": _reference_map, "object": _reference_object}
 
 
-def reference_statements(raw_list, path, in_handler, budget, out):
-    """The steps a statement list unrolls to, each statement read by the
-    loop reader and built by its op's make (a loop's body read here, so
-    that it is read by the loop reader too)."""
+def reference_statements(raw_list, path, in_handler, out):
+    """The steps of a statement list, each statement read by the loop
+    reader and built by its op's make (a loop's body read here, so that it
+    is read by the loop reader too)."""
     stmts = []
     for i, raw in enumerate(raw_list):
         here = (path, i)
@@ -448,20 +447,19 @@ def reference_statements(raw_list, path, in_handler, budget, out):
         if len(out) != seen:
             continue
         if op != "loop":
-            STATEMENT.make[op](*values, here, out, stmts, in_handler, budget)
+            STATEMENT.make[op](*values, here, out, stmts, in_handler)
             continue
         count, body = values
-        body = reference_statements(body, (here, "body"), in_handler, budget, out)
-        budget[0] -= len(body) * count
-        if budget[0] < 0:
-            raise ScenarioError(out + [
-                f"script exceeds {MAX_STATEMENTS} statements after unrolling"])
-        if count > 1:
-            body = [(step[0], step[1], call_text(step[1]))
-                    if step[0] is scenario_syscall and step[2] is None else step
-                    for step in body]
-        if body:  # an empty body unrolls to nothing, whatever the count
-            stmts.extend(body * count)
+        body = reference_statements(body, (here, "body"), in_handler, out)
+        if not body or count == 0:  # a loop that runs nothing adds nothing
+            continue
+        if count == 1:  # one pass is its body
+            stmts.extend(body)
+            continue
+        body = [(step[0], step[1], call_text(step[1]))
+                if step[0] is scenario_syscall and step[2] is None else step
+                for step in body]
+        stmts.append((None, body, count))
     return stmts
 
 
@@ -472,15 +470,10 @@ def reference_parse_script(data, name="app"):
     doc = reference_check(_SCENARIO_KEY)(data, "scenario", out)
     if doc is INVALID:
         return out
-    budget = [MAX_STATEMENTS]
-    try:
-        main = reference_statements(doc["main"] or (), ("scenario", "main"), False,
-                                    budget, out)
-        handlers = {hname: reference_statements(body or (), (("scenario", "handlers"),
-                                                             hname), True, budget, out)
-                    for hname, body in (doc["handlers"] or {}).items()}
-    except ScenarioError as exc:
-        return exc.violations
+    main = reference_statements(doc["main"] or (), ("scenario", "main"), False, out)
+    handlers = {hname: reference_statements(body or (), (("scenario", "handlers"), hname),
+                                            True, out)
+                for hname, body in (doc["handlers"] or {}).items()}
     if out:
         return out
     return ScenarioScript(

@@ -24,7 +24,7 @@ from kernsim.errors import (
 )
 from kernsim.kernel import Kernel, ProcessState
 from kernsim.loader import pack_binary
-from kernsim.scenario import parse_script
+from kernsim.scenario import _walk, parse_script
 
 from conftest import (AWKWARD_NAMES, BOARDS_DIR, make_board, minimal_board_dict,
                       script_source, trace_events, uart_bytes)
@@ -1086,7 +1086,7 @@ def test_expect_logs_each_pattern_text_in_order(board):
         {"op": "loop", "count": 3,
          "body": [{"op": "expect", "pattern": p} for p in looped]}] +
         [{"op": "expect", "pattern": p} for p in distinct]})
-    for run, pattern, text in script.main:
+    for run, pattern, text in _walk(script.main):
         assert run(board.kernel, pcb, pattern, text) is False  # it never ends a quantum
     expects = [e.payload for e in trace_events(board) if e.kind == "expect"]
     assert [e["pattern"] for e in expects] == looped * 3 + distinct

@@ -1,5 +1,6 @@
 import copy
 import functools
+import json
 import os
 import re
 import subprocess
@@ -14,8 +15,8 @@ from kernsim import scenario as scenario_module
 from kernsim.abi import SYSCALL, SYSCALL_RECORDS, SyscallInvocation, YieldMode, call_text
 from kernsim.errors import Key, ScenarioError
 from kernsim.kernel import ProcessState
-from kernsim.scenario import STATEMENT, STATEMENTS, _expect, _halt, _relative_allow, \
-    _syscall, parse_script, parse_script_bytes
+from kernsim.scenario import MAX_STATEMENTS, PARSE_FRAMES, STATEMENT, STATEMENTS, \
+    _expect, _halt, _relative_allow, _syscall, _walk, parse_script, parse_script_bytes
 
 from conftest import BOARDS_DIR, SRC, make_board, script_source, trace_events
 
@@ -27,54 +28,149 @@ def test_parse_minimal_script():
     assert script.main == [(_halt, None, None)]
 
 
-def test_loops_unroll_at_parse():
+def test_a_loop_is_one_step_that_the_walk_repeats():
     script = parse_script({"main": [
         {"op": "loop", "count": 3, "body": [
             {"op": "syscall", "call": {"class": "command", "driver": 0,
                                        "cmd": 2}}]}]})
-    assert len(script.main) == 3
     inv = SyscallInvocation.command(0, 2)
-    assert script.main == [(_syscall, inv, call_text(inv))] * 3
-    assert len({id(step) for step in script.main}) == 1
+    assert script.main == [(None, [(_syscall, inv, call_text(inv))], 3)]
+    steps = list(_walk(script.main))
+    assert steps == [(_syscall, inv, call_text(inv))] * 3
+    assert len({id(step) for step in steps}) == 1
 
 
 def test_nested_loops_multiply():
     script = parse_script({"main": [
         {"op": "loop", "count": 4, "body": [
             {"op": "loop", "count": 5, "body": [{"op": "halt"}]}]}]})
-    assert len(script.main) == 20
+    assert len(script.main) == 1
+    assert list(_walk(script.main)) == [(_halt, None, None)] * 20
 
 
-def test_unroll_budget_enforced():
-    with pytest.raises(ScenarioError):
-        parse_script({"main": [
-            {"op": "loop", "count": 10 ** 6, "body": [{"op": "halt"}]}]})
+def test_a_loop_parses_to_one_step_whatever_its_count():
+    # What a loop repeats is bounded by the quantum that runs it, not at parse.
+    script = parse_script({"main": [
+        {"op": "loop", "count": 10 ** 9, "body": [{"op": "halt"}]}]})
+    assert script.main == [(None, [(_halt, None, None)], 10 ** 9)]
 
 
-def _nested_loops(depth: int) -> str:
-    """A script whose one statement is ``depth`` loops, each holding the
-    next, around a halt; written as text, since json.dumps recurses."""
-    return ('{"main":' + '[{"op":"loop","count":1,"body":' * depth +
-            '[{"op":"halt"}]' + '}]' * depth + '}')
+_HALT = '{"op":"halt"}'
+_NO_WAIT = '{"op":"syscall","call":{"class":"yield","mode":"no_wait"}}'
+_TICK_LIMIT = '"kind":"tick_limit","payload":{"max_ticks":10000}}'
 
 
-@pytest.mark.parametrize("depth, code", [(480, 0), (600, 2)])
-def test_loops_nested_near_the_recursion_limit_end_without_a_traceback(
-        tmp_path, depth, code):
-    # A loop level costs the reader two frames, as it costs JSON's decoder
-    # an object and a list, so a nest that decodes also reads; deeper ones
-    # are refused as not parsing.
-    app = tmp_path / "deep.json"
-    app.write_text(_nested_loops(depth))
-    proc = subprocess.run(
-        [sys.executable, "-m", "kernsim", "run", "--board",
-         str(BOARDS_DIR / "demo_sync.json"), "--app", str(app)],
+def _nested_loops(depth: int, count: int = 1, inner: str = _HALT) -> str:
+    """A script whose one statement is ``depth`` loops of ``count``, each
+    holding the next, around ``inner``; written as text, since json.dumps
+    recurses."""
+    return ('{"main":' + f'[{{"op":"loop","count":{count},"body":' * depth +
+            f'[{inner}]' + '}]' * depth + '}')
+
+
+def _kernsim(command, app, *extra):
+    """``kernsim command`` on the demo_sync board and ``app``."""
+    return subprocess.run(
+        [sys.executable, "-m", "kernsim", command, "--board",
+         str(BOARDS_DIR / "demo_sync.json"), "--app", str(app), *extra],
         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
         text=True, timeout=60)
+
+
+@pytest.mark.parametrize("depth, count, inner, code", [
+    (480, 1, _HALT, 0), (600, 1, _HALT, 2), (480, 2, _NO_WAIT, 0),
+    (1, 2 ** 64, _NO_WAIT, 0)], ids=["480-0", "600-2", "480_of_2-0", "1_of_2**64-0"])
+def test_loops_nested_near_the_recursion_limit_end_without_a_traceback(
+        tmp_path, depth, count, inner, code):
+    # A loop level costs the reader two frames, as it costs JSON's decoder
+    # an object and a list, so a nest that decodes also reads; deeper ones
+    # are refused as not parsing. A nest that parses runs in place, each
+    # pass to the yield at its bottom ending a quantum, until the tick limit.
+    app = tmp_path / "deep.json"
+    app.write_text(_nested_loops(depth, count, inner))
+    proc = _kernsim("run", app)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert ("scenario does not parse: maximum recursion depth exceeded"
             in proc.stderr) == (code == 2)
+    assert proc.stdout.endswith(_TICK_LIMIT + "\n") == (inner == _NO_WAIT)
+
+
+def _nested_pattern(depth: int) -> str:
+    """A script that expects a pattern nested ``depth`` objects deep."""
+    return ('{"main":[{"op":"expect","pattern":' + '{"a":' * depth + '0' +
+            '}' * depth + '},{"op":"halt"}]}')
+
+
+@pytest.mark.parametrize("nest, depths", [
+    (_nested_loops, range(PARSE_FRAMES // 2 - 6, PARSE_FRAMES // 2)),
+    (_nested_pattern, range(PARSE_FRAMES - 11, PARSE_FRAMES - 5))],
+    ids=["loops", "pattern"])
+def test_check_passes_only_what_run_parses_across_the_recursion_boundary(
+        tmp_path, nest, depths):
+    # check and run parse from stacks of different depths; the nesting a
+    # parse takes is fixed relative to its own frame, so both draw the
+    # boundary at the same depth.
+    app = tmp_path / "deep.json"
+    passed = []
+    for depth in depths:
+        app.write_text(nest(depth))
+        checked, ran = _kernsim("check", app), _kernsim("run", app)
+        assert checked.returncode in (0, 2) and "Traceback" not in ran.stderr
+        assert checked.returncode == 2 or ran.returncode != 2, (depth, ran.stderr)
+        passed.append(checked.returncode == 0)
+    assert passed[0] and not passed[-1]  # the depths cross the boundary
+
+
+def test_a_loop_of_expects_that_never_ends_its_quantum_faults_at_the_bound(tmp_path):
+    app = tmp_path / "spin.json"
+    app.write_text(json.dumps({"main": [{"op": "loop", "count": 2 ** 64, "body": [
+        {"op": "expect", "pattern": {}}]}]}))
+    trace = tmp_path / "trace.jsonl"
+    proc = _kernsim("run", app, "--trace", str(trace))
+    assert proc.returncode == 1, proc.stderr  # the expects see no return
+    lines = trace.read_text().splitlines()
+    assert sum('"kind":"expect"' in line for line in lines) == MAX_STATEMENTS
+    assert lines[-2].endswith(
+        '"kind":"process_state","payload":{"pid":1,"state":"faulted",'
+        f'"reason":"ran {MAX_STATEMENTS} statements without a system call"}}}}')
+    assert lines[-1].endswith('"kind":"quiescent","payload":{}}')
+
+
+def test_a_quantum_runs_max_statements_whole_and_one_more_faults(monkeypatch):
+    monkeypatch.setattr(scenario_module, "MAX_STATEMENTS", 5)
+    board = make_board()
+
+    def expects(count):
+        return {"op": "loop", "count": count, "body": [{"op": "expect", "pattern": {}}]}
+    no_wait = _call("yield", mode="no_wait")
+    board.load_app(script_source([no_wait, expects(4), no_wait, expects(5), no_wait,
+                                  {"op": "halt"}]))
+    assert board.run(100) == 0
+    events = [e for e in trace_events(board) if e.actor == "process:1"
+              or e.kind == "process_state"]
+    assert [e.kind for e in events if e.kind != "syscall_return"] == [
+        "process_state", "syscall", *["expect"] * 4, "syscall", *["expect"] * 5,
+        "process_state"]
+    assert events[-1].payload == {"pid": 1, "state": "faulted",
+                                  "reason": "ran 5 statements without a system call"}
+
+
+@pytest.mark.parametrize("count", [5, 2 ** 64])
+def test_a_handler_run_past_the_bound_faults_its_process(monkeypatch, count):
+    monkeypatch.setattr(scenario_module, "MAX_STATEMENTS", 5)
+    board = make_board()
+    main = [{"op": "sync_command", "driver": 0, "cmd": 1, "args": [3, 0],
+             "fn": "on_alarm"}, {"op": "halt"}]
+    handlers = {"on_alarm": [{"op": "loop", "count": count, "body": [
+        {"op": "read_local", "offset": 0, "len": 1}]}]}
+    board.load_app(script_source(main, handlers, 256))
+    assert board.run(100) == 0
+    events = trace_events(board)
+    assert [e.kind for e in events if e.actor == "process:1"].count("mem_access") == 5
+    assert [e.payload for e in events if e.kind == "process_state"][-1] == (
+        {"pid": 1, "state": "exited", "reason": "halt"} if count == 5 else
+        {"pid": 1, "state": "faulted", "reason": "handler ran 5 statements"})
 
 
 def test_a_recursion_error_anywhere_in_the_parse_is_a_scenario_error(monkeypatch):
@@ -88,9 +184,17 @@ def test_a_recursion_error_anywhere_in_the_parse_is_a_scenario_error(monkeypatch
         "scenario does not parse: maximum recursion depth exceeded"]
 
 
-def test_empty_loop_body_unrolls_to_nothing_whatever_the_count():
-    script = parse_script({"main": [{"op": "loop", "count": 2 ** 80, "body": []},
-                                    {"op": "halt"}]})
+@pytest.mark.parametrize("loop", [
+    {"op": "loop", "count": 2 ** 80, "body": []},
+    {"op": "loop", "count": 2 ** 80, "body": [
+        {"op": "loop", "count": 0, "body": [{"op": "halt"}]}]},
+    {"op": "loop", "count": 2 ** 80, "body": [
+        {"op": "loop", "count": 2 ** 80, "body": []}]},
+], ids=["empty", "count_0_inside", "empty_inside"])
+def test_empty_loop_body_unrolls_to_nothing_whatever_the_count(loop):
+    # A loop whose passes would run no statement adds no step: the quantum
+    # bound counts statements, so such a pass would spin unseen.
+    script = parse_script({"main": [loop, {"op": "halt"}]})
     assert script.main == [(_halt, None, None)]
 
 
@@ -108,8 +212,9 @@ def test_sync_command_macro_expands_to_four_calls():
     looped = parse_script({"main": [{"op": "loop", "count": 2, "body": [
         {"op": "sync_command", "driver": 0, "cmd": 1, "args": [500, 0],
          "fn": "on_alarm"}]}], "handlers": {"on_alarm": []}})
-    assert looped.main == [(run, inv, call_text(inv) if run is _syscall else text)
-                           for run, inv, text in script.main] * 2
+    assert list(_walk(looped.main)) == [
+        (run, inv, call_text(inv) if run is _syscall else text)
+        for run, inv, text in script.main] * 2
 
 
 def _call(klass, **record):
@@ -129,10 +234,12 @@ def test_a_looped_call_holds_its_text_and_an_unlooped_one_none():
     subscribe = SyscallInvocation.subscribe(0, 1, "h", 7)
     body = [(_syscall, command, call_text(command)),
             (_syscall, subscribe, call_text(subscribe)), (_halt, None, None)]
-    assert script.main == [(_syscall, command, None), *body, *body,
+    assert script.main == [(_syscall, command, None), (None, body, 2),
                            (_syscall, SyscallInvocation.yield_(YieldMode.NO_WAIT),
                             None)]
-    assert script.main[1] is script.main[4]
+    steps = list(_walk(script.main))
+    assert steps == [(_syscall, command, None), *body, *body, steps[-1]]
+    assert steps[1] is steps[4]
 
 
 def test_nested_loops_bind_each_call_once():
@@ -140,14 +247,14 @@ def test_nested_loops_bind_each_call_once():
         _call("exit"),
         {"op": "loop", "count": 2, "body": [_call("command", driver=4, cmd=5)]},
         {"op": "loop", "count": 1, "body": [_call("yield")]}]}]})
-    steps = script.main
+    steps = list(_walk(script.main))
     assert len(steps) == 12
     assert [text for _, _, text in steps] == [
         '{"call":{"class":"exit"}}',
         *['{"call":{"class":"command","driver":4,"cmd":5,"args":[0,0]}}'] * 2,
         '{"call":{"class":"yield","mode":"wait"}}'] * 3
     # The inner loop's step was bound once, by the inner loop, and every
-    # unrolled copy of either loop shares it, as the outer body's do.
+    # pass of either loop runs it, as the outer body's are run.
     assert len({id(step) for step in steps}) == 3
 
 
@@ -157,8 +264,8 @@ def test_an_absolute_allow_in_a_loop_is_bound_and_a_relative_one_is_not():
         _call("ro_allow", driver=2, buf=1, base=8, len=4, seg="flash")]}]})
     absolute = SyscallInvocation.rw_allow(2, 0, 12345, 4)
     relative = SyscallInvocation.ro_allow(2, 1, 8, 4)
-    assert script.main == [(_syscall, absolute, call_text(absolute)),
-                           (_relative_allow, relative, "flash")] * 2
+    assert list(_walk(script.main)) == [(_syscall, absolute, call_text(absolute)),
+                                        (_relative_allow, relative, "flash")] * 2
 
 
 @pytest.mark.parametrize("key", ["driver", "cmd", "sub", "userdata"])
@@ -401,7 +508,7 @@ def test_allow_in_a_loop_resolves_against_each_running_process(monkeypatch):
     board.load_app(source)
     assert board.run(100) == 0
     first, second = board.kernel.processes[1], board.kernel.processes[2]
-    assert first.program.steps is second.program.steps
+    assert first.program.handlers is second.program.handlers
     assert first.ram.base != second.ram.base
     assert first.flash.base != second.flash.base
     for pcb in (first, second):
@@ -411,8 +518,9 @@ def test_allow_in_a_loop_resolves_against_each_running_process(monkeypatch):
                   and "base" in e.payload["call"]]
         assert allows == [("rw_allow", pcb.ram.base + 16),
                           ("ro_allow", pcb.flash.base + 4)] * 3
-    body = first.program.steps[:2]
-    assert first.program.steps[:6] == body * 3
+    steps = list(_walk(cached(source).main))
+    body = steps[:2]
+    assert steps[:6] == body * 3
     assert [(seg, inv.base) for _, inv, seg in body] == [("ram", 16), ("flash", 4)]
 
 

@@ -25,7 +25,7 @@ from kernsim.cli import main as cli_main
 from kernsim.errors import Key
 from kernsim.loader import pack_binary
 from kernsim.scenario import SCENARIO as SCENARIO_SCHEMA
-from kernsim.scenario import STATEMENTS, parse_script_bytes
+from kernsim.scenario import STATEMENTS, _walk, parse_script_bytes
 
 from conftest import BOARDS_DIR, make_board, schema_fields, script_source, set_field, \
     trace_events
@@ -270,7 +270,7 @@ def _run_twice_loaded(monkeypatch, source):
 @pytest.mark.parametrize("seed", range(16))
 def test_a_call_text_bound_at_parse_moves_no_trace_byte(monkeypatch, seed):
     source = _looped_script(seed)
-    steps = parse_script_bytes(source).main
+    steps = _walk(parse_script_bytes(source).main)
     assert any(text is not None for _, _, text in steps)
     bound, board = _run_twice_loaded(monkeypatch, source)
     # The kernel builds every call's text from the call it dispatches.

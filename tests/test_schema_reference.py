@@ -17,7 +17,7 @@ from kernsim.abi import SYSCALL
 from kernsim.board import _BOARD
 from kernsim.errors import Key, ScenarioError
 from kernsim.regmap import _REGISTER_MAP
-from kernsim.scenario import MAX_STATEMENTS, STATEMENT, _parse_statements, parse_script
+from kernsim.scenario import STATEMENT, _parse_statements, parse_script
 from kernsim.scenario import SCENARIO as SCENARIO_SCHEMA
 
 from oracles import reference_check, reference_parse_script, reference_statements
@@ -81,13 +81,9 @@ def _parsed(parse, *args):
 
 
 def _statements(parse, raw_list, in_handler):
-    """The steps, violations and unspent budget of one statement list."""
-    out, budget = [], [MAX_STATEMENTS]
-    try:
-        steps = parse(raw_list, ("scenario", "main"), in_handler, budget, out)
-    except ScenarioError as exc:
-        return exc.violations
-    return steps, out, budget
+    """The steps and violations of one statement list."""
+    out = []
+    return parse(raw_list, ("scenario", "main"), in_handler, out), out
 
 
 def _agree(key, value, root):
