@@ -4,7 +4,9 @@ One object owns everything that runs: syscall dispatch with swap
 semantics, grant allocation inside process memory, per-process upcall
 queues, the round-robin scheduler, process lifecycle, and the process
 loader, one state machine that checks each binary once, synchronously or
-on the hash engine's interrupt. Capsules interact with it only through the
+on the hash engine's interrupt. A process's image and RAM are placed first
+fit in the memory the live processes leave, so they are free again once it
+exits or faults. Capsules interact with it only through the
 :class:`CapsuleServices` facade they are handed at registration, which
 charges their step budget and never exposes storable handles.
 
@@ -170,40 +172,20 @@ class ProcessControlBlock:
         return self.state in LIVE_STATES
 
 
-class CarveAllocator:
-    """First-fit allocator for process carve-outs in board RAM."""
-
-    def __init__(self, total: int):
-        self._free: List[Tuple[int, int]] = [(0, total)]
-
-    def _pad(self, size: int) -> int:
-        return (size + CARVE_ALIGN - 1) // CARVE_ALIGN * CARVE_ALIGN
-
-    def allocate(self, size: int) -> Optional[int]:
-        if size == 0:
-            return 0
-        padded = self._pad(size)
-        for i, (base, length) in enumerate(self._free):
-            if length >= padded:
-                if length == padded:
-                    del self._free[i]
-                else:
-                    self._free[i] = (base + padded, length - padded)
-                return base
-        return None
-
-    def release(self, base: int, size: int) -> None:
-        """Free ``size`` bytes, never 0: a program image is a parsed script,
-        and a process's RAM is released only if it has some."""
-        self._free.append((base, self._pad(size)))
-        self._free.sort()
-        merged: List[Tuple[int, int]] = []
-        for start, length in self._free:
-            if merged and merged[-1][0] + merged[-1][1] == start:
-                merged[-1] = (merged[-1][0], merged[-1][1] + length)
-            else:
-                merged.append((start, length))
-        self._free = merged
+def _first_fit(taken: List[Tuple[int, int]], size: int) -> Optional[int]:
+    """The lowest multiple of CARVE_ALIGN from which ``size`` bytes fit
+    before the next of ``taken``, the sorted ``[start, stop)`` blocks that
+    end in an empty one at the aligned top of memory; the block placed joins
+    ``taken``. None if none fits; a size of 0 gets base 0 and takes nothing."""
+    if not size:
+        return 0
+    base = 0
+    for i, (start, stop) in enumerate(taken):
+        if start - base >= size:
+            taken.insert(i, (base, base + size))
+            return base
+        base = -(-stop // CARVE_ALIGN) * CARVE_ALIGN
+    return None
 
 
 # --- scoped views handed to capsules ---------------------------------------------
@@ -439,7 +421,6 @@ class Kernel:
         self.drivers: Dict[int, Any] = {}
         self._frames: List[List[Any]] = []
         self._grant_entries: set = set()
-        self.allocator = CarveAllocator(memory.total_size)
         self.loader = ProcessLoader(self, loader, verifier_policy, trusted_key_ids)
         self.expect_failures = 0
 
@@ -489,7 +470,9 @@ class Kernel:
                            name: str, script: Optional[ScenarioScript] = None):
         """Runnability stage: returns (pid, None, "") or
         (None, reject_reason, detail). The payload is parsed unless the
-        script parsed from it is given."""
+        script parsed from it is given. The image, then the RAM, goes first
+        fit in the memory the live processes leave, each padded to
+        CARVE_ALIGN."""
         if script is None:
             try:
                 script = parse_script_bytes(payload, name)
@@ -501,12 +484,14 @@ class Kernel:
         if len(self._live) >= self.max_processes:
             return None, RejectReason.NO_ROOM, \
                 f"max_processes reached: {self.max_processes} processes are live"
-        flash_base = self.allocator.allocate(len(payload))
+        top = self.memory.total_size // CARVE_ALIGN * CARVE_ALIGN
+        taken = sorted([(r.base, r.end) for pcb in self._live
+                        for r in (pcb.flash, pcb.ram) if r.length] + [(top, top)])
+        flash_base = _first_fit(taken, len(payload))
         if flash_base is None:
             return None, RejectReason.NO_ROOM, "no room for program image"
-        ram_base = self.allocator.allocate(header.min_memory)
+        ram_base = _first_fit(taken, header.min_memory)
         if ram_base is None:
-            self.allocator.release(flash_base, len(payload))
             return None, RejectReason.NO_ROOM, \
                 f"no room for {header.min_memory} bytes of process memory"
 
@@ -818,10 +803,7 @@ class Kernel:
         pcb.upcall_slots.clear()
         pcb.upcall_queue.clear()
         pcb.grants.clear()
-        self._live.remove(pcb)
-        if pcb.ram.length:
-            self.allocator.release(pcb.ram.base, pcb.ram.length)
-        self.allocator.release(pcb.flash.base, pcb.flash.length)
+        self._live.remove(pcb)  # its memory is free from here on
         self._set_state(pcb, state, reason)
         # Let every capsule drop in-flight references to this process.
         for capsule in self.capsules:

@@ -208,9 +208,10 @@ class RegisterFile:
     ``disarm``); capsules never hold a register file. The hardware side
     (``AlarmHw``, ``UartHw``, ``HashEngineHw``) indexes :attr:`values`
     (register value by byte offset) with offsets and masks it resolved
-    once, bypassing the access matrix and write hooks. Of the name-keyed ``hw_*`` accessors, only tests call
-    :meth:`hw_get` and nothing calls the rest; they stay until ROADMAP
-    item 6 removes them, because the benchmark wraps them by name.
+    once, bypassing the access matrix and write hooks. Of the name-keyed
+    ``hw_*`` accessors, only tests call :meth:`hw_get` and nothing calls
+    the rest; they stay until ROADMAP item 6 removes them, because the
+    benchmark wraps them by name.
     """
 
     def __init__(self, spec: RegisterMapSpec,

@@ -236,15 +236,24 @@ def parse_script_bytes(blob: bytes, name: str = "app") -> ScenarioScript:
     return script
 
 
+def _repeat(body: List[Step], count: int) -> Iterator[Step]:
+    for _ in range(count):
+        yield from body
+
+
 def _walk(steps: List[Step]) -> Iterator[Step]:
     """The statements ``steps`` run, in order: a loop's step ``(None, body,
-    count)`` runs its body count times, and a body is never empty."""
-    for step in steps:
-        if step[0] is None:
-            for _ in range(step[2]):
-                yield from _walk(step[1])
-        else:
+    count)`` runs its body, never empty, count times. The loops being
+    walked are kept on a list, so nesting them takes no frames."""
+    walking = [iter(steps)]
+    while walking:
+        for step in walking[-1]:
+            if step[0] is None:
+                walking.append(_repeat(step[1], step[2]))
+                break
             yield step
+        else:
+            walking.pop()
 
 
 class ProcessProgram:

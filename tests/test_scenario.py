@@ -96,6 +96,29 @@ def test_loops_nested_near_the_recursion_limit_end_without_a_traceback(
     assert proc.stdout.endswith(_TICK_LIMIT + "\n") == (inner == _NO_WAIT)
 
 
+def _from_depth(frames: int, call):
+    """``call()`` run ``frames`` frames below this one."""
+    return call() if frames == 0 else _from_depth(frames - 1, call)
+
+
+@pytest.mark.parametrize("frames", [100, 400, 520, 700])
+def test_a_deep_loop_nest_runs_wherever_the_caller_stands(frames):
+    # The walk keeps the loops it is in on a list, so the frames it takes
+    # do not grow with their nesting: 480 levels run under a caller 700
+    # frames deep, where one frame a level would pass the recursion limit.
+    board = board_module.Board(board_module.BoardConfig.from_file(
+        BOARDS_DIR / "demo_sync.json"))
+
+    def load_and_run():
+        board.load_app(_nested_loops(480, 2, _NO_WAIT).encode())
+        return board.run(50)
+
+    assert _from_depth(frames, load_and_run) == 0
+    events = trace_events(board)
+    assert events[-1].kind == "tick_limit"
+    assert sum(e.kind == "syscall" for e in events) > 1
+
+
 def _nested_pattern(depth: int) -> str:
     """A script that expects a pattern nested ``depth`` objects deep."""
     return ('{"main":[{"op":"expect","pattern":' + '{"a":' * depth + '0' +
