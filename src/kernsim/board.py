@@ -35,7 +35,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, TextIO
 
-from .capabilities import BoardPhase, CapabilityKind, CapabilityRegistry
+from .capabilities import CapabilityKind, CapabilityRegistry
 from .capsules import CAPSULE_TYPES, validate_composition
 from .errors import INVALID, ConfigError, Key, Schema, SimulationDiagnostic, SpecError
 from .hw import AlarmHw, Chip, HashEngineHw, InterruptController, UartHw
@@ -341,10 +341,10 @@ class Board:
     # -- the run loop ------------------------------------------------------------
 
     def run(self, max_ticks: int = DEFAULT_MAX_TICKS) -> int:
-        if self.registry.phase is BoardPhase.BUILDING:
+        if not self.registry.finalized:
             self.finalize()
         kernel, chip = self.kernel, self.chip
-        clock, irqc = chip.clock, chip.irqc
+        clock = chip.clock
         try:
             while True:
                 progressed = kernel.loop_step()
@@ -356,7 +356,7 @@ class Board:
                     self.trace.log(ACTOR_KERNEL, K_TICK_LIMIT,
                                    {"max_ticks": max_ticks})
                     break
-                if progressed or irqc.any_pending():
+                if progressed:
                     chip.tick(1)
                 else:
                     gap = chip.ticks_until_event()

@@ -1,16 +1,16 @@
 """Unforgeable privilege tokens minted only during board construction.
 
-A token carries nothing but its kind and the identity of the board that
-minted it. Sensitive kernel operations demand a token of the right kind
-from the right board; code that was never handed one simply cannot
-express the call.
+A token carries nothing but its kind, and is valid only as the very
+object its board minted: one built by hand, copied or minted by another
+board is refused. Sensitive kernel operations demand a token of the
+right kind; code that was never handed one simply cannot express the call.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import Dict
 from .errors import ForeignCapability, PhaseError, WrongKind
 from .trace import ACTOR_KERNEL, K_CAP_MINTED, TraceLog
 
@@ -20,46 +20,36 @@ class CapabilityKind(str, Enum):
     LOADER_CONTROL = "LoaderControl"
 
 
-class BoardPhase(Enum):
-    BUILDING = "building"
-    FINALIZED = "finalized"
-
-
-_receipts = itertools.count(1)
-
-
 @dataclass(frozen=True, eq=False)
 class CapabilityToken:
     kind: CapabilityKind
-    board_receipt: int = field(repr=False)
 
 
 class CapabilityRegistry:
-    """Per-board mint: tracks the phase and logs every (kind, holder)
-    granted."""
+    """Per-board mint: holds the tokens it minted, keyed by ``id`` so that
+    any object can be looked up, and logs every (kind, holder) granted."""
 
     def __init__(self, trace: TraceLog):
-        self.receipt = next(_receipts)
-        self.phase = BoardPhase.BUILDING
+        self.finalized = False
         self.trace = trace
+        self._minted: Dict[int, CapabilityToken] = {}
 
     def mint(self, kind: CapabilityKind, holder: str) -> CapabilityToken:
-        if self.phase is not BoardPhase.BUILDING:
+        if self.finalized:
             raise PhaseError("capabilities can only be minted while building")
-        token = CapabilityToken(kind, self.receipt)
+        token = CapabilityToken(kind)
+        self._minted[id(token)] = token
         self.trace.log(ACTOR_KERNEL, K_CAP_MINTED,
                        {"kind": kind.value, "holder": holder})
         return token
 
     def finalize(self) -> None:
-        if self.phase is not BoardPhase.BUILDING:
+        if self.finalized:
             raise PhaseError("board already finalized")
-        self.phase = BoardPhase.FINALIZED
+        self.finalized = True
 
-    def validate(self, token: CapabilityToken, kind: CapabilityKind) -> None:
-        if not isinstance(token, CapabilityToken):
-            raise WrongKind(f"not a capability token: {token!r}")
-        if token.board_receipt != self.receipt:
-            raise ForeignCapability("token was minted by a different board")
+    def validate(self, token, kind: CapabilityKind) -> None:
+        if self._minted.get(id(token)) is not token:
+            raise ForeignCapability("token was not minted by this board")
         if token.kind is not kind:
             raise WrongKind(f"need {kind.value}, got {token.kind.value}")

@@ -362,7 +362,7 @@ class PhaseError(KernsimError):
 
 
 class ForeignCapability(KernsimError):
-    """Token was minted by a different board instance."""
+    """The object given as a token is not one this board minted."""
 
 
 class WrongKind(KernsimError):

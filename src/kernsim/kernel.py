@@ -46,7 +46,7 @@ from .abi import (
     encode_return,
     match_return,
 )
-from .capabilities import BoardPhase, CapabilityKind, CapabilityRegistry
+from .capabilities import CapabilityKind, CapabilityRegistry
 from .errors import (
     AccessDenied,
     CapsuleBudgetExceeded,
@@ -121,7 +121,6 @@ _UNSTARTED, _RUNNING, _YIELDED_WAIT = LIVE_STATES = (
     ProcessState.UNSTARTED, ProcessState.RUNNING, ProcessState.YIELDED_WAIT)
 _SUBSCRIBE, _COMMAND, _YIELD, _NO_WAIT = (SyscallClass.SUBSCRIBE, SyscallClass.COMMAND,
                                           SyscallClass.YIELD, YieldMode.NO_WAIT)
-_FINALIZED = BoardPhase.FINALIZED
 # A yield's returns and texts: success, and no_wait's 1 (ran an upcall) and 0.
 _SUCCESS, _RAN_UPCALL, _NONE_QUEUED = ((ret, encode_return(ret)) for ret in (
     SyscallReturn.success(), SyscallReturn.success_value(1), SyscallReturn.success_value(0)))
@@ -831,8 +830,9 @@ class Kernel:
     def loop_step(self) -> bool:
         """One kernel loop iteration: service interrupts, then give every
         schedulable process one syscall-or-upcall quantum, in pid order.
-        Returns False when there was nothing at all to do."""
-        if self.registry.phase is not _FINALIZED:
+        Returns False when there was nothing at all to do: no line was
+        pending and no code ran, so none is pending after it either."""
+        if not self.registry.finalized:
             raise PhaseError("the kernel loop only runs on a finalized board")
         progressed = self.chip.irqc.service() > 0
         # A snapshot: a process created during this step first runs in the

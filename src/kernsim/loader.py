@@ -34,6 +34,8 @@ VERSION = 2
 _FIXED = struct.Struct("<4sHHII")
 _NAME_LEN = struct.Struct("<H")
 _CREDENTIAL = struct.Struct("<QH")
+# The longest entry name whose header_len still fits its u16.
+MAX_ENTRY_BYTES = 0xFFFF - _FIXED.size - _NAME_LEN.size - _CREDENTIAL.size
 
 
 def fnv1a64(data: bytes) -> int:

@@ -28,6 +28,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 from .abi import ARGS, REGISTER, SYSCALL, U32_MAX, SyscallClass, \
     SyscallInvocation, YieldMode, call_text
 from .errors import INVALID, Key, Schema, ScenarioError, where
+from .loader import MAX_ENTRY_BYTES
 from .trace import encode_json
 
 MAX_STATEMENTS = 200_000  # the most one quantum, or one handler run, runs
@@ -108,7 +109,7 @@ STATEMENTS: Dict[str, Schema] = {
 SCENARIO: Schema = {
     "name": Key(str),
     "min_memory": Key(int, 0, U32_MAX, DEFAULT_MIN_MEMORY),
-    "entry": Key(str, hi=0xFFFF, default="main"),
+    "entry": Key(str, hi=MAX_ENTRY_BYTES, default="main"),
     "credential": Key({"digest": Key(int, 0, (1 << 64) - 1, null=True),
                        "key_id": Key(int, 0, 0xFFFF, 0)}, default={}),
     "main": Key(list, default=()),

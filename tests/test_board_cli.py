@@ -478,6 +478,25 @@ def test_single_mpu_region_is_exit_2_at_check_and_run(tmp_path, capsys):
         events[0]["payload"]["violation"]
 
 
+@pytest.mark.parametrize("length, code", [(65_507, 0), (65_508, 2)])
+def test_an_entry_name_is_bounded_by_the_header_it_packs_into(tmp_path, capsys,
+                                                              length, code):
+    # header_len is a u16 and holds 28 bytes besides the entry name.
+    board_path = str(BOARDS_DIR / "demo_sync.json")
+    app = tmp_path / "app.json"
+    app.write_text(json.dumps({"name": "app", "entry": "e" * length,
+                               "main": [{"op": "halt"}]}))
+    trace_path = tmp_path / "t.jsonl"
+    assert cli_main(["check", "--board", board_path, "--app", str(app)]) == code
+    assert cli_main(["run", "--board", board_path, "--app", str(app),
+                     "--trace", str(trace_path)]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    events = parse_trace(trace_path.read_bytes())
+    refused = [e["payload"]["violation"] for e in events if e["kind"] == "config_error"]
+    assert [v.startswith("entry must be a string of at most 65507 UTF-8 bytes")
+            for v in refused] == [True] * (code == 2)
+
+
 def test_two_mpu_regions_are_enough(tmp_path):
     board_path, app = _mpu_board_and_app(tmp_path, 2)
     assert cli_main(["check", "--board", board_path]) == 0

@@ -1,10 +1,12 @@
+import copy
+
 import pytest
 
 from kernsim.abi import ErrorCode, SyscallInvocation, SyscallReturn
 from kernsim.capabilities import (
-    BoardPhase,
     CapabilityKind,
     CapabilityRegistry,
+    CapabilityToken,
 )
 from kernsim.errors import (
     ForeignCapability,
@@ -13,6 +15,7 @@ from kernsim.errors import (
     WrongKind,
 )
 from kernsim.kernel import ProcessState
+from kernsim.loader import pack_binary
 
 from conftest import (make_board, minimal_board_dict, script_source,
                       trace_events)
@@ -25,7 +28,7 @@ def test_mint_during_building_then_refused_after_finalize():
     token = registry.mint(CapabilityKind.PROCESS_MANAGEMENT, "holder")
     assert token.kind is CapabilityKind.PROCESS_MANAGEMENT
     registry.finalize()
-    assert registry.phase is BoardPhase.FINALIZED
+    assert registry.finalized
     with pytest.raises(PhaseError):
         registry.mint(CapabilityKind.PROCESS_MANAGEMENT, "holder")
 
@@ -55,7 +58,7 @@ def test_wrong_kind_rejected():
 def test_tokens_carry_nothing_but_kind_and_receipt():
     registry = CapabilityRegistry(TraceLog())
     token = registry.mint(CapabilityKind.LOADER_CONTROL, "x")
-    assert set(token.__dataclass_fields__) == {"kind", "board_receipt"}
+    assert set(token.__dataclass_fields__) == {"kind"}
 
 
 def test_process_destroy_with_valid_token(board):
@@ -80,6 +83,29 @@ def test_foreign_token_rejected_by_kernel(board):
     pid = board.load_app(script_source([], {}, 256)).pid
     with pytest.raises(ForeignCapability):
         board.kernel.process_destroy(foreign, pid)
+
+
+FORGERIES = {
+    "hand_built": lambda kind, board: CapabilityToken(kind),
+    "copied": lambda kind, board: copy.copy(board.registry.mint(kind, "x")),
+    "not_a_token": lambda kind, board: [kind],
+    "other_board": lambda kind, board: make_board().registry.mint(kind, "x"),
+}
+
+
+@pytest.mark.parametrize("forgery", sorted(FORGERIES))
+def test_only_the_minted_object_is_a_capability(board, forgery):
+    victim = board.load_app(script_source([], {}, 256)).pid
+    destroy = FORGERIES[forgery](CapabilityKind.PROCESS_MANAGEMENT, board)
+    load = FORGERIES[forgery](CapabilityKind.LOADER_CONTROL, board)
+    binary = pack_binary(script_source([], {}, 256), 256)
+    privileged = [e for e in trace_events(board) if e.kind == "privileged_op"]
+    with pytest.raises(ForeignCapability):
+        board.kernel.process_destroy(destroy, victim)
+    with pytest.raises(ForeignCapability):
+        board.kernel.loader.submit(load, binary, "forged")
+    assert board.kernel.processes[victim].state is ProcessState.UNSTARTED
+    assert [e for e in trace_events(board) if e.kind == "privileged_op"] == privileged
 
 
 def test_mint_after_finalize_fails_on_a_real_board(board):

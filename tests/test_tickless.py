@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from kernsim.board import DEFAULT_MAX_TICKS, Board, BoardConfig
+from kernsim.kernel import Kernel
 
 from conftest import BOARDS_DIR, SCENARIOS_DIR, minimal_board_dict, script_source
 from oracles import RING, run_per_tick
@@ -48,18 +49,53 @@ def _assert_same(make_board, sources, max_ticks):
     return code, trace
 
 
-@pytest.mark.parametrize("board_name", ["demo.json", "demo_sync.json"])
-@pytest.mark.parametrize("apps", [[s] for s in SCENARIOS] + GROUPS,
-                         ids=lambda apps: "all" if apps is SCENARIOS
-                         else "+".join(a[:-5] for a in apps))
-def test_shipped_scenarios_match_per_tick_stepper(board_name, apps):
+def _shipped(board_name, apps):
+    """A shipped demo board's config, and the named shipped scenarios."""
     data = json.loads((BOARDS_DIR / board_name).read_text(encoding="utf-8"))
     if apps is SCENARIOS and board_name == "demo_sync.json":
         # Synchronous loading makes all 14 scenarios live at once.
         data["max_processes"] = len(SCENARIOS)
     config = BoardConfig.from_dict(data, BOARDS_DIR)
-    sources = [(a[:-5], (SCENARIOS_DIR / a).read_bytes()) for a in apps]
+    return config, [(a[:-5], (SCENARIOS_DIR / a).read_bytes()) for a in apps]
+
+
+SHIPPED = pytest.mark.parametrize("apps", [[s] for s in SCENARIOS] + GROUPS,
+                                  ids=lambda apps: "all" if apps is SCENARIOS
+                                  else "+".join(a[:-5] for a in apps))
+DEMO_BOARDS = pytest.mark.parametrize("board_name", ["demo.json", "demo_sync.json"])
+
+
+@DEMO_BOARDS
+@SHIPPED
+def test_shipped_scenarios_match_per_tick_stepper(board_name, apps):
+    config, sources = _shipped(board_name, apps)
     _assert_same(lambda: Board(config), sources, DEFAULT_MAX_TICKS)
+
+
+@DEMO_BOARDS
+@SHIPPED
+def test_a_step_that_does_nothing_leaves_no_interrupt_pending(board_name, apps,
+                                                               monkeypatch):
+    # Board.run sleeps to the next event after such a step without testing
+    # for a pending interrupt.
+    pending_after_idle = []
+    step = Kernel.loop_step
+
+    def checked_step(kernel):
+        progressed = step(kernel)
+        if not progressed:
+            pending_after_idle.append(kernel.chip.irqc.any_pending())
+        return progressed
+
+    monkeypatch.setattr(Kernel, "loop_step", checked_step)
+    config, sources = _shipped(board_name, apps)
+    board = Board(config)
+    for name, source in sources:
+        board.load_app(source, name)
+    board.run()
+    assert not any(pending_after_idle)
+    if apps is SCENARIOS:  # not every scenario sleeps, but the whole set does
+        assert pending_after_idle
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS["GENERATORS"]))
