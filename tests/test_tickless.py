@@ -49,35 +49,13 @@ def _assert_same(make_board, sources, max_ticks):
     return code, trace
 
 
-def _shipped(board_name, apps):
-    """A shipped demo board's config, and the named shipped scenarios."""
-    data = json.loads((BOARDS_DIR / board_name).read_text(encoding="utf-8"))
-    if apps is SCENARIOS and board_name == "demo_sync.json":
-        # Synchronous loading makes all 14 scenarios live at once.
-        data["max_processes"] = len(SCENARIOS)
-    config = BoardConfig.from_dict(data, BOARDS_DIR)
-    return config, [(a[:-5], (SCENARIOS_DIR / a).read_bytes()) for a in apps]
-
-
-SHIPPED = pytest.mark.parametrize("apps", [[s] for s in SCENARIOS] + GROUPS,
-                                  ids=lambda apps: "all" if apps is SCENARIOS
-                                  else "+".join(a[:-5] for a in apps))
-DEMO_BOARDS = pytest.mark.parametrize("board_name", ["demo.json", "demo_sync.json"])
-
-
-@DEMO_BOARDS
-@SHIPPED
-def test_shipped_scenarios_match_per_tick_stepper(board_name, apps):
-    config, sources = _shipped(board_name, apps)
-    _assert_same(lambda: Board(config), sources, DEFAULT_MAX_TICKS)
-
-
-@DEMO_BOARDS
-@SHIPPED
-def test_a_step_that_does_nothing_leaves_no_interrupt_pending(board_name, apps,
-                                                               monkeypatch):
-    # Board.run sleeps to the next event after such a step without testing
-    # for a pending interrupt.
+@pytest.mark.parametrize("board_name", ["demo.json", "demo_sync.json"])
+@pytest.mark.parametrize("apps", [[s] for s in SCENARIOS] + GROUPS,
+                         ids=lambda apps: "all" if apps is SCENARIOS
+                         else "+".join(a[:-5] for a in apps))
+def test_shipped_scenarios_match_per_tick_stepper(board_name, apps, monkeypatch):
+    # Board.run sleeps to the next event after a step that does nothing,
+    # without testing for a pending interrupt: none may be left.
     pending_after_idle = []
     step = Kernel.loop_step
 
@@ -88,11 +66,13 @@ def test_a_step_that_does_nothing_leaves_no_interrupt_pending(board_name, apps,
         return progressed
 
     monkeypatch.setattr(Kernel, "loop_step", checked_step)
-    config, sources = _shipped(board_name, apps)
-    board = Board(config)
-    for name, source in sources:
-        board.load_app(source, name)
-    board.run()
+    data = json.loads((BOARDS_DIR / board_name).read_text(encoding="utf-8"))
+    if apps is SCENARIOS and board_name == "demo_sync.json":
+        # Synchronous loading makes all 14 scenarios live at once.
+        data["max_processes"] = len(SCENARIOS)
+    config = BoardConfig.from_dict(data, BOARDS_DIR)
+    sources = [(a[:-5], (SCENARIOS_DIR / a).read_bytes()) for a in apps]
+    _assert_same(lambda: Board(config), sources, DEFAULT_MAX_TICKS)
     assert not any(pending_after_idle)
     if apps is SCENARIOS:  # not every scenario sleeps, but the whole set does
         assert pending_after_idle

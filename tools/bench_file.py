@@ -2,14 +2,15 @@
 
 Usage (from the repository root):
 
-    python3 tools/bench_file.py N [--rounds R] [--seconds S] [--imports K]
+    python3 tools/bench_file.py N
 
-writes ``BENCH_<N>.json`` at the repository root. Each of the ``R``
-rounds runs, once for every workload that ``BENCHMARK.json`` declares,
+writes ``BENCH_<N>.json`` at the repository root. The procedure is fixed,
+so that two files made on two commits compare. Each of 10 rounds runs,
+once for every workload that ``BENCHMARK.json`` declares,
 
     python3 perfbench/run.py --workload W --seed 0 --seconds S --trace 0
 
-one run at a time. The first workload of a round rotates from round to
+(``S`` is ``BENCHMARK.json``'s ``run_seconds``), one run at a time. The first workload of a round rotates from round to
 round, so that no workload always runs first or last. The last stdout
 line of each run gives its end-to-end metrics and its ``correct`` and
 ``failed`` fields.
@@ -24,8 +25,8 @@ The file holds:
 - the deterministic counters that ``perfbench/check.py`` ``analyze``
   gives for the workload's seed-0 trace, run once in this process, with
   that trace's exit code, sha256 and size;
-- start-up: the median wall time of ``K`` fresh ``python -c "import
-  kernsim.cli"`` processes, and of ``K`` bare ``python -c pass`` ones,
+- start-up: the median wall time of 25 fresh ``python -c "import
+  kernsim.cli"`` processes, and of 25 bare ``python -c pass`` ones,
   interleaved, with whether the interpreter writes bytecode.
 
 Wall times move from run to run by themselves, so they are compared
@@ -53,6 +54,8 @@ from typing import Any, Dict, List, Optional
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 SRC = ROOT / "src"
+ROUNDS = 10
+STARTUP_SAMPLES = 25
 
 
 def spread(values: List[Optional[float]]) -> Dict[str, Any]:
@@ -124,14 +127,8 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("number", type=int, help="the N of BENCH_<N>.json")
-    parser.add_argument("--rounds", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"],
-                        help="each run's --seconds (default: BENCHMARK.json's)")
-    parser.add_argument("--imports", type=int, default=25,
-                        help="fresh interpreters timed for start-up")
     args = parser.parse_args(argv)
-    if args.rounds < 2 or args.imports < 2:
-        parser.error("--rounds and --imports need at least 2, for quartiles")
+    seconds = benchmark["run_seconds"]
 
     sys.path.insert(0, str(SRC))
     # run_path compiles the files without writing bytecode next to them.
@@ -141,10 +138,10 @@ def main(argv=None) -> int:
     metrics = benchmark["end_to_end"]
 
     runs: Dict[str, List[Dict[str, Any]]] = {name: [] for name in names}
-    for round_no in range(args.rounds):
+    for round_no in range(ROUNDS):
         shift = round_no % len(names)
         for name in names[shift:] + names[:shift]:
-            result = run_workload(name, args.seconds)
+            result = run_workload(name, seconds)
             runs[name].append(result)
             print(f"round {round_no} {name}: correct {result['correct']}, "
                   f"wall_s {result['metrics'].get('wall_s', {}).get('value')}",
@@ -166,10 +163,10 @@ def main(argv=None) -> int:
         "uncommitted": git("diff", "--name-only", "HEAD").splitlines(),
         "python": platform.python_version(),
         "command": "python3 perfbench/run.py --workload W --seed 0 "
-                   f"--seconds {args.seconds:g} --trace 0",
-        "rounds": args.rounds,
+                   f"--seconds {seconds:g} --trace 0",
+        "rounds": ROUNDS,
         "workloads": workloads,
-        "startup": startup(args.imports),
+        "startup": startup(STARTUP_SAMPLES),
     }
     out = ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(bench, indent=2) + "\n", encoding="utf-8")
